@@ -1,0 +1,13 @@
+//! Records which compiler built the benchmark, so every result carries it.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=IPMEDIA_BENCHMARK_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
