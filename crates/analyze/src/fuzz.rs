@@ -37,6 +37,7 @@
 use crate::diag::Severity;
 use crate::interproc::{covered_classes_up_to, MAX_COVERED_LINKS};
 use crate::{analyze_scenario, parse_scenario, to_ipm};
+use ipmedia_core::hash::{splitmix64_next, GOLDEN_GAMMA};
 use ipmedia_core::path::{EndGoal, Topology};
 use ipmedia_core::program::model::{
     GoalAnnotation, ModelEffect, ModelTrigger, ProgramModel, ScenarioModel, StateModel,
@@ -64,11 +65,7 @@ impl FuzzRng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64_next(&mut self.state)
     }
 
     /// Uniform value in `0..n` (`n` must be nonzero).
@@ -93,7 +90,7 @@ impl FuzzRng {
 /// splitmix64 step off the campaign seed, so scenario streams from
 /// different campaign seeds do not overlap trivially.
 pub fn scenario_seed(campaign_seed: u64, index: u64) -> u64 {
-    FuzzRng::new(campaign_seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next_u64()
+    FuzzRng::new(campaign_seed.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA))).next_u64()
 }
 
 // ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ use crate::diag::{intern_code, parse_severity, Diagnostic};
 use crate::parse::{program_ipm, to_ipm, topology_ipm};
 use crate::sarif::Baseline;
 use crate::{dataflow, race, runner::RunReport, sort_report, wellformed};
+use ipmedia_core::hash::{fnv1a, fnv1a_extend};
 use ipmedia_core::program::model::{ProgramModel, ScenarioModel};
 use ipmedia_obs::{json_array, JsonObj};
 use std::collections::BTreeMap;
@@ -56,24 +57,10 @@ use std::sync::Mutex;
 /// observable output can change, so old caches self-invalidate.
 pub const ANALYZER_VERSION: u32 = 1;
 
-/// 64-bit FNV-1a.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprint of arbitrary canonical text under the analyzer-version salt.
 pub fn fingerprint_text(text: &str) -> String {
-    let mut h = fnv64(format!("ipm-analyzer-v{ANALYZER_VERSION}\n").as_bytes());
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    let salt = fnv1a(format!("ipm-analyzer-v{ANALYZER_VERSION}\n").as_bytes());
+    format!("{:016x}", fnv1a_extend(salt, text.as_bytes()))
 }
 
 /// Whole-scenario fingerprint over the canonical `.ipm` form.

@@ -33,6 +33,8 @@ pub mod descriptor;
 pub mod endpoint;
 pub mod error;
 pub mod goal;
+pub mod hash;
+pub mod host;
 pub mod ids;
 pub mod path;
 pub mod program;

@@ -11,6 +11,7 @@ use crate::fault::FaultPlan;
 use crate::sim::Network;
 use crate::time::{SimDuration, SimTime};
 use ipmedia_core::chaos::{ChaosAction, ChaosSchedule};
+use ipmedia_core::hash::{splitmix64, GOLDEN_GAMMA};
 use ipmedia_core::BoxId;
 
 /// Where a schedule landed in virtual time.
@@ -28,12 +29,11 @@ pub struct AppliedChaos {
 /// index, and the channel id (splitmix64 finalizer), so every burst
 /// window owns an independent, reproducible PRNG stream.
 fn burst_seed(schedule_seed: u64, phase_idx: usize, ch: u32) -> u64 {
-    let mut z = schedule_seed
-        .wrapping_add((phase_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(u64::from(ch) << 17);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(
+        schedule_seed
+            .wrapping_add((phase_idx as u64).wrapping_mul(GOLDEN_GAMMA))
+            .wrapping_add(u64::from(ch) << 17),
+    )
 }
 
 /// Arm every phase of `schedule` on `net`, anchored at the current

@@ -8,11 +8,12 @@
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::time::{SimDuration, SimTime};
-use ipmedia_core::goal::{Outgoing, UserCmd};
-use ipmedia_core::ids::{BoxId, ChannelId, SlotId, TunnelId};
-use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox, TimerGenerations, TimerId};
-use ipmedia_core::reliable::{self, Reliability, ReliableConfig, TimerAction};
-use ipmedia_core::signal::{Availability, MetaSignal};
+use ipmedia_core::goal::UserCmd;
+use ipmedia_core::host::{Arrival, Effect, Input, NodeHost};
+use ipmedia_core::ids::{BoxId, ChannelId, SlotId};
+use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox};
+use ipmedia_core::reliable::{self, ReliableConfig};
+use ipmedia_core::signal::{ChannelMsg, Signal};
 use ipmedia_core::MediaBox;
 use ipmedia_obs::clock::ManualClock;
 use ipmedia_obs::ladder::{render, LadderEvent};
@@ -54,28 +55,13 @@ impl SimConfig {
 }
 
 enum Ev {
-    /// Deliver an input to a box (and let it process it). `from` is the
-    /// box whose output caused the input, when there is one — it feeds the
-    /// trace's source column and ladder arrows.
+    /// Deliver an input to a box's host (and let it process it). `from`
+    /// is the box whose output caused the input, when there is one — it
+    /// feeds the trace's source column and ladder arrows.
     Input {
         to: BoxId,
-        input: BoxInput,
+        input: Input,
         from: Option<BoxId>,
-    },
-    /// An application timer fires, if still current.
-    TimerFire { to: BoxId, id: TimerId, gen: u64 },
-    /// An externally injected user command.
-    User {
-        to: BoxId,
-        slot: SlotId,
-        cmd: UserCmd,
-    },
-    /// An externally injected closure over the box (goal re-annotations
-    /// driven by test harnesses rather than application logic).
-    #[allow(clippy::type_complexity)]
-    Apply {
-        to: BoxId,
-        f: Box<dyn FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send>,
     },
     /// The box goes down: inputs and timer fires addressed to it are lost
     /// until the matching `Restart`. Protocol state survives (a transient
@@ -131,29 +117,32 @@ impl Ord for Scheduled {
 }
 
 struct Node {
-    pb: ProgramBox,
+    host: NodeHost,
     name: String,
     /// The box processes stimuli serially; this is when it frees up.
     busy_until: SimTime,
-    /// Current generation per timer id; stale fires are dropped. Shared
-    /// semantics with the tokio runtime via `core::program`.
-    timer_gen: TimerGenerations,
     available: bool,
     terminated: bool,
     /// Crashed (between `Ev::Crash` and `Ev::Restart`): all deliveries
     /// and timer fires are lost.
     down: bool,
-    /// Retransmission layer, when enabled for this box.
-    reliab: Option<Reliability>,
-    next_slot: u16,
 }
 
+/// The two ends of a channel. `b` is `None` for the half-open channel a
+/// failed dial leaves behind: whatever `a` sends on it goes nowhere.
 struct Channel {
     a: BoxId,
-    b: BoxId,
-    /// Slot ids per tunnel at each end (same length).
-    slots_a: Vec<SlotId>,
-    slots_b: Vec<SlotId>,
+    b: Option<BoxId>,
+}
+
+impl Channel {
+    fn peer_of(&self, from: BoxId) -> Option<BoxId> {
+        if self.a == from {
+            self.b
+        } else {
+            Some(self.a)
+        }
+    }
 }
 
 /// A live burst window: overrides the channel's baseline fault plan
@@ -184,14 +173,6 @@ pub struct TraceEntry {
     pub what: String,
 }
 
-impl TraceEntry {
-    /// Compatibility accessor for the source box (the field predates
-    /// `from` and older call sites read it through this method).
-    pub fn source(&self) -> Option<BoxId> {
-        self.from
-    }
-}
-
 /// The simulated network of boxes and signaling channels.
 pub struct Network {
     cfg: SimConfig,
@@ -206,9 +187,10 @@ pub struct Network {
     partitions: HashMap<(BoxId, BoxId), (bool, bool)>,
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
-    /// (box, slot) → (channel, tunnel) for outgoing routing.
-    slot_route: HashMap<(BoxId, SlotId), (ChannelId, TunnelId)>,
     events: BinaryHeap<Reverse<Scheduled>>,
+    /// Effect buffer handed to every host call and drained right after;
+    /// reused so a stimulus costs no allocation for it.
+    effects: Vec<Effect>,
     now: SimTime,
     seq: u64,
     next_box: u32,
@@ -238,8 +220,8 @@ impl Network {
             faults: HashMap::new(),
             partitions: HashMap::new(),
             bursts: HashMap::new(),
-            slot_route: HashMap::new(),
             events: BinaryHeap::new(),
+            effects: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             next_box: 0,
@@ -293,54 +275,6 @@ impl Network {
         tracer
     }
 
-    /// When tracing, close the transit leg (if the activation was caused
-    /// by a transmitted event), open the span for this box activation,
-    /// point the observer context at it, and return the child context
-    /// its outputs should carry.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_activation(
-        &mut self,
-        to: BoxId,
-        from: Option<BoxId>,
-        ctx: Option<SpanCtx>,
-        kind: &'static str,
-        label: String,
-        start: SimTime,
-        done: SimTime,
-    ) -> Option<SpanCtx> {
-        let tracer = self.tracer.as_ref()?.clone();
-        let (trace, parent) = match ctx {
-            Some(c) => {
-                // A transit span only where something actually traversed
-                // the network; timer fires and local follow-ups parent
-                // straight to the causing span.
-                let p = if from.is_some() {
-                    tracer.span(
-                        c.trace,
-                        Some(c.parent),
-                        to.0,
-                        from.map(|b| b.0),
-                        "transit",
-                        label.clone(),
-                        c.sent_micros,
-                        self.now.0,
-                    )
-                } else {
-                    c.parent
-                };
-                (c.trace, Some(p))
-            }
-            None => (tracer.new_trace(), None),
-        };
-        let sid = tracer.span(trace, parent, to.0, None, kind, label, start.0, done.0);
-        tracer.set_current(trace, sid);
-        Some(SpanCtx {
-            trace,
-            parent: sid,
-            sent_micros: done.0,
-        })
-    }
-
     /// Render the recorded trace as a Fig.-10-style ASCII ladder, one
     /// column per box. Requires `trace_enabled` to have been set before
     /// the events of interest.
@@ -376,25 +310,15 @@ impl Network {
         self.nodes.insert(
             id,
             Node {
-                pb: ProgramBox::new(id, logic),
+                host: NodeHost::new(id, logic),
                 name,
                 busy_until: SimTime::ZERO,
-                timer_gen: TimerGenerations::new(),
                 available: true,
                 terminated: false,
                 down: false,
-                reliab: None,
-                next_slot: 0,
             },
         );
-        self.push(
-            self.now,
-            Ev::Input {
-                to: id,
-                input: BoxInput::Start,
-                from: None,
-            },
-        );
+        self.inject_input(id, BoxInput::Start);
         id
     }
 
@@ -414,9 +338,9 @@ impl Network {
     /// Enable the §VI retransmission/recovery layer on a box. Awaits
     /// already outstanding are armed immediately.
     pub fn enable_reliability(&mut self, id: BoxId, cfg: ReliableConfig) {
-        self.nodes.get_mut(&id).expect("box exists").reliab = Some(Reliability::new(cfg));
-        let now = self.now;
-        self.sync_reliability(id, now, None);
+        let node = self.nodes.get_mut(&id).expect("box exists");
+        node.host.enable_reliability(cfg);
+        self.deliver(id, Input::Rearm, None, None);
     }
 
     /// Schedule a crash at `at` and the matching restart `down_for` later.
@@ -424,8 +348,8 @@ impl Network {
     /// state survives and its reliability layer re-arms on restart.
     pub fn schedule_crash(&mut self, id: BoxId, at: SimTime, down_for: SimDuration) {
         assert!(at >= self.now, "cannot schedule in the past");
-        self.push(at, Ev::Crash { to: id });
-        self.push(at + down_for, Ev::Restart { to: id });
+        self.push(at, Ev::Crash { to: id }, None);
+        self.push(at + down_for, Ev::Restart { to: id }, None);
     }
 
     /// Schedule a (possibly asymmetric) partition between two boxes at
@@ -445,22 +369,20 @@ impl Network {
         block_ba: bool,
     ) {
         assert!(at >= self.now, "cannot schedule in the past");
-        self.push(
-            at,
-            Ev::Partition {
-                a,
-                b,
-                block_ab,
-                block_ba,
-            },
-        );
+        let ev = Ev::Partition {
+            a,
+            b,
+            block_ab,
+            block_ba,
+        };
+        self.push(at, ev, None);
     }
 
     /// Schedule the removal of any partition between two boxes
     /// (order-insensitive pair).
     pub fn schedule_heal(&mut self, at: SimTime, a: BoxId, b: BoxId) {
         assert!(at >= self.now, "cannot schedule in the past");
-        self.push(at, Ev::HealPair { a, b });
+        self.push(at, Ev::HealPair { a, b }, None);
     }
 
     /// Schedule a bursty fault window on a channel: from `at` until
@@ -477,14 +399,8 @@ impl Network {
         duration: SimDuration,
     ) {
         assert!(at >= self.now, "cannot schedule in the past");
-        self.push(
-            at,
-            Ev::BurstStart {
-                ch,
-                plan,
-                until: at + duration,
-            },
-        );
+        let until = at + duration;
+        self.push(at, Ev::BurstStart { ch, plan, until }, None);
     }
 
     /// Current block flags between two boxes as `(a→b, b→a)`.
@@ -510,7 +426,7 @@ impl Network {
         let mut out: Vec<ChannelId> = self
             .channels
             .iter()
-            .filter(|(_, c)| pair_key(c.a, c.b) == key && c.a != c.b)
+            .filter(|(_, c)| c.b.is_some_and(|b| pair_key(c.a, b) == key))
             .map(|(&id, _)| id)
             .collect();
         out.sort_by_key(|c| c.0);
@@ -520,23 +436,19 @@ impl Network {
     /// True iff every slot of the box has converged (§VI quiescence: no
     /// unanswered open/close/describe).
     pub fn converged(&self, id: BoxId) -> bool {
-        reliable::converged(self.nodes[&id].pb.media())
+        reliable::converged(self.nodes[&id].host.media())
     }
 
     /// True iff every box in the network has converged.
     pub fn all_converged(&self) -> bool {
         self.nodes
             .values()
-            .all(|n| reliable::converged(n.pb.media()))
+            .all(|n| reliable::converged(n.host.media()))
     }
 
     /// Slots of `id` that exhausted their retries and parked.
     pub fn parked_slots(&self, id: BoxId) -> Vec<SlotId> {
-        self.nodes[&id]
-            .reliab
-            .as_ref()
-            .map(|r| r.parked_slots().collect())
-            .unwrap_or_default()
+        self.nodes[&id].host.parked_slots()
     }
 
     pub fn box_id(&self, name: &str) -> Option<BoxId> {
@@ -545,7 +457,7 @@ impl Network {
 
     /// Read access to a box's media layer (slots, goals) for assertions.
     pub fn media(&self, id: BoxId) -> &MediaBox {
-        self.nodes[&id].pb.media()
+        self.nodes[&id].host.media()
     }
 
     pub fn media_by_name(&self, name: &str) -> &MediaBox {
@@ -562,82 +474,49 @@ impl Network {
         b: BoxId,
         tunnels: u16,
     ) -> (ChannelId, Vec<SlotId>, Vec<SlotId>) {
-        let ch = ChannelId(self.next_channel);
-        self.next_channel += 1;
-        let slots_a = self.alloc_slots(a, tunnels, true, ch);
-        let slots_b = self.alloc_slots(b, tunnels, false, ch);
-        self.channels.insert(
-            ch,
-            Channel {
-                a,
-                b,
-                slots_a: slots_a.clone(),
-                slots_b: slots_b.clone(),
-            },
-        );
-        self.push(
-            self.now,
-            Ev::Input {
-                to: a,
-                input: BoxInput::ChannelUp {
-                    channel: ch,
-                    slots: slots_a.clone(),
-                    req: None,
-                },
-                from: None,
-            },
-        );
-        self.push(
-            self.now,
-            Ev::Input {
-                to: b,
-                input: BoxInput::ChannelUp {
-                    channel: ch,
-                    slots: slots_b.clone(),
-                    req: None,
-                },
-                from: None,
-            },
-        );
-        (ch, slots_a, slots_b)
+        let ch = self.pair(a, Some(b), tunnels);
+        for to in [a, b] {
+            let input = Input::ChannelUp {
+                channel: ch,
+                req: None,
+            };
+            self.push_input(self.now, to, input, None, None);
+        }
+        let slots = |id| {
+            self.nodes[&id]
+                .host
+                .channel_slots(ch)
+                .expect("paired")
+                .to_vec()
+        };
+        (ch, slots(a), slots(b))
     }
 
-    fn alloc_slots(
-        &mut self,
-        owner: BoxId,
-        tunnels: u16,
-        initiator: bool,
-        ch: ChannelId,
-    ) -> Vec<SlotId> {
-        let node = self.nodes.get_mut(&owner).expect("box exists");
-        let mut out = Vec::with_capacity(tunnels as usize);
-        for t in 0..tunnels {
-            let sid = SlotId(node.next_slot);
-            node.next_slot += 1;
-            node.pb.media_mut().add_slot(sid, initiator);
-            self.slot_route.insert((owner, sid), (ch, TunnelId(t)));
-            out.push(sid);
+    /// Allocate a channel id, record its two ends, and register it (slot
+    /// ids are fixed here) with the host at each.
+    fn pair(&mut self, a: BoxId, b: Option<BoxId>, tunnels: u16) -> ChannelId {
+        let ch = ChannelId(self.next_channel);
+        self.next_channel += 1;
+        self.channels.insert(ch, Channel { a, b });
+        for (id, initiator) in [(Some(a), true), (b, false)] {
+            if let Some(id) = id {
+                let node = self.nodes.get_mut(&id).expect("box exists");
+                node.host.register_channel(ch, tunnels, initiator);
+            }
         }
-        out
+        ch
     }
 
     /// Inject a user command at the current time (as if the human acted).
     pub fn user(&mut self, to: BoxId, slot: SlotId, cmd: UserCmd) {
-        self.push(self.now, Ev::User { to, slot, cmd });
+        self.push_input(self.now, to, Input::User { slot, cmd }, None, None);
     }
 
     /// Inject an arbitrary input at the current time. Used by tests and
     /// scenario drivers to deliver application meta-signals (feature
     /// commands like "switch to call 2") as if a peer had sent them.
     pub fn inject_input(&mut self, to: BoxId, input: BoxInput) {
-        self.push(
-            self.now,
-            Ev::Input {
-                to,
-                input,
-                from: None,
-            },
-        );
+        self.push_input(self.now, to, Input::Inject(input), None, None);
     }
 
     /// Inject a closure over a box at the current time; used by test
@@ -646,7 +525,7 @@ impl Network {
     where
         F: FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send + 'static,
     {
-        self.push(self.now, Ev::Apply { to, f: Box::new(f) });
+        self.apply_at(self.now, to, f);
     }
 
     /// Schedule a closure at an absolute virtual time.
@@ -655,14 +534,22 @@ impl Network {
         F: FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send + 'static,
     {
         assert!(at >= self.now, "cannot schedule in the past");
-        self.push(at, Ev::Apply { to, f: Box::new(f) });
+        self.push_input(at, to, Input::Apply(Box::new(f)), None, None);
     }
 
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        self.push_traced(at, ev, None);
+    /// Schedule the delivery of `input` to `to` at `at`.
+    fn push_input(
+        &mut self,
+        at: SimTime,
+        to: BoxId,
+        input: Input,
+        from: Option<BoxId>,
+        ctx: Option<SpanCtx>,
+    ) {
+        self.push(at, Ev::Input { to, input, from }, ctx);
     }
 
-    fn push_traced(&mut self, at: SimTime, ev: Ev, ctx: Option<SpanCtx>) {
+    fn push(&mut self, at: SimTime, ev: Ev, ctx: Option<SpanCtx>) {
         let seq = self.seq;
         self.seq += 1;
         self.events.push(Reverse(Scheduled { at, seq, ev, ctx }));
@@ -681,72 +568,8 @@ impl Network {
             // an activation (crash faults, say) is deliberately unparented.
             t.clear_current();
         }
-        let ctx = sch.ctx;
         match sch.ev {
-            Ev::Input { to, input, from } => self.deliver(to, input, from, ctx),
-            Ev::TimerFire { to, id, gen } => {
-                let Some(node) = self.nodes.get(&to) else {
-                    return true;
-                };
-                if node.down || !node.timer_gen.is_current(id, gen) {
-                    return true;
-                }
-                if node.reliab.is_some() && reliable::timer_slot(id).is_some() {
-                    self.retransmit_fire(to, id, ctx);
-                } else {
-                    self.deliver(to, BoxInput::Timer(id), None, ctx);
-                }
-            }
-            Ev::User { to, slot, cmd } => {
-                let Some(node) = self.nodes.get_mut(&to) else {
-                    return true;
-                };
-                if node.terminated {
-                    return true;
-                }
-                let start = self.now.max(node.busy_until);
-                let done = start + self.cfg.compute_cost;
-                node.busy_until = done;
-                let child = if self.tracer.is_some() {
-                    self.trace_activation(
-                        to,
-                        None,
-                        None,
-                        "stimulus",
-                        format!("user {cmd:?} s{}", slot.0),
-                        start,
-                        done,
-                    )
-                } else {
-                    None
-                };
-                let node = self.nodes.get_mut(&to).expect("checked above");
-                self.obs.stimulus(to.0, "user");
-                match node.pb.media_mut().user_obs(slot, cmd, &mut self.obs) {
-                    Ok(out) => {
-                        let cmds: Vec<BoxCmd> = out.into_iter().map(BoxCmd::Signal).collect();
-                        self.execute(to, done, cmds, child);
-                    }
-                    Err(e) => panic!("user command failed on {to}: {e}"),
-                }
-            }
-            Ev::Apply { to, f } => {
-                let Some(node) = self.nodes.get_mut(&to) else {
-                    return true;
-                };
-                let start = self.now.max(node.busy_until);
-                let done = start + self.cfg.compute_cost;
-                node.busy_until = done;
-                let child = if self.tracer.is_some() {
-                    self.trace_activation(to, None, ctx, "stimulus", "apply".into(), start, done)
-                } else {
-                    None
-                };
-                let node = self.nodes.get_mut(&to).expect("checked above");
-                self.obs.stimulus(to.0, "apply");
-                let cmds = f(&mut node.pb);
-                self.execute(to, done, cmds, child);
-            }
+            Ev::Input { to, input, from } => self.deliver(to, input, from, sch.ctx),
             Ev::Crash { to } => {
                 if let Some(node) = self.nodes.get_mut(&to) {
                     node.down = true;
@@ -754,21 +577,12 @@ impl Network {
                 }
             }
             Ev::Restart { to } => {
-                if let Some(node) = self.nodes.get_mut(&to) {
-                    if !node.down {
-                        return true;
-                    }
+                if let Some(node) = self.nodes.get_mut(&to).filter(|n| n.down) {
                     node.down = false;
-                    // Fires swallowed while down never come back, so the
-                    // reliability layer restarts from scratch and re-arms
-                    // every outstanding await.
-                    if let Some(rel) = node.reliab.as_ref() {
-                        let cfg = *rel.config();
-                        node.reliab = Some(Reliability::new(cfg));
-                    }
                     self.obs.fault_injected(to.0, "restart");
-                    let now = self.now;
-                    self.sync_reliability(to, now, None);
+                    // Fires swallowed while down never come back, so the
+                    // reliability layer restarts from scratch.
+                    self.deliver(to, Input::Rearm, None, None);
                 }
             }
             Ev::Partition {
@@ -801,278 +615,157 @@ impl Network {
         true
     }
 
-    fn deliver(&mut self, to: BoxId, input: BoxInput, from: Option<BoxId>, ctx: Option<SpanCtx>) {
+    /// Hand one input to a box's host — charging the compute cost *c* if
+    /// the box computes on it — and schedule what comes out.
+    fn deliver(&mut self, to: BoxId, input: Input, from: Option<BoxId>, ctx: Option<SpanCtx>) {
         let Some(node) = self.nodes.get_mut(&to) else {
-            return; // box gone (e.g. signal in flight past teardown)
+            return;
         };
-        if node.terminated || node.down {
-            return; // crashed boxes lose their inputs
+        // Crashed and terminated boxes lose what is sent to them. Harness
+        // closures, the far end's teardown and the host's own re-arming
+        // are not network deliveries; a user can still act on a box that
+        // is down.
+        let lost = match input {
+            Input::Apply(_) | Input::ChannelDown { .. } | Input::Rearm => false,
+            Input::User { .. } => node.terminated,
+            _ => node.terminated || node.down,
+        };
+        if lost {
+            return;
         }
-        // Drop tunnel signals whose slot no longer exists (channel died
-        // while the signal was in flight).
-        if let BoxInput::Tunnel { slot, .. } = &input {
-            if node.pb.media().slot(*slot).is_none() {
-                return;
-            }
-        }
-        // Reliability re-ack: a duplicate open hitting a flowing acceptor
-        // means the original oack/select may have been lost; the slot will
-        // ignore the duplicate, so re-emit the cached acknowledgement.
-        let mut reack = Vec::new();
-        if node.reliab.is_some() {
-            if let BoxInput::Tunnel { slot, signal } = &input {
-                if let Some(s) = node.pb.media().slot(*slot) {
-                    let sigs = reliable::reack_signals(s, signal);
-                    if !sigs.is_empty() {
-                        let slot = *slot;
-                        reack.extend(
-                            sigs.into_iter()
-                                .map(|signal| BoxCmd::Signal(Outgoing { slot, signal })),
-                        );
-                        self.obs.retransmission(to.0, slot.0, "reack");
-                    }
-                }
-            }
-        }
-        if self.trace_enabled {
-            let what = match &input {
-                BoxInput::Tunnel { slot, signal } => format!("{slot}:{}", signal.kind()),
-                other => format!("{other:?}"),
-            };
-            self.trace.push(TraceEntry {
-                at: self.now,
-                from,
-                to,
-                what,
-            });
-        }
-        if let BoxInput::Meta { channel, meta } = &input {
-            self.obs.meta_signal(to.0, channel.0, meta.kind());
-        }
-        let start = self.now.max(node.busy_until);
-        let done = start + self.cfg.compute_cost;
-        node.busy_until = done;
-        let child = if self.tracer.is_some() {
-            let label = match &input {
-                BoxInput::Tunnel { slot, signal } => format!("?{} s{}", signal.kind(), slot.0),
-                BoxInput::Timer(_) => "timer".to_string(),
-                BoxInput::Meta { meta, .. } => format!("meta {}", meta.kind()),
-                BoxInput::ChannelUp { channel, .. } => format!("channel_up ch{}", channel.0),
-                BoxInput::Start => "start".to_string(),
-                other => format!("{other:?}"),
-            };
-            self.trace_activation(to, from, ctx, "stimulus", label, start, done)
+        let what = if self.trace_enabled {
+            describe(&node.host, &input)
         } else {
             None
         };
-        let node = self.nodes.get_mut(&to).expect("checked above");
-        let mut cmds = node.pb.handle_obs(input, &mut self.obs);
-        cmds.extend(reack);
-        self.execute(to, done, cmds, child);
-    }
-
-    /// Execute the commands a box produced; its outputs leave at `done`.
-    fn execute(&mut self, from: BoxId, done: SimTime, cmds: Vec<BoxCmd>, ctx: Option<SpanCtx>) {
-        for cmd in cmds {
-            match cmd {
-                BoxCmd::Signal(out) => {
-                    let Some(&(ch, tunnel)) = self.slot_route.get(&(from, out.slot)) else {
-                        continue; // channel died under us
-                    };
-                    let Some(channel) = self.channels.get(&ch) else {
-                        continue;
-                    };
-                    let (peer, peer_slot) = peer_of(channel, from, tunnel);
-                    // If the peer never came up (unavailable target), the
-                    // signal vanishes into the void.
-                    if !self.nodes.contains_key(&peer) {
-                        continue;
-                    }
-                    // The routing layer is the one place every transmitted
-                    // signal passes through (logic-driven, user-driven, and
-                    // harness-injected alike), so sends are observed here.
-                    self.obs.signal_sent(from.0, out.slot.0, out.signal.kind());
-                    // An active partition swallows the signal before the
-                    // channel's fault plan gets a say.
-                    if self.blocked(from, peer) {
-                        self.obs.fault_injected(from.0, "partition");
-                        continue;
-                    }
-                    // A live burst window overrides the channel's baseline
-                    // fault plan; perfect channels take the clean
-                    // single-copy path. Expired bursts are reaped lazily
-                    // here so the baseline plan resumes.
-                    if self.bursts.get(&ch).is_some_and(|b| done > b.until) {
-                        self.bursts.remove(&ch);
-                    }
-                    let fate = if let Some(b) = self.bursts.get_mut(&ch) {
-                        b.fs.fate()
-                    } else {
-                        match self.faults.get_mut(&ch) {
-                            Some(f) => f.fate(),
-                            None => SendFate::clean(),
-                        }
-                    };
-                    match fate {
-                        SendFate::Dropped => {
-                            self.obs.fault_injected(from.0, "drop");
-                        }
-                        SendFate::Deliver(copies) => {
-                            // The payload is moved into the final copy;
-                            // only a fault-injected duplicate pays for a
-                            // clone, so the clean single-copy path (all of
-                            // a storm's traffic on perfect channels) stays
-                            // allocation-free per delivery.
-                            let last = copies.len() - 1;
-                            let mut signal = Some(out.signal);
-                            for (i, copy) in copies.into_iter().enumerate() {
-                                for kind in copy.labels() {
-                                    self.obs.fault_injected(from.0, kind);
-                                }
-                                let signal = if i == last {
-                                    signal.take().expect("one take per copy")
-                                } else {
-                                    signal.as_ref().expect("kept until last").clone()
-                                };
-                                self.push_traced(
-                                    done + self.cfg.net_latency + copy.extra_delay,
-                                    Ev::Input {
-                                        to: peer,
-                                        input: BoxInput::Tunnel {
-                                            slot: peer_slot,
-                                            signal,
-                                        },
-                                        from: Some(from),
-                                    },
-                                    ctx,
-                                );
-                            }
-                        }
-                    }
+        let start = self.now.max(node.busy_until);
+        let done = start + self.cfg.compute_cost;
+        let at = Arrival {
+            cause: ctx,
+            from: from.map(|b| b.0),
+            arrived_micros: self.now.0,
+            start_micros: start.0,
+            done_micros: done.0,
+        };
+        // As before the host (fixed in the next commit): the far end's
+        // teardown counts as a harness closure, and of the program's
+        // reaction to it only the signals it sends are observed.
+        let mut sends_only;
+        let obs: &mut dyn Observer = if matches!(input, Input::ChannelDown { .. }) {
+            self.obs.stimulus(to.0, "apply");
+            sends_only = SendsOnly(&mut self.obs);
+            &mut sends_only
+        } else {
+            &mut self.obs
+        };
+        let outcome = node
+            .host
+            .handle(input, &at, obs, self.tracer.as_ref(), &mut self.effects)
+            .unwrap_or_else(|e| panic!("user command failed on {to}: {}", e.error));
+        // The box's outputs leave when it is done computing; bookkeeping
+        // that costs no stimulus takes effect at once.
+        let sent = if outcome.activated {
+            node.busy_until = done;
+            if let Some(what) = what {
+                self.trace.push(TraceEntry {
+                    at: self.now,
+                    from,
+                    to,
+                    what,
+                });
+            }
+            done
+        } else {
+            self.now
+        };
+        let mut effects = std::mem::take(&mut self.effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { channel, msg } => self.transmit(to, channel, msg, sent, outcome.ctx),
+                Effect::Dial {
+                    to: name,
+                    tunnels,
+                    req,
+                } => {
+                    self.open_channel(to, &name, tunnels, req, sent, outcome.ctx);
                 }
-                BoxCmd::Meta { channel, meta } => {
-                    let Some(chan) = self.channels.get(&channel) else {
-                        continue;
-                    };
-                    let peer = if chan.a == from { chan.b } else { chan.a };
-                    // Meta traffic rides the same links, so a partition
-                    // swallows it too.
-                    if peer != from && self.blocked(from, peer) {
-                        self.obs.fault_injected(from.0, "partition");
-                        continue;
-                    }
-                    self.push_traced(
-                        done + self.cfg.net_latency,
-                        Ev::Input {
-                            to: peer,
-                            input: BoxInput::Meta { channel, meta },
-                            from: Some(from),
-                        },
-                        ctx,
-                    );
-                }
-                BoxCmd::OpenChannel { to, tunnels, req } => {
-                    self.open_channel(from, &to, tunnels, req, done, ctx);
-                }
-                BoxCmd::CloseChannel(ch) => self.close_channel(from, ch, done),
-                BoxCmd::SetTimer { id, after_ms } => {
-                    let node = self.nodes.get_mut(&from).expect("box exists");
-                    let gen = node.timer_gen.arm(id);
-                    self.push_traced(
-                        done + SimDuration::from_millis(after_ms),
-                        Ev::TimerFire { to: from, id, gen },
-                        ctx,
-                    );
-                }
-                BoxCmd::CancelTimer(id) => {
-                    let node = self.nodes.get_mut(&from).expect("box exists");
-                    node.timer_gen.cancel(id);
-                }
-                BoxCmd::Terminate => {
-                    self.nodes.get_mut(&from).expect("box exists").terminated = true;
+                Effect::Hangup { channel } => self.close_channel(to, channel, sent),
+                Effect::ArmTimer { id, gen, after_ms } => self.push_input(
+                    sent + SimDuration::from_millis(after_ms),
+                    to,
+                    Input::TimerFired { id, gen },
+                    None,
+                    outcome.ctx,
+                ),
+                Effect::Terminated => {
+                    self.nodes.get_mut(&to).expect("box exists").terminated = true;
                 }
             }
         }
-        // Any activity can create or resolve awaits; reconcile the box's
-        // retransmission timers with its new slot state. The nested
-        // `execute` below only ever carries timer commands, so recursion
-        // stops at the second (no-change) sync.
-        self.sync_reliability(from, done, ctx);
+        self.effects = effects;
     }
 
-    /// Reconcile a box's reliability layer with its slot state: cancel
-    /// timers for resolved awaits (reporting recoveries), arm timers for
-    /// new ones.
-    fn sync_reliability(&mut self, id: BoxId, done: SimTime, ctx: Option<SpanCtx>) {
-        let now_ms = self.now.0 / 1_000;
-        let Some(node) = self.nodes.get_mut(&id) else {
+    /// Put a message on a channel: partitions, then the channel's burst
+    /// window or baseline fault plan, decide its fate; surviving copies
+    /// reach the far end one network latency after they left.
+    fn transmit(
+        &mut self,
+        from: BoxId,
+        ch: ChannelId,
+        msg: ChannelMsg,
+        sent: SimTime,
+        ctx: Option<SpanCtx>,
+    ) {
+        // The far end closed the channel under us, or never came up.
+        let Some(peer) = self.channels.get(&ch).and_then(|c| c.peer_of(from)) else {
             return;
         };
-        let Some(rel) = node.reliab.as_mut() else {
-            return;
-        };
-        let (cmds, recoveries) = rel.sync(node.pb.media(), now_ms);
-        for r in &recoveries {
-            self.obs.recovered(id.0, r.slot.0, r.attempts, r.elapsed_ms);
-        }
-        if !cmds.is_empty() {
-            self.execute(id, done, cmds, ctx);
-        }
-    }
-
-    /// A retransmission timer fired: re-emit the slot's cached signals and
-    /// re-arm with backoff, or park the slot once retries are exhausted.
-    fn retransmit_fire(&mut self, to: BoxId, id: TimerId, ctx: Option<SpanCtx>) {
-        let Some(node) = self.nodes.get_mut(&to) else {
-            return;
-        };
-        if node.terminated || node.down {
+        if self.blocked(from, peer) {
+            self.obs.fault_injected(from.0, "partition");
             return;
         }
-        let Some(rel) = node.reliab.as_mut() else {
-            return;
+        // Meta traffic rides the same links (so partitions swallow it
+        // too) but is not subject to per-signal fault plans.
+        let fate = if matches!(msg, ChannelMsg::Meta(_)) {
+            SendFate::clean()
+        } else {
+            // A live burst window overrides the baseline plan; expired
+            // bursts are reaped lazily here so the baseline resumes.
+            if self.bursts.get(&ch).is_some_and(|b| sent > b.until) {
+                self.bursts.remove(&ch);
+            }
+            match (self.bursts.get_mut(&ch), self.faults.get_mut(&ch)) {
+                (Some(b), _) => b.fs.fate(),
+                (None, Some(f)) => f.fate(),
+                (None, None) => SendFate::clean(),
+            }
         };
-        let Some(action) = rel.on_timer(node.pb.media(), id) else {
-            return;
-        };
-        match action {
-            TimerAction::Stale | TimerAction::Parked { .. } => {}
-            TimerAction::Resend {
-                slot,
-                signals,
-                rearm_ms,
-            } => {
-                // Retransmission costs a stimulus like any other activity.
-                let start = self.now.max(node.busy_until);
-                let done = start + self.cfg.compute_cost;
-                node.busy_until = done;
-                let kind = signals.first().map(|s| s.kind()).unwrap_or("resend");
-                let child = if self.tracer.is_some() {
-                    // The episode span parents to the stimulus that armed
-                    // the timer, keeping the whole recovery in one trace.
-                    self.trace_activation(
-                        to,
-                        None,
+        match fate {
+            SendFate::Dropped => self.obs.fault_injected(from.0, "drop"),
+            SendFate::Deliver(copies) => {
+                // The payload is moved into the final copy; only a
+                // fault-injected duplicate pays for a clone, so the clean
+                // single-copy path (all of a storm's traffic on perfect
+                // channels) stays allocation-free per delivery.
+                let last = copies.len() - 1;
+                let mut msg = Some(msg);
+                for (i, copy) in copies.into_iter().enumerate() {
+                    for kind in copy.labels() {
+                        self.obs.fault_injected(from.0, kind);
+                    }
+                    let msg = if i == last {
+                        msg.take().expect("one take per copy")
+                    } else {
+                        msg.clone().expect("kept until last")
+                    };
+                    self.push_input(
+                        sent + self.cfg.net_latency + copy.extra_delay,
+                        peer,
+                        Input::Msg { channel: ch, msg },
+                        Some(from),
                         ctx,
-                        "retransmission",
-                        format!("resend {kind} s{}", slot.0),
-                        start,
-                        done,
-                    )
-                } else {
-                    None
-                };
-                self.obs.stimulus(to.0, "retransmit");
-                self.obs.retransmission(to.0, slot.0, kind);
-                let mut cmds: Vec<BoxCmd> = signals
-                    .into_iter()
-                    .map(|signal| BoxCmd::Signal(Outgoing { slot, signal }))
-                    .collect();
-                cmds.push(BoxCmd::SetTimer {
-                    id,
-                    after_ms: rearm_ms,
-                });
-                self.execute(to, done, cmds, child);
+                    );
+                }
             }
         }
     }
@@ -1083,176 +776,60 @@ impl Network {
         to_name: &str,
         tunnels: u16,
         req: u32,
-        done: SimTime,
+        sent: SimTime,
         ctx: Option<SpanCtx>,
     ) {
-        let target = self.names.get(to_name).copied();
         // Channel setup is a round trip, so a partition in either
-        // direction makes the target as unreachable as an unavailable one.
-        let available = target
-            .map(|t| {
-                let (ab, ba) = self.partition_between(from, t);
-                self.nodes[&t].available && !ab && !ba
-            })
-            .unwrap_or(false);
-        let ch = ChannelId(self.next_channel);
-        self.next_channel += 1;
-        let slots_from = self.alloc_slots(from, tunnels, true, ch);
+        // direction makes the target as unreachable as an unavailable
+        // one. Then the requester is left with a half-open channel it can
+        // observe and destroy (Fig. 6's busy branch).
+        let target = self.names.get(to_name).copied().filter(|t| {
+            let (ab, ba) = self.partition_between(from, *t);
+            self.nodes[t].available && !ab && !ba
+        });
+        let ch = self.pair(from, target, tunnels);
 
         // One-way setup message + acknowledgement: the requester learns the
         // outcome after a round trip.
-        let up_at = done + self.cfg.net_latency + self.cfg.net_latency;
+        let up_at = sent + self.cfg.net_latency + self.cfg.net_latency;
         // Tunnel setup gets its own interval span covering the round trip;
         // the ChannelUp/Meta deliveries parent under it so latency
         // attribution can separate signaling from propagation.
-        let child = match (&self.tracer, ctx) {
-            (Some(tracer), Some(c)) => {
-                let sid = tracer.span(
-                    c.trace,
-                    Some(c.parent),
-                    from.0,
-                    None,
-                    "tunnel_setup",
-                    format!("open_channel {to_name}"),
-                    done.0,
-                    up_at.0,
-                );
-                Some(SpanCtx {
-                    trace: c.trace,
-                    parent: sid,
-                    sent_micros: done.0,
-                })
-            }
-            _ => None,
-        };
-        if let (Some(target), true) = (target, available) {
-            let slots_to = self.alloc_slots(target, tunnels, false, ch);
-            self.channels.insert(
-                ch,
-                Channel {
-                    a: from,
-                    b: target,
-                    slots_a: slots_from.clone(),
-                    slots_b: slots_to.clone(),
-                },
-            );
-            self.push_traced(
-                done + self.cfg.net_latency,
-                Ev::Input {
-                    to: target,
-                    input: BoxInput::ChannelUp {
-                        channel: ch,
-                        slots: slots_to,
-                        req: None,
-                    },
-                    from: Some(from),
-                },
-                child,
-            );
-            self.push_traced(
-                up_at,
-                Ev::Input {
-                    to: from,
-                    input: BoxInput::ChannelUp {
-                        channel: ch,
-                        slots: slots_from,
-                        req: Some(req),
-                    },
-                    from: Some(target),
-                },
-                child,
-            );
-            self.push_traced(
-                up_at,
-                Ev::Input {
-                    to: from,
-                    input: BoxInput::Meta {
-                        channel: ch,
-                        meta: MetaSignal::Peer(Availability::Available),
-                    },
-                    from: Some(target),
-                },
-                child,
-            );
-        } else {
-            // Target missing or unavailable: a half-open channel the
-            // requester can observe and destroy (Fig. 6's busy branch).
-            self.channels.insert(
-                ch,
-                Channel {
-                    a: from,
-                    b: from, // no far end; peer lookups resolve to self and
-                    // are suppressed by the empty slots_b
-                    slots_a: slots_from.clone(),
-                    slots_b: Vec::new(),
-                },
-            );
-            self.push_traced(
-                up_at,
-                Ev::Input {
-                    to: from,
-                    input: BoxInput::ChannelUp {
-                        channel: ch,
-                        slots: slots_from,
-                        req: Some(req),
-                    },
-                    from: None,
-                },
-                child,
-            );
-            self.push_traced(
-                up_at,
-                Ev::Input {
-                    to: from,
-                    input: BoxInput::Meta {
-                        channel: ch,
-                        meta: MetaSignal::Peer(Availability::Unavailable),
-                    },
-                    from: None,
-                },
-                child,
-            );
+        let ctx = self.tracer.as_ref().zip(ctx).map(|(tracer, c)| SpanCtx {
+            parent: tracer.span(
+                c.trace,
+                Some(c.parent),
+                from.0,
+                None,
+                "tunnel_setup",
+                format!("open_channel {to_name}"),
+                sent.0,
+                up_at.0,
+            ),
+            ..c
+        });
+        if let Some(target) = target {
+            let up = Input::ChannelUp {
+                channel: ch,
+                req: None,
+            };
+            self.push_input(sent + self.cfg.net_latency, target, up, Some(from), ctx);
+        }
+        for input in Input::dial_outcome(ch, req, target.is_some()) {
+            self.push_input(up_at, from, input, target, ctx);
         }
     }
 
-    fn close_channel(&mut self, from: BoxId, ch: ChannelId, done: SimTime) {
+    fn close_channel(&mut self, from: BoxId, ch: ChannelId, sent: SimTime) {
         let Some(channel) = self.channels.remove(&ch) else {
             return;
         };
-        // Remove local slots now; notify and remove the peer's after n.
-        let (local_slots, peer, peer_slots) = if channel.a == from {
-            (channel.slots_a, channel.b, channel.slots_b)
-        } else {
-            (channel.slots_b, channel.a, channel.slots_a)
-        };
-        if let Some(node) = self.nodes.get_mut(&from) {
-            for s in &local_slots {
-                node.pb.media_mut().remove_slot(*s);
-                self.slot_route.remove(&(from, *s));
-            }
+        // The local slots are gone already; the far end's die when it
+        // hears of it, one network latency on.
+        if let Some(peer) = channel.peer_of(from) {
+            let down = Input::ChannelDown { channel: ch };
+            self.push_input(sent + self.cfg.net_latency, peer, down, None, None);
         }
-        if peer != from && !peer_slots.is_empty() {
-            // Schedule the far-end teardown: slots die when ChannelDown is
-            // processed (handled in deliver path below via a closure-less
-            // special input).
-            for s in &peer_slots {
-                self.slot_route.remove(&(peer, *s));
-            }
-            let slots = peer_slots;
-            self.push(
-                done + self.cfg.net_latency,
-                Ev::Apply {
-                    to: peer,
-                    f: Box::new(move |pb: &mut ProgramBox| {
-                        for s in &slots {
-                            pb.media_mut().remove_slot(*s);
-                        }
-                        pb.handle(BoxInput::ChannelDown { channel: ch })
-                    }),
-                },
-            );
-        }
-        let _ = done;
     }
 
     /// Run until the event queue is empty or virtual time exceeds `max`.
@@ -1316,23 +893,45 @@ impl Network {
     }
 }
 
-fn peer_of(channel: &Channel, from: BoxId, tunnel: TunnelId) -> (BoxId, SlotId) {
-    let t = tunnel.0 as usize;
-    if channel.a == from {
-        (
-            channel.b,
-            channel.slots_b.get(t).copied().unwrap_or(SlotId(u16::MAX)),
-        )
-    } else {
-        (
-            channel.a,
-            channel.slots_a.get(t).copied().unwrap_or(SlotId(u16::MAX)),
-        )
+/// Passes on `signal_sent` and nothing else.
+struct SendsOnly<'a>(&'a mut dyn Observer);
+
+impl Observer for SendsOnly<'_> {
+    fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
+        self.0.signal_sent(bx, slot, kind);
     }
 }
 
-/// Extract one tunnel signal destination for `Signal` commands; used by
-/// tests needing visibility into routing.
-pub fn route_of(net: &Network, from: BoxId, slot: SlotId) -> Option<(ChannelId, TunnelId)> {
-    net.slot_route.get(&(from, slot)).copied()
+/// What the recorded trace (and so the ladder) shows for a delivery: a
+/// tunnel signal as `slot:kind`, anything else as the box input the host
+/// will make of it. `None` for inputs that are not deliveries and leave
+/// no trace entry.
+fn describe(host: &NodeHost, input: &Input) -> Option<String> {
+    let tunnel = |slot: &SlotId, signal: &Signal| Some(format!("{slot}:{}", signal.kind()));
+    let shown = match input {
+        Input::Msg {
+            channel,
+            msg: ChannelMsg::Tunnel { tunnel: t, signal },
+        } => {
+            let slot = host.channel_slots(*channel)?.get(usize::from(t.0))?;
+            return tunnel(slot, signal);
+        }
+        Input::Inject(BoxInput::Tunnel { slot, signal }) => return tunnel(slot, signal),
+        Input::Inject(other) => other.clone(),
+        Input::Msg {
+            channel,
+            msg: ChannelMsg::Meta(meta),
+        } => BoxInput::Meta {
+            channel: *channel,
+            meta: meta.clone(),
+        },
+        Input::ChannelUp { channel, req } => BoxInput::ChannelUp {
+            channel: *channel,
+            slots: host.channel_slots(*channel)?.to_vec(),
+            req: *req,
+        },
+        Input::TimerFired { id, .. } if reliable::timer_slot(*id).is_none() => BoxInput::Timer(*id),
+        _ => return None,
+    };
+    Some(format!("{shown:?}"))
 }

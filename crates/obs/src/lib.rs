@@ -363,6 +363,26 @@ pub enum ObsEvent {
     },
 }
 
+impl ObsEvent {
+    /// The box the observation was made at.
+    pub fn bx(&self) -> u32 {
+        match *self {
+            ObsEvent::Stimulus { bx, .. }
+            | ObsEvent::SignalSent { bx, .. }
+            | ObsEvent::SignalReceived { bx, .. }
+            | ObsEvent::SlotTransition { bx, .. }
+            | ObsEvent::GoalActivated { bx, .. }
+            | ObsEvent::GoalDropped { bx, .. }
+            | ObsEvent::RaceResolved { bx, .. }
+            | ObsEvent::SignalIgnored { bx, .. }
+            | ObsEvent::MetaSignal { bx, .. }
+            | ObsEvent::FaultInjected { bx, .. }
+            | ObsEvent::Retransmission { bx, .. }
+            | ObsEvent::Recovered { bx, .. } => bx,
+        }
+    }
+}
+
 /// Records every observation with a timestamp from the supplied clock.
 /// The event log is behind an `Arc` so the owner of a boxed observer (a
 /// simulator, say) and the test inspecting the log can share it.

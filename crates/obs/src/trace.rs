@@ -89,7 +89,10 @@ pub fn attribution_category(kind: &str) -> &'static str {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanCtx {
     pub trace: TraceId,
+    /// Span of the sender-side activation that emitted the carrier.
     pub parent: SpanId,
+    /// The box that activation ran on.
+    pub bx: u32,
     /// Sender-clock timestamp of the emission, for transit duration.
     pub sent_micros: u64,
 }

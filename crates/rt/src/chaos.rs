@@ -18,6 +18,7 @@
 //! loses all of the box's inputs).
 
 use ipmedia_core::chaos::{ChaosAction, ChaosSchedule};
+use ipmedia_core::hash::GOLDEN_GAMMA;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -187,7 +188,7 @@ pub async fn drive_schedule(gate: &ChaosGate, schedule: &ChaosSchedule, compress
     for (i, phase) in schedule.phases.iter().enumerate() {
         let seed = schedule
             .seed
-            .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add((i as u64).wrapping_mul(GOLDEN_GAMMA));
         match &phase.action {
             ChaosAction::Partition { a, b, dir } => {
                 let (ab, ba) = dir.blocks();

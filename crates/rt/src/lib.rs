@@ -19,4 +19,4 @@ pub use node::{
     spawn_node_tuned, spawn_node_with, Directory, NodeHandle, NodeSnapshot, NodeTuning,
     ReconnectPolicy, SlotSnapshot,
 };
-pub use wire::{decode, encode, Frame, Hello, WireError, WireTraceCtx, WIRE_VERSION};
+pub use wire::{decode, encode, Frame, Hello, WireError, WIRE_VERSION};

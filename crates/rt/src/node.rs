@@ -11,19 +11,21 @@
 
 use crate::chaos::ChaosGate;
 use crate::frame::Framed;
-use crate::wire::{self, Frame, Hello, WireTraceCtx};
-use ipmedia_core::goal::{Outgoing, UserCmd};
+use crate::wire::{self, Frame, Hello};
+use ipmedia_core::goal::UserCmd;
+use ipmedia_core::hash::fnv1a;
+use ipmedia_core::host::{Arrival, Effect, Input, NodeHost};
 use ipmedia_core::ids::{ChannelId, SlotId};
-use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox, TimerGenerations, TimerId};
-use ipmedia_core::reliable;
-use ipmedia_core::signal::{Availability, ChannelMsg, MetaSignal};
+use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
+use ipmedia_core::signal::ChannelMsg;
 use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
 use ipmedia_obs::clock::WallClock;
 use ipmedia_obs::export::prometheus_text;
 use ipmedia_obs::metrics::{CountingObserver, MetricsSnapshot, Registry};
-use ipmedia_obs::trace::{SpanId, SpanSink, TraceId, Tracer};
+use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
 use ipmedia_obs::{Fanout, NoopObserver, Observer};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use tokio::net::{TcpListener, TcpStream};
@@ -105,12 +107,7 @@ pub fn backoff_delays(policy: &ReconnectPolicy, seed: u64, attempts: u32) -> Vec
 /// mixed with the channel id) so two nodes — or two channels of one node
 /// — never share a jitter stream.
 pub fn jitter_seed(name: &str, channel: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ (u64::from(channel) << 32 | u64::from(channel))
+    fnv1a(name.as_bytes()) ^ (u64::from(channel) << 32 | u64::from(channel))
 }
 
 /// Throughput knobs for one node's event plumbing.
@@ -378,7 +375,6 @@ fn recv_shards<'a>(
 
 struct Conn {
     writer_tx: mpsc::Sender<Frame>,
-    slots: Vec<SlotId>,
     /// Dial target when this end initiated the channel; reconnection is
     /// only possible (and only attempted) from the initiating side.
     peer: Option<String>,
@@ -594,22 +590,22 @@ async fn spawn_node_inner(
     let actor = Actor {
         name: name.clone(),
         addr,
-        pb: ProgramBox::new(box_id, logic),
+        host: NodeHost::new(box_id, logic),
         dir,
         conns: HashMap::new(),
         next_channel: 0,
-        next_slot: 0,
         policy,
         tuning,
-        timers: TimerGenerations::new(),
-        timer_heap: Vec::new(),
+        timers: BinaryHeap::new(),
         snap_tx,
         obs,
         registry: registry.clone(),
         tracer,
         gate,
+        inbox_tx,
+        effects: Vec::new(),
     };
-    let join = tokio::spawn(actor.run(inbox_tx, shard_rxs, user_rx, input_rx, shutdown_rx));
+    let join = tokio::spawn(actor.run(shard_rxs, user_rx, input_rx, shutdown_rx));
 
     Ok(NodeHandle {
         name,
@@ -628,119 +624,46 @@ struct Actor {
     name: String,
     /// Listener address, for addr-guarded directory cleanup on shutdown.
     addr: SocketAddr,
-    pb: ProgramBox,
+    /// The box and its sans-IO environment; everything below turns its
+    /// effects into socket traffic and socket traffic into its inputs.
+    host: NodeHost,
     dir: Directory,
     conns: HashMap<ChannelId, Conn>,
     next_channel: u32,
-    next_slot: u16,
     policy: ReconnectPolicy,
     tuning: NodeTuning,
-    timers: TimerGenerations,
-    timer_heap: Vec<(Instant, TimerId, u64)>,
+    /// Wakeups the host asked for, earliest first. The host drops the
+    /// stale ones (restarted or cancelled timers) when they come due.
+    timers: BinaryHeap<Reverse<(Instant, TimerId, u64)>>,
     snap_tx: watch::Sender<NodeSnapshot>,
     /// Unified event sink: metrics counting fanned out with any observer
     /// the spawner supplied.
     obs: Box<dyn Observer + Send>,
     registry: Arc<Registry>,
-    /// Causal tracer, when spawned via [`spawn_node_traced`]. All tracing
-    /// work is gated on this being `Some`.
+    /// Causal tracer, when spawned via [`spawn_node_traced`].
     tracer: Option<Tracer>,
     /// Chaos gate, when spawned via [`spawn_node_chaos`]; consulted on
     /// every outgoing frame and every (re)dial.
     gate: Option<Arc<ChaosGate>>,
+    inbox_tx: InboxTx,
+    /// Effect buffer handed to every host call and drained right after.
+    effects: Vec<Effect>,
 }
 
 impl Actor {
-    /// Start a traced activation for one stimulus: record a transit span
-    /// when the stimulus arrived with wire context (linking this node's
-    /// spans into the sender's call trace), then the activation span
-    /// itself, and set it as the tracer's current context so outgoing
-    /// frames and observer events attach to it. No-op without a tracer.
-    fn trace_activation(
-        &self,
-        wire_ctx: Option<WireTraceCtx>,
-        kind: &'static str,
-        label: String,
-        start_micros: u64,
-    ) {
-        let Some(tracer) = &self.tracer else {
-            return;
-        };
-        let end = tracer.now_micros();
-        let bx = self.pb.media().id().0;
-        let (trace, parent) = match wire_ctx {
-            Some(c) => {
-                let t = TraceId(c.trace);
-                let transit = tracer.span(
-                    t,
-                    Some(SpanId(c.parent)),
-                    bx,
-                    Some(c.bx),
-                    "transit",
-                    label.clone(),
-                    c.sent_micros,
-                    start_micros,
-                );
-                (t, Some(transit))
-            }
-            None => (tracer.new_trace(), None),
-        };
-        let sid = tracer.span(trace, parent, bx, None, kind, label, start_micros, end);
-        tracer.set_current(trace, sid);
-    }
-
-    /// Wrap an outgoing message with the current trace context when
-    /// tracing is on; plain [`Frame::Msg`] otherwise, so untraced peers
-    /// never see the extended frame.
-    fn traced_frame(&self, msg: ChannelMsg) -> Frame {
-        if let Some(tracer) = &self.tracer {
-            if let Some((trace, parent)) = tracer.current() {
-                return Frame::Traced {
-                    ctx: WireTraceCtx {
-                        trace: trace.0,
-                        parent: parent.0,
-                        bx: self.pb.media().id().0,
-                        sent_micros: tracer.now_micros(),
-                    },
-                    msg,
-                };
-            }
-        }
-        Frame::Msg(msg)
-    }
-
-    /// Apply one stimulus to the program box through the observer, timing
-    /// the synchronous compute cost into `stimulus_compute_us`. Channel
-    /// meta-signals are surfaced here because, as in the simulator, they
-    /// are an environment-level event rather than a box-level one.
-    fn handle(&mut self, input: BoxInput) -> Vec<BoxCmd> {
-        if let BoxInput::Meta { channel, ref meta } = input {
-            self.obs
-                .meta_signal(self.pb.media().id().0, channel.0, meta.kind());
-        }
-        let t0 = std::time::Instant::now();
-        let cmds = self.pb.handle_obs(input, &mut self.obs);
-        self.registry
-            .stimulus_compute_us
-            .observe(t0.elapsed().as_micros() as u64);
-        cmds
-    }
-
     async fn run(
         mut self,
-        inbox_tx: InboxTx,
         mut shard_rxs: Vec<mpsc::Receiver<Inbox>>,
         mut user_rx: mpsc::Receiver<(SlotId, UserCmd)>,
         mut input_rx: mpsc::Receiver<BoxInput>,
         mut shutdown_rx: watch::Receiver<bool>,
     ) {
-        let cmds = self.handle(BoxInput::Start);
-        self.execute(cmds, &inbox_tx).await;
+        self.feed(Input::Inject(BoxInput::Start), None).await;
         self.publish();
 
         let mut cursor = 0usize;
         loop {
-            let next_timer = self.next_deadline();
+            let next_timer = self.timers.peek().map(|Reverse((due, ..))| *due);
             // The select only *receives* the first inbox event; applying
             // it (and draining the rest of the burst) happens after the
             // block, once the select's borrows on the shard receivers are
@@ -757,36 +680,19 @@ impl Actor {
                     inbox_first = Some(msg);
                 }
                 Some((slot, cmd)) = user_rx.recv() => {
-                    if let Some(t) = &self.tracer {
-                        let label = format!("user {cmd:?} s{}", slot.0);
-                        self.trace_activation(None, "stimulus", label, t.now_micros());
-                    }
-                    self.obs.stimulus(self.pb.media().id().0, "user");
-                    let t0 = std::time::Instant::now();
-                    let result = self.pb.media_mut().user_obs(slot, cmd, &mut self.obs);
-                    self.registry
-                        .stimulus_compute_us
-                        .observe(t0.elapsed().as_micros() as u64);
-                    match result {
-                        Ok(out) => {
-                            let cmds = out.into_iter().map(BoxCmd::Signal).collect();
-                            self.execute(cmds, &inbox_tx).await;
-                        }
-                        Err(e) => tracing_stub(&self.name, &format!("user cmd failed: {e}")),
-                    }
+                    self.feed(Input::User { slot, cmd }, None).await;
                 }
                 Some(input) = input_rx.recv() => {
-                    // Injected inputs start outside any call trace.
-                    if let Some(t) = &self.tracer { t.clear_current(); }
-                    let cmds = self.handle(input);
-                    self.execute(cmds, &inbox_tx).await;
+                    self.feed(Input::Inject(input), None).await;
                 }
-                _ = sleep_until(next_timer.unwrap_or_else(far_future)), if next_timer.is_some() => {
-                    self.fire_due_timers(&inbox_tx).await;
+                // Disabled while no wakeup is pending; the fallback deadline
+                // only gives the disabled branch a value.
+                _ = sleep_until(next_timer.unwrap_or_else(Instant::now)), if next_timer.is_some() => {
+                    self.fire_due_timers().await;
                 }
             }
             if let Some(msg) = inbox_first {
-                self.on_inbox(msg, &inbox_tx).await;
+                self.on_inbox(msg).await;
                 // Batch drain: apply events already queued across the
                 // shards before paying for the snapshot publish, up to the
                 // tuning bound. Per-shard (and so per-channel) order is
@@ -797,7 +703,7 @@ impl Actor {
                     for i in 0..shard_rxs.len() {
                         let idx = (cursor + i) % shard_rxs.len();
                         while let Ok(msg) = shard_rxs[idx].try_recv() {
-                            self.on_inbox(msg, &inbox_tx).await;
+                            self.on_inbox(msg).await;
                             progressed = true;
                             budget -= 1;
                             if budget == 0 {
@@ -822,8 +728,78 @@ impl Actor {
         self.dir.deregister(&self.name, self.addr);
     }
 
+    /// Feed one input to the host and execute its effects — and the
+    /// inputs those give rise to (a dial's outcome) — until none are left.
+    /// `cause` is the trace context the input arrived with, if any.
+    async fn feed(&mut self, input: Input, cause: Option<SpanCtx>) {
+        let mut next = Some((input, cause));
+        let mut pending = VecDeque::new();
+        while let Some((input, cause)) = next {
+            let ctx = self.apply(input, cause);
+            let mut effects = std::mem::take(&mut self.effects);
+            for effect in effects.drain(..) {
+                match effect {
+                    Effect::Send { channel, msg } => self.transmit(channel, msg, ctx).await,
+                    Effect::Dial { to, tunnels, req } => {
+                        let (channel, answered) = self.open_channel(&to, tunnels).await;
+                        pending.extend(Input::dial_outcome(channel, req, answered));
+                    }
+                    Effect::Hangup { channel } => {
+                        // Local teardown is immediate; the peer acts on Bye.
+                        if let Some(conn) = self.conns.remove(&channel) {
+                            let _ = conn.writer_tx.send(Frame::Bye).await;
+                        }
+                    }
+                    Effect::ArmTimer { id, gen, after_ms } => {
+                        let due = Instant::now() + Duration::from_millis(after_ms);
+                        self.timers.push(Reverse((due, id, gen)));
+                    }
+                    // The actor stays alive to drain signaling.
+                    Effect::Terminated => {}
+                }
+            }
+            self.effects = effects;
+            next = pending.pop_front().map(|input| (input, None));
+        }
+    }
+
+    /// One host call: stamps the arrival with the tracer's clock and times
+    /// the synchronous compute cost into `stimulus_compute_us`. Returns
+    /// the trace context the resulting frames carry.
+    fn apply(&mut self, input: Input, cause: Option<SpanCtx>) -> Option<SpanCtx> {
+        let now = self.tracer.as_ref().map_or(0, Tracer::now_micros);
+        let at = Arrival {
+            cause,
+            from: cause.map(|c| c.bx),
+            arrived_micros: now,
+            start_micros: now,
+            done_micros: now,
+        };
+        let t0 = std::time::Instant::now();
+        let result = self.host.handle(
+            input,
+            &at,
+            &mut self.obs,
+            self.tracer.as_ref(),
+            &mut self.effects,
+        );
+        // Every stimulus is timed, including a user command that ends up
+        // rejected; inputs the host dropped are not stimuli.
+        if result.as_ref().map_or(true, |o| o.activated) {
+            self.registry
+                .stimulus_compute_us
+                .observe(t0.elapsed().as_micros() as u64);
+        }
+        match result {
+            Ok(outcome) => outcome.ctx,
+            // As before the host (fixed in the next commit): a rejected
+            // user command vanishes.
+            Err(_) => None,
+        }
+    }
+
     fn publish(&self) {
-        let media = self.pb.media();
+        let media = self.host.media();
         let slots = media
             .slot_ids()
             .map(|id| {
@@ -843,50 +819,29 @@ impl Actor {
         });
     }
 
-    fn next_deadline(&self) -> Option<Instant> {
-        self.timer_heap.iter().map(|(t, _, _)| *t).min()
-    }
-
-    async fn fire_due_timers(&mut self, inbox_tx: &InboxTx) {
+    async fn fire_due_timers(&mut self) {
         let now = Instant::now();
-        let due: Vec<(TimerId, u64)> = self
-            .timer_heap
-            .iter()
-            .filter(|(t, _, _)| *t <= now)
-            .map(|(_, id, generation)| (*id, *generation))
-            .collect();
-        self.timer_heap.retain(|(t, _, _)| *t > now);
-        for (id, generation) in due {
-            if self.timers.is_current(id, generation) {
-                // Timer fires start a fresh activation, not a continuation
-                // of whatever stimulus last ran.
-                if let Some(t) = &self.tracer {
-                    self.trace_activation(
-                        None,
-                        "stimulus",
-                        format!("timer {id:?}"),
-                        t.now_micros(),
-                    );
-                }
-                let cmds = self.handle(BoxInput::Timer(id));
-                self.execute(cmds, inbox_tx).await;
-            }
+        let mut due = Vec::new();
+        while self
+            .timers
+            .peek()
+            .is_some_and(|Reverse((at, ..))| *at <= now)
+        {
+            let Reverse((_, id, gen)) = self.timers.pop().expect("peeked");
+            due.push((id, gen));
+        }
+        for (id, gen) in due {
+            self.feed(Input::TimerFired { id, gen }, None).await;
         }
     }
 
-    async fn on_inbox(&mut self, msg: Inbox, inbox_tx: &InboxTx) {
+    async fn on_inbox(&mut self, msg: Inbox) {
         match msg {
             Inbox::Accepted { hello, framed } => {
-                let remote = Some(hello.from.clone());
                 let channel =
-                    self.alloc_channel(hello.tunnels, false, None, remote, framed, inbox_tx);
-                let slots = self.conns[&channel].slots.clone();
-                let cmds = self.handle(BoxInput::ChannelUp {
-                    channel,
-                    slots,
-                    req: None,
-                });
-                self.execute(cmds, inbox_tx).await;
+                    self.add_channel(hello.tunnels, false, None, Some(hello.from), Some(framed));
+                self.feed(Input::ChannelUp { channel, req: None }, None)
+                    .await;
             }
             Inbox::Net {
                 channel,
@@ -899,54 +854,32 @@ impl Actor {
                 if self.conns.get(&channel).map(|c| c.gen) != Some(gen) {
                     return;
                 }
-                // Normalize: a traced frame is its inner message plus the
-                // sender's causal context.
-                let (wire_ctx, frame) = match frame {
-                    Frame::Traced { ctx, msg } => (Some(ctx), Frame::Msg(msg)),
-                    other => (None, other),
-                };
                 match frame {
-                    Frame::Msg(ChannelMsg::Tunnel { tunnel, signal }) => {
-                        let Some(conn) = self.conns.get(&channel) else {
-                            return;
-                        };
-                        let Some(&slot) = conn.slots.get(tunnel.0 as usize) else {
-                            return;
-                        };
-                        if let Some(t) = &self.tracer {
-                            let label = format!("?{} s{}", signal.kind(), slot.0);
-                            self.trace_activation(wire_ctx, "stimulus", label, t.now_micros());
-                        }
-                        let cmds = self.handle(BoxInput::Tunnel { slot, signal });
-                        self.execute(cmds, inbox_tx).await;
+                    Frame::Msg(msg) => self.feed(Input::Msg { channel, msg }, None).await,
+                    // A traced frame is its inner message plus the
+                    // sender's causal context.
+                    Frame::Traced { ctx, msg } => {
+                        self.feed(Input::Msg { channel, msg }, Some(ctx)).await;
                     }
-                    Frame::Msg(ChannelMsg::Meta(meta)) => {
-                        if let Some(t) = &self.tracer {
-                            let label = format!("meta {}", meta.kind());
-                            self.trace_activation(wire_ctx, "stimulus", label, t.now_micros());
-                        }
-                        let cmds = self.handle(BoxInput::Meta { channel, meta });
-                        self.execute(cmds, inbox_tx).await;
-                    }
-                    Frame::Bye => self.drop_channel(channel, inbox_tx).await,
-                    Frame::Hello(_) | Frame::Traced { .. } => {} // protocol error
+                    Frame::Bye => self.drop_channel(channel).await,
+                    Frame::Hello(_) => {} // protocol error
                 }
             }
-            Inbox::Gone { channel, gen } => self.on_conn_lost(channel, gen, inbox_tx).await,
+            Inbox::Gone { channel, gen } => self.on_conn_lost(channel, gen).await,
             Inbox::Reconnected {
                 channel,
                 framed,
                 attempts,
                 elapsed_ms,
             } => {
-                self.on_reconnected(channel, framed, attempts, elapsed_ms, inbox_tx)
-                    .await
+                self.on_reconnected(channel, framed, attempts, elapsed_ms)
+                    .await;
             }
             Inbox::ReconnectFailed { channel } => {
                 // Graceful degradation: the peer stayed unreachable, so
                 // the channel is torn down in order (ChannelDown to the
                 // program), exactly as if the peer had said Bye.
-                self.drop_channel(channel, inbox_tx).await;
+                self.drop_channel(channel).await;
             }
         }
     }
@@ -955,8 +888,7 @@ impl Actor {
     /// end initiated the channel, park its slots (state retained, nothing
     /// removed) and re-dial in the background with capped exponential
     /// backoff; otherwise tear the channel down as before.
-    async fn on_conn_lost(&mut self, channel: ChannelId, gen: u64, inbox_tx: &InboxTx) {
-        let bx = self.pb.media().id().0;
+    async fn on_conn_lost(&mut self, channel: ChannelId, gen: u64) {
         let Some(conn) = self.conns.get_mut(&channel) else {
             return;
         };
@@ -966,19 +898,22 @@ impl Actor {
         if conn.recovering {
             return; // reader and writer can both report the same death
         }
-        let peer = conn.peer.clone();
-        let tunnels = conn.slots.len() as u16;
-        let Some(peer) = peer.filter(|_| self.policy.reconnect_attempts > 0) else {
-            self.drop_channel(channel, inbox_tx).await;
+        let Some(peer) = conn
+            .peer
+            .clone()
+            .filter(|_| self.policy.reconnect_attempts > 0)
+        else {
+            self.drop_channel(channel).await;
             return;
         };
-        self.conns.get_mut(&channel).expect("present").recovering = true;
-        self.obs.fault_injected(bx, "disconnect");
+        conn.recovering = true;
+        self.obs.fault_injected(self.host.id().0, "disconnect");
+        let tunnels = self.host.channel_slots(channel).map_or(0, <[_]>::len) as u16;
         let dir = self.dir.clone();
         let name = self.name.clone();
         let policy = self.policy;
         let gate = self.gate.clone();
-        let tx = inbox_tx.shard(channel).clone();
+        let tx = self.inbox_tx.shard(channel).clone();
         tokio::spawn(async move {
             let t0 = std::time::Instant::now();
             // Jittered capped backoff: after a partition heals, every
@@ -990,38 +925,16 @@ impl Actor {
                 policy.reconnect_attempts,
             );
             for (i, delay) in delays.iter().enumerate() {
-                let attempt = i as u32 + 1;
                 sleep(*delay).await;
-                // A still-partitioned link costs the attempt (the dial
-                // would have timed out) but skips the useless connect.
-                if let Some(g) = &gate {
-                    if !g.dial_allowed(&name, &peer) {
-                        continue;
-                    }
-                }
-                // Look the peer up anew each attempt: a restarted box
-                // re-registers under the same name at a fresh address.
-                let Some(addr) = dir.lookup(&peer) else {
-                    continue;
-                };
-                let Ok(Ok(stream)) = timeout(policy.send_timeout, TcpStream::connect(addr)).await
+                let Some(framed) = connect(&dir, &gate, &policy, &name, &peer, tunnels).await
                 else {
                     continue;
                 };
-                stream.set_nodelay(true).ok();
-                let mut framed = Framed::new(stream);
-                let hello = wire::encode(&Frame::Hello(Hello {
-                    from: name.clone(),
-                    tunnels,
-                }));
-                if framed.write_frame(&hello).await.is_err() {
-                    continue;
-                }
                 let _ = tx
                     .send(Inbox::Reconnected {
                         channel,
                         framed,
-                        attempts: attempt,
+                        attempts: i as u32 + 1,
                         elapsed_ms: t0.elapsed().as_millis() as u64,
                     })
                     .await;
@@ -1032,84 +945,63 @@ impl Actor {
     }
 
     /// A re-dial landed: swap the new connection in under the existing
-    /// channel id, then retransmit each parked slot's cached signals so
-    /// the (idempotent, §VI) protocol re-establishes peer state.
+    /// channel id, then have the host retransmit each parked slot's
+    /// cached signals so the (idempotent, §VI) protocol re-establishes
+    /// peer state.
     async fn on_reconnected(
         &mut self,
         channel: ChannelId,
         framed: Framed<TcpStream>,
         attempts: u32,
         elapsed_ms: u64,
-        inbox_tx: &InboxTx,
     ) {
-        if !self.conns.contains_key(&channel) {
+        let Some(gen) = self.conns.get(&channel).map(|c| c.gen + 1) else {
             return; // torn down while the dial was in flight
-        }
-        let gen = self.conns[&channel].gen + 1;
-        let writer_tx = self.spawn_io_tasks(channel, gen, framed, inbox_tx);
+        };
+        let writer_tx = self.spawn_io_tasks(channel, gen, framed);
         let conn = self.conns.get_mut(&channel).expect("checked above");
         conn.writer_tx = writer_tx;
         conn.gen = gen;
         conn.recovering = false;
-        let slots = conn.slots.clone();
-        let bx = self.pb.media().id().0;
-        self.obs.fault_injected(bx, "reconnect");
-        let mut cmds = Vec::new();
-        for slot in slots {
-            let Some(s) = self.pb.media().slot(slot) else {
-                continue;
-            };
-            let signals = reliable::resend_signals(s);
-            if signals.is_empty() {
-                continue;
-            }
-            for signal in signals {
-                self.obs.retransmission(bx, slot.0, signal.kind());
-                cmds.push(BoxCmd::Signal(Outgoing { slot, signal }));
-            }
-            self.obs.recovered(bx, slot.0, attempts, elapsed_ms);
-        }
-        self.execute(cmds, inbox_tx).await;
-    }
-
-    async fn drop_channel(&mut self, channel: ChannelId, inbox_tx: &InboxTx) {
-        let Some(conn) = self.conns.remove(&channel) else {
-            return;
+        self.obs.fault_injected(self.host.id().0, "reconnect");
+        let resync = Input::Resync {
+            channel,
+            attempts,
+            elapsed_ms,
         };
-        for slot in conn.slots {
-            self.pb.media_mut().remove_slot(slot);
-        }
-        let cmds = self.handle(BoxInput::ChannelDown { channel });
-        self.execute(cmds, inbox_tx).await;
+        self.feed(resync, None).await;
     }
 
-    /// Register a connection: allocate channel id + slots, spawn reader
-    /// and writer tasks. `peer` is the dial target when this end opened
-    /// the connection (it enables reconnection).
-    fn alloc_channel(
+    async fn drop_channel(&mut self, channel: ChannelId) {
+        if self.conns.remove(&channel).is_some() {
+            self.feed(Input::ChannelDown { channel }, None).await;
+        }
+    }
+
+    /// Allocate a channel id, register it with the host (which allocates
+    /// its slots), and — unless it is half-open — spawn reader and writer
+    /// tasks for its connection. `peer` is the dial target when this end
+    /// opened the connection (it enables reconnection).
+    fn add_channel(
         &mut self,
         tunnels: u16,
         initiator: bool,
         peer: Option<String>,
         remote: Option<String>,
-        framed: Framed<TcpStream>,
-        inbox_tx: &InboxTx,
+        framed: Option<Framed<TcpStream>>,
     ) -> ChannelId {
         let channel = ChannelId(self.next_channel);
         self.next_channel += 1;
-        let mut slots = Vec::with_capacity(tunnels as usize);
-        for _ in 0..tunnels {
-            let slot = SlotId(self.next_slot);
-            self.next_slot += 1;
-            self.pb.media_mut().add_slot(slot, initiator);
-            slots.push(slot);
-        }
-        let writer_tx = self.spawn_io_tasks(channel, 0, framed, inbox_tx);
+        self.host.register_channel(channel, tunnels, initiator);
+        let writer_tx = match framed {
+            Some(framed) => self.spawn_io_tasks(channel, 0, framed),
+            // Nothing reads what is written to a half-open channel.
+            None => mpsc::channel(1).0,
+        };
         self.conns.insert(
             channel,
             Conn {
                 writer_tx,
-                slots,
                 peer,
                 remote,
                 recovering: false,
@@ -1129,13 +1021,12 @@ impl Actor {
         channel: ChannelId,
         gen: u64,
         framed: Framed<TcpStream>,
-        inbox_tx: &InboxTx,
     ) -> mpsc::Sender<Frame> {
         let (writer_tx, mut writer_rx) = mpsc::channel::<Frame>(64);
         let (stream, leftover) = framed.into_parts();
         let (read_half, write_half) = stream.into_split();
 
-        let tx = inbox_tx.shard(channel).clone();
+        let tx = self.inbox_tx.shard(channel).clone();
         tokio::spawn(async move {
             // Frames that arrived behind the handshake are still in the
             // buffer; the reader must start from them.
@@ -1168,7 +1059,7 @@ impl Actor {
                 }
             }
         });
-        let tx = inbox_tx.shard(channel).clone();
+        let tx = self.inbox_tx.shard(channel).clone();
         let send_timeout = self.policy.send_timeout;
         let writer_batch = self.tuning.writer_batch.max(1);
         tokio::spawn(async move {
@@ -1208,232 +1099,118 @@ impl Actor {
         writer_tx
     }
 
-    async fn execute(&mut self, cmds: Vec<BoxCmd>, inbox_tx: &InboxTx) {
-        for cmd in cmds {
-            match cmd {
-                BoxCmd::Signal(out) => {
-                    let bx = self.pb.media().id().0;
-                    self.obs.signal_sent(bx, out.slot.0, out.signal.kind());
-                    // Find the channel and tunnel of this slot.
-                    let Some((channel, tunnel)) = self.route_of(out.slot) else {
-                        continue;
-                    };
-                    if let Some(conn) = self.conns.get(&channel) {
-                        if let Some(kind) = gate_verdict(&self.gate, &self.name, conn) {
-                            self.obs.fault_injected(bx, kind);
-                            // A gate-blocked frame means the link is dead
-                            // from this node's point of view: declare the
-                            // connection gone. Initiators re-dial (equally
-                            // gated) and resync; acceptors tear the pipe
-                            // down so the far initiator notices and
-                            // re-dials — never a silent byte eater, which
-                            // would wedge the peer's await forever.
-                            if !self.conns[&channel].recovering {
-                                let gen = self.conns[&channel].gen;
-                                let _ = inbox_tx
-                                    .shard(channel)
-                                    .send(Inbox::Gone { channel, gen })
-                                    .await;
-                            }
-                            continue;
-                        }
-                        let frame = self.traced_frame(ChannelMsg::Tunnel {
-                            tunnel,
-                            signal: out.signal,
-                        });
-                        // Graceful degradation: a full writer queue sheds
-                        // the frame (counted) instead of blocking the
-                        // whole actor behind one slow connection.
-                        if let Err(mpsc::error::TrySendError::Full(_)) =
-                            self.conns[&channel].writer_tx.try_send(frame)
-                        {
-                            self.obs.fault_injected(bx, "shed");
-                        }
-                    }
-                }
-                BoxCmd::Meta { channel, meta } => {
-                    if let Some(conn) = self.conns.get(&channel) {
-                        let bx = self.pb.media().id().0;
-                        if let Some(kind) = gate_verdict(&self.gate, &self.name, conn) {
-                            self.obs.fault_injected(bx, kind);
-                            if !self.conns[&channel].recovering {
-                                let gen = self.conns[&channel].gen;
-                                let _ = inbox_tx
-                                    .shard(channel)
-                                    .send(Inbox::Gone { channel, gen })
-                                    .await;
-                            }
-                            continue;
-                        }
-                        let frame = self.traced_frame(ChannelMsg::Meta(meta));
-                        if let Err(mpsc::error::TrySendError::Full(_)) =
-                            self.conns[&channel].writer_tx.try_send(frame)
-                        {
-                            self.obs.fault_injected(bx, "shed");
-                        }
-                    }
-                }
-                BoxCmd::OpenChannel { to, tunnels, req } => {
-                    self.open_channel(&to, tunnels, req, inbox_tx).await;
-                }
-                BoxCmd::CloseChannel(channel) => {
-                    if let Some(conn) = self.conns.get(&channel) {
-                        let _ = conn.writer_tx.send(Frame::Bye).await;
-                    }
-                    // Local teardown is immediate; the peer acts on Bye.
-                    if let Some(conn) = self.conns.remove(&channel) {
-                        for slot in conn.slots {
-                            self.pb.media_mut().remove_slot(slot);
-                        }
-                    }
-                }
-                BoxCmd::SetTimer { id, after_ms } => {
-                    let generation = self.timers.arm(id);
-                    self.timer_heap.push((
-                        Instant::now() + Duration::from_millis(after_ms),
-                        id,
-                        generation,
-                    ));
-                }
-                BoxCmd::CancelTimer(id) => {
-                    self.timers.cancel(id);
-                }
-                BoxCmd::Terminate => {
-                    // The actor stays alive to drain signaling, but the
-                    // program is done; nothing further to execute.
-                }
+    /// Put one message on a channel's connection, carrying the trace
+    /// context of the activation that produced it when tracing is on
+    /// (plain [`Frame::Msg`] otherwise, so untraced peers never see the
+    /// extended frame).
+    async fn transmit(&mut self, channel: ChannelId, msg: ChannelMsg, ctx: Option<SpanCtx>) {
+        let Some(conn) = self.conns.get(&channel) else {
+            return;
+        };
+        let bx = self.host.id().0;
+        if let Some(kind) = gate_verdict(&self.gate, &self.name, conn) {
+            self.obs.fault_injected(bx, kind);
+            // A gate-blocked frame means the link is dead from this
+            // node's point of view: declare the connection gone.
+            // Initiators re-dial (equally gated) and resync; acceptors
+            // tear the pipe down so the far initiator notices and
+            // re-dials — never a silent byte eater, which would wedge the
+            // peer's await forever.
+            if !conn.recovering {
+                let gen = conn.gen;
+                let _ = self
+                    .inbox_tx
+                    .shard(channel)
+                    .send(Inbox::Gone { channel, gen })
+                    .await;
             }
+            return;
+        }
+        let frame = match (ctx, &self.tracer) {
+            (Some(ctx), Some(tracer)) => Frame::Traced {
+                ctx: SpanCtx {
+                    sent_micros: tracer.now_micros(),
+                    ..ctx
+                },
+                msg,
+            },
+            _ => Frame::Msg(msg),
+        };
+        // Graceful degradation: a full writer queue sheds the frame
+        // (counted) instead of blocking the whole actor behind one slow
+        // connection.
+        if let Err(mpsc::error::TrySendError::Full(_)) = conn.writer_tx.try_send(frame) {
+            self.obs.fault_injected(bx, "shed");
         }
     }
 
-    fn route_of(&self, slot: SlotId) -> Option<(ChannelId, ipmedia_core::TunnelId)> {
-        for (ch, conn) in &self.conns {
-            if let Some(pos) = conn.slots.iter().position(|s| *s == slot) {
-                return Some((*ch, ipmedia_core::TunnelId(pos as u16)));
-            }
-        }
-        None
-    }
-
-    async fn open_channel(&mut self, to: &str, tunnels: u16, req: u32, inbox_tx: &InboxTx) {
+    /// Execute a dial: on success the new channel rides the connection;
+    /// on failure it is half-open, for the program to observe and destroy
+    /// (Fig. 6). Returns the channel and whether the target answered.
+    async fn open_channel(&mut self, to: &str, tunnels: u16) -> (ChannelId, bool) {
         let t0 = std::time::Instant::now();
-        match self.dial(to).await {
-            Some(stream) => {
-                stream.set_nodelay(true).ok();
-                let mut framed = Framed::new(stream);
-                let hello = wire::encode(&Frame::Hello(Hello {
-                    from: self.name.clone(),
-                    tunnels,
-                }));
-                if framed.write_frame(&hello).await.is_err() {
-                    self.report_unavailable(tunnels, req, inbox_tx).await;
-                    return;
-                }
-                let channel = self.alloc_channel(
-                    tunnels,
-                    true,
-                    Some(to.to_string()),
-                    Some(to.to_string()),
-                    framed,
-                    inbox_tx,
-                );
-                let slots = self.conns[&channel].slots.clone();
-                let cmds = self.handle(BoxInput::ChannelUp {
-                    channel,
-                    slots,
-                    req: Some(req),
-                });
-                self.execute_boxed(cmds, inbox_tx).await;
-                let cmds = self.handle(BoxInput::Meta {
-                    channel,
-                    meta: MetaSignal::Peer(Availability::Available),
-                });
-                self.execute_boxed(cmds, inbox_tx).await;
-                // Channel up and availability processed: the tunnel is
-                // usable from the program's point of view.
-                self.registry
-                    .tunnel_setup_ms
-                    .observe(t0.elapsed().as_millis() as u64);
-            }
-            None => {
-                self.report_unavailable(tunnels, req, inbox_tx).await;
-            }
+        let framed = self.dial(to, tunnels).await;
+        let answered = framed.is_some();
+        let peer = answered.then(|| to.to_string());
+        let channel = self.add_channel(tunnels, true, peer.clone(), peer, framed);
+        if answered {
+            self.registry
+                .tunnel_setup_ms
+                .observe(t0.elapsed().as_millis() as u64);
         }
+        (channel, answered)
     }
 
     /// Dial a named box: fail fast when the directory has no entry (the
-    /// name is simply wrong), otherwise retry the TCP connect with capped
-    /// exponential backoff up to `connect_attempts`, each attempt bounded
-    /// by the send timeout.
-    async fn dial(&mut self, to: &str) -> Option<TcpStream> {
+    /// name is simply wrong), otherwise retry the connect with capped
+    /// exponential backoff up to `connect_attempts`.
+    async fn dial(&mut self, to: &str, tunnels: u16) -> Option<Framed<TcpStream>> {
         let attempts = self.policy.connect_attempts.max(1);
         let delays = backoff_delays(&self.policy, jitter_seed(&self.name, 0), attempts);
         for attempt in 0..attempts {
             if attempt > 0 {
                 sleep(delays[attempt as usize - 1]).await;
             }
-            // A partitioned or crashed target costs the attempt, exactly
-            // as an unreachable address would.
-            if let Some(g) = &self.gate {
-                if !g.dial_allowed(&self.name, to) {
-                    continue;
-                }
-            }
-            let addr = self.dir.lookup(to)?;
-            if let Ok(Ok(stream)) =
-                timeout(self.policy.send_timeout, TcpStream::connect(addr)).await
-            {
-                return Some(stream);
+            self.dir.lookup(to)?;
+            let (dir, gate, policy) = (&self.dir, &self.gate, &self.policy);
+            if let Some(framed) = connect(dir, gate, policy, &self.name, to, tunnels).await {
+                return Some(framed);
             }
         }
         None
     }
+}
 
-    async fn report_unavailable(&mut self, tunnels: u16, req: u32, inbox_tx: &InboxTx) {
-        // Half-open channel the program can observe and destroy (Fig. 6).
-        let channel = ChannelId(self.next_channel);
-        self.next_channel += 1;
-        let mut slots = Vec::new();
-        for _ in 0..tunnels {
-            let slot = SlotId(self.next_slot);
-            self.next_slot += 1;
-            self.pb.media_mut().add_slot(slot, true);
-            slots.push(slot);
-        }
-        let (writer_tx, _writer_rx) = mpsc::channel(1);
-        self.conns.insert(
-            channel,
-            Conn {
-                writer_tx,
-                slots: slots.clone(),
-                peer: None,
-                remote: None,
-                recovering: false,
-                gen: 0,
-            },
-        );
-        let cmds = self.handle(BoxInput::ChannelUp {
-            channel,
-            slots,
-            req: Some(req),
-        });
-        self.execute_boxed(cmds, inbox_tx).await;
-        let cmds = self.handle(BoxInput::Meta {
-            channel,
-            meta: MetaSignal::Peer(Availability::Unavailable),
-        });
-        self.execute_boxed(cmds, inbox_tx).await;
+/// One attempt to set up the connection under a channel from `name` to
+/// `to`: resolve, connect and say hello, each bounded by the send
+/// timeout. A partitioned or crashed target costs the attempt exactly as
+/// an unreachable address would (but skips the useless connect), and the
+/// name is looked up anew every time because a restarted box re-registers
+/// under the same name at a fresh address.
+async fn connect(
+    dir: &Directory,
+    gate: &Option<Arc<ChaosGate>>,
+    policy: &ReconnectPolicy,
+    name: &str,
+    to: &str,
+    tunnels: u16,
+) -> Option<Framed<TcpStream>> {
+    if gate.as_ref().is_some_and(|g| !g.dial_allowed(name, to)) {
+        return None;
     }
-
-    /// Indirection so `execute` can recurse from `open_channel` without an
-    /// infinitely-sized future.
-    fn execute_boxed<'a>(
-        &'a mut self,
-        cmds: Vec<BoxCmd>,
-        inbox_tx: &'a InboxTx,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + 'a>> {
-        Box::pin(self.execute(cmds, inbox_tx))
-    }
+    let addr = dir.lookup(to)?;
+    let stream = timeout(policy.send_timeout, TcpStream::connect(addr))
+        .await
+        .ok()?
+        .ok()?;
+    stream.set_nodelay(true).ok();
+    let mut framed = Framed::new(stream);
+    let hello = wire::encode(&Frame::Hello(Hello {
+        from: name.to_string(),
+        tunnels,
+    }));
+    framed.write_frame(&hello).await.ok()?;
+    Some(framed)
 }
 
 /// The chaos gate's verdict for a frame leaving `name` on `conn`:
@@ -1443,15 +1220,6 @@ fn gate_verdict(gate: &Option<Arc<ChaosGate>>, name: &str, conn: &Conn) -> Optio
     let gate = gate.as_ref()?;
     let remote = conn.remote.as_deref()?;
     gate.check(name, remote).err()
-}
-
-fn far_future() -> Instant {
-    Instant::now() + Duration::from_secs(3600 * 24)
-}
-
-fn tracing_stub(name: &str, msg: &str) {
-    // Intentionally minimal: a hook point for real tracing integration.
-    let _ = (name, msg);
 }
 
 #[cfg(test)]

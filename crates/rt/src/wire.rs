@@ -11,6 +11,7 @@ use ipmedia_core::{
     AppEvent, Availability, ChannelMsg, Codec, DescTag, Descriptor, MediaAddr, Medium, MetaSignal,
     MixRow, MovieCommand, Selector, Signal, TunnelId,
 };
+use ipmedia_obs::trace::{SpanCtx, SpanId, TraceId};
 use std::net::IpAddr;
 
 /// Format version carried in every frame.
@@ -45,22 +46,6 @@ pub struct Hello {
     pub tunnels: u16,
 }
 
-/// Causal trace context carried alongside a [`ChannelMsg`] when the
-/// sender has tracing enabled. Receivers that don't trace simply unwrap
-/// the inner message, so traced and untraced nodes interoperate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireTraceCtx {
-    /// Trace id the message belongs to.
-    pub trace: u64,
-    /// Span id of the sender-side activation that emitted the message.
-    pub parent: u64,
-    /// Sender's box id (feeds the transit span's `from` column).
-    pub bx: u32,
-    /// Sender's clock at transmission, in microseconds; receivers use
-    /// their own clock for the arrival edge.
-    pub sent_micros: u64,
-}
-
 /// Everything that can travel in one frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -68,9 +53,12 @@ pub enum Frame {
     Msg(ChannelMsg),
     /// Orderly shutdown of the signaling channel.
     Bye,
-    /// A [`ChannelMsg`] with causal trace context piggybacked on it.
+    /// A [`ChannelMsg`] with the sender's causal trace context piggybacked
+    /// on it (`sent_micros` is the sender's clock; receivers use their own
+    /// for the arrival edge). Receivers that don't trace simply unwrap the
+    /// inner message, so traced and untraced nodes interoperate.
     Traced {
-        ctx: WireTraceCtx,
+        ctx: SpanCtx,
         msg: ChannelMsg,
     },
 }
@@ -91,8 +79,8 @@ pub fn encode(frame: &Frame) -> Bytes {
         Frame::Bye => b.put_u8(2),
         Frame::Traced { ctx, msg } => {
             b.put_u8(3);
-            b.put_u64(ctx.trace);
-            b.put_u64(ctx.parent);
+            b.put_u64(ctx.trace.0);
+            b.put_u64(ctx.parent.0);
             b.put_u32(ctx.bx);
             b.put_u64(ctx.sent_micros);
             encode_msg(&mut b, msg);
@@ -115,9 +103,9 @@ pub fn decode(mut buf: Bytes) -> Result<Frame, WireError> {
         1 => Ok(Frame::Msg(decode_msg(&mut buf)?)),
         2 => Ok(Frame::Bye),
         3 => {
-            let ctx = WireTraceCtx {
-                trace: get_u64(&mut buf)?,
-                parent: get_u64(&mut buf)?,
+            let ctx = SpanCtx {
+                trace: TraceId(get_u64(&mut buf)?),
+                parent: SpanId(get_u64(&mut buf)?),
                 bx: get_u32(&mut buf)?,
                 sent_micros: get_u64(&mut buf)?,
             };
@@ -571,9 +559,9 @@ mod tests {
     #[test]
     fn traced_roundtrip() {
         roundtrip(Frame::Traced {
-            ctx: WireTraceCtx {
-                trace: 0x1122_3344_5566_7788,
-                parent: 42,
+            ctx: SpanCtx {
+                trace: TraceId(0x1122_3344_5566_7788),
+                parent: SpanId(42),
                 bx: 7,
                 sent_micros: 1_234_567,
             },
@@ -586,9 +574,9 @@ mod tests {
             },
         });
         roundtrip(Frame::Traced {
-            ctx: WireTraceCtx {
-                trace: 1,
-                parent: 0,
+            ctx: SpanCtx {
+                trace: TraceId(1),
+                parent: SpanId(0),
                 bx: 0,
                 sent_micros: 0,
             },
@@ -599,9 +587,9 @@ mod tests {
     #[test]
     fn traced_rejects_truncation_everywhere() {
         let full = encode(&Frame::Traced {
-            ctx: WireTraceCtx {
-                trace: 5,
-                parent: 6,
+            ctx: SpanCtx {
+                trace: TraceId(5),
+                parent: SpanId(6),
                 bx: 7,
                 sent_micros: 8,
             },

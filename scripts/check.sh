@@ -8,22 +8,45 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+CARGO_ARGS=("$@")
+
+# timed_gate LABEL BUDGET_SECS FAILURE PACKAGE BIN [ARG...]
+#
+# Build PACKAGE's release binary BIN and run it with ARGs under a
+# wall-clock budget, stdout discarded (stderr too with GATE_STDERR set to
+# /dev/null). `timeout` enforces the budget, so a throughput regression
+# fails the gate instead of silently slowing CI down: exit 124 is reported
+# as a blown budget, any other failure as "LABEL FAILURE", and either ends
+# the script with that status.
+timed_gate() {
+  local label=$1 budget=$2 failure=$3 package=$4 bin=$5 status=0
+  shift 5
+  cargo build "${CARGO_ARGS[@]}" --release -q -p "$package" --bin "$bin"
+  timeout "$budget" "./target/release/$bin" "$@" \
+    >/dev/null 2>"${GATE_STDERR:-/dev/stderr}" || status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "$label exceeded the ${budget}s wall-clock budget" >&2
+  elif [ "$status" -ne 0 ]; then
+    echo "$label $failure (exit $status)" >&2
+  fi
+  [ "$status" -eq 0 ] || exit "$status"
+}
 
 echo "== cargo fmt --check" >&2
 cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings" >&2
-cargo clippy "$@" --workspace --all-targets -- -D warnings
+cargo clippy "${CARGO_ARGS[@]}" --workspace --all-targets -- -D warnings
 
 echo "== cargo test" >&2
-cargo test "$@" --workspace -q
+cargo test "${CARGO_ARGS[@]}" --workspace -q
 
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output, gated against the committed baseline; the SARIF log is a build
 # artifact for CI code-scanning upload.
 mkdir -p target
-cargo run "$@" -q -p ipmedia-analyze --bin ipmedia-lint -- \
+cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-analyze --bin ipmedia-lint -- \
   --all-examples --deny warnings --threads "$(nproc)" \
   --baseline lint-baseline.txt --sarif target/ipmedia-lint.sarif
 
@@ -33,7 +56,7 @@ echo "== incremental lint (content-addressed cache, O(changed) re-lint)" >&2
 # must miss exactly one scenario (everything else replays from cache) and
 # both runs' diagnostic streams must be byte-identical apart from the
 # edit — the cache-correctness oracle, exercised through the CLI.
-cargo build "$@" --release -q -p ipmedia-analyze --bin ipmedia-lint
+cargo build "${CARGO_ARGS[@]}" --release -q -p ipmedia-analyze --bin ipmedia-lint
 LINT_BUDGET_SECS="${LINT_BUDGET_SECS:-120}"
 rm -rf target/lint_gate
 mkdir -p target/lint_gate/cache
@@ -79,16 +102,12 @@ echo "== verified manifest round trip (lint fingerprints -> live monitor)" >&2
 # verified: the monitor must accept the whole registry under it, and must
 # flag the same stream as IM401 under an empty manifest — proving the
 # unverified-model path can actually fire.
-cargo build "$@" --release -q -p ipmedia-bench --bin ipmedia-monitor
 MONITOR_BUDGET_SECS="${MONITOR_BUDGET_SECS:-120}"
-cargo run "$@" -q -p ipmedia-analyze --bin ipmedia-lint -- \
+cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-analyze --bin ipmedia-lint -- \
   --all-examples --incremental --cache target/lint_gate/registry-cache \
   --emit-manifest target/lint_gate/verified-manifest.txt
-timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor \
-  --verified-manifest target/lint_gate/verified-manifest.txt >/dev/null || {
-  echo "monitor rejected the freshly verified manifest (exit $?)" >&2
-  exit 1
-}
+timed_gate "monitor" "$MONITOR_BUDGET_SECS" "rejected the freshly verified manifest" \
+  ipmedia-bench ipmedia-monitor --verified-manifest target/lint_gate/verified-manifest.txt
 if timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor \
   --verified-manifest /dev/null >/dev/null 2>/dev/null; then
   echo "monitor accepted an unverified model stream (IM401 did not fire)" >&2
@@ -100,17 +119,8 @@ echo "== differential validation (analyzer clean => no mck counterexample)" >&2
 # against the model checker and refreshes BENCH_differential.jsonl; the
 # matrix carries no wall-clock fields, so a dirty diff after this step
 # means the coverage or verdicts actually changed.
-cargo build "$@" --release -q -p ipmedia-bench --bin differential
-DIFF_BUDGET_SECS="${DIFF_BUDGET_SECS:-240}"
-timeout "$DIFF_BUDGET_SECS" ./target/release/differential --threads "$(nproc)" >/dev/null || {
-  status=$?
-  if [ "$status" -eq 124 ]; then
-    echo "differential exceeded the ${DIFF_BUDGET_SECS}s wall-clock budget" >&2
-  else
-    echo "differential failed (exit $status)" >&2
-  fi
-  exit "$status"
-}
+timed_gate "differential" "${DIFF_BUDGET_SECS:-240}" "failed" \
+  ipmedia-bench differential --threads "$(nproc)"
 
 echo "== property-based fuzz (generator -> analyzer <-> checker oracle)" >&2
 # A fixed-seed slice of the differential fuzz campaign: seeded scenarios
@@ -118,68 +128,33 @@ echo "== property-based fuzz (generator -> analyzer <-> checker oracle)" >&2
 # divergence prints its delta-minimized .ipm reproducer on stderr (and
 # the seed to replay with `ipmedia-lint --fuzz`); refreshes
 # BENCH_fuzz.json, which carries no wall-clock fields.
-cargo build "$@" --release -q -p ipmedia-bench --bin fuzz_differential
-FUZZ_BUDGET_SECS="${FUZZ_BUDGET_SECS:-300}"
-timeout "$FUZZ_BUDGET_SECS" ./target/release/fuzz_differential --threads "$(nproc)" >/dev/null || {
-  status=$?
-  if [ "$status" -eq 124 ]; then
-    echo "fuzz_differential exceeded the ${FUZZ_BUDGET_SECS}s wall-clock budget" >&2
-  else
-    echo "fuzz_differential found analyzer<->checker divergences (exit $status)" >&2
-  fi
-  exit "$status"
-}
+timed_gate "fuzz_differential" "${FUZZ_BUDGET_SECS:-300}" \
+  "found analyzer<->checker divergences" \
+  ipmedia-bench fuzz_differential --threads "$(nproc)"
 
 echo "== fault-matrix smoke (loss x dup/reorder, bounded virtual time)" >&2
-cargo run "$@" -q -p ipmedia-bench --bin fault_matrix -- --threads "$(nproc)" >/dev/null
+cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-bench --bin fault_matrix -- --threads "$(nproc)" >/dev/null
 
 echo "== verification campaign (parallel, wall-clock budget)" >&2
 # The 12-model §VIII-A campaign at CI budgets, spread over all cores.
-# `timeout` enforces the wall-clock budget: a throughput regression in the
-# exploration engine fails the gate instead of silently slowing CI down.
-cargo build "$@" --release -q -p ipmedia-mck --bin campaign
-CAMPAIGN_BUDGET_SECS="${CAMPAIGN_BUDGET_SECS:-300}"
-timeout "$CAMPAIGN_BUDGET_SECS" ./target/release/campaign 0 1 2000000 --threads "$(nproc)" >/dev/null || {
-  status=$?
-  if [ "$status" -eq 124 ]; then
-    echo "campaign exceeded the ${CAMPAIGN_BUDGET_SECS}s wall-clock budget" >&2
-  else
-    echo "campaign failed (exit $status)" >&2
-  fi
-  exit "$status"
-}
+timed_gate "campaign" "${CAMPAIGN_BUDGET_SECS:-300}" "failed" \
+  ipmedia-mck campaign 0 1 2000000 --threads "$(nproc)"
 
 echo "== tracing overhead (zero perturbation + wall-clock budget)" >&2
 # Asserts virtual-time latencies are identical traced vs. untraced (hard
 # failure) and that the tracer's wall-clock cost stays within
 # TRACE_OVERHEAD_BUDGET_PCT; rewrites BENCH_trace.json.
-cargo run "$@" --release -q -p ipmedia-bench --bin trace_overhead >/dev/null
+cargo run "${CARGO_ARGS[@]}" --release -q -p ipmedia-bench --bin trace_overhead >/dev/null
 
 echo "== runtime invariant monitor (all scenarios clean + mutant self-test)" >&2
 # Every registry scenario must run clean under the live monitor, and the
 # planted closed-slot mutant must be flagged as IM102 — proving the gate
 # can actually fail.
-cargo build "$@" --release -q -p ipmedia-bench --bin ipmedia-monitor
-MONITOR_BUDGET_SECS="${MONITOR_BUDGET_SECS:-120}"
-timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor >/dev/null || {
-  status=$?
-  if [ "$status" -eq 124 ]; then
-    echo "monitor exceeded the ${MONITOR_BUDGET_SECS}s wall-clock budget" >&2
-  else
-    echo "monitor found invariant violations (exit $status)" >&2
-  fi
-  exit "$status"
-}
-timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor --mutant closed-slot \
-  >/dev/null 2>/dev/null || {
-  status=$?
-  if [ "$status" -eq 124 ]; then
-    echo "monitor mutant self-test exceeded the ${MONITOR_BUDGET_SECS}s budget" >&2
-  else
-    echo "monitor failed to catch the planted closed-slot mutant (exit $status)" >&2
-  fi
-  exit "$status"
-}
+timed_gate "monitor" "$MONITOR_BUDGET_SECS" "found invariant violations" \
+  ipmedia-bench ipmedia-monitor
+GATE_STDERR=/dev/null timed_gate "monitor mutant self-test" "$MONITOR_BUDGET_SECS" \
+  "failed to catch the planted closed-slot mutant" \
+  ipmedia-bench ipmedia-monitor --mutant closed-slot
 
 echo "== chaos campaign (seeded schedules, monitor-verified recovery)" >&2
 # Seeded fault schedules across every registry scenario and schedule
@@ -187,17 +162,8 @@ echo "== chaos campaign (seeded schedules, monitor-verified recovery)" >&2
 # any post-heal invariant violation fails the gate and the bin prints
 # the failing seed with its delta-debugged minimal schedule on stderr.
 # Rewrites BENCH_chaos.json.
-cargo build "$@" --release -q -p ipmedia-bench --bin chaos_campaign
-CHAOS_BUDGET_SECS="${CHAOS_BUDGET_SECS:-240}"
-timeout "$CHAOS_BUDGET_SECS" ./target/release/chaos_campaign --threads "$(nproc)" >/dev/null || {
-  status=$?
-  if [ "$status" -eq 124 ]; then
-    echo "chaos campaign exceeded the ${CHAOS_BUDGET_SECS}s wall-clock budget" >&2
-  else
-    echo "chaos campaign found recovery violations (exit $status)" >&2
-  fi
-  exit "$status"
-}
+timed_gate "chaos campaign" "${CHAOS_BUDGET_SECS:-240}" "found recovery violations" \
+  ipmedia-bench chaos_campaign --threads "$(nproc)"
 
 if [ -n "${STORM_BUDGET_SECS:-}" ]; then
   echo "== call storm (fleet-scale load harness, sharded rt speedup gate)" >&2
@@ -206,16 +172,8 @@ if [ -n "${STORM_BUDGET_SECS:-}" ]; then
   # normal CI runs stay byte-stable. The bin itself fails if any arm
   # leaves a call unestablished or the sharded rt pipeline is less than
   # 2x the single-inbox baseline measured in the same process.
-  cargo build "$@" --release -q -p ipmedia-bench --bin call_storm
-  timeout "$STORM_BUDGET_SECS" ./target/release/call_storm >/dev/null || {
-    status=$?
-    if [ "$status" -eq 124 ]; then
-      echo "call storm exceeded the ${STORM_BUDGET_SECS}s wall-clock budget" >&2
-    else
-      echo "call storm failed an arm or the speedup gate (exit $status)" >&2
-    fi
-    exit "$status"
-  }
+  timed_gate "call storm" "$STORM_BUDGET_SECS" "failed an arm or the speedup gate" \
+    ipmedia-bench call_storm
 else
   echo "== call storm skipped (set STORM_BUDGET_SECS to run)" >&2
 fi
@@ -227,16 +185,8 @@ if [ -n "${LINT_FLEET_BUDGET_SECS:-}" ]; then
   # itself fails on any warm cache miss, a non-O(changed) one-edit
   # profile, a dirty re-lint speedup below 100x, or output divergence
   # across 1/2/8 worker threads.
-  cargo build "$@" --release -q -p ipmedia-bench --bin ipmedia-lint-fleet
-  timeout "$LINT_FLEET_BUDGET_SECS" ./target/release/ipmedia-lint-fleet >/dev/null || {
-    status=$?
-    if [ "$status" -eq 124 ]; then
-      echo "lint fleet exceeded the ${LINT_FLEET_BUDGET_SECS}s wall-clock budget" >&2
-    else
-      echo "lint fleet failed an incremental-cache assertion (exit $status)" >&2
-    fi
-    exit "$status"
-  }
+  timed_gate "lint fleet" "$LINT_FLEET_BUDGET_SECS" "failed an incremental-cache assertion" \
+    ipmedia-bench ipmedia-lint-fleet
 else
   echo "== lint fleet skipped (set LINT_FLEET_BUDGET_SECS to run)" >&2
 fi
