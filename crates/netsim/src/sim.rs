@@ -647,20 +647,15 @@ impl Network {
             start_micros: start.0,
             done_micros: done.0,
         };
-        // As before the host (fixed in the next commit): the far end's
-        // teardown counts as a harness closure, and of the program's
-        // reaction to it only the signals it sends are observed.
-        let mut sends_only;
-        let obs: &mut dyn Observer = if matches!(input, Input::ChannelDown { .. }) {
-            self.obs.stimulus(to.0, "apply");
-            sends_only = SendsOnly(&mut self.obs);
-            &mut sends_only
-        } else {
-            &mut self.obs
-        };
         let outcome = node
             .host
-            .handle(input, &at, obs, self.tracer.as_ref(), &mut self.effects)
+            .handle(
+                input,
+                &at,
+                &mut self.obs,
+                self.tracer.as_ref(),
+                &mut self.effects,
+            )
             .unwrap_or_else(|e| panic!("user command failed on {to}: {}", e.error));
         // The box's outputs leave when it is done computing; bookkeeping
         // that costs no stimulus takes effect at once.
@@ -890,15 +885,6 @@ impl Network {
     /// Count of pending events (for quiescence checks in tests).
     pub fn pending_events(&self) -> usize {
         self.events.len()
-    }
-}
-
-/// Passes on `signal_sent` and nothing else.
-struct SendsOnly<'a>(&'a mut dyn Observer);
-
-impl Observer for SendsOnly<'_> {
-    fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.0.signal_sent(bx, slot, kind);
     }
 }
 

@@ -392,3 +392,97 @@ fn open_open_race_within_one_tunnel_resolves() {
     let slot_b = net.media(b).slot(sb[0]).unwrap();
     assert!(PathEnds::new(slot_a, slot_b).both_flowing());
 }
+
+#[test]
+fn far_end_channel_down_is_observed() {
+    use ipmedia_core::{AppLogic, BoxCmd, BoxInput, ChannelId, Ctx, SlotId};
+    use ipmedia_obs::{ObsEvent, RecordingObserver};
+
+    /// Closes its other leg when one leg's channel is destroyed.
+    #[derive(Default)]
+    struct HangupRelay {
+        legs: Vec<(ChannelId, SlotId)>,
+    }
+    impl AppLogic for HangupRelay {
+        fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+            match input {
+                BoxInput::ChannelUp { channel, slots, .. } => self.legs.push((*channel, slots[0])),
+                BoxInput::ChannelDown { channel } => {
+                    self.legs.retain(|(ch, _)| ch != channel);
+                    for &(_, slot) in &self.legs {
+                        ctx.set_goal(GoalSpec::Close { slot });
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let mut net = Network::new(SimConfig::paper());
+    let rec = RecordingObserver::new(net.clock());
+    let log = rec.log();
+    net.set_observer(Box::new(rec));
+    let l = net.add_box("phone-l", audio_endpoint(1));
+    let relay = net.add_box("relay", Box::<HangupRelay>::default());
+    let r = net.add_box("phone-r", audio_endpoint(2));
+    let (ch_l, sl, relay_l) = net.connect(l, relay, 1);
+    let (_, relay_r, sr) = net.connect(relay, r, 1);
+    net.run_until_quiescent(T_MAX);
+    let (a, b) = (relay_l[0], relay_r[0]);
+    net.apply(relay, move |pb| {
+        pb.media_mut()
+            .set_goal(GoalSpec::Link { a, b })
+            .into_iter()
+            .map(BoxCmd::Signal)
+            .collect()
+    });
+    net.user(l, sl[0], UserCmd::Open(Medium::Audio));
+    net.run_until_quiescent(T_MAX);
+    assert!(net.media(r).slot(sr[0]).unwrap().is_flowing());
+
+    // The left phone destroys its channel; the relay hears of it one
+    // network latency later and hangs up the right leg.
+    let before = log.lock().unwrap().len();
+    net.apply(l, move |_| vec![BoxCmd::CloseChannel(ch_l)]);
+    net.run_until_quiescent(T_MAX);
+    assert!(net.media(relay).slot(relay_l[0]).is_none());
+    assert!(net.media(r).slot(sr[0]).unwrap().is_closed());
+
+    let at_relay: Vec<ObsEvent> = log.lock().unwrap()[before..]
+        .iter()
+        .map(|(_, e)| e.clone())
+        .filter(|e| e.bx() == relay.0)
+        .filter(|e| {
+            matches!(
+                e,
+                ObsEvent::Stimulus { .. }
+                    | ObsEvent::GoalActivated { .. }
+                    | ObsEvent::SlotTransition { .. }
+            )
+        })
+        .collect();
+    // The teardown is its own stimulus kind, and the goal and slot
+    // activity the program's reaction causes is visible.
+    assert_eq!(
+        at_relay[..3],
+        [
+            ObsEvent::Stimulus {
+                bx: relay.0,
+                kind: "channel_down"
+            },
+            ObsEvent::GoalActivated {
+                bx: relay.0,
+                slot: relay_r[0].0,
+                kind: "closeSlot"
+            },
+            ObsEvent::SlotTransition {
+                bx: relay.0,
+                slot: relay_r[0].0,
+                from: "flowing",
+                to: "closing",
+                cause: "goal"
+            },
+        ],
+        "{at_relay:#?}"
+    );
+}

@@ -763,9 +763,10 @@ impl Actor {
         }
     }
 
-    /// One host call: stamps the arrival with the tracer's clock and times
-    /// the synchronous compute cost into `stimulus_compute_us`. Returns
-    /// the trace context the resulting frames carry.
+    /// One host call: stamps the arrival with the tracer's clock, times
+    /// the synchronous compute cost into `stimulus_compute_us`, and
+    /// reports a rejected user command instead of losing it. Returns the
+    /// trace context the resulting frames carry.
     fn apply(&mut self, input: Input, cause: Option<SpanCtx>) -> Option<SpanCtx> {
         let now = self.tracer.as_ref().map_or(0, Tracer::now_micros);
         let at = Arrival {
@@ -792,9 +793,12 @@ impl Actor {
         }
         match result {
             Ok(outcome) => outcome.ctx,
-            // As before the host (fixed in the next commit): a rejected
-            // user command vanishes.
-            Err(_) => None,
+            Err(rejected) => {
+                let bx = self.host.id().0;
+                self.obs
+                    .signal_ignored(bx, rejected.slot.0, "user_rejected");
+                None
+            }
         }
     }
 

@@ -179,6 +179,24 @@ async fn spawned_observer_sees_structural_events() {
         .any(|(_, e)| matches!(e, ObsEvent::SlotTransition { to: "flowing", .. })));
     let now = clock.now_micros();
     assert!(events.iter().all(|(t, _)| *t <= now));
+
+    // A user command the protocol rejects (no such slot) is reported, not
+    // lost — and the node carries on.
+    let ignored = caller.snapshot.borrow().metrics.signals_ignored;
+    caller.user(SlotId(99), UserCmd::Close).await;
+    assert!(
+        caller
+            .wait_for(WAIT, |s| s.metrics.signals_ignored == ignored + 1)
+            .await
+    );
+    assert!(log.lock().unwrap().iter().any(|(_, e)| matches!(
+        e,
+        ObsEvent::SignalIgnored {
+            slot: 99,
+            reason: "user_rejected",
+            ..
+        }
+    )));
     caller.shutdown().await;
     callee.shutdown().await;
 }
