@@ -26,13 +26,13 @@ use ipmedia_analyze::{
     parse_scenario, render_manifest, run_incremental, to_ipm, to_sarif, AnalysisCache, Baseline,
     Diagnostic, IncrementalStats,
 };
+use ipmedia_core::cli::{usage_error, Flags};
 use ipmedia_core::program::model::ScenarioModel;
 use ipmedia_obs::{json_str_array, JsonObj};
 use std::path::Path;
 use std::process::ExitCode;
 
 const EXIT_FINDINGS: u8 = 1;
-const EXIT_USAGE: u8 = 2;
 const EXIT_INPUT: u8 = 3;
 
 struct Options {
@@ -54,8 +54,7 @@ struct Options {
     promote: Option<String>,
 }
 
-fn usage() -> &'static str {
-    "usage: ipmedia-lint [OPTIONS] [FILE.ipm ...]
+const USAGE: &str = "usage: ipmedia-lint [OPTIONS] [FILE.ipm ...]
 
 options:
   --all-examples          lint every scenario in the built-in registry
@@ -91,101 +90,49 @@ exit status:
   0  clean (no findings at the deny level)
   1  findings at the deny level
   2  usage error
-  3  input or internal error (unreadable file, parse error)"
-}
+  3  input or internal error (unreadable file, parse error)";
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        all_examples: false,
-        deny_warnings: false,
-        jsonl: false,
-        threads: 1,
-        baseline: None,
-        write_baseline: None,
-        sarif: None,
-        files: Vec::new(),
-        fuzz: None,
-        seed: None,
-        max_states: None,
-        incremental: false,
-        cache: None,
-        emit_manifest: None,
-        prune_baseline: false,
-        promote: None,
+/// The invocation's options; a usage error or `--help` exits here.
+fn parse_args() -> Options {
+    let mut flags = Flags::from_env(USAGE);
+    let deny: Option<String> = flags.value("--deny");
+    let opts = Options {
+        threads: flags.value("--threads").unwrap_or(1),
+        baseline: flags.value("--baseline"),
+        write_baseline: flags.value("--write-baseline"),
+        sarif: flags.value("--sarif"),
+        fuzz: flags.value("--fuzz"),
+        seed: flags.value("--seed"),
+        max_states: flags.value("--max-states"),
+        cache: flags.value("--cache"),
+        emit_manifest: flags.value("--emit-manifest"),
+        promote: flags.value("--promote"),
+        all_examples: flags.switch("--all-examples"),
+        deny_warnings: deny.is_some(),
+        jsonl: flags.switch("--jsonl"),
+        incremental: flags.switch("--incremental"),
+        prune_baseline: flags.switch("--prune-baseline"),
+        files: flags.finish(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--all-examples" => opts.all_examples = true,
-            "--deny" => match it.next().map(String::as_str) {
-                Some("warnings") => opts.deny_warnings = true,
-                other => {
-                    return Err(format!(
-                        "--deny expects `warnings`, got {}",
-                        other.unwrap_or("nothing")
-                    ))
-                }
-            },
-            "--jsonl" => opts.jsonl = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads expects a count")?;
-                opts.threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-            }
-            "--baseline" => {
-                opts.baseline = Some(it.next().ok_or("--baseline expects a file")?.clone());
-            }
-            "--write-baseline" => {
-                opts.write_baseline =
-                    Some(it.next().ok_or("--write-baseline expects a file")?.clone());
-            }
-            "--sarif" => {
-                opts.sarif = Some(it.next().ok_or("--sarif expects a file")?.clone());
-            }
-            "--fuzz" => {
-                let v = it.next().ok_or("--fuzz expects a scenario count")?;
-                opts.fuzz = Some(v.parse().map_err(|_| format!("bad fuzz count `{v}`"))?);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed expects a campaign seed")?;
-                opts.seed = Some(v.parse().map_err(|_| format!("bad seed `{v}`"))?);
-            }
-            "--max-states" => {
-                let v = it.next().ok_or("--max-states expects a state count")?;
-                opts.max_states = Some(v.parse().map_err(|_| format!("bad state count `{v}`"))?);
-            }
-            "--incremental" => opts.incremental = true,
-            "--cache" => {
-                opts.cache = Some(it.next().ok_or("--cache expects a directory")?.clone());
-            }
-            "--emit-manifest" => {
-                opts.emit_manifest =
-                    Some(it.next().ok_or("--emit-manifest expects a file")?.clone());
-            }
-            "--prune-baseline" => opts.prune_baseline = true,
-            "--promote" => {
-                opts.promote = Some(it.next().ok_or("--promote expects a directory")?.clone());
-            }
-            "--help" | "-h" => return Ok(None),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            file => opts.files.push(file.to_string()),
-        }
+    let problem = if deny.is_some_and(|level| level != "warnings") {
+        Some("--deny expects `warnings`")
+    } else if !opts.all_examples && opts.files.is_empty() && opts.fuzz.is_none() {
+        Some("nothing to lint")
+    } else if opts.incremental && opts.cache.is_none() {
+        Some("--incremental requires --cache DIR")
+    } else if opts.emit_manifest.is_some() && !opts.incremental {
+        Some("--emit-manifest requires --incremental")
+    } else if opts.prune_baseline && opts.baseline.is_none() {
+        Some("--prune-baseline requires --baseline FILE")
+    } else if opts.promote.is_some() && opts.fuzz.is_none() {
+        Some("--promote requires --fuzz")
+    } else {
+        None
+    };
+    if let Some(msg) = problem {
+        usage_error(USAGE, msg);
     }
-    if !opts.all_examples && opts.files.is_empty() && opts.fuzz.is_none() {
-        return Err(format!("nothing to lint\n{}", usage()));
-    }
-    if opts.incremental && opts.cache.is_none() {
-        return Err("--incremental requires --cache DIR".to_string());
-    }
-    if opts.emit_manifest.is_some() && !opts.incremental {
-        return Err("--emit-manifest requires --incremental".to_string());
-    }
-    if opts.prune_baseline && opts.baseline.is_none() {
-        return Err("--prune-baseline requires --baseline FILE".to_string());
-    }
-    if opts.promote.is_some() && opts.fuzz.is_none() {
-        return Err("--promote requires --fuzz".to_string());
-    }
-    Ok(Some(opts))
+    opts
 }
 
 fn load_scenarios(opts: &Options) -> Result<Vec<ScenarioModel>, String> {
@@ -276,18 +223,7 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+    let opts = parse_args();
     if let Some(count) = opts.fuzz {
         return fuzz_mode(&opts, count);
     }

@@ -46,8 +46,6 @@ use ipmedia_core::GoalKind;
 use ipmedia_mck::{budgeted, run_campaign_depth_capped, CheckConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A small, fast, seedable PRNG (splitmix64). Deterministic across
 /// platforms and thread counts; every generated artifact derives from
@@ -685,11 +683,6 @@ fn has_interproc_finding(codes: &[String]) -> bool {
 /// 3. cross-examine analyzer and checker per scenario,
 /// 4. delta-minimize the first [`FuzzConfig::shrink_cap`] divergences.
 pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzReport {
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        cfg.threads
-    };
     let seeds: Vec<u64> = (0..cfg.scenarios as u64)
         .map(|i| scenario_seed(cfg.seed, i))
         .collect();
@@ -704,38 +697,12 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
             ..Generated::default()
         })
     };
-    let workers = threads.min(seeds.len()).max(1);
-    let records: Vec<Generated> = if workers <= 1 {
-        seeds.iter().map(|s| guarded(*s)).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Generated>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= seeds.len() {
-                        break;
-                    }
-                    let rec = guarded(seeds[i]);
-                    *slots[i].lock().expect("record slot") = Some(rec);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("record slot")
-                    .expect("worker filled slot")
-            })
-            .collect()
-    };
+    let records = ipmedia_core::par::slot_map(cfg.threads, seeds.len(), |i| guarded(seeds[i]));
 
     // Phase 2: one checker run per unique class.
     let union: BTreeSet<ClassKey> = records.iter().flat_map(|r| r.classes.clone()).collect();
     let keys: Vec<ClassKey> = union.into_iter().collect();
-    checker.batch(&keys, threads);
+    checker.batch(&keys, cfg.threads);
     let checked: Vec<(ClassKey, ClassVerdict)> =
         keys.iter().map(|k| (*k, checker.check(*k))).collect();
     let verdicts: BTreeMap<ClassKey, ClassVerdict> = checked.iter().copied().collect();

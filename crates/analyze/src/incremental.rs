@@ -50,8 +50,6 @@ use ipmedia_obs::{json_array, JsonObj};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Version salt folded into every fingerprint. Bump whenever any pass's
 /// observable output can change, so old caches self-invalidate.
@@ -455,42 +453,12 @@ pub fn run_incremental(
     baseline: &Baseline,
     cache: &mut AnalysisCache,
 ) -> (RunReport, IncrementalStats) {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let workers = threads.min(scenarios.len()).max(1);
-    // Phase 1: fingerprint + run misses, slot-per-scenario so the merge
-    // below is input-ordered and deterministic at any thread count.
-    let work: Vec<ScenarioWork> = if workers <= 1 {
-        scenarios.iter().map(|sc| analyze_one(sc, cache)).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ScenarioWork>>> =
-            scenarios.iter().map(|_| Mutex::new(None)).collect();
-        let shared: &AnalysisCache = cache;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= scenarios.len() {
-                        break;
-                    }
-                    let w = analyze_one(&scenarios[i], shared);
-                    *slots[i].lock().expect("result slot") = Some(w);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot")
-                    .expect("worker filled slot")
-            })
-            .collect()
-    };
+    // Phase 1: fingerprint + run misses; results come back in input order
+    // so the merge below is deterministic at any thread count.
+    let shared: &AnalysisCache = cache;
+    let work = ipmedia_core::par::slot_map(threads, scenarios.len(), |i| {
+        analyze_one(&scenarios[i], shared)
+    });
     // Phase 2: serial merge in input order — update the cache, count
     // what actually ran, and assemble the per-scenario reports exactly
     // as `analyze_scenario` would have.

@@ -11,8 +11,6 @@ use crate::diag::{Diagnostic, Severity};
 use crate::sarif::Baseline;
 use crate::{analyze_scenario, sort_report};
 use ipmedia_core::program::model::ScenarioModel;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Outcome of analyzing a scenario set.
 pub struct RunReport {
@@ -53,42 +51,12 @@ impl RunReport {
 
 /// Analyze every scenario, spreading scenarios over `threads` workers
 /// (`0` = all cores), then merge, re-sort, and apply the baseline. The
-/// result is identical at any thread count: workers fill one result slot
-/// per scenario and the merge walks slots in input order.
+/// result is identical at any thread count: the pool returns per-scenario
+/// results in input order and the merge walks them in that order.
 pub fn run(scenarios: &[ScenarioModel], threads: usize, baseline: &Baseline) -> RunReport {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let workers = threads.min(scenarios.len()).max(1);
-    let per_scenario: Vec<Vec<Diagnostic>> = if workers <= 1 {
-        scenarios.iter().map(analyze_scenario).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<Diagnostic>>>> =
-            scenarios.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= scenarios.len() {
-                        break;
-                    }
-                    let diags = analyze_scenario(&scenarios[i]);
-                    *slots[i].lock().expect("result slot") = Some(diags);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot")
-                    .expect("worker filled slot")
-            })
-            .collect()
-    };
+    let per_scenario = ipmedia_core::par::slot_map(threads, scenarios.len(), |i| {
+        analyze_scenario(&scenarios[i])
+    });
     let mut all: Vec<Diagnostic> = per_scenario.into_iter().flatten().collect();
     sort_report(&mut all);
     let (kept, suppressed) = baseline.apply(all);

@@ -1,0 +1,72 @@
+//! The built `ipmedia-lint` binary, driven through its documented exit
+//! status contract: 0 clean, 1 findings at the deny level, 2 usage error,
+//! 3 input error. The fleet fixtures are the ones the `scripts/check.sh`
+//! incremental gate lints.
+
+use std::process::{Command, Output};
+
+fn lint(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ipmedia-lint"))
+        .args(args)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("ipmedia-lint runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn exit_statuses_follow_the_documented_contract() {
+    let table: [(&[&str], i32); 12] = [
+        (&["--all-examples"], 0),
+        (&["--all-examples", "--deny", "warnings", "--threads=2"], 0),
+        (&["examples/fleet/fleet_004.ipm", "--threads", "2"], 0),
+        (&["--help"], 0),
+        (&["examples/fleet/fleet_000.ipm"], 1),
+        (
+            &["--jsonl", "examples/fleet/fleet_000.ipm", "--threads=0"],
+            1,
+        ),
+        (&[], 2),
+        (&["--all-examples", "--threads", "abc"], 2),
+        (&["--all-examples", "--threads"], 2),
+        (&["--all-examples", "--threds", "4"], 2),
+        (&["--all-examples", "--deny", "errors"], 2),
+        (&["examples/fleet/no_such_file.ipm"], 3),
+    ];
+    for (args, expected) in table {
+        let out = lint(args);
+        assert_eq!(
+            out.status.code(),
+            Some(expected),
+            "ipmedia-lint {args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
+fn usage_errors_name_the_argument_and_help_goes_to_stdout() {
+    let bad = lint(&["--all-examples", "--threads", "abc"]);
+    assert!(stderr(&bad).contains("bad value `abc` for --threads"));
+    assert!(stderr(&bad).contains("usage: ipmedia-lint"));
+    assert!(bad.stdout.is_empty());
+
+    let help = lint(&["--help", "--bogus"]);
+    assert!(String::from_utf8_lossy(&help.stdout).starts_with("usage: ipmedia-lint"));
+    assert!(help.stderr.is_empty());
+}
+
+#[test]
+fn jsonl_findings_are_the_same_at_any_thread_count_and_value_syntax() {
+    let files = [
+        "examples/fleet/fleet_000.ipm",
+        "examples/fleet/fleet_001.ipm",
+    ];
+    let run = |threads: &[&str]| lint(&[&["--jsonl"], threads, &files[..]].concat()).stdout;
+    let one = run(&["--threads", "1"]);
+    assert!(String::from_utf8_lossy(&one).contains("\"type\":\"lint_summary\""));
+    assert_eq!(one, run(&["--threads=8"]));
+}

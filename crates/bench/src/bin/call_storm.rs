@@ -17,7 +17,8 @@
 //!    numbers are read against.
 //!
 //! Usage: `call_storm [--calls N] [--seed S] [--threads N]
-//! [--rt-channels N] [--rt-tunnels N] [--min-speedup X] [--jsonl]`
+//! [--rt-channels N] [--rt-tunnels N] [--rt-reps N] [--min-speedup X]
+//! [--jsonl]`
 //!
 //! Output convention: the human-readable account goes to stderr; with
 //! `--jsonl` every aggregate row is also printed as one JSON record per
@@ -33,6 +34,9 @@ use ipmedia_rt::NodeTuning;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+const USAGE: &str = "usage: call_storm [--calls N] [--seed S] [--threads N] \
+[--rt-channels N] [--rt-tunnels N] [--rt-reps N] [--min-speedup X] [--jsonl]";
 
 /// A counting wrapper around the system allocator: tracks resident and
 /// peak-resident bytes so the storm can report bytes per live call.
@@ -100,29 +104,16 @@ fn hist_json(h: &HistogramSnapshot) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let calls: usize = flag("--calls")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
-    let seed: u64 = flag("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5704_0001);
-    let threads: usize = flag("--threads").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let rt_channels: u32 = flag("--rt-channels")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let rt_tunnels: u16 = flag("--rt-tunnels")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let min_speedup: f64 = flag("--min-speedup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
-    let jsonl = args.iter().any(|a| a == "--jsonl");
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let calls: usize = flags.value("--calls").unwrap_or(10_000);
+    let seed: u64 = flags.value("--seed").unwrap_or(0x5704_0001);
+    let threads: usize = flags.value("--threads").unwrap_or(0);
+    let rt_channels: u32 = flags.value("--rt-channels").unwrap_or(64);
+    let rt_tunnels: u16 = flags.value("--rt-tunnels").unwrap_or(8);
+    let rt_reps: usize = flags.value("--rt-reps").unwrap_or(3).max(1);
+    let min_speedup: f64 = flags.value("--min-speedup").unwrap_or(2.0);
+    let jsonl = flags.switch("--jsonl");
+    flags.done();
 
     let mut records: Vec<String> = Vec::new();
     let mut emit = |line: String| {
@@ -188,10 +179,6 @@ fn main() -> ExitCode {
     let net_ok = net.established == net.calls;
 
     // --- rt arm: unsharded baseline, then the sharded default -------------
-    let rt_reps: usize = flag("--rt-reps")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1);
     let rt_calls = rt_channels as usize * rt_tunnels as usize;
     let mut rt_rates = Vec::new();
     for (arm, tuning) in [

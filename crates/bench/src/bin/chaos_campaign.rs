@@ -25,8 +25,9 @@ use ipmedia_bench::provenance_record;
 use ipmedia_core::chaos::{generate, ScheduleFamily};
 use ipmedia_obs::monitor::RecoveryObjectives;
 use ipmedia_obs::{json_array, json_str_array, Histogram, JsonObj};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+const USAGE: &str = "usage: chaos_campaign [--seeds N] [--rt-seeds N] \
+[--substrate netsim|rt|both] [--threads N]";
 
 /// Wall-clock compression for the rt sweep: generated schedules settle
 /// within 20 virtual seconds, so ×20 keeps each run under a second of
@@ -39,13 +40,6 @@ fn cell_seed(scenario: usize, seed: u64) -> u64 {
     (scenario as u64) << 32 | seed
 }
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 struct Failure {
     scenario: String,
     family: &'static str,
@@ -56,32 +50,19 @@ struct Failure {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seeds: u64 = arg(&args, "--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    let rt_seeds: u64 = arg(&args, "--rt-seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let substrate = arg(&args, "--substrate").unwrap_or_else(|| "both".to_string());
-    let threads: usize = arg(&args, "--threads")
-        .and_then(|s| s.parse().ok())
-        .map(|t: usize| {
-            if t == 0 {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            } else {
-                t
-            }
-        })
-        .unwrap_or(1);
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let seeds: u64 = flags.value("--seeds").unwrap_or(10);
+    let rt_seeds: u64 = flags.value("--rt-seeds").unwrap_or(2);
+    let substrate: String = flags
+        .value("--substrate")
+        .unwrap_or_else(|| "both".to_string());
+    let threads = ipmedia_core::par::resolve(flags.value("--threads").unwrap_or(1));
+    flags.done();
     let (run_netsim, run_rt) = match substrate.as_str() {
         "netsim" => (true, false),
         "rt" => (false, true),
         "both" => (true, true),
-        other => {
-            eprintln!("chaos campaign: unknown substrate {other:?} (netsim|rt|both)");
-            std::process::exit(2);
-        }
+        other => ipmedia_core::cli::usage_error(USAGE, &format!("unknown substrate `{other}`")),
     };
 
     let rto = RecoveryObjectives::default();
@@ -101,8 +82,8 @@ fn main() {
     let mut failures: Vec<Failure> = Vec::new();
 
     // ---- netsim sweep -------------------------------------------------
-    // (scenario, family, seed) tasks fan out over a worker pool; slot
-    // per task keeps aggregation deterministic at any thread count.
+    // (scenario, family, seed) tasks fan out over the worker pool, which
+    // returns them in task order: aggregation is deterministic.
     let mut netsim_runs = 0usize;
     let mut replay_checks = 0usize;
     let mut replay_ok = true;
@@ -113,45 +94,30 @@ fn main() {
                     .flat_map(move |fam| (0..seeds).map(move |s| (sc, fam, s)))
             })
             .collect();
-        type Outcome = Result<(ChaosRun, bool), String>;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Outcome>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-        let workers = threads.min(tasks.len()).max(1);
         eprintln!(
-            "chaos campaign: {} scenarios x {} families x {seeds} seeds on netsim, {workers} worker thread(s)",
+            "chaos campaign: {} scenarios x {} families x {seeds} seeds on netsim, {} worker thread(s)",
             scenarios.len(),
             ScheduleFamily::ALL.len(),
+            threads.min(tasks.len()).max(1),
         );
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
-                    }
-                    let (sc, fam, s) = tasks[i];
-                    let k = scenarios[sc].1;
-                    let family = ScheduleFamily::ALL[fam];
-                    let schedule = generate(family, cell_seed(sc, s), &chain_topology(k));
-                    let outcome = run_netsim_chaos(k, &schedule, &rto).map(|run| {
-                        // Seed 0 of each cell doubles as the replay
-                        // determinism probe: identical seeds must yield
-                        // identical outcomes, field for field.
-                        let replayed = if s == 0 {
-                            run_netsim_chaos(k, &schedule, &rto).is_ok_and(|again| again == run)
-                        } else {
-                            true
-                        };
-                        (run, replayed)
-                    });
-                    *slots[i].lock().expect("result slot") = Some(outcome);
-                });
-            }
-        });
-        let outcomes: Vec<Outcome> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("slot").expect("worker filled slot"))
-            .collect();
+        let outcomes: Vec<Result<(ChaosRun, bool), String>> =
+            ipmedia_core::par::slot_map(threads, tasks.len(), |i| {
+                let (sc, fam, s) = tasks[i];
+                let k = scenarios[sc].1;
+                let schedule = generate(
+                    ScheduleFamily::ALL[fam],
+                    cell_seed(sc, s),
+                    &chain_topology(k),
+                );
+                run_netsim_chaos(k, &schedule, &rto).map(|run| {
+                    // Seed 0 of each cell doubles as the replay
+                    // determinism probe: identical seeds must yield
+                    // identical outcomes, field for field.
+                    let replayed = s != 0
+                        || run_netsim_chaos(k, &schedule, &rto).is_ok_and(|again| again == run);
+                    (run, replayed)
+                })
+            });
         netsim_runs = outcomes.len();
 
         // Aggregate per family across scenarios and seeds; recovery
@@ -161,7 +127,7 @@ fn main() {
             "family", "runs", "faults", "recoveries", "worst", "violations"
         );
         for (fam, family) in ScheduleFamily::ALL.into_iter().enumerate() {
-            let hist = Histogram::new(&[200, 400, 800, 1600, 3200, 6400, 12_800, 25_600]);
+            let hist = Histogram::new(&ipmedia_obs::metrics::RECOVERY_LATENCY_MS_BOUNDS);
             let (mut runs, mut faults, mut violations, mut worst_ms) = (0u64, 0u64, 0u64, 0u64);
             for (i, &(sc, f, s)) in tasks.iter().enumerate() {
                 if f != fam {

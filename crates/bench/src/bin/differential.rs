@@ -27,6 +27,8 @@ use ipmedia_obs::{json_str_array, JsonObj};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: differential [--threads N] [--max-states M]";
+
 fn goal_name(g: EndGoal) -> &'static str {
     match g {
         EndGoal::Open => "open",
@@ -36,15 +38,10 @@ fn goal_name(g: EndGoal) -> &'static str {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    let threads: usize = flag("--threads").unwrap_or(0);
-    let max_states: usize = flag("--max-states").unwrap_or(2_000_000);
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let threads: usize = flags.value("--threads").unwrap_or(0);
+    let max_states: usize = flags.value("--max-states").unwrap_or(2_000_000);
+    flags.done();
 
     let mut records: Vec<String> = Vec::new();
     let mut emit = |line: String| {

@@ -29,15 +29,14 @@ use ipmedia_obs::metrics::{CountingObserver, Registry};
 use ipmedia_obs::JsonObj;
 use std::sync::Arc;
 
+const USAGE: &str = "usage: experiments [--full] [--threads N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0); // 0 = one campaign worker per core
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let full = flags.switch("--full");
+    // 0 = one campaign worker per core
+    let threads: usize = flags.value("--threads").unwrap_or(0);
+    flags.done();
     let scale: u8 = if full { 1 } else { 0 };
     let n = 34.0;
     let c = 20.0;

@@ -19,26 +19,15 @@
 use ipmedia_bench::flowlink_convergence_under_loss;
 use ipmedia_netsim::SimDuration;
 use ipmedia_obs::JsonObj;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+const USAGE: &str = "usage: fault_matrix [--threads N]   (0 = one worker per core; default 1)";
 
 type RunOutcome = Result<(f64, u64, u64), String>;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .map(|t: usize| {
-            if t == 0 {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            } else {
-                t
-            }
-        })
-        .unwrap_or(1);
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let threads: usize = flags.value("--threads").unwrap_or(1);
+    flags.done();
 
     // 60 virtual seconds is ~250× the fault-free setup time: generous
     // enough for deep retransmission backoff, tight enough to catch a
@@ -54,37 +43,21 @@ fn main() {
         .flat_map(|c| (0..seeds).map(move |s| (c, s)))
         .collect();
 
-    // Fan the independent simulations over the pool; slot per task keeps
-    // aggregation deterministic regardless of completion order.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunOutcome>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    let workers = threads.min(tasks.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                let (cell, seed) = tasks[i];
-                let (loss, chaos) = cells[cell];
-                let (dup, reorder) = if chaos { (0.10, 0.10) } else { (0.0, 0.0) };
-                let outcome = flowlink_convergence_under_loss(loss, dup, reorder, seed, budget)
-                    .map(|run| {
-                        (
-                            run.converged.as_millis_f64(),
-                            run.faults,
-                            run.retransmissions,
-                        )
-                    });
-                *slots[i].lock().expect("result slot") = Some(outcome);
-            });
-        }
+    // Fan the independent simulations over the pool; results come back
+    // in task order, so aggregation is deterministic.
+    let workers = ipmedia_core::par::resolve(threads).min(tasks.len());
+    let outcomes: Vec<RunOutcome> = ipmedia_core::par::slot_map(threads, tasks.len(), |i| {
+        let (cell, seed) = tasks[i];
+        let (loss, chaos) = cells[cell];
+        let (dup, reorder) = if chaos { (0.10, 0.10) } else { (0.0, 0.0) };
+        flowlink_convergence_under_loss(loss, dup, reorder, seed, budget).map(|run| {
+            (
+                run.converged.as_millis_f64(),
+                run.faults,
+                run.retransmissions,
+            )
+        })
     });
-    let outcomes: Vec<RunOutcome> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot").expect("worker filled slot"))
-        .collect();
 
     let mut failures = 0usize;
     eprintln!(

@@ -21,29 +21,20 @@ use ipmedia_analyze::to_ipm;
 use ipmedia_obs::JsonObj;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: fuzz_differential [--scenarios N] [--seed S] [--threads N] [--max-states M]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
     let defaults = FuzzConfig::default();
     let cfg = FuzzConfig {
-        scenarios: flag("--scenarios")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.scenarios),
-        seed: flag("--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.seed),
-        threads: flag("--threads")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.threads),
-        max_states: flag("--max-states")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.max_states),
+        scenarios: flags.value("--scenarios").unwrap_or(defaults.scenarios),
+        seed: flags.value("--seed").unwrap_or(defaults.seed),
+        threads: flags.value("--threads").unwrap_or(defaults.threads),
+        max_states: flags.value("--max-states").unwrap_or(defaults.max_states),
         ..defaults
     };
+    flags.done();
 
     eprintln!(
         "fuzz_differential: {} scenario(s), seed {:#x}, base cap {} states",

@@ -33,6 +33,9 @@ use ipmedia_obs::JsonObj;
 use std::process::ExitCode;
 use std::time::Instant;
 
+const USAGE: &str =
+    "usage: ipmedia-lint-fleet [--fleet N] [--threads T] [--out FILE] [--emit-sample DIR]";
+
 fn phase_record(phase: &str, n: usize, wall_ms: f64, stats: &IncrementalStats) -> String {
     JsonObj::new()
         .str("record", "lint_fleet")
@@ -48,24 +51,14 @@ fn phase_record(phase: &str, n: usize, wall_ms: f64, stats: &IncrementalStats) -
 }
 
 fn main() -> ExitCode {
-    let mut fleet = 10_000usize;
-    let mut threads = 0usize;
-    let mut out = String::from("BENCH_lint.json");
-    let mut emit_sample: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_default();
-        match a.as_str() {
-            "--fleet" => fleet = val().parse().expect("--fleet N"),
-            "--threads" => threads = val().parse().expect("--threads T"),
-            "--out" => out = val(),
-            "--emit-sample" => emit_sample = Some(val()),
-            other => {
-                eprintln!("unknown arg {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let fleet: usize = flags.value("--fleet").unwrap_or(10_000);
+    let threads: usize = flags.value("--threads").unwrap_or(0);
+    let out: String = flags
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_lint.json".to_string());
+    let emit_sample: Option<String> = flags.value("--emit-sample");
+    flags.done();
 
     let seed = FuzzConfig::default().seed;
     let t0 = Instant::now();

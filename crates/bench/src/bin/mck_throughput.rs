@@ -25,11 +25,10 @@ use std::fmt::Write as _;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
-    let max_states: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000);
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut flags = ipmedia_core::cli::Flags::from_env("usage: mck_throughput [max_states]");
+    let max_states: usize = flags.positional("max_states").unwrap_or(2_000_000);
+    flags.done();
+    let host = ipmedia_core::par::resolve(0);
     let registry = Registry::new();
 
     // Representative spread: the cheap direct path, the same path under an

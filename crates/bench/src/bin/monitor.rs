@@ -47,6 +47,9 @@ use std::process::ExitCode;
 
 const T_MAX: SimTime = SimTime(3_600_000_000);
 
+const USAGE: &str =
+    "usage: ipmedia-monitor [--mutant closed-slot] [--verified-manifest FILE] [scenario...]";
+
 /// Run one monitored exercise; returns (events seen, findings as JSONL,
 /// ladders for stderr). `unverified` carries the scenario's content
 /// fingerprint and manifest verdict when the verified manifest does
@@ -133,36 +136,33 @@ fn run_scenario(
 }
 
 fn main() -> ExitCode {
-    let mut mutant = false;
-    let mut manifest: Option<VerifiedManifest> = None;
-    let mut selected: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--mutant" {
-            let kind = args.next().unwrap_or_default();
-            assert_eq!(kind, "closed-slot", "unknown mutant kind {kind:?}");
-            mutant = true;
-        } else if a == "--verified-manifest" {
-            let path = args.next().unwrap_or_default();
-            match std::fs::read_to_string(&path) {
-                Ok(src) => manifest = Some(VerifiedManifest::parse(&src)),
-                Err(e) => {
-                    eprintln!("--verified-manifest {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            selected.push(a);
-        }
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let mutant_kind: Option<String> = flags.value("--mutant");
+    let manifest_path: Option<String> = flags.value("--verified-manifest");
+    let mut names = flags.finish();
+    if mutant_kind
+        .as_deref()
+        .is_some_and(|kind| kind != "closed-slot")
+    {
+        ipmedia_core::cli::usage_error(USAGE, "the only mutant kind is `closed-slot`");
     }
-    let names: Vec<String> = if selected.is_empty() {
-        ipmedia_apps::models::EXAMPLE_NAMES
+    let mutant = mutant_kind.is_some();
+    let manifest = match manifest_path {
+        None => None,
+        Some(path) => match std::fs::read_to_string(&path) {
+            Ok(src) => Some(VerifiedManifest::parse(&src)),
+            Err(e) => {
+                eprintln!("--verified-manifest {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    if names.is_empty() {
+        names = ipmedia_apps::models::EXAMPLE_NAMES
             .iter()
             .map(|s| (*s).to_string())
-            .collect()
-    } else {
-        selected
-    };
+            .collect();
+    }
 
     let mut failed = false;
     for name in &names {

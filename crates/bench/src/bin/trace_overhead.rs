@@ -51,10 +51,9 @@ fn workload(sink: Option<Arc<SpanSink>>) -> SimDuration {
 }
 
 fn main() {
-    let iterations: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let mut flags = ipmedia_core::cli::Flags::from_env("usage: trace_overhead [iterations]");
+    let iterations: usize = flags.positional("iterations").unwrap_or(20);
+    flags.done();
     let budget_pct: f64 = std::env::var("TRACE_OVERHEAD_BUDGET_PCT")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -30,10 +30,9 @@ const T_MAX: SimTime = SimTime(3_600_000_000);
 /// record describing the host and build that produced the numbers, so a
 /// 1-core debug run is never misread against an 8-core release baseline.
 pub fn provenance_record(threads: usize) -> String {
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     JsonObj::new()
         .str("record", "bench_provenance")
-        .num("host_parallelism", host as u64)
+        .num("host_parallelism", ipmedia_core::par::resolve(0) as u64)
         .num("threads", threads as u64)
         .str(
             "cargo_profile",

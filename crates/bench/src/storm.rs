@@ -41,8 +41,7 @@ use ipmedia_sip::b2bua::{B2bua, LEG_LOCAL, LEG_REMOTE};
 use ipmedia_sip::ua::SipUa;
 use ipmedia_sip::SipNet;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const T_MAX: SimTime = SimTime(3_600_000_000);
 
@@ -140,32 +139,7 @@ pub fn call_plan(seed: u64, index: usize) -> CallPlan {
 /// workers with the slot-per-index discipline: the output is identical at
 /// any thread count.
 pub fn generate_storm(spec: &StormSpec) -> Vec<CallPlan> {
-    let threads = if spec.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        spec.threads
-    };
-    let workers = threads.min(spec.calls).max(1);
-    if workers <= 1 {
-        return (0..spec.calls).map(|i| call_plan(spec.seed, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CallPlan>>> = (0..spec.calls).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= spec.calls {
-                    break;
-                }
-                *slots[i].lock().expect("plan slot") = Some(call_plan(spec.seed, i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("plan slot").expect("worker filled"))
-        .collect()
+    ipmedia_core::par::slot_map(spec.threads, spec.calls, |i| call_plan(spec.seed, i))
 }
 
 // ---------------------------------------------------------------------------

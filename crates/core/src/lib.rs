@@ -28,6 +28,7 @@
 
 pub mod boxes;
 pub mod chaos;
+pub mod cli;
 pub mod codec;
 pub mod descriptor;
 pub mod endpoint;
@@ -36,6 +37,7 @@ pub mod goal;
 pub mod hash;
 pub mod host;
 pub mod ids;
+pub mod par;
 pub mod path;
 pub mod program;
 pub mod reliable;

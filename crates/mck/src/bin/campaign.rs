@@ -16,28 +16,16 @@ use ipmedia_mck::{
 use ipmedia_obs::JsonObj;
 use std::time::Instant;
 
+const USAGE: &str = "usage: campaign [budget_scale] [max_links] [max_states] [--threads N]   \
+(--threads 0 = one worker per core; default 1)";
+
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut threads = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            threads = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--threads needs a count (0 = all cores)");
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            threads = v.parse().expect("--threads needs a count (0 = all cores)");
-        } else {
-            positional.push(a);
-        }
-    }
-    let scale: u8 = positional.first().and_then(|s| s.parse().ok()).unwrap_or(0);
-    let max_links: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let max_states: usize = positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5_000_000);
+    let mut flags = ipmedia_core::cli::Flags::from_env(USAGE);
+    let threads: usize = flags.value("--threads").unwrap_or(1);
+    let scale: u8 = flags.positional("budget_scale").unwrap_or(0);
+    let max_links: usize = flags.positional("max_links").unwrap_or(1);
+    let max_states: usize = flags.positional("max_states").unwrap_or(5_000_000);
+    flags.done();
 
     let cfgs = campaign_configs(scale, max_links, &[0]);
     let start = Instant::now();
@@ -103,11 +91,7 @@ fn main() {
         "campaign: {} configs in {:.2}s wall ({} worker thread(s))",
         results.len(),
         wall.as_secs_f64(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            threads
-        }
+        ipmedia_core::par::resolve(threads)
     );
     if failures > 0 {
         eprintln!("{failures} configuration(s) did not pass (failed or truncated)");

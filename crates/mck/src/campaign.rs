@@ -13,8 +13,6 @@ use crate::props::{check_safety, check_spec, Violation};
 use crate::state::CheckConfig;
 use ipmedia_core::path::{EndGoal, PathSpec, PathType};
 use ipmedia_obs::metrics::Registry;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Outcome of checking one path configuration.
@@ -194,50 +192,16 @@ pub fn run_campaign_depth_capped(
     run_campaign_with(cfgs, |cfg| depth_capped_states(cfg.links, base), threads)
 }
 
-/// Shared worker pool behind the campaign entry points: one result slot
-/// per config, `max_for` picks each config's exploration cap.
+/// Both campaign entry points: every config through the shared worker
+/// pool, `max_for` picking its exploration cap.
 fn run_campaign_with(
     cfgs: &[CheckConfig],
     max_for: impl Fn(&CheckConfig) -> usize + Sync,
     threads: usize,
 ) -> Vec<CheckResult> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let workers = threads.min(cfgs.len()).max(1);
-    if workers <= 1 {
-        return cfgs
-            .iter()
-            .map(|cfg| check_path_with(cfg, &ExploreOptions::sequential(max_for(cfg))).0)
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CheckResult>>> = cfgs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfgs.len() {
-                    break;
-                }
-                let opts = ExploreOptions::sequential(max_for(&cfgs[i]));
-                let (res, _) = check_path_with(&cfgs[i], &opts);
-                *slots[i].lock().expect("result slot") = Some(res);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("worker filled slot")
-        })
-        .collect()
+    ipmedia_core::par::slot_map(threads, cfgs.len(), |i| {
+        check_path_with(&cfgs[i], &ExploreOptions::sequential(max_for(&cfgs[i]))).0
+    })
 }
 
 /// The per-depth exploration cap for campaign-scale differential runs: a

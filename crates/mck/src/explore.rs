@@ -184,16 +184,6 @@ impl ExploreOptions {
             threads,
         }
     }
-
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
 }
 
 impl Default for ExploreOptions {
@@ -386,7 +376,7 @@ pub fn explore(cfg: &CheckConfig, max_states: usize) -> StateGraph {
 /// Explore the reachable state space of `cfg` under `opts`.
 pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
     let start = Instant::now();
-    let threads = opts.resolved_threads().max(1);
+    let threads = ipmedia_core::par::resolve(opts.threads);
     let max_states = opts.max_states;
 
     let initial = PathState::initial(cfg);

@@ -5,7 +5,7 @@
 //! stdout is the machine-readable record; anything meant for a human goes
 //! to stderr.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot, FAULT_KINDS, SIGNAL_KINDS};
+use crate::metrics::{HistogramSnapshot, MetricValue, MetricsSnapshot};
 use crate::trace::{Attribution, ATTRIBUTION_CATEGORIES};
 use std::fmt::Write as _;
 
@@ -124,44 +124,15 @@ fn kind_counts_json(kinds: &[&str], counts: &[u64]) -> String {
 /// One JSON object holding the whole snapshot — the payload written to
 /// `BENCH_obs.json` and embedded in JSONL records.
 pub fn snapshot_json(s: &MetricsSnapshot) -> String {
-    JsonObj::new()
-        .raw(
-            "signals_sent",
-            &kind_counts_json(&SIGNAL_KINDS, &s.signals_sent),
-        )
-        .raw(
-            "signals_received",
-            &kind_counts_json(&SIGNAL_KINDS, &s.signals_received),
-        )
-        .num("stimuli", s.stimuli)
-        .num("goal_activations", s.goal_activations)
-        .num("goal_drops", s.goal_drops)
-        .num("races_resolved", s.races_resolved)
-        .num("signals_ignored", s.signals_ignored)
-        .num("meta_signals", s.meta_signals)
-        .raw(
-            "faults_injected",
-            &kind_counts_json(&FAULT_KINDS, &s.faults_injected),
-        )
-        .num("retransmissions", s.retransmissions)
-        .num("recoveries", s.recoveries)
-        .num("mck_dedup_hits", s.mck_dedup_hits)
-        .num("cache_evictions", s.cache_evictions)
-        .raw("tunnel_setup_ms", &histogram_json(&s.tunnel_setup_ms))
-        .raw(
-            "flowlink_convergence_ms",
-            &histogram_json(&s.flowlink_convergence_ms),
-        )
-        .raw(
-            "stimulus_compute_us",
-            &histogram_json(&s.stimulus_compute_us),
-        )
-        .raw(
-            "recovery_latency_ms",
-            &histogram_json(&s.recovery_latency_ms),
-        )
-        .raw("mck_states_per_sec", &histogram_json(&s.mck_states_per_sec))
-        .finish()
+    let mut obj = JsonObj::new();
+    for m in s.metrics() {
+        obj = match m.value {
+            MetricValue::Counter(n) => obj.num(m.name, n),
+            MetricValue::ByKind(kinds, counts) => obj.raw(m.name, &kind_counts_json(kinds, counts)),
+            MetricValue::Histogram(h) => obj.raw(m.name, &histogram_json(h)),
+        };
+    }
+    obj.finish()
 }
 
 fn prom_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
@@ -178,57 +149,31 @@ fn prom_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
 }
 
 /// Prometheus text exposition of a snapshot, suitable for serving from a
-/// node's debug endpoint or dumping after a run.
+/// node's debug endpoint or dumping after a run. Families are grouped by
+/// shape — per-kind counters, plain counters, histograms — each group in
+/// declaration order.
 pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "# TYPE ipmedia_signals_sent_total counter");
-    for (kind, n) in SIGNAL_KINDS.iter().zip(&s.signals_sent) {
-        let _ = writeln!(out, "ipmedia_signals_sent_total{{kind=\"{kind}\"}} {n}");
+    let metrics = s.metrics();
+    for m in &metrics {
+        if let MetricValue::ByKind(kinds, counts) = m.value {
+            let _ = writeln!(out, "# TYPE {} counter", m.prometheus);
+            for (kind, n) in kinds.iter().zip(counts) {
+                let _ = writeln!(out, "{}{{kind=\"{kind}\"}} {n}", m.prometheus);
+            }
+        }
     }
-    let _ = writeln!(out, "# TYPE ipmedia_signals_received_total counter");
-    for (kind, n) in SIGNAL_KINDS.iter().zip(&s.signals_received) {
-        let _ = writeln!(out, "ipmedia_signals_received_total{{kind=\"{kind}\"}} {n}");
+    for m in &metrics {
+        if let MetricValue::Counter(n) = m.value {
+            let _ = writeln!(out, "# TYPE {} counter", m.prometheus);
+            let _ = writeln!(out, "{} {n}", m.prometheus);
+        }
     }
-    let _ = writeln!(out, "# TYPE ipmedia_faults_injected_total counter");
-    for (kind, n) in FAULT_KINDS.iter().zip(&s.faults_injected) {
-        let _ = writeln!(out, "ipmedia_faults_injected_total{{kind=\"{kind}\"}} {n}");
+    for m in &metrics {
+        if let MetricValue::Histogram(h) = m.value {
+            prom_histogram(&mut out, m.prometheus, h);
+        }
     }
-    for (name, v) in [
-        ("ipmedia_stimuli_total", s.stimuli),
-        ("ipmedia_goal_activations_total", s.goal_activations),
-        ("ipmedia_goal_drops_total", s.goal_drops),
-        ("ipmedia_races_resolved_total", s.races_resolved),
-        ("ipmedia_signals_ignored_total", s.signals_ignored),
-        ("ipmedia_meta_signals_total", s.meta_signals),
-        ("ipmedia_retransmissions_total", s.retransmissions),
-        ("ipmedia_recoveries_total", s.recoveries),
-        ("ipmedia_mck_dedup_hits_total", s.mck_dedup_hits),
-        ("ipmedia_cache_evictions_total", s.cache_evictions),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    prom_histogram(&mut out, "ipmedia_tunnel_setup_ms", &s.tunnel_setup_ms);
-    prom_histogram(
-        &mut out,
-        "ipmedia_flowlink_convergence_ms",
-        &s.flowlink_convergence_ms,
-    );
-    prom_histogram(
-        &mut out,
-        "ipmedia_stimulus_compute_us",
-        &s.stimulus_compute_us,
-    );
-    prom_histogram(
-        &mut out,
-        "ipmedia_recovery_latency_ms",
-        &s.recovery_latency_ms,
-    );
-    prom_histogram(
-        &mut out,
-        "ipmedia_mck_states_per_sec",
-        &s.mck_states_per_sec,
-    );
     out
 }
 

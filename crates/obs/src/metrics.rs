@@ -123,73 +123,138 @@ impl HistogramSnapshot {
     }
 }
 
-/// All counters and histograms for one node (or one simulation).
-///
-/// Histogram units are encoded in the field names; the protocol-latency
-/// histograms are in milliseconds (the paper reports setup/convergence
-/// figures in ms) while per-stimulus compute is in microseconds.
-#[derive(Debug)]
-pub struct Registry {
-    signals_sent: [AtomicU64; SIGNAL_KINDS.len()],
-    signals_received: [AtomicU64; SIGNAL_KINDS.len()],
-    stimuli: AtomicU64,
-    goal_activations: AtomicU64,
-    goal_drops: AtomicU64,
-    races_resolved: AtomicU64,
-    signals_ignored: AtomicU64,
-    meta_signals: AtomicU64,
-    faults_injected: [AtomicU64; FAULT_KINDS.len()],
-    retransmissions: AtomicU64,
-    recoveries: AtomicU64,
-    mck_dedup_hits: AtomicU64,
-    cache_evictions: AtomicU64,
+/// Bucket bounds of `recovery_latency_ms`, exported for harnesses that
+/// bucket recovery latencies of their own. One retransmission round trip
+/// is ≥ the 200ms backoff base, so buckets span one to several doubling
+/// rounds.
+pub const RECOVERY_LATENCY_MS_BOUNDS: [u64; 8] = [200, 400, 800, 1600, 3200, 6400, 12_800, 25_600];
+
+/// One metric of a [`MetricsSnapshot`] as an exporter sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric<'a> {
+    /// The field name; the key in [`crate::export::snapshot_json`].
+    pub name: &'static str,
+    /// The name in [`crate::export::prometheus_text`].
+    pub prometheus: &'static str,
+    pub value: MetricValue<'a>,
+}
+
+/// The three shapes a metric takes.
+#[derive(Debug, Clone, Copy)]
+pub enum MetricValue<'a> {
+    Counter(u64),
+    /// One counter per kind name, in the order of the names.
+    ByKind(&'static [&'static str], &'a [u64]),
+    Histogram(&'a HistogramSnapshot),
+}
+
+/// Generates [`Registry`], [`MetricsSnapshot`] and the [`Metric`] list the
+/// exporters loop over from one row per metric:
+/// `field: kind => "prometheus_name";`, where `kind` is `counter`,
+/// `by_kind(KIND_NAMES)` or `histogram(bounds)`. Rows are in JSON export
+/// order. A `pub` row lets recording sites reach the cell directly.
+macro_rules! metric_table {
+    (@cell counter) => { AtomicU64 };
+    (@cell by_kind $kinds:expr) => { [AtomicU64; $kinds.len()] };
+    (@cell histogram $bounds:expr) => { Histogram };
+    (@snap counter) => { u64 };
+    (@snap by_kind $kinds:expr) => { [u64; $kinds.len()] };
+    (@snap histogram $bounds:expr) => { HistogramSnapshot };
+    (@new histogram $bounds:expr) => { Histogram::new(&$bounds) };
+    (@new $kind:ident $($kinds:expr)?) => { Default::default() };
+    (@load $cell:expr, counter) => { $cell.load(Ordering::Relaxed) };
+    (@load $cell:expr, by_kind $kinds:expr) => {
+        $cell.each_ref().map(|c| c.load(Ordering::Relaxed))
+    };
+    (@load $cell:expr, histogram $bounds:expr) => { $cell.snapshot() };
+    (@value $v:expr, counter) => { MetricValue::Counter($v) };
+    (@value $v:expr, by_kind $kinds:expr) => { MetricValue::ByKind(&$kinds, &$v) };
+    (@value $v:expr, histogram $bounds:expr) => { MetricValue::Histogram(&$v) };
+    ($($(#[$doc:meta])* $vis:vis $field:ident: $kind:ident $(($arg:expr))? => $prom:literal;)*) => {
+        /// All counters and histograms for one node (or one simulation).
+        ///
+        /// Histogram units are encoded in the field names; the
+        /// protocol-latency histograms are in milliseconds (the paper
+        /// reports setup/convergence figures in ms) while per-stimulus
+        /// compute is in microseconds.
+        #[derive(Debug)]
+        pub struct Registry {
+            $($(#[$doc])* $vis $field: metric_table!(@cell $kind $($arg)?),)*
+        }
+
+        impl Registry {
+            pub fn new() -> Self {
+                Registry { $($field: metric_table!(@new $kind $($arg)?),)* }
+            }
+
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($field: metric_table!(@load self.$field, $kind $($arg)?),)* }
+            }
+        }
+
+        /// A point-in-time copy of a [`Registry`], cheap to clone and compare.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $field: metric_table!(@snap $kind $($arg)?),)*
+        }
+
+        impl MetricsSnapshot {
+            /// Every metric, in declaration order.
+            pub fn metrics(&self) -> Vec<Metric<'_>> {
+                vec![$(Metric {
+                    name: stringify!($field),
+                    prometheus: $prom,
+                    value: metric_table!(@value self.$field, $kind $($arg)?),
+                },)*]
+            }
+        }
+    };
+}
+
+metric_table! {
+    /// Signals sent, indexed by [`SIGNAL_KINDS`].
+    signals_sent: by_kind(SIGNAL_KINDS) => "ipmedia_signals_sent_total";
+    /// Signals received, indexed by [`SIGNAL_KINDS`].
+    signals_received: by_kind(SIGNAL_KINDS) => "ipmedia_signals_received_total";
+    stimuli: counter => "ipmedia_stimuli_total";
+    goal_activations: counter => "ipmedia_goal_activations_total";
+    goal_drops: counter => "ipmedia_goal_drops_total";
+    races_resolved: counter => "ipmedia_races_resolved_total";
+    signals_ignored: counter => "ipmedia_signals_ignored_total";
+    meta_signals: counter => "ipmedia_meta_signals_total";
+    /// Faults injected by the environment, indexed by [`FAULT_KINDS`].
+    faults_injected: by_kind(FAULT_KINDS) => "ipmedia_faults_injected_total";
+    retransmissions: counter => "ipmedia_retransmissions_total";
+    recoveries: counter => "ipmedia_recoveries_total";
+    /// Model-checker seen-set hits (transitions collapsed onto
+    /// already-interned states), summed over recorded runs.
+    mck_dedup_hits: counter => "ipmedia_mck_dedup_hits_total";
+    /// Incremental-analysis cache entries evicted on load (corrupt,
+    /// unknown code, or stale analyzer version) instead of trusted.
+    cache_evictions: counter => "ipmedia_cache_evictions_total";
     /// Channel + first-slot setup latency (§V: 2n+3c for a fresh path).
-    pub tunnel_setup_ms: Histogram,
+    pub tunnel_setup_ms: histogram([50, 100, 150, 200, 250, 300, 400, 500, 750, 1000])
+        => "ipmedia_tunnel_setup_ms";
     /// Flow-link reconvergence after a relink (§VII, Fig. 13).
-    pub flowlink_convergence_ms: Histogram,
+    pub flowlink_convergence_ms: histogram([25, 50, 75, 100, 150, 200, 300, 400, 600, 800])
+        => "ipmedia_flowlink_convergence_ms";
     /// Single-stimulus compute time inside a box's `handle`.
-    pub stimulus_compute_us: Histogram,
+    pub stimulus_compute_us: histogram([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000])
+        => "ipmedia_stimulus_compute_us";
     /// Time from a pending await first appearing to its resolution, for
     /// awaits that needed at least one retransmission.
-    pub recovery_latency_ms: Histogram,
+    pub recovery_latency_ms: histogram(RECOVERY_LATENCY_MS_BOUNDS)
+        => "ipmedia_recovery_latency_ms";
     /// Model-checker expansion throughput, one observation per explored
-    /// configuration (states expanded per second of exploration).
-    pub mck_states_per_sec: Histogram,
+    /// configuration (states expanded per second of exploration). Rates
+    /// span hobby-sized models (kilo states/s with deep cloning) up to
+    /// saturated multicore runs.
+    pub mck_states_per_sec: histogram([
+        1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000,
+    ]) => "ipmedia_mck_states_per_sec";
 }
 
 impl Registry {
-    pub fn new() -> Self {
-        Registry {
-            signals_sent: Default::default(),
-            signals_received: Default::default(),
-            stimuli: AtomicU64::new(0),
-            goal_activations: AtomicU64::new(0),
-            goal_drops: AtomicU64::new(0),
-            races_resolved: AtomicU64::new(0),
-            signals_ignored: AtomicU64::new(0),
-            meta_signals: AtomicU64::new(0),
-            faults_injected: Default::default(),
-            retransmissions: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            mck_dedup_hits: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            tunnel_setup_ms: Histogram::new(&[50, 100, 150, 200, 250, 300, 400, 500, 750, 1000]),
-            flowlink_convergence_ms: Histogram::new(&[
-                25, 50, 75, 100, 150, 200, 300, 400, 600, 800,
-            ]),
-            stimulus_compute_us: Histogram::new(&[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000]),
-            // One retransmission round trip is ≥ the 200ms backoff base, so
-            // buckets span one to several doubling rounds.
-            recovery_latency_ms: Histogram::new(&[200, 400, 800, 1600, 3200, 6400, 12_800, 25_600]),
-            // Explicit-state expansion rates span hobby-sized models (kilo
-            // states/s with deep cloning) up to saturated multicore runs.
-            mck_states_per_sec: Histogram::new(&[
-                1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000,
-                2_500_000,
-            ]),
-        }
-    }
-
     /// Add seen-set hits from one model-checking run.
     pub fn add_mck_dedup_hits(&self, hits: u64) {
         self.mck_dedup_hits.fetch_add(hits, Ordering::Relaxed);
@@ -200,74 +265,12 @@ impl Registry {
     pub fn add_cache_evictions(&self, evictions: u64) {
         self.cache_evictions.fetch_add(evictions, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            signals_sent: self
-                .signals_sent
-                .each_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
-            signals_received: self
-                .signals_received
-                .each_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
-            stimuli: self.stimuli.load(Ordering::Relaxed),
-            goal_activations: self.goal_activations.load(Ordering::Relaxed),
-            goal_drops: self.goal_drops.load(Ordering::Relaxed),
-            races_resolved: self.races_resolved.load(Ordering::Relaxed),
-            signals_ignored: self.signals_ignored.load(Ordering::Relaxed),
-            meta_signals: self.meta_signals.load(Ordering::Relaxed),
-            faults_injected: self
-                .faults_injected
-                .each_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
-            retransmissions: self.retransmissions.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            mck_dedup_hits: self.mck_dedup_hits.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            tunnel_setup_ms: self.tunnel_setup_ms.snapshot(),
-            flowlink_convergence_ms: self.flowlink_convergence_ms.snapshot(),
-            stimulus_compute_us: self.stimulus_compute_us.snapshot(),
-            recovery_latency_ms: self.recovery_latency_ms.snapshot(),
-            mck_states_per_sec: self.mck_states_per_sec.snapshot(),
-        }
-    }
 }
 
 impl Default for Registry {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A point-in-time copy of a [`Registry`], cheap to clone and compare.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Signals sent, indexed by [`SIGNAL_KINDS`].
-    pub signals_sent: [u64; SIGNAL_KINDS.len()],
-    /// Signals received, indexed by [`SIGNAL_KINDS`].
-    pub signals_received: [u64; SIGNAL_KINDS.len()],
-    pub stimuli: u64,
-    pub goal_activations: u64,
-    pub goal_drops: u64,
-    pub races_resolved: u64,
-    pub signals_ignored: u64,
-    pub meta_signals: u64,
-    /// Faults injected by the environment, indexed by [`FAULT_KINDS`].
-    pub faults_injected: [u64; FAULT_KINDS.len()],
-    pub retransmissions: u64,
-    pub recoveries: u64,
-    /// Model-checker seen-set hits (transitions collapsed onto
-    /// already-interned states), summed over recorded runs.
-    pub mck_dedup_hits: u64,
-    /// Incremental-analysis cache entries evicted on load (corrupt,
-    /// unknown code, or stale analyzer version) instead of trusted.
-    pub cache_evictions: u64,
-    pub tunnel_setup_ms: HistogramSnapshot,
-    pub flowlink_convergence_ms: HistogramSnapshot,
-    pub stimulus_compute_us: HistogramSnapshot,
-    pub recovery_latency_ms: HistogramSnapshot,
-    pub mck_states_per_sec: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
