@@ -36,6 +36,8 @@ pub const FAULT_KINDS: [&str; 9] = [
     "reorder",
     "delay",
     "partition",
+    // Kept for the exporters' bytes and for readers outside this crate;
+    // `rt` waits on a full writer queue and no longer produces it.
     "shed",
     "crash",
     "restart",
@@ -241,6 +243,10 @@ metric_table! {
     /// Single-stimulus compute time inside a box's `handle`.
     pub stimulus_compute_us: histogram([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000])
         => "ipmedia_stimulus_compute_us";
+    /// Time an `rt` actor waited for room in a connection's full writer
+    /// queue, one observation per wait.
+    pub writer_wait_us: histogram([10, 100, 1000, 10_000, 100_000, 1_000_000, 5_000_000])
+        => "ipmedia_writer_wait_us";
     /// Time from a pending await first appearing to its resolution, for
     /// awaits that needed at least one retransmission.
     pub recovery_latency_ms: histogram(RECOVERY_LATENCY_MS_BOUNDS)

@@ -36,6 +36,7 @@ fn populated() -> Arc<Registry> {
     registry.tunnel_setup_ms.observe(120);
     registry.flowlink_convergence_ms.observe(88);
     registry.stimulus_compute_us.observe(15);
+    registry.writer_wait_us.observe(700);
     registry.mck_states_per_sec.observe(50_000);
     registry
 }
@@ -140,6 +141,7 @@ fn populated_values_survive_both_exports() {
         "tunnel_setup_ms",
         "flowlink_convergence_ms",
         "stimulus_compute_us",
+        "writer_wait_us",
         "recovery_latency_ms",
         "mck_states_per_sec",
     ] {

@@ -6,8 +6,9 @@
 //! and the actor serially applies inputs to its [`ProgramBox`] — the same
 //! sans-IO state machines the simulator and the model checker drive. All
 //! I/O is non-blocking; per-connection writer tasks apply backpressure via
-//! bounded channels; shutdown closes every channel with an orderly `Bye`
-//! frame.
+//! bounded channels — an actor whose writer queue is full waits for room,
+//! for at most the send timeout, and never discards a frame; shutdown
+//! closes every channel with an orderly `Bye` frame.
 
 use crate::chaos::ChaosGate;
 use crate::frame::Framed;
@@ -604,6 +605,7 @@ async fn spawn_node_inner(
         gate,
         inbox_tx,
         effects: Vec::new(),
+        lost: VecDeque::new(),
     };
     let join = tokio::spawn(actor.run(shard_rxs, user_rx, input_rx, shutdown_rx));
 
@@ -648,6 +650,11 @@ struct Actor {
     inbox_tx: InboxTx,
     /// Effect buffer handed to every host call and drained right after.
     effects: Vec<Effect>,
+    /// Connections (with their generation) the actor itself declared dead
+    /// while transmitting, handled before its next event. They do not go
+    /// through the inbox: the actor is the only consumer of its shards, so
+    /// awaiting room in one of them would wait on itself.
+    lost: VecDeque<(ChannelId, u64)>,
 }
 
 impl Actor {
@@ -659,10 +666,13 @@ impl Actor {
         mut shutdown_rx: watch::Receiver<bool>,
     ) {
         self.feed(Input::Inject(BoxInput::Start), None).await;
-        self.publish();
 
         let mut cursor = 0usize;
         loop {
+            while let Some((channel, gen)) = self.lost.pop_front() {
+                self.on_conn_lost(channel, gen).await;
+            }
+            self.publish();
             let next_timer = self.timers.peek().map(|Reverse((due, ..))| *due);
             // The select only *receives* the first inbox event; applying
             // it (and draining the rest of the burst) happens after the
@@ -716,7 +726,6 @@ impl Actor {
                     }
                 }
             }
-            self.publish();
         }
 
         // Graceful shutdown: orderly Bye on every channel, then release
@@ -1108,12 +1117,11 @@ impl Actor {
     /// (plain [`Frame::Msg`] otherwise, so untraced peers never see the
     /// extended frame).
     async fn transmit(&mut self, channel: ChannelId, msg: ChannelMsg, ctx: Option<SpanCtx>) {
-        let Some(conn) = self.conns.get(&channel) else {
+        let Some(conn) = self.conns.get_mut(&channel) else {
             return;
         };
-        let bx = self.host.id().0;
         if let Some(kind) = gate_verdict(&self.gate, &self.name, conn) {
-            self.obs.fault_injected(bx, kind);
+            self.obs.fault_injected(self.host.id().0, kind);
             // A gate-blocked frame means the link is dead from this
             // node's point of view: declare the connection gone.
             // Initiators re-dial (equally gated) and resync; acceptors
@@ -1121,12 +1129,7 @@ impl Actor {
             // re-dials — never a silent byte eater, which would wedge the
             // peer's await forever.
             if !conn.recovering {
-                let gen = conn.gen;
-                let _ = self
-                    .inbox_tx
-                    .shard(channel)
-                    .send(Inbox::Gone { channel, gen })
-                    .await;
+                self.lost.push_back((channel, conn.gen));
             }
             return;
         }
@@ -1140,11 +1143,24 @@ impl Actor {
             },
             _ => Frame::Msg(msg),
         };
-        // Graceful degradation: a full writer queue sheds the frame
-        // (counted) instead of blocking the whole actor behind one slow
-        // connection.
-        if let Err(mpsc::error::TrySendError::Full(_)) = conn.writer_tx.try_send(frame) {
-            self.obs.fault_injected(bx, "shed");
+        // A closed queue belongs to a connection already dead (its writer
+        // has gone, or it is half-open): the frame has nowhere to go.
+        let Err(mpsc::error::TrySendError::Full(frame)) = conn.writer_tx.try_send(frame) else {
+            return;
+        };
+        // Back-pressure: a full writer queue makes the actor wait for
+        // room rather than discard the frame. A writer that makes none
+        // within the send timeout is as dead as a socket write that takes
+        // that long: stop queueing behind it and declare the connection
+        // gone.
+        let t0 = std::time::Instant::now();
+        let waited = timeout(self.policy.send_timeout, conn.writer_tx.send(frame)).await;
+        self.registry
+            .writer_wait_us
+            .observe(t0.elapsed().as_micros() as u64);
+        if waited.is_err() {
+            conn.writer_tx = mpsc::channel(1).0;
+            self.lost.push_back((channel, conn.gen));
         }
     }
 

@@ -1,0 +1,91 @@
+//! An idle node costs no CPU. One test, so that the process holds nothing
+//! but the pair being measured.
+
+use ipmedia_core::boxes::GoalSpec;
+use ipmedia_core::endpoint::EndpointLogic;
+use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
+use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
+use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_rt::{spawn_node, Directory};
+use tokio::time::{sleep, Duration};
+
+const CHANNELS: u32 = 64;
+const TUNNELS: u16 = 8;
+
+fn addr(h: u8) -> MediaAddr {
+    MediaAddr::v4(10, 0, 0, h, 4000)
+}
+
+/// Opens [`CHANNELS`] channels of [`TUNNELS`] slots and dials every slot.
+struct Dialer;
+
+impl AppLogic for Dialer {
+    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+        match input {
+            BoxInput::Start => {
+                for c in 0..CHANNELS {
+                    ctx.open_channel("callee", TUNNELS, c);
+                }
+            }
+            BoxInput::ChannelUp {
+                slots,
+                req: Some(_),
+                ..
+            } => {
+                for &slot in slots {
+                    ctx.set_goal(GoalSpec::User {
+                        slot,
+                        policy: EndpointPolicy::audio(addr(1)),
+                        mode: AcceptMode::Auto,
+                    });
+                    ctx.user(slot, UserCmd::Open(Medium::Audio));
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// User plus system CPU time of this process so far, in clock ticks
+/// (fields 14 and 15 of `/proc/self/stat`; the second field, the command
+/// name, may itself contain spaces and ends at the last `)`).
+fn cpu_ticks() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
+    let after_comm = &stat[stat.rfind(')').unwrap() + 1..];
+    let mut fields = after_comm.split_whitespace().skip(11);
+    let mut tick = || fields.next().unwrap().parse::<u64>().unwrap();
+    tick() + tick()
+}
+
+#[tokio::test]
+async fn an_idle_pair_uses_no_cpu() {
+    let dir = Directory::new();
+    let logic = EndpointLogic::resource(EndpointPolicy::audio(addr(2)));
+    let mut callee = spawn_node("callee", BoxId(2), Box::new(logic), dir.clone())
+        .await
+        .unwrap();
+    let mut caller = spawn_node("caller", BoxId(1), Box::new(Dialer), dir)
+        .await
+        .unwrap();
+    let calls = CHANNELS as usize * usize::from(TUNNELS);
+    let all_flowing = |s: &ipmedia_rt::NodeSnapshot| {
+        s.slots
+            .iter()
+            .filter(|sl| sl.state == SlotState::Flowing)
+            .count()
+            == calls
+    };
+    assert!(caller.wait_for(Duration::from_secs(20), all_flowing).await);
+    assert!(callee.wait_for(Duration::from_secs(20), all_flowing).await);
+
+    // 128 connections, each with a parked reader and writer. Ticks are
+    // 10 ms: polled at 1 kHz this pair took dozens of them per second.
+    sleep(Duration::from_millis(200)).await; // the last frames in flight
+    let before = cpu_ticks();
+    sleep(Duration::from_secs(1)).await;
+    let used = cpu_ticks() - before;
+    assert!(used < 2, "an idle pair used {used} CPU ticks in one second");
+
+    caller.shutdown().await;
+    callee.shutdown().await;
+}

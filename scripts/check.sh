@@ -41,6 +41,13 @@ cargo clippy "${CARGO_ARGS[@]}" --workspace --all-targets -- -D warnings
 echo "== cargo test" >&2
 cargo test "${CARGO_ARGS[@]}" --workspace -q
 
+echo "== benchmark self-test (unit tests + --quick smoke of every workload)" >&2
+# The benchmark is a package of its own and the instrument every
+# performance claim is judged by: its smoke run applies each workload's
+# output checks (zero frames shed or retransmitted among them), so a
+# change that breaks it fails here rather than in the measurement.
+cargo test "${CARGO_ARGS[@]}" --release --manifest-path benchmark/Cargo.toml
+
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output, gated against the committed baseline; the SARIF log is a build

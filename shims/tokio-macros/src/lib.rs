@@ -26,13 +26,12 @@ pub fn test(_args: TokenStream, item: TokenStream) -> TokenStream {
 fn rewrite(item: TokenStream, is_test: bool) -> TokenStream {
     let tokens: Vec<TokenTree> = item.into_iter().collect();
 
-    let body_idx = match tokens.iter().rposition(
-        |t| matches!(t, TokenTree::Group(g) if g.delimiter() == Delimiter::Brace),
-    ) {
+    let body_idx = match tokens
+        .iter()
+        .rposition(|t| matches!(t, TokenTree::Group(g) if g.delimiter() == Delimiter::Brace))
+    {
         Some(i) => i,
-        None => {
-            return compile_error("#[tokio::main]/#[tokio::test] requires a fn with a body")
-        }
+        None => return compile_error("#[tokio::main]/#[tokio::test] requires a fn with a body"),
     };
     if !tokens
         .iter()

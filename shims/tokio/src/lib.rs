@@ -7,9 +7,10 @@
 //! - a thread-pool executor with `spawn`/`JoinHandle`/`abort` and a
 //!   parker-based `block_on` (used by `#[tokio::main]`/`#[tokio::test]`);
 //! - a timer thread backing `time::{sleep, sleep_until, timeout}`;
-//! - nonblocking TCP (`net::{TcpListener, TcpStream}`) polled via short
-//!   timer retries rather than epoll — signaling traffic is low-rate, so
-//!   a 1 ms retry granularity is invisible under the protocol's timers;
+//! - nonblocking TCP (`net::{TcpListener, TcpStream}`) woken by socket
+//!   readiness: one reactor thread in `epoll_wait` (Linux only) wakes the
+//!   task waiting on each socket, so latency is the kernel's and an idle
+//!   connection uses no CPU;
 //! - `sync::{mpsc, watch}` channels and an in-memory `io::duplex` pipe;
 //! - a `select!` macro with tokio's pattern/guard semantics (always
 //!   biased: branches are polled in declaration order).
@@ -20,6 +21,7 @@
 pub mod io;
 pub mod macros;
 pub mod net;
+mod reactor;
 pub mod runtime;
 pub mod sync;
 pub mod task;
@@ -29,3 +31,15 @@ pub use task::spawn;
 
 /// `#[tokio::main]` / `#[tokio::test]` attribute macros.
 pub use tokio_macros::{main, test};
+
+/// Held by every unit test that opens sockets or sleeps: those tests
+/// assert on process-wide state (the reactor's table, the timer table,
+/// `/proc/self/fd`) that a neighbour running in parallel would disturb.
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // One failed test must not fail the rest through a poisoned lock.
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

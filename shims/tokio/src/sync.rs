@@ -58,10 +58,7 @@ pub mod mpsc {
             rx_waker: None,
             tx_wakers: Vec::new(),
         }));
-        (
-            Sender { chan: chan.clone() },
-            Receiver { chan },
-        )
+        (Sender { chan: chan.clone() }, Receiver { chan })
     }
 
     impl<T> Clone for Sender<T> {
@@ -188,9 +185,7 @@ pub mod mpsc {
         /// Wait for the next value; `None` once all senders are dropped
         /// and the queue is drained.
         pub fn recv(&mut self) -> Recv<'_, T> {
-            Recv {
-                chan: &self.chan,
-            }
+            Recv { chan: &self.chan }
         }
 
         /// Dequeue without waiting. Batch consumers drain with this after
@@ -250,6 +245,7 @@ pub mod mpsc {
 
 /// Single-value broadcast channel: receivers observe the latest value.
 pub mod watch {
+    use std::collections::BTreeMap;
     use std::future::Future;
     use std::ops::Deref;
     use std::pin::Pin;
@@ -260,7 +256,20 @@ pub mod watch {
         value: T,
         version: u64,
         sender_alive: bool,
-        wakers: Vec<Waker>,
+        /// At most one waker per receiver, keyed by [`Receiver::id`]: a
+        /// `changed()` polled again replaces its receiver's entry, and a
+        /// dropped receiver takes its entry along.
+        wakers: BTreeMap<u64, Waker>,
+        /// The highest receiver id handed out.
+        last_id: u64,
+    }
+
+    impl<T> Shared<T> {
+        fn wake_all(&mut self) {
+            for (_, w) in std::mem::take(&mut self.wakers) {
+                w.wake();
+            }
+        }
     }
 
     pub struct Sender<T> {
@@ -270,6 +279,7 @@ pub mod watch {
     pub struct Receiver<T> {
         shared: Arc<Mutex<Shared<T>>>,
         seen: u64,
+        id: u64,
     }
 
     /// Error from [`Receiver::changed`] after the sender dropped.
@@ -298,13 +308,18 @@ pub mod watch {
             value: init,
             version: 0,
             sender_alive: true,
-            wakers: Vec::new(),
+            wakers: BTreeMap::new(),
+            last_id: 0,
         }));
         (
             Sender {
                 shared: shared.clone(),
             },
-            Receiver { shared, seen: 0 },
+            Receiver {
+                shared,
+                seen: 0,
+                id: 0,
+            },
         )
     }
 
@@ -316,9 +331,7 @@ pub mod watch {
             let mut s = self.shared.lock().unwrap();
             s.value = value;
             s.version += 1;
-            for w in s.wakers.drain(..) {
-                w.wake();
-            }
+            s.wake_all();
             Ok(())
         }
     }
@@ -327,17 +340,30 @@ pub mod watch {
         fn drop(&mut self) {
             let mut s = self.shared.lock().unwrap();
             s.sender_alive = false;
-            for w in s.wakers.drain(..) {
-                w.wake();
-            }
+            s.wake_all();
         }
     }
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
+            let id = {
+                let mut s = self.shared.lock().unwrap();
+                s.last_id += 1;
+                s.last_id
+            };
             Receiver {
                 shared: self.shared.clone(),
                 seen: self.seen,
+                id,
+            }
+        }
+    }
+
+    impl<T> Drop for Receiver<T> {
+        fn drop(&mut self) {
+            // A poisoned channel is left alone: `drop` must not panic.
+            if let Ok(mut s) = self.shared.lock() {
+                s.wakers.remove(&self.id);
             }
         }
     }
@@ -384,9 +410,37 @@ pub mod watch {
             } else if !s.sender_alive {
                 Poll::Ready(Err(RecvError(())))
             } else {
-                s.wakers.push(cx.waker().clone());
+                s.wakers.insert(rx.id, cx.waker().clone());
                 Poll::Pending
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// A `changed()` that is polled and never fires (a `select!` arm
+        /// that keeps losing) must not grow the channel.
+        #[test]
+        fn unsent_changed_polls_keep_one_waker_per_receiver() {
+            let (tx, mut rx) = channel(0u32);
+            let mut cx = Context::from_waker(Waker::noop());
+            for _ in 0..10_000 {
+                assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_pending());
+            }
+            assert_eq!(tx.shared.lock().unwrap().wakers.len(), 1);
+
+            let mut other = rx.clone();
+            assert!(Pin::new(&mut other.changed()).poll(&mut cx).is_pending());
+            assert_eq!(tx.shared.lock().unwrap().wakers.len(), 2);
+            drop(other);
+            assert_eq!(tx.shared.lock().unwrap().wakers.len(), 1);
+
+            tx.send(1).unwrap();
+            assert!(tx.shared.lock().unwrap().wakers.is_empty());
+            assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_ready());
+            assert_eq!(*rx.borrow(), 1);
         }
     }
 }

@@ -1,9 +1,14 @@
-//! Timers: a dedicated thread holding a deadline heap wakes registered
-//! wakers when their instants pass. `Sleep` re-registers on every poll, so
-//! stale heap entries only cause spurious (harmless) wakes.
+//! Timers: a dedicated thread holds the pending deadlines, earliest first,
+//! and wakes each one's waker when its instant passes.
+//!
+//! The table holds one entry per *pending* [`Sleep`]: a `Sleep` enters it
+//! when first polled before its deadline, has its waker replaced in place
+//! when polled again, and leaves it when it fires or is dropped — so a
+//! `timeout` whose future wins, or a `select!` arm that loses, leaves
+//! nothing behind. The thread is notified only when a new entry becomes
+//! the earliest; any other insertion cannot change when it must next wake.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -11,31 +16,11 @@ use std::task::{Context, Poll, Waker};
 
 pub use std::time::{Duration, Instant};
 
-struct Entry {
-    at: Instant,
-    seq: u64,
-    waker: Waker,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, o: &Self) -> bool {
-        (self.at, self.seq) == (o.at, o.seq)
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(o.at, o.seq))
-    }
-}
+/// Deadline and insertion number: entries fire in that order.
+type Key = (Instant, u64);
 
 struct Timer {
-    heap: Mutex<(BinaryHeap<Reverse<Entry>>, u64)>,
+    table: Mutex<(BTreeMap<Key, Waker>, u64)>,
     changed: Condvar,
 }
 
@@ -47,7 +32,7 @@ fn timer() -> &'static Timer {
             .spawn(timer_loop)
             .expect("spawn timer thread");
         Timer {
-            heap: Mutex::new((BinaryHeap::new(), 0)),
+            table: Mutex::new((BTreeMap::new(), 0)),
             changed: Condvar::new(),
         }
     })
@@ -58,18 +43,18 @@ fn timer_loop() {
     let mut due: Vec<Waker> = Vec::new();
     loop {
         {
-            let mut guard = t.heap.lock().unwrap();
+            let mut guard = t.table.lock().unwrap();
             loop {
                 let now = Instant::now();
-                while guard.0.peek().is_some_and(|Reverse(e)| e.at <= now) {
-                    due.push(guard.0.pop().unwrap().0.waker);
+                while let Some(first) = guard.0.first_entry().filter(|e| e.key().0 <= now) {
+                    due.push(first.remove());
                 }
                 if !due.is_empty() {
                     break;
                 }
-                guard = match guard.0.peek() {
-                    Some(Reverse(e)) => {
-                        let wait = e.at.saturating_duration_since(now);
+                guard = match guard.0.first_key_value() {
+                    Some(((at, _), _)) => {
+                        let wait = at.saturating_duration_since(now);
                         t.changed.wait_timeout(guard, wait).unwrap().0
                     }
                     None => t.changed.wait(guard).unwrap(),
@@ -82,23 +67,13 @@ fn timer_loop() {
     }
 }
 
-/// Wake `waker` once `at` has passed.
-pub(crate) fn register(at: Instant, waker: Waker) {
-    let t = timer();
-    let mut guard = t.heap.lock().unwrap();
-    let seq = guard.1;
-    guard.1 += 1;
-    guard.0.push(Reverse(Entry { at, seq, waker }));
-    t.changed.notify_one();
-}
-
-/// Retry interval for nonblocking I/O that returned `WouldBlock`.
-pub(crate) const IO_RETRY: Duration = Duration::from_millis(1);
-
 /// Future resolving once its deadline passes.
 #[derive(Debug)]
 pub struct Sleep {
     deadline: Instant,
+    /// Insertion number of this sleep's entry in the timer table, once it
+    /// has been polled before its deadline.
+    entry: Option<u64>,
 }
 
 impl Sleep {
@@ -110,24 +85,45 @@ impl Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if Instant::now() >= self.deadline {
-            Poll::Ready(())
-        } else {
-            register(self.deadline, cx.waker().clone());
-            Poll::Pending
+            return Poll::Ready(());
+        }
+        let t = timer();
+        let mut guard = t.table.lock().unwrap();
+        let fresh = self.entry.is_none();
+        let seq = *self.entry.get_or_insert_with(|| {
+            guard.1 += 1;
+            guard.1
+        });
+        let key = (self.deadline, seq);
+        guard.0.insert(key, cx.waker().clone());
+        if fresh && guard.0.first_key_value().map(|(k, _)| *k) == Some(key) {
+            t.changed.notify_one();
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        let Some(seq) = self.entry else { return };
+        // A poisoned table is left alone: `drop` must not panic.
+        if let Ok(mut guard) = timer().table.lock() {
+            guard.0.remove(&(self.deadline, seq));
         }
     }
 }
 
 pub fn sleep(duration: Duration) -> Sleep {
-    Sleep {
-        deadline: Instant::now() + duration,
-    }
+    sleep_until(Instant::now() + duration)
 }
 
 pub fn sleep_until(deadline: Instant) -> Sleep {
-    Sleep { deadline }
+    Sleep {
+        deadline,
+        entry: None,
+    }
 }
 
 /// Error returned when a `timeout` elapses before its future completes.
@@ -170,5 +166,64 @@ pub fn timeout<F: Future>(duration: Duration, future: F) -> Timeout<F> {
     Timeout {
         future,
         sleep: sleep(duration),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::block_on;
+
+    /// Number of entries in the timer table.
+    fn pending() -> usize {
+        timer().table.lock().unwrap().0.len()
+    }
+
+    /// Pending once (so the timeout's sleep enters the table), then ready.
+    fn ready_on_second_poll() -> impl Future<Output = ()> {
+        let mut polled = false;
+        std::future::poll_fn(move |cx| {
+            if std::mem::replace(&mut polled, true) {
+                Poll::Ready(())
+            } else {
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        })
+    }
+
+    #[test]
+    fn a_timeout_whose_future_wins_leaves_no_entry() {
+        let _serial = crate::test_serial();
+        block_on(async {
+            for _ in 0..10_000 {
+                timeout(Duration::from_secs(10), ready_on_second_poll())
+                    .await
+                    .unwrap();
+            }
+        });
+        assert_eq!(pending(), 0);
+    }
+
+    #[test]
+    fn a_sleep_polled_again_keeps_one_entry_and_still_fires() {
+        let _serial = crate::test_serial();
+        block_on(async {
+            let t0 = Instant::now();
+            let mut nap = sleep(Duration::from_millis(30));
+            for _ in 0..100 {
+                let again = std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut nap).poll(cx)));
+                assert!(again.await.is_pending());
+                assert_eq!(pending(), 1);
+            }
+            nap.await;
+            assert!(t0.elapsed() >= Duration::from_millis(30));
+            assert!(
+                timeout(Duration::from_millis(5), sleep(Duration::from_secs(10)))
+                    .await
+                    .is_err()
+            );
+        });
+        assert_eq!(pending(), 0);
     }
 }
