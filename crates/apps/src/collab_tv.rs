@@ -82,8 +82,8 @@ impl AppLogic for MovieServerLogic {
                         slot: *s,
                         policy: EndpointPolicy {
                             addr,
-                            recv_codecs: vec![Codec::G711],
-                            send_codecs: vec![Codec::G711, Codec::H263, Codec::H261],
+                            recv_codecs: [Codec::G711].into(),
+                            send_codecs: [Codec::G711, Codec::H263, Codec::H261].into(),
                             mute_in: false,
                             mute_out: false,
                         },

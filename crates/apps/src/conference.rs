@@ -185,8 +185,8 @@ impl AppLogic for BridgeLogic {
                         slot: *s,
                         policy: EndpointPolicy {
                             addr,
-                            recv_codecs: vec![Codec::G711, Codec::G726],
-                            send_codecs: vec![Codec::G711, Codec::G726],
+                            recv_codecs: [Codec::G711, Codec::G726].into(),
+                            send_codecs: [Codec::G711, Codec::G726].into(),
                             mute_in: false,
                             mute_out: false,
                         },

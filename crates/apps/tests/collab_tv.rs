@@ -30,8 +30,8 @@ fn dev_addr(h: u8) -> MediaAddr {
 fn av_policy(h: u8) -> EndpointPolicy {
     EndpointPolicy {
         addr: dev_addr(h),
-        recv_codecs: vec![Codec::G711, Codec::H263],
-        send_codecs: vec![Codec::G711],
+        recv_codecs: [Codec::G711, Codec::H263].into(),
+        send_codecs: [Codec::G711].into(),
         mute_in: false,
         mute_out: false,
     }

@@ -193,7 +193,7 @@ impl NetsimStormReport {
     }
 }
 
-struct NetsimCall {
+pub struct NetsimCall {
     plan: CallPlan,
     l: BoxId,
     r: BoxId,
@@ -219,7 +219,7 @@ fn both_flowing(net: &Network, c: &NetsimCall) -> bool {
 /// Build every call's private chain (endpoints, relays, channels) and
 /// flowlink the relays, leaving the network quiescent and ready for the
 /// simultaneous open.
-fn build_netsim_calls(net: &mut Network, plans: Vec<CallPlan>) -> (Vec<NetsimCall>, usize) {
+pub fn build_netsim_calls(net: &mut Network, plans: Vec<CallPlan>) -> (Vec<NetsimCall>, usize) {
     let mut calls: Vec<NetsimCall> = Vec::with_capacity(plans.len());
     let mut boxes = 0usize;
     for plan in plans {

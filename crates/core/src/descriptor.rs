@@ -14,7 +14,7 @@
 //! any other), which is what allows boxes to cache and re-use them — a key
 //! difference from SIP's relative offer/answer (§IX-B).
 
-use crate::codec::{Codec, Medium};
+use crate::codec::{Codec, CodecList, Medium};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -124,7 +124,7 @@ pub struct Descriptor {
     pub addr: Option<MediaAddr>,
     /// Priority-ordered codecs the endpoint can receive; highest priority
     /// first. Exactly `[NoMedia]` when the endpoint mutes inward flow.
-    pub codecs: Vec<Codec>,
+    pub codecs: CodecList,
 }
 
 impl Descriptor {
@@ -134,7 +134,8 @@ impl Descriptor {
     /// # Panics
     /// Panics if `codecs` is empty or contains `NoMedia`; a mixed offer is
     /// meaningless in the protocol.
-    pub fn media(tag: DescTag, addr: MediaAddr, codecs: Vec<Codec>) -> Self {
+    pub fn media(tag: DescTag, addr: MediaAddr, codecs: impl Into<CodecList>) -> Self {
+        let codecs = codecs.into();
         assert!(
             !codecs.is_empty() && codecs.iter().all(|c| c.is_real()),
             "a media descriptor must offer at least one real codec and no NoMedia"
@@ -153,7 +154,7 @@ impl Descriptor {
         Self {
             tag,
             addr: None,
-            codecs: vec![Codec::NoMedia],
+            codecs: [Codec::NoMedia].into(),
         }
     }
 

@@ -8,7 +8,7 @@
 //! media flow in both directions (paper §IV-A). For genuine endpoints the
 //! user's address, codec capabilities, and `mute` flags decide.
 
-use crate::codec::Codec;
+use crate::codec::{Codec, CodecList};
 use crate::descriptor::{Descriptor, MediaAddr, Selector, TagSource};
 
 /// Media capabilities and current user intent of a genuine endpoint.
@@ -17,9 +17,9 @@ pub struct EndpointPolicy {
     /// Where this endpoint receives media.
     pub addr: MediaAddr,
     /// Codecs this endpoint can receive, in descending priority order.
-    pub recv_codecs: Vec<Codec>,
+    pub recv_codecs: CodecList,
     /// Codecs this endpoint is able and willing to send.
-    pub send_codecs: Vec<Codec>,
+    pub send_codecs: CodecList,
     /// The user desires inward media flow to be suspended (Fig. 5).
     pub mute_in: bool,
     /// The user desires outward media flow to be suspended (Fig. 5).
@@ -31,8 +31,8 @@ impl EndpointPolicy {
     pub fn audio(addr: MediaAddr) -> Self {
         Self {
             addr,
-            recv_codecs: Codec::audio_all().to_vec(),
-            send_codecs: Codec::audio_all().to_vec(),
+            recv_codecs: Codec::audio_all().into(),
+            send_codecs: Codec::audio_all().into(),
             mute_in: false,
             mute_out: false,
         }
@@ -54,7 +54,7 @@ impl Policy {
         match self {
             Policy::Server => Descriptor::no_media(tags.next()),
             Policy::Endpoint(p) if p.mute_in => Descriptor::no_media(tags.next()),
-            Policy::Endpoint(p) => Descriptor::media(tags.next(), p.addr, p.recv_codecs.clone()),
+            Policy::Endpoint(p) => Descriptor::media(tags.next(), p.addr, p.recv_codecs),
         }
     }
 
@@ -149,7 +149,7 @@ mod tests {
     fn no_shared_codec_yields_no_media_selector() {
         let mut t = tags();
         let mut ep = EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000));
-        ep.send_codecs = vec![Codec::G729];
+        ep.send_codecs = [Codec::G729].into();
         let peer = Descriptor::media(
             t.next(),
             MediaAddr::v4(10, 0, 0, 2, 5000),

@@ -50,7 +50,7 @@ pub use chaos::{
     generate as generate_chaos, minimize_schedule, ChaosAction, ChaosPhase, ChaosSchedule,
     ChaosTopology, Direction, ScheduleFamily,
 };
-pub use codec::{Codec, Medium};
+pub use codec::{Codec, CodecList, Medium};
 pub use descriptor::{DescTag, Descriptor, MediaAddr, Selector, TagSource};
 pub use endpoint::{EndpointLogic, NullLogic};
 pub use error::ProtocolError;

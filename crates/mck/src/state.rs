@@ -205,8 +205,8 @@ pub enum Action {
 fn end_policy(host: u8) -> EndpointPolicy {
     EndpointPolicy {
         addr: MediaAddr::v4(10, 0, 0, host, 4000),
-        recv_codecs: vec![ipmedia_core::Codec::G711],
-        send_codecs: vec![ipmedia_core::Codec::G711],
+        recv_codecs: [ipmedia_core::Codec::G711].into(),
+        send_codecs: [ipmedia_core::Codec::G711].into(),
         mute_in: false,
         mute_out: false,
     }
@@ -217,8 +217,8 @@ fn server_like_policy() -> EndpointPolicy {
     // directions, like any server goal object (§IV-A).
     EndpointPolicy {
         addr: MediaAddr::v4(0, 0, 0, 0, 0),
-        recv_codecs: vec![ipmedia_core::Codec::G711],
-        send_codecs: vec![ipmedia_core::Codec::G711],
+        recv_codecs: [ipmedia_core::Codec::G711].into(),
+        send_codecs: [ipmedia_core::Codec::G711].into(),
         mute_in: true,
         mute_out: true,
     }

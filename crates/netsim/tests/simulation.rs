@@ -329,8 +329,8 @@ fn two_tunnels_are_independent() {
     let mut net = Network::new(SimConfig::paper());
     let pol = EndpointPolicy {
         addr: MediaAddr::v4(10, 0, 0, 1, 4000),
-        recv_codecs: vec![Codec::G711, Codec::H263],
-        send_codecs: vec![Codec::G711, Codec::H263],
+        recv_codecs: [Codec::G711, Codec::H263].into(),
+        send_codecs: [Codec::G711, Codec::H263].into(),
         mute_in: false,
         mute_out: false,
     };

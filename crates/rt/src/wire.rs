@@ -8,8 +8,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ipmedia_core::{
-    AppEvent, Availability, ChannelMsg, Codec, DescTag, Descriptor, MediaAddr, Medium, MetaSignal,
-    MixRow, MovieCommand, Selector, Signal, TunnelId,
+    AppEvent, Availability, ChannelMsg, Codec, CodecList, DescTag, Descriptor, MediaAddr, Medium,
+    MetaSignal, MixRow, MovieCommand, Selector, Signal, TunnelId,
 };
 use ipmedia_obs::trace::{SpanCtx, SpanId, TraceId};
 use std::net::IpAddr;
@@ -284,7 +284,7 @@ fn encode_desc(b: &mut BytesMut, d: &Descriptor) {
     b.put_u64(d.tag.origin);
     b.put_u32(d.tag.generation);
     put_addr_opt(b, d.addr);
-    b.put_u8(d.codecs.len() as u8);
+    b.put_u8(u8::try_from(d.codecs.len()).expect("a codec list is shorter than 256"));
     for c in &d.codecs {
         b.put_u8(codec_id(*c));
     }
@@ -296,10 +296,13 @@ fn decode_desc(buf: &mut Bytes) -> Result<Descriptor, WireError> {
         generation: get_u32(buf)?,
     };
     let addr = get_addr_opt(buf)?;
-    let n = get_u8(buf)? as usize;
-    let mut codecs = Vec::with_capacity(n);
+    let n = get_u8(buf)?;
+    let mut codecs = CodecList::new();
     for _ in 0..n {
-        codecs.push(codec_from(get_u8(buf)?)?);
+        // More codecs than there are: one is listed twice.
+        codecs
+            .push(codec_from(get_u8(buf)?)?)
+            .map_err(|_| WireError::Malformed("descriptor with too many codecs"))?;
     }
     if codecs.is_empty() {
         return Err(WireError::Malformed("descriptor with no codecs"));

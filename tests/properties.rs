@@ -23,8 +23,8 @@ fn arb_policy(host: u8) -> impl Strategy<Value = EndpointPolicy> {
     (arb_codecs(), arb_codecs(), any::<bool>(), any::<bool>()).prop_map(
         move |(recv, send, mute_in, mute_out)| EndpointPolicy {
             addr: MediaAddr::v4(10, 0, 0, host, 4000),
-            recv_codecs: recv,
-            send_codecs: send,
+            recv_codecs: recv.into(),
+            send_codecs: send.into(),
             mute_in,
             mute_out,
         },
