@@ -12,14 +12,13 @@ use crate::ids::{BoxId, SlotId};
 use crate::signal::Signal;
 use crate::slot::{Slot, SlotEvent, SlotState};
 use ipmedia_obs::{NoopObserver, Observer};
-use std::collections::BTreeMap;
 
 /// Identity of a goal object within its box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GoalId(pub u32);
 
 /// What slots a goal controls.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Controlled {
     One(SlotId),
     Two(SlotId, SlotId),
@@ -27,8 +26,34 @@ enum Controlled {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct GoalEntry {
+    id: GoalId,
     goal: Goal,
     controls: Controlled,
+}
+
+/// One slot and its row of the `Maps` object: the goal controlling it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct SlotEntry {
+    id: SlotId,
+    slot: Slot,
+    goal: Option<GoalId>,
+}
+
+/// Both slots of a flowlink at once, as one split borrow of the table.
+fn pair_mut(slots: &mut [SlotEntry], a: SlotId, b: SlotId) -> (&mut Slot, &mut Slot) {
+    let find = |id: SlotId| {
+        slots
+            .binary_search_by_key(&id, |e| e.id)
+            .unwrap_or_else(|_| panic!("unknown slot {id}"))
+    };
+    let (ia, ib) = (find(a), find(b));
+    let (lo, hi) = slots.split_at_mut(ia.max(ib));
+    let (first, second) = (&mut lo[ia.min(ib)].slot, &mut hi[0].slot);
+    if ia < ib {
+        (first, second)
+    } else {
+        (second, first)
+    }
 }
 
 /// Everything the box reports upward to its program / application logic.
@@ -109,10 +134,13 @@ impl GoalSpec {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MediaBox {
     id: BoxId,
-    slots: BTreeMap<SlotId, Slot>,
-    goals: BTreeMap<GoalId, GoalEntry>,
-    /// The `Maps` object: dynamic association between slots and goals.
-    maps: BTreeMap<SlotId, GoalId>,
+    /// Sorted by slot id, and no larger than what it holds: a box has a
+    /// slot or two and a fleet has tens of thousands of boxes. Each entry
+    /// carries its row of the `Maps` object, the dynamic association
+    /// between slots and goals.
+    slots: Vec<SlotEntry>,
+    /// Sorted by goal id; ids only grow, so a new goal goes last.
+    goals: Vec<GoalEntry>,
     next_goal: u32,
     next_origin: u64,
 }
@@ -122,9 +150,8 @@ impl MediaBox {
     pub fn new(id: BoxId) -> Self {
         Self {
             id,
-            slots: BTreeMap::new(),
-            goals: BTreeMap::new(),
-            maps: BTreeMap::new(),
+            slots: Vec::new(),
+            goals: Vec::new(),
             next_goal: 0,
             next_origin: 0,
         }
@@ -138,33 +165,61 @@ impl MediaBox {
     /// Register a slot (one end of a tunnel). `initiator` must be true iff
     /// this box initiated setup of the slot's signaling channel.
     pub fn add_slot(&mut self, id: SlotId, initiator: bool) {
-        let prev = self.slots.insert(id, Slot::new(initiator));
-        assert!(prev.is_none(), "slot {id} already exists");
+        let Err(at) = self.slot_index(id) else {
+            panic!("slot {id} already exists");
+        };
+        let entry = SlotEntry {
+            id,
+            slot: Slot::new(initiator),
+            goal: None,
+        };
+        self.slots.reserve_exact(1);
+        self.slots.insert(at, entry);
     }
 
     /// Destroy a slot (its signaling channel was torn down). Any goal
     /// controlling it dies; a flowlink's other slot becomes uncontrolled.
     pub fn remove_slot(&mut self, id: SlotId) {
-        self.slots.remove(&id);
-        self.drop_goal_of(id);
+        self.drop_goal_of_obs(id, &mut NoopObserver);
+        if let Ok(at) = self.slot_index(id) {
+            self.slots.remove(at);
+        }
+    }
+
+    /// Position of `id` in the slot table, or where it would go.
+    fn slot_index(&self, id: SlotId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&id, |e| e.id)
+    }
+
+    fn entry(&self, id: SlotId) -> Option<&SlotEntry> {
+        self.slot_index(id).ok().map(|at| &self.slots[at])
+    }
+
+    fn entry_mut(&mut self, id: SlotId) -> Option<&mut SlotEntry> {
+        self.slot_index(id).ok().map(|at| &mut self.slots[at])
+    }
+
+    /// Position of a goal the `Maps` rows name.
+    fn goal_index(&self, id: GoalId) -> usize {
+        self.goals
+            .binary_search_by_key(&id, |g| g.id)
+            .expect("maps points at live goal")
     }
 
     /// Read access to a slot, for guard predicates.
     pub fn slot(&self, id: SlotId) -> Option<&Slot> {
-        self.slots.get(&id)
+        self.entry(id).map(|e| &e.slot)
     }
 
     /// All registered slot ids, in order.
     pub fn slot_ids(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.slots.keys().copied()
+        self.slots.iter().map(|e| e.id)
     }
 
     /// The goal currently controlling a slot, if any.
     pub fn goal_of(&self, id: SlotId) -> Option<&Goal> {
-        self.maps
-            .get(&id)
-            .and_then(|g| self.goals.get(g))
-            .map(|e| &e.goal)
+        let gid = self.entry(id)?.goal?;
+        Some(&self.goals[self.goal_index(gid)].goal)
     }
 
     /// Mint a tag origin unique within the system (box id in the high bits).
@@ -174,20 +229,18 @@ impl MediaBox {
         o
     }
 
-    fn drop_goal_of(&mut self, slot: SlotId) {
-        self.drop_goal_of_obs(slot, &mut NoopObserver);
-    }
-
     fn drop_goal_of_obs<O: Observer + ?Sized>(&mut self, slot: SlotId, obs: &mut O) {
-        if let Some(gid) = self.maps.remove(&slot) {
-            if let Some(entry) = self.goals.remove(&gid) {
-                obs.goal_dropped(self.id.0, slot.0, entry.goal.kind());
-                // A flowlink's other slot loses its controller too; the
-                // program must assign it a new goal.
-                if let Controlled::Two(a, b) = entry.controls {
-                    let other = if a == slot { b } else { a };
-                    self.maps.remove(&other);
-                }
+        let Some(gid) = self.entry_mut(slot).and_then(|e| e.goal.take()) else {
+            return;
+        };
+        let entry = self.goals.remove(self.goal_index(gid));
+        obs.goal_dropped(self.id.0, slot.0, entry.goal.kind());
+        // A flowlink's other slot loses its controller too; the program
+        // must assign it a new goal.
+        if let Controlled::Two(a, b) = entry.controls {
+            let other = if a == slot { b } else { a };
+            if let Some(e) = self.entry_mut(other) {
+                e.goal = None;
             }
         }
     }
@@ -197,7 +250,7 @@ impl MediaBox {
     fn states_of(&self, slots: &[SlotId]) -> Vec<(SlotId, SlotState)> {
         slots
             .iter()
-            .filter_map(|s| self.slots.get(s).map(|slot| (*s, slot.state())))
+            .filter_map(|s| self.slot(*s).map(|slot| (*s, slot.state())))
             .collect()
     }
 
@@ -209,7 +262,7 @@ impl MediaBox {
         cause: &'static str,
     ) {
         for (slot, was) in before {
-            if let Some(now) = self.slots.get(slot).map(super::slot::Slot::state) {
+            if let Some(now) = self.slot(*slot).map(Slot::state) {
                 if now != *was {
                     obs.slot_transition(self.id.0, slot.0, was.name(), now.name(), cause);
                 }
@@ -252,13 +305,13 @@ impl MediaBox {
         let before = self.states_of(&watched);
         match controls {
             Controlled::One(s) => {
-                assert!(self.slots.contains_key(&s), "unknown slot {s}");
+                assert!(self.slot_index(s).is_ok(), "unknown slot {s}");
                 self.drop_goal_of_obs(s, obs);
             }
             Controlled::Two(a, b) => {
                 assert!(a != b, "flowLink needs two distinct slots");
-                assert!(self.slots.contains_key(&a), "unknown slot {a}");
-                assert!(self.slots.contains_key(&b), "unknown slot {b}");
+                assert!(self.slot_index(a).is_ok(), "unknown slot {a}");
+                assert!(self.slot_index(b).is_ok(), "unknown slot {b}");
                 self.drop_goal_of_obs(a, obs);
                 self.drop_goal_of_obs(b, obs);
             }
@@ -280,49 +333,39 @@ impl MediaBox {
 
         let out = match controls {
             Controlled::One(s) => {
-                let slot = self.slots.get_mut(&s).expect("checked above");
+                let slot = &mut self.entry_mut(s).expect("checked above").slot;
                 goal::attach_single(&mut new_goal, slot)
                     .into_iter()
                     .map(|signal| Outgoing { slot: s, signal })
                     .collect()
             }
             Controlled::Two(a, b) => {
-                let (mut sa, mut sb) = self.take_two(a, b);
+                let (sa, sb) = pair_mut(&mut self.slots, a, b);
                 let Goal::Link(link) = &mut new_goal else {
                     unreachable!()
                 };
-                let out = link
-                    .attach(&mut sa, &mut sb)
+                link.attach(sa, sb)
                     .into_iter()
                     .map(|(side, signal)| Outgoing {
                         slot: if side == LinkSide::A { a } else { b },
                         signal,
                     })
-                    .collect();
-                self.put_two(a, sa, b, sb);
-                out
+                    .collect()
             }
         };
 
-        let gid = GoalId(self.next_goal);
+        let id = GoalId(self.next_goal);
         self.next_goal += 1;
-        match controls {
-            Controlled::One(s) => {
-                self.maps.insert(s, gid);
-            }
-            Controlled::Two(a, b) => {
-                self.maps.insert(a, gid);
-                self.maps.insert(b, gid);
-            }
+        for s in &watched {
+            self.entry_mut(*s).expect("checked above").goal = Some(id);
         }
         obs.goal_activated(self.id.0, watched[0].0, new_goal.kind());
-        self.goals.insert(
-            gid,
-            GoalEntry {
-                goal: new_goal,
-                controls,
-            },
-        );
+        self.goals.reserve_exact(1);
+        self.goals.push(GoalEntry {
+            id,
+            goal: new_goal,
+            controls,
+        });
         self.observe_transitions(obs, &before, "goal");
         out
     }
@@ -343,11 +386,12 @@ impl MediaBox {
     ) -> (Vec<Outgoing>, Vec<BoxNote>) {
         let kind = signal.kind();
         obs.signal_received(self.id.0, slot_id.0, kind);
-        let watched = match self.maps.get(&slot_id).and_then(|g| self.goals.get(g)) {
-            Some(GoalEntry {
-                controls: Controlled::Two(a, b),
-                ..
-            }) => vec![*a, *b],
+        let controls = self
+            .entry(slot_id)
+            .and_then(|e| e.goal)
+            .map(|gid| self.goals[self.goal_index(gid)].controls);
+        let watched = match controls {
+            Some(Controlled::Two(a, b)) => vec![a, b],
             _ => vec![slot_id],
         };
         let before = self.states_of(&watched);
@@ -366,13 +410,13 @@ impl MediaBox {
         slot_id: SlotId,
         signal: Signal,
     ) -> (Vec<Outgoing>, Vec<BoxNote>) {
-        let Some(gid) = self.maps.get(&slot_id).copied() else {
+        let Ok(at) = self.slot_index(slot_id) else {
+            return (vec![], vec![]);
+        };
+        let Some(gid) = self.slots[at].goal else {
             // Uncontrolled slot: apply protocol-mandated auto responses
             // only, and surface the event so the program can react.
-            let Some(slot) = self.slots.get_mut(&slot_id) else {
-                return (vec![], vec![]);
-            };
-            let (event, auto) = slot.on_signal(signal);
+            let (event, auto) = self.slots[at].slot.on_signal(signal);
             let out = auto
                 .into_iter()
                 .map(|signal| Outgoing {
@@ -389,17 +433,17 @@ impl MediaBox {
             );
         };
 
-        let entry = self.goals.get(&gid).expect("maps points at live goal");
+        let entry = self.goal_index(gid);
+        let entry = &mut self.goals[entry];
         match entry.controls {
             Controlled::One(s) => {
                 debug_assert_eq!(s, slot_id);
-                let slot = self.slots.get_mut(&s).expect("slot exists");
+                let slot = &mut self.slots[at].slot;
                 let (event, auto) = slot.on_signal(signal);
                 let mut out: Vec<Outgoing> = auto
                     .into_iter()
                     .map(|signal| Outgoing { slot: s, signal })
                     .collect();
-                let entry = self.goals.get_mut(&gid).expect("goal exists");
                 let (sigs, user_notes) = goal::on_event_single(&mut entry.goal, &event, slot);
                 out.extend(sigs.into_iter().map(|signal| Outgoing { slot: s, signal }));
                 let mut notes = vec![BoxNote::Slot { slot: s, event }];
@@ -416,11 +460,11 @@ impl MediaBox {
                 } else {
                     LinkSide::B
                 };
-                let (mut sa, mut sb) = self.take_two(a, b);
+                let (sa, sb) = pair_mut(&mut self.slots, a, b);
                 let target = if side == LinkSide::A {
-                    &mut sa
+                    &mut *sa
                 } else {
-                    &mut sb
+                    &mut *sb
                 };
                 let (event, auto) = target.on_signal(signal);
                 let mut out: Vec<Outgoing> = auto
@@ -430,19 +474,17 @@ impl MediaBox {
                         signal,
                     })
                     .collect();
-                let entry = self.goals.get_mut(&gid).expect("goal exists");
                 let Goal::Link(link) = &mut entry.goal else {
                     unreachable!("two-slot goal is a flowlink")
                 };
                 out.extend(
-                    link.on_event(side, &event, &mut sa, &mut sb)
+                    link.on_event(side, &event, sa, sb)
                         .into_iter()
                         .map(|(s, signal)| Outgoing {
                             slot: if s == LinkSide::A { a } else { b },
                             signal,
                         }),
                 );
-                self.put_two(a, sa, b, sb);
                 (
                     out,
                     vec![BoxNote::Slot {
@@ -480,18 +522,17 @@ impl MediaBox {
         slot_id: SlotId,
         cmd: UserCmd,
     ) -> Result<Vec<Outgoing>, ProtocolError> {
-        let gid = self
-            .maps
-            .get(&slot_id)
-            .copied()
+        let at = self.slot_index(slot_id).ok();
+        let gid = at
+            .and_then(|at| self.slots[at].goal)
             .ok_or(ProtocolError::InvalidRecord("slot has no goal"))?;
-        let entry = self.goals.get_mut(&gid).expect("maps points at live goal");
-        let Goal::User(agent) = &mut entry.goal else {
+        let entry = self.goal_index(gid);
+        let Goal::User(agent) = &mut self.goals[entry].goal else {
             return Err(ProtocolError::InvalidRecord(
                 "user commands require a userAgent goal",
             ));
         };
-        let slot = self.slots.get_mut(&slot_id).expect("slot exists");
+        let slot = &mut self.slots[at.expect("a goal's slot exists")].slot;
         Ok(agent
             .command(cmd, slot)?
             .into_iter()
@@ -510,17 +551,6 @@ impl MediaBox {
         mute_out: bool,
     ) -> Result<Vec<Outgoing>, ProtocolError> {
         self.user(slot_id, UserCmd::Modify { mute_in, mute_out })
-    }
-
-    fn take_two(&mut self, a: SlotId, b: SlotId) -> (Slot, Slot) {
-        let sa = self.slots.remove(&a).expect("slot a exists");
-        let sb = self.slots.remove(&b).expect("slot b exists");
-        (sa, sb)
-    }
-
-    fn put_two(&mut self, a: SlotId, sa: Slot, b: SlotId, sb: Slot) {
-        self.slots.insert(a, sa);
-        self.slots.insert(b, sb);
     }
 }
 
