@@ -40,7 +40,7 @@ struct SlotEntry {
 }
 
 /// Both slots of a flowlink at once, as one split borrow of the table.
-fn pair_mut(slots: &mut [SlotEntry], a: SlotId, b: SlotId) -> (&mut Slot, &mut Slot) {
+fn pair_mut(slots: &mut [SlotEntry], a: SlotId, b: SlotId) -> (&mut SlotEntry, &mut SlotEntry) {
     let find = |id: SlotId| {
         slots
             .binary_search_by_key(&id, |e| e.id)
@@ -48,7 +48,7 @@ fn pair_mut(slots: &mut [SlotEntry], a: SlotId, b: SlotId) -> (&mut Slot, &mut S
     };
     let (ia, ib) = (find(a), find(b));
     let (lo, hi) = slots.split_at_mut(ia.max(ib));
-    let (first, second) = (&mut lo[ia.min(ib)].slot, &mut hi[0].slot);
+    let (first, second) = (&mut lo[ia.min(ib)], &mut hi[0]);
     if ia < ib {
         (first, second)
     } else {
@@ -247,23 +247,24 @@ impl MediaBox {
 
     /// Snapshot the protocol states of the slots a change may touch, for
     /// transition reporting.
-    fn states_of(&self, slots: &[SlotId]) -> Vec<(SlotId, SlotState)> {
-        slots
-            .iter()
-            .filter_map(|s| self.slot(*s).map(|slot| (*s, slot.state())))
-            .collect()
+    fn states_of(&self, touched: Controlled) -> [Option<(SlotId, SlotState)>; 2] {
+        let state = |s| self.slot(s).map(|slot| (s, slot.state()));
+        match touched {
+            Controlled::One(s) => [state(s), None],
+            Controlled::Two(a, b) => [state(a), state(b)],
+        }
     }
 
     /// Report every state change relative to `before` with the given cause.
     fn observe_transitions<O: Observer + ?Sized>(
         &self,
         obs: &mut O,
-        before: &[(SlotId, SlotState)],
+        before: [Option<(SlotId, SlotState)>; 2],
         cause: &'static str,
     ) {
-        for (slot, was) in before {
-            if let Some(now) = self.slot(*slot).map(Slot::state) {
-                if now != *was {
+        for (slot, was) in before.into_iter().flatten() {
+            if let Some(now) = self.slot(slot).map(Slot::state) {
+                if now != was {
                     obs.slot_transition(self.id.0, slot.0, was.name(), now.name(), cause);
                 }
             }
@@ -297,12 +298,21 @@ impl MediaBox {
         spec: GoalSpec,
         obs: &mut O,
     ) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        self.set_goal_into(spec, obs, &mut out);
+        out
+    }
+
+    /// [`MediaBox::set_goal_obs`] appending what the goal emits to a
+    /// buffer the caller reuses.
+    pub(crate) fn set_goal_into<T: From<Outgoing>, O: Observer + ?Sized>(
+        &mut self,
+        spec: GoalSpec,
+        obs: &mut O,
+        out: &mut Vec<T>,
+    ) {
         let controls = spec.slots();
-        let watched = match controls {
-            Controlled::One(s) => vec![s],
-            Controlled::Two(a, b) => vec![a, b],
-        };
-        let before = self.states_of(&watched);
+        let before = self.states_of(controls);
         match controls {
             Controlled::One(s) => {
                 assert!(self.slot_index(s).is_ok(), "unknown slot {s}");
@@ -331,43 +341,33 @@ impl MediaBox {
             GoalSpec::Link { .. } => Goal::Link(FlowLink::new(origin)),
         };
 
-        let out = match controls {
+        let id = GoalId(self.next_goal);
+        self.next_goal += 1;
+        let first = match controls {
             Controlled::One(s) => {
-                let slot = &mut self.entry_mut(s).expect("checked above").slot;
-                goal::attach_single(&mut new_goal, slot)
-                    .into_iter()
-                    .map(|signal| Outgoing { slot: s, signal })
-                    .collect()
+                let entry = self.entry_mut(s).expect("checked above");
+                entry.goal = Some(id);
+                emit(out, s, goal::attach_single(&mut new_goal, &mut entry.slot));
+                s
             }
             Controlled::Two(a, b) => {
-                let (sa, sb) = pair_mut(&mut self.slots, a, b);
                 let Goal::Link(link) = &mut new_goal else {
                     unreachable!()
                 };
-                link.attach(sa, sb)
-                    .into_iter()
-                    .map(|(side, signal)| Outgoing {
-                        slot: if side == LinkSide::A { a } else { b },
-                        signal,
-                    })
-                    .collect()
+                let (ea, eb) = pair_mut(&mut self.slots, a, b);
+                (ea.goal, eb.goal) = (Some(id), Some(id));
+                emit_link(out, a, b, link.attach(&mut ea.slot, &mut eb.slot));
+                a
             }
         };
-
-        let id = GoalId(self.next_goal);
-        self.next_goal += 1;
-        for s in &watched {
-            self.entry_mut(*s).expect("checked above").goal = Some(id);
-        }
-        obs.goal_activated(self.id.0, watched[0].0, new_goal.kind());
+        obs.goal_activated(self.id.0, first.0, new_goal.kind());
         self.goals.reserve_exact(1);
         self.goals.push(GoalEntry {
             id,
             goal: new_goal,
             controls,
         });
-        self.observe_transitions(obs, &before, "goal");
-        out
+        self.observe_transitions(obs, before, "goal");
     }
 
     /// Deliver one tunnel signal to its slot and the controlling goal.
@@ -384,75 +384,51 @@ impl MediaBox {
         signal: Signal,
         obs: &mut O,
     ) -> (Vec<Outgoing>, Vec<BoxNote>) {
-        let kind = signal.kind();
-        obs.signal_received(self.id.0, slot_id.0, kind);
-        let controls = self
-            .entry(slot_id)
-            .and_then(|e| e.goal)
-            .map(|gid| self.goals[self.goal_index(gid)].controls);
-        let watched = match controls {
-            Some(Controlled::Two(a, b)) => vec![a, b],
-            _ => vec![slot_id],
-        };
-        let before = self.states_of(&watched);
-        let (out, notes) = self.on_signal_inner(slot_id, signal);
-        self.observe_transitions(obs, &before, kind);
-        for note in &notes {
-            if let BoxNote::Slot { slot, event } = note {
-                self.observe_event(obs, *slot, event);
-            }
-        }
+        let (mut out, mut notes) = (Vec::new(), Vec::new());
+        self.on_signal_into(slot_id, signal, obs, &mut out, &mut notes);
         (out, notes)
     }
 
-    fn on_signal_inner(
+    /// [`MediaBox::on_signal_obs`] appending the signals to transmit and
+    /// the notes for the program to buffers the caller reuses.
+    pub(crate) fn on_signal_into<T: From<Outgoing>, O: Observer + ?Sized>(
         &mut self,
         slot_id: SlotId,
         signal: Signal,
-    ) -> (Vec<Outgoing>, Vec<BoxNote>) {
+        obs: &mut O,
+        out: &mut Vec<T>,
+        notes: &mut Vec<BoxNote>,
+    ) {
+        let kind = signal.kind();
+        obs.signal_received(self.id.0, slot_id.0, kind);
         let Ok(at) = self.slot_index(slot_id) else {
-            return (vec![], vec![]);
+            return;
         };
-        let Some(gid) = self.slots[at].goal else {
-            // Uncontrolled slot: apply protocol-mandated auto responses
-            // only, and surface the event so the program can react.
-            let (event, auto) = self.slots[at].slot.on_signal(signal);
-            let out = auto
-                .into_iter()
-                .map(|signal| Outgoing {
-                    slot: slot_id,
-                    signal,
-                })
-                .collect();
-            return (
-                out,
-                vec![BoxNote::Slot {
-                    slot: slot_id,
-                    event,
-                }],
-            );
+        let goal = self.slots[at].goal.map(|gid| self.goal_index(gid));
+        let touched = match goal.map(|g| self.goals[g].controls) {
+            Some(link @ Controlled::Two(..)) => link,
+            _ => Controlled::One(slot_id),
         };
+        let before = self.states_of(touched);
+        let first_note = notes.len();
 
-        let entry = self.goal_index(gid);
-        let entry = &mut self.goals[entry];
-        match entry.controls {
+        match touched {
             Controlled::One(s) => {
-                debug_assert_eq!(s, slot_id);
                 let slot = &mut self.slots[at].slot;
                 let (event, auto) = slot.on_signal(signal);
-                let mut out: Vec<Outgoing> = auto
-                    .into_iter()
-                    .map(|signal| Outgoing { slot: s, signal })
-                    .collect();
-                let (sigs, user_notes) = goal::on_event_single(&mut entry.goal, &event, slot);
-                out.extend(sigs.into_iter().map(|signal| Outgoing { slot: s, signal }));
-                let mut notes = vec![BoxNote::Slot { slot: s, event }];
-                notes.extend(
+                emit(out, s, auto);
+                // An uncontrolled slot gets the protocol-mandated auto
+                // responses only; the event is surfaced all the same so
+                // the program can react.
+                let user_notes = goal.map(|g| {
+                    let (sigs, user_notes) =
+                        goal::on_event_single(&mut self.goals[g].goal, &event, slot);
+                    emit(out, s, sigs);
                     user_notes
-                        .into_iter()
-                        .map(|note| BoxNote::User { slot: s, note }),
-                );
-                (out, notes)
+                });
+                notes.push(BoxNote::Slot { slot: s, event });
+                let user_notes = user_notes.into_iter().flatten();
+                notes.extend(user_notes.map(|note| BoxNote::User { slot: s, note }));
             }
             Controlled::Two(a, b) => {
                 let side = if slot_id == a {
@@ -460,68 +436,54 @@ impl MediaBox {
                 } else {
                     LinkSide::B
                 };
-                let (sa, sb) = pair_mut(&mut self.slots, a, b);
+                let (ea, eb) = pair_mut(&mut self.slots, a, b);
+                let (sa, sb) = (&mut ea.slot, &mut eb.slot);
                 let target = if side == LinkSide::A {
                     &mut *sa
                 } else {
                     &mut *sb
                 };
                 let (event, auto) = target.on_signal(signal);
-                let mut out: Vec<Outgoing> = auto
-                    .into_iter()
-                    .map(|signal| Outgoing {
-                        slot: slot_id,
-                        signal,
-                    })
-                    .collect();
-                let Goal::Link(link) = &mut entry.goal else {
+                emit(out, slot_id, auto);
+                let g = goal.expect("a link is a goal");
+                let Goal::Link(link) = &mut self.goals[g].goal else {
                     unreachable!("two-slot goal is a flowlink")
                 };
-                out.extend(
-                    link.on_event(side, &event, sa, sb)
-                        .into_iter()
-                        .map(|(s, signal)| Outgoing {
-                            slot: if s == LinkSide::A { a } else { b },
-                            signal,
-                        }),
-                );
-                (
-                    out,
-                    vec![BoxNote::Slot {
-                        slot: slot_id,
-                        event,
-                    }],
-                )
+                emit_link(out, a, b, link.on_event(side, &event, sa, sb));
+                notes.push(BoxNote::Slot {
+                    slot: slot_id,
+                    event,
+                });
+            }
+        }
+
+        self.observe_transitions(obs, before, kind);
+        for note in &notes[first_note..] {
+            if let BoxNote::Slot { slot, event } = note {
+                self.observe_event(obs, *slot, event);
             }
         }
     }
 
     /// Issue a Fig. 5 user command to a user-agent-controlled slot.
     pub fn user(&mut self, slot_id: SlotId, cmd: UserCmd) -> Result<Vec<Outgoing>, ProtocolError> {
-        self.user_obs(slot_id, cmd, &mut NoopObserver)
+        let mut out = Vec::new();
+        self.user_into(slot_id, cmd, &mut NoopObserver, &mut out)?;
+        Ok(out)
     }
 
-    /// [`MediaBox::user`] with observability: reports any slot transition
-    /// the command causes, with cause `"user"`.
-    pub fn user_obs<O: Observer + ?Sized>(
+    /// [`MediaBox::user`] with observability — any slot transition the
+    /// command causes is reported with cause `"user"` — appending what the
+    /// command emits to a buffer the caller reuses; a rejected command
+    /// appends nothing.
+    pub(crate) fn user_into<T: From<Outgoing>, O: Observer + ?Sized>(
         &mut self,
         slot_id: SlotId,
         cmd: UserCmd,
         obs: &mut O,
-    ) -> Result<Vec<Outgoing>, ProtocolError> {
-        let before = self.states_of(&[slot_id]);
-        let out = self.user_inner(slot_id, cmd);
-        if out.is_ok() {
-            self.observe_transitions(obs, &before, "user");
-        }
-        out
-    }
-
-    fn user_inner(
-        &mut self,
-        slot_id: SlotId,
-        cmd: UserCmd,
-    ) -> Result<Vec<Outgoing>, ProtocolError> {
+        out: &mut Vec<T>,
+    ) -> Result<(), ProtocolError> {
+        let before = self.states_of(Controlled::One(slot_id));
         let at = self.slot_index(slot_id).ok();
         let gid = at
             .and_then(|at| self.slots[at].goal)
@@ -533,14 +495,9 @@ impl MediaBox {
             ));
         };
         let slot = &mut self.slots[at.expect("a goal's slot exists")].slot;
-        Ok(agent
-            .command(cmd, slot)?
-            .into_iter()
-            .map(|signal| Outgoing {
-                slot: slot_id,
-                signal,
-            })
-            .collect())
+        emit(out, slot_id, agent.command(cmd, slot)?);
+        self.observe_transitions(obs, before, "user");
+        Ok(())
     }
 
     /// Update the endpoint policy of a user-agent slot via a modify event.
@@ -552,6 +509,32 @@ impl MediaBox {
     ) -> Result<Vec<Outgoing>, ProtocolError> {
         self.user(slot_id, UserCmd::Modify { mute_in, mute_out })
     }
+}
+
+/// Append `signals`, all for `slot`, to an output buffer.
+fn emit<T: From<Outgoing>>(
+    out: &mut Vec<T>,
+    slot: SlotId,
+    signals: impl IntoIterator<Item = Signal>,
+) {
+    out.extend(
+        signals
+            .into_iter()
+            .map(|signal| Outgoing { slot, signal }.into()),
+    );
+}
+
+/// Append a flowlink's output, addressed by link side, to an output buffer.
+fn emit_link<T: From<Outgoing>>(
+    out: &mut Vec<T>,
+    a: SlotId,
+    b: SlotId,
+    signals: Vec<(LinkSide, Signal)>,
+) {
+    out.extend(signals.into_iter().map(|(side, signal)| {
+        let slot = if side == LinkSide::A { a } else { b };
+        Outgoing { slot, signal }.into()
+    }));
 }
 
 #[cfg(test)]

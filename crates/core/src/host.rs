@@ -6,13 +6,13 @@
 //! the channel → slots table and slot → `(channel, tunnel)` routes, the
 //! optional §VI [`Reliability`] layer, and the activation-span logic. A
 //! substrate feeds it [`Input`]s and executes the [`Effect`]s it appends
-//! to a caller-supplied buffer; observer calls happen inside. The host has
+//! to the [`Buffers`] the substrate lends it; observer calls happen inside. The host has
 //! no clock, no queue, no socket and no `async`: the discrete-event
 //! simulator turns effects into scheduled events, the tokio runtime turns
 //! them into frames, and a test can wire two hosts back to back with a
 //! `Vec`.
 
-use crate::boxes::MediaBox;
+use crate::boxes::{BoxNote, MediaBox};
 use crate::error::ProtocolError;
 use crate::goal::{Outgoing, UserCmd};
 use crate::ids::{BoxId, ChannelId, SlotId, TunnelId};
@@ -154,6 +154,22 @@ pub enum Effect {
     Terminated,
 }
 
+/// The buffers a substrate lends [`NodeHost::handle`] and reuses for the
+/// next call, so an activation allocates none of its own. What the
+/// substrate must do comes back in `effects`; the rest is the
+/// activation's scratch and comes back empty. One set serves every host
+/// of a substrate: a fleet of boxes shares a single warm buffer instead of
+/// each keeping a cold one.
+#[derive(Default)]
+pub struct Buffers {
+    /// What the substrate must do, in order. The substrate drains it.
+    pub effects: Vec<Effect>,
+    /// What the box asked for during the activation.
+    cmds: Vec<BoxCmd>,
+    /// The notes the media layer surfaced to the program.
+    notes: Vec<BoxNote>,
+}
+
 /// When an input arrived and what caused it, in the substrate's clock
 /// (microseconds): the simulator's virtual time, or wall time on `rt`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -291,7 +307,7 @@ impl NodeHost {
         &self.channels[at].1
     }
 
-    /// Apply one input. Effects are appended to `out` in the order the
+    /// Apply one input. Effects are appended to `bufs.effects` in the order the
     /// substrate must execute them; protocol activity is reported to
     /// `obs`, and with a `tracer` the activation is recorded as spans.
     ///
@@ -303,11 +319,11 @@ impl NodeHost {
         at: &Arrival,
         obs: &mut dyn Observer,
         tracer: Option<&Tracer>,
-        out: &mut Vec<Effect>,
+        bufs: &mut Buffers,
     ) -> Result<Outcome, Rejected> {
         let bx = self.id().0;
         let ctx = match input {
-            Input::Inject(input) => return Ok(self.deliver(input, at, obs, tracer, out)),
+            Input::Inject(input) => return Ok(self.deliver(input, at, obs, tracer, bufs)),
             Input::Msg { channel, msg } => {
                 let Some(slots) = self.channel_slots(channel) else {
                     return Ok(Outcome::QUIET);
@@ -321,7 +337,7 @@ impl NodeHost {
                     }
                     ChannelMsg::Meta(meta) => BoxInput::Meta { channel, meta },
                 };
-                return Ok(self.deliver(input, at, obs, tracer, out));
+                return Ok(self.deliver(input, at, obs, tracer, bufs));
             }
             Input::ChannelUp { channel, req } => {
                 let Some(slots) = self.channel_slots(channel) else {
@@ -332,14 +348,14 @@ impl NodeHost {
                     slots: slots.to_vec(),
                     req,
                 };
-                return Ok(self.deliver(input, at, obs, tracer, out));
+                return Ok(self.deliver(input, at, obs, tracer, bufs));
             }
             Input::ChannelDown { channel } => {
                 if !self.drop_channel(channel) {
                     return Ok(Outcome::QUIET);
                 }
                 let input = BoxInput::ChannelDown { channel };
-                return Ok(self.deliver(input, at, obs, tracer, out));
+                return Ok(self.deliver(input, at, obs, tracer, bufs));
             }
             Input::TimerFired { id, gen } => {
                 if !self.timers.is_current(id, gen) {
@@ -350,7 +366,7 @@ impl NodeHost {
                     .as_mut()
                     .filter(|_| reliable::timer_slot(id).is_some())
                 else {
-                    return Ok(self.deliver(BoxInput::Timer(id), at, obs, tracer, out));
+                    return Ok(self.deliver(BoxInput::Timer(id), at, obs, tracer, bufs));
                 };
                 let Some(TimerAction::Resend {
                     slot,
@@ -370,9 +386,9 @@ impl NodeHost {
                 obs.stimulus(bx, "retransmit");
                 obs.retransmission(bx, slot.0, kind);
                 for signal in signals {
-                    self.send(Outgoing { slot, signal }, obs, out);
+                    self.send(Outgoing { slot, signal }, obs, &mut bufs.effects);
                 }
-                self.arm(id, rearm_ms, out);
+                self.arm(id, rearm_ms, &mut bufs.effects);
                 ctx
             }
             Input::User { slot, cmd } => {
@@ -380,17 +396,19 @@ impl NodeHost {
                     format!("user {cmd:?} s{}", slot.0)
                 });
                 obs.stimulus(bx, "user");
-                let sent = self.pb.media_mut().user_obs(slot, cmd, obs);
-                for o in sent.map_err(|error| Rejected { slot, error })? {
-                    self.send(o, obs, out);
-                }
+                let sent = self
+                    .pb
+                    .media_mut()
+                    .user_into(slot, cmd, obs, &mut bufs.cmds);
+                self.execute(bufs.cmds.drain(..), obs, &mut bufs.effects);
+                sent.map_err(|error| Rejected { slot, error })?;
                 ctx
             }
             Input::Apply(f) => {
                 let ctx = self.activate(at, tracer, "stimulus", || "apply".into());
                 obs.stimulus(bx, "apply");
                 let cmds = f(&mut self.pb);
-                self.execute(cmds, obs, out);
+                self.execute(cmds, obs, &mut bufs.effects);
                 ctx
             }
             Input::Resync {
@@ -414,20 +432,20 @@ impl NodeHost {
                     obs.recovered(bx, slot.0, attempts, elapsed_ms);
                 }
                 for o in resend {
-                    self.send(o, obs, out);
+                    self.send(o, obs, &mut bufs.effects);
                 }
-                self.sync_reliability(at, obs, out);
+                self.sync_reliability(at, obs, &mut bufs.effects);
                 return Ok(Outcome::QUIET);
             }
             Input::Rearm => {
                 if let Some(rel) = &self.reliab {
                     self.reliab = Some(Reliability::new(*rel.config()));
                 }
-                self.sync_reliability(at, obs, out);
+                self.sync_reliability(at, obs, &mut bufs.effects);
                 return Ok(Outcome::QUIET);
             }
         };
-        self.sync_reliability(at, obs, out);
+        self.sync_reliability(at, obs, &mut bufs.effects);
         Ok(Outcome {
             activated: true,
             ctx,
@@ -441,7 +459,7 @@ impl NodeHost {
         at: &Arrival,
         obs: &mut dyn Observer,
         tracer: Option<&Tracer>,
-        out: &mut Vec<Effect>,
+        bufs: &mut Buffers,
     ) -> Outcome {
         let bx = self.id().0;
         let mut reack = Vec::new();
@@ -476,12 +494,13 @@ impl NodeHost {
             BoxInput::Start => "start".into(),
             other => format!("{other:?}"),
         });
-        let cmds = self.pb.handle_obs(input, obs);
-        self.execute(cmds, obs, out);
+        self.pb
+            .handle_into(input, obs, &mut bufs.cmds, &mut bufs.notes);
+        self.execute(bufs.cmds.drain(..), obs, &mut bufs.effects);
         for o in reack {
-            self.send(o, obs, out);
+            self.send(o, obs, &mut bufs.effects);
         }
-        self.sync_reliability(at, obs, out);
+        self.sync_reliability(at, obs, &mut bufs.effects);
         Outcome {
             activated: true,
             ctx,
@@ -543,7 +562,12 @@ impl NodeHost {
     }
 
     /// Turn the box's commands into effects.
-    fn execute(&mut self, cmds: Vec<BoxCmd>, obs: &mut dyn Observer, out: &mut Vec<Effect>) {
+    fn execute(
+        &mut self,
+        cmds: impl IntoIterator<Item = BoxCmd>,
+        obs: &mut dyn Observer,
+        out: &mut Vec<Effect>,
+    ) {
         for cmd in cmds {
             match cmd {
                 BoxCmd::Signal(o) => self.send(o, obs, out),

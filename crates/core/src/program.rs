@@ -172,6 +172,12 @@ pub enum BoxCmd {
     Terminate,
 }
 
+impl From<Outgoing> for BoxCmd {
+    fn from(out: Outgoing) -> Self {
+        BoxCmd::Signal(out)
+    }
+}
+
 /// Application logic of a box: the finite-state program of §IV.
 pub trait AppLogic: Send {
     /// React to an input. Goal re-annotations and user commands go through
@@ -185,31 +191,14 @@ pub trait AppLogic: Send {
 /// Carries the environment's observer as a dyn reference ([`AppLogic`]
 /// must stay object-safe, so `Ctx` cannot be generic over it); goal
 /// re-annotations and user commands issued through the ctx are observed.
+/// Commands are appended to the buffer the whole activation shares.
 pub struct Ctx<'a> {
     media: &'a mut MediaBox,
-    obs: Option<&'a mut dyn Observer>,
-    cmds: Vec<BoxCmd>,
+    obs: &'a mut dyn Observer,
+    cmds: &'a mut Vec<BoxCmd>,
 }
 
-impl<'a> Ctx<'a> {
-    /// Ctx over a media box, without observability.
-    pub fn new(media: &'a mut MediaBox) -> Self {
-        Self {
-            media,
-            obs: None,
-            cmds: Vec::new(),
-        }
-    }
-
-    /// Ctx over a media box, reporting goal/user activity to `obs`.
-    pub fn with_obs(media: &'a mut MediaBox, obs: &'a mut dyn Observer) -> Self {
-        Self {
-            media,
-            obs: Some(obs),
-            cmds: Vec::new(),
-        }
-    }
-
+impl Ctx<'_> {
     /// Read access to slots for guard predicates.
     pub fn media(&self) -> &MediaBox {
         self.media
@@ -223,22 +212,13 @@ impl<'a> Ctx<'a> {
     /// Annotate slots with a goal (immediately attaches the goal object and
     /// queues the signals it emits).
     pub fn set_goal(&mut self, spec: GoalSpec) {
-        let out = match self.obs.as_deref_mut() {
-            Some(obs) => self.media.set_goal_obs(spec, obs),
-            None => self.media.set_goal(spec),
-        };
-        self.cmds.extend(out.into_iter().map(BoxCmd::Signal));
+        self.media.set_goal_into(spec, self.obs, self.cmds);
     }
 
     /// Issue a user command on a user-agent slot.
     pub fn user(&mut self, slot: SlotId, cmd: UserCmd) {
-        let result = match self.obs.as_deref_mut() {
-            Some(obs) => self.media.user_obs(slot, cmd, obs),
-            None => self.media.user(slot, cmd),
-        };
-        match result {
-            Ok(out) => self.cmds.extend(out.into_iter().map(BoxCmd::Signal)),
-            Err(e) => panic!("user command failed: {e}"),
+        if let Err(e) = self.media.user_into(slot, cmd, self.obs, self.cmds) {
+            panic!("user command failed: {e}");
         }
     }
 
@@ -275,10 +255,6 @@ impl<'a> Ctx<'a> {
     pub fn terminate(&mut self) {
         self.cmds.push(BoxCmd::Terminate);
     }
-
-    fn finish(self) -> Vec<BoxCmd> {
-        self.cmds
-    }
 }
 
 /// A media box driven by application logic.
@@ -309,22 +285,29 @@ impl ProgramBox {
     /// Feed one input through the media box (for tunnel signals) and then
     /// the application logic; collect the resulting commands.
     pub fn handle(&mut self, input: BoxInput) -> Vec<BoxCmd> {
-        self.handle_obs(input, &mut NoopObserver)
+        let mut cmds = Vec::new();
+        self.handle_into(input, &mut NoopObserver, &mut cmds, &mut Vec::new());
+        cmds
     }
 
-    /// [`ProgramBox::handle`] with observability: the stimulus itself, the
+    /// [`ProgramBox::handle`] with observability — the stimulus itself, the
     /// media-layer processing, and everything the logic does through its
-    /// [`Ctx`] are reported to `obs`. (The caller reports the *sending* of
-    /// the returned [`BoxCmd::Signal`]s once it actually transmits them.)
-    pub fn handle_obs(&mut self, input: BoxInput, obs: &mut dyn Observer) -> Vec<BoxCmd> {
+    /// [`Ctx`] are reported to `obs`; the caller reports the *sending* of
+    /// the [`BoxCmd::Signal`]s once it actually transmits them — appending
+    /// the commands to `cmds`. Both buffers are the caller's to reuse;
+    /// `notes` is scratch and comes back empty.
+    pub(crate) fn handle_into(
+        &mut self,
+        input: BoxInput,
+        obs: &mut dyn Observer,
+        cmds: &mut Vec<BoxCmd>,
+        notes: &mut Vec<BoxNote>,
+    ) {
         obs.stimulus(self.media.id().0, input.kind());
-        let mut cmds = Vec::new();
-        let mut notes: Vec<BoxNote> = Vec::new();
         match &input {
             BoxInput::Tunnel { slot, signal } => {
-                let (out, ns) = self.media.on_signal_obs(*slot, signal.clone(), obs);
-                cmds.extend(out.into_iter().map(BoxCmd::Signal));
-                notes = ns;
+                self.media
+                    .on_signal_into(*slot, signal.clone(), obs, cmds, notes);
             }
             BoxInput::ChannelUp { slots, .. } => {
                 // Slots must already have been registered by the
@@ -334,16 +317,10 @@ impl ProgramBox {
             _ => {}
         }
         // The logic sees the raw input first, then each surfaced note.
-        let mut ctx = Ctx::with_obs(&mut self.media, obs);
-        self.logic.handle(&input, &mut ctx);
-        cmds.extend(ctx.finish());
-        for note in &notes {
-            let input = BoxInput::from_note(note);
-            let mut ctx = Ctx::with_obs(&mut self.media, obs);
-            self.logic.handle(&input, &mut ctx);
-            cmds.extend(ctx.finish());
+        for input in std::iter::once(input).chain(notes.drain(..).map(BoxInput::from)) {
+            let media = &mut self.media;
+            self.logic.handle(&input, &mut Ctx { media, obs, cmds });
         }
-        cmds
     }
 }
 
@@ -361,19 +338,15 @@ impl BoxInput {
             BoxInput::UserNote { .. } => "user_note",
         }
     }
+}
 
-    /// Notes surfaced by the media layer are re-delivered to the logic as
-    /// inputs so programs can guard on slot events (`isFlowing(1a)` etc.).
-    fn from_note(note: &BoxNote) -> BoxInput {
+/// Notes surfaced by the media layer are re-delivered to the logic as
+/// inputs so programs can guard on slot events (`isFlowing(1a)` etc.).
+impl From<BoxNote> for BoxInput {
+    fn from(note: BoxNote) -> BoxInput {
         match note {
-            BoxNote::Slot { slot, event } => BoxInput::SlotNote {
-                slot: *slot,
-                event: event.clone(),
-            },
-            BoxNote::User { slot, note } => BoxInput::UserNote {
-                slot: *slot,
-                note: note.clone(),
-            },
+            BoxNote::Slot { slot, event } => BoxInput::SlotNote { slot, event },
+            BoxNote::User { slot, note } => BoxInput::UserNote { slot, note },
         }
     }
 }

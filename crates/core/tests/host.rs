@@ -3,7 +3,7 @@
 //! `rt::Actor` inherit — channel lifecycle and routing, the dial outcome,
 //! timer generations, and the §VI re-ack and resync paths.
 
-use ipmedia_core::host::{Arrival, Effect, Input, NodeHost, Outcome};
+use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost, Outcome};
 use ipmedia_core::reliable::{self, ReliableConfig};
 use ipmedia_core::{
     AppLogic, Availability, BoxId, BoxInput, ChannelId, ChannelMsg, Ctx, EndpointLogic,
@@ -19,11 +19,11 @@ fn phone(id: u32) -> NodeHost {
 
 /// One input in, the effects and the outcome out.
 fn feed_obs(host: &mut NodeHost, input: Input, obs: &mut dyn Observer) -> (Vec<Effect>, Outcome) {
-    let mut out = Vec::new();
+    let mut out = Buffers::default();
     let outcome = host
         .handle(input, &Arrival::default(), obs, None, &mut out)
         .expect("no rejected user command");
-    (out, outcome)
+    (out.effects, outcome)
 }
 
 fn feed(host: &mut NodeHost, input: Input) -> Vec<Effect> {
@@ -393,7 +393,7 @@ fn resync_reemits_the_cached_signals_of_each_live_slot() {
 #[test]
 fn rejected_user_command_is_returned_not_swallowed() {
     let mut host = phone(1);
-    let mut out = Vec::new();
+    let mut out = Buffers::default();
     let cmd = UserCmd::Close;
     let err = host
         .handle(
@@ -408,5 +408,5 @@ fn rejected_user_command_is_returned_not_swallowed() {
         )
         .expect_err("no such slot");
     assert_eq!(err.slot, SlotId(9));
-    assert!(out.is_empty());
+    assert!(out.effects.is_empty());
 }

@@ -9,7 +9,7 @@
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::time::{SimDuration, SimTime};
 use ipmedia_core::goal::UserCmd;
-use ipmedia_core::host::{Arrival, Effect, Input, NodeHost};
+use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
 use ipmedia_core::ids::{BoxId, ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox};
 use ipmedia_core::reliable::{self, ReliableConfig};
@@ -188,9 +188,9 @@ pub struct Network {
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
     events: BinaryHeap<Reverse<Scheduled>>,
-    /// Effect buffer handed to every host call and drained right after;
-    /// reused so a stimulus costs no allocation for it.
-    effects: Vec<Effect>,
+    /// Lent to every host call and drained right after; reused so a
+    /// stimulus costs no allocation for them.
+    buffers: Buffers,
     now: SimTime,
     seq: u64,
     next_box: u32,
@@ -221,7 +221,7 @@ impl Network {
             partitions: HashMap::new(),
             bursts: HashMap::new(),
             events: BinaryHeap::new(),
-            effects: Vec::new(),
+            buffers: Buffers::default(),
             now: SimTime::ZERO,
             seq: 0,
             next_box: 0,
@@ -654,7 +654,7 @@ impl Network {
                 &at,
                 &mut self.obs,
                 self.tracer.as_ref(),
-                &mut self.effects,
+                &mut self.buffers,
             )
             .unwrap_or_else(|e| panic!("user command failed on {to}: {}", e.error));
         // The box's outputs leave when it is done computing; bookkeeping
@@ -673,7 +673,7 @@ impl Network {
         } else {
             self.now
         };
-        let mut effects = std::mem::take(&mut self.effects);
+        let mut effects = std::mem::take(&mut self.buffers.effects);
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { channel, msg } => self.transmit(to, channel, msg, sent, outcome.ctx),
@@ -697,7 +697,7 @@ impl Network {
                 }
             }
         }
-        self.effects = effects;
+        self.buffers.effects = effects;
     }
 
     /// Put a message on a channel: partitions, then the channel's burst

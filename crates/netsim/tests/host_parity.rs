@@ -2,7 +2,7 @@
 //! through the simulator and through two bare [`NodeHost`]s wired back to
 //! back with a queue yields the same observer events at each box.
 
-use ipmedia_core::host::{Arrival, Effect, Input, NodeHost};
+use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
 use ipmedia_core::{
     BoxCmd, BoxId, BoxInput, ChannelId, EndpointLogic, EndpointPolicy, MediaAddr, Medium, SlotId,
     UserCmd,
@@ -77,12 +77,12 @@ fn through_wired_hosts() -> [Vec<ObsEvent>; 2] {
     // The whole substrate: a FIFO of (destination, input).
     let mut wire: VecDeque<(usize, Input)> = VecDeque::new();
     let mut run = |hosts: &mut [NodeHost; 2], wire: &mut VecDeque<(usize, Input)>| {
-        let mut effects = Vec::new();
+        let mut bufs = Buffers::default();
         while let Some((to, input)) = wire.pop_front() {
             hosts[to]
-                .handle(input, &Arrival::default(), &mut obs, None, &mut effects)
+                .handle(input, &Arrival::default(), &mut obs, None, &mut bufs)
                 .expect("script is legal");
-            for effect in effects.drain(..) {
+            for effect in bufs.effects.drain(..) {
                 match effect {
                     Effect::Send { channel, msg } => {
                         wire.push_back((1 - to, Input::Msg { channel, msg }));

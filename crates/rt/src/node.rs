@@ -15,7 +15,7 @@ use crate::frame::Framed;
 use crate::wire::{self, Frame, Hello};
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::hash::fnv1a;
-use ipmedia_core::host::{Arrival, Effect, Input, NodeHost};
+use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
 use ipmedia_core::ids::{ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
@@ -604,7 +604,7 @@ async fn spawn_node_inner(
         tracer,
         gate,
         inbox_tx,
-        effects: Vec::new(),
+        buffers: Buffers::default(),
         lost: VecDeque::new(),
     };
     let join = tokio::spawn(actor.run(shard_rxs, user_rx, input_rx, shutdown_rx));
@@ -648,8 +648,8 @@ struct Actor {
     /// every outgoing frame and every (re)dial.
     gate: Option<Arc<ChaosGate>>,
     inbox_tx: InboxTx,
-    /// Effect buffer handed to every host call and drained right after.
-    effects: Vec<Effect>,
+    /// Lent to every host call and drained right after.
+    buffers: Buffers,
     /// Connections (with their generation) the actor itself declared dead
     /// while transmitting, handled before its next event. They do not go
     /// through the inbox: the actor is the only consumer of its shards, so
@@ -745,7 +745,7 @@ impl Actor {
         let mut pending = VecDeque::new();
         while let Some((input, cause)) = next {
             let ctx = self.apply(input, cause);
-            let mut effects = std::mem::take(&mut self.effects);
+            let mut effects = std::mem::take(&mut self.buffers.effects);
             for effect in effects.drain(..) {
                 match effect {
                     Effect::Send { channel, msg } => self.transmit(channel, msg, ctx).await,
@@ -767,7 +767,7 @@ impl Actor {
                     Effect::Terminated => {}
                 }
             }
-            self.effects = effects;
+            self.buffers.effects = effects;
             next = pending.pop_front().map(|input| (input, None));
         }
     }
@@ -791,7 +791,7 @@ impl Actor {
             &at,
             &mut self.obs,
             self.tracer.as_ref(),
-            &mut self.effects,
+            &mut self.buffers,
         );
         // Every stimulus is timed, including a user command that ends up
         // rejected; inputs the host dropped are not stimuli.
