@@ -85,12 +85,12 @@ const SPEC: StormSpec = StormSpec {
 };
 
 /// Allocations of one whole 500-call storm (generate, build, establish,
-/// features, relink, report, teardown): 3.02 for each of its 10,524
+/// features, relink, report, teardown): 2.46 for each of its 10,524
 /// stimuli.
-const STORM_ALLOCS: u64 = 31_819;
+const STORM_ALLOCS: u64 = 25_893;
 /// Bytes the 1,319 boxes of the built storm keep allocated, network and
-/// event queue included: 1,501 a box.
-const BUILT_BYTES: usize = 1_980_419;
+/// event queue included: 1,483 a box.
+const BUILT_BYTES: usize = 1_956_835;
 
 #[test]
 fn storm_stays_inside_its_allocation_budget() {

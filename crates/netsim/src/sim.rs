@@ -152,6 +152,11 @@ struct BurstState {
     until: SimTime,
 }
 
+/// Where a box sits in the node table: ids are dealt densely from zero.
+fn ix(id: BoxId) -> usize {
+    id.0 as usize
+}
+
 /// Normalize an unordered box pair to a canonical map key.
 fn pair_key(a: BoxId, b: BoxId) -> (BoxId, BoxId) {
     if a.0 <= b.0 {
@@ -176,9 +181,11 @@ pub struct TraceEntry {
 /// The simulated network of boxes and signaling channels.
 pub struct Network {
     cfg: SimConfig,
-    nodes: HashMap<BoxId, Node>,
+    /// Indexed by `BoxId`; boxes are never removed.
+    nodes: Vec<Node>,
     names: HashMap<String, BoxId>,
-    channels: HashMap<ChannelId, Channel>,
+    /// Indexed by `ChannelId`; `None` once the channel is closed.
+    channels: Vec<Option<Channel>>,
     /// Per-channel fault injection; channels absent here are perfect.
     faults: HashMap<ChannelId, FaultState>,
     /// Active partitions, keyed by normalized box pair; flags block the
@@ -193,8 +200,6 @@ pub struct Network {
     buffers: Buffers,
     now: SimTime,
     seq: u64,
-    next_box: u32,
-    next_channel: u32,
     pub trace_enabled: bool,
     trace: Vec<TraceEntry>,
     /// Unified observability sink; every protocol event in the simulation
@@ -214,9 +219,9 @@ impl Network {
     pub fn new(cfg: SimConfig) -> Self {
         Self {
             cfg,
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
             names: HashMap::new(),
-            channels: HashMap::new(),
+            channels: Vec::new(),
             faults: HashMap::new(),
             partitions: HashMap::new(),
             bursts: HashMap::new(),
@@ -224,8 +229,6 @@ impl Network {
             buffers: Buffers::default(),
             now: SimTime::ZERO,
             seq: 0,
-            next_box: 0,
-            next_channel: 0,
             trace_enabled: false,
             trace: Vec::new(),
             obs: Box::new(NoopObserver),
@@ -279,19 +282,13 @@ impl Network {
     /// column per box. Requires `trace_enabled` to have been set before
     /// the events of interest.
     pub fn ladder(&self) -> String {
-        let boxes = self.boxes();
-        let col: HashMap<BoxId, usize> = boxes
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i))
-            .collect();
-        let columns: Vec<&str> = boxes.iter().map(|(_, name)| name.as_str()).collect();
+        let columns: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
         let events: Vec<LadderEvent> = self
             .trace
             .iter()
             .map(|t| match t.from {
-                Some(f) => LadderEvent::arrow(t.at.0, col[&f], col[&t.to], t.what.clone()),
-                None => LadderEvent::local(t.at.0, col[&t.to], t.what.clone()),
+                Some(f) => LadderEvent::arrow(t.at.0, ix(f), ix(t.to), t.what.clone()),
+                None => LadderEvent::local(t.at.0, ix(t.to), t.what.clone()),
             })
             .collect();
         render(&columns, &events)
@@ -301,23 +298,19 @@ impl Network {
     /// scheduled at the current time.
     pub fn add_box(&mut self, name: impl Into<String>, logic: Box<dyn AppLogic>) -> BoxId {
         let name = name.into();
-        let id = BoxId(self.next_box);
-        self.next_box += 1;
+        let id = BoxId(u32::try_from(self.nodes.len()).expect("box ids fit u32"));
         assert!(
             self.names.insert(name.clone(), id).is_none(),
             "duplicate box name {name}"
         );
-        self.nodes.insert(
-            id,
-            Node {
-                host: NodeHost::new(id, logic),
-                name,
-                busy_until: SimTime::ZERO,
-                available: true,
-                terminated: false,
-                down: false,
-            },
-        );
+        self.nodes.push(Node {
+            host: NodeHost::new(id, logic),
+            name,
+            busy_until: SimTime::ZERO,
+            available: true,
+            terminated: false,
+            down: false,
+        });
         self.inject_input(id, BoxInput::Start);
         id
     }
@@ -325,7 +318,7 @@ impl Network {
     /// Mark a box unavailable: channel setup toward it reports
     /// `Peer(Unavailable)` and delivers no far-end `ChannelUp`.
     pub fn set_available(&mut self, id: BoxId, available: bool) {
-        self.nodes.get_mut(&id).expect("box exists").available = available;
+        self.nodes[ix(id)].available = available;
     }
 
     /// Install a fault plan on a channel. Signals transmitted on the
@@ -338,8 +331,7 @@ impl Network {
     /// Enable the §VI retransmission/recovery layer on a box. Awaits
     /// already outstanding are armed immediately.
     pub fn enable_reliability(&mut self, id: BoxId, cfg: ReliableConfig) {
-        let node = self.nodes.get_mut(&id).expect("box exists");
-        node.host.enable_reliability(cfg);
+        self.nodes[ix(id)].host.enable_reliability(cfg);
         self.deliver(id, Input::Rearm, None, None);
     }
 
@@ -423,32 +415,31 @@ impl Network {
     /// orientation), in channel-id order.
     pub fn channels_between(&self, a: BoxId, b: BoxId) -> Vec<ChannelId> {
         let key = pair_key(a, b);
-        let mut out: Vec<ChannelId> = self
-            .channels
-            .iter()
-            .filter(|(_, c)| c.b.is_some_and(|b| pair_key(c.a, b) == key))
-            .map(|(&id, _)| id)
-            .collect();
-        out.sort_by_key(|c| c.0);
-        out
+        let between = |c: &Channel| c.b.is_some_and(|b| pair_key(c.a, b) == key);
+        (0..)
+            .map(ChannelId)
+            .zip(&self.channels)
+            .filter(|(_, c)| c.as_ref().is_some_and(between))
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// True iff every slot of the box has converged (§VI quiescence: no
     /// unanswered open/close/describe).
     pub fn converged(&self, id: BoxId) -> bool {
-        reliable::converged(self.nodes[&id].host.media())
+        reliable::converged(self.media(id))
     }
 
     /// True iff every box in the network has converged.
     pub fn all_converged(&self) -> bool {
         self.nodes
-            .values()
+            .iter()
             .all(|n| reliable::converged(n.host.media()))
     }
 
     /// Slots of `id` that exhausted their retries and parked.
     pub fn parked_slots(&self, id: BoxId) -> Vec<SlotId> {
-        self.nodes[&id].host.parked_slots()
+        self.nodes[ix(id)].host.parked_slots()
     }
 
     pub fn box_id(&self, name: &str) -> Option<BoxId> {
@@ -457,7 +448,7 @@ impl Network {
 
     /// Read access to a box's media layer (slots, goals) for assertions.
     pub fn media(&self, id: BoxId) -> &MediaBox {
-        self.nodes[&id].host.media()
+        self.nodes[ix(id)].host.media()
     }
 
     pub fn media_by_name(&self, name: &str) -> &MediaBox {
@@ -483,7 +474,7 @@ impl Network {
             self.push_input(self.now, to, input, None, None);
         }
         let slots = |id| {
-            self.nodes[&id]
+            self.nodes[ix(id)]
                 .host
                 .channel_slots(ch)
                 .expect("paired")
@@ -495,13 +486,13 @@ impl Network {
     /// Allocate a channel id, record its two ends, and register it (slot
     /// ids are fixed here) with the host at each.
     fn pair(&mut self, a: BoxId, b: Option<BoxId>, tunnels: u16) -> ChannelId {
-        let ch = ChannelId(self.next_channel);
-        self.next_channel += 1;
-        self.channels.insert(ch, Channel { a, b });
+        let ch = ChannelId(u32::try_from(self.channels.len()).expect("channel ids fit u32"));
+        self.channels.push(Some(Channel { a, b }));
         for (id, initiator) in [(Some(a), true), (b, false)] {
             if let Some(id) = id {
-                let node = self.nodes.get_mut(&id).expect("box exists");
-                node.host.register_channel(ch, tunnels, initiator);
+                self.nodes[ix(id)]
+                    .host
+                    .register_channel(ch, tunnels, initiator);
             }
         }
         ch
@@ -571,13 +562,13 @@ impl Network {
         match sch.ev {
             Ev::Input { to, input, from } => self.deliver(to, input, from, sch.ctx),
             Ev::Crash { to } => {
-                if let Some(node) = self.nodes.get_mut(&to) {
+                if let Some(node) = self.nodes.get_mut(ix(to)) {
                     node.down = true;
                     self.obs.fault_injected(to.0, "crash");
                 }
             }
             Ev::Restart { to } => {
-                if let Some(node) = self.nodes.get_mut(&to).filter(|n| n.down) {
+                if let Some(node) = self.nodes.get_mut(ix(to)).filter(|n| n.down) {
                     node.down = false;
                     self.obs.fault_injected(to.0, "restart");
                     // Fires swallowed while down never come back, so the
@@ -618,7 +609,7 @@ impl Network {
     /// Hand one input to a box's host — charging the compute cost *c* if
     /// the box computes on it — and schedule what comes out.
     fn deliver(&mut self, to: BoxId, input: Input, from: Option<BoxId>, ctx: Option<SpanCtx>) {
-        let Some(node) = self.nodes.get_mut(&to) else {
+        let Some(node) = self.nodes.get_mut(ix(to)) else {
             return;
         };
         // Crashed and terminated boxes lose what is sent to them. Harness
@@ -693,7 +684,7 @@ impl Network {
                     outcome.ctx,
                 ),
                 Effect::Terminated => {
-                    self.nodes.get_mut(&to).expect("box exists").terminated = true;
+                    self.nodes[ix(to)].terminated = true;
                 }
             }
         }
@@ -702,7 +693,8 @@ impl Network {
 
     /// Put a message on a channel: partitions, then the channel's burst
     /// window or baseline fault plan, decide its fate; surviving copies
-    /// reach the far end one network latency after they left.
+    /// reach the far end one network latency after they left. A network
+    /// with no partition and no fault plan consults none of those tables.
     fn transmit(
         &mut self,
         from: BoxId,
@@ -712,36 +704,38 @@ impl Network {
         ctx: Option<SpanCtx>,
     ) {
         // The far end closed the channel under us, or never came up.
-        let Some(peer) = self.channels.get(&ch).and_then(|c| c.peer_of(from)) else {
+        let channel = self.channels.get(ch.0 as usize).and_then(Option::as_ref);
+        let Some(peer) = channel.and_then(|c| c.peer_of(from)) else {
             return;
         };
-        if self.blocked(from, peer) {
+        if !self.partitions.is_empty() && self.blocked(from, peer) {
             self.obs.fault_injected(from.0, "partition");
             return;
         }
+        let at = sent + self.cfg.net_latency;
         // Meta traffic rides the same links (so partitions swallow it
         // too) but is not subject to per-signal fault plans.
-        let fate = if matches!(msg, ChannelMsg::Meta(_)) {
-            SendFate::clean()
+        let unplanned = self.bursts.is_empty() && self.faults.is_empty();
+        let plan = if unplanned || matches!(msg, ChannelMsg::Meta(_)) {
+            None
         } else {
             // A live burst window overrides the baseline plan; expired
             // bursts are reaped lazily here so the baseline resumes.
             if self.bursts.get(&ch).is_some_and(|b| sent > b.until) {
                 self.bursts.remove(&ch);
             }
-            match (self.bursts.get_mut(&ch), self.faults.get_mut(&ch)) {
-                (Some(b), _) => b.fs.fate(),
-                (None, Some(f)) => f.fate(),
-                (None, None) => SendFate::clean(),
-            }
+            let burst = self.bursts.get_mut(&ch).map(|b| &mut b.fs);
+            burst.or_else(|| self.faults.get_mut(&ch))
         };
-        match fate {
+        let Some(plan) = plan else {
+            let input = Input::Msg { channel: ch, msg };
+            return self.push_input(at, peer, input, Some(from), ctx);
+        };
+        match plan.fate() {
             SendFate::Dropped => self.obs.fault_injected(from.0, "drop"),
             SendFate::Deliver(copies) => {
                 // The payload is moved into the final copy; only a
-                // fault-injected duplicate pays for a clone, so the clean
-                // single-copy path (all of a storm's traffic on perfect
-                // channels) stays allocation-free per delivery.
+                // fault-injected duplicate pays for a clone.
                 let last = copies.len() - 1;
                 let mut msg = Some(msg);
                 for (i, copy) in copies.into_iter().enumerate() {
@@ -753,13 +747,8 @@ impl Network {
                     } else {
                         msg.clone().expect("kept until last")
                     };
-                    self.push_input(
-                        sent + self.cfg.net_latency + copy.extra_delay,
-                        peer,
-                        Input::Msg { channel: ch, msg },
-                        Some(from),
-                        ctx,
-                    );
+                    let input = Input::Msg { channel: ch, msg };
+                    self.push_input(at + copy.extra_delay, peer, input, Some(from), ctx);
                 }
             }
         }
@@ -780,7 +769,7 @@ impl Network {
         // observe and destroy (Fig. 6's busy branch).
         let target = self.names.get(to_name).copied().filter(|t| {
             let (ab, ba) = self.partition_between(from, *t);
-            self.nodes[t].available && !ab && !ba
+            self.nodes[ix(*t)].available && !ab && !ba
         });
         let ch = self.pair(from, target, tunnels);
 
@@ -816,7 +805,7 @@ impl Network {
     }
 
     fn close_channel(&mut self, from: BoxId, ch: ChannelId, sent: SimTime) {
-        let Some(channel) = self.channels.remove(&ch) else {
+        let Some(channel) = self.channels.get_mut(ch.0 as usize).and_then(Option::take) else {
             return;
         };
         // The local slots are gone already; the far end's die when it
@@ -860,7 +849,7 @@ impl Network {
     /// Latency measurements use it as the completion instant of the state
     /// change observed by a `run_until` predicate.
     pub fn busy_until(&self, id: BoxId) -> SimTime {
-        self.nodes[&id].busy_until
+        self.nodes[ix(id)].busy_until
     }
 
     /// Advance virtual time with nothing happening (boxes go idle). Only
@@ -871,15 +860,10 @@ impl Network {
         self.now += d;
     }
 
-    /// Names and ids of all boxes (deterministic order).
+    /// Names and ids of all boxes, in id order.
     pub fn boxes(&self) -> Vec<(BoxId, String)> {
-        let mut v: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|(id, n)| (*id, n.name.clone()))
-            .collect();
-        v.sort();
-        v
+        let named = |(id, n): (u32, &Node)| (BoxId(id), n.name.clone());
+        (0..).zip(&self.nodes).map(named).collect()
     }
 
     /// Count of pending events (for quiescence checks in tests).
