@@ -193,6 +193,7 @@ impl NetsimStormReport {
     }
 }
 
+/// One built call of the storm: its endpoints, relays and slots.
 pub struct NetsimCall {
     plan: CallPlan,
     l: BoxId,

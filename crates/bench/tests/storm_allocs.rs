@@ -5,8 +5,8 @@
 //! gives the same numbers on every run and a regression is a changed
 //! count rather than a slower clock.
 //!
-//! One `#[test]` only: the counters are process-wide, and a second test
-//! running beside this one would be counted into it.
+//! One `#[test]` only: the counters are process-wide, and two measuring
+//! threads would count into each other.
 
 use ipmedia_bench::storm::{build_netsim_calls, generate_storm, run_netsim_storm, StormSpec};
 use ipmedia_netsim::{Network, SimConfig};

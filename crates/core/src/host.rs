@@ -6,11 +6,11 @@
 //! the channel → slots table and slot → `(channel, tunnel)` routes, the
 //! optional §VI [`Reliability`] layer, and the activation-span logic. A
 //! substrate feeds it [`Input`]s and executes the [`Effect`]s it appends
-//! to the [`Buffers`] the substrate lends it; observer calls happen inside. The host has
-//! no clock, no queue, no socket and no `async`: the discrete-event
-//! simulator turns effects into scheduled events, the tokio runtime turns
-//! them into frames, and a test can wire two hosts back to back with a
-//! `Vec`.
+//! to the [`Buffers`] the substrate lends it; observer calls happen
+//! inside. The host has no clock, no queue, no socket and no `async`: the
+//! discrete-event simulator turns effects into scheduled events, the tokio
+//! runtime turns them into frames, and a test can wire two hosts back to
+//! back with a `Vec`.
 
 use crate::boxes::{BoxNote, MediaBox};
 use crate::error::ProtocolError;
@@ -307,9 +307,9 @@ impl NodeHost {
         &self.channels[at].1
     }
 
-    /// Apply one input. Effects are appended to `bufs.effects` in the order the
-    /// substrate must execute them; protocol activity is reported to
-    /// `obs`, and with a `tracer` the activation is recorded as spans.
+    /// Apply one input. Effects are appended to `bufs.effects` in the
+    /// order the substrate must execute them; protocol activity is reported
+    /// to `obs`, and with a `tracer` the activation is recorded as spans.
     ///
     /// The only error is a user command the slot protocol rejects; the
     /// substrate decides what a rejection means.

@@ -862,8 +862,10 @@ impl Network {
 
     /// Names and ids of all boxes, in id order.
     pub fn boxes(&self) -> Vec<(BoxId, String)> {
-        let named = |(id, n): (u32, &Node)| (BoxId(id), n.name.clone());
-        (0..).zip(&self.nodes).map(named).collect()
+        (0..)
+            .zip(&self.nodes)
+            .map(|(id, n)| (BoxId(id), n.name.clone()))
+            .collect()
     }
 
     /// Count of pending events (for quiescence checks in tests).

@@ -555,6 +555,31 @@ mod tests {
     }
 
     #[test]
+    fn descriptor_with_too_many_codecs_is_malformed() {
+        // A full list round-trips; one more codec byte than there are
+        // codecs (so one of them repeats) is refused, not truncated.
+        let full = Descriptor {
+            codecs: Codec::ALL.into(),
+            ..desc()
+        };
+        let frame = Frame::Msg(ChannelMsg::Tunnel {
+            tunnel: TunnelId(0),
+            signal: Signal::Oack { desc: full },
+        });
+        let mut bytes = encode(&frame).to_vec();
+        assert_eq!(decode(Bytes::from(bytes.clone())), Ok(frame));
+        // The descriptor ends the frame: a count byte, then the codecs.
+        let count = bytes.len() - 1 - Codec::ALL.len();
+        assert_eq!(usize::from(bytes[count]), Codec::ALL.len());
+        bytes[count] += 1;
+        bytes.push(codec_id(Codec::G711));
+        assert_eq!(
+            decode(Bytes::from(bytes)),
+            Err(WireError::Malformed("descriptor with too many codecs"))
+        );
+    }
+
+    #[test]
     fn bye_roundtrip() {
         roundtrip(Frame::Bye);
     }

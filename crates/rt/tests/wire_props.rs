@@ -1,0 +1,163 @@
+//! The two decoders that face bytes from outside the program —
+//! [`ipmedia_rt::decode`] and [`Framed::read_frame`] — return `Ok` or `Err`
+//! for any input: they never panic, and never reserve memory by a length
+//! the peer chose (a frame is bounded by [`MAX_FRAME`], a list inside one
+//! by the bytes that are actually there).
+//!
+//! Random bytes alone die on the version byte, so most cases start from a
+//! valid frame of every kind and damage it.
+
+use bytes::Bytes;
+use ipmedia_core::{
+    AppEvent, ChannelMsg, Codec, DescTag, Descriptor, MediaAddr, Medium, MetaSignal, MixRow,
+    Selector, Signal, TunnelId,
+};
+use ipmedia_obs::trace::{SpanCtx, SpanId, TraceId};
+use ipmedia_rt::{decode, encode, Frame, FrameError, Framed, Hello, MAX_FRAME, WIRE_VERSION};
+use proptest::prelude::*;
+use tokio::io::{duplex, AsyncWriteExt};
+use tokio::runtime::block_on;
+
+/// One valid frame of every kind the codec knows.
+fn corpus() -> Vec<Frame> {
+    let tag = DescTag {
+        origin: 0xDEAD_BEEF,
+        generation: 7,
+    };
+    let v4 = MediaAddr::v4(10, 1, 2, 3, 4000);
+    let v6 = MediaAddr::new("2001:db8::1".parse().unwrap(), 9000);
+    let tunnel = |signal| ChannelMsg::Tunnel {
+        tunnel: TunnelId(3),
+        signal,
+    };
+    let msgs = [
+        tunnel(Signal::Open {
+            medium: Medium::Video,
+            desc: Descriptor::media(tag, v4, Codec::ALL[1..].to_vec()),
+        }),
+        tunnel(Signal::Oack {
+            desc: Descriptor::media(tag, v6, vec![Codec::G711]),
+        }),
+        tunnel(Signal::Describe {
+            desc: Descriptor::no_media(tag),
+        }),
+        tunnel(Signal::Select {
+            sel: Selector::sending(tag, v4, Codec::G729),
+        }),
+        tunnel(Signal::Close),
+        ChannelMsg::Meta(MetaSignal::App(AppEvent::Custom("switch:1".into()))),
+        ChannelMsg::Meta(MetaSignal::App(AppEvent::MixMatrix(vec![MixRow {
+            output: 1,
+            hears: vec![(0, 100), (2, 30)],
+        }]))),
+    ];
+    let ctx = SpanCtx {
+        trace: TraceId(1),
+        parent: SpanId(2),
+        bx: 3,
+        sent_micros: 4,
+    };
+    let hello = Frame::Hello(Hello {
+        from: "pbx".into(),
+        tunnels: 5,
+    });
+    let traced = msgs.iter().cloned().map(|msg| Frame::Traced { ctx, msg });
+    [hello, Frame::Bye]
+        .into_iter()
+        .chain(msgs.iter().cloned().map(Frame::Msg))
+        .chain(traced)
+        .collect()
+}
+
+/// A valid frame's bytes with `edits` applied (position, new byte), then
+/// cut to `keep` bytes and followed by `tail`.
+fn damaged(pick: usize, edits: &[(u16, u8)], keep: u16, tail: &[u8]) -> Vec<u8> {
+    let frames = corpus();
+    let mut bytes = encode(&frames[pick % frames.len()]).to_vec();
+    for &(at, byte) in edits {
+        let at = usize::from(at) % bytes.len();
+        bytes[at] = byte;
+    }
+    bytes.truncate(usize::from(keep) % (bytes.len() + 1));
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+/// Read frames until the stream ends or errs; every payload goes through
+/// `decode` too.
+async fn drain(stream: Vec<u8>) -> Result<usize, FrameError> {
+    // The pipe holds the whole stream, so one task can write then read.
+    let (mut tx, rx) = duplex(stream.len().max(1));
+    tx.write_all(&stream).await.expect("the pipe has room");
+    drop(tx);
+    let mut framed = Framed::new(rx);
+    let mut frames = 0;
+    while let Some(payload) = framed.read_frame().await? {
+        assert!(payload.len() <= MAX_FRAME);
+        let _ = decode(payload);
+        frames += 1;
+    }
+    Ok(frames)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decode_is_total_on_damaged_frames(
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+        keep in any::<u16>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let _ = decode(Bytes::from(damaged(pick, &edits, keep, &tail)));
+    }
+
+    #[test]
+    fn decode_is_total_past_the_version_byte(
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut bytes = vec![WIRE_VERSION];
+        bytes.extend_from_slice(&body);
+        let _ = decode(Bytes::from(bytes));
+    }
+
+    #[test]
+    fn read_frame_is_total_on_any_byte_stream(
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+        keep in any::<u16>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // Two well-framed payloads (the second one damaged), then noise
+        // where the next length prefix should be.
+        let frames = corpus();
+        let mut stream = Vec::new();
+        for payload in [
+            encode(&frames[pick % frames.len()]).to_vec(),
+            damaged(pick / 7, &edits, keep, &[]),
+        ] {
+            stream.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_be_bytes());
+            stream.extend_from_slice(&payload);
+        }
+        stream.extend_from_slice(&noise);
+        match block_on(drain(stream)) {
+            Ok(frames) => prop_assert!(frames >= 2),
+            Err(FrameError::TooLarge(n)) => prop_assert!(n > MAX_FRAME),
+            Err(FrameError::UnexpectedEof) => {}
+            Err(FrameError::Io(e)) => panic!("an in-memory pipe failed: {e}"),
+        }
+    }
+}
+
+/// The length prefix is checked before any buffer grows: a 4 GiB frame
+/// costs its four bytes.
+#[test]
+fn an_oversized_length_prefix_is_refused_unread() {
+    let mut stream = u32::MAX.to_be_bytes().to_vec();
+    stream.extend_from_slice(&[0; 16]);
+    assert!(matches!(
+        block_on(drain(stream)),
+        Err(FrameError::TooLarge(n)) if n == u32::MAX as usize
+    ));
+}

@@ -10,19 +10,30 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 CARGO_ARGS=("$@")
 
-# timed_gate LABEL BUDGET_SECS FAILURE PACKAGE BIN [ARG...]
+# timed_gate LABEL BUDGET_SECS FAILURE PACKAGE TARGET [ARG...]
 #
-# Build PACKAGE's release binary BIN and run it with ARGs under a
+# Build one release target of PACKAGE and run it with ARGs under a
 # wall-clock budget, stdout discarded (stderr too with GATE_STDERR set to
-# /dev/null). `timeout` enforces the budget, so a throughput regression
-# fails the gate instead of silently slowing CI down: exit 124 is reported
-# as a blown budget, any other failure as "LABEL FAILURE", and either ends
-# the script with that status.
+# /dev/null). TARGET is a binary's name, or `test:NAME` for the
+# integration test `tests/NAME.rs`. `timeout` enforces the budget, so a
+# throughput regression fails the gate instead of silently slowing CI
+# down: exit 124 is reported as a blown budget, any other failure as
+# "LABEL FAILURE", and either ends the script with that status.
 timed_gate() {
-  local label=$1 budget=$2 failure=$3 package=$4 bin=$5 status=0
+  local label=$1 budget=$2 failure=$3 package=$4 target=$5 status=0
+  local -a run
   shift 5
-  cargo build "${CARGO_ARGS[@]}" --release -q -p "$package" --bin "$bin"
-  timeout "$budget" "./target/release/$bin" "$@" \
+  case $target in
+    test:*)
+      run=(cargo test "${CARGO_ARGS[@]}" --release -q -p "$package" --test "${target#test:}")
+      "${run[@]}" --no-run
+      ;;
+    *)
+      cargo build "${CARGO_ARGS[@]}" --release -q -p "$package" --bin "$target"
+      run=("./target/release/$target")
+      ;;
+  esac
+  timeout "$budget" "${run[@]}" "$@" \
     >/dev/null 2>"${GATE_STDERR:-/dev/stderr}" || status=$?
   if [ "$status" -eq 124 ]; then
     echo "$label exceeded the ${budget}s wall-clock budget" >&2
@@ -47,6 +58,13 @@ echo "== benchmark self-test (unit tests + --quick smoke of every workload)" >&2
 # output checks (zero frames shed or retransmitted among them), so a
 # change that breaks it fails here rather than in the measurement.
 cargo test "${CARGO_ARGS[@]}" --release --manifest-path benchmark/Cargo.toml
+
+echo "== storm allocation budget (exact-repeat counts, optimized build)" >&2
+# Allocations per storm and bytes per built box are counts, not timings:
+# the debug run above and this release run must both land on the pinned
+# values, so a layout regression fails here whatever the host's speed.
+timed_gate "storm allocation budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
+  ipmedia-bench test:storm_allocs
 
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic

@@ -15,8 +15,12 @@ use ipmedia::core::{Codec, MediaAddr, Medium, Signal, Slot, SlotState};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
+/// A non-empty priority list over every real codec, audio, video and text
+/// mixed (a video phone lists all it speaks).
 fn arb_codecs() -> impl Strategy<Value = Vec<Codec>> {
-    proptest::sample::subsequence(vec![Codec::G711, Codec::G726, Codec::G729], 1..=3)
+    let real: Vec<Codec> = Codec::ALL.into_iter().filter(|c| c.is_real()).collect();
+    let all = real.len();
+    proptest::sample::subsequence(real, 1..=all)
 }
 
 fn arb_policy(host: u8) -> impl Strategy<Value = EndpointPolicy> {
