@@ -26,7 +26,7 @@ use ipmedia_core::reliable;
 use ipmedia_core::retag::Retag;
 use ipmedia_core::signal::Signal;
 use ipmedia_core::slot::{Slot, SlotAction, SlotState};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Exploration bounds and path shape.
 #[derive(Debug, Clone, Copy)]
@@ -710,28 +710,32 @@ impl PathState {
     /// tag generations then hash identically; the protocol only ever tests
     /// tags for equality, so this quotient is bisimulation-preserving.
     pub fn canonicalize(&mut self) {
-        // Pass 1: collect generations per origin, in deterministic order.
-        let mut per_origin: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        // Pass 1: the distinct tags in use. Sorted, a tag's rank within
+        // its origin's run is its canonical generation.
+        let mut tags: Vec<DescTag> = Vec::with_capacity(16);
         self.visit_all_tags(&mut |t: &mut DescTag| {
-            let v = per_origin.entry(t.origin).or_default();
-            if !v.contains(&t.generation) {
-                v.push(t.generation);
+            if !tags.contains(t) {
+                tags.push(*t);
             }
         });
-        let mut mapping: BTreeMap<(u64, u32), u32> = BTreeMap::new();
-        for (origin, mut gens) in per_origin.clone() {
-            gens.sort_unstable();
-            for (i, g) in gens.iter().enumerate() {
-                mapping.insert((origin, *g), i as u32);
-            }
+        tags.sort_unstable();
+        let run_start = |origin: u64| tags.partition_point(|t| t.origin < origin);
+        // Pass 2: rewrite tags — unless every generation already is its
+        // rank, which is the usual case: most transitions mint no tag and
+        // retire none.
+        let dense = tags
+            .iter()
+            .enumerate()
+            .all(|(i, t)| t.generation as usize == i - run_start(t.origin));
+        if !dense {
+            self.visit_all_tags(&mut |t: &mut DescTag| {
+                let at = tags.binary_search(t).expect("tag collected in pass 1");
+                t.generation = (at - run_start(t.origin)) as u32;
+            });
         }
-        // Pass 2: rewrite tags.
-        self.visit_all_tags(&mut |t: &mut DescTag| {
-            t.generation = mapping[&(t.origin, t.generation)];
-        });
-        // Pass 3: reset sources.
+        // Pass 3: reset sources just past the generations in use.
         self.visit_all_sources(&mut |s: &mut TagSource| {
-            let used = per_origin.get(&s.origin()).map(|v| v.len()).unwrap_or(0);
+            let used = tags.iter().filter(|t| t.origin == s.origin()).count();
             s.set_generation_counter(used as u32);
         });
     }
@@ -937,6 +941,38 @@ mod tests {
             s = s.apply(&cfg, acts[0]);
         }
         assert!(looped, "reopen loop must revisit a canonical state");
+    }
+
+    #[test]
+    fn canonicalize_renumbers_sparse_generations_in_order() {
+        // Along a walk with a mid-call modify (so one origin has several
+        // generations alive at once), spread every state's generations out
+        // order-preservingly and advance its sources: canonicalizing must
+        // give back the canonical state the walk produced.
+        let cfg = CheckConfig::standard(1, EndGoal::Open, EndGoal::Hold);
+        let mut s = PathState::initial(&cfg);
+        let mut several_generations = false;
+        for step in 0..64 {
+            let mut sparse = s.clone();
+            sparse.visit_all_tags(&mut |t: &mut DescTag| {
+                several_generations |= t.generation > 0;
+                t.generation = 3 * t.generation + 5;
+            });
+            sparse.visit_all_sources(&mut |src: &mut TagSource| src.set_generation_counter(40));
+            sparse.canonicalize();
+            assert_eq!(sparse, s, "step {step}");
+            let actions = s.actions(&cfg);
+            let Some(&first) = actions.first() else {
+                break;
+            };
+            // Prefer a modify when one is enabled, else the first action.
+            let modify = actions
+                .iter()
+                .copied()
+                .find(|a| matches!(a, Action::EndModify { .. }));
+            s = s.apply(&cfg, modify.unwrap_or(first));
+        }
+        assert!(several_generations, "the walk never had two live tags");
     }
 
     #[test]

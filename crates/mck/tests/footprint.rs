@@ -1,0 +1,166 @@
+//! What an exploration costs in memory, as exact-repeat counts: the most
+//! bytes it holds at once, how many heap allocations one transition takes,
+//! and how many bytes the graph it returns keeps. All three follow from how
+//! the engine stores a state (DESIGN §5.1: a row of component ids, not a
+//! `PathState`), not from the host, so at one thread they are the same on
+//! every run and a regression is a changed count rather than a slower clock.
+//!
+//! One `#[test]` only: the counters are process-wide, and two measuring
+//! threads would count into each other.
+
+use ipmedia_core::path::EndGoal;
+use ipmedia_mck::{budgeted, explore, CheckConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Counts allocations made by the thread that asked for counting, the
+/// bytes it holds, and the most it ever held.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the measuring thread only, so the test harness's own
+    /// threads stay out of the counts. `const` and without a destructor:
+    /// reading it from inside the allocator allocates nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the wrapper only
+// updates counters, and never allocates itself.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            grew(layout.size());
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.with(Cell::get) {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            // Counted as growing in place, which is what the system
+            // allocator does with the large blocks that decide the peak.
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// One exploration's counts.
+#[derive(Debug, PartialEq, Eq)]
+struct Footprint {
+    states: usize,
+    transitions: usize,
+    allocs: u64,
+    /// Most bytes held at once while exploring.
+    peak: usize,
+    /// Bytes the returned graph keeps.
+    kept: usize,
+}
+
+fn measure(cfg: &CheckConfig) -> Footprint {
+    let (allocs, live) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
+    PEAK.store(live, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let g = explore(cfg, usize::MAX);
+    COUNTING.with(|c| c.set(false));
+    assert!(!g.truncated);
+    Footprint {
+        states: g.states(),
+        transitions: g.transitions,
+        allocs: ALLOCS.load(Ordering::Relaxed) - allocs,
+        peak: PEAK.load(Ordering::Relaxed) - live,
+        kept: LIVE.load(Ordering::Relaxed) - live,
+    }
+}
+
+/// What one configuration may cost at most: the counts this layout
+/// reaches. The `PathState` arena it replaced held 2,100 and 1,629 peak
+/// bytes a state and made 17.7 and 15.1 allocations a transition.
+struct Budget {
+    name: &'static str,
+    cfg: CheckConfig,
+    peak: usize,
+    allocs: u64,
+    kept: usize,
+}
+
+#[test]
+fn exploration_stays_inside_its_memory_budget() {
+    let open_hold = |links| budgeted(links, EndGoal::Open, EndGoal::Hold, 0);
+    let budgets = [
+        Budget {
+            name: "open-hold/1",
+            cfg: open_hold(1),
+            peak: 200_945_768,
+            allocs: 2_493_788,
+            kept: 11_354_344,
+        },
+        Budget {
+            name: "open-hold/0+1fault",
+            cfg: open_hold(0).with_faults(1),
+            peak: 149_500_148,
+            allocs: 1_484_822,
+            kept: 10_604_836,
+        },
+    ];
+    for b in &budgets {
+        let seen = measure(&b.cfg);
+        assert_eq!(seen, measure(&b.cfg), "{}: counts must repeat", b.name);
+        eprintln!(
+            "footprint {}: {} states, {} transitions; peak {} B = {} a state; \
+             {} allocations = {:.2} a transition; graph keeps {} B = {} a state",
+            b.name,
+            seen.states,
+            seen.transitions,
+            seen.peak,
+            seen.peak / seen.states,
+            seen.allocs,
+            seen.allocs as f64 / seen.transitions as f64,
+            seen.kept,
+            seen.kept / seen.states,
+        );
+        assert!(
+            seen.peak <= b.peak,
+            "{}: {} bytes held at the peak, budget {}",
+            b.name,
+            seen.peak,
+            b.peak
+        );
+        assert!(
+            seen.allocs <= b.allocs,
+            "{}: {} allocations, budget {}",
+            b.name,
+            seen.allocs,
+            b.allocs
+        );
+        assert!(
+            seen.kept <= b.kept,
+            "{}: the graph keeps {} bytes, budget {}",
+            b.name,
+            seen.kept,
+            b.kept
+        );
+    }
+}
