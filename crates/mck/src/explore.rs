@@ -18,9 +18,23 @@
 //! differ only in tag history collapse in the seen-set before they are
 //! ever expanded; the `dedup_hits` counter reports how many transitions
 //! landed on an already-interned state.
+//!
+//! A state is *stored* as a row of `u32`s, not as a [`PathState`] (Spin's
+//! COLLAPSE compression): a global state is the tuple of its components'
+//! states, and a hundred thousand states are made of a few hundred
+//! distinct boxes and queue contents. Each endpoint box, flowlink box and
+//! tunnel queue is interned in a table of its own ([`Components`]) and the
+//! row holds the ids, with the three per-tunnel counters packed inline.
+//! Dedup stays exact: a component-hash hit is confirmed by comparing the
+//! values and a row-hash hit by comparing the rows, so two rows are equal
+//! exactly when their states are. Ids are only ever compared for equality
+//! within one run — never ordered, never exported — so the order in which
+//! racing workers happen to intern components cannot reach the graph.
+//! A full `PathState` exists only while a frontier state is being expanded.
 
-use crate::state::{Action, CheckConfig, PathState};
-use std::collections::HashMap;
+use crate::state::{Action, CheckConfig, EndBox, LinkBox, PathState, Tunnel};
+use ipmedia_core::signal::Signal;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -119,11 +133,179 @@ impl Hasher for PreHashed {
 
 type HashIndex = HashMap<u64, Vec<u32>, BuildHasherDefault<PreHashed>>;
 
-/// Hash a canonical state with [`FxHasher`].
-pub fn state_hash(s: &PathState) -> u64 {
+/// Hash a value with [`FxHasher`]: a canonical state, one of its
+/// components, or a row of component ids.
+pub fn state_hash<T: Hash + ?Sized>(v: &T) -> u64 {
     let mut h = FxHasher::default();
-    s.hash(&mut h);
+    v.hash(&mut h);
     h.finish()
+}
+
+/// The index of the row equal to `row` among those `index` lists under
+/// `hash`, where `rows` holds rows of `row`'s width back to back.
+fn find_row(index: &HashIndex, rows: &[u32], hash: u64, row: &[u32]) -> Option<u32> {
+    let w = row.len();
+    index
+        .get(&hash)?
+        .iter()
+        .copied()
+        .find(|&id| rows[id as usize * w..][..w] == *row)
+}
+
+/// Interning table for one component type: equal values get the same id,
+/// different values different ids.
+struct Table<T> {
+    values: Vec<T>,
+    by_hash: HashIndex,
+}
+
+impl<T> Default for Table<T> {
+    fn default() -> Self {
+        Table {
+            values: Vec::new(),
+            by_hash: HashIndex::default(),
+        }
+    }
+}
+
+/// The id of `v` in `table`. A component that compares equal to its
+/// parent state's (`inherited`: that component and its id) keeps the id
+/// without being hashed; otherwise a hash hit is confirmed by value.
+fn intern<T: Clone + Eq + Hash>(
+    table: &Mutex<Table<T>>,
+    v: &T,
+    inherited: Option<(&T, u32)>,
+) -> u32 {
+    if let Some((_, id)) = inherited.filter(|(parent, _)| *parent == v) {
+        return id;
+    }
+    let hash = state_hash(v);
+    let mut table = table.lock().expect("component table lock");
+    let Table { values, by_hash } = &mut *table;
+    let ids = by_hash.entry(hash).or_default();
+    if let Some(&id) = ids.iter().find(|&&id| values[id as usize] == *v) {
+        return id;
+    }
+    let id = values.len() as u32;
+    ids.push(id);
+    values.push(v.clone());
+    id
+}
+
+/// The component tables of one exploration, shared by its workers, and
+/// the row layout over them: `[left, right, links.., (fwd, bwd, counters)
+/// per tunnel]`.
+struct Components {
+    /// Flowlink boxes of the path; fixes the row width.
+    links: usize,
+    ends: Mutex<Table<EndBox>>,
+    boxes: Mutex<Table<LinkBox>>,
+    queues: Mutex<Table<VecDeque<Signal>>>,
+}
+
+impl Components {
+    fn new(links: usize) -> Self {
+        Components {
+            links,
+            ends: Mutex::default(),
+            boxes: Mutex::default(),
+            queues: Mutex::default(),
+        }
+    }
+
+    /// `u32`s in a row.
+    fn width(&self) -> usize {
+        2 + self.links + 3 * (self.links + 1)
+    }
+
+    /// Append the row of `s` to `row`. `parent` is the state `s` was
+    /// stepped from and that state's row: whatever the step left alone
+    /// inherits its id.
+    fn pack(&self, s: &PathState, parent: Option<(&PathState, &[u32])>, row: &mut Vec<u32>) {
+        assert!(
+            s.links.len() == self.links && s.tunnels.len() == self.links + 1,
+            "a state with {} flowlink(s) in a seen-set built for {}",
+            s.links.len(),
+            self.links
+        );
+        // The parent state and the id its row holds in column `col`.
+        let hint = |col: usize| parent.map(|(p, ids)| (p, ids[col]));
+        let (ends, boxes, queues) = (&self.ends, &self.boxes, &self.queues);
+        row.push(intern(ends, &s.left, hint(0).map(|(p, id)| (&p.left, id))));
+        row.push(intern(
+            ends,
+            &s.right,
+            hint(1).map(|(p, id)| (&p.right, id)),
+        ));
+        for (i, link) in s.links.iter().enumerate() {
+            row.push(intern(
+                boxes,
+                link,
+                hint(2 + i).map(|(p, id)| (&p.links[i], id)),
+            ));
+        }
+        for (t, tun) in s.tunnels.iter().enumerate() {
+            let col = 2 + self.links + 3 * t;
+            let (fwd, bwd) = (hint(col), hint(col + 1));
+            row.push(intern(
+                queues,
+                &tun.fwd,
+                fwd.map(|(p, id)| (&p.tunnels[t].fwd, id)),
+            ));
+            row.push(intern(
+                queues,
+                &tun.bwd,
+                bwd.map(|(p, id)| (&p.tunnels[t].bwd, id)),
+            ));
+            row.push(u32::from_le_bytes([
+                tun.faults_left,
+                tun.lost_fwd,
+                tun.lost_bwd,
+                0,
+            ]));
+        }
+    }
+
+    /// Rebuild into `out` the state `row` was packed from, reusing `out`'s
+    /// buffers.
+    fn unpack_into(&self, row: &[u32], out: &mut PathState) {
+        let (ends, rest) = row.split_at(2);
+        let (links, tunnels) = rest.split_at(self.links);
+        {
+            let table = self.ends.lock().expect("component table lock");
+            out.left.clone_from(&table.values[ends[0] as usize]);
+            out.right.clone_from(&table.values[ends[1] as usize]);
+        }
+        {
+            let table = self.boxes.lock().expect("component table lock");
+            out.links.clear();
+            out.links
+                .extend(links.iter().map(|&id| table.values[id as usize].clone()));
+        }
+        let table = self.queues.lock().expect("component table lock");
+        out.tunnels.resize_with(self.links + 1, Tunnel::default);
+        for (tun, cols) in out.tunnels.iter_mut().zip(tunnels.chunks_exact(3)) {
+            tun.fwd.clone_from(&table.values[cols[0] as usize]);
+            tun.bwd.clone_from(&table.values[cols[1] as usize]);
+            [tun.faults_left, tun.lost_fwd, tun.lost_bwd, _] = cols[2].to_le_bytes();
+        }
+    }
+
+    /// The state `row` was packed from.
+    fn unpack(&self, row: &[u32]) -> PathState {
+        let end = |id: u32| {
+            let table = self.ends.lock().expect("component table lock");
+            table.values[id as usize].clone()
+        };
+        let mut s = PathState {
+            left: end(row[0]),
+            links: Vec::new(),
+            right: end(row[1]),
+            tunnels: Vec::new(),
+        };
+        self.unpack_into(row, &mut s);
+        s
+    }
 }
 
 #[inline]
@@ -256,11 +438,15 @@ enum Edge {
     New { shard: u32, handle: u32 },
 }
 
-/// A state discovered this level, parked in its shard until the commit
-/// phase assigns the final index.
+/// A state discovered this level, parked in its shard (its row at the
+/// same position in [`Shard::pending_rows`]) until the commit phase
+/// assigns the final index.
+#[derive(Clone, Copy)]
 struct Pending {
     hash: u64,
-    state: PathState,
+    /// Evaluated on the full state when it was first seen; only its row
+    /// is kept.
+    flags: StateFlags,
     /// Minimal discovery key: smallest `(parent, ordinal)` over every
     /// transition that reached this state within the level.
     parent: u32,
@@ -270,11 +456,13 @@ struct Pending {
 
 #[derive(Default)]
 struct Shard {
-    /// Committed states: state hash → indices of states with that hash.
+    /// Committed states: row hash → indices of states with that hash.
     known: HashIndex,
-    /// This level's discoveries: state hash → pending handles.
+    /// This level's discoveries: row hash → pending handles.
     pending_index: HashIndex,
     pending: Vec<Pending>,
+    /// Rows of `pending`, back to back.
+    pending_rows: Vec<u32>,
 }
 
 /// Output of one worker for one contiguous chunk of the level: per state,
@@ -284,18 +472,26 @@ struct ChunkOut {
     dedup_hits: u64,
 }
 
-/// Expand the states `lo..hi` of the arena against the shared seen-set.
+/// Expand the states `lo..hi` of the arena (committed rows, back to back)
+/// against the shared seen-set.
 fn expand_chunk(
     cfg: &CheckConfig,
-    arena: &[PathState],
+    components: &Components,
+    arena: &[u32],
     shards: &[Mutex<Shard>],
     lo: u32,
     hi: u32,
 ) -> ChunkOut {
+    let w = components.width();
     let mut rows = Vec::with_capacity((hi - lo) as usize);
     let mut dedup_hits = 0u64;
+    // The one full state a worker holds: the frontier state under
+    // expansion, rebuilt from its row.
+    let mut state = PathState::initial(cfg);
+    let mut row = Vec::with_capacity(w);
     for i in lo..hi {
-        let state = &arena[i as usize];
+        let own = &arena[i as usize * w..][..w];
+        components.unpack_into(own, &mut state);
         let actions = state.actions(cfg);
         if actions.is_empty() {
             rows.push((true, Vec::new()));
@@ -304,16 +500,18 @@ fn expand_chunk(
         let mut edges = Vec::with_capacity(actions.len());
         for (ordinal, &action) in actions.iter().enumerate() {
             let next = state.apply(cfg, action);
-            let hash = state_hash(&next);
+            row.clear();
+            components.pack(&next, Some((&state, own)), &mut row);
+            let hash = state_hash(&row[..]);
             let shard_id = shard_of(hash);
             let mut shard = shards[shard_id].lock().expect("shard lock");
-            if let Some(id) = lookup_known(&shard.known, arena, hash, &next) {
+            if let Some(id) = find_row(&shard.known, arena, hash, &row) {
                 dedup_hits += 1;
                 edges.push(Edge::Known(id));
                 continue;
             }
             let ordinal = ordinal as u16;
-            if let Some(handle) = lookup_pending(&shard, hash, &next) {
+            if let Some(handle) = find_row(&shard.pending_index, &shard.pending_rows, hash, &row) {
                 dedup_hits += 1;
                 let p = &mut shard.pending[handle as usize];
                 // Commutative min: the winning key is the same no matter
@@ -332,11 +530,12 @@ fn expand_chunk(
             let handle = shard.pending.len() as u32;
             shard.pending.push(Pending {
                 hash,
-                state: next,
+                flags: StateFlags::of(&next),
                 parent: i,
                 ordinal,
                 action,
             });
+            shard.pending_rows.extend_from_slice(&row);
             shard.pending_index.entry(hash).or_default().push(handle);
             edges.push(Edge::New {
                 shard: shard_id as u32,
@@ -346,23 +545,6 @@ fn expand_chunk(
         rows.push((false, edges));
     }
     ChunkOut { rows, dedup_hits }
-}
-
-fn lookup_known(known: &HashIndex, arena: &[PathState], hash: u64, s: &PathState) -> Option<u32> {
-    known
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&id| arena[id as usize] == *s)
-}
-
-fn lookup_pending(shard: &Shard, hash: u64, s: &PathState) -> Option<u32> {
-    shard
-        .pending_index
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&h| shard.pending[h as usize].state == *s)
 }
 
 /// Explore the reachable state space of `cfg`, expanding at most
@@ -379,8 +561,13 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
     let threads = ipmedia_core::par::resolve(opts.threads);
     let max_states = opts.max_states;
 
+    let components = Components::new(cfg.links);
+    let w = components.width();
     let initial = PathState::initial(cfg);
-    let initial_hash = state_hash(&initial);
+    // Committed states, one row of `w` ids each, back to back.
+    let mut arena: Vec<u32> = Vec::with_capacity(w);
+    components.pack(&initial, None, &mut arena);
+    let initial_hash = state_hash(&arena[..]);
     let mut shards: Vec<Mutex<Shard>> = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
     shards[shard_of(initial_hash)]
         .get_mut()
@@ -390,8 +577,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
         .or_default()
         .push(0);
 
-    let mut arena: Vec<PathState> = vec![initial];
-    let mut flags: Vec<StateFlags> = vec![StateFlags::of(&arena[0])];
+    let mut flags: Vec<StateFlags> = vec![StateFlags::of(&initial)];
     let mut parent: Vec<Option<(u32, Action)>> = vec![None];
     let mut succ: Vec<Vec<u32>> = vec![Vec::new()];
     let mut terminals: Vec<u32> = Vec::new();
@@ -416,12 +602,13 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
 
         // Phase A: expand this level's prefix in parallel chunks.
         let outs: Vec<ChunkOut> = {
-            let arena_ref: &[PathState] = &arena;
+            let (components, arena_ref): (&Components, &[u32]) = (&components, &arena);
             let shards_ref: &[Mutex<Shard>] = &shards;
             let workers = threads.min(take);
             if workers <= 1 {
                 vec![expand_chunk(
                     cfg,
+                    components,
                     arena_ref,
                     shards_ref,
                     level_start as u32,
@@ -435,7 +622,9 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
                             let lo = (level_start + w * chunk).min(level_start + take);
                             let hi = (lo + chunk).min(level_start + take);
                             scope.spawn(move || {
-                                expand_chunk(cfg, arena_ref, shards_ref, lo as u32, hi as u32)
+                                expand_chunk(
+                                    cfg, components, arena_ref, shards_ref, lo as u32, hi as u32,
+                                )
                             })
                         })
                         .collect();
@@ -450,39 +639,35 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
         // Phase B: commit the level. New states are numbered by their
         // minimal discovery key, which is thread-count independent.
         let mut order: Vec<(u32, u16, u32, u32)> = Vec::new();
-        let mut taken: Vec<Vec<Option<Pending>>> = Vec::with_capacity(SHARDS);
+        let mut resolve: Vec<Vec<u32>> = Vec::with_capacity(SHARDS);
         for (shard_id, shard) in shards.iter_mut().enumerate() {
             let shard = shard.get_mut().expect("unshared shard");
-            shard.pending_index.clear();
-            let drained: Vec<Option<Pending>> = shard.pending.drain(..).map(Some).collect();
-            for (handle, p) in drained.iter().enumerate() {
-                let p = p.as_ref().expect("fresh pending");
+            for (handle, p) in shard.pending.iter().enumerate() {
                 order.push((p.parent, p.ordinal, shard_id as u32, handle as u32));
             }
-            taken.push(drained);
+            resolve.push(vec![0; shard.pending.len()]);
         }
         // `(parent, ordinal)` identifies one transition, hence at most one
         // pending state: the key is unique and the sort total.
         order.sort_unstable();
 
-        let mut resolve: Vec<Vec<u32>> = taken.iter().map(|v| vec![0; v.len()]).collect();
         for &(_, _, shard_id, handle) in &order {
-            let p = taken[shard_id as usize][handle as usize]
-                .take()
-                .expect("pending taken once");
-            let id = arena.len() as u32;
-            flags.push(StateFlags::of(&p.state));
+            // A pending state waits in the shard its hash selects.
+            let shard = shards[shard_id as usize].get_mut().expect("unshared shard");
+            let p = shard.pending[handle as usize];
+            let id = flags.len() as u32;
+            flags.push(p.flags);
             parent.push(Some((p.parent, p.action)));
             succ.push(Vec::new());
-            shards[shard_of(p.hash)]
-                .get_mut()
-                .expect("unshared shard")
-                .known
-                .entry(p.hash)
-                .or_default()
-                .push(id);
-            arena.push(p.state);
+            shard.known.entry(p.hash).or_default().push(id);
+            arena.extend_from_slice(&shard.pending_rows[handle as usize * w..][..w]);
             resolve[shard_id as usize][handle as usize] = id;
+        }
+        for shard in &mut shards {
+            let shard = shard.get_mut().expect("unshared shard");
+            shard.pending_index.clear();
+            shard.pending.clear();
+            shard.pending_rows.clear();
         }
 
         let mut id = level_start as u32;
@@ -511,7 +696,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
             break;
         }
         level_start = level_end;
-        level_end = arena.len();
+        level_end = flags.len();
     }
 
     StateGraph {
@@ -529,13 +714,19 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
 
 /// A sequential deduplicating interner over canonical [`PathState`]s —
 /// the single-shard facade over the exploration engine's seen-set (same
-/// [`FxHasher`], same hash-bucket-then-compare resolution), for replay
-/// loops and tests that need "have I been here before" without a full
-/// exploration.
+/// [`Components`] rows, same hash-bucket-then-compare resolution), for
+/// replay loops and tests that need "have I been here before" without a
+/// full exploration. One set holds states of one path shape: the first
+/// insert fixes the flowlink count, and a state with another is a panic.
 #[derive(Default)]
 pub struct SeenSet {
+    /// Built by the first insert.
+    components: Option<Components>,
     by_hash: HashIndex,
-    states: Vec<PathState>,
+    /// Interned rows, back to back.
+    rows: Vec<u32>,
+    /// The row being inserted; kept for its buffer.
+    scratch: Vec<u32>,
 }
 
 impl SeenSet {
@@ -546,34 +737,156 @@ impl SeenSet {
     /// Intern a state: returns `(index, fresh)` where `fresh` is false if
     /// an equal state was already present.
     pub fn insert(&mut self, s: PathState) -> (u32, bool) {
-        let hash = state_hash(&s);
-        if let Some(id) = lookup_known(&self.by_hash, &self.states, hash, &s) {
+        let components = self
+            .components
+            .get_or_insert_with(|| Components::new(s.links.len()));
+        let mut row = std::mem::take(&mut self.scratch);
+        row.clear();
+        components.pack(&s, None, &mut row);
+        let out = self.insert_row(state_hash(&row[..]), &row);
+        self.scratch = row;
+        out
+    }
+
+    /// Intern a row under `hash`; equality is decided on the row alone.
+    fn insert_row(&mut self, hash: u64, row: &[u32]) -> (u32, bool) {
+        if let Some(id) = find_row(&self.by_hash, &self.rows, hash, row) {
             return (id, false);
         }
-        let id = self.states.len() as u32;
+        let id = (self.rows.len() / row.len()) as u32;
         self.by_hash.entry(hash).or_default().push(id);
-        self.states.push(s);
+        self.rows.extend_from_slice(row);
         (id, true)
     }
 
     pub fn len(&self) -> usize {
-        self.states.len()
+        match &self.components {
+            Some(c) => self.rows.len() / c.width(),
+            None => 0,
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.rows.is_empty()
     }
 
-    /// The interned state at `idx`.
-    pub fn get(&self, idx: u32) -> &PathState {
-        &self.states[idx as usize]
+    /// The interned state at `idx`, rebuilt from its row.
+    pub fn get(&self, idx: u32) -> PathState {
+        let components = self.components.as_ref().expect("get on an empty SeenSet");
+        let w = components.width();
+        components.unpack(&self.rows[idx as usize * w..][..w])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipmedia_core::path::EndGoal;
+    use ipmedia_core::path::{EndGoal, PathType};
+    use proptest::prelude::*;
+
+    /// A seeded walk from the initial state: `shape` picks the path type,
+    /// 0–2 flowlinks and whether the tunnels may fault, `picks` the action
+    /// taken at each step.
+    fn walk(shape: u8, picks: &[u8]) -> (CheckConfig, Vec<PathState>) {
+        let shape = usize::from(shape);
+        let (left, right) = PathType::all()[shape % 6].ends();
+        let cfg =
+            crate::budgeted(shape / 6 % 3, left, right, 0).with_faults((shape / 18 % 2) as u8);
+        let mut states = vec![PathState::initial(&cfg)];
+        for &pick in picks {
+            let here = states.last().expect("starts at the initial state");
+            let actions = here.actions(&cfg);
+            if actions.is_empty() {
+                break;
+            }
+            states.push(here.apply(&cfg, actions[usize::from(pick) % actions.len()]));
+        }
+        (cfg, states)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn a_row_rebuilds_its_state_and_ignores_the_hint(
+            shape in any::<u8>(),
+            picks in proptest::collection::vec(any::<u8>(), 1..48),
+        ) {
+            let (cfg, states) = walk(shape, &picks);
+            let components = Components::new(cfg.links);
+            // One scratch state throughout, as a worker has: whatever the
+            // previous row left in its buffers must not show.
+            let mut rebuilt = PathState::initial(&cfg);
+            let mut parent: Option<(&PathState, Vec<u32>)> = None;
+            for s in &states {
+                // The way the engine packs a successor, then from nothing.
+                let mut warm = Vec::new();
+                let hint = parent.as_ref().map(|(p, row)| (*p, &row[..]));
+                components.pack(s, hint, &mut warm);
+                let mut cold = Vec::new();
+                components.pack(s, None, &mut cold);
+                prop_assert_eq!(&warm, &cold);
+                prop_assert_eq!(cold.len(), components.width());
+                components.unpack_into(&cold, &mut rebuilt);
+                prop_assert_eq!(&rebuilt, s);
+                prop_assert_eq!(&components.unpack(&cold), s);
+                parent = Some((s, cold));
+            }
+        }
+
+        #[test]
+        fn seen_set_gives_an_equal_state_its_first_id(
+            shape in any::<u8>(),
+            picks in proptest::collection::vec(any::<u8>(), 1..48),
+        ) {
+            let (_, states) = walk(shape, &picks);
+            let mut seen = SeenSet::new();
+            let mut first: HashMap<&PathState, u32> = HashMap::new();
+            for s in &states {
+                let (id, fresh) = seen.insert(s.clone());
+                let known = first.len() as u32;
+                let want = *first.entry(s).or_insert(known);
+                prop_assert_eq!((id, fresh), (want, want == known));
+                prop_assert_eq!(seen.insert(s.clone()), (want, false));
+                prop_assert_eq!(&seen.get(id), s);
+            }
+            prop_assert_eq!(seen.len(), first.len());
+        }
+    }
+
+    #[test]
+    fn rows_sharing_a_hash_stay_two_states() {
+        // Equality is decided on the rows, whatever the hash says: force
+        // two states' rows into one bucket.
+        let cfg = CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold);
+        let s0 = PathState::initial(&cfg);
+        let s1 = s0.apply(&cfg, Action::EndAttach { right: false });
+        let components = Components::new(cfg.links);
+        let (mut r0, mut r1) = (Vec::new(), Vec::new());
+        components.pack(&s0, None, &mut r0);
+        components.pack(&s1, None, &mut r1);
+        assert_ne!(r0, r1);
+        let mut seen = SeenSet {
+            components: Some(components),
+            ..SeenSet::default()
+        };
+        assert_eq!(seen.insert_row(7, &r0), (0, true));
+        assert_eq!(seen.insert_row(7, &r1), (1, true));
+        assert_eq!(seen.insert_row(7, &r0), (0, false));
+        assert_eq!(seen.insert_row(7, &r1), (1, false));
+        assert_eq!(seen.len(), 2);
+        assert_eq!((seen.get(0), seen.get(1)), (s0, s1));
+    }
+
+    #[test]
+    #[should_panic(expected = "a state with 1 flowlink(s) in a seen-set built for 0")]
+    fn seen_set_refuses_a_state_of_another_shape() {
+        let mut seen = SeenSet::new();
+        let direct = CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold);
+        let linked = CheckConfig::standard(1, EndGoal::Open, EndGoal::Hold);
+        seen.insert(PathState::initial(&direct));
+        seen.insert(PathState::initial(&linked));
+    }
 
     #[test]
     fn tiny_exploration_terminates() {
@@ -712,6 +1025,6 @@ mod tests {
         let (i2, fresh2) = seen.insert(s1);
         assert!(fresh2);
         assert_ne!(i0, i2);
-        assert_eq!(seen.get(i0), &s0);
+        assert_eq!(seen.get(i0), s0);
     }
 }

@@ -113,15 +113,15 @@ fn exploration_stays_inside_its_memory_budget() {
         Budget {
             name: "open-hold/1",
             cfg: open_hold(1),
-            peak: 200_945_768,
-            allocs: 2_493_788,
+            peak: 25_641_140,
+            allocs: 2_497_232,
             kept: 11_354_344,
         },
         Budget {
             name: "open-hold/0+1fault",
             cfg: open_hold(0).with_faults(1),
-            peak: 149_500_148,
-            allocs: 1_484_822,
+            peak: 25_296_124,
+            allocs: 1_501_383,
             kept: 10_604_836,
         },
     ];
