@@ -485,9 +485,10 @@ fn expand_chunk(
     let w = components.width();
     let mut rows = Vec::with_capacity((hi - lo) as usize);
     let mut dedup_hits = 0u64;
-    // The one full state a worker holds: the frontier state under
-    // expansion, rebuilt from its row.
+    // The two full states a worker holds: the frontier state under
+    // expansion, rebuilt from its row, and its successor of the moment.
     let mut state = PathState::initial(cfg);
+    let mut next = state.clone();
     let mut row = Vec::with_capacity(w);
     for i in lo..hi {
         let own = &arena[i as usize * w..][..w];
@@ -499,7 +500,7 @@ fn expand_chunk(
         }
         let mut edges = Vec::with_capacity(actions.len());
         for (ordinal, &action) in actions.iter().enumerate() {
-            let next = state.apply(cfg, action);
+            state.apply_into(cfg, action, &mut next);
             row.clear();
             components.pack(&next, Some((&state, own)), &mut row);
             let hash = state_hash(&row[..]);

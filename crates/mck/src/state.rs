@@ -123,7 +123,7 @@ pub struct LinkBox {
 }
 
 /// One tunnel: a FIFO queue in each direction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct Tunnel {
     /// Signals travelling left → right.
     pub fwd: VecDeque<Signal>,
@@ -142,8 +142,28 @@ pub struct Tunnel {
     pub lost_bwd: u8,
 }
 
+// `Clone` by hand for a field-wise `clone_from`, which fills the queues'
+// existing buffers where the derived one would allocate new ones.
+impl Clone for Tunnel {
+    fn clone(&self) -> Self {
+        Tunnel {
+            fwd: self.fwd.clone(),
+            bwd: self.bwd.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.fwd.clone_from(&source.fwd);
+        self.bwd.clone_from(&source.bwd);
+        self.faults_left = source.faults_left;
+        self.lost_fwd = source.lost_fwd;
+        self.lost_bwd = source.lost_bwd;
+    }
+}
+
 /// A global state of the signaling path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct PathState {
     pub left: EndBox,
     pub links: Vec<LinkBox>,
@@ -152,6 +172,26 @@ pub struct PathState {
     /// 0 is the left endpoint, elements 1..=links are flowlink boxes, and
     /// element links+1 is the right endpoint.
     pub tunnels: Vec<Tunnel>,
+}
+
+// As for [`Tunnel`]: `clone_from` keeps the two `Vec`s and, through them,
+// every tunnel's queues.
+impl Clone for PathState {
+    fn clone(&self) -> Self {
+        PathState {
+            left: self.left.clone(),
+            links: self.links.clone(),
+            right: self.right.clone(),
+            tunnels: self.tunnels.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.left.clone_from(&source.left);
+        self.links.clone_from(&source.links);
+        self.right.clone_from(&source.right);
+        self.tunnels.clone_from(&source.tunnels);
+    }
 }
 
 /// A nondeterministic user/phase action.
@@ -355,60 +395,81 @@ impl PathState {
     /// Apply an action, producing the canonicalized successor state.
     pub fn apply(&self, cfg: &CheckConfig, action: Action) -> PathState {
         let mut s = self.clone();
+        s.step(cfg, action);
+        s
+    }
+
+    /// [`PathState::apply`] into `out`, whose `Vec` and queue buffers the
+    /// successor reuses: a loop that steps many states through one scratch
+    /// state allocates nothing to copy them.
+    pub fn apply_into(&self, cfg: &CheckConfig, action: Action, out: &mut PathState) {
+        out.clone_from(self);
+        out.step(cfg, action);
+    }
+
+    /// Take one transition in place and canonicalize.
+    fn step(&mut self, cfg: &CheckConfig, action: Action) {
         let reack = cfg.fault_budget > 0;
         match action {
             Action::DeliverFwd(t) => {
-                let sig = s.tunnels[t].fwd.pop_front().expect("enabled action");
-                s.deliver(t + 1, true, sig, reack);
+                let sig = self.tunnels[t].fwd.pop_front().expect("enabled action");
+                self.deliver(t + 1, true, sig, reack);
             }
             Action::DeliverBwd(t) => {
-                let sig = s.tunnels[t].bwd.pop_front().expect("enabled action");
-                s.deliver(t, false, sig, reack);
+                let sig = self.tunnels[t].bwd.pop_front().expect("enabled action");
+                self.deliver(t, false, sig, reack);
             }
-            Action::EndNondet { right, op } => s.end_nondet(right, op),
-            Action::EndAttach { right } => s.end_attach(cfg, right),
-            Action::EndModify { right, op } => s.end_modify(right, op),
-            Action::LinkNondet { idx, side, op } => s.link_nondet(idx, side, op),
-            Action::LinkAttach { idx } => s.link_attach(idx),
+            Action::EndNondet { right, op } => self.end_nondet(right, op),
+            Action::EndAttach { right } => self.end_attach(cfg, right),
+            Action::EndModify { right, op } => self.end_modify(right, op),
+            Action::LinkNondet { idx, side, op } => self.link_nondet(idx, side, op),
+            Action::LinkAttach { idx } => self.link_attach(idx),
             Action::DropFwd(t) => {
-                let sig = s.tunnels[t].fwd.pop_front().expect("enabled action");
-                s.tunnels[t].faults_left -= 1;
+                let sig = self.tunnels[t].fwd.pop_front().expect("enabled action");
+                self.tunnels[t].faults_left -= 1;
                 if is_request(&sig) {
-                    s.tunnels[t].lost_fwd += 1;
+                    self.tunnels[t].lost_fwd += 1;
                 } else {
-                    s.tunnels[t].lost_bwd += 1;
+                    self.tunnels[t].lost_bwd += 1;
                 }
             }
             Action::DropBwd(t) => {
-                let sig = s.tunnels[t].bwd.pop_front().expect("enabled action");
-                s.tunnels[t].faults_left -= 1;
+                let sig = self.tunnels[t].bwd.pop_front().expect("enabled action");
+                self.tunnels[t].faults_left -= 1;
                 if is_request(&sig) {
-                    s.tunnels[t].lost_bwd += 1;
+                    self.tunnels[t].lost_bwd += 1;
                 } else {
-                    s.tunnels[t].lost_fwd += 1;
+                    self.tunnels[t].lost_fwd += 1;
                 }
             }
             Action::DupFwd(t) => {
-                let sig = s.tunnels[t].fwd.front().cloned().expect("enabled action");
-                s.tunnels[t].fwd.push_back(sig);
-                s.tunnels[t].faults_left -= 1;
+                let sig = self.tunnels[t]
+                    .fwd
+                    .front()
+                    .cloned()
+                    .expect("enabled action");
+                self.tunnels[t].fwd.push_back(sig);
+                self.tunnels[t].faults_left -= 1;
             }
             Action::DupBwd(t) => {
-                let sig = s.tunnels[t].bwd.front().cloned().expect("enabled action");
-                s.tunnels[t].bwd.push_back(sig);
-                s.tunnels[t].faults_left -= 1;
+                let sig = self.tunnels[t]
+                    .bwd
+                    .front()
+                    .cloned()
+                    .expect("enabled action");
+                self.tunnels[t].bwd.push_back(sig);
+                self.tunnels[t].faults_left -= 1;
             }
             Action::RetransmitFwd(t) => {
-                s.tunnels[t].lost_fwd -= 1;
-                s.retransmit(t, true);
+                self.tunnels[t].lost_fwd -= 1;
+                self.retransmit(t, true);
             }
             Action::RetransmitBwd(t) => {
-                s.tunnels[t].lost_bwd -= 1;
-                s.retransmit(t, false);
+                self.tunnels[t].lost_bwd -= 1;
+                self.retransmit(t, false);
             }
         }
-        s.canonicalize();
-        s
+        self.canonicalize();
     }
 
     /// Deliver a signal to the element at `pos`. `from_left` says the

@@ -114,14 +114,14 @@ fn exploration_stays_inside_its_memory_budget() {
             name: "open-hold/1",
             cfg: open_hold(1),
             peak: 25_641_140,
-            allocs: 2_497_232,
+            allocs: 979_326,
             kept: 11_354_344,
         },
         Budget {
             name: "open-hold/0+1fault",
             cfg: open_hold(0).with_faults(1),
             peak: 25_296_124,
-            allocs: 1_501_383,
+            allocs: 761_694,
             kept: 10_604_836,
         },
     ];
