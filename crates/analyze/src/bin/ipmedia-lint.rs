@@ -190,11 +190,13 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
         }
     }
     eprintln!(
-        "ipmedia-lint: {} scenario(s) fuzzed ({} analyzer-clean), {} class(es) checked, \
-         {} divergence(s){}",
+        "ipmedia-lint: {} scenario(s) fuzzed ({} analyzer-clean), {} class(es) checked \
+         ({} exhaustive, {} truncated at the state cap), {} divergence(s){}",
         report.scenarios,
         report.clean,
         report.checked.len(),
+        report.classes_exhaustive(),
+        report.classes_truncated(),
         report.divergences.len(),
         if report.is_clean_run() {
             " — clean"
@@ -210,6 +212,8 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
                 .num("scenarios", report.scenarios as u64)
                 .num("clean", report.clean as u64)
                 .num("classes", report.checked.len() as u64)
+                .num("classes_exhaustive", report.classes_exhaustive() as u64)
+                .num("classes_truncated", report.classes_truncated() as u64)
                 .num("divergences", report.divergences.len() as u64)
                 .bool("clean_run", report.is_clean_run())
                 .finish()

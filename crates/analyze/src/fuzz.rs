@@ -638,6 +638,17 @@ impl FuzzReport {
     pub fn is_clean_run(&self) -> bool {
         self.divergences.is_empty()
     }
+
+    /// Classes whose exploration stopped at its state cap: no
+    /// counterexample in the explored prefix, which is less than a pass.
+    pub fn classes_truncated(&self) -> usize {
+        self.checked.iter().filter(|(_, v)| v.truncated).count()
+    }
+
+    /// Classes explored to exhaustion, whose verdict is final.
+    pub fn classes_exhaustive(&self) -> usize {
+        self.checked.len() - self.classes_truncated()
+    }
 }
 
 /// Analyze one scenario into its campaign record.
@@ -1060,13 +1071,15 @@ mod tests {
     /// A fake checker with scripted verdicts, for oracle-direction tests.
     struct Scripted {
         refuted: BTreeSet<ClassKey>,
+        /// Classes with at least this many flowlinks hit the state cap.
+        truncated_from: usize,
     }
 
     impl ClassChecker for Scripted {
         fn check(&mut self, key: ClassKey) -> ClassVerdict {
             ClassVerdict {
                 counterexample: self.refuted.contains(&key),
-                truncated: false,
+                truncated: key.0 >= self.truncated_from,
                 expanded: 1,
             }
         }
@@ -1084,7 +1097,10 @@ mod tests {
                 }
             }
         }
-        let mut checker = Scripted { refuted };
+        let mut checker = Scripted {
+            refuted,
+            truncated_from: usize::MAX,
+        };
         let cfg = FuzzConfig {
             scenarios: 60,
             seed: 11,
@@ -1113,6 +1129,7 @@ mod tests {
     fn honest_checker_yields_no_divergence_on_a_small_campaign() {
         let mut checker = Scripted {
             refuted: BTreeSet::new(),
+            truncated_from: 2,
         };
         let cfg = FuzzConfig {
             scenarios: 40,
@@ -1126,6 +1143,11 @@ mod tests {
         assert_eq!(report.scenarios, 40);
         assert_eq!(report.clean + report.with_errors, 40);
         assert_eq!(report.roundtrip_failures, 0);
+        // A clean run says how much of it was checked to exhaustion.
+        let deep = report.checked.iter().filter(|(k, _)| k.0 >= 2).count();
+        assert!(0 < deep && deep < report.checked.len());
+        assert_eq!(report.classes_truncated(), deep);
+        assert_eq!(report.classes_exhaustive(), report.checked.len() - deep);
     }
 
     #[test]
@@ -1133,6 +1155,7 @@ mod tests {
         let run = |threads| {
             let mut checker = Scripted {
                 refuted: BTreeSet::new(),
+                truncated_from: usize::MAX,
             };
             let cfg = FuzzConfig {
                 scenarios: 50,

@@ -115,6 +115,8 @@ fn main() -> ExitCode {
             .num("with_findings", report.with_errors as u64)
             .num("roundtrip_failures", report.roundtrip_failures as u64)
             .num("classes", report.checked.len() as u64)
+            .num("classes_exhaustive", report.classes_exhaustive() as u64)
+            .num("classes_truncated", report.classes_truncated() as u64)
             .num(
                 "counterexamples",
                 report
@@ -138,11 +140,13 @@ fn main() -> ExitCode {
     }
     if report.is_clean_run() {
         eprintln!(
-            "fuzz_differential: CLEAN — {} scenario(s) ({} analyzer-clean), {} class(es), \
-             0 divergence(s)",
+            "fuzz_differential: CLEAN — {} scenario(s) ({} analyzer-clean), {} class(es) \
+             ({} exhaustive, {} truncated at the state cap), 0 divergence(s)",
             report.scenarios,
             report.clean,
-            report.checked.len()
+            report.checked.len(),
+            report.classes_exhaustive(),
+            report.classes_truncated()
         );
         ExitCode::SUCCESS
     } else {

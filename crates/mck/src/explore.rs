@@ -293,14 +293,12 @@ impl Components {
 
     /// The state `row` was packed from.
     fn unpack(&self, row: &[u32]) -> PathState {
-        let end = |id: u32| {
-            let table = self.ends.lock().expect("component table lock");
-            table.values[id as usize].clone()
-        };
+        // Any endpoint box will do to have a state to rebuild into.
+        let end = self.ends.lock().expect("component table lock").values[row[0] as usize].clone();
         let mut s = PathState {
-            left: end(row[0]),
+            left: end.clone(),
             links: Vec::new(),
-            right: end(row[1]),
+            right: end,
             tunnels: Vec::new(),
         };
         self.unpack_into(row, &mut s);
@@ -726,8 +724,6 @@ pub struct SeenSet {
     by_hash: HashIndex,
     /// Interned rows, back to back.
     rows: Vec<u32>,
-    /// The row being inserted; kept for its buffer.
-    scratch: Vec<u32>,
 }
 
 impl SeenSet {
@@ -741,12 +737,9 @@ impl SeenSet {
         let components = self
             .components
             .get_or_insert_with(|| Components::new(s.links.len()));
-        let mut row = std::mem::take(&mut self.scratch);
-        row.clear();
+        let mut row = Vec::with_capacity(components.width());
         components.pack(&s, None, &mut row);
-        let out = self.insert_row(state_hash(&row[..]), &row);
-        self.scratch = row;
-        out
+        self.insert_row(state_hash(&row[..]), &row)
     }
 
     /// Intern a row under `hash`; equality is decided on the row alone.

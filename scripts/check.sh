@@ -66,6 +66,13 @@ echo "== storm allocation budget (exact-repeat counts, optimized build)" >&2
 timed_gate "storm allocation budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
   ipmedia-bench test:storm_allocs
 
+echo "== exploration memory budget (exact-repeat counts, optimized build)" >&2
+# The checker's peak bytes per state, allocations per transition and the
+# bytes its graph keeps, pinned the same way: a `PathState` that outlives
+# its expansion, or a successor copied into fresh buffers, fails here.
+timed_gate "exploration memory budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
+  ipmedia-mck test:footprint
+
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output, gated against the committed baseline; the SARIF log is a build
@@ -161,9 +168,11 @@ echo "== fault-matrix smoke (loss x dup/reorder, bounded virtual time)" >&2
 cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-bench --bin fault_matrix -- --threads "$(nproc)" >/dev/null
 
 echo "== verification campaign (parallel, wall-clock budget)" >&2
-# The 12-model §VIII-A campaign at CI budgets, spread over all cores.
+# The 12-model §VIII-A campaign at CI budgets plus extension X1 — the six
+# two-flowlink rows the paper priced at 900 GB and 300 hours — spread
+# over all cores; the largest configuration holds about 280 MB.
 timed_gate "campaign" "${CAMPAIGN_BUDGET_SECS:-300}" "failed" \
-  ipmedia-mck campaign 0 1 2000000 --threads "$(nproc)"
+  ipmedia-mck campaign 0 2 3000000 --threads "$(nproc)"
 
 echo "== tracing overhead (zero perturbation + wall-clock budget)" >&2
 # Asserts virtual-time latencies are identical traced vs. untraced (hard
