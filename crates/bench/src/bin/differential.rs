@@ -15,10 +15,10 @@
 //! Output follows the workspace convention: one JSON record per scenario
 //! and per checked configuration on stdout, the human-readable table on
 //! stderr. The run also writes the full matrix to
-//! `BENCH_differential.jsonl` in the working directory, prefixed with the
-//! workspace provenance header. The matrix records carry no wall-clock
-//! fields, so apart from the header the file is byte-identical across
-//! runs and can be committed.
+//! `BENCH_differential.jsonl` in the working directory. The records carry
+//! nothing read from a clock or from the host, so the file is
+//! byte-identical across runs and `scripts/check.sh` compares it with the
+//! committed copy.
 
 use ipmedia_analyze::{analyze_scenario, covered_classes};
 use ipmedia_core::path::EndGoal;
@@ -155,13 +155,7 @@ fn main() -> ExitCode {
             .finish(),
     );
 
-    // Provenance goes into the committed file only (not stdout): the
-    // matrix records themselves stay deterministic, the header says which
-    // host/profile produced this copy of the file.
-    let mut matrix = ipmedia_bench::provenance_record(threads);
-    matrix.push('\n');
-    matrix.push_str(&records.join("\n"));
-    matrix.push('\n');
+    let matrix = records.join("\n") + "\n";
     if let Err(e) = std::fs::write("BENCH_differential.jsonl", matrix) {
         eprintln!("differential: BENCH_differential.jsonl: {e}");
         return ExitCode::FAILURE;

@@ -11,10 +11,9 @@
 //!
 //! Output follows the workspace convention: one JSON record per
 //! aggregate row on stdout, the human-readable account on stderr. The
-//! run also writes `BENCH_fuzz.json` in the working directory, prefixed
-//! with the workspace provenance header; the records carry no wall-clock
-//! fields, so apart from the header the file is byte-identical across
-//! runs at the same seed and any thread count.
+//! run also writes `BENCH_fuzz.json` in the working directory; the
+//! records carry nothing read from a clock or from the host, so the file
+//! is byte-identical across runs at the same seed and any thread count.
 
 use ipmedia_analyze::fuzz::{class_label, fuzz_campaign, FuzzConfig, MckChecker};
 use ipmedia_analyze::to_ipm;
@@ -130,10 +129,7 @@ fn main() -> ExitCode {
             .finish(),
     );
 
-    let mut matrix = ipmedia_bench::provenance_record(cfg.threads);
-    matrix.push('\n');
-    matrix.push_str(&records.join("\n"));
-    matrix.push('\n');
+    let matrix = records.join("\n") + "\n";
     if let Err(e) = std::fs::write("BENCH_fuzz.json", matrix) {
         eprintln!("fuzz_differential: BENCH_fuzz.json: {e}");
         return ExitCode::FAILURE;

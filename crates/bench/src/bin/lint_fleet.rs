@@ -1,11 +1,12 @@
-//! `ipmedia-lint-fleet`: fleet-scale incremental re-lint benchmark.
+//! `ipmedia-lint-fleet`: fleet-scale incremental re-lint check.
 //!
 //! Usage: `cargo run --release -p ipmedia-bench --bin ipmedia-lint-fleet
 //! [--fleet N] [--threads T] [--out FILE]`
 //!
 //! Generates a deterministic fleet of `N` scenarios (default 10 000) from
-//! the differential fuzzer's generator, then measures three lint passes
-//! with the content-addressed cache from `analyze::incremental`:
+//! the differential fuzzer's generator, then counts the pass executions
+//! of four lint runs over the content-addressed cache from
+//! `analyze::incremental`:
 //!
 //! 1. **cold** — empty cache; every scenario and program pass runs.
 //! 2. **warm** — nothing changed; every scenario must fully replay from
@@ -15,33 +16,30 @@
 //!    three cross-box passes and the one changed program's four pass
 //!    families may re-run — O(changed), independent of fleet size.
 //! 4. **one-edit, dirty re-lint** — only the changed scenario is linted
-//!    against the warm cache: the file-watcher loop, and the wall-clock
-//!    the ≥ 100× cold-vs-edit speedup target is measured on (a
-//!    full-fleet pass must at minimum re-fingerprint every input, so its
-//!    warm speedup is bounded by analysis-vs-hash cost, not cache hits).
+//!    against the warm cache (the file-watcher loop): the same seven
+//!    pass runs at most.
 //!
 //! Hard assertions (exit nonzero on violation): zero warm misses, an
-//! O(changed) one-edit profile on both re-lints, a ≥ 100× cold-over-edit
-//! wall-clock speedup, and byte-identical diagnostic output at 1, 2, and
-//! 8 worker threads. Results land as JSONL in `BENCH_lint.json` behind
-//! the usual `bench_provenance` header.
+//! O(changed) one-edit profile on both re-lints, and byte-identical
+//! diagnostic output at 1, 2, and 8 worker threads. Results land as JSONL
+//! in `BENCH_lint.json`: pass-run counts only, nothing read from a clock
+//! or from the host, so `scripts/check.sh` compares the file with the
+//! committed copy.
 
 use ipmedia_analyze::fuzz::{generate_scenario, scenario_seed, FuzzConfig};
 use ipmedia_analyze::{run_incremental, to_ipm, AnalysisCache, Baseline, IncrementalStats};
 use ipmedia_core::program::model::ScenarioModel;
 use ipmedia_obs::JsonObj;
 use std::process::ExitCode;
-use std::time::Instant;
 
 const USAGE: &str =
     "usage: ipmedia-lint-fleet [--fleet N] [--threads T] [--out FILE] [--emit-sample DIR]";
 
-fn phase_record(phase: &str, n: usize, wall_ms: f64, stats: &IncrementalStats) -> String {
+fn phase_record(phase: &str, n: usize, stats: &IncrementalStats) -> String {
     JsonObj::new()
         .str("record", "lint_fleet")
         .str("phase", phase)
         .num("scenarios", n as u64)
-        .float("wall_ms", wall_ms)
         .num("full_hits", stats.full_hits as u64)
         .num("scenario_misses", stats.scenario_misses as u64)
         .num("scenario_pass_runs", stats.scenario_pass_runs as u64)
@@ -61,14 +59,9 @@ fn main() -> ExitCode {
     flags.done();
 
     let seed = FuzzConfig::default().seed;
-    let t0 = Instant::now();
     let mut scenarios: Vec<ScenarioModel> = (0..fleet as u64)
         .map(|i| generate_scenario(scenario_seed(seed, i)))
         .collect();
-    eprintln!(
-        "lint-fleet: generated {fleet} scenarios in {:.0} ms",
-        t0.elapsed().as_secs_f64() * 1e3
-    );
 
     // `--emit-sample DIR`: write the fleet prefix as committed `.ipm`
     // fixtures (plus `DIR/edited/` holding a one-program-edit variant of
@@ -113,21 +106,16 @@ fn main() -> ExitCode {
     let baseline = Baseline::parse("");
     let mut cache = AnalysisCache::default();
 
-    let t0 = Instant::now();
     let (cold_report, cold_stats) = run_incremental(&scenarios, threads, &baseline, &mut cache);
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
     let reference = cold_report.render();
 
-    let t0 = Instant::now();
     let (warm_report, warm_stats) = run_incremental(&scenarios, threads, &baseline, &mut cache);
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // One edit: perturb a single program mid-fleet. Two measurements
-    // follow: the full-fleet re-lint (pins the O(changed) pass profile
-    // and the byte-identity oracle) and the dirty-scenario re-lint (the
+    // One edit: perturb a single program mid-fleet. Two re-lints follow:
+    // the full fleet (pins the O(changed) pass profile and the
+    // byte-identity oracle) and the dirty scenario alone (the
     // file-watcher loop: lint only the changed input against the warm
-    // cache — the wall-clock the ≥ 100× target is about, since a
-    // full-fleet pass must at minimum re-fingerprint every input).
+    // cache).
     let victim_idx = (fleet / 2..fleet)
         .find(|&i| {
             scenarios[i]
@@ -143,15 +131,11 @@ fn main() -> ExitCode {
         .any(|(_, m)| m.drop_first_effect()));
 
     let mut cache_full = cache.clone();
-    let t0 = Instant::now();
     let (edit_report, edit_stats) =
         run_incremental(&scenarios, threads, &baseline, &mut cache_full);
-    let edit_full_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let dirty = vec![scenarios[victim_idx].clone()];
-    let t0 = Instant::now();
     let (_, relint_stats) = run_incremental(&dirty, 1, &baseline, &mut cache);
-    let relint_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Byte-identity oracle across worker counts, on the edited fleet.
     let edited_reference = edit_report.render();
@@ -164,8 +148,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let speedup_warm = cold_ms / warm_ms.max(1e-6);
-    let speedup_edit = cold_ms / relint_ms.max(1e-6);
     let o_changed = edit_stats.scenario_misses == 1
         && edit_stats.scenario_pass_runs == 3
         && edit_stats.program_runs <= 1
@@ -179,25 +161,16 @@ fn main() -> ExitCode {
         && warm_stats.scenario_pass_runs == 0
         && warm_stats.program_pass_runs == 0
         && o_changed
-        && speedup_edit >= 100.0
         && byte_identical;
 
     let mut lines = vec![
-        ipmedia_bench::provenance_record(threads),
-        phase_record("cold", fleet, cold_ms, &cold_stats),
-        phase_record("warm", fleet, warm_ms, &warm_stats),
-        phase_record("one_edit_fleet", fleet, edit_full_ms, &edit_stats),
-        phase_record("one_edit_relint", 1, relint_ms, &relint_stats),
+        phase_record("cold", fleet, &cold_stats),
+        phase_record("warm", fleet, &warm_stats),
+        phase_record("one_edit_fleet", fleet, &edit_stats),
+        phase_record("one_edit_relint", 1, &relint_stats),
         JsonObj::new()
-            .str("record", "lint_fleet_speedup")
+            .str("record", "lint_fleet_verdict")
             .str("edited_scenario", &victim_name)
-            .float("cold_ms", cold_ms)
-            .float("warm_ms", warm_ms)
-            .float("edit_fleet_ms", edit_full_ms)
-            .float("edit_relint_ms", relint_ms)
-            .float("speedup_warm_fleet", speedup_warm)
-            .float("speedup_edit_relint", speedup_edit)
-            .num("min_speedup", 100)
             .bool("o_changed", o_changed)
             .bool("byte_identical_threads_1_2_8", byte_identical)
             .bool("ok", ok)
@@ -211,11 +184,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let pass_runs = |s: &IncrementalStats| s.scenario_pass_runs + s.program_pass_runs;
     eprintln!(
-        "lint-fleet: cold {cold_ms:.0} ms, warm fleet {warm_ms:.1} ms ({speedup_warm:.0}x), \
-         one-edit fleet {edit_full_ms:.1} ms ({} pass runs), \
-         dirty re-lint {relint_ms:.3} ms ({speedup_edit:.0}x), {}",
-        edit_stats.scenario_pass_runs + edit_stats.program_pass_runs,
+        "lint-fleet: {fleet} scenarios, cold {} pass runs, warm {}, one-edit fleet {}, \
+         dirty re-lint {}, {}",
+        pass_runs(&cold_stats),
+        pass_runs(&warm_stats),
+        pass_runs(&edit_stats),
+        pass_runs(&relint_stats),
         if ok { "ok" } else { "FAIL" }
     );
     if ok {

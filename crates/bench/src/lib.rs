@@ -18,32 +18,13 @@ use ipmedia_netsim::{FaultPlan, Network, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::clock::Clock;
 use ipmedia_obs::metrics::{CountingObserver, Registry};
 use ipmedia_obs::trace::SpanSink;
-use ipmedia_obs::{JsonObj, NoopObserver, ObsEvent, Observer, RecordingObserver};
+use ipmedia_obs::{NoopObserver, ObsEvent, Observer, RecordingObserver};
 use std::sync::{Arc, Mutex};
 
 /// Shared handle to a [`RecordingObserver`]'s event log.
 pub type RecordedLog = Arc<Mutex<Vec<(u64, ObsEvent)>>>;
 
 const T_MAX: SimTime = SimTime(3_600_000_000);
-
-/// Common provenance header for every committed `BENCH_*` file: one JSONL
-/// record describing the host and build that produced the numbers, so a
-/// 1-core debug run is never misread against an 8-core release baseline.
-pub fn provenance_record(threads: usize) -> String {
-    JsonObj::new()
-        .str("record", "bench_provenance")
-        .num("host_parallelism", ipmedia_core::par::resolve(0) as u64)
-        .num("threads", threads as u64)
-        .str(
-            "cargo_profile",
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            },
-        )
-        .finish()
-}
 
 fn l_addr() -> MediaAddr {
     MediaAddr::v4(10, 0, 0, 1, 4000)
@@ -102,8 +83,8 @@ impl Chain {
     /// [`Chain::new_observed`] with causal tracing enabled before any
     /// protocol activity: every activation, delivery, and tunnel setup of
     /// the establishment phase lands in `sink` as parent-linked spans.
-    /// Tracing shares the zero-perturbation contract with observers; the
-    /// `trace_overhead` bin measures its wall-clock cost.
+    /// Tracing shares the zero-perturbation contract with observers
+    /// (`tests/obs_overhead.rs` runs this arm too).
     pub fn new_traced(
         k: usize,
         cfg: SimConfig,

@@ -15,16 +15,15 @@
 //!   byte-identical [`NetsimStormReport::digest`] at any worker count.
 //! * [`run_rt_storm`] drives calls over real TCP through the tokio
 //!   runtime as tunnels multiplexed on signaling channels between two
-//!   nodes, under a caller-chosen [`NodeTuning`] — the harness the inbox
-//!   sharding and writer batching of `ipmedia-rt` are measured with
-//!   (sharded vs. [`NodeTuning::UNSHARDED`], same process, same scale).
+//!   nodes, under a caller-chosen [`NodeTuning`]: the call-level outcome
+//!   must be the same at any inbox shard count.
 //! * [`run_sip_storm`] runs the same-topology SIP B2BUA baseline
 //!   (`A — PBX — PC — C`, the Fig. 14 chain) at the same call count, so
 //!   the storm numbers land next to a transactional baseline row.
 //!
-//! Wall-clock throughput (calls/sec) is measured by the caller around
-//! these functions — see `src/bin/call_storm.rs`, which also accounts
-//! bytes per live call with a counting allocator.
+//! These functions decide counts and virtual-time latencies only; what a
+//! storm costs in wall-clock time and memory is measured by `benchmark/`
+//! (workload `sim_storm`), which calls them.
 
 use ipmedia_analyze::fuzz::{scenario_seed, FuzzRng, ENDPOINT_ROLES, RELAY_ROLES};
 use ipmedia_core::boxes::GoalSpec;
@@ -514,21 +513,13 @@ pub struct RtStormReport {
     pub calls: usize,
     /// Calls that reached `Flowing` on the caller within the deadline.
     pub flowing: usize,
-    /// Establishment wall time, caller spawn → all flowing (ms).
-    pub wall_ms: f64,
-    pub calls_per_sec: f64,
     /// Opens the caller sent (one per call).
     pub opens_sent: u64,
-    /// Caller tunnel-setup histogram (wall ms), from the node's registry.
-    pub setup_ms: HistogramSnapshot,
 }
 
 /// Drive `channels × tunnels` concurrent calls over real TCP between a
 /// dialing node and an auto-answering callee, both running under
 /// `tuning`. Returns after every call is flowing (panics after 120 s).
-/// Run once with [`NodeTuning::UNSHARDED`] and once with the sharded
-/// default in the same process to measure the sharding/batching speedup
-/// on identical work.
 pub async fn run_rt_storm(channels: u32, tunnels: u16, tuning: NodeTuning) -> RtStormReport {
     let calls = channels as usize * tunnels as usize;
     let dir = Directory::new();
@@ -546,7 +537,6 @@ pub async fn run_rt_storm(channels: u32, tunnels: u16, tuning: NodeTuning) -> Rt
     .await
     .expect("callee spawns");
 
-    let start = std::time::Instant::now();
     let mut caller = spawn_node_tuned(
         "storm-caller",
         BoxId(1),
@@ -573,7 +563,6 @@ pub async fn run_rt_storm(channels: u32, tunnels: u16, tuning: NodeTuning) -> Rt
                 == calls
         })
         .await;
-    let wall = start.elapsed();
     assert!(
         ok,
         "rt storm: {calls} calls did not all flow in {deadline:?}"
@@ -586,14 +575,10 @@ pub async fn run_rt_storm(channels: u32, tunnels: u16, tuning: NodeTuning) -> Rt
         .filter(|sl| sl.state == SlotState::Flowing)
         .count();
 
-    let m = caller.registry().snapshot();
     let report = RtStormReport {
         calls,
         flowing,
-        wall_ms: wall.as_secs_f64() * 1_000.0,
-        calls_per_sec: calls as f64 / wall.as_secs_f64(),
-        opens_sent: m.sent("open"),
-        setup_ms: m.tunnel_setup_ms,
+        opens_sent: caller.registry().snapshot().sent("open"),
     };
     caller.shutdown().await;
     callee.shutdown().await;

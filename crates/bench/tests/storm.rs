@@ -3,9 +3,13 @@
 //! whether plans are generated on 1, 2, or 8 worker threads, and the rt
 //! arm must converge to the same call-level outcome at any inbox shard
 //! count. Sharding and parallel generation are throughput knobs, never
-//! semantics.
+//! semantics. The full-size storm `benchmark/`'s `sim_storm` workload
+//! times is pinned here by what it decides: its digest, and the SIP
+//! baseline's counts.
 
-use ipmedia_bench::storm::{ladder_sample, run_netsim_storm, run_rt_storm, StormSpec};
+use ipmedia_bench::storm::{
+    ladder_sample, run_netsim_storm, run_rt_storm, run_sip_storm, StormSpec,
+};
 use ipmedia_rt::NodeTuning;
 
 #[test]
@@ -21,6 +25,30 @@ fn storm_report_is_generation_thread_invariant() {
         .collect();
     assert_eq!(digests[0], digests[1], "2 threads diverged from serial");
     assert_eq!(digests[0], digests[2], "8 threads diverged from serial");
+}
+
+#[test]
+fn full_size_storm_decides_the_recorded_digest() {
+    const SEED: u64 = 0x5704_0001;
+    let report = run_netsim_storm(&StormSpec {
+        seed: SEED,
+        calls: 10_000,
+        threads: 1,
+    });
+    assert_eq!(
+        report.digest(),
+        "calls=10000 boxes=26690 established=10000 reconverged=808 \
+         setup=([0, 0, 0, 0, 4987, 0, 3336, 0, 1677, 0, 0],3303780) \
+         flowlink=([0, 0, 0, 0, 0, 0, 542, 266, 0, 0, 0],191944) \
+         signals=121038 stimuli=214796 vt=2396 \
+         mix={\"close/close\": 1677, \"close/hold\": 1671, \"close/open\": 1678, \
+         \"hold/hold\": 1622, \"open/hold\": 1681, \"open/open\": 1671}"
+    );
+    let sip = run_sip_storm(10_000, SEED);
+    assert_eq!(
+        (sip.converged, sip.messages, sip.virtual_ms),
+        (10_000, 90_000, 378)
+    );
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //! the engine stores a state (DESIGN §5.1: a row of component ids, not a
 //! `PathState`), not from the host, so at one thread they are the same on
 //! every run and a regression is a changed count rather than a slower clock.
+//! The size of the graph itself — states and transitions — is pinned
+//! exactly: those are the counts `benchmark/`'s `mck_explore` divides its
+//! clock by, and `determinism.rs` holds them equal at 1, 2 and 8 threads.
 //!
 //! One `#[test]` only: the counters are process-wide, and two measuring
 //! threads would count into each other.
@@ -95,11 +98,14 @@ fn measure(cfg: &CheckConfig) -> Footprint {
     }
 }
 
-/// What one configuration may cost at most: the counts the row layout
-/// reaches. Lower them when a change lowers the counts.
+/// The graph one configuration explores to (exact), and what that may
+/// cost at most: the counts the row layout reaches. Lower those when a
+/// change lowers the counts.
 struct Budget {
     name: &'static str,
     cfg: CheckConfig,
+    states: usize,
+    transitions: usize,
     peak: usize,
     allocs: u64,
     kept: usize,
@@ -112,6 +118,8 @@ fn exploration_stays_inside_its_memory_budget() {
         Budget {
             name: "open-hold/1",
             cfg: open_hold(1),
+            states: 95_675,
+            transitions: 290_834,
             peak: 25_641_140,
             allocs: 979_326,
             kept: 11_354_344,
@@ -119,6 +127,8 @@ fn exploration_stays_inside_its_memory_budget() {
         Budget {
             name: "open-hold/0+1fault",
             cfg: open_hold(0).with_faults(1),
+            states: 91_743,
+            transitions: 228_371,
             peak: 25_296_124,
             allocs: 761_694,
             kept: 10_604_836,
@@ -139,6 +149,12 @@ fn exploration_stays_inside_its_memory_budget() {
             seen.allocs as f64 / seen.transitions as f64,
             seen.kept,
             seen.kept / seen.states,
+        );
+        assert_eq!(
+            (seen.states, seen.transitions),
+            (b.states, b.transitions),
+            "{}: explored a different graph",
+            b.name
         );
         assert!(
             seen.peak <= b.peak,

@@ -114,9 +114,7 @@ pub fn jitter_seed(name: &str, channel: u32) -> u64 {
 /// Throughput knobs for one node's event plumbing.
 ///
 /// [`NodeTuning::default`] is the sharded/batched pipeline sized for
-/// call storms; [`NodeTuning::UNSHARDED`] reproduces the original
-/// single-inbox, one-frame-per-flush pipeline so a storm run can measure
-/// both in the same process.
+/// call storms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeTuning {
     /// Number of inbox shards. Connection events are routed by
@@ -130,16 +128,6 @@ pub struct NodeTuning {
     /// Maximum frames a connection writer folds into one buffered write
     /// and a single flush.
     pub writer_batch: usize,
-}
-
-impl NodeTuning {
-    /// The pre-sharding pipeline: one inbox, one event per publish, one
-    /// frame per flush. The baseline arm of storm benchmarks.
-    pub const UNSHARDED: NodeTuning = NodeTuning {
-        inbox_shards: 1,
-        inbox_batch: 1,
-        writer_batch: 1,
-    };
 }
 
 impl Default for NodeTuning {
