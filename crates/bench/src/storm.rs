@@ -5,7 +5,7 @@
 //! library, relay counts, and endpoint/relay feature mixes from the same
 //! role vocabulary as the fuzzer
 //! ([`ipmedia_analyze::fuzz::ENDPOINT_ROLES`] /
-//! [`ipmedia_analyze::fuzz::RELAY_ROLES`]) — and three arms execute the
+//! [`ipmedia_analyze::fuzz::RELAY_ROLES`]) — and two arms execute the
 //! same storm:
 //!
 //! * [`run_netsim_storm`] drives every call concurrently through the
@@ -13,29 +13,25 @@
 //!   tunnel-setup and flowlink-reconvergence latency distributions plus
 //!   aggregate signal counts. Deterministic: the same spec yields a
 //!   byte-identical [`NetsimStormReport::digest`] at any worker count.
-//! * [`run_rt_storm`] drives calls over real TCP through the tokio
-//!   runtime as tunnels multiplexed on signaling channels between two
-//!   nodes, under a caller-chosen [`NodeTuning`]: the call-level outcome
-//!   must be the same at any inbox shard count.
 //! * [`run_sip_storm`] runs the same-topology SIP B2BUA baseline
 //!   (`A — PBX — PC — C`, the Fig. 14 chain) at the same call count, so
 //!   the storm numbers land next to a transactional baseline row.
 //!
 //! These functions decide counts and virtual-time latencies only; what a
 //! storm costs in wall-clock time and memory is measured by `benchmark/`
-//! (workload `sim_storm`), which calls them.
+//! (workload `sim_storm`), which calls them. Calls over real TCP are
+//! `ipmedia-rt`'s own tests (`crates/rt/tests/overload.rs`) and
+//! `benchmark/`'s `rt_waves`.
 
 use ipmedia_analyze::fuzz::{scenario_seed, FuzzRng, ENDPOINT_ROLES, RELAY_ROLES};
 use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
+use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::ids::{BoxId, SlotId};
 use ipmedia_core::path::{EndGoal, PathType};
-use ipmedia_core::{BoxCmd, MediaAddr, Medium, SlotState};
+use ipmedia_core::{BoxCmd, MediaAddr, Medium};
 use ipmedia_netsim::{Network, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::metrics::{CountingObserver, Histogram, HistogramSnapshot, Registry};
-use ipmedia_obs::NoopObserver;
-use ipmedia_rt::{spawn_node_tuned, Directory, NodeTuning, ReconnectPolicy};
 use ipmedia_sip::b2bua::{B2bua, LEG_LOCAL, LEG_REMOTE};
 use ipmedia_sip::ua::SipUa;
 use ipmedia_sip::SipNet;
@@ -464,125 +460,6 @@ pub fn run_netsim_storm(spec: &StormSpec) -> NetsimStormReport {
         virtual_ms: net.now().0 / 1_000,
         path_mix,
     }
-}
-
-// ---------------------------------------------------------------------------
-// rt arm
-// ---------------------------------------------------------------------------
-
-use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-
-/// Opens `channels` signaling channels to the callee at start, each
-/// carrying `tunnels` call slots, and dials every slot as it comes up.
-struct StormDialer {
-    target: String,
-    channels: u32,
-    tunnels: u16,
-}
-
-impl AppLogic for StormDialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => {
-                for c in 0..self.channels {
-                    ctx.open_channel(self.target.clone(), self.tunnels, c);
-                }
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(_),
-                ..
-            } => {
-                for s in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot: *s,
-                        policy: EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000)),
-                        mode: AcceptMode::Auto,
-                    });
-                    ctx.user(*s, UserCmd::Open(Medium::Audio));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Outcome of one runtime storm arm.
-#[derive(Debug, Clone)]
-pub struct RtStormReport {
-    pub calls: usize,
-    /// Calls that reached `Flowing` on the caller within the deadline.
-    pub flowing: usize,
-    /// Opens the caller sent (one per call).
-    pub opens_sent: u64,
-}
-
-/// Drive `channels × tunnels` concurrent calls over real TCP between a
-/// dialing node and an auto-answering callee, both running under
-/// `tuning`. Returns after every call is flowing (panics after 120 s).
-pub async fn run_rt_storm(channels: u32, tunnels: u16, tuning: NodeTuning) -> RtStormReport {
-    let calls = channels as usize * tunnels as usize;
-    let dir = Directory::new();
-    let callee = spawn_node_tuned(
-        "storm-callee",
-        BoxId(2),
-        Box::new(EndpointLogic::resource(EndpointPolicy::audio(
-            MediaAddr::v4(10, 0, 0, 2, 4000),
-        ))),
-        dir.clone(),
-        ReconnectPolicy::default(),
-        Box::new(NoopObserver),
-        tuning,
-    )
-    .await
-    .expect("callee spawns");
-
-    let mut caller = spawn_node_tuned(
-        "storm-caller",
-        BoxId(1),
-        Box::new(StormDialer {
-            target: "storm-callee".into(),
-            channels,
-            tunnels,
-        }),
-        dir.clone(),
-        ReconnectPolicy::default(),
-        Box::new(NoopObserver),
-        tuning,
-    )
-    .await
-    .expect("caller spawns");
-
-    let deadline = std::time::Duration::from_secs(120);
-    let ok = caller
-        .wait_for(deadline, |s| {
-            s.slots
-                .iter()
-                .filter(|sl| sl.state == SlotState::Flowing)
-                .count()
-                == calls
-        })
-        .await;
-    assert!(
-        ok,
-        "rt storm: {calls} calls did not all flow in {deadline:?}"
-    );
-    let flowing = caller
-        .snapshot
-        .borrow()
-        .slots
-        .iter()
-        .filter(|sl| sl.state == SlotState::Flowing)
-        .count();
-
-    let report = RtStormReport {
-        calls,
-        flowing,
-        opens_sent: caller.registry().snapshot().sent("open"),
-    };
-    caller.shutdown().await;
-    callee.shutdown().await;
-    report
 }
 
 // ---------------------------------------------------------------------------

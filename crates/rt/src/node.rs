@@ -20,7 +20,7 @@ use ipmedia_core::ids::{ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
 use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
-use ipmedia_obs::clock::WallClock;
+use ipmedia_obs::clock::Clock;
 use ipmedia_obs::export::prometheus_text;
 use ipmedia_obs::metrics::{CountingObserver, MetricsSnapshot, Registry};
 use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
@@ -111,34 +111,18 @@ pub fn jitter_seed(name: &str, channel: u32) -> u64 {
     fnv1a(name.as_bytes()) ^ (u64::from(channel) << 32 | u64::from(channel))
 }
 
-/// Throughput knobs for one node's event plumbing.
-///
-/// [`NodeTuning::default`] is the sharded/batched pipeline sized for
-/// call storms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeTuning {
-    /// Number of inbox shards. Connection events are routed by
-    /// `ChannelId % inbox_shards`, so every event of one channel lands in
-    /// the same shard and per-channel FIFO order survives sharding.
-    pub inbox_shards: usize,
-    /// Maximum inbox events applied per actor wakeup before the snapshot
-    /// publish; under load this amortizes the per-iteration metrics
-    /// snapshot over a whole burst instead of paying it per frame.
-    pub inbox_batch: usize,
-    /// Maximum frames a connection writer folds into one buffered write
-    /// and a single flush.
-    pub writer_batch: usize,
-}
+/// Inbox events applied per actor wakeup before the snapshot publish:
+/// publish is O(slots), and paying it per event cost ×1.67 on `rt_waves`.
+const INBOX_BATCH: usize = 64;
 
-impl Default for NodeTuning {
-    fn default() -> Self {
-        Self {
-            inbox_shards: 4,
-            inbox_batch: 64,
-            writer_batch: 32,
-        }
-    }
-}
+/// Frames a connection writer folds into one buffered write and flush:
+/// +4…+8 % on `rt_waves` in each of the three pairings measured.
+const WRITER_BATCH: usize = 32;
+
+// Shell: `benchmark/` still names it; the re-baseline PR deletes it.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct NodeTuning;
 
 /// Name → socket address registry (a stand-in for the configuration layer
 /// the paper scopes out, §III-A).
@@ -312,56 +296,6 @@ enum Inbox {
     ReconnectFailed { channel: ChannelId },
 }
 
-/// Cloneable handle over the actor's inbox shards.
-///
-/// Shard choice is `channel % shards`: every event of one channel —
-/// frames, death notices, reconnect outcomes — flows through the same
-/// shard, so per-channel FIFO order survives sharding (the property §VI
-/// resync and the Bye protocol rely on). Channel-less events (accepted
-/// handshakes) ride shard 0.
-#[derive(Clone)]
-struct InboxTx {
-    shards: Arc<[mpsc::Sender<Inbox>]>,
-}
-
-impl InboxTx {
-    fn shard(&self, channel: ChannelId) -> &mpsc::Sender<Inbox> {
-        &self.shards[channel.0 as usize % self.shards.len()]
-    }
-
-    fn control(&self) -> &mpsc::Sender<Inbox> {
-        &self.shards[0]
-    }
-}
-
-/// Await the next inbox event across all shards, scanning round-robin
-/// from `cursor` so a chatty shard cannot starve the others.
-fn recv_shards<'a>(
-    shard_rxs: &'a mut [mpsc::Receiver<Inbox>],
-    cursor: &'a mut usize,
-) -> impl std::future::Future<Output = Option<Inbox>> + 'a {
-    std::future::poll_fn(move |cx| {
-        let n = shard_rxs.len();
-        let mut closed = 0;
-        for i in 0..n {
-            let idx = (*cursor + i) % n;
-            match shard_rxs[idx].poll_recv(cx) {
-                std::task::Poll::Ready(Some(v)) => {
-                    *cursor = (idx + 1) % n;
-                    return std::task::Poll::Ready(Some(v));
-                }
-                std::task::Poll::Ready(None) => closed += 1,
-                std::task::Poll::Pending => {}
-            }
-        }
-        if closed == n {
-            std::task::Poll::Ready(None)
-        } else {
-            std::task::Poll::Pending
-        }
-    })
-}
-
 struct Conn {
     writer_tx: mpsc::Sender<Frame>,
     /// Dial target when this end initiated the channel; reconnection is
@@ -422,22 +356,11 @@ pub async fn spawn_node_with(
     policy: ReconnectPolicy,
     observer: Box<dyn Observer + Send>,
 ) -> std::io::Result<NodeHandle> {
-    spawn_node_inner(
-        name,
-        box_id,
-        logic,
-        dir,
-        policy,
-        observer,
-        None,
-        None,
-        NodeTuning::default(),
-    )
-    .await
+    spawn_node_inner(name, box_id, logic, dir, policy, observer, None, None).await
 }
 
-/// [`spawn_node_with`] with explicit [`NodeTuning`] — the entry point
-/// storm benchmarks use to run sharded and unsharded arms side by side.
+// Shell: `benchmark/` still calls it; the re-baseline PR deletes it.
+#[doc(hidden)]
 pub async fn spawn_node_tuned(
     name: impl Into<String>,
     box_id: BoxId,
@@ -445,12 +368,9 @@ pub async fn spawn_node_tuned(
     dir: Directory,
     policy: ReconnectPolicy,
     observer: Box<dyn Observer + Send>,
-    tuning: NodeTuning,
+    _tuning: NodeTuning,
 ) -> std::io::Result<NodeHandle> {
-    spawn_node_inner(
-        name, box_id, logic, dir, policy, observer, None, None, tuning,
-    )
-    .await
+    spawn_node_with(name, box_id, logic, dir, policy, observer).await
 }
 
 /// [`spawn_node_with`] plus a [`ChaosGate`]: every outgoing frame and
@@ -469,25 +389,17 @@ pub async fn spawn_node_chaos(
     observer: Box<dyn Observer + Send>,
     gate: Arc<ChaosGate>,
 ) -> std::io::Result<NodeHandle> {
-    spawn_node_inner(
-        name,
-        box_id,
-        logic,
-        dir,
-        policy,
-        observer,
-        None,
-        Some(gate),
-        NodeTuning::default(),
-    )
-    .await
+    spawn_node_inner(name, box_id, logic, dir, policy, observer, None, Some(gate)).await
 }
 
 /// [`spawn_node_with`] plus causal tracing: every stimulus the node
 /// processes becomes a span in `sink`, outgoing signaling frames carry
 /// the trace context on the wire ([`Frame::Traced`]), and incoming traced
 /// frames link the local spans into the sender's call trace. Untraced
-/// peers interoperate (they see/send plain [`Frame::Msg`]).
+/// peers interoperate (they see/send plain [`Frame::Msg`]). Spans are
+/// stamped with `clock`: nodes that share a sink must share it too, or
+/// their spans sit on different timelines.
+#[allow(clippy::too_many_arguments)]
 pub async fn spawn_node_traced(
     name: impl Into<String>,
     box_id: BoxId,
@@ -496,19 +408,10 @@ pub async fn spawn_node_traced(
     policy: ReconnectPolicy,
     observer: Box<dyn Observer + Send>,
     sink: Arc<SpanSink>,
+    clock: Arc<dyn Clock + Send + Sync>,
 ) -> std::io::Result<NodeHandle> {
-    spawn_node_inner(
-        name,
-        box_id,
-        logic,
-        dir,
-        policy,
-        observer,
-        Some(sink),
-        None,
-        NodeTuning::default(),
-    )
-    .await
+    let tracer = Some(Tracer::new(sink, clock));
+    spawn_node_inner(name, box_id, logic, dir, policy, observer, tracer, None).await
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -519,9 +422,8 @@ async fn spawn_node_inner(
     dir: Directory,
     policy: ReconnectPolicy,
     observer: Box<dyn Observer + Send>,
-    sink: Option<Arc<SpanSink>>,
+    tracer: Option<Tracer>,
     gate: Option<Arc<ChaosGate>>,
-    tuning: NodeTuning,
 ) -> std::io::Result<NodeHandle> {
     let name = name.into();
     let listener = TcpListener::bind("127.0.0.1:0").await?;
@@ -533,7 +435,6 @@ async fn spawn_node_inner(
     let (shutdown_tx, shutdown_rx) = watch::channel(false);
     let (snap_tx, snapshot) = watch::channel(NodeSnapshot::default());
     let registry = Arc::new(Registry::new());
-    let tracer = sink.map(|sink| Tracer::new(sink, Arc::new(WallClock::new())));
     let obs: Box<dyn Observer + Send> = match &tracer {
         Some(t) => Box::new(Fanout(
             t.observer(),
@@ -542,21 +443,15 @@ async fn spawn_node_inner(
         None => Box::new(Fanout(CountingObserver::new(registry.clone()), observer)),
     };
 
-    let shards = tuning.inbox_shards.max(1);
-    let mut shard_txs = Vec::with_capacity(shards);
-    let mut shard_rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel::<Inbox>(256);
-        shard_txs.push(tx);
-        shard_rxs.push(rx);
-    }
-    let inbox_tx = InboxTx {
-        shards: shard_txs.into(),
-    };
+    // One queue for every connection's events: per-channel FIFO (what §VI
+    // resync and the Bye protocol rely on) is global FIFO.
+    let (inbox_tx, inbox_rx) = mpsc::channel::<Inbox>(256);
 
     // Accept loop: do the hello handshake off the main loop so a slow
-    // opener cannot stall signal processing. Owned by the handle (not
-    // the actor) so a crash-aborted node releases its listener socket.
+    // opener cannot stall signal processing, and bound it by the send
+    // timeout so a silent one cannot hold a task and a socket for good.
+    // Owned by the handle (not the actor) so a crash-aborted node releases
+    // its listener socket.
     let accept_tx = inbox_tx.clone();
     let accept_join = tokio::spawn(async move {
         loop {
@@ -567,9 +462,10 @@ async fn spawn_node_inner(
             tokio::spawn(async move {
                 socket.set_nodelay(true).ok();
                 let mut framed = Framed::new(socket);
-                if let Ok(Some(bytes)) = framed.read_frame().await {
+                if let Ok(Ok(Some(bytes))) = timeout(policy.send_timeout, framed.read_frame()).await
+                {
                     if let Ok(Frame::Hello(hello)) = wire::decode(bytes) {
-                        let _ = tx.control().send(Inbox::Accepted { hello, framed }).await;
+                        let _ = tx.send(Inbox::Accepted { hello, framed }).await;
                     }
                 }
             });
@@ -584,7 +480,6 @@ async fn spawn_node_inner(
         conns: HashMap::new(),
         next_channel: 0,
         policy,
-        tuning,
         timers: BinaryHeap::new(),
         snap_tx,
         obs,
@@ -595,7 +490,7 @@ async fn spawn_node_inner(
         buffers: Buffers::default(),
         lost: VecDeque::new(),
     };
-    let join = tokio::spawn(actor.run(shard_rxs, user_rx, input_rx, shutdown_rx));
+    let join = tokio::spawn(actor.run(inbox_rx, user_rx, input_rx, shutdown_rx));
 
     Ok(NodeHandle {
         name,
@@ -621,7 +516,6 @@ struct Actor {
     conns: HashMap<ChannelId, Conn>,
     next_channel: u32,
     policy: ReconnectPolicy,
-    tuning: NodeTuning,
     /// Wakeups the host asked for, earliest first. The host drops the
     /// stale ones (restarted or cancelled timers) when they come due.
     timers: BinaryHeap<Reverse<(Instant, TimerId, u64)>>,
@@ -635,38 +529,32 @@ struct Actor {
     /// Chaos gate, when spawned via [`spawn_node_chaos`]; consulted on
     /// every outgoing frame and every (re)dial.
     gate: Option<Arc<ChaosGate>>,
-    inbox_tx: InboxTx,
+    inbox_tx: mpsc::Sender<Inbox>,
     /// Lent to every host call and drained right after.
     buffers: Buffers,
     /// Connections (with their generation) the actor itself declared dead
     /// while transmitting, handled before its next event. They do not go
-    /// through the inbox: the actor is the only consumer of its shards, so
-    /// awaiting room in one of them would wait on itself.
+    /// through the inbox: the actor is its only consumer, so awaiting room
+    /// in it would wait on itself.
     lost: VecDeque<(ChannelId, u64)>,
 }
 
 impl Actor {
     async fn run(
         mut self,
-        mut shard_rxs: Vec<mpsc::Receiver<Inbox>>,
+        mut inbox_rx: mpsc::Receiver<Inbox>,
         mut user_rx: mpsc::Receiver<(SlotId, UserCmd)>,
         mut input_rx: mpsc::Receiver<BoxInput>,
         mut shutdown_rx: watch::Receiver<bool>,
     ) {
         self.feed(Input::Inject(BoxInput::Start), None).await;
 
-        let mut cursor = 0usize;
         loop {
             while let Some((channel, gen)) = self.lost.pop_front() {
                 self.on_conn_lost(channel, gen).await;
             }
             self.publish();
             let next_timer = self.timers.peek().map(|Reverse((due, ..))| *due);
-            // The select only *receives* the first inbox event; applying
-            // it (and draining the rest of the burst) happens after the
-            // block, once the select's borrows on the shard receivers are
-            // released.
-            let mut inbox_first: Option<Inbox> = None;
             tokio::select! {
                 biased;
                 _ = shutdown_rx.changed() => {
@@ -674,8 +562,16 @@ impl Actor {
                         break;
                     }
                 }
-                Some(msg) = recv_shards(&mut shard_rxs, &mut cursor) => {
-                    inbox_first = Some(msg);
+                Some(msg) = inbox_rx.recv() => {
+                    self.on_inbox(msg).await;
+                    // Apply what else is already queued before paying for
+                    // the snapshot publish.
+                    for _ in 1..INBOX_BATCH {
+                        let Ok(msg) = inbox_rx.try_recv() else {
+                            break;
+                        };
+                        self.on_inbox(msg).await;
+                    }
                 }
                 Some((slot, cmd)) = user_rx.recv() => {
                     self.feed(Input::User { slot, cmd }, None).await;
@@ -687,31 +583,6 @@ impl Actor {
                 // only gives the disabled branch a value.
                 _ = sleep_until(next_timer.unwrap_or_else(Instant::now)), if next_timer.is_some() => {
                     self.fire_due_timers().await;
-                }
-            }
-            if let Some(msg) = inbox_first {
-                self.on_inbox(msg).await;
-                // Batch drain: apply events already queued across the
-                // shards before paying for the snapshot publish, up to the
-                // tuning bound. Per-shard (and so per-channel) order is
-                // preserved — only the interleave across channels varies.
-                let mut budget = self.tuning.inbox_batch.saturating_sub(1);
-                'drain: while budget > 0 {
-                    let mut progressed = false;
-                    for i in 0..shard_rxs.len() {
-                        let idx = (cursor + i) % shard_rxs.len();
-                        while let Ok(msg) = shard_rxs[idx].try_recv() {
-                            self.on_inbox(msg).await;
-                            progressed = true;
-                            budget -= 1;
-                            if budget == 0 {
-                                break 'drain;
-                            }
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
                 }
             }
         }
@@ -914,7 +785,7 @@ impl Actor {
         let name = self.name.clone();
         let policy = self.policy;
         let gate = self.gate.clone();
-        let tx = self.inbox_tx.shard(channel).clone();
+        let tx = self.inbox_tx.clone();
         tokio::spawn(async move {
             let t0 = std::time::Instant::now();
             // Jittered capped backoff: after a partition heals, every
@@ -1027,7 +898,7 @@ impl Actor {
         let (stream, leftover) = framed.into_parts();
         let (read_half, write_half) = stream.into_split();
 
-        let tx = self.inbox_tx.shard(channel).clone();
+        let tx = self.inbox_tx.clone();
         tokio::spawn(async move {
             // Frames that arrived behind the handshake are still in the
             // buffer; the reader must start from them.
@@ -1060,12 +931,11 @@ impl Actor {
                 }
             }
         });
-        let tx = self.inbox_tx.shard(channel).clone();
+        let tx = self.inbox_tx.clone();
         let send_timeout = self.policy.send_timeout;
-        let writer_batch = self.tuning.writer_batch.max(1);
         tokio::spawn(async move {
             let mut writer = Framed::new(write_half);
-            let mut payloads: Vec<bytes::Bytes> = Vec::with_capacity(writer_batch);
+            let mut payloads: Vec<bytes::Bytes> = Vec::with_capacity(WRITER_BATCH);
             'conn: while let Some(first) = writer_rx.recv().await {
                 // Fold whatever else is already queued into one buffered
                 // write and a single flush; under storm load this turns
@@ -1073,7 +943,7 @@ impl Actor {
                 // batch (and the connection) — nothing may follow it.
                 let mut bye = matches!(first, Frame::Bye);
                 payloads.push(wire::encode(&first));
-                while !bye && payloads.len() < writer_batch {
+                while !bye && payloads.len() < WRITER_BATCH {
                     match writer_rx.try_recv() {
                         Ok(frame) => {
                             bye = matches!(frame, Frame::Bye);

@@ -16,8 +16,8 @@ use ipmedia_rt::{
     ReconnectPolicy,
 };
 use std::sync::{Arc, Mutex};
-use tokio::net::TcpListener;
-use tokio::time::{Duration, Instant};
+use tokio::net::{TcpListener, TcpStream};
+use tokio::time::{timeout, Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(20);
 
@@ -29,16 +29,22 @@ fn callee_logic() -> Box<dyn AppLogic> {
     Box::new(EndpointLogic::resource(EndpointPolicy::audio(addr(2))))
 }
 
-/// Opens one channel of `tunnels` slots to `target` and dials every slot.
+/// Opens `channels` channels of `tunnels` slots each to `target` and dials
+/// every slot.
 struct Dialer {
     target: &'static str,
+    channels: u16,
     tunnels: u16,
 }
 
 impl AppLogic for Dialer {
     fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
         match input {
-            BoxInput::Start => ctx.open_channel(self.target, self.tunnels, 1),
+            BoxInput::Start => {
+                for _ in 0..self.channels {
+                    ctx.open_channel(self.target, self.tunnels, 1);
+                }
+            }
             BoxInput::ChannelUp {
                 slots,
                 req: Some(1),
@@ -95,11 +101,12 @@ fn count(s: &NodeSnapshot, state: SlotState) -> usize {
     s.slots.iter().filter(|sl| sl.state == state).count()
 }
 
-/// `calls` calls on one channel, directly or through a flowlinking
-/// gateway, closed and re-opened all at once for 20 waves: every burst is
-/// several times the 64-frame writer queue.
-async fn waves(calls: u16, via_gateway: bool) {
-    let n = usize::from(calls);
+/// `channels × tunnels` calls, directly or through a flowlinking gateway,
+/// closed and re-opened all at once for 20 waves: on one channel every
+/// burst is several times the 64-frame writer queue, on several the calls
+/// interleave in the callee's one inbox.
+async fn waves(channels: u16, tunnels: u16, via_gateway: bool) {
+    let n = usize::from(channels * tunnels);
     let dir = Directory::new();
     let clock: Arc<dyn Clock + Send + Sync> = Arc::new(WallClock::new());
     let mut logs = Vec::new();
@@ -130,7 +137,8 @@ async fn waves(calls: u16, via_gateway: bool) {
     }
     let dialer = Dialer {
         target: if via_gateway { "gateway" } else { "callee" },
-        tunnels: calls,
+        channels,
+        tunnels,
     };
     let mut caller = spawn_node_obs("caller", BoxId(1), Box::new(dialer), dir, recorder())
         .await
@@ -195,6 +203,9 @@ async fn waves(calls: u16, via_gateway: bool) {
         );
         assert_eq!(m.retransmissions, 0, "{}", node.name);
     }
+    // One open per call per establishment: the first and one per wave.
+    let opens = caller.registry().snapshot().sent("open");
+    assert_eq!(opens, n as u64 * 21, "caller opens");
 
     let mut log: Vec<(u64, ObsEvent)> = Vec::new();
     for l in &logs {
@@ -218,12 +229,17 @@ async fn waves(calls: u16, via_gateway: bool) {
 
 #[tokio::test]
 async fn sixty_four_calls_on_one_channel_survive_waves() {
-    waves(64, false).await;
+    waves(1, 64, false).await;
 }
 
 #[tokio::test]
 async fn twenty_four_calls_through_a_gateway_survive_waves() {
-    waves(24, true).await;
+    waves(1, 24, true).await;
+}
+
+#[tokio::test]
+async fn thirty_two_calls_over_eight_channels_survive_waves() {
+    waves(8, 4, false).await;
 }
 
 const PUMP: TimerId = TimerId(7);
@@ -330,5 +346,49 @@ async fn a_stalled_peer_costs_its_connection_and_nothing_else() {
     assert!(phone.wait_for(WAIT, flowing).await);
 
     node.shutdown().await;
+    phone.shutdown().await;
+}
+
+/// A peer that connects and never says hello is hung up on after the send
+/// timeout, and the node goes on taking calls.
+#[tokio::test]
+async fn a_silent_opener_is_hung_up_on() {
+    let dir = Directory::new();
+    let policy = ReconnectPolicy {
+        send_timeout: Duration::from_millis(200),
+        ..ReconnectPolicy::default()
+    };
+    let observer = Box::new(NoopObserver);
+    let mut phone = spawn_node_with(
+        "phone",
+        BoxId(2),
+        callee_logic(),
+        dir.clone(),
+        policy,
+        observer,
+    )
+    .await
+    .unwrap();
+
+    let mut silent = Framed::new(TcpStream::connect(phone.addr).await.unwrap());
+    let end = timeout(Duration::from_secs(2), silent.read_frame()).await;
+    assert!(matches!(end, Ok(Ok(None))), "no EOF in 2 s: {end:?}");
+
+    let dialer = Dialer {
+        target: "phone",
+        channels: 1,
+        tunnels: 1,
+    };
+    let mut caller = spawn_node("caller", BoxId(1), Box::new(dialer), dir)
+        .await
+        .unwrap();
+    let flowing = |s: &NodeSnapshot| count(s, SlotState::Flowing) == 1;
+    assert!(
+        caller.wait_for(WAIT, flowing).await,
+        "call after the opener"
+    );
+    assert!(phone.wait_for(WAIT, flowing).await);
+
+    caller.shutdown().await;
     phone.shutdown().await;
 }

@@ -194,7 +194,8 @@ async fn connection_loss_parks_slot_and_reconnect_retransmits() {
 /// re-registers under the same name, overwriting the stale entry, and
 /// `Directory::deregister` is address-guarded so a late cleanup of the
 /// dead instance can never clobber its replacement. The peer's per-attempt
-/// directory lookup then lands on the new address and the call recovers.
+/// directory lookup then lands on the new address, the channel recovers,
+/// and a new call flows over it.
 #[tokio::test]
 async fn crash_restart_reregisters_and_peer_recovers() {
     let dir = Directory::new();
@@ -264,7 +265,7 @@ async fn crash_restart_reregisters_and_peer_recovers() {
 
     // Second life: a fresh instance under the same name re-registers and
     // overwrites the stale mapping.
-    let callee2 = spawn_node(
+    let mut callee2 = spawn_node(
         "callee",
         BoxId(2),
         Box::new(EndpointLogic::new(
@@ -283,17 +284,31 @@ async fn crash_restart_reregisters_and_peer_recovers() {
         "restart overwrites the stale entry"
     );
 
-    // The caller's per-attempt lookup finds the new address; §VI resync
-    // retransmits the parked slot state and the call flows again.
+    // The caller's per-attempt lookup finds the new address and the
+    // channel comes back. The fresh instance holds no state for the old
+    // call, so it refuses each signal of the §VI resync (oack, describe,
+    // select) with a `close` and the caller's slot closes in order —
+    // `Flowing` right after the reconnect is only the parked state, and
+    // an open sent before the last refusal lands would be closed by it.
     assert!(
         caller
             .wait_for(WAIT, |s| {
                 s.recovering == 0
                     && s.channels == 1
-                    && s.slots.iter().any(|sl| sl.state == SlotState::Flowing)
+                    && s.slots[0].state == SlotState::Closed
+                    && s.metrics.received("close") == 3
             })
             .await,
-        "call recovers against the restarted instance"
+        "channel recovers against the restarted instance; the stale call is closed"
+    );
+    // A new call on the recovered channel flows at both ends.
+    caller.user(slot, UserCmd::Open(Medium::Audio)).await;
+    let flowing =
+        |s: &ipmedia_rt::NodeSnapshot| s.slots.iter().any(|sl| sl.state == SlotState::Flowing);
+    assert!(caller.wait_for(WAIT, flowing).await, "caller flows again");
+    assert!(
+        callee2.wait_for(WAIT, flowing).await,
+        "restarted callee flows"
     );
 
     // Address-guarded cleanup: a late deregister from the dead first

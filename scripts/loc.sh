@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Code lines per crate and in total: non-blank lines that are not `//`
 # comments (doc comments included), up to the first `#[cfg(test)]` of each
-# file. With arguments, counts just those files and prints one line each.
+# file. With arguments, counts just those files and prints one line each;
+# without, also one line per `shims/*` and for `benchmark`, below `total`
+# and not part of it.
 #
 # Usage: scripts/loc.sh [FILE.rs ...]
 #
@@ -25,12 +27,23 @@ if [ "$#" -gt 0 ]; then
     exit 0
 fi
 
+# Prints the count of DIR/src and sets `n` to it.
+count_dir() {
+    mapfile -t files < <(find "$1/src" -name '*.rs')
+    n=$(count "${files[@]}")
+    printf '%6d  %s\n' "$n" "${1#./}"
+}
+
 total=0
 for dir in . crates/*; do
     [ -d "$dir/src" ] || continue
-    mapfile -t files < <(find "$dir/src" -name '*.rs')
-    n=$(count "${files[@]}")
-    printf '%6d  %s\n' "$n" "${dir#./}"
+    count_dir "$dir"
     total=$((total + n))
 done
 printf '%6d  total\n' "$total"
+# Counted by the same rule, outside the total: the stand-ins for published
+# crates and the benchmark package.
+for dir in shims/* benchmark; do
+    [ -d "$dir/src" ] || continue
+    count_dir "$dir"
+done
