@@ -58,13 +58,10 @@ impl MediaNet {
                 Key::Port(b, s) => (*b, Some(*s)),
             };
             let media = self.net.media(box_id);
-            for slot_id in media.slot_ids().collect::<Vec<_>>() {
-                if let Some(only) = only_slot {
-                    if slot_id != only {
-                        continue;
-                    }
+            for (slot_id, slot) in media.slots() {
+                if only_slot.is_some_and(|only| slot_id != only) {
+                    continue;
                 }
-                let slot = media.slot(slot_id).expect("listed slot exists");
                 if let Some((to, codec)) = slot.tx_route() {
                     out.push(Route { from, to, codec });
                 }

@@ -216,6 +216,12 @@ impl MediaBox {
         self.slots.iter().map(|e| e.id)
     }
 
+    /// All registered slots with their ids, in id order: one walk of the
+    /// table where `slot_ids` + `slot` would search it once per slot.
+    pub fn slots(&self) -> impl Iterator<Item = (SlotId, &Slot)> + '_ {
+        self.slots.iter().map(|e| (e.id, &e.slot))
+    }
+
     /// The goal currently controlling a slot, if any.
     pub fn goal_of(&self, id: SlotId) -> Option<&Goal> {
         let gid = self.entry(id)?.goal?;

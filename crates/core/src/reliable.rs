@@ -83,10 +83,7 @@ pub fn pending_await(slot: &Slot) -> Option<Await> {
 
 /// True iff every slot of the box has converged (no pending awaits).
 pub fn converged(media: &MediaBox) -> bool {
-    media
-        .slot_ids()
-        .filter_map(|id| media.slot(id))
-        .all(|s| pending_await(s).is_none())
+    media.slots().all(|(_, s)| pending_await(s).is_none())
 }
 
 /// Signals to re-emit for a slot's pending await. These are pure
@@ -273,13 +270,8 @@ impl Reliability {
     /// Returns timer commands to execute plus any completed recoveries.
     pub fn sync(&mut self, media: &MediaBox, now_ms: u64) -> (Vec<BoxCmd>, Vec<Recovery>) {
         let live: BTreeMap<SlotId, Await> = media
-            .slot_ids()
-            .filter_map(|id| {
-                media
-                    .slot(id)
-                    .and_then(pending_await)
-                    .map(|what| (id, what))
-            })
+            .slots()
+            .filter_map(|(id, s)| pending_await(s).map(|what| (id, what)))
             .collect();
 
         let mut cmds = Vec::new();

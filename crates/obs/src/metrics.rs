@@ -91,15 +91,19 @@ impl Histogram {
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
+        let mut out = HistogramSnapshot::default();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`Histogram::snapshot`] into a copy the caller reuses; allocates
+    /// nothing once `out` has held a snapshot of this histogram.
+    pub fn snapshot_into(&self, out: &mut HistogramSnapshot) {
+        out.bounds.clone_from(&self.bounds);
+        out.counts.clear();
+        let counts = self.counts.iter().map(|c| c.load(Ordering::Relaxed));
+        out.counts.extend(counts);
+        out.sum = self.sum.load(Ordering::Relaxed);
     }
 }
 
@@ -164,11 +168,11 @@ macro_rules! metric_table {
     (@snap histogram $bounds:expr) => { HistogramSnapshot };
     (@new histogram $bounds:expr) => { Histogram::new(&$bounds) };
     (@new $kind:ident $($kinds:expr)?) => { Default::default() };
-    (@load $cell:expr, counter) => { $cell.load(Ordering::Relaxed) };
-    (@load $cell:expr, by_kind $kinds:expr) => {
-        $cell.each_ref().map(|c| c.load(Ordering::Relaxed))
+    (@load $cell:expr, $out:expr, counter) => { $out = $cell.load(Ordering::Relaxed) };
+    (@load $cell:expr, $out:expr, by_kind $kinds:expr) => {
+        $out = $cell.each_ref().map(|c| c.load(Ordering::Relaxed))
     };
-    (@load $cell:expr, histogram $bounds:expr) => { $cell.snapshot() };
+    (@load $cell:expr, $out:expr, histogram $bounds:expr) => { $cell.snapshot_into(&mut $out) };
     (@value $v:expr, counter) => { MetricValue::Counter($v) };
     (@value $v:expr, by_kind $kinds:expr) => { MetricValue::ByKind(&$kinds, &$v) };
     (@value $v:expr, histogram $bounds:expr) => { MetricValue::Histogram(&$v) };
@@ -190,7 +194,15 @@ macro_rules! metric_table {
             }
 
             pub fn snapshot(&self) -> MetricsSnapshot {
-                MetricsSnapshot { $($field: metric_table!(@load self.$field, $kind $($arg)?),)* }
+                let mut out = MetricsSnapshot::default();
+                self.snapshot_into(&mut out);
+                out
+            }
+
+            /// [`Registry::snapshot`] into a copy the caller reuses;
+            /// allocates nothing once `out` has held a snapshot.
+            pub fn snapshot_into(&self, out: &mut MetricsSnapshot) {
+                $(metric_table!(@load self.$field, out.$field, $kind $($arg)?);)*
             }
         }
 
@@ -235,8 +247,16 @@ metric_table! {
     /// unknown code, or stale analyzer version) instead of trusted.
     cache_evictions: counter => "ipmedia_cache_evictions_total";
     /// Channel + first-slot setup latency (§V: 2n+3c for a fresh path).
+    /// On `rt` it times the channel dial alone, one observation per
+    /// answered dial; a call's setup there is `call_setup_us`.
     pub tunnel_setup_ms: histogram([50, 100, 150, 200, 250, 300, 400, 500, 750, 1000])
         => "ipmedia_tunnel_setup_ms";
+    /// One call's setup on `rt`, one observation per call: from the slot
+    /// entering `opening` (this end sent the open) to its reaching
+    /// `flowing`.
+    pub call_setup_us: histogram([
+        50, 100, 200, 500, 1000, 2000, 5000, 10_000, 50_000, 100_000, 1_000_000,
+    ]) => "ipmedia_call_setup_us";
     /// Flow-link reconvergence after a relink (§VII, Fig. 13).
     pub flowlink_convergence_ms: histogram([25, 50, 75, 100, 150, 200, 300, 400, 600, 800])
         => "ipmedia_flowlink_convergence_ms";

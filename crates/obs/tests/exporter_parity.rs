@@ -34,6 +34,7 @@ fn populated() -> Arc<Registry> {
     registry.add_mck_dedup_hits(7);
     registry.add_cache_evictions(4);
     registry.tunnel_setup_ms.observe(120);
+    registry.call_setup_us.observe(900);
     registry.flowlink_convergence_ms.observe(88);
     registry.stimulus_compute_us.observe(15);
     registry.writer_wait_us.observe(700);
@@ -139,6 +140,7 @@ fn populated_values_survive_both_exports() {
     assert!(prom.contains("ipmedia_cache_evictions_total 4"));
     for h in [
         "tunnel_setup_ms",
+        "call_setup_us",
         "flowlink_convergence_ms",
         "stimulus_compute_us",
         "writer_wait_us",

@@ -19,6 +19,7 @@ use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
 use ipmedia_core::ids::{ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
+use ipmedia_core::slot::Slot;
 use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
 use ipmedia_obs::clock::Clock;
 use ipmedia_obs::export::prometheus_text;
@@ -111,8 +112,10 @@ pub fn jitter_seed(name: &str, channel: u32) -> u64 {
     fnv1a(name.as_bytes()) ^ (u64::from(channel) << 32 | u64::from(channel))
 }
 
-/// Inbox events applied per actor wakeup before the snapshot publish:
-/// publish is O(slots), and paying it per event cost ×1.67 on `rt_waves`.
+/// Inbox events applied per actor wakeup before the snapshot publish. A
+/// publish costs what the events touched, but each one wakes whoever
+/// waits on the snapshot (a futex wake of a parked thread): paying that
+/// per event cost ×0.89 on `rt_waves`, 64 ahead in 9 of 10 pairs.
 const INBOX_BATCH: usize = 64;
 
 /// Frames a connection writer folds into one buffered write and flush:
@@ -174,6 +177,16 @@ pub struct SlotSnapshot {
     pub slot: SlotId,
     pub state: SlotState,
     pub tx_route: Option<(MediaAddr, Codec)>,
+}
+
+impl SlotSnapshot {
+    fn of(slot: SlotId, s: &Slot) -> Self {
+        SlotSnapshot {
+            slot,
+            state: s.state(),
+            tx_route: s.tx_route(),
+        }
+    }
 }
 
 /// Observable state of the node.
@@ -442,6 +455,11 @@ async fn spawn_node_inner(
         )),
         None => Box::new(Fanout(CountingObserver::new(registry.clone()), observer)),
     };
+    let log = SlotLog {
+        touched: Vec::new(),
+        opening: HashMap::new(),
+        registry: registry.clone(),
+    };
 
     // One queue for every connection's events: per-channel FIFO (what §VI
     // resync and the Bye protocol rely on) is global FIFO.
@@ -482,7 +500,10 @@ async fn spawn_node_inner(
         policy,
         timers: BinaryHeap::new(),
         snap_tx,
-        obs,
+        slots_changed: true,
+        fresh: Vec::new(),
+        metrics: MetricsSnapshot::default(),
+        obs: Fanout(log, obs),
         registry: registry.clone(),
         tracer,
         gate,
@@ -505,6 +526,41 @@ async fn spawn_node_inner(
     })
 }
 
+/// The slots the box sent a signal from or received one on since the last
+/// publish, one entry per signal and in order. That is every way a slot's
+/// `(state, tx_route)` changes: the slot FSM moves only in `on_signal`
+/// and in the `send_*` actions, each of which yields a signal to transmit,
+/// so a transition adds nothing to the two (and a mid-call re-describe or
+/// re-select moves `tx_route` with no transition at all). A transition is
+/// instead where a call's instants are events, not something polled out
+/// of a coalesced snapshot: `call_setup_us` is observed here.
+struct SlotLog {
+    touched: Vec<SlotId>,
+    /// When each slot now in `opening` entered it.
+    opening: HashMap<SlotId, std::time::Instant>,
+    registry: Arc<Registry>,
+}
+
+impl Observer for SlotLog {
+    fn signal_sent(&mut self, _bx: u32, slot: u16, _kind: &'static str) {
+        self.touched.push(SlotId(slot));
+    }
+    fn signal_received(&mut self, _bx: u32, slot: u16, _kind: &'static str) {
+        self.touched.push(SlotId(slot));
+    }
+    fn slot_transition(&mut self, _bx: u32, slot: u16, from: &str, to: &str, _cause: &str) {
+        if to == SlotState::Opening.name() {
+            self.opening.insert(SlotId(slot), std::time::Instant::now());
+        } else if from == SlotState::Opening.name() {
+            let since = self.opening.remove(&SlotId(slot));
+            if let Some(since) = since.filter(|_| to == SlotState::Flowing.name()) {
+                let us = since.elapsed().as_micros() as u64;
+                self.registry.call_setup_us.observe(us);
+            }
+        }
+    }
+}
+
 struct Actor {
     name: String,
     /// Listener address, for addr-guarded directory cleanup on shutdown.
@@ -520,9 +576,17 @@ struct Actor {
     /// stale ones (restarted or cancelled timers) when they come due.
     timers: BinaryHeap<Reverse<(Instant, TimerId, u64)>>,
     snap_tx: watch::Sender<NodeSnapshot>,
-    /// Unified event sink: metrics counting fanned out with any observer
-    /// the spawner supplied.
-    obs: Box<dyn Observer + Send>,
+    /// The slot *set* changed since the last publish (a channel came or
+    /// went): the next one rebuilds every entry instead of folding.
+    slots_changed: bool,
+    /// The entries a publish is about to write, then the ones it
+    /// replaced; kept for its capacity.
+    fresh: Vec<SlotSnapshot>,
+    /// The same for the metrics: filled before a publish, swapped in.
+    metrics: MetricsSnapshot,
+    /// Unified event sink: the slot log, then metrics counting fanned out
+    /// with any observer the spawner supplied.
+    obs: Fanout<SlotLog, Box<dyn Observer + Send>>,
     registry: Arc<Registry>,
     /// Causal tracer, when spawned via [`spawn_node_traced`].
     tracer: Option<Tracer>,
@@ -614,6 +678,7 @@ impl Actor {
                     }
                     Effect::Hangup { channel } => {
                         // Local teardown is immediate; the peer acts on Bye.
+                        self.slots_changed = true;
                         if let Some(conn) = self.conns.remove(&channel) {
                             let _ = conn.writer_tx.send(Frame::Bye).await;
                         }
@@ -670,25 +735,46 @@ impl Actor {
         }
     }
 
-    fn publish(&self) {
+    /// Publish what the events since the last publish changed: the
+    /// entries of the slots they touched are folded into the value already
+    /// in the watch, or every entry is rebuilt when the slot set itself
+    /// changed. Everything is computed before the watch lock is taken and
+    /// the lock held only to write it — a `wait_for` predicate runs under
+    /// the same lock on its caller's thread — and what the writes replaced
+    /// comes out with it, to be overwritten by the next publish.
+    fn publish(&mut self) {
         let media = self.host.media();
-        let slots = media
-            .slot_ids()
-            .map(|id| {
-                let s = media.slot(id).expect("listed");
-                SlotSnapshot {
-                    slot: id,
-                    state: s.state(),
-                    tx_route: s.tx_route(),
+        let entries = || media.slots().map(|(id, s)| SlotSnapshot::of(id, s));
+        let rebuild = std::mem::take(&mut self.slots_changed);
+        let log = &mut self.obs.0;
+        if rebuild {
+            log.touched.clear();
+            log.opening.retain(|id, _| media.slot(*id).is_some());
+            self.fresh.extend(entries());
+        } else {
+            let slot = |id| media.slot(id).expect("slot set unchanged");
+            let touched = log.touched.drain(..);
+            self.fresh
+                .extend(touched.map(|id| SlotSnapshot::of(id, slot(id))));
+        }
+        let channels = self.conns.len();
+        let recovering = self.conns.values().filter(|c| c.recovering).count();
+        self.registry.snapshot_into(&mut self.metrics);
+        self.snap_tx.send_modify(|snap| {
+            if rebuild {
+                std::mem::swap(&mut snap.slots, &mut self.fresh);
+            } else {
+                for new in self.fresh.drain(..) {
+                    let at = snap.slots.binary_search_by_key(&new.slot, |s| s.slot);
+                    snap.slots[at.expect("slot set unchanged")] = new;
                 }
-            })
-            .collect();
-        let _ = self.snap_tx.send(NodeSnapshot {
-            slots,
-            channels: self.conns.len(),
-            recovering: self.conns.values().filter(|c| c.recovering).count(),
-            metrics: self.registry.snapshot(),
+            }
+            (snap.channels, snap.recovering) = (channels, recovering);
+            std::mem::swap(&mut snap.metrics, &mut self.metrics);
+            // The oracle: a fold must leave what a rebuild would build.
+            debug_assert!(snap.slots.iter().cloned().eq(entries()), "fold != rebuild");
         });
+        self.fresh.clear();
     }
 
     async fn fire_due_timers(&mut self) {
@@ -846,6 +932,7 @@ impl Actor {
 
     async fn drop_channel(&mut self, channel: ChannelId) {
         if self.conns.remove(&channel).is_some() {
+            self.slots_changed = true;
             self.feed(Input::ChannelDown { channel }, None).await;
         }
     }
@@ -865,6 +952,7 @@ impl Actor {
         let channel = ChannelId(self.next_channel);
         self.next_channel += 1;
         self.host.register_channel(channel, tunnels, initiator);
+        self.slots_changed = true;
         let writer_tx = match framed {
             Some(framed) => self.spawn_io_tasks(channel, 0, framed),
             // Nothing reads what is written to a half-open channel.

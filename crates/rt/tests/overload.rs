@@ -204,8 +204,11 @@ async fn waves(channels: u16, tunnels: u16, via_gateway: bool) {
         assert_eq!(m.retransmissions, 0, "{}", node.name);
     }
     // One open per call per establishment: the first and one per wave.
-    let opens = caller.registry().snapshot().sent("open");
-    assert_eq!(opens, n as u64 * 21, "caller opens");
+    let m = caller.registry().snapshot();
+    assert_eq!(m.sent("open"), n as u64 * 21, "caller opens");
+    // And each establishment timed, as one observation of some length.
+    assert_eq!(m.call_setup_us.total(), n as u64 * 21, "caller setups");
+    assert!(m.call_setup_us.sum > 0, "setups take time");
 
     let mut log: Vec<(u64, ObsEvent)> = Vec::new();
     for l in &logs {

@@ -124,14 +124,26 @@ async fn direct_call_over_tcp() {
     );
 
     // The node's metrics ride along in the published snapshot: the caller
-    // sent one open, received its answers, and timed one tunnel setup.
-    let m = caller.snapshot.borrow().metrics.clone();
+    // sent one open, received its answers, and timed one dial and one
+    // call. The callee's select is the last thing the caller hears, so
+    // once a snapshot counts it the registry has stopped moving; both are
+    // read under one borrow, which also keeps the actor from publishing.
+    assert!(
+        caller
+            .wait_for(WAIT, |s| s.metrics.received("select") == 1)
+            .await
+    );
+    let (m, live) = {
+        let published = caller.snapshot.borrow();
+        (published.metrics.clone(), caller.registry().snapshot())
+    };
     assert_eq!(m.sent("open"), 1);
     assert!(m.signals_received_total() > 0);
     assert!(m.stimuli > 0);
     assert_eq!(m.tunnel_setup_ms.total(), 1);
+    assert_eq!(m.call_setup_us.total(), 1);
     assert_eq!(m.stimulus_compute_us.total(), m.stimuli);
-    assert_eq!(m, caller.registry().snapshot());
+    assert_eq!(m, live);
     let text = caller.metrics_text();
     assert!(text.contains("ipmedia_signals_sent_total{kind=\"open\"} 1"));
     assert!(text.contains("ipmedia_tunnel_setup_ms_count 1"));

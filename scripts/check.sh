@@ -73,6 +73,13 @@ echo "== exploration memory budget (exact-repeat counts, optimized build)" >&2
 timed_gate "exploration memory budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
   ipmedia-mck test:footprint
 
+echo "== publish cost (bytes per round trip at 8 and at 512 slots, optimized build)" >&2
+# What an `rt` node allocates for one mid-call round trip, pinned the same
+# way: a snapshot publish that scales with the slots a node holds rather
+# than the slots an event touched fails here by an order of magnitude.
+timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
+  ipmedia-rt test:publish_cost
+
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output, gated against the committed baseline; the SARIF log is a build

@@ -328,11 +328,23 @@ pub mod watch {
         /// Unlike tokio this never errors: the value is stored even with
         /// no receivers, which is the behavior callers here rely on.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut s = self.shared.lock().unwrap();
-            s.value = value;
-            s.version += 1;
-            s.wake_all();
+            self.send_modify(|v| *v = value);
             Ok(())
+        }
+
+        /// Change the value in place under the channel lock and publish
+        /// the result as one new version, waking all pending `changed`
+        /// calls (after the lock is released, as tokio does).
+        pub fn send_modify(&self, modify: impl FnOnce(&mut T)) {
+            let wakers = {
+                let mut s = self.shared.lock().expect("a watch lock holder panicked");
+                modify(&mut s.value);
+                s.version += 1;
+                std::mem::take(&mut s.wakers)
+            };
+            for (_, w) in wakers {
+                w.wake();
+            }
         }
     }
 
@@ -441,6 +453,24 @@ pub mod watch {
             assert!(tx.shared.lock().unwrap().wakers.is_empty());
             assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_ready());
             assert_eq!(*rx.borrow(), 1);
+        }
+
+        /// However much a `send_modify` changes, it is one new version:
+        /// a pending `changed()` is woken, resolves once, and sees all
+        /// of it.
+        #[test]
+        fn send_modify_publishes_in_place_as_one_version() {
+            let (tx, mut rx) = channel(vec![1u32, 2, 3]);
+            let mut cx = Context::from_waker(Waker::noop());
+            assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_pending());
+            tx.send_modify(|v| {
+                v[0] = 7;
+                v.push(4);
+            });
+            assert!(tx.shared.lock().unwrap().wakers.is_empty());
+            assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_ready());
+            assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_pending());
+            assert_eq!(*rx.borrow(), [7, 2, 3, 4]);
         }
     }
 }
