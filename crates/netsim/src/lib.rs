@@ -10,10 +10,12 @@
 
 pub mod chaos;
 pub mod fault;
+pub mod queue;
 pub mod sim;
 pub mod time;
 
 pub use chaos::{apply_schedule, AppliedChaos};
 pub use fault::{FaultPlan, FaultState, SendFate};
+pub use queue::EventQueue;
 pub use sim::{Network, SimConfig, TraceEntry};
 pub use time::{SimDuration, SimTime};

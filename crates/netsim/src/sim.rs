@@ -4,9 +4,11 @@
 //! delay each message by the network latency *n*; each box takes the
 //! compute cost *c* to read a stimulus and compute the next signals to
 //! send, and processes stimuli serially (paper §VIII-C). All scheduling is
-//! deterministic: events are ordered by (time, sequence number).
+//! deterministic: events are ordered by time, and by push order within
+//! one time ([`EventQueue`]).
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
@@ -19,8 +21,7 @@ use ipmedia_obs::clock::ManualClock;
 use ipmedia_obs::ladder::{render, LadderEvent};
 use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
 use ipmedia_obs::{Fanout, NoopObserver, Observer};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Timing parameters of the simulated deployment.
@@ -90,30 +91,12 @@ enum Ev {
 }
 
 struct Scheduled {
-    at: SimTime,
-    seq: u64,
     ev: Ev,
     /// Causal trace context the event carries (tracing enabled only).
-    /// Not part of the ordering key, so enabling tracing cannot change
-    /// the event schedule — the zero-perturbation guarantee.
+    /// The queue orders by time and push order and never looks inside
+    /// what it holds, so enabling tracing cannot change the event
+    /// schedule — the zero-perturbation guarantee.
     ctx: Option<SpanCtx>,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 struct Node {
@@ -194,12 +177,11 @@ pub struct Network {
     partitions: HashMap<(BoxId, BoxId), (bool, bool)>,
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
-    events: BinaryHeap<Reverse<Scheduled>>,
+    events: EventQueue<Scheduled>,
     /// Lent to every host call and drained right after; reused so a
     /// stimulus costs no allocation for them.
     buffers: Buffers,
     now: SimTime,
-    seq: u64,
     pub trace_enabled: bool,
     trace: Vec<TraceEntry>,
     /// Unified observability sink; every protocol event in the simulation
@@ -225,10 +207,9 @@ impl Network {
             faults: HashMap::new(),
             partitions: HashMap::new(),
             bursts: HashMap::new(),
-            events: BinaryHeap::new(),
+            events: EventQueue::default(),
             buffers: Buffers::default(),
             now: SimTime::ZERO,
-            seq: 0,
             trace_enabled: false,
             trace: Vec::new(),
             obs: Box::new(NoopObserver),
@@ -541,18 +522,16 @@ impl Network {
     }
 
     fn push(&mut self, at: SimTime, ev: Ev, ctx: Option<SpanCtx>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Scheduled { at, seq, ev, ctx }));
+        self.events.push(at, Scheduled { ev, ctx });
     }
 
     /// Process one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(sch)) = self.events.pop() else {
+        let Some((at, sch)) = self.events.pop() else {
             return false;
         };
-        debug_assert!(sch.at >= self.now);
-        self.now = sch.at;
+        debug_assert!(at >= self.now);
+        self.now = at;
         self.clock.set(self.now.0);
         if let Some(t) = &self.tracer {
             // Contexts never leak across events: anything observed outside
@@ -819,10 +798,7 @@ impl Network {
     /// Run until the event queue is empty or virtual time exceeds `max`.
     /// Returns the final virtual time.
     pub fn run_until_quiescent(&mut self, max: SimTime) -> SimTime {
-        while let Some(Reverse(next)) = self.events.peek() {
-            if next.at > max {
-                break;
-            }
+        while self.events.next_at().is_some_and(|at| at <= max) {
             self.step();
         }
         self.now
@@ -835,8 +811,8 @@ impl Network {
             if pred(self) {
                 return true;
             }
-            match self.events.peek() {
-                Some(Reverse(next)) if next.at <= max => {
+            match self.events.next_at() {
+                Some(at) if at <= max => {
                     self.step();
                 }
                 _ => return false,
@@ -856,8 +832,12 @@ impl Network {
     /// legal when no events are pending; used to separate setup from a
     /// measured phase so setup compute time does not queue-delay it.
     pub fn advance(&mut self, d: SimDuration) {
-        assert_eq!(self.events.len(), 0, "advance requires a quiescent network");
+        assert!(
+            self.events.is_empty(),
+            "advance requires a quiescent network"
+        );
         self.now += d;
+        self.clock.set(self.now.0);
     }
 
     /// Names and ids of all boxes, in id order.

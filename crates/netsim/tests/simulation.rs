@@ -7,6 +7,7 @@ use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::path::PathEnds;
 use ipmedia_core::{Codec, MediaAddr, Medium};
 use ipmedia_netsim::{Network, SimConfig, SimDuration, SimTime};
+use ipmedia_obs::Clock;
 
 fn audio_endpoint(host: u8) -> Box<EndpointLogic> {
     Box::new(EndpointLogic::resource(EndpointPolicy::audio(
@@ -49,6 +50,9 @@ fn direct_call_latency_is_2n_plus_3c() {
     net.advance(SimDuration::from_millis(1_000)); // let boxes go idle
 
     let t0 = net.now();
+    // What a timestamping observer would stamp on anything reported
+    // before the next event (`enable_reliability` delivers at once).
+    assert_eq!(net.clock().now_micros(), t0.as_micros());
     net.user(a, sa[0], UserCmd::Open(Medium::Audio));
     let ok = net.run_until(T_MAX, |n| {
         n.media(a).slot(sa[0]).unwrap().tx_route().is_some()

@@ -177,4 +177,25 @@ mod tests {
             out.messages
         );
     }
+
+    #[test]
+    fn glare_outcomes_are_pinned_per_seed() {
+        // Written down from a run that ordered events by `(at, seq)` in a
+        // binary heap, the order `netsim::EventQueue` must reproduce. The
+        // `rand_ms` retry delays put many distinct instants in the queue at
+        // once, so a queue that reordered two events would move a latency.
+        let converged_us = [
+            4_077_000, 4_084_000, 3_991_000, 4_356_000, 4_090_000, 3_508_000, 2_691_000, 3_823_000,
+        ];
+        for (seed, us) in (1..).zip(converged_us) {
+            let out = glare_scenario(seed).expect("converges");
+            assert_eq!(out.converged_after, SimDuration(us), "seed {seed}");
+            assert_eq!(out.measured_relink, out.converged_after, "seed {seed}");
+            assert_eq!(
+                (out.glares, out.attempts_total, out.messages),
+                (2, 4, 28),
+                "seed {seed}"
+            );
+        }
+    }
 }

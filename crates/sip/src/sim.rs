@@ -1,16 +1,16 @@
 //! A miniature discrete-event simulator for the SIP baseline, with the
-//! same timing model as `ipmedia-netsim`: per-message network latency *n*,
-//! per-stimulus compute cost *c*, serial processing per node. Kept separate
-//! because the baseline speaks [`SipMsg`]s rather than the paper's
-//! protocol; the timing semantics are identical so latency comparisons are
+//! same timing model as `ipmedia-netsim` and on the same event queue
+//! ([`EventQueue`]): per-message network latency *n*, per-stimulus compute
+//! cost *c*, serial processing per node. The nodes are separate because
+//! the baseline speaks [`SipMsg`]s rather than the paper's protocol; the
+//! timing semantics are identical so latency comparisons are
 //! apples-to-apples.
 
 use crate::msg::SipMsg;
-use ipmedia_netsim::{SimDuration, SimTime};
+use ipmedia_netsim::{EventQueue, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 pub type NodeId = usize;
 
@@ -69,29 +69,6 @@ enum Ev {
     },
 }
 
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, o: &Self) -> bool {
-        (self.at, self.seq) == (o.at, o.seq)
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(o.at, o.seq))
-    }
-}
-
 /// The SIP network simulator.
 pub struct SipNet {
     net_latency: SimDuration,
@@ -99,9 +76,8 @@ pub struct SipNet {
     nodes: Vec<Box<dyn SipNode>>,
     busy_until: Vec<SimTime>,
     links: HashMap<(NodeId, u32), (NodeId, u32)>,
-    events: BinaryHeap<Reverse<Scheduled>>,
+    events: EventQueue<Ev>,
     now: SimTime,
-    seq: u64,
     rng: StdRng,
     /// Count of delivered messages by kind, for the protocol-cost table.
     pub msg_counts: HashMap<&'static str, u64>,
@@ -115,9 +91,8 @@ impl SipNet {
             nodes: Vec::new(),
             busy_until: Vec::new(),
             links: HashMap::new(),
-            events: BinaryHeap::new(),
+            events: EventQueue::default(),
             now: SimTime::ZERO,
-            seq: 0,
             rng: StdRng::seed_from_u64(seed),
             msg_counts: HashMap::new(),
         }
@@ -136,7 +111,7 @@ impl SipNet {
         let id = self.nodes.len();
         self.nodes.push(node);
         self.busy_until.push(SimTime::ZERO);
-        self.push(self.now, Ev::Start { to: id });
+        self.events.push(self.now, Ev::Start { to: id });
         id
     }
 
@@ -154,12 +129,6 @@ impl SipNet {
         self.msg_counts.values().sum()
     }
 
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Scheduled { at, seq, ev }));
-    }
-
     fn dispatch(&mut self, to: NodeId, f: impl FnOnce(&mut dyn SipNode, &mut SipCtx<'_>)) {
         let start = self.now.max(self.busy_until[to]);
         let done = start + self.compute_cost;
@@ -175,7 +144,7 @@ impl SipNet {
             match o {
                 SipOut::Send { dialog, msg } => {
                     if let Some(&(peer, pd)) = self.links.get(&(to, dialog)) {
-                        self.push(
+                        self.events.push(
                             done + self.net_latency,
                             Ev::Deliver {
                                 to: peer,
@@ -186,7 +155,7 @@ impl SipNet {
                     }
                 }
                 SipOut::Timer { id, after_ms } => {
-                    self.push(
+                    self.events.push(
                         done + SimDuration::from_millis(after_ms),
                         Ev::Timer { to, id },
                     );
@@ -196,11 +165,11 @@ impl SipNet {
     }
 
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(sch)) = self.events.pop() else {
+        let Some((at, ev)) = self.events.pop() else {
             return false;
         };
-        self.now = sch.at;
-        match sch.ev {
+        self.now = at;
+        match ev {
             Ev::Start { to } => self.dispatch(to, |n, ctx| n.on_start(ctx)),
             Ev::Timer { to, id } => self.dispatch(to, |n, ctx| n.on_timer(id, ctx)),
             Ev::Deliver { to, dialog, msg } => {
@@ -213,10 +182,7 @@ impl SipNet {
 
     /// Run until the queue empties or `max` is passed; returns final time.
     pub fn run_until_quiescent(&mut self, max: SimTime) -> SimTime {
-        while let Some(Reverse(next)) = self.events.peek() {
-            if next.at > max {
-                break;
-            }
+        while self.events.next_at().is_some_and(|at| at <= max) {
             self.step();
         }
         self.now
@@ -229,8 +195,8 @@ impl SipNet {
             if pred() {
                 return true;
             }
-            match self.events.peek() {
-                Some(Reverse(next)) if next.at <= max => {
+            match self.events.next_at() {
+                Some(at) if at <= max => {
                     self.step();
                 }
                 _ => return false,
