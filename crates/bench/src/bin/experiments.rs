@@ -53,23 +53,7 @@ fn main() {
     let results: Vec<CheckResult> =
         run_campaign(&campaign_configs(scale, 2, &[0]), 5_000_000, threads);
     for res in &results {
-        println!(
-            "{}",
-            JsonObj::new()
-                .str("record", "mck_check")
-                .str("path_type", &res.path_type.to_string())
-                .num("links", res.links as u64)
-                .num("states", res.states as u64)
-                .num("transitions", res.transitions as u64)
-                .num("terminals", res.terminals as u64)
-                .num("expanded", res.expanded as u64)
-                .num("dedup_hits", res.dedup_hits)
-                .float("states_per_sec", res.states_per_sec())
-                .float("elapsed_ms", res.elapsed.as_secs_f64() * 1e3)
-                .bool("truncated", res.truncated)
-                .bool("passed", res.passed())
-                .finish()
-        );
+        println!("{}", res.record().finish());
     }
     record_campaign_metrics(&registry, &results);
     eprintln!("{}", render_table(&results));

@@ -13,7 +13,6 @@ use ipmedia_mck::{
     campaign_configs, check_path, invariant_code, minimize_counterexample, render_table,
     render_trace, run_campaign,
 };
-use ipmedia_obs::JsonObj;
 use std::time::Instant;
 
 const USAGE: &str = "usage: campaign [budget_scale] [max_links] [max_states] [--threads N]   \
@@ -43,21 +42,7 @@ fn main() {
             res.verdict()
         );
 
-        let mut rec = JsonObj::new()
-            .str("record", "mck_check")
-            .str("path_type", &res.path_type.to_string())
-            .num("links", res.links as u64)
-            .num("faults", u64::from(res.faults))
-            .str("spec", &format!("{:?}", res.spec))
-            .num("states", res.states as u64)
-            .num("transitions", res.transitions as u64)
-            .num("terminals", res.terminals as u64)
-            .num("expanded", res.expanded as u64)
-            .num("dedup_hits", res.dedup_hits)
-            .float("states_per_sec", res.states_per_sec())
-            .float("elapsed_ms", res.elapsed.as_secs_f64() * 1e3)
-            .bool("truncated", res.truncated)
-            .bool("passed", res.passed());
+        let mut rec = res.record();
         let violation = res.safety.as_ref().err().or(res.spec_result.as_ref().err());
         if let Some(v) = violation {
             let code = invariant_code(res.spec, v);

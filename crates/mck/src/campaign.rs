@@ -13,6 +13,7 @@ use crate::props::{check_safety, check_spec, Violation};
 use crate::state::CheckConfig;
 use ipmedia_core::path::{EndGoal, PathSpec, PathType};
 use ipmedia_obs::metrics::Registry;
+use ipmedia_obs::JsonObj;
 use std::time::Duration;
 
 /// Outcome of checking one path configuration.
@@ -28,6 +29,12 @@ pub struct CheckResult {
     pub expanded: usize,
     /// Seen-set hits: transitions collapsed onto already-interned states.
     pub dedup_hits: u64,
+    /// Distinct local steps, the transitions that were executed rather than
+    /// looked up ([`StateGraph::local_steps`]).
+    pub local_steps: u64,
+    /// Successors rebuilt as states to be canonicalized
+    /// ([`StateGraph::canonicalized`]).
+    pub canonicalized: u64,
     pub elapsed: Duration,
     pub truncated: bool,
     pub safety: Result<(), Violation>,
@@ -112,6 +119,28 @@ impl CheckResult {
         }
     }
 
+    /// The `mck_check` JSONL record of this result: everything but a
+    /// counterexample, which takes the graph to reconstruct.
+    pub fn record(&self) -> JsonObj {
+        JsonObj::new()
+            .str("record", "mck_check")
+            .str("path_type", &self.path_type.to_string())
+            .num("links", self.links as u64)
+            .num("faults", u64::from(self.faults))
+            .str("spec", &format!("{:?}", self.spec))
+            .num("states", self.states as u64)
+            .num("transitions", self.transitions as u64)
+            .num("terminals", self.terminals as u64)
+            .num("expanded", self.expanded as u64)
+            .num("dedup_hits", self.dedup_hits)
+            .num("local_steps", self.local_steps)
+            .num("canonicalized", self.canonicalized)
+            .float("states_per_sec", self.states_per_sec())
+            .float("elapsed_ms", self.elapsed.as_secs_f64() * 1e3)
+            .bool("truncated", self.truncated)
+            .bool("passed", self.passed())
+    }
+
     /// Exploration throughput, states expanded per second.
     pub fn states_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -143,6 +172,8 @@ pub fn check_path_with(cfg: &CheckConfig, opts: &ExploreOptions) -> (CheckResult
         terminals: g.terminals.len(),
         expanded: g.expanded,
         dedup_hits: g.dedup_hits,
+        local_steps: g.local_steps,
+        canonicalized: g.canonicalized,
         elapsed: g.elapsed,
         truncated: g.truncated,
         safety: check_safety(&g),
@@ -286,13 +317,16 @@ pub fn fault_campaign_par(
 
 /// Record a campaign's exploration metrics into an observability
 /// registry: per-configuration expansion throughput lands in the
-/// `mck_states_per_sec` histogram, seen-set hits in `mck_dedup_hits`.
+/// `mck_states_per_sec` histogram, seen-set hits in `mck_dedup_hits`, and
+/// how the transitions were stepped in `mck_local_steps` and
+/// `mck_canonicalized`.
 pub fn record_campaign_metrics(registry: &Registry, results: &[CheckResult]) {
     for r in results {
         registry
             .mck_states_per_sec
             .observe(r.states_per_sec() as u64);
         registry.add_mck_dedup_hits(r.dedup_hits);
+        registry.add_mck_steps(r.local_steps, r.canonicalized);
     }
 }
 

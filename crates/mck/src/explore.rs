@@ -30,13 +30,25 @@
 //! exactly when their states are. Ids are only ever compared for equality
 //! within one run — never ordered, never exported — so the order in which
 //! racing workers happen to intern components cannot reach the graph.
-//! A full `PathState` exists only while a frontier state is being expanded.
+//!
+//! A transition is *stepped* on ids too. It reads one box and at most one
+//! queue and appends to at most two more ([`footprint`]), so it is executed
+//! once per distinct `(action, ids read)` and looked up from then on
+//! ([`Components::successor`]); the successor's row is its parent's with
+//! those columns replaced, and whether that row is already canonical is read
+//! off a per-component [`Census`] instead of by canonicalizing. A full
+//! `PathState` exists only for a frontier state while its actions are
+//! enumerated, for a local step the first time it is met, for the few
+//! successors that do need canonicalizing, and to evaluate the flags of a
+//! newly discovered state.
 
-use crate::state::{Action, CheckConfig, EndBox, LinkBox, PathState, Tunnel};
+use crate::state::{
+    footprint, Action, CheckConfig, EndBox, LinkBox, Part, PathState, Tagged, Tunnel,
+};
 use ipmedia_core::signal::Signal;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Number of seen-set shards. A power of two well above any realistic
@@ -152,10 +164,64 @@ fn find_row(index: &HashIndex, rows: &[u32], hash: u64, row: &[u32]) -> Option<u
         .find(|&id| rows[id as usize * w..][..w] == *row)
 }
 
+/// `0x01` in each of the sixteen bytes of a [`Census`] word.
+const EACH_BYTE: u128 = u128::from_ne_bytes([1; 16]);
+
+/// What [`PathState::canonicalize`] would read of one interned component,
+/// taken once when it is interned, so that whether a row is canonical is
+/// decided on its ids: the censuses of a row's components, OR-ed, are the
+/// census of the state.
+#[derive(Clone, Copy, Default)]
+struct Census {
+    /// Byte `o`: a bit per generation in use of the tag origin numbered
+    /// `o`. Bit 7 of any byte says a generation past 6, a counter past 7 or
+    /// an origin past the sixteenth was met: "don't know".
+    gens: u128,
+    /// Byte `o`: bit `c` for a tag source of that origin whose counter is `c`.
+    next: u128,
+}
+
+impl Census {
+    /// Bit 7 of a byte of `gens`.
+    const UNKNOWN: u128 = 0x80;
+
+    fn of(v: &mut impl Tagged, origins: &mut Vec<u64>) -> Census {
+        // Bit `n` of the byte of `origin`, origins numbered as they are met.
+        let mut bit = |origin: u64, n: u32, limit: u32| {
+            let o = origins.iter().position(|&met| met == origin);
+            let o = o.unwrap_or_else(|| {
+                origins.push(origin);
+                origins.len() - 1
+            });
+            (o < 16 && n < limit).then(|| 1u128 << (8 * o as u32 + n))
+        };
+        let mut census = Census::default();
+        v.visit_tags(&mut |t| {
+            census.gens |= bit(t.origin, t.generation, 7).unwrap_or(Self::UNKNOWN)
+        });
+        v.visit_sources(&mut |s| match bit(s.origin(), s.generation_counter(), 8) {
+            Some(bit) => census.next |= bit,
+            None => census.gens |= Self::UNKNOWN,
+        });
+        census
+    }
+
+    /// Whether canonicalizing the state counted here would leave it as it
+    /// is: every origin's generations in use are `0..k` (a byte `b` of
+    /// `gens` with `b & (b + 1) == 0`) and each of its sources stands at
+    /// `k` (its bit of `next` is that `b + 1`). `false` also stands for
+    /// "don't know", never `true`.
+    fn canonical(self) -> bool {
+        let past = self.gens.wrapping_add(EACH_BYTE);
+        self.gens & (past | EACH_BYTE << 7) == 0 && self.next & !past == 0
+    }
+}
+
 /// Interning table for one component type: equal values get the same id,
 /// different values different ids.
 struct Table<T> {
-    values: Vec<T>,
+    /// Each value with its census.
+    values: Vec<(T, Census)>,
     by_hash: HashIndex,
 }
 
@@ -168,28 +234,94 @@ impl<T> Default for Table<T> {
     }
 }
 
-/// The id of `v` in `table`. A component that compares equal to its
-/// parent state's (`inherited`: that component and its id) keeps the id
-/// without being hashed; otherwise a hash hit is confirmed by value.
-fn intern<T: Clone + Eq + Hash>(
-    table: &Mutex<Table<T>>,
-    v: &T,
-    inherited: Option<(&T, u32)>,
-) -> u32 {
-    if let Some((_, id)) = inherited.filter(|(parent, _)| *parent == v) {
-        return id;
+impl<T: Clone + Eq + Hash + Tagged> Table<T> {
+    /// The id of `v`: a hash hit is confirmed by value.
+    fn intern(&mut self, v: &T, origins: &mut Vec<u64>) -> u32 {
+        let Table { values, by_hash } = self;
+        let ids = by_hash.entry(state_hash(v)).or_default();
+        if let Some(&id) = ids.iter().find(|&&id| values[id as usize].0 == *v) {
+            return id;
+        }
+        let id = values.len() as u32;
+        ids.push(id);
+        let mut v = v.clone();
+        let census = Census::of(&mut v, origins);
+        values.push((v, census));
+        id
     }
-    let hash = state_hash(v);
-    let mut table = table.lock().expect("component table lock");
-    let Table { values, by_hash } = &mut *table;
-    let ids = by_hash.entry(hash).or_default();
-    if let Some(&id) = ids.iter().find(|&&id| values[id as usize] == *v) {
-        return id;
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// The ids of a footprint's `ins`, or of its `outs`.
+type Ids = [u32; 2];
+
+/// The id of the empty queue: [`Components::new`] interns it first.
+const EMPTY: u32 = 0;
+
+/// What the workers of one exploration share under one lock.
+#[derive(Default)]
+struct Tables {
+    ends: Table<EndBox>,
+    boxes: Table<LinkBox>,
+    queues: Table<VecDeque<Signal>>,
+    /// Tag origins in the order met; an origin's [`Census`] byte is its
+    /// position here. Like the ids, the numbers never leave the run.
+    origins: Vec<u64>,
+    /// The local-step memo: an action's code and the ids of its footprint's
+    /// `ins` → their ids after the uncanonicalized step, and the ids of
+    /// the queues of what it sent to each of the `outs`. Unused places
+    /// hold 0.
+    steps: FxMap<(u32, Ids), (Ids, Ids)>,
+    /// A queue and what was sent after it → the two end to end.
+    appends: FxMap<(u32, u32), u32>,
+}
+
+impl Tables {
+    /// The id of `part` of `s` (a tunnel's counters are their own id).
+    fn intern(&mut self, s: &PathState, part: Part) -> u32 {
+        let origins = &mut self.origins;
+        match part {
+            Part::Left => self.ends.intern(&s.left, origins),
+            Part::Right => self.ends.intern(&s.right, origins),
+            Part::Link(i) => self.boxes.intern(&s.links[i], origins),
+            Part::Fwd(t) => self.queues.intern(&s.tunnels[t].fwd, origins),
+            Part::Bwd(t) => self.queues.intern(&s.tunnels[t].bwd, origins),
+            Part::Counters(t) => {
+                let tun = &s.tunnels[t];
+                u32::from_le_bytes([tun.faults_left, tun.lost_fwd, tun.lost_bwd, 0])
+            }
+        }
     }
-    let id = values.len() as u32;
-    ids.push(id);
-    values.push(v.clone());
-    id
+
+    /// The id of `queue` with `sent` appended.
+    fn append(&mut self, queue: u32, sent: u32) -> u32 {
+        if let Some(&joined) = self.appends.get(&(queue, sent)) {
+            return joined;
+        }
+        let [queue_then, sent_then] = [queue, sent].map(|id| &self.queues.values[id as usize].0);
+        let joined = queue_then.iter().chain(sent_then).cloned().collect();
+        let joined = self.queues.intern(&joined, &mut self.origins);
+        self.appends.insert((queue, sent), joined);
+        joined
+    }
+
+    /// The census of the state `row` stands for, on a path of `links`
+    /// flowlinks.
+    fn census(&self, links: usize, row: &[u32]) -> Census {
+        let (boxes, tunnels) = row.split_at(2 + links);
+        let ends = boxes[..2].iter().map(|&id| self.ends.values[id as usize].1);
+        let links = boxes[2..]
+            .iter()
+            .map(|&id| self.boxes.values[id as usize].1);
+        let queues = tunnels.chunks_exact(3).flat_map(|cols| [cols[0], cols[1]]);
+        let queues = queues.map(|id| self.queues.values[id as usize].1);
+        ends.chain(links)
+            .chain(queues)
+            .fold(Census::default(), |all, c| Census {
+                gens: all.gens | c.gens,
+                next: all.next | c.next,
+            })
+    }
 }
 
 /// The component tables of one exploration, shared by its workers, and
@@ -198,19 +330,26 @@ fn intern<T: Clone + Eq + Hash>(
 struct Components {
     /// Flowlink boxes of the path; fixes the row width.
     links: usize,
-    ends: Mutex<Table<EndBox>>,
-    boxes: Mutex<Table<LinkBox>>,
-    queues: Mutex<Table<VecDeque<Signal>>>,
+    tables: RwLock<Tables>,
 }
 
 impl Components {
     fn new(links: usize) -> Self {
+        let mut tables = Tables::default();
+        let empty = tables.queues.intern(&VecDeque::new(), &mut tables.origins);
+        assert_eq!(empty, EMPTY);
         Components {
             links,
-            ends: Mutex::default(),
-            boxes: Mutex::default(),
-            queues: Mutex::default(),
+            tables: RwLock::new(tables),
         }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Tables> {
+        self.tables.read().expect("component tables lock")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Tables> {
+        self.tables.write().expect("component tables lock")
     }
 
     /// `u32`s in a row.
@@ -218,52 +357,39 @@ impl Components {
         2 + self.links + 3 * (self.links + 1)
     }
 
-    /// Append the row of `s` to `row`. `parent` is the state `s` was
-    /// stepped from and that state's row: whatever the step left alone
-    /// inherits its id.
-    fn pack(&self, s: &PathState, parent: Option<(&PathState, &[u32])>, row: &mut Vec<u32>) {
+    /// The parts of a state, in row order.
+    fn parts(&self) -> impl Iterator<Item = Part> {
+        let tunnels =
+            (0..=self.links).flat_map(|t| [Part::Fwd(t), Part::Bwd(t), Part::Counters(t)]);
+        [Part::Left, Part::Right]
+            .into_iter()
+            .chain((0..self.links).map(Part::Link))
+            .chain(tunnels)
+    }
+
+    /// The column of a row that holds `part`.
+    fn col(&self, part: Part) -> usize {
+        let tunnel = |t: usize| 2 + self.links + 3 * t;
+        match part {
+            Part::Left => 0,
+            Part::Right => 1,
+            Part::Link(i) => 2 + i,
+            Part::Fwd(t) => tunnel(t),
+            Part::Bwd(t) => tunnel(t) + 1,
+            Part::Counters(t) => tunnel(t) + 2,
+        }
+    }
+
+    /// The row of `s`.
+    fn pack(&self, s: &PathState) -> Vec<u32> {
         assert!(
             s.links.len() == self.links && s.tunnels.len() == self.links + 1,
             "a state with {} flowlink(s) in a seen-set built for {}",
             s.links.len(),
             self.links
         );
-        // The parent state and the id its row holds in column `col`.
-        let hint = |col: usize| parent.map(|(p, ids)| (p, ids[col]));
-        let (ends, boxes, queues) = (&self.ends, &self.boxes, &self.queues);
-        row.push(intern(ends, &s.left, hint(0).map(|(p, id)| (&p.left, id))));
-        row.push(intern(
-            ends,
-            &s.right,
-            hint(1).map(|(p, id)| (&p.right, id)),
-        ));
-        for (i, link) in s.links.iter().enumerate() {
-            row.push(intern(
-                boxes,
-                link,
-                hint(2 + i).map(|(p, id)| (&p.links[i], id)),
-            ));
-        }
-        for (t, tun) in s.tunnels.iter().enumerate() {
-            let col = 2 + self.links + 3 * t;
-            let (fwd, bwd) = (hint(col), hint(col + 1));
-            row.push(intern(
-                queues,
-                &tun.fwd,
-                fwd.map(|(p, id)| (&p.tunnels[t].fwd, id)),
-            ));
-            row.push(intern(
-                queues,
-                &tun.bwd,
-                bwd.map(|(p, id)| (&p.tunnels[t].bwd, id)),
-            ));
-            row.push(u32::from_le_bytes([
-                tun.faults_left,
-                tun.lost_fwd,
-                tun.lost_bwd,
-                0,
-            ]));
-        }
+        let mut tables = self.write();
+        self.parts().map(|part| tables.intern(s, part)).collect()
     }
 
     /// Rebuild into `out` the state `row` was packed from, reusing `out`'s
@@ -271,22 +397,20 @@ impl Components {
     fn unpack_into(&self, row: &[u32], out: &mut PathState) {
         let (ends, rest) = row.split_at(2);
         let (links, tunnels) = rest.split_at(self.links);
-        {
-            let table = self.ends.lock().expect("component table lock");
-            out.left.clone_from(&table.values[ends[0] as usize]);
-            out.right.clone_from(&table.values[ends[1] as usize]);
-        }
-        {
-            let table = self.boxes.lock().expect("component table lock");
-            out.links.clear();
-            out.links
-                .extend(links.iter().map(|&id| table.values[id as usize].clone()));
-        }
-        let table = self.queues.lock().expect("component table lock");
+        let tables = self.read();
+        out.left.clone_from(&tables.ends.values[ends[0] as usize].0);
+        out.right
+            .clone_from(&tables.ends.values[ends[1] as usize].0);
+        out.links.clear();
+        let boxes = &tables.boxes.values;
+        out.links
+            .extend(links.iter().map(|&id| boxes[id as usize].0.clone()));
         out.tunnels.resize_with(self.links + 1, Tunnel::default);
         for (tun, cols) in out.tunnels.iter_mut().zip(tunnels.chunks_exact(3)) {
-            tun.fwd.clone_from(&table.values[cols[0] as usize]);
-            tun.bwd.clone_from(&table.values[cols[1] as usize]);
+            tun.fwd
+                .clone_from(&tables.queues.values[cols[0] as usize].0);
+            tun.bwd
+                .clone_from(&tables.queues.values[cols[1] as usize].0);
             [tun.faults_left, tun.lost_fwd, tun.lost_bwd, _] = cols[2].to_le_bytes();
         }
     }
@@ -294,7 +418,7 @@ impl Components {
     /// The state `row` was packed from.
     fn unpack(&self, row: &[u32]) -> PathState {
         // Any endpoint box will do to have a state to rebuild into.
-        let end = self.ends.lock().expect("component table lock").values[row[0] as usize].clone();
+        let end = self.read().ends.values[row[0] as usize].0.clone();
         let mut s = PathState {
             left: end.clone(),
             links: Vec::new(),
@@ -303,6 +427,79 @@ impl Components {
         };
         self.unpack_into(row, &mut s);
         s
+    }
+
+    /// Put into `row` the row of `state.apply(cfg, action)`, given `own`,
+    /// the row of `state`: `own` with the columns of the action's footprint
+    /// replaced. The step itself is taken once per distinct `(action,
+    /// ins)` — in `scratch`, uncanonicalized, and with the `outs` emptied
+    /// first, so that what they hold afterwards is what the step sent — and
+    /// looked up from then on. Only a row that cannot be shown canonical on
+    /// its ids is rebuilt as a state, to be canonicalized and packed again;
+    /// returns `false` for such a row.
+    fn successor(
+        &self,
+        cfg: &CheckConfig,
+        (state, own): (&PathState, &[u32]),
+        action: Action,
+        scratch: &mut PathState,
+        row: &mut Vec<u32>,
+    ) -> bool {
+        row.clear();
+        row.extend_from_slice(own);
+        let (ins, outs) = footprint(self.links, action);
+        let ids = ins.map(|p| p.map_or(0, |p| row[self.col(p)]));
+        let key = (action.code(), ids);
+        let mut tables = self.read();
+        let (after, sent) = if let Some(&known) = tables.steps.get(&key) {
+            known
+        } else {
+            drop(tables);
+            scratch.clone_from(state);
+            for out in outs.into_iter().flatten() {
+                scratch.queue_mut(out).clear();
+            }
+            scratch.step(cfg, action);
+            // Two workers missing on one key intern equal values to equal
+            // ids: whichever inserts last changes nothing.
+            let mut writing = self.write();
+            let taken = (
+                ins.map(|p| p.map_or(0, |p| writing.intern(scratch, p))),
+                outs.map(|p| p.map_or(EMPTY, |p| writing.intern(scratch, p))),
+            );
+            writing.steps.insert(key, taken);
+            drop(writing);
+            tables = self.read();
+            taken
+        };
+        for (part, id) in ins.into_iter().flatten().zip(after) {
+            row[self.col(part)] = id;
+        }
+        for (part, sent) in outs.into_iter().flatten().zip(sent) {
+            if sent != EMPTY {
+                let col = self.col(part);
+                if let Some(&joined) = tables.appends.get(&(row[col], sent)) {
+                    row[col] = joined;
+                } else {
+                    drop(tables);
+                    row[col] = self.write().append(row[col], sent);
+                    tables = self.read();
+                }
+            }
+        }
+        let canonical = tables.census(self.links, row).canonical();
+        drop(tables);
+        if !canonical {
+            self.unpack_into(row, scratch);
+            scratch.canonicalize();
+            *row = self.pack(scratch);
+        }
+        debug_assert_eq!(
+            *row,
+            self.pack(&state.apply(cfg, action)),
+            "local step != apply on {action:?}"
+        );
+        canonical
     }
 }
 
@@ -398,6 +595,14 @@ pub struct StateGraph {
     /// Transitions that landed on an already-interned state — the work the
     /// canonical-hash dedup saved from re-expansion.
     pub dedup_hits: u64,
+    /// Distinct local steps: transitions whose `(action, ids of the
+    /// components it reads)` no earlier transition had, and which were
+    /// therefore executed; the rest were looked up. The same at any thread
+    /// count, like the graph.
+    pub local_steps: u64,
+    /// Successors whose row could not be shown canonical on its ids and
+    /// was rebuilt as a state, canonicalized and packed again.
+    pub canonicalized: u64,
 }
 
 impl StateGraph {
@@ -464,10 +669,12 @@ struct Shard {
 }
 
 /// Output of one worker for one contiguous chunk of the level: per state,
-/// whether it is terminal plus its out-edges, and the dedup tally.
+/// whether it is terminal plus its out-edges, and what its transitions
+/// add to [`StateGraph`]'s counts of the same names.
 struct ChunkOut {
     rows: Vec<(bool, Vec<Edge>)>,
     dedup_hits: u64,
+    canonicalized: u64,
 }
 
 /// Expand the states `lo..hi` of the arena (committed rows, back to back)
@@ -482,9 +689,10 @@ fn expand_chunk(
 ) -> ChunkOut {
     let w = components.width();
     let mut rows = Vec::with_capacity((hi - lo) as usize);
-    let mut dedup_hits = 0u64;
+    let (mut dedup_hits, mut canonicalized) = (0u64, 0u64);
     // The two full states a worker holds: the frontier state under
-    // expansion, rebuilt from its row, and its successor of the moment.
+    // expansion, rebuilt from its row, and a scratch one for the few
+    // successors that have to exist as states.
     let mut state = PathState::initial(cfg);
     let mut next = state.clone();
     let mut row = Vec::with_capacity(w);
@@ -498,9 +706,8 @@ fn expand_chunk(
         }
         let mut edges = Vec::with_capacity(actions.len());
         for (ordinal, &action) in actions.iter().enumerate() {
-            state.apply_into(cfg, action, &mut next);
-            row.clear();
-            components.pack(&next, Some((&state, own)), &mut row);
+            let canonical = components.successor(cfg, (&state, own), action, &mut next, &mut row);
+            canonicalized += u64::from(!canonical);
             let hash = state_hash(&row[..]);
             let shard_id = shard_of(hash);
             let mut shard = shards[shard_id].lock().expect("shard lock");
@@ -526,6 +733,7 @@ fn expand_chunk(
                 });
                 continue;
             }
+            components.unpack_into(&row, &mut next);
             let handle = shard.pending.len() as u32;
             shard.pending.push(Pending {
                 hash,
@@ -543,7 +751,11 @@ fn expand_chunk(
         }
         rows.push((false, edges));
     }
-    ChunkOut { rows, dedup_hits }
+    ChunkOut {
+        rows,
+        dedup_hits,
+        canonicalized,
+    }
 }
 
 /// Explore the reachable state space of `cfg`, expanding at most
@@ -564,8 +776,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
     let w = components.width();
     let initial = PathState::initial(cfg);
     // Committed states, one row of `w` ids each, back to back.
-    let mut arena: Vec<u32> = Vec::with_capacity(w);
-    components.pack(&initial, None, &mut arena);
+    let mut arena = components.pack(&initial);
     let initial_hash = state_hash(&arena[..]);
     let mut shards: Vec<Mutex<Shard>> = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
     shards[shard_of(initial_hash)]
@@ -581,7 +792,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
     let mut succ: Vec<Vec<u32>> = vec![Vec::new()];
     let mut terminals: Vec<u32> = Vec::new();
     let mut transitions = 0usize;
-    let mut dedup_hits = 0u64;
+    let (mut dedup_hits, mut canonicalized) = (0u64, 0u64);
     let mut expanded = 0usize;
     let mut truncated = false;
 
@@ -688,6 +899,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
                 id += 1;
             }
             dedup_hits += out.dedup_hits;
+            canonicalized += out.canonicalized;
         }
 
         expanded += take;
@@ -698,6 +910,7 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
         level_end = flags.len();
     }
 
+    let local_steps = components.read().steps.len() as u64;
     StateGraph {
         succ,
         flags,
@@ -708,6 +921,8 @@ pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
         truncated,
         expanded,
         dedup_hits,
+        local_steps,
+        canonicalized,
     }
 }
 
@@ -737,8 +952,7 @@ impl SeenSet {
         let components = self
             .components
             .get_or_insert_with(|| Components::new(s.links.len()));
-        let mut row = Vec::with_capacity(components.width());
-        components.pack(&s, None, &mut row);
+        let row = components.pack(&s);
         self.insert_row(state_hash(&row[..]), &row)
     }
 
@@ -802,7 +1016,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn a_row_rebuilds_its_state_and_ignores_the_hint(
+        fn a_row_rebuilds_its_state(
             shape in any::<u8>(),
             picks in proptest::collection::vec(any::<u8>(), 1..48),
         ) {
@@ -811,20 +1025,103 @@ mod tests {
             // One scratch state throughout, as a worker has: whatever the
             // previous row left in its buffers must not show.
             let mut rebuilt = PathState::initial(&cfg);
-            let mut parent: Option<(&PathState, Vec<u32>)> = None;
             for s in &states {
-                // The way the engine packs a successor, then from nothing.
-                let mut warm = Vec::new();
-                let hint = parent.as_ref().map(|(p, row)| (*p, &row[..]));
-                components.pack(s, hint, &mut warm);
-                let mut cold = Vec::new();
-                components.pack(s, None, &mut cold);
-                prop_assert_eq!(&warm, &cold);
-                prop_assert_eq!(cold.len(), components.width());
-                components.unpack_into(&cold, &mut rebuilt);
+                let row = components.pack(s);
+                prop_assert_eq!(row.len(), components.width());
+                components.unpack_into(&row, &mut rebuilt);
                 prop_assert_eq!(&rebuilt, s);
-                prop_assert_eq!(&components.unpack(&cold), s);
-                parent = Some((s, cold));
+                prop_assert_eq!(&components.unpack(&row), s);
+            }
+        }
+
+        // The local-step memo's three premises, over every enabled action
+        // of every state on the walk.
+
+        #[test]
+        fn a_step_stays_inside_its_footprint(
+            shape in any::<u8>(),
+            picks in proptest::collection::vec(any::<u8>(), 1..32),
+        ) {
+            let (cfg, states) = walk(shape, &picks);
+            let components = Components::new(cfg.links);
+            let queue = |s: &PathState, part: Part| s.clone().queue_mut(part).clone();
+            for s in &states {
+                for action in s.actions(&cfg) {
+                    let (ins, outs) = footprint(cfg.links, action);
+                    let mut stepped = s.clone();
+                    stepped.step(&cfg, action);
+                    // The same step with nothing in the queues it sends to.
+                    let mut emptied = s.clone();
+                    for out in outs.into_iter().flatten() {
+                        emptied.queue_mut(out).clear();
+                    }
+                    emptied.step(&cfg, action);
+                    for part in components.parts() {
+                        let id = |s: &PathState| components.write().intern(s, part);
+                        if outs.contains(&Some(part)) {
+                            // Appended to, by the same signals whatever it held.
+                            let mut sent = queue(&stepped, part);
+                            let before = queue(s, part);
+                            prop_assert!(sent.len() >= before.len(), "{:?} popped {:?}", action, part);
+                            let kept: VecDeque<Signal> = sent.drain(..before.len()).collect();
+                            prop_assert_eq!(&kept, &before, "{:?} rewrote {:?}", action, part);
+                            prop_assert_eq!(&sent, &queue(&emptied, part), "{:?} read {:?}", action, part);
+                        } else if ins.contains(&Some(part)) {
+                            prop_assert_eq!(id(&stepped), id(&emptied), "{:?} read its outs", action);
+                        } else {
+                            prop_assert_eq!(id(&stepped), id(s), "{:?} wrote {:?}", action, part);
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_looked_up_step_is_the_step(
+            shape in any::<u8>(),
+            picks in proptest::collection::vec(any::<u8>(), 1..32),
+        ) {
+            let (cfg, states) = walk(shape, &picks);
+            let components = Components::new(cfg.links);
+            let (mut scratch, mut row) = (PathState::initial(&cfg), Vec::new());
+            for s in &states {
+                let own = components.pack(s);
+                for action in s.actions(&cfg) {
+                    let want = components.pack(&s.apply(&cfg, action));
+                    // Cold — unless an earlier state took the same local
+                    // step — and then certainly warm.
+                    for _ in 0..2 {
+                        components.successor(&cfg, (s, &own), action, &mut scratch, &mut row);
+                        prop_assert_eq!(&row, &want, "{:?}", action);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_census_that_says_canonical_is_right(
+            shape in any::<u8>(),
+            picks in proptest::collection::vec(any::<u8>(), 1..32),
+        ) {
+            let (cfg, states) = walk(shape, &picks);
+            let components = Components::new(cfg.links);
+            for s in &states {
+                // The states canonicalization is asked about: a canonical
+                // one after one more step.
+                for action in s.actions(&cfg) {
+                    let mut raw = s.clone();
+                    raw.step(&cfg, action);
+                    let row = components.pack(&raw);
+                    let census = components.read().census(cfg.links, &row);
+                    let mut canonical = raw.clone();
+                    canonical.canonicalize();
+                    if census.canonical() {
+                        prop_assert_eq!(&canonical, &raw, "{:?}", action);
+                    } else if census.gens & EACH_BYTE << 7 == 0 {
+                        // Nothing was out of range: it knows, and said no.
+                        prop_assert_ne!(&canonical, &raw, "{:?}", action);
+                    }
+                }
             }
         }
 
@@ -849,6 +1146,39 @@ mod tests {
     }
 
     #[test]
+    fn a_census_out_of_range_says_dont_know_and_reaches_the_same_rows() {
+        use ipmedia_core::retag::Retag;
+        let cfg = CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold);
+        let attached = PathState::initial(&cfg).apply(&cfg, Action::EndAttach { right: false });
+        let open = attached.tunnels[0].fwd[0].clone();
+        // The open in flight once per tag: an eighth live generation of its
+        // origin, then a seventeenth origin.
+        type Tag = fn(u32) -> (u64, u32);
+        let cases: [(u32, Tag); 2] = [(8, |i| (101, i)), (17, |i| (1000 + u64::from(i), 0))];
+        for (copies, tag) in cases {
+            let mut s = attached.clone();
+            s.tunnels[0].fwd = (0..copies)
+                .map(|i| {
+                    let mut sig = open.clone();
+                    sig.visit_tags(&mut |t| (t.origin, t.generation) = tag(i));
+                    sig
+                })
+                .collect();
+            s.canonicalize();
+            let components = Components::new(cfg.links);
+            let own = components.pack(&s);
+            // Canonical it is, but its census cannot tell.
+            assert!(!components.read().census(cfg.links, &own).canonical());
+            let (mut scratch, mut row) = (s.clone(), Vec::new());
+            for action in s.actions(&cfg) {
+                let known = components.successor(&cfg, (&s, &own), action, &mut scratch, &mut row);
+                assert!(!known, "{copies} copies, {action:?}");
+                assert_eq!(row, components.pack(&s.apply(&cfg, action)), "{action:?}");
+            }
+        }
+    }
+
+    #[test]
     fn rows_sharing_a_hash_stay_two_states() {
         // Equality is decided on the rows, whatever the hash says: force
         // two states' rows into one bucket.
@@ -856,9 +1186,7 @@ mod tests {
         let s0 = PathState::initial(&cfg);
         let s1 = s0.apply(&cfg, Action::EndAttach { right: false });
         let components = Components::new(cfg.links);
-        let (mut r0, mut r1) = (Vec::new(), Vec::new());
-        components.pack(&s0, None, &mut r0);
-        components.pack(&s1, None, &mut r1);
+        let (r0, r1) = (components.pack(&s0), components.pack(&s1));
         assert_ne!(r0, r1);
         let mut seen = SeenSet {
             components: Some(components),

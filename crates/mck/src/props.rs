@@ -248,6 +248,8 @@ mod tests {
             truncated: false,
             expanded: n,
             dedup_hits: 0,
+            local_steps: 0,
+            canonicalized: 0,
             succ,
         }
     }

@@ -242,6 +242,130 @@ pub enum Action {
     RetransmitBwd(usize),
 }
 
+impl Action {
+    /// The action in 32 bits, one to one: the local-step memo keys on this
+    /// in place of 24 bytes of `usize`.
+    pub(crate) fn code(self) -> u32 {
+        let word = match self {
+            Action::DeliverFwd(t) => [0, t, 0, 0],
+            Action::DeliverBwd(t) => [1, t, 0, 0],
+            Action::EndNondet { right, op } => [2, right as usize, op as usize, 0],
+            Action::EndAttach { right } => [3, right as usize, 0, 0],
+            Action::EndModify { right, op } => [4, right as usize, op as usize, 0],
+            Action::LinkNondet { idx, side, op } => [5, idx, side, op as usize],
+            Action::LinkAttach { idx } => [6, idx, 0, 0],
+            Action::DropFwd(t) => [7, t, 0, 0],
+            Action::DropBwd(t) => [8, t, 0, 0],
+            Action::DupFwd(t) => [9, t, 0, 0],
+            Action::DupBwd(t) => [10, t, 0, 0],
+            Action::RetransmitFwd(t) => [11, t, 0, 0],
+            Action::RetransmitBwd(t) => [12, t, 0, 0],
+        };
+        u32::from_le_bytes(word.map(|b| u8::try_from(b).expect("a path of under 256 boxes")))
+    }
+}
+
+/// One separately interned component of a [`PathState`]: a box, one
+/// direction of a tunnel, or a tunnel's three fault counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Part {
+    Left,
+    Right,
+    Link(usize),
+    Fwd(usize),
+    Bwd(usize),
+    Counters(usize),
+}
+
+/// What one uncanonicalized [`PathState::step`] touches: its `ins`, the
+/// parts it reads and may rewrite — it reads nothing else — and its `outs`,
+/// the queues it may `push_back` to and never looks into, so that what it
+/// appends is the same whatever they hold. `None`s come last.
+pub(crate) type Footprint = ([Option<Part>; 2], [Option<Part>; 2]);
+
+/// The footprint of `action` on a path of `links` flowlinks.
+///
+/// | action | `ins` | `outs` |
+/// |---|---|---|
+/// | `Deliver*` | the queue popped, the box delivered to | that box's out-queues |
+/// | `End*`, `Link*` | the box | its out-queues |
+/// | `Drop*`, `Dup*` | the queue, the tunnel's counters | — |
+/// | `Retransmit*` | the sending box, the tunnel's counters | the queue sent into |
+pub(crate) fn footprint(links: usize, action: Action) -> Footprint {
+    use Part::{Bwd, Counters, Fwd};
+    // The box at path element `e` and the queues it sends into.
+    let element = |e: usize| match e {
+        0 => (Part::Left, [Some(Fwd(0)), None]),
+        e if e == links + 1 => (Part::Right, [Some(Bwd(links)), None]),
+        e => (Part::Link(e - 1), [Some(Bwd(e - 1)), Some(Fwd(e))]),
+    };
+    // A step inside the box at element `e`, which may also read `queue`.
+    let at = |e: usize, queue: Option<Part>| ([Some(element(e).0), queue], element(e).1);
+    let on_tunnel = |ins: [Part; 2], out: Option<Part>| (ins.map(Some), [out, None]);
+    match action {
+        Action::DeliverFwd(t) => at(t + 1, Some(Fwd(t))),
+        Action::DeliverBwd(t) => at(t, Some(Bwd(t))),
+        Action::EndNondet { right, .. }
+        | Action::EndAttach { right }
+        | Action::EndModify { right, .. } => at(if right { links + 1 } else { 0 }, None),
+        Action::LinkNondet { idx, .. } | Action::LinkAttach { idx } => at(idx + 1, None),
+        Action::DropFwd(t) | Action::DupFwd(t) => on_tunnel([Fwd(t), Counters(t)], None),
+        Action::DropBwd(t) | Action::DupBwd(t) => on_tunnel([Bwd(t), Counters(t)], None),
+        Action::RetransmitFwd(t) => on_tunnel([element(t).0, Counters(t)], Some(Fwd(t))),
+        Action::RetransmitBwd(t) => on_tunnel([element(t + 1).0, Counters(t)], Some(Bwd(t))),
+    }
+}
+
+/// The descriptor tags and tag sources of one component: what
+/// canonicalization reads and rewrites of it. (The shape of core's `Retag`,
+/// which the orphan rule keeps off a `VecDeque<Signal>`.)
+pub(crate) trait Tagged {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag));
+    fn visit_sources(&mut self, _f: &mut dyn FnMut(&mut TagSource)) {}
+}
+
+impl Tagged for EndBox {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
+        self.slot.visit_tags(f);
+    }
+
+    fn visit_sources(&mut self, f: &mut dyn FnMut(&mut TagSource)) {
+        match &mut self.mode {
+            EndMode::Phase1 { agent, .. } => agent.visit_sources(f),
+            EndMode::Phase2 { goal, .. } => match goal {
+                EndGoalObj::Open(g) => g.visit_sources(f),
+                EndGoalObj::Close(g) => g.visit_sources(f),
+                EndGoalObj::Hold(g) => g.visit_sources(f),
+            },
+        }
+    }
+}
+
+impl Tagged for LinkBox {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
+        self.slots[0].visit_tags(f);
+        self.slots[1].visit_tags(f);
+    }
+
+    fn visit_sources(&mut self, f: &mut dyn FnMut(&mut TagSource)) {
+        match &mut self.mode {
+            LinkMode::Phase1 { agents, .. } => {
+                agents[0].visit_sources(f);
+                agents[1].visit_sources(f);
+            }
+            LinkMode::Phase2 { link } => link.visit_sources(f),
+        }
+    }
+}
+
+impl Tagged for VecDeque<Signal> {
+    fn visit_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
+        for sig in self {
+            sig.visit_tags(f);
+        }
+    }
+}
+
 fn end_policy(host: u8) -> EndpointPolicy {
     EndpointPolicy {
         addr: MediaAddr::v4(10, 0, 0, host, 4000),
@@ -396,19 +520,13 @@ impl PathState {
     pub fn apply(&self, cfg: &CheckConfig, action: Action) -> PathState {
         let mut s = self.clone();
         s.step(cfg, action);
+        s.canonicalize();
         s
     }
 
-    /// [`PathState::apply`] into `out`, whose `Vec` and queue buffers the
-    /// successor reuses: a loop that steps many states through one scratch
-    /// state allocates nothing to copy them.
-    pub fn apply_into(&self, cfg: &CheckConfig, action: Action, out: &mut PathState) {
-        out.clone_from(self);
-        out.step(cfg, action);
-    }
-
-    /// Take one transition in place and canonicalize.
-    fn step(&mut self, cfg: &CheckConfig, action: Action) {
+    /// Take one transition in place, without canonicalizing: what it reads
+    /// and writes is [`footprint`]'s to say.
+    pub(crate) fn step(&mut self, cfg: &CheckConfig, action: Action) {
         let reack = cfg.fault_budget > 0;
         match action {
             Action::DeliverFwd(t) => {
@@ -469,7 +587,6 @@ impl PathState {
                 self.retransmit(t, false);
             }
         }
-        self.canonicalize();
     }
 
     /// Deliver a signal to the element at `pos`. `from_left` says the
@@ -507,14 +624,7 @@ impl PathState {
                 }
             }
             signals.extend(reacks);
-            let t = if pos == 0 { 0 } else { n };
-            for sig in signals {
-                if pos == 0 {
-                    self.tunnels[t].fwd.push_back(sig);
-                } else {
-                    self.tunnels[t].bwd.push_back(sig);
-                }
-            }
+            self.push_from_end(pos != 0, signals);
         } else {
             let idx = pos - 1;
             let side = if from_left { 0 } else { 1 };
@@ -571,14 +681,8 @@ impl PathState {
             &self.links[t].slots[0]
         };
         let sigs = reliable::resend_signals(slot);
-        let tun = &mut self.tunnels[t];
-        for sig in sigs {
-            if fwd {
-                tun.fwd.push_back(sig);
-            } else {
-                tun.bwd.push_back(sig);
-            }
-        }
+        self.queue_mut(if fwd { Part::Fwd(t) } else { Part::Bwd(t) })
+            .extend(sigs);
     }
 
     /// Enqueue a signal emitted by link `idx` on slot `side`.
@@ -591,8 +695,14 @@ impl PathState {
         }
     }
 
-    fn end_nondet(&mut self, right: bool, op: NondetOp) {
+    /// Enqueue the signals emitted by an endpoint.
+    fn push_from_end(&mut self, right: bool, signals: Vec<Signal>) {
         let n = self.links.len();
+        self.queue_mut(if right { Part::Bwd(n) } else { Part::Fwd(0) })
+            .extend(signals);
+    }
+
+    fn end_nondet(&mut self, right: bool, op: NondetOp) {
         let end = if right {
             &mut self.right
         } else {
@@ -604,18 +714,10 @@ impl PathState {
         *budget -= 1;
         let cmd = op_to_cmd(op, agent);
         let signals = agent.command(cmd, &mut end.slot).expect("legal op");
-        let t = if right { n } else { 0 };
-        for sig in signals {
-            if right {
-                self.tunnels[t].bwd.push_back(sig);
-            } else {
-                self.tunnels[t].fwd.push_back(sig);
-            }
-        }
+        self.push_from_end(right, signals);
     }
 
     fn end_attach(&mut self, cfg: &CheckConfig, right: bool) {
-        let n = self.links.len();
         let (kind, origin) = if right {
             (cfg.right, 102u64)
         } else {
@@ -645,18 +747,10 @@ impl PathState {
             goal,
             modify_budget: cfg.modify_budget,
         };
-        let t = if right { n } else { 0 };
-        for sig in signals {
-            if right {
-                self.tunnels[t].bwd.push_back(sig);
-            } else {
-                self.tunnels[t].fwd.push_back(sig);
-            }
-        }
+        self.push_from_end(right, signals);
     }
 
     fn end_modify(&mut self, right: bool, op: NondetOp) {
-        let n = self.links.len();
         let end = if right {
             &mut self.right
         } else {
@@ -681,14 +775,7 @@ impl PathState {
             }
             EndGoalObj::Close(_) => panic!("closeSlot has no mute flags"),
         };
-        let t = if right { n } else { 0 };
-        for sig in signals {
-            if right {
-                self.tunnels[t].bwd.push_back(sig);
-            } else {
-                self.tunnels[t].fwd.push_back(sig);
-            }
-        }
+        self.push_from_end(right, signals);
     }
 
     fn link_nondet(&mut self, idx: usize, side: usize, op: NondetOp) {
@@ -802,42 +889,32 @@ impl PathState {
     }
 
     fn visit_all_tags(&mut self, f: &mut dyn FnMut(&mut DescTag)) {
-        self.left.slot.visit_tags(f);
+        self.left.visit_tags(f);
+        self.right.visit_tags(f);
         for link in &mut self.links {
-            link.slots[0].visit_tags(f);
-            link.slots[1].visit_tags(f);
+            link.visit_tags(f);
         }
-        self.right.slot.visit_tags(f);
         for tun in &mut self.tunnels {
-            for sig in tun.fwd.iter_mut().chain(tun.bwd.iter_mut()) {
-                sig.visit_tags(f);
-            }
+            tun.fwd.visit_tags(f);
+            tun.bwd.visit_tags(f);
         }
     }
 
     fn visit_all_sources(&mut self, f: &mut dyn FnMut(&mut TagSource)) {
-        visit_end_sources(&mut self.left, f);
+        self.left.visit_sources(f);
+        self.right.visit_sources(f);
         for link in &mut self.links {
-            match &mut link.mode {
-                LinkMode::Phase1 { agents, .. } => {
-                    agents[0].visit_sources(f);
-                    agents[1].visit_sources(f);
-                }
-                LinkMode::Phase2 { link } => link.visit_sources(f),
-            }
+            link.visit_sources(f);
         }
-        visit_end_sources(&mut self.right, f);
     }
-}
 
-fn visit_end_sources(end: &mut EndBox, f: &mut dyn FnMut(&mut TagSource)) {
-    match &mut end.mode {
-        EndMode::Phase1 { agent, .. } => agent.visit_sources(f),
-        EndMode::Phase2 { goal, .. } => match goal {
-            EndGoalObj::Open(g) => g.visit_sources(f),
-            EndGoalObj::Close(g) => g.visit_sources(f),
-            EndGoalObj::Hold(g) => g.visit_sources(f),
-        },
+    /// The queue `part` names.
+    pub(crate) fn queue_mut(&mut self, part: Part) -> &mut VecDeque<Signal> {
+        match part {
+            Part::Fwd(t) => &mut self.tunnels[t].fwd,
+            Part::Bwd(t) => &mut self.tunnels[t].bwd,
+            _ => panic!("{part:?} is not a queue"),
+        }
     }
 }
 

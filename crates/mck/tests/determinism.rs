@@ -43,7 +43,8 @@ fn parallel_exploration_numbering_matches_sequential() {
     // deterministic contract (trace extraction depends on it). The
     // one-flowlink prefixes are there for the component tables the workers
     // share: racing workers intern boxes in a different order at every
-    // run, and none of it may show.
+    // run, and none of it may show — nor in the counts of distinct local
+    // steps and of rebuilt successors, which belong to the graph.
     let cases = [
         (
             budgeted(0, EndGoal::Open, EndGoal::Hold, 0).with_faults(1),
@@ -52,6 +53,12 @@ fn parallel_exploration_numbering_matches_sequential() {
         (budgeted(1, EndGoal::Open, EndGoal::Hold, 0), 20_000),
         (
             budgeted(1, EndGoal::Open, EndGoal::Open, 0).with_faults(1),
+            10_000,
+        ),
+        // Fault actions make a level wide in few distinct local steps, so
+        // workers miss on the same memo key at once.
+        (
+            budgeted(1, EndGoal::Hold, EndGoal::Hold, 0).with_faults(1),
             10_000,
         ),
     ];
@@ -69,6 +76,8 @@ fn parallel_exploration_numbering_matches_sequential() {
             assert_eq!(base.terminals, g.terminals, "{at}");
             assert_eq!(base.transitions, g.transitions, "{at}");
             assert_eq!(base.dedup_hits, g.dedup_hits, "{at}");
+            assert_eq!(base.local_steps, g.local_steps, "{at}");
+            assert_eq!(base.canonicalized, g.canonicalized, "{at}");
         }
     }
 }

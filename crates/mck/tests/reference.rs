@@ -5,7 +5,10 @@
 //! equality, nothing shared with `explore.rs` but `PathState::{initial,
 //! actions, apply}` — and requires the identical graph. A row compared by
 //! hash only, a stale parent id or a counter packed into the wrong byte
-//! would each merge or split states here.
+//! would each merge or split states here. So would a local step looked up
+//! under too narrow a key (`state::footprint`): the faulty one-flowlink
+//! prefix has `Retransmit*` read a flowlink's slot, the two-flowlink one
+//! delivers into a box with two out-queues between two others.
 
 use ipmedia_core::path::{EndGoal, PathType};
 use ipmedia_mck::{budgeted, explore, Action, CheckConfig, PathState, StateFlags, StateGraph};
@@ -103,6 +106,18 @@ fn every_direct_path_type_matches_the_reference() {
 fn one_flowlink_prefix_matches_the_reference() {
     let cfg = budgeted(1, EndGoal::Open, EndGoal::Hold, 0);
     assert_same_graph("open-hold/1", &cfg, 20_000);
+}
+
+#[test]
+fn faulty_one_flowlink_prefix_matches_the_reference() {
+    let cfg = budgeted(1, EndGoal::Open, EndGoal::Hold, 0).with_faults(1);
+    assert_same_graph("open-hold/1+1fault", &cfg, 20_000);
+}
+
+#[test]
+fn two_flowlink_prefix_matches_the_reference() {
+    let cfg = budgeted(2, EndGoal::Open, EndGoal::Open, 0);
+    assert_same_graph("open-open/2", &cfg, 20_000);
 }
 
 #[test]

@@ -243,6 +243,12 @@ metric_table! {
     /// Model-checker seen-set hits (transitions collapsed onto
     /// already-interned states), summed over recorded runs.
     mck_dedup_hits: counter => "ipmedia_mck_dedup_hits_total";
+    /// Model-checker transitions executed as local steps — the first of
+    /// each `(action, components read)` — rather than looked up.
+    mck_local_steps: counter => "ipmedia_mck_local_steps_total";
+    /// Model-checker successors rebuilt as whole states to be
+    /// canonicalized, their rows not being canonical on their ids.
+    mck_canonicalized: counter => "ipmedia_mck_canonicalized_total";
     /// Incremental-analysis cache entries evicted on load (corrupt,
     /// unknown code, or stale analyzer version) instead of trusted.
     cache_evictions: counter => "ipmedia_cache_evictions_total";
@@ -284,6 +290,14 @@ impl Registry {
     /// Add seen-set hits from one model-checking run.
     pub fn add_mck_dedup_hits(&self, hits: u64) {
         self.mck_dedup_hits.fetch_add(hits, Ordering::Relaxed);
+    }
+
+    /// Add how one model-checking run stepped its transitions.
+    pub fn add_mck_steps(&self, local_steps: u64, canonicalized: u64) {
+        self.mck_local_steps
+            .fetch_add(local_steps, Ordering::Relaxed);
+        self.mck_canonicalized
+            .fetch_add(canonicalized, Ordering::Relaxed);
     }
 
     /// Add analysis-cache entries that were discarded instead of trusted
@@ -488,11 +502,14 @@ mod tests {
         let r = Registry::new();
         r.add_mck_dedup_hits(120_000);
         r.add_mck_dedup_hits(5);
+        r.add_mck_steps(14_000, 4_000);
+        r.add_mck_steps(393, 688);
         r.add_cache_evictions(3);
         r.mck_states_per_sec.observe(42_000); // le 50_000
         r.mck_states_per_sec.observe(3_000_000); // overflow
         let s = r.snapshot();
         assert_eq!(s.mck_dedup_hits, 120_005);
+        assert_eq!((s.mck_local_steps, s.mck_canonicalized), (14_393, 4_688));
         assert_eq!(s.cache_evictions, 3);
         assert_eq!(s.mck_states_per_sec.total(), 2);
         assert_eq!(s.mck_states_per_sec.counts[4], 1);
