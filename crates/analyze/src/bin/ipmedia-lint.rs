@@ -4,7 +4,7 @@
 //! ipmedia-lint --all-examples                # lint the built-in registry
 //! ipmedia-lint path/to/scenario.ipm ...      # lint serialized scenarios
 //! ipmedia-lint --all-examples --deny warnings --jsonl --threads 8
-//! ipmedia-lint --all-examples --sarif out.sarif --baseline lint-baseline.txt
+//! ipmedia-lint --all-examples --baseline lint-baseline.txt
 //! ```
 //!
 //! Rendered diagnostics and the summary go to stderr; with `--jsonl` each
@@ -23,8 +23,8 @@
 use ipmedia_analyze::fuzz::{fuzz_campaign, promote_divergences, FuzzConfig, MckChecker};
 use ipmedia_analyze::runner;
 use ipmedia_analyze::{
-    parse_scenario, render_manifest, run_incremental, to_ipm, to_sarif, AnalysisCache, Baseline,
-    Diagnostic, IncrementalStats,
+    parse_scenario, render_manifest, run_incremental, to_ipm, AnalysisCache, Baseline, Diagnostic,
+    IncrementalStats,
 };
 use ipmedia_core::cli::{usage_error, Flags};
 use ipmedia_core::program::model::ScenarioModel;
@@ -42,7 +42,6 @@ struct Options {
     threads: usize,
     baseline: Option<String>,
     write_baseline: Option<String>,
-    sarif: Option<String>,
     files: Vec<String>,
     fuzz: Option<usize>,
     seed: Option<u64>,
@@ -65,7 +64,6 @@ options:
   --baseline FILE         suppress findings whose fingerprints FILE lists
   --write-baseline FILE   write the current findings as a baseline, then
                           exit as if they were suppressed
-  --sarif FILE            also write the report as SARIF 2.1.0 to FILE
   --incremental           replay cached verdicts for unchanged inputs and
                           re-run only passes whose fingerprints changed;
                           output is byte-identical to a cold run
@@ -100,7 +98,6 @@ fn parse_args() -> Options {
         threads: flags.value("--threads").unwrap_or(1),
         baseline: flags.value("--baseline"),
         write_baseline: flags.value("--write-baseline"),
-        sarif: flags.value("--sarif"),
         fuzz: flags.value("--fuzz"),
         seed: flags.value("--seed"),
         max_states: flags.value("--max-states"),
@@ -283,12 +280,6 @@ fn main() -> ExitCode {
             report.kept.len()
         );
         return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &opts.sarif {
-        if let Err(e) = std::fs::write(path, to_sarif(&report.kept)) {
-            eprintln!("ipmedia-lint: {path}: {e}");
-            return ExitCode::from(EXIT_INPUT);
-        }
     }
 
     // Baseline hygiene: a fingerprint that matches no current finding is

@@ -200,14 +200,18 @@ impl AnalysisCache {
     }
 
     /// Load the cache from `dir/lint-cache.jsonl`. A missing file is an
-    /// empty cache; unparseable lines, diagnostics with unknown codes,
-    /// and files written by a different [`ANALYZER_VERSION`] are evicted
-    /// (counted in [`AnalysisCache::evictions`]), never trusted.
+    /// empty cache.
     pub fn load(dir: &Path) -> Self {
+        std::fs::read_to_string(dir.join(CACHE_FILE))
+            .map_or_else(|_| Self::default(), |s| Self::parse(&s))
+    }
+
+    /// The cache a `lint-cache.jsonl` of this text holds: unparseable
+    /// lines, diagnostics with unknown codes, and files written by a
+    /// different [`ANALYZER_VERSION`] are evicted (counted in
+    /// [`AnalysisCache::evictions`]), never trusted.
+    pub fn parse(src: &str) -> Self {
         let mut cache = Self::default();
-        let Ok(src) = std::fs::read_to_string(dir.join(CACHE_FILE)) else {
-            return cache;
-        };
         let mut version_ok = false;
         for line in src.lines() {
             let line = line.trim();
@@ -555,10 +559,15 @@ mod json {
         }
     }
 
+    /// Arrays and objects nested deeper than this are refused: the cache
+    /// writer nests three deep, and the reader recurses once per level of
+    /// whatever the file holds.
+    const MAX_DEPTH: usize = 16;
+
     pub fn parse(src: &str) -> Option<JVal> {
         let b = src.as_bytes();
         let mut i = 0;
-        let v = value(b, &mut i)?;
+        let v = value(b, &mut i, 0)?;
         skip_ws(b, &mut i);
         (i == b.len()).then_some(v)
     }
@@ -570,12 +579,13 @@ mod json {
         }
     }
 
-    fn value(b: &[u8], i: &mut usize) -> Option<JVal> {
+    fn value(b: &[u8], i: &mut usize, depth: usize) -> Option<JVal> {
         skip_ws(b, i);
         match b.get(*i)? {
             b'"' => string(b, i).map(JVal::S),
-            b'{' => object(b, i),
-            b'[' => array(b, i),
+            b'{' | b'[' if depth == MAX_DEPTH => None,
+            b'{' => object(b, i, depth + 1),
+            b'[' => array(b, i, depth + 1),
             b't' => literal(b, i, "true").then_some(JVal::B(true)),
             b'f' => literal(b, i, "false").then_some(JVal::B(false)),
             b'0'..=b'9' => number(b, i),
@@ -643,7 +653,7 @@ mod json {
         }
     }
 
-    fn array(b: &[u8], i: &mut usize) -> Option<JVal> {
+    fn array(b: &[u8], i: &mut usize, depth: usize) -> Option<JVal> {
         *i += 1; // '['
         let mut items = Vec::new();
         skip_ws(b, i);
@@ -652,7 +662,7 @@ mod json {
             return Some(JVal::Arr(items));
         }
         loop {
-            items.push(value(b, i)?);
+            items.push(value(b, i, depth)?);
             skip_ws(b, i);
             match b.get(*i)? {
                 b',' => *i += 1,
@@ -665,7 +675,7 @@ mod json {
         }
     }
 
-    fn object(b: &[u8], i: &mut usize) -> Option<JVal> {
+    fn object(b: &[u8], i: &mut usize, depth: usize) -> Option<JVal> {
         *i += 1; // '{'
         let mut fields = Vec::new();
         skip_ws(b, i);
@@ -684,7 +694,7 @@ mod json {
                 return None;
             }
             *i += 1;
-            fields.push((k, value(b, i)?));
+            fields.push((k, value(b, i, depth)?));
             skip_ws(b, i);
             match b.get(*i)? {
                 b',' => *i += 1,

@@ -30,7 +30,7 @@
 //! The `ipmedia-lint` binary runs all passes over the built-in example
 //! registry (`ipmedia_apps::models`) and over serialized `.ipm`
 //! scenarios ([`parse`]), in parallel with deterministic output
-//! ([`runner`]), with SARIF export and baseline suppression ([`sarif`]).
+//! ([`runner`]), with baseline suppression ([`sarif`]).
 //! The [`fuzz`] module scales the analyzer↔checker differential oracle
 //! to thousands of seeded, generated scenarios per run, with divergences
 //! delta-minimized to small `.ipm` reproducers.
@@ -79,7 +79,7 @@ pub use incremental::{
 pub use interproc::{covered_classes, covered_classes_up_to, CoveredClass};
 pub use parse::{parse_scenario, to_ipm, ParseError};
 pub use runner::{run, RunReport};
-pub use sarif::{to_sarif, Baseline};
+pub use sarif::Baseline;
 
 use ipmedia_core::program::model::{ProgramModel, ScenarioModel};
 

@@ -1,80 +1,13 @@
-//! SARIF 2.1.0 export and baseline suppression, so `ipmedia-lint` plugs
-//! into CI code-scanning UIs and existing findings can be grandfathered
-//! without turning the gate off.
+//! Baseline suppression: existing findings can be grandfathered without
+//! turning the gate off.
 //!
-//! * [`to_sarif`] renders a diagnostic set as one minimal SARIF 2.1.0
-//!   log: a single run of the `ipmedia-lint` driver, one reporting rule
-//!   per distinct code, one result per finding with its
-//!   `scenario/program/state` path as a logical location and the
-//!   [`Diagnostic::fingerprint`] as a partial fingerprint.
-//! * A [`Baseline`] is a plain-text file of fingerprints (one per line,
-//!   `#` comments); [`Baseline::apply`] splits a report into kept and
-//!   suppressed findings. Fingerprints are `code@location`, so a
-//!   baseline survives message rewording but not moving a finding.
+//! A [`Baseline`] is a plain-text file of fingerprints (one per line,
+//! `#` comments); [`Baseline::apply`] splits a report into kept and
+//! suppressed findings. Fingerprints are `code@location`, so a
+//! baseline survives message rewording but not moving a finding.
 
-use crate::diag::{Diagnostic, Severity};
-use ipmedia_obs::{json_array, JsonObj};
+use crate::diag::Diagnostic;
 use std::collections::BTreeSet;
-
-/// Render diagnostics as a SARIF 2.1.0 log (pretty-stable: results keep
-/// the input order, rules are sorted by code).
-pub fn to_sarif(diags: &[Diagnostic]) -> String {
-    let codes: BTreeSet<&str> = diags.iter().map(|d| d.code).collect();
-    let rules = json_array(codes.into_iter().map(|c| {
-        JsonObj::new()
-            .str("id", c)
-            .raw(
-                "defaultConfiguration",
-                &JsonObj::new().str("level", "warning").finish(),
-            )
-            .finish()
-    }));
-    let results = json_array(diags.iter().map(|d| {
-        let level = match d.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
-        let mut msg = d.message.clone();
-        if let Some(note) = &d.note {
-            msg.push_str("; note: ");
-            msg.push_str(note);
-        }
-        let location = JsonObj::new()
-            .raw(
-                "logicalLocations",
-                &json_array([JsonObj::new()
-                    .str("fullyQualifiedName", &d.location())
-                    .finish()]),
-            )
-            .finish();
-        JsonObj::new()
-            .str("ruleId", d.code)
-            .str("level", level)
-            .raw("message", &JsonObj::new().str("text", &msg).finish())
-            .raw("locations", &json_array([location]))
-            .raw(
-                "partialFingerprints",
-                &JsonObj::new()
-                    .str("ipmediaLint/v1", &d.fingerprint())
-                    .finish(),
-            )
-            .finish()
-    }));
-    let driver = JsonObj::new()
-        .str("name", "ipmedia-lint")
-        .str("informationUri", "https://github.com/ipmedia/ipmedia")
-        .raw("rules", &rules)
-        .finish();
-    let run = JsonObj::new()
-        .raw("tool", &JsonObj::new().raw("driver", &driver).finish())
-        .raw("results", &results)
-        .finish();
-    JsonObj::new()
-        .str("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
-        .str("version", "2.1.0")
-        .raw("runs", &json_array([run]))
-        .finish()
-}
 
 /// A set of suppressed finding fingerprints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -187,25 +120,6 @@ mod tests {
                 .in_program("p2")
                 .with_note("add an escape"),
         ]
-    }
-
-    #[test]
-    fn sarif_log_has_schema_rules_and_results() {
-        let log = to_sarif(&sample());
-        assert!(log.contains("\"version\":\"2.1.0\""), "{log}");
-        assert!(log.contains("sarif-2.1.0.json"), "{log}");
-        assert!(log.contains("\"ruleId\":\"AZ501\""), "{log}");
-        assert!(log.contains("\"level\":\"error\""), "{log}");
-        assert!(log.contains("\"fullyQualifiedName\":\"s/p/q\""), "{log}");
-        assert!(log.contains("\"ipmediaLint/v1\":\"AZ501@s/p/q\""), "{log}");
-        // Notes are folded into the message text.
-        assert!(log.contains("add an escape"), "{log}");
-    }
-
-    #[test]
-    fn empty_report_is_a_valid_empty_run() {
-        let log = to_sarif(&[]);
-        assert!(log.contains("\"results\":[]"), "{log}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn exit_statuses_follow_the_documented_contract() {
-    let table: [(&[&str], i32); 12] = [
+    let table: [(&[&str], i32); 13] = [
         (&["--all-examples"], 0),
         (&["--all-examples", "--deny", "warnings", "--threads=2"], 0),
         (&["examples/fleet/fleet_004.ipm", "--threads", "2"], 0),
@@ -33,6 +33,7 @@ fn exit_statuses_follow_the_documented_contract() {
         (&["--all-examples", "--threads", "abc"], 2),
         (&["--all-examples", "--threads"], 2),
         (&["--all-examples", "--threds", "4"], 2),
+        (&["--all-examples", "--sarif", "target/lint.sarif"], 2),
         (&["--all-examples", "--deny", "errors"], 2),
         (&["examples/fleet/no_such_file.ipm"], 3),
     ];

@@ -4,9 +4,8 @@
 //! Campaigns are embarrassingly parallel across configurations, so
 //! [`run_campaign`] drives a fixed config list through a worker pool
 //! (path types × links × fault budgets run concurrently instead of
-//! serially); each configuration's exploration itself can also be
-//! parallelized via [`ExploreOptions::threads`]. Results come back in
-//! config order and are identical at any thread count.
+//! serially), each exploration on one thread. Results come back in config
+//! order and are identical at any thread count.
 
 use crate::explore::{explore_with, ExploreOptions, StateGraph};
 use crate::props::{check_safety, check_spec, Violation};
@@ -254,14 +253,9 @@ pub fn depth_capped_states(flowlinks: usize, base: usize) -> usize {
 /// The paper's 12 models: six path types with no flowlinks and six with one
 /// flowlink each (§VIII-A). `budget_scale` tunes phase-1 budgets: 0 keeps
 /// the campaign fast (CI-sized), 1 reproduces the fuller nondeterminism.
-pub fn paper_campaign(budget_scale: u8, max_states: usize) -> Vec<CheckResult> {
-    paper_campaign_par(budget_scale, max_states, 1)
-}
-
-/// [`paper_campaign`] with the configurations spread over `threads`
-/// campaign workers (`0` = all cores). Identical results in identical
-/// order at any thread count.
-pub fn paper_campaign_par(budget_scale: u8, max_states: usize, threads: usize) -> Vec<CheckResult> {
+/// The configurations are spread over `threads` campaign workers (`0` = all
+/// cores), with identical results in identical order at any thread count.
+pub fn paper_campaign(budget_scale: u8, max_states: usize, threads: usize) -> Vec<CheckResult> {
     run_campaign(
         &campaign_configs(budget_scale, 1, &[0]),
         max_states,
@@ -286,12 +280,8 @@ pub fn budgeted(links: usize, left: EndGoal, right: EndGoal, scale: u8) -> Check
 /// `faults` drop/duplicate faults on each tunnel (and the matching
 /// recovery machinery enabled). Budgets are kept minimal — the point is
 /// the interleaving of faults with the protocol, not phase-1 breadth.
-pub fn fault_campaign(links: usize, faults: u8, max_states: usize) -> Vec<CheckResult> {
-    fault_campaign_par(links, faults, max_states, 1)
-}
-
-/// [`fault_campaign`] with path types spread over `threads` workers.
-pub fn fault_campaign_par(
+/// The path types are spread over `threads` campaign workers.
+pub fn fault_campaign(
     links: usize,
     faults: u8,
     max_states: usize,
@@ -394,7 +384,7 @@ mod tests {
         // spec when the adversary may drop or duplicate one signal on
         // each channel (with the recovery machinery enabled). Runs the
         // path types through the campaign worker pool.
-        for res in fault_campaign_par(0, 1, 4_000_000, 0) {
+        for res in fault_campaign(0, 1, 4_000_000, 0) {
             assert!(
                 res.passed(),
                 "{} (0 links, 1 fault) failed: safety={:?} spec={:?} states={}",

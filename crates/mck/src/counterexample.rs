@@ -47,8 +47,8 @@ pub fn replay(cfg: &CheckConfig, trace: &[Action]) -> Option<PathState> {
 /// action whose removal still yields a legal run whose final state
 /// satisfies `keep`, until no single deletion survives. Deletions are
 /// tried left-to-right, so the result is deterministic — the same input
-/// trace minimizes to the same ladder regardless of how (or with how many
-/// threads) the graph that produced it was explored.
+/// trace minimizes to the same ladder however the graph that produced it
+/// was explored.
 pub fn minimize_trace(
     cfg: &CheckConfig,
     trace: &[Action],

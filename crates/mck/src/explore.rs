@@ -1,17 +1,14 @@
-//! Parallel, deduplicating exploration of a signaling path's state space.
+//! Deduplicating exploration of a signaling path's state space.
 //!
-//! The engine is a level-synchronized breadth-first search: the frontier is
-//! processed one BFS depth at a time, each level split into contiguous
-//! chunks expanded by worker threads against a hash-partitioned (sharded)
-//! seen-set, and all states discovered within a level are committed in a
-//! deterministic order before the next level starts. Because every new
-//! state is numbered by its *minimal* discovery key — the `(parent index,
-//! action ordinal)` pair, minimized commutatively under the shard lock —
-//! the resulting graph (state numbering, parent pointers, successor lists,
-//! terminal set) is byte-identical at any thread count, and identical to
-//! the plain sequential FIFO BFS. Counterexample replay therefore never
-//! needs a special single-threaded run, but `threads = 1` remains the
-//! deterministic-by-construction mode (no locking involved at all).
+//! The engine is a plain FIFO breadth-first search on one thread: states
+//! are numbered as they are discovered, so the queue is the ids not yet
+//! expanded; state `i` is rebuilt from its row, each enabled action is
+//! stepped, and a successor the seen-set does not hold gets the next id, its
+//! flags and its `(i, action)` parent there and then. Nothing in a run
+//! depends on the host or on a map's iteration order, so the graph (state
+//! numbering, parent pointers, successor lists, terminal set) is the same
+//! at every run, and traces are BFS-shortest. Parallelism is across
+//! configurations ([`crate::campaign::run_campaign`]), never inside one.
 //!
 //! States are canonicalized before hashing ([`PathState::canonicalize`]
 //! renumbers descriptor generations), so symmetric interleavings that
@@ -26,10 +23,9 @@
 //! tunnel queue is interned in a table of its own ([`Components`]) and the
 //! row holds the ids, with the three per-tunnel counters packed inline.
 //! Dedup stays exact: a component-hash hit is confirmed by comparing the
-//! values and a row-hash hit by comparing the rows, so two rows are equal
-//! exactly when their states are. Ids are only ever compared for equality
-//! within one run — never ordered, never exported — so the order in which
-//! racing workers happen to intern components cannot reach the graph.
+//! values and a row-hash hit by comparing the rows ([`SeenSet`]), so two
+//! rows are equal exactly when their states are. Ids are only ever compared
+//! for equality within one run — never ordered, never exported.
 //!
 //! A transition is *stepped* on ids too. It reads one box and at most one
 //! queue and appends to at most two more ([`footprint`]), so it is executed
@@ -37,10 +33,10 @@
 //! ([`Components::successor`]); the successor's row is its parent's with
 //! those columns replaced, and whether that row is already canonical is read
 //! off a per-component [`Census`] instead of by canonicalizing. A full
-//! `PathState` exists only for a frontier state while its actions are
-//! enumerated, for a local step the first time it is met, for the few
-//! successors that do need canonicalizing, and to evaluate the flags of a
-//! newly discovered state.
+//! `PathState` exists only for a state while its actions are enumerated,
+//! for a local step the first time it is met, for the few successors that
+//! do need canonicalizing, and to evaluate the flags of a newly discovered
+//! state.
 
 use crate::state::{
     footprint, Action, CheckConfig, EndBox, LinkBox, Part, PathState, Tagged, Tunnel,
@@ -48,14 +44,7 @@ use crate::state::{
 use ipmedia_core::signal::Signal;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
-
-/// Number of seen-set shards. A power of two well above any realistic
-/// worker count, so shard-lock contention stays negligible; shard choice
-/// uses the *top* hash bits, leaving the low bits (the hash-map bucket
-/// index) fully distributed within each shard.
-const SHARDS: usize = 64;
 
 /// Fast non-cryptographic hasher (the FxHash rotate–xor–multiply mix).
 ///
@@ -258,7 +247,7 @@ type Ids = [u32; 2];
 /// The id of the empty queue: [`Components::new`] interns it first.
 const EMPTY: u32 = 0;
 
-/// What the workers of one exploration share under one lock.
+/// The interning tables and memos of one exploration.
 #[derive(Default)]
 struct Tables {
     ends: Table<EndBox>,
@@ -324,13 +313,12 @@ impl Tables {
     }
 }
 
-/// The component tables of one exploration, shared by its workers, and
-/// the row layout over them: `[left, right, links.., (fwd, bwd, counters)
-/// per tunnel]`.
+/// The component tables of one exploration and the row layout over them:
+/// `[left, right, links.., (fwd, bwd, counters) per tunnel]`.
 struct Components {
     /// Flowlink boxes of the path; fixes the row width.
     links: usize,
-    tables: RwLock<Tables>,
+    tables: Tables,
 }
 
 impl Components {
@@ -338,18 +326,7 @@ impl Components {
         let mut tables = Tables::default();
         let empty = tables.queues.intern(&VecDeque::new(), &mut tables.origins);
         assert_eq!(empty, EMPTY);
-        Components {
-            links,
-            tables: RwLock::new(tables),
-        }
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, Tables> {
-        self.tables.read().expect("component tables lock")
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, Tables> {
-        self.tables.write().expect("component tables lock")
+        Components { links, tables }
     }
 
     /// `u32`s in a row.
@@ -381,15 +358,16 @@ impl Components {
     }
 
     /// The row of `s`.
-    fn pack(&self, s: &PathState) -> Vec<u32> {
+    fn pack(&mut self, s: &PathState) -> Vec<u32> {
         assert!(
             s.links.len() == self.links && s.tunnels.len() == self.links + 1,
             "a state with {} flowlink(s) in a seen-set built for {}",
             s.links.len(),
             self.links
         );
-        let mut tables = self.write();
-        self.parts().map(|part| tables.intern(s, part)).collect()
+        self.parts()
+            .map(|part| self.tables.intern(s, part))
+            .collect()
     }
 
     /// Rebuild into `out` the state `row` was packed from, reusing `out`'s
@@ -397,7 +375,7 @@ impl Components {
     fn unpack_into(&self, row: &[u32], out: &mut PathState) {
         let (ends, rest) = row.split_at(2);
         let (links, tunnels) = rest.split_at(self.links);
-        let tables = self.read();
+        let tables = &self.tables;
         out.left.clone_from(&tables.ends.values[ends[0] as usize].0);
         out.right
             .clone_from(&tables.ends.values[ends[1] as usize].0);
@@ -418,7 +396,7 @@ impl Components {
     /// The state `row` was packed from.
     fn unpack(&self, row: &[u32]) -> PathState {
         // Any endpoint box will do to have a state to rebuild into.
-        let end = self.read().ends.values[row[0] as usize].0.clone();
+        let end = self.tables.ends.values[row[0] as usize].0.clone();
         let mut s = PathState {
             left: end.clone(),
             links: Vec::new(),
@@ -438,7 +416,7 @@ impl Components {
     /// its ids is rebuilt as a state, to be canonicalized and packed again;
     /// returns `false` for such a row.
     fn successor(
-        &self,
+        &mut self,
         cfg: &CheckConfig,
         (state, own): (&PathState, &[u32]),
         action: Action,
@@ -450,26 +428,19 @@ impl Components {
         let (ins, outs) = footprint(self.links, action);
         let ids = ins.map(|p| p.map_or(0, |p| row[self.col(p)]));
         let key = (action.code(), ids);
-        let mut tables = self.read();
-        let (after, sent) = if let Some(&known) = tables.steps.get(&key) {
+        let (after, sent) = if let Some(&known) = self.tables.steps.get(&key) {
             known
         } else {
-            drop(tables);
             scratch.clone_from(state);
             for out in outs.into_iter().flatten() {
                 scratch.queue_mut(out).clear();
             }
             scratch.step(cfg, action);
-            // Two workers missing on one key intern equal values to equal
-            // ids: whichever inserts last changes nothing.
-            let mut writing = self.write();
             let taken = (
-                ins.map(|p| p.map_or(0, |p| writing.intern(scratch, p))),
-                outs.map(|p| p.map_or(EMPTY, |p| writing.intern(scratch, p))),
+                ins.map(|p| p.map_or(0, |p| self.tables.intern(scratch, p))),
+                outs.map(|p| p.map_or(EMPTY, |p| self.tables.intern(scratch, p))),
             );
-            writing.steps.insert(key, taken);
-            drop(writing);
-            tables = self.read();
+            self.tables.steps.insert(key, taken);
             taken
         };
         for (part, id) in ins.into_iter().flatten().zip(after) {
@@ -478,17 +449,10 @@ impl Components {
         for (part, sent) in outs.into_iter().flatten().zip(sent) {
             if sent != EMPTY {
                 let col = self.col(part);
-                if let Some(&joined) = tables.appends.get(&(row[col], sent)) {
-                    row[col] = joined;
-                } else {
-                    drop(tables);
-                    row[col] = self.write().append(row[col], sent);
-                    tables = self.read();
-                }
+                row[col] = self.tables.append(row[col], sent);
             }
         }
-        let canonical = tables.census(self.links, row).canonical();
-        drop(tables);
+        let canonical = self.tables.census(self.links, row).canonical();
         if !canonical {
             self.unpack_into(row, scratch);
             scratch.canonicalize();
@@ -501,13 +465,6 @@ impl Components {
         );
         canonical
     }
-}
-
-#[inline]
-fn shard_of(hash: u64) -> usize {
-    // Top bits: the in-shard HashMap consumes the low bits for its bucket
-    // index, so the shard selector must not alias them.
-    (hash >> 58) as usize % SHARDS
 }
 
 /// Per-state predicate bits, evaluated at insertion so full states need not
@@ -532,43 +489,32 @@ impl StateFlags {
     }
 }
 
-/// Exploration bounds and parallelism.
+/// Exploration bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreOptions {
     /// Cap on *distinct states expanded* (successor computation). When the
-    /// cap is hit with frontier states left, the graph is marked
+    /// cap is hit with states left to expand, the graph is marked
     /// [`StateGraph::truncated`]; already-discovered but unexpanded states
     /// stay in the graph with empty successor lists and are not terminals.
     pub max_states: usize,
-    /// Worker threads for expansion. `0` means "use all available cores";
-    /// any value yields the identical graph.
-    pub threads: usize,
 }
 
 impl ExploreOptions {
-    /// Sequential exploration with the given state cap.
+    /// Exploration with the given state cap.
     pub fn sequential(max_states: usize) -> Self {
-        ExploreOptions {
-            max_states,
-            threads: 1,
-        }
+        ExploreOptions { max_states }
     }
 
-    /// Parallel exploration; `threads = 0` resolves to the host cores.
-    pub fn parallel(max_states: usize, threads: usize) -> Self {
-        ExploreOptions {
-            max_states,
-            threads,
-        }
+    // `benchmark/` names it; ROADMAP item 6 deletes it with its one call.
+    #[doc(hidden)]
+    pub fn parallel(max_states: usize, _threads: usize) -> Self {
+        Self::sequential(max_states)
     }
 }
 
 impl Default for ExploreOptions {
     fn default() -> Self {
-        ExploreOptions {
-            max_states: 5_000_000,
-            threads: 1,
-        }
+        Self::sequential(5_000_000)
     }
 }
 
@@ -577,9 +523,8 @@ pub struct StateGraph {
     /// Adjacency: successor state indices per state.
     pub succ: Vec<Vec<u32>>,
     pub flags: Vec<StateFlags>,
-    /// BFS predecessor (state, action) for counterexample reconstruction.
-    /// Discovery keys are minimized per level, so the parent of a state is
-    /// identical at any thread count and traces are BFS-shortest.
+    /// BFS predecessor (state, action) for counterexample reconstruction:
+    /// the transition that discovered the state, so traces are BFS-shortest.
     pub parent: Vec<Option<(u32, Action)>>,
     /// States with no enabled actions.
     pub terminals: Vec<u32>,
@@ -597,8 +542,7 @@ pub struct StateGraph {
     pub dedup_hits: u64,
     /// Distinct local steps: transitions whose `(action, ids of the
     /// components it reads)` no earlier transition had, and which were
-    /// therefore executed; the rest were looked up. The same at any thread
-    /// count, like the graph.
+    /// therefore executed; the rest were looked up.
     pub local_steps: u64,
     /// Successors whose row could not be shown canonical on its ids and
     /// was rebuilt as a state, canonicalized and packed again.
@@ -632,136 +576,8 @@ impl StateGraph {
     }
 }
 
-/// A successor discovered during a level's expansion: either a state that
-/// already had an index, or the `handle`-th pending entry of a shard
-/// (resolved to its final index when the level commits).
-#[derive(Clone, Copy)]
-enum Edge {
-    Known(u32),
-    New { shard: u32, handle: u32 },
-}
-
-/// A state discovered this level, parked in its shard (its row at the
-/// same position in [`Shard::pending_rows`]) until the commit phase
-/// assigns the final index.
-#[derive(Clone, Copy)]
-struct Pending {
-    hash: u64,
-    /// Evaluated on the full state when it was first seen; only its row
-    /// is kept.
-    flags: StateFlags,
-    /// Minimal discovery key: smallest `(parent, ordinal)` over every
-    /// transition that reached this state within the level.
-    parent: u32,
-    ordinal: u16,
-    action: Action,
-}
-
-#[derive(Default)]
-struct Shard {
-    /// Committed states: row hash → indices of states with that hash.
-    known: HashIndex,
-    /// This level's discoveries: row hash → pending handles.
-    pending_index: HashIndex,
-    pending: Vec<Pending>,
-    /// Rows of `pending`, back to back.
-    pending_rows: Vec<u32>,
-}
-
-/// Output of one worker for one contiguous chunk of the level: per state,
-/// whether it is terminal plus its out-edges, and what its transitions
-/// add to [`StateGraph`]'s counts of the same names.
-struct ChunkOut {
-    rows: Vec<(bool, Vec<Edge>)>,
-    dedup_hits: u64,
-    canonicalized: u64,
-}
-
-/// Expand the states `lo..hi` of the arena (committed rows, back to back)
-/// against the shared seen-set.
-fn expand_chunk(
-    cfg: &CheckConfig,
-    components: &Components,
-    arena: &[u32],
-    shards: &[Mutex<Shard>],
-    lo: u32,
-    hi: u32,
-) -> ChunkOut {
-    let w = components.width();
-    let mut rows = Vec::with_capacity((hi - lo) as usize);
-    let (mut dedup_hits, mut canonicalized) = (0u64, 0u64);
-    // The two full states a worker holds: the frontier state under
-    // expansion, rebuilt from its row, and a scratch one for the few
-    // successors that have to exist as states.
-    let mut state = PathState::initial(cfg);
-    let mut next = state.clone();
-    let mut row = Vec::with_capacity(w);
-    for i in lo..hi {
-        let own = &arena[i as usize * w..][..w];
-        components.unpack_into(own, &mut state);
-        let actions = state.actions(cfg);
-        if actions.is_empty() {
-            rows.push((true, Vec::new()));
-            continue;
-        }
-        let mut edges = Vec::with_capacity(actions.len());
-        for (ordinal, &action) in actions.iter().enumerate() {
-            let canonical = components.successor(cfg, (&state, own), action, &mut next, &mut row);
-            canonicalized += u64::from(!canonical);
-            let hash = state_hash(&row[..]);
-            let shard_id = shard_of(hash);
-            let mut shard = shards[shard_id].lock().expect("shard lock");
-            if let Some(id) = find_row(&shard.known, arena, hash, &row) {
-                dedup_hits += 1;
-                edges.push(Edge::Known(id));
-                continue;
-            }
-            let ordinal = ordinal as u16;
-            if let Some(handle) = find_row(&shard.pending_index, &shard.pending_rows, hash, &row) {
-                dedup_hits += 1;
-                let p = &mut shard.pending[handle as usize];
-                // Commutative min: the winning key is the same no matter
-                // which worker saw the state first.
-                if (i, ordinal) < (p.parent, p.ordinal) {
-                    p.parent = i;
-                    p.ordinal = ordinal;
-                    p.action = action;
-                }
-                edges.push(Edge::New {
-                    shard: shard_id as u32,
-                    handle,
-                });
-                continue;
-            }
-            components.unpack_into(&row, &mut next);
-            let handle = shard.pending.len() as u32;
-            shard.pending.push(Pending {
-                hash,
-                flags: StateFlags::of(&next),
-                parent: i,
-                ordinal,
-                action,
-            });
-            shard.pending_rows.extend_from_slice(&row);
-            shard.pending_index.entry(hash).or_default().push(handle);
-            edges.push(Edge::New {
-                shard: shard_id as u32,
-                handle,
-            });
-        }
-        rows.push((false, edges));
-    }
-    ChunkOut {
-        rows,
-        dedup_hits,
-        canonicalized,
-    }
-}
-
 /// Explore the reachable state space of `cfg`, expanding at most
-/// `max_states` distinct states, sequentially. Kept as the plain
-/// deterministic mode for replay-style tests; [`explore_with`] at any
-/// thread count produces the identical graph.
+/// `max_states` distinct states.
 pub fn explore(cfg: &CheckConfig, max_states: usize) -> StateGraph {
     explore_with(cfg, &ExploreOptions::sequential(max_states))
 }
@@ -769,190 +585,107 @@ pub fn explore(cfg: &CheckConfig, max_states: usize) -> StateGraph {
 /// Explore the reachable state space of `cfg` under `opts`.
 pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
     let start = Instant::now();
-    let threads = ipmedia_core::par::resolve(opts.threads);
-    let max_states = opts.max_states;
+    // The two full states the search holds: the one under expansion,
+    // rebuilt from its row, and a scratch one for the few successors that
+    // have to exist as states.
+    let mut state = PathState::initial(cfg);
+    let mut next = state.clone();
+    let mut seen = SeenSet::new();
+    seen.insert(state.clone());
+    let w = seen.components.width();
+    let mut row = Vec::with_capacity(w);
 
-    let components = Components::new(cfg.links);
-    let w = components.width();
-    let initial = PathState::initial(cfg);
-    // Committed states, one row of `w` ids each, back to back.
-    let mut arena = components.pack(&initial);
-    let initial_hash = state_hash(&arena[..]);
-    let mut shards: Vec<Mutex<Shard>> = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
-    shards[shard_of(initial_hash)]
-        .get_mut()
-        .expect("unshared shard")
-        .known
-        .entry(initial_hash)
-        .or_default()
-        .push(0);
-
-    let mut flags: Vec<StateFlags> = vec![StateFlags::of(&initial)];
-    let mut parent: Vec<Option<(u32, Action)>> = vec![None];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new()];
-    let mut terminals: Vec<u32> = Vec::new();
+    let mut flags = vec![StateFlags::of(&state)];
+    let mut parent = vec![None];
+    let mut succ = vec![Vec::new()];
+    let mut terminals = Vec::new();
     let mut transitions = 0usize;
     let (mut dedup_hits, mut canonicalized) = (0u64, 0u64);
+    // States are numbered as they are discovered, so the queue is the ids
+    // from `expanded` up.
     let mut expanded = 0usize;
-    let mut truncated = false;
-
-    let mut level_start = 0usize;
-    let mut level_end = 1usize;
-
-    while level_start < level_end {
-        let level_len = level_end - level_start;
-        let budget = max_states - expanded;
-        let take = level_len.min(budget);
-        if take < level_len {
-            truncated = true;
-            if take == 0 {
-                break;
-            }
+    while expanded < flags.len() && expanded < opts.max_states {
+        let i = expanded;
+        seen.components
+            .unpack_into(&seen.rows[i * w..][..w], &mut state);
+        let actions = state.actions(cfg);
+        if actions.is_empty() {
+            terminals.push(i as u32);
         }
-
-        // Phase A: expand this level's prefix in parallel chunks.
-        let outs: Vec<ChunkOut> = {
-            let (components, arena_ref): (&Components, &[u32]) = (&components, &arena);
-            let shards_ref: &[Mutex<Shard>] = &shards;
-            let workers = threads.min(take);
-            if workers <= 1 {
-                vec![expand_chunk(
-                    cfg,
-                    components,
-                    arena_ref,
-                    shards_ref,
-                    level_start as u32,
-                    (level_start + take) as u32,
-                )]
+        let mut list = Vec::with_capacity(actions.len());
+        for action in actions {
+            let own = &seen.rows[i * w..][..w];
+            let canonical =
+                seen.components
+                    .successor(cfg, (&state, own), action, &mut next, &mut row);
+            canonicalized += u64::from(!canonical);
+            let (id, fresh) = seen.insert_row(state_hash(&row[..]), &row);
+            if fresh {
+                seen.components.unpack_into(&row, &mut next);
+                flags.push(StateFlags::of(&next));
+                parent.push(Some((i as u32, action)));
+                succ.push(Vec::new());
             } else {
-                let chunk = take.div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let lo = (level_start + w * chunk).min(level_start + take);
-                            let hi = (lo + chunk).min(level_start + take);
-                            scope.spawn(move || {
-                                expand_chunk(
-                                    cfg, components, arena_ref, shards_ref, lo as u32, hi as u32,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect()
-                })
+                dedup_hits += 1;
             }
-        };
-
-        // Phase B: commit the level. New states are numbered by their
-        // minimal discovery key, which is thread-count independent.
-        let mut order: Vec<(u32, u16, u32, u32)> = Vec::new();
-        let mut resolve: Vec<Vec<u32>> = Vec::with_capacity(SHARDS);
-        for (shard_id, shard) in shards.iter_mut().enumerate() {
-            let shard = shard.get_mut().expect("unshared shard");
-            for (handle, p) in shard.pending.iter().enumerate() {
-                order.push((p.parent, p.ordinal, shard_id as u32, handle as u32));
-            }
-            resolve.push(vec![0; shard.pending.len()]);
+            list.push(id);
         }
-        // `(parent, ordinal)` identifies one transition, hence at most one
-        // pending state: the key is unique and the sort total.
-        order.sort_unstable();
-
-        for &(_, _, shard_id, handle) in &order {
-            // A pending state waits in the shard its hash selects.
-            let shard = shards[shard_id as usize].get_mut().expect("unshared shard");
-            let p = shard.pending[handle as usize];
-            let id = flags.len() as u32;
-            flags.push(p.flags);
-            parent.push(Some((p.parent, p.action)));
-            succ.push(Vec::new());
-            shard.known.entry(p.hash).or_default().push(id);
-            arena.extend_from_slice(&shard.pending_rows[handle as usize * w..][..w]);
-            resolve[shard_id as usize][handle as usize] = id;
-        }
-        for shard in &mut shards {
-            let shard = shard.get_mut().expect("unshared shard");
-            shard.pending_index.clear();
-            shard.pending.clear();
-            shard.pending_rows.clear();
-        }
-
-        let mut id = level_start as u32;
-        for out in outs {
-            for (terminal, edges) in out.rows {
-                if terminal {
-                    terminals.push(id);
-                } else {
-                    let list: Vec<u32> = edges
-                        .into_iter()
-                        .map(|e| match e {
-                            Edge::Known(j) => j,
-                            Edge::New { shard, handle } => resolve[shard as usize][handle as usize],
-                        })
-                        .collect();
-                    transitions += list.len();
-                    succ[id as usize] = list;
-                }
-                id += 1;
-            }
-            dedup_hits += out.dedup_hits;
-            canonicalized += out.canonicalized;
-        }
-
-        expanded += take;
-        if truncated {
-            break;
-        }
-        level_start = level_end;
-        level_end = flags.len();
+        transitions += list.len();
+        succ[i] = list;
+        expanded += 1;
     }
 
-    let local_steps = components.read().steps.len() as u64;
     StateGraph {
+        truncated: expanded < flags.len(),
         succ,
         flags,
         parent,
         terminals,
         transitions,
         elapsed: start.elapsed(),
-        truncated,
         expanded,
         dedup_hits,
-        local_steps,
+        local_steps: seen.components.tables.steps.len() as u64,
         canonicalized,
     }
 }
 
-/// A sequential deduplicating interner over canonical [`PathState`]s —
-/// the single-shard facade over the exploration engine's seen-set (same
-/// [`Components`] rows, same hash-bucket-then-compare resolution), for
-/// replay loops and tests that need "have I been here before" without a
-/// full exploration. One set holds states of one path shape: the first
-/// insert fixes the flowlink count, and a state with another is a panic.
-#[derive(Default)]
+/// A deduplicating interner over canonical [`PathState`]s, kept as rows of
+/// [`Components`] ids and resolved by hash bucket, then row comparison:
+/// the exploration's seen-set, and "have I been here before" for replay
+/// loops and tests without a full exploration. One set holds states of one
+/// path shape: the first insert fixes the flowlink count, and a state with
+/// another is a panic.
 pub struct SeenSet {
-    /// Built by the first insert.
-    components: Option<Components>,
+    /// Rebuilt for the path shape of the first state inserted.
+    components: Components,
     by_hash: HashIndex,
     /// Interned rows, back to back.
     rows: Vec<u32>,
 }
 
+impl Default for SeenSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SeenSet {
     pub fn new() -> Self {
-        Self::default()
+        SeenSet {
+            components: Components::new(0),
+            by_hash: HashIndex::default(),
+            rows: Vec::new(),
+        }
     }
 
     /// Intern a state: returns `(index, fresh)` where `fresh` is false if
     /// an equal state was already present.
     pub fn insert(&mut self, s: PathState) -> (u32, bool) {
-        let components = self
-            .components
-            .get_or_insert_with(|| Components::new(s.links.len()));
-        let row = components.pack(&s);
+        if self.rows.is_empty() {
+            self.components = Components::new(s.links.len());
+        }
+        let row = self.components.pack(&s);
         self.insert_row(state_hash(&row[..]), &row)
     }
 
@@ -968,10 +701,7 @@ impl SeenSet {
     }
 
     pub fn len(&self) -> usize {
-        match &self.components {
-            Some(c) => self.rows.len() / c.width(),
-            None => 0,
-        }
+        self.rows.len() / self.components.width()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -980,9 +710,8 @@ impl SeenSet {
 
     /// The interned state at `idx`, rebuilt from its row.
     pub fn get(&self, idx: u32) -> PathState {
-        let components = self.components.as_ref().expect("get on an empty SeenSet");
-        let w = components.width();
-        components.unpack(&self.rows[idx as usize * w..][..w])
+        let w = self.components.width();
+        self.components.unpack(&self.rows[idx as usize * w..][..w])
     }
 }
 
@@ -1021,8 +750,8 @@ mod tests {
             picks in proptest::collection::vec(any::<u8>(), 1..48),
         ) {
             let (cfg, states) = walk(shape, &picks);
-            let components = Components::new(cfg.links);
-            // One scratch state throughout, as a worker has: whatever the
+            let mut components = Components::new(cfg.links);
+            // One scratch state throughout, as the search has: whatever the
             // previous row left in its buffers must not show.
             let mut rebuilt = PathState::initial(&cfg);
             for s in &states {
@@ -1043,7 +772,7 @@ mod tests {
             picks in proptest::collection::vec(any::<u8>(), 1..32),
         ) {
             let (cfg, states) = walk(shape, &picks);
-            let components = Components::new(cfg.links);
+            let mut components = Components::new(cfg.links);
             let queue = |s: &PathState, part: Part| s.clone().queue_mut(part).clone();
             for s in &states {
                 for action in s.actions(&cfg) {
@@ -1057,7 +786,7 @@ mod tests {
                     }
                     emptied.step(&cfg, action);
                     for part in components.parts() {
-                        let id = |s: &PathState| components.write().intern(s, part);
+                        let mut id = |s: &PathState| components.tables.intern(s, part);
                         if outs.contains(&Some(part)) {
                             // Appended to, by the same signals whatever it held.
                             let mut sent = queue(&stepped, part);
@@ -1082,7 +811,7 @@ mod tests {
             picks in proptest::collection::vec(any::<u8>(), 1..32),
         ) {
             let (cfg, states) = walk(shape, &picks);
-            let components = Components::new(cfg.links);
+            let mut components = Components::new(cfg.links);
             let (mut scratch, mut row) = (PathState::initial(&cfg), Vec::new());
             for s in &states {
                 let own = components.pack(s);
@@ -1104,7 +833,7 @@ mod tests {
             picks in proptest::collection::vec(any::<u8>(), 1..32),
         ) {
             let (cfg, states) = walk(shape, &picks);
-            let components = Components::new(cfg.links);
+            let mut components = Components::new(cfg.links);
             for s in &states {
                 // The states canonicalization is asked about: a canonical
                 // one after one more step.
@@ -1112,7 +841,7 @@ mod tests {
                     let mut raw = s.clone();
                     raw.step(&cfg, action);
                     let row = components.pack(&raw);
-                    let census = components.read().census(cfg.links, &row);
+                    let census = components.tables.census(cfg.links, &row);
                     let mut canonical = raw.clone();
                     canonical.canonicalize();
                     if census.canonical() {
@@ -1165,10 +894,10 @@ mod tests {
                 })
                 .collect();
             s.canonicalize();
-            let components = Components::new(cfg.links);
+            let mut components = Components::new(cfg.links);
             let own = components.pack(&s);
             // Canonical it is, but its census cannot tell.
-            assert!(!components.read().census(cfg.links, &own).canonical());
+            assert!(!components.tables.census(cfg.links, &own).canonical());
             let (mut scratch, mut row) = (s.clone(), Vec::new());
             for action in s.actions(&cfg) {
                 let known = components.successor(&cfg, (&s, &own), action, &mut scratch, &mut row);
@@ -1185,12 +914,12 @@ mod tests {
         let cfg = CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold);
         let s0 = PathState::initial(&cfg);
         let s1 = s0.apply(&cfg, Action::EndAttach { right: false });
-        let components = Components::new(cfg.links);
+        let mut components = Components::new(cfg.links);
         let (r0, r1) = (components.pack(&s0), components.pack(&s1));
         assert_ne!(r0, r1);
         let mut seen = SeenSet {
-            components: Some(components),
-            ..SeenSet::default()
+            components,
+            ..SeenSet::new()
         };
         assert_eq!(seen.insert_row(7, &r0), (0, true));
         assert_eq!(seen.insert_row(7, &r1), (1, true));
@@ -1286,39 +1015,6 @@ mod tests {
         assert_eq!(g.expanded, 0);
         assert_eq!(g.states(), 1);
         assert!(g.terminals.is_empty());
-    }
-
-    #[test]
-    fn parallel_graph_is_identical_to_sequential() {
-        let cfg = CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold);
-        let seq = explore_with(&cfg, &ExploreOptions::sequential(1_000_000));
-        for threads in [2usize, 4, 8] {
-            let par = explore_with(&cfg, &ExploreOptions::parallel(1_000_000, threads));
-            assert_eq!(seq.states(), par.states(), "{threads} threads");
-            assert_eq!(seq.succ, par.succ, "{threads} threads");
-            assert_eq!(seq.flags, par.flags, "{threads} threads");
-            assert_eq!(seq.parent, par.parent, "{threads} threads");
-            assert_eq!(seq.terminals, par.terminals, "{threads} threads");
-            assert_eq!(seq.transitions, par.transitions, "{threads} threads");
-            assert_eq!(seq.expanded, par.expanded, "{threads} threads");
-            assert_eq!(seq.dedup_hits, par.dedup_hits, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn truncation_is_thread_count_deterministic() {
-        let cfg = CheckConfig::standard(0, EndGoal::Open, EndGoal::Hold);
-        let cap = 500;
-        let seq = explore_with(&cfg, &ExploreOptions::sequential(cap));
-        assert!(seq.truncated);
-        for threads in [2usize, 8] {
-            let par = explore_with(&cfg, &ExploreOptions::parallel(cap, threads));
-            assert!(par.truncated);
-            assert_eq!(seq.states(), par.states());
-            assert_eq!(seq.expanded, par.expanded);
-            assert_eq!(seq.succ, par.succ);
-            assert_eq!(seq.terminals, par.terminals);
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ pub mod state;
 
 pub use campaign::{
     budgeted, campaign_configs, check_path, check_path_with, depth_capped_states, fault_campaign,
-    fault_campaign_par, paper_campaign, paper_campaign_par, record_campaign_metrics, render_table,
-    run_campaign, run_campaign_depth_capped, CheckResult, VerdictClass,
+    paper_campaign, record_campaign_metrics, render_table, run_campaign, run_campaign_depth_capped,
+    CheckResult, VerdictClass,
 };
 pub use counterexample::{
     minimize_counterexample, minimize_trace, render_counterexample, render_trace, replay,

@@ -1,13 +1,13 @@
-//! Thread-count determinism (§VIII-A acceptance): the parallel exploration
-//! engine and the campaign worker pool must produce identical graphs,
-//! state counts, verdicts, and (after trace minimization) identical
-//! counterexample ladders at 1, 2, and 8 threads — parallelism is an
-//! implementation detail, never observable in results.
+//! Determinism (§VIII-A acceptance): the campaign worker pool must produce
+//! identical state counts and verdicts at 1, 2, and 8 threads —
+//! parallelism is an implementation detail, never observable in results —
+//! and an exploration must produce the identical graph and (after trace
+//! minimization) the identical counterexample ladder at every run.
 
 use ipmedia_core::path::{EndGoal, PathSpec};
 use ipmedia_mck::{
-    budgeted, campaign_configs, check_spec, explore_with, minimize_counterexample, render_trace,
-    run_campaign, ExploreOptions,
+    budgeted, campaign_configs, check_spec, explore, minimize_counterexample, render_trace,
+    run_campaign,
 };
 
 #[test]
@@ -40,11 +40,11 @@ fn campaign_results_are_identical_at_1_2_and_8_threads() {
 fn parallel_exploration_numbering_matches_sequential() {
     // The full graph — succ lists, parents, flags — must be identical,
     // not just the aggregate counts: state *numbering* is part of the
-    // deterministic contract (trace extraction depends on it). The
-    // one-flowlink prefixes are there for the component tables the workers
-    // share: racing workers intern boxes in a different order at every
-    // run, and none of it may show — nor in the counts of distinct local
-    // steps and of rebuilt successors, which belong to the graph.
+    // deterministic contract (trace extraction depends on it). Explored
+    // twice in one process, so that a `RandomState` map's iteration order
+    // or the order components were interned in reaching the graph shows —
+    // or reaching the counts of distinct local steps and of rebuilt
+    // successors, which belong to the graph.
     let cases = [
         (
             budgeted(0, EndGoal::Open, EndGoal::Hold, 0).with_faults(1),
@@ -55,50 +55,42 @@ fn parallel_exploration_numbering_matches_sequential() {
             budgeted(1, EndGoal::Open, EndGoal::Open, 0).with_faults(1),
             10_000,
         ),
-        // Fault actions make a level wide in few distinct local steps, so
-        // workers miss on the same memo key at once.
         (
             budgeted(1, EndGoal::Hold, EndGoal::Hold, 0).with_faults(1),
             10_000,
         ),
     ];
     for (cfg, cap) in cases {
-        let base = explore_with(&cfg, &ExploreOptions::sequential(cap));
-        for threads in [2usize, 8] {
-            let at = format!("{} link(s), {threads} threads", cfg.links);
-            let g = explore_with(&cfg, &ExploreOptions::parallel(cap, threads));
-            assert_eq!(base.states(), g.states(), "{at}");
-            assert_eq!(base.expanded, g.expanded, "{at}");
-            assert_eq!(base.truncated, g.truncated, "{at}");
-            assert!(base.succ == g.succ, "{at}: successor lists differ");
-            assert!(base.parent == g.parent, "{at}: parents differ");
-            assert!(base.flags == g.flags, "{at}: flags differ");
-            assert_eq!(base.terminals, g.terminals, "{at}");
-            assert_eq!(base.transitions, g.transitions, "{at}");
-            assert_eq!(base.dedup_hits, g.dedup_hits, "{at}");
-            assert_eq!(base.local_steps, g.local_steps, "{at}");
-            assert_eq!(base.canonicalized, g.canonicalized, "{at}");
-        }
+        let at = format!("{} link(s), {} fault(s)", cfg.links, cfg.fault_budget);
+        let (base, g) = (explore(&cfg, cap), explore(&cfg, cap));
+        assert_eq!(base.states(), g.states(), "{at}");
+        assert_eq!(base.expanded, g.expanded, "{at}");
+        assert_eq!(base.truncated, g.truncated, "{at}");
+        assert!(base.succ == g.succ, "{at}: successor lists differ");
+        assert!(base.parent == g.parent, "{at}: parents differ");
+        assert!(base.flags == g.flags, "{at}: flags differ");
+        assert_eq!(base.terminals, g.terminals, "{at}");
+        assert_eq!(base.transitions, g.transitions, "{at}");
+        assert_eq!(base.dedup_hits, g.dedup_hits, "{at}");
+        assert_eq!(base.local_steps, g.local_steps, "{at}");
+        assert_eq!(base.canonicalized, g.canonicalized, "{at}");
     }
 }
 
 #[test]
 fn minimized_counterexample_ladder_is_identical_across_thread_counts() {
     // Check a spec the model genuinely violates (open–open ends never
-    // reach bothClosed) so every thread count has to reconstruct and
-    // minimize a real counterexample, then render it byte-for-byte.
+    // reach bothClosed) so every run has to reconstruct and minimize a
+    // real counterexample, then render it byte-for-byte.
     let cfg = budgeted(0, EndGoal::Open, EndGoal::Open, 0);
     let wrong_spec = PathSpec::EventuallyAlwaysBothClosed;
-    let mut ladders = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let g = explore_with(&cfg, &ExploreOptions::parallel(2_000_000, threads));
+    let ladder = || {
+        let g = explore(&cfg, 2_000_000);
         let violation = check_spec(&g, wrong_spec).expect_err("open–open cannot close");
         let trace = minimize_counterexample(&cfg, &g, wrong_spec, &violation);
-        ladders.push((threads, render_trace(&cfg, &trace)));
-    }
-    let (_, base) = &ladders[0];
+        render_trace(&cfg, &trace)
+    };
+    let base = ladder();
     assert!(!base.is_empty());
-    for (threads, ladder) in &ladders[1..] {
-        assert_eq!(ladder, base, "ladder differs at {threads} threads");
-    }
+    assert_eq!(ladder(), base);
 }

@@ -2,14 +2,14 @@
 //! bytes it holds at once, how many heap allocations one transition takes,
 //! and how many bytes the graph it returns keeps. All three follow from how
 //! the engine stores a state (DESIGN §5.1: a row of component ids, not a
-//! `PathState`), not from the host, so at one thread they are the same on
-//! every run and a regression is a changed count rather than a slower clock.
+//! `PathState`), not from the host, so they are the same on every run and
+//! a regression is a changed count rather than a slower clock.
 //! So is how the transitions were stepped: the local steps executed and the
 //! successors that had to be rebuilt to be canonicalized are pinned beside
 //! the allocations, and are what catches a transition that got dearer.
 //! The size of the graph itself — states and transitions — is pinned
 //! exactly: those are the counts `benchmark/`'s `mck_explore` divides its
-//! clock by, and `determinism.rs` holds them equal at 1, 2 and 8 threads.
+//! clock by.
 //!
 //! One `#[test]` only: the counters are process-wide, and two measuring
 //! threads would count into each other.
@@ -110,19 +110,21 @@ fn measure(cfg: &CheckConfig) -> Footprint {
 /// stepped (both exact), and what that may cost at most: the counts the
 /// row layout reaches. Lower those when a change lowers the counts.
 ///
-/// `allocs` is what a transition costs now that it is a lookup and a row
-/// (DESIGN §5.1, "local steps are taken once"): the graph's own vectors,
-/// a table entry per new component, a row per rebuilt successor, and
-/// nothing for a transition that hits — 426,568 = 1.47 a transition on
-/// `open-hold/1`, 979,326 = 3.4 while every successor was cloned, stepped
-/// and packed. `peak` was re-pinned up once for it, 25,641,140 →
-/// 27,178,692 (+6 %; 25,296,124 → 27,041,380 with the fault): on
-/// `open-hold/1` the local-step memo reaches 14,393 entries of 28 bytes
-/// (32,768 buckets by the end), the append memo 1,511 of 12, every interned
-/// component carries a 32-byte census (310 endpoint boxes, 1,175 flowlink
-/// boxes, 1,449 queues), and 22 of those endpoint boxes and 90 of those
-/// queues are values no stored state holds — what a step left before
-/// canonicalization, or what one sent. `kept` is the graph's, unchanged.
+/// `allocs` is what a transition costs as a lookup and a row (DESIGN §5.1,
+/// "local steps are taken once"): the graph's own vectors, a table entry
+/// per new component, a row per rebuilt successor, and nothing for a
+/// transition that hits — 326,169 = 1.12 a transition on `open-hold/1`.
+/// All three were re-pinned down when the search became one FIFO loop
+/// (`peak` 27,178,692 → 22,921,956, `allocs` 426,568 → 326,169, `kept`
+/// 11,354,344 → 9,027,672; with the fault 27,041,380 → 23,113,392, 430,055
+/// → 334,438, 10,604,836 → 8,777,868): a discovered state's row goes
+/// straight into the seen-set instead of waiting in a per-level pending
+/// list beside the vectors that ordered and renumbered the level, a
+/// successor list is built as ids rather than as 12-byte edges to resolve,
+/// and is kept at its exact capacity, not at three times it. The faulty
+/// configuration peaks on its final plateau, where a debug build also holds
+/// the state it applies the long way: its `peak` is that build's, 488
+/// bytes over the optimized build's 23,112,904.
 struct Budget {
     name: &'static str,
     cfg: CheckConfig,
@@ -149,9 +151,9 @@ fn exploration_stays_inside_its_memory_budget() {
             transitions: 290_834,
             local_steps: 14_393,
             canonicalized: 4_688,
-            peak: 27_178_692,
-            allocs: 426_568,
-            kept: 11_354_344,
+            peak: 22_921_956,
+            allocs: 326_169,
+            kept: 9_027_672,
         },
         Budget {
             name: "open-hold/0+1fault",
@@ -160,9 +162,9 @@ fn exploration_stays_inside_its_memory_budget() {
             transitions: 228_371,
             local_steps: 27_283,
             canonicalized: 6_427,
-            peak: 27_041_380,
-            allocs: 430_055,
-            kept: 10_604_836,
+            peak: 23_113_392,
+            allocs: 334_438,
+            kept: 8_777_868,
         },
     ];
     for b in &budgets {

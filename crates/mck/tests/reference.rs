@@ -23,6 +23,8 @@ struct Reference {
     flags: Vec<StateFlags>,
     transitions: usize,
     dedup_hits: u64,
+    /// States were left unexpanded at the cap.
+    truncated: bool,
 }
 
 impl Reference {
@@ -34,6 +36,7 @@ impl Reference {
             flags: g.flags,
             transitions: g.transitions,
             dedup_hits: g.dedup_hits,
+            truncated: g.truncated,
         }
     }
 }
@@ -48,6 +51,7 @@ fn reference(cfg: &CheckConfig, cap: usize) -> Reference {
         flags: vec![StateFlags::of(&initial)],
         transitions: 0,
         dedup_hits: 0,
+        truncated: false,
     };
     let mut index: HashMap<PathState, u32> = HashMap::from([(initial.clone(), 0)]);
     let mut frontier = VecDeque::from([initial]);
@@ -80,6 +84,7 @@ fn reference(cfg: &CheckConfig, cap: usize) -> Reference {
             r.succ[i as usize].push(id);
         }
     }
+    r.truncated = !frontier.is_empty();
     r
 }
 
@@ -124,4 +129,28 @@ fn two_flowlink_prefix_matches_the_reference() {
 fn faulty_tunnel_matches_the_reference() {
     let cfg = budgeted(0, EndGoal::Open, EndGoal::Hold, 0).with_faults(1);
     assert_same_graph("open-hold/0+1fault", &cfg, usize::MAX);
+}
+
+#[test]
+fn a_capped_prefix_matches_the_reference() {
+    // A cap that stops inside a breadth-first level and one that stops with
+    // a level just finished: either way the states the expanded prefix
+    // discovered stay, unexpanded, and the graph says it was cut short.
+    let cfg = budgeted(0, EndGoal::Open, EndGoal::Hold, 0);
+    let full = reference(&cfg, usize::MAX);
+    assert!(!full.truncated);
+    let mut depth = vec![0u32; full.parent.len()];
+    for (i, parent) in full.parent.iter().enumerate() {
+        if let Some((p, _)) = parent {
+            depth[i] = depth[*p as usize] + 1;
+        }
+    }
+    let mid_level = 500;
+    assert_eq!(depth[mid_level - 1], depth[mid_level]);
+    let boundary = depth.partition_point(|&d| d <= depth[mid_level]);
+    assert!(boundary < depth.len(), "the level after it has states");
+    for cap in [mid_level, boundary] {
+        assert!(reference(&cfg, cap).truncated, "cap {cap}");
+        assert_same_graph(&format!("open-hold/0 capped at {cap}"), &cfg, cap);
+    }
 }

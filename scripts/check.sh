@@ -82,12 +82,10 @@ timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
 
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
-# output, gated against the committed baseline; the SARIF log is a build
-# artifact for CI code-scanning upload.
-mkdir -p target
+# output, gated against the committed baseline.
 cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-analyze --bin ipmedia-lint -- \
   --all-examples --deny warnings --threads "$(nproc)" \
-  --baseline lint-baseline.txt --sarif target/ipmedia-lint.sarif
+  --baseline lint-baseline.txt
 
 echo "== incremental lint (content-addressed cache, O(changed) re-lint)" >&2
 # Cold-lints the committed fleet sample into a fresh cache, swaps in the

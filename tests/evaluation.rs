@@ -5,7 +5,7 @@
 //! checker, and the SIP baseline together.
 
 use ipmedia::core::path::PathType;
-use ipmedia::mck::{budgeted, check_path, paper_campaign_par};
+use ipmedia::mck::{budgeted, check_path, paper_campaign};
 use ipmedia::netsim::{SimConfig, SimDuration};
 use ipmedia_bench::{fig13_concurrent_relink, fresh_setup_latency, relink_latency};
 
@@ -90,7 +90,7 @@ fn verification_campaign_all_pass_quick() {
     // The 12-model campaign of §VIII-A at CI-sized budgets, run through
     // the campaign worker pool (0 = one worker per core); results come
     // back in config order and are identical at any thread count.
-    let results = paper_campaign_par(0, 2_000_000, 0);
+    let results = paper_campaign(0, 2_000_000, 0);
     assert_eq!(results.len(), 12);
     for res in results {
         assert!(
