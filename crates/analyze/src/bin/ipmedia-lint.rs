@@ -5,6 +5,7 @@
 //! ipmedia-lint path/to/scenario.ipm ...      # lint serialized scenarios
 //! ipmedia-lint --all-examples --deny warnings --jsonl --threads 8
 //! ipmedia-lint --all-examples --baseline lint-baseline.txt
+//! ipmedia-lint --all-examples --emit-manifest verified.txt
 //! ```
 //!
 //! Rendered diagnostics and the summary go to stderr; with `--jsonl` each
@@ -23,8 +24,8 @@
 use ipmedia_analyze::fuzz::{fuzz_campaign, promote_divergences, FuzzConfig, MckChecker};
 use ipmedia_analyze::runner;
 use ipmedia_analyze::{
-    parse_scenario, render_manifest, run_incremental, to_ipm, AnalysisCache, Baseline, Diagnostic,
-    IncrementalStats,
+    parse_scenario, render_manifest, scenario_fingerprint, to_ipm, Baseline, Diagnostic,
+    ScenarioVerdict,
 };
 use ipmedia_core::cli::{usage_error, Flags};
 use ipmedia_core::program::model::ScenarioModel;
@@ -46,8 +47,6 @@ struct Options {
     fuzz: Option<usize>,
     seed: Option<u64>,
     max_states: Option<usize>,
-    incremental: bool,
-    cache: Option<String>,
     emit_manifest: Option<String>,
     prune_baseline: bool,
     promote: Option<String>,
@@ -64,13 +63,8 @@ options:
   --baseline FILE         suppress findings whose fingerprints FILE lists
   --write-baseline FILE   write the current findings as a baseline, then
                           exit as if they were suppressed
-  --incremental           replay cached verdicts for unchanged inputs and
-                          re-run only passes whose fingerprints changed;
-                          output is byte-identical to a cold run
-  --cache DIR             persistent cache directory for --incremental
-                          (holds lint-cache.jsonl; required)
-  --emit-manifest FILE    with --incremental, write the verified manifest
-                          (fingerprint -> clean|findings) for
+  --emit-manifest FILE    write the verified manifest (fingerprint ->
+                          clean|findings, before the baseline) for
                           ipmedia-monitor --verified-manifest
   --prune-baseline        rewrite --baseline FILE with stale fingerprints
                           (matching no current finding) removed
@@ -101,13 +95,11 @@ fn parse_args() -> Options {
         fuzz: flags.value("--fuzz"),
         seed: flags.value("--seed"),
         max_states: flags.value("--max-states"),
-        cache: flags.value("--cache"),
         emit_manifest: flags.value("--emit-manifest"),
         promote: flags.value("--promote"),
         all_examples: flags.switch("--all-examples"),
         deny_warnings: deny.is_some(),
         jsonl: flags.switch("--jsonl"),
-        incremental: flags.switch("--incremental"),
         prune_baseline: flags.switch("--prune-baseline"),
         files: flags.finish(),
     };
@@ -115,10 +107,6 @@ fn parse_args() -> Options {
         Some("--deny expects `warnings`")
     } else if !opts.all_examples && opts.files.is_empty() && opts.fuzz.is_none() {
         Some("nothing to lint")
-    } else if opts.incremental && opts.cache.is_none() {
-        Some("--incremental requires --cache DIR")
-    } else if opts.emit_manifest.is_some() && !opts.incremental {
-        Some("--emit-manifest requires --incremental")
     } else if opts.prune_baseline && opts.baseline.is_none() {
         Some("--prune-baseline requires --baseline FILE")
     } else if opts.promote.is_some() && opts.fuzz.is_none() {
@@ -187,10 +175,12 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
         }
     }
     eprintln!(
-        "ipmedia-lint: {} scenario(s) fuzzed ({} analyzer-clean), {} class(es) checked \
-         ({} exhaustive, {} truncated at the state cap), {} divergence(s){}",
+        "ipmedia-lint: {} scenario(s) fuzzed ({} analyzer-clean: {} confirmed, {} unknown), \
+         {} class(es) checked ({} exhaustive, {} truncated at the state cap), {} divergence(s){}",
         report.scenarios,
         report.clean,
+        report.clean_confirmed,
+        report.clean_unknown,
         report.checked.len(),
         report.classes_exhaustive(),
         report.classes_truncated(),
@@ -208,6 +198,8 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
                 .str("type", "fuzz_summary")
                 .num("scenarios", report.scenarios as u64)
                 .num("clean", report.clean as u64)
+                .num("clean_confirmed", report.clean_confirmed as u64)
+                .num("clean_unknown", report.clean_unknown as u64)
                 .num("classes", report.checked.len() as u64)
                 .num("classes_exhaustive", report.classes_exhaustive() as u64)
                 .num("classes_truncated", report.classes_truncated() as u64)
@@ -246,27 +238,25 @@ fn main() -> ExitCode {
         },
     };
 
-    let (report, inc): (runner::RunReport, Option<IncrementalStats>) = if opts.incremental {
-        let dir = Path::new(opts.cache.as_deref().expect("validated in parse_args"));
-        let mut cache = AnalysisCache::load(dir);
-        let (report, stats) = run_incremental(&scenarios, opts.threads, &baseline, &mut cache);
-        if let Err(e) = cache.save(dir) {
-            eprintln!("ipmedia-lint: {}: {e}", dir.display());
-            return ExitCode::from(EXIT_INPUT);
-        }
-        (report, Some(stats))
-    } else {
-        (runner::run(&scenarios, opts.threads, &baseline), None)
-    };
+    let report = runner::run(&scenarios, opts.threads, &baseline);
 
-    if let (Some(path), Some(stats)) = (&opts.emit_manifest, &inc) {
-        if let Err(e) = std::fs::write(path, render_manifest(&stats.verdicts)) {
+    if let Some(path) = &opts.emit_manifest {
+        let verdicts: Vec<ScenarioVerdict> = scenarios
+            .iter()
+            .zip(&report.clean)
+            .map(|(sc, &clean)| ScenarioVerdict {
+                name: sc.name.clone(),
+                fingerprint: scenario_fingerprint(sc),
+                clean,
+            })
+            .collect();
+        if let Err(e) = std::fs::write(path, render_manifest(&verdicts)) {
             eprintln!("ipmedia-lint: {path}: {e}");
             return ExitCode::from(EXIT_INPUT);
         }
         eprintln!(
             "ipmedia-lint: wrote verified manifest ({} scenario(s)) to {path}",
-            stats.verdicts.len()
+            verdicts.len()
         );
     }
 
@@ -329,20 +319,6 @@ fn main() -> ExitCode {
     }
 
     let failed = report.denied(opts.deny_warnings) > 0;
-    if let Some(stats) = &inc {
-        eprintln!(
-            "ipmedia-lint: incremental: {}/{} full cache hit(s), {} scenario miss(es), \
-             {} program run(s), {} eviction(s)",
-            stats.full_hits,
-            stats.scenarios,
-            stats.scenario_misses,
-            stats.program_runs,
-            stats.cache_evictions
-        );
-        if opts.jsonl {
-            println!("{}", stats.to_json());
-        }
-    }
     eprintln!(
         "ipmedia-lint: {} scenario(s), {errors} error(s), {warnings} warning(s), {} suppressed{}",
         scenarios.len(),

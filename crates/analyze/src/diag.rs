@@ -176,34 +176,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Every diagnostic code the analyzer can emit, as `'static` strings.
-///
-/// The incremental cache stores diagnostics as JSONL and must rebuild the
-/// `&'static str` code on load; interning against this table doubles as
-/// validation — an unknown code means the entry came from a different
-/// analyzer version (or is corrupt) and must be evicted, never trusted.
-const KNOWN_CODES: &[&str] = &[
-    "AZ001", "AZ002", "AZ101", "AZ102", "AZ201", "AZ202", "AZ203", "AZ301", "AZ302", "AZ303",
-    "AZ401", "AZ402", "AZ403", "AZ404", "AZ405", "AZ406", "AZ501", "AZ502", "AZ503", "AZ601",
-    "AZ602", "AZ701",
-];
-
-/// Map a code string to its interned `&'static str` form, or `None` if
-/// the code is not one this analyzer build can emit.
-pub fn intern_code(code: &str) -> Option<&'static str> {
-    KNOWN_CODES.iter().find(|&&k| k == code).copied()
-}
-
-/// Parse a severity label (`"error"` / `"warning"`) back from its
-/// [`Severity::name`] form.
-pub fn parse_severity(name: &str) -> Option<Severity> {
-    match name {
-        "error" => Some(Severity::Error),
-        "warning" => Some(Severity::Warning),
-        _ => None,
-    }
-}
-
 /// Sort diagnostics errors-first, then by location, for stable output.
 pub fn sort_report(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| {
@@ -243,16 +215,6 @@ mod tests {
         assert!(j.contains("\"type\":\"diag\""), "{j}");
         assert!(j.contains("\"code\":\"AZ301\""), "{j}");
         assert!(j.contains("\"severity\":\"warning\""), "{j}");
-    }
-
-    #[test]
-    fn intern_code_round_trips_known_codes_and_rejects_others() {
-        assert_eq!(intern_code("AZ101"), Some("AZ101"));
-        assert_eq!(intern_code("AZ701"), Some("AZ701"));
-        assert_eq!(intern_code("AZ999"), None);
-        assert_eq!(parse_severity("error"), Some(Severity::Error));
-        assert_eq!(parse_severity("warning"), Some(Severity::Warning));
-        assert_eq!(parse_severity("fatal"), None);
     }
 
     #[test]

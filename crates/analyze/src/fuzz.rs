@@ -574,6 +574,12 @@ pub struct FuzzReport {
     pub scenarios: usize,
     /// Scenarios with no error-severity finding.
     pub clean: usize,
+    /// Clean scenarios whose covered classes were all explored to
+    /// exhaustion: the checker's agreement is a verdict.
+    pub clean_confirmed: usize,
+    /// Clean scenarios covering at least one truncated class: the checker
+    /// found nothing in a prefix, so agreement is unknown.
+    pub clean_unknown: usize,
     /// Scenarios with at least one error-severity finding.
     pub with_errors: usize,
     /// Scenarios failing the `.ipm` round-trip property.
@@ -724,6 +730,8 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
         campaign_seed: cfg.seed,
         scenarios: records.len(),
         clean: 0,
+        clean_confirmed: 0,
+        clean_unknown: 0,
         with_errors: 0,
         roundtrip_failures: 0,
         code_counts: BTreeMap::new(),
@@ -744,6 +752,15 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
         }
         if rec.error_codes.is_empty() {
             report.clean += 1;
+            if rec
+                .classes
+                .iter()
+                .any(|k| verdicts.get(k).is_some_and(|v| v.truncated))
+            {
+                report.clean_unknown += 1;
+            } else {
+                report.clean_confirmed += 1;
+            }
         } else {
             report.with_errors += 1;
         }
@@ -1148,6 +1165,44 @@ mod tests {
         assert!(0 < deep && deep < report.checked.len());
         assert_eq!(report.classes_truncated(), deep);
         assert_eq!(report.classes_exhaustive(), report.checked.len() - deep);
+    }
+
+    #[test]
+    fn clean_scenarios_on_truncated_classes_are_unknown() {
+        let cfg = FuzzConfig {
+            scenarios: 40,
+            seed: 5,
+            threads: 1,
+            shrink_cap: 0,
+            ..FuzzConfig::default()
+        };
+        let run = |truncated_from| {
+            let mut checker = Scripted {
+                refuted: BTreeSet::new(),
+                truncated_from,
+            };
+            fuzz_campaign(&cfg, &mut checker)
+        };
+        let exhaustive = run(usize::MAX);
+        assert_eq!(exhaustive.clean_confirmed, exhaustive.clean);
+        assert_eq!(exhaustive.clean_unknown, 0);
+
+        // Classes of two links or more stop at the cap: a clean scenario
+        // covering one of them is unknown, whatever else it covers.
+        let capped = run(2);
+        assert_eq!(capped.clean, exhaustive.clean);
+        assert_eq!(capped.clean_confirmed + capped.clean_unknown, capped.clean);
+        let on_truncated = (0..cfg.scenarios as u64)
+            .map(|i| generate_scenario(scenario_seed(cfg.seed, i)))
+            .filter(|sc| {
+                analyze_scenario(sc)
+                    .iter()
+                    .all(|d| d.severity != Severity::Error)
+                    && class_keys(sc, cfg.max_links).iter().any(|k| k.0 >= 2)
+            })
+            .count();
+        assert!(0 < on_truncated && on_truncated < capped.clean);
+        assert_eq!(capped.clean_unknown, on_truncated);
     }
 
     #[test]

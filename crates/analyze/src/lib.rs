@@ -30,7 +30,9 @@
 //! The `ipmedia-lint` binary runs all passes over the built-in example
 //! registry (`ipmedia_apps::models`) and over serialized `.ipm`
 //! scenarios ([`parse`]), in parallel with deterministic output
-//! ([`runner`]), with baseline suppression ([`sarif`]).
+//! ([`runner`]), with baseline suppression ([`baseline`]), and writes
+//! the verified manifest of scenario fingerprints ([`manifest`]) that
+//! the runtime monitor checks live models against.
 //! The [`fuzz`] module scales the analyzer↔checker differential oracle
 //! to thousands of seeded, generated scenarios per run, with divergences
 //! delta-minimized to small `.ipm` reproducers.
@@ -52,34 +54,31 @@
     clippy::uninlined_format_args
 )]
 
+pub mod baseline;
 pub mod conflict;
 pub mod conformance;
 pub mod dataflow;
 pub mod diag;
 pub mod fuzz;
-pub mod incremental;
 pub mod interproc;
 pub mod leak;
+pub mod manifest;
 pub mod parse;
 pub mod race;
 pub mod runner;
-pub mod sarif;
 pub mod wellformed;
 
+pub use baseline::Baseline;
 pub use diag::{sort_report, Diagnostic, Severity};
 pub use fuzz::{
     class_label, fuzz_campaign, generate_scenario, scenario_seed, shrink_scenario, ClassChecker,
     ClassKey, ClassVerdict, Divergence, DivergenceKind, FuzzConfig, FuzzReport, FuzzRng,
     MckChecker,
 };
-pub use incremental::{
-    program_fingerprint, render_manifest, run_incremental, scenario_fingerprint,
-    topology_fingerprint, AnalysisCache, IncrementalStats, ScenarioVerdict, ANALYZER_VERSION,
-};
 pub use interproc::{covered_classes, covered_classes_up_to, CoveredClass};
+pub use manifest::{render_manifest, scenario_fingerprint, ScenarioVerdict, ANALYZER_VERSION};
 pub use parse::{parse_scenario, to_ipm, ParseError};
 pub use runner::{run, RunReport};
-pub use sarif::Baseline;
 
 use ipmedia_core::program::model::{ProgramModel, ScenarioModel};
 

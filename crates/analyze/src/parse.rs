@@ -327,10 +327,8 @@ pub fn to_ipm(sc: &ScenarioModel) -> String {
 }
 
 /// The topology-and-bindings section of [`to_ipm`]: `box`, `link`, and
-/// `bind` lines. Factored out so content-addressed fingerprints can hash
-/// exactly the text the emitter would produce for the cross-box structure
-/// ([`crate::incremental::topology_fingerprint`]).
-pub fn topology_ipm(sc: &ScenarioModel) -> String {
+/// `bind` lines.
+fn topology_ipm(sc: &ScenarioModel) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for b in &sc.topology.boxes {
@@ -346,9 +344,8 @@ pub fn topology_ipm(sc: &ScenarioModel) -> String {
 }
 
 /// One `program` section of [`to_ipm`], for the program attached to
-/// `box_name`. Factored out so per-program fingerprints hash the same
-/// text the emitter produces ([`crate::incremental::program_fingerprint`]).
-pub fn program_ipm(box_name: &str, m: &ProgramModel) -> String {
+/// `box_name`.
+fn program_ipm(box_name: &str, m: &ProgramModel) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     if m.name == box_name {

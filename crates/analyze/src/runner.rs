@@ -7,8 +7,8 @@
 //! module, so the determinism test exercises exactly the code path the
 //! binary ships.
 
+use crate::baseline::Baseline;
 use crate::diag::{Diagnostic, Severity};
-use crate::sarif::Baseline;
 use crate::{analyze_scenario, sort_report};
 use ipmedia_core::program::model::ScenarioModel;
 
@@ -18,6 +18,9 @@ pub struct RunReport {
     pub kept: Vec<Diagnostic>,
     /// Findings the baseline suppressed, in stable report order.
     pub suppressed: Vec<Diagnostic>,
+    /// Per input scenario, input order: true iff it had no finding
+    /// before the baseline was applied (the verified manifest's verdict).
+    pub clean: Vec<bool>,
 }
 
 impl RunReport {
@@ -57,10 +60,15 @@ pub fn run(scenarios: &[ScenarioModel], threads: usize, baseline: &Baseline) -> 
     let per_scenario = ipmedia_core::par::slot_map(threads, scenarios.len(), |i| {
         analyze_scenario(&scenarios[i])
     });
+    let clean = per_scenario.iter().map(Vec::is_empty).collect();
     let mut all: Vec<Diagnostic> = per_scenario.into_iter().flatten().collect();
     sort_report(&mut all);
     let (kept, suppressed) = baseline.apply(all);
-    RunReport { kept, suppressed }
+    RunReport {
+        kept,
+        suppressed,
+        clean,
+    }
 }
 
 #[cfg(test)]
@@ -100,11 +108,13 @@ mod tests {
         let scenarios = vec![noisy_scenario("s")];
         let all = run(&scenarios, 1, &Baseline::default());
         assert!(!all.kept.is_empty());
-        let base = Baseline::parse(&crate::sarif::Baseline::render(&all.kept));
+        let base = Baseline::parse(&Baseline::render(&all.kept));
         let none = run(&scenarios, 1, &base);
         assert!(none.kept.is_empty(), "{:?}", none.kept);
         assert_eq!(none.suppressed.len(), all.kept.len());
         assert_eq!(none.denied(true), 0);
+        // The per-scenario verdict is taken before the baseline.
+        assert_eq!(none.clean, vec![false]);
     }
 
     #[test]

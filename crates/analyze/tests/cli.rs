@@ -1,8 +1,9 @@
 //! The built `ipmedia-lint` binary, driven through its documented exit
 //! status contract: 0 clean, 1 findings at the deny level, 2 usage error,
-//! 3 input error. The fleet fixtures are the ones the `scripts/check.sh`
-//! incremental gate lints.
+//! 3 input error. The fleet fixtures are a prefix of the fuzz generator's
+//! population, some clean and some finding-bearing.
 
+use ipmedia_analyze::scenario_fingerprint;
 use std::process::{Command, Output};
 
 fn lint(args: &[&str]) -> Output {
@@ -19,7 +20,7 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn exit_statuses_follow_the_documented_contract() {
-    let table: [(&[&str], i32); 13] = [
+    let table: [(&[&str], i32); 15] = [
         (&["--all-examples"], 0),
         (&["--all-examples", "--deny", "warnings", "--threads=2"], 0),
         (&["examples/fleet/fleet_004.ipm", "--threads", "2"], 0),
@@ -34,6 +35,8 @@ fn exit_statuses_follow_the_documented_contract() {
         (&["--all-examples", "--threads"], 2),
         (&["--all-examples", "--threds", "4"], 2),
         (&["--all-examples", "--sarif", "target/lint.sarif"], 2),
+        (&["--all-examples", "--incremental"], 2),
+        (&["--all-examples", "--cache", "target/lint-cache"], 2),
         (&["--all-examples", "--deny", "errors"], 2),
         (&["examples/fleet/no_such_file.ipm"], 3),
     ];
@@ -58,6 +61,22 @@ fn usage_errors_name_the_argument_and_help_goes_to_stdout() {
     let help = lint(&["--help", "--bogus"]);
     assert!(String::from_utf8_lossy(&help.stdout).starts_with("usage: ipmedia-lint"));
     assert!(help.stderr.is_empty());
+}
+
+#[test]
+fn emit_manifest_marks_every_registry_model_clean_by_its_fingerprint() {
+    let path = std::env::temp_dir().join(format!("ipm-cli-manifest-{}.txt", std::process::id()));
+    let out = lint(&["--all-examples", "--emit-manifest", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&path).expect("manifest written");
+    let _ = std::fs::remove_file(&path);
+    let lines: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+    let expected: Vec<String> = ipmedia_apps::models::all_scenarios()
+        .iter()
+        .map(|sc| format!("{} clean {}", scenario_fingerprint(sc), sc.name))
+        .collect();
+    assert_eq!(lines.len(), 11);
+    assert_eq!(lines, expected);
 }
 
 #[test]

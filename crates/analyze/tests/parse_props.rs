@@ -1,15 +1,13 @@
-//! The four hand-written decoders that read files from outside the program
-//! — `.ipm` scenarios ([`parse_scenario`]), the lint cache
-//! ([`AnalysisCache::parse`], and under it the JSON reader), the lint
-//! baseline ([`Baseline::parse`]) and the verified manifest
+//! The three hand-written decoders that read files from outside the
+//! program — `.ipm` scenarios ([`parse_scenario`]), the lint baseline
+//! ([`Baseline::parse`]) and the verified manifest
 //! ([`VerifiedManifest::parse`]) — return for any text: they never panic.
 //!
 //! Random text alone dies on the first token, so most cases start from a
 //! valid file of each kind and damage it: a byte flipped, a line dropped,
 //! a line doubled.
 
-use ipmedia_analyze::incremental::ScenarioVerdict;
-use ipmedia_analyze::{parse_scenario, render_manifest, run_incremental, AnalysisCache, Baseline};
+use ipmedia_analyze::{parse_scenario, render_manifest, run, Baseline, ScenarioVerdict};
 use ipmedia_obs::monitor::VerifiedManifest;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -33,12 +31,11 @@ fn models() -> Vec<String> {
 /// One valid file of each kind.
 struct Corpus {
     models: Vec<String>,
-    cache: String,
     baseline: String,
     manifest: String,
 }
 
-/// Built once for every case: it lints the models to have a cache to save.
+/// Built once for every case: it lints the models to have a baseline.
 fn corpus() -> &'static Corpus {
     static CORPUS: OnceLock<Corpus> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -47,13 +44,7 @@ fn corpus() -> &'static Corpus {
             .iter()
             .map(|src| parse_scenario(src).expect("a committed model parses"))
             .collect();
-        let mut cache = AnalysisCache::default();
-        let (report, _) = run_incremental(&scenarios, 1, &Baseline::parse(""), &mut cache);
-        let dir = std::env::temp_dir().join(format!("ipm-parse-props-{}", std::process::id()));
-        cache.save(&dir).expect("cache save");
-        let cache = std::fs::read_to_string(dir.join("lint-cache.jsonl")).expect("cache file");
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(AnalysisCache::parse(&cache).evictions, 0);
+        let report = run(&scenarios, 1, &Baseline::default());
         assert!(!report.kept.is_empty(), "the planted models have findings");
 
         let verdicts: Vec<_> = scenarios
@@ -67,7 +58,6 @@ fn corpus() -> &'static Corpus {
             .collect();
         Corpus {
             models,
-            cache,
             baseline: Baseline::render(&report.kept),
             manifest: render_manifest(&verdicts),
         }
@@ -122,17 +112,6 @@ proptest! {
     }
 
     #[test]
-    fn the_cache_reader_returns_for_any_text(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        edits in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..4),
-    ) {
-        for text in inputs(&bytes, &corpus().cache, &edits) {
-            let cache = AnalysisCache::parse(&text);
-            prop_assert!(cache.scenario_len() + cache.program_len() <= text.lines().count());
-        }
-    }
-
-    #[test]
     fn the_baseline_reader_returns_for_any_text(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
         edits in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..4),
@@ -151,12 +130,4 @@ proptest! {
             prop_assert!(VerifiedManifest::parse(&text).len() <= text.lines().count());
         }
     }
-}
-
-#[test]
-fn a_deeply_nested_cache_line_is_evicted() {
-    // Found writing these properties: the JSON reader recursed once per
-    // `[` and overflowed the stack.
-    let line = "[".repeat(100_000);
-    assert_eq!(AnalysisCache::parse(&line).evictions, 1);
 }

@@ -111,6 +111,8 @@ fn main() -> ExitCode {
             .str("record", "fuzz_summary")
             .num("scenarios", report.scenarios as u64)
             .num("clean", report.clean as u64)
+            .num("clean_confirmed", report.clean_confirmed as u64)
+            .num("clean_unknown", report.clean_unknown as u64)
             .num("with_findings", report.with_errors as u64)
             .num("roundtrip_failures", report.roundtrip_failures as u64)
             .num("classes", report.checked.len() as u64)
@@ -136,10 +138,13 @@ fn main() -> ExitCode {
     }
     if report.is_clean_run() {
         eprintln!(
-            "fuzz_differential: CLEAN — {} scenario(s) ({} analyzer-clean), {} class(es) \
-             ({} exhaustive, {} truncated at the state cap), 0 divergence(s)",
+            "fuzz_differential: CLEAN — {} scenario(s) ({} analyzer-clean: {} confirmed, \
+             {} unknown), {} class(es) ({} exhaustive, {} truncated at the state cap), \
+             0 divergence(s)",
             report.scenarios,
             report.clean,
+            report.clean_confirmed,
+            report.clean_unknown,
             report.checked.len(),
             report.classes_exhaustive(),
             report.classes_truncated()

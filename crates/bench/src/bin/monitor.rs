@@ -27,12 +27,12 @@
 //! (exit nonzero if the monitor misses it): the self-test that the gate
 //! in `scripts/check.sh` runs.
 //!
-//! `--verified-manifest FILE` closes the loop with the incremental
-//! analyzer: FILE is the fingerprint → `clean|findings` manifest written
-//! by `ipmedia-lint --incremental --emit-manifest`. Each scenario's
-//! content fingerprint is recomputed here, stamped into the JSONL record
-//! (`model_fingerprint`/`verified`), and any live ladder from a model the
-//! manifest does not list as verified clean is flagged as `IM401`.
+//! `--verified-manifest FILE` closes the loop with the static analyzer:
+//! FILE is the fingerprint → `clean|findings` manifest written by
+//! `ipmedia-lint --emit-manifest`. Each scenario's content fingerprint is
+//! recomputed here, stamped into the JSONL record (`model_fingerprint` /
+//! `verified`), and any live ladder from a model the manifest does not
+//! list as verified clean is flagged as `IM401`.
 
 use ipmedia_analyze::scenario_fingerprint;
 use ipmedia_bench::Chain;

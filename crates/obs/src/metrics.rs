@@ -249,9 +249,6 @@ metric_table! {
     /// Model-checker successors rebuilt as whole states to be
     /// canonicalized, their rows not being canonical on their ids.
     mck_canonicalized: counter => "ipmedia_mck_canonicalized_total";
-    /// Incremental-analysis cache entries evicted on load (corrupt,
-    /// unknown code, or stale analyzer version) instead of trusted.
-    cache_evictions: counter => "ipmedia_cache_evictions_total";
     /// Channel + first-slot setup latency (§V: 2n+3c for a fresh path).
     /// On `rt` it times the channel dial alone, one observation per
     /// answered dial; a call's setup there is `call_setup_us`.
@@ -298,12 +295,6 @@ impl Registry {
             .fetch_add(local_steps, Ordering::Relaxed);
         self.mck_canonicalized
             .fetch_add(canonicalized, Ordering::Relaxed);
-    }
-
-    /// Add analysis-cache entries that were discarded instead of trusted
-    /// (corrupt, unknown code, or stale analyzer version).
-    pub fn add_cache_evictions(&self, evictions: u64) {
-        self.cache_evictions.fetch_add(evictions, Ordering::Relaxed);
     }
 }
 
@@ -504,13 +495,11 @@ mod tests {
         r.add_mck_dedup_hits(5);
         r.add_mck_steps(14_000, 4_000);
         r.add_mck_steps(393, 688);
-        r.add_cache_evictions(3);
         r.mck_states_per_sec.observe(42_000); // le 50_000
         r.mck_states_per_sec.observe(3_000_000); // overflow
         let s = r.snapshot();
         assert_eq!(s.mck_dedup_hits, 120_005);
         assert_eq!((s.mck_local_steps, s.mck_canonicalized), (14_393, 4_688));
-        assert_eq!(s.cache_evictions, 3);
         assert_eq!(s.mck_states_per_sec.total(), 2);
         assert_eq!(s.mck_states_per_sec.counts[4], 1);
         assert_eq!(s.mck_states_per_sec.overflow(), 1);

@@ -22,8 +22,8 @@
 //!   property).
 //! - **IM401** — unverified model: live behavior attributed to a scenario
 //!   whose content fingerprint the [`VerifiedManifest`] (written by
-//!   `ipmedia-lint --incremental --emit-manifest`) does not list as
-//!   verified clean — either unknown to the analyzer or finding-bearing.
+//!   `ipmedia-lint --emit-manifest`) does not list as verified clean —
+//!   either unknown to the analyzer or finding-bearing.
 //!   Always fatal: there is no recovery budget for running unverified
 //!   models.
 //!
@@ -142,11 +142,10 @@ impl RecoveryObjectives {
     }
 }
 
-/// The verified manifest written by `ipmedia-lint --incremental
-/// --emit-manifest`: scenario content fingerprints mapped to their
-/// analysis verdict. Plain text, one `<fingerprint> <clean|findings>
-/// <scenario>` line, `#` comments — parseable here without any JSON
-/// machinery. Fingerprints are salted with the analyzer version, so a
+/// The verified manifest written by `ipmedia-lint --emit-manifest`:
+/// scenario content fingerprints mapped to their analysis verdict. Plain
+/// text, one `<fingerprint> <clean|findings> <scenario>` line, `#`
+/// comments — parseable here without any JSON machinery. Fingerprints are salted with the analyzer version, so a
 /// manifest from an older analyzer simply never matches (and the model
 /// counts as unverified).
 #[derive(Debug, Clone, Default)]

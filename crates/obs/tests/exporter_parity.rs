@@ -33,7 +33,6 @@ fn populated() -> Arc<Registry> {
     obs.recovered(1, 0, 2, 350);
     registry.add_mck_dedup_hits(7);
     registry.add_mck_steps(5, 2);
-    registry.add_cache_evictions(4);
     registry.tunnel_setup_ms.observe(120);
     registry.call_setup_us.observe(900);
     registry.flowlink_convergence_ms.observe(88);
@@ -140,8 +139,6 @@ fn populated_values_survive_both_exports() {
     assert!(json.contains("\"mck_local_steps\":5,\"mck_canonicalized\":2"));
     assert!(prom.contains("ipmedia_mck_local_steps_total 5"));
     assert!(prom.contains("ipmedia_mck_canonicalized_total 2"));
-    assert!(json.contains("\"cache_evictions\":4"));
-    assert!(prom.contains("ipmedia_cache_evictions_total 4"));
     for h in [
         "tunnel_setup_ms",
         "call_setup_us",

@@ -87,62 +87,15 @@ cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-analyze --bin ipmedia-lint -- \
   --all-examples --deny warnings --threads "$(nproc)" \
   --baseline lint-baseline.txt
 
-echo "== incremental lint (content-addressed cache, O(changed) re-lint)" >&2
-# Cold-lints the committed fleet sample into a fresh cache, swaps in the
-# one-program-edit variant of one scenario, and re-lints: the second run
-# must miss exactly one scenario (everything else replays from cache) and
-# both runs' diagnostic streams must be byte-identical apart from the
-# edit — the cache-correctness oracle, exercised through the CLI.
-cargo build "${CARGO_ARGS[@]}" --release -q -p ipmedia-analyze --bin ipmedia-lint
-LINT_BUDGET_SECS="${LINT_BUDGET_SECS:-120}"
-rm -rf target/lint_gate
-mkdir -p target/lint_gate/cache
-cp examples/fleet/*.ipm target/lint_gate/
-run_gate_lint() {
-  # Fuzz-generated fleet scenarios legitimately carry findings, so exit 1
-  # (findings) is as green as exit 0 here; anything else is a failure.
-  local status=0
-  timeout "$LINT_BUDGET_SECS" ./target/release/ipmedia-lint \
-    --incremental --cache target/lint_gate/cache --jsonl \
-    target/lint_gate/fleet_*.ipm 2>/dev/null || status=$?
-  if [ "$status" -ne 0 ] && [ "$status" -ne 1 ]; then
-    echo "incremental lint gate failed (exit $status)" >&2
-    exit "$status"
-  fi
-}
-run_gate_lint > target/lint_gate/cold.jsonl
-edited="$(ls examples/fleet/edited/)"
-cp "examples/fleet/edited/$edited" target/lint_gate/
-run_gate_lint > target/lint_gate/warm.jsonl
-grep '"record":"lint_incremental"' target/lint_gate/warm.jsonl \
-  | grep -q '"scenario_misses":1' || {
-  echo "incremental gate: one-edit re-lint did not miss exactly one scenario:" >&2
-  grep '"record":"lint_incremental"' target/lint_gate/warm.jsonl >&2 || true
-  exit 1
-}
-# A fully-warm third pass over the same inputs must reproduce the warm
-# diagnostics byte-for-byte with zero pass runs.
-run_gate_lint > target/lint_gate/warm2.jsonl
-grep '"record":"lint_incremental"' target/lint_gate/warm2.jsonl \
-  | grep -q '"scenario_misses":0' || {
-  echo "incremental gate: unchanged re-lint was not a full cache hit" >&2
-  exit 1
-}
-diff <(grep '"type":"diag"' target/lint_gate/warm.jsonl) \
-     <(grep '"type":"diag"' target/lint_gate/warm2.jsonl) || {
-  echo "incremental gate: warm replay diverged from the analyzing run" >&2
-  exit 1
-}
-
 echo "== verified manifest round trip (lint fingerprints -> live monitor)" >&2
 # The registry lints clean, so its emitted manifest marks every scenario
 # verified: the monitor must accept the whole registry under it, and must
 # flag the same stream as IM401 under an empty manifest — proving the
 # unverified-model path can actually fire.
 MONITOR_BUDGET_SECS="${MONITOR_BUDGET_SECS:-120}"
+mkdir -p target/lint_gate
 cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-analyze --bin ipmedia-lint -- \
-  --all-examples --incremental --cache target/lint_gate/registry-cache \
-  --emit-manifest target/lint_gate/verified-manifest.txt
+  --all-examples --emit-manifest target/lint_gate/verified-manifest.txt
 timed_gate "monitor" "$MONITOR_BUDGET_SECS" "rejected the freshly verified manifest" \
   ipmedia-bench ipmedia-monitor --verified-manifest target/lint_gate/verified-manifest.txt
 if timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor \
@@ -151,11 +104,11 @@ if timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor \
   exit 1
 fi
 
-# The four committed artifacts hold only what their bin decides (verdicts,
+# The three committed artifacts hold only what their bin decides (verdicts,
 # counts, virtual-time latencies), nothing read from a clock or the host:
 # each bin below rewrites its file, and the last step demands the bytes
 # that were committed.
-DECIDED=(BENCH_differential.jsonl BENCH_fuzz.json BENCH_chaos.json BENCH_lint.json)
+DECIDED=(BENCH_differential.jsonl BENCH_fuzz.json BENCH_chaos.json)
 rm -rf target/bench_committed
 mkdir -p target/bench_committed
 cp "${DECIDED[@]}" target/bench_committed/
@@ -207,13 +160,6 @@ echo "== chaos campaign (seeded schedules, monitor-verified recovery)" >&2
 # Rewrites BENCH_chaos.json.
 timed_gate "chaos campaign" "${CHAOS_BUDGET_SECS:-240}" "found recovery violations" \
   ipmedia-bench chaos_campaign --threads "$(nproc)"
-
-echo "== lint fleet (10k-scenario incremental re-lint, O(changed) pass runs)" >&2
-# The bin itself fails on any warm cache miss, a non-O(changed) one-edit
-# profile, or output divergence across 1/2/8 worker threads. Rewrites
-# BENCH_lint.json.
-timed_gate "lint fleet" "$LINT_BUDGET_SECS" "failed an incremental-cache assertion" \
-  ipmedia-bench ipmedia-lint-fleet
 
 echo "== committed artifacts (every BENCH_* file reproduced byte for byte)" >&2
 for f in "${DECIDED[@]}"; do
