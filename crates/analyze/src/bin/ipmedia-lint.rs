@@ -6,6 +6,7 @@
 //! ipmedia-lint --all-examples --deny warnings --jsonl --threads 8
 //! ipmedia-lint --all-examples --baseline lint-baseline.txt
 //! ipmedia-lint --all-examples --emit-manifest verified.txt
+//! ipmedia-lint --fuzz 2000 --jsonl --threads 8 > BENCH_fuzz.json
 //! ```
 //!
 //! Rendered diagnostics and the summary go to stderr; with `--jsonl` each
@@ -16,12 +17,15 @@
 //! Exit status contract (stable; scripts branch on it):
 //!
 //! * `0` — clean: no findings at the deny level (suppressed findings and
-//!   warnings without `--deny warnings` do not fail the run);
-//! * `1` — findings at the deny level;
+//!   warnings without `--deny warnings` do not fail the run), or a
+//!   `--fuzz` campaign without divergences;
+//! * `1` — findings at the deny level, or a `--fuzz` divergence;
 //! * `2` — usage error (bad flag, nothing to lint);
 //! * `3` — input or internal error (unreadable file, `.ipm` parse error).
 
-use ipmedia_analyze::fuzz::{fuzz_campaign, promote_divergences, FuzzConfig, MckChecker};
+use ipmedia_analyze::fuzz::{
+    class_label, fuzz_campaign, promote_divergences, FuzzConfig, FuzzReport, MckChecker, Origin,
+};
 use ipmedia_analyze::runner;
 use ipmedia_analyze::{
     parse_scenario, render_manifest, scenario_fingerprint, to_ipm, Baseline, Diagnostic,
@@ -69,9 +73,10 @@ options:
   --prune-baseline        rewrite --baseline FILE with stale fingerprints
                           (matching no current finding) removed
   --fuzz N                instead of linting inputs, run the differential
-                          fuzz campaign over N generated scenarios (the
-                          same oracle as the fuzz_differential CI gate)
-                          and print any divergence's minimized reproducer
+                          analyzer<->checker campaign over the registry and
+                          N generated scenarios (with --jsonl, the records
+                          the CI gate commits as BENCH_fuzz.json) and print
+                          any divergence's minimized reproducer
   --seed S                campaign seed for --fuzz (decimal)
   --max-states M          base checker budget for --fuzz
   --promote DIR           with --fuzz, write each divergence's minimized
@@ -79,8 +84,8 @@ options:
   -h, --help              this help
 
 exit status:
-  0  clean (no findings at the deny level)
-  1  findings at the deny level
+  0  clean (no findings at the deny level; --fuzz: no divergence)
+  1  findings at the deny level (--fuzz: a divergence)
   2  usage error
   3  input or internal error (unreadable file, parse error)";
 
@@ -133,9 +138,12 @@ fn load_scenarios(opts: &Options) -> Result<Vec<ScenarioModel>, String> {
     Ok(scenarios)
 }
 
-/// `--fuzz N`: run the differential analyzer↔checker campaign locally —
-/// the one-command reproduction path for CI `fuzz_differential` findings.
-/// Exit 0 on a clean run, [`EXIT_FINDINGS`] on any divergence.
+/// `--fuzz N`: run the differential analyzer↔checker campaign over the
+/// registry and N generated scenarios. With `--jsonl`, stdout carries one
+/// record per registry scenario, per code, per checked class and per
+/// divergence, then the summary: the file `scripts/check.sh` commits as
+/// `BENCH_fuzz.json`. Exit 0 on a clean run, [`EXIT_FINDINGS`] on any
+/// divergence.
 fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
     let defaults = FuzzConfig::default();
     let cfg = FuzzConfig {
@@ -146,16 +154,19 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
         ..defaults
     };
     eprintln!(
-        "ipmedia-lint: fuzzing {} scenario(s), seed {}, base cap {} states",
+        "ipmedia-lint: fuzzing the registry and {} scenario(s), seed {}, base cap {} states",
         cfg.scenarios, cfg.seed, cfg.max_states
     );
     let mut checker = MckChecker::new(cfg.max_states);
     let report = fuzz_campaign(&cfg, &mut checker);
+    if opts.jsonl {
+        print_fuzz_records(&report);
+    }
     for d in &report.divergences {
         eprintln!(
-            "ipmedia-lint: DIVERGENCE ({}) seed {:#018x}: {}",
+            "ipmedia-lint: DIVERGENCE ({}) {}: {}",
             d.kind.name(),
-            d.seed,
+            d.origin,
             d.detail
         );
         let repro = d.minimized.as_ref().unwrap_or(&d.scenario);
@@ -175,8 +186,10 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
         }
     }
     eprintln!(
-        "ipmedia-lint: {} scenario(s) fuzzed ({} analyzer-clean: {} confirmed, {} unknown), \
-         {} class(es) checked ({} exhaustive, {} truncated at the state cap), {} divergence(s){}",
+        "ipmedia-lint: {} registry and {} generated scenario(s) fuzzed ({} generated \
+         analyzer-clean: {} confirmed, {} unknown), {} class(es) checked ({} exhaustive, \
+         {} truncated at the state cap), {} divergence(s){}",
+        report.registry.len(),
         report.scenarios,
         report.clean,
         report.clean_confirmed,
@@ -191,28 +204,84 @@ fn fuzz_mode(opts: &Options, count: usize) -> ExitCode {
             ""
         }
     );
-    if opts.jsonl {
-        println!(
-            "{}",
-            JsonObj::new()
-                .str("type", "fuzz_summary")
-                .num("scenarios", report.scenarios as u64)
-                .num("clean", report.clean as u64)
-                .num("clean_confirmed", report.clean_confirmed as u64)
-                .num("clean_unknown", report.clean_unknown as u64)
-                .num("classes", report.checked.len() as u64)
-                .num("classes_exhaustive", report.classes_exhaustive() as u64)
-                .num("classes_truncated", report.classes_truncated() as u64)
-                .num("divergences", report.divergences.len() as u64)
-                .bool("clean_run", report.is_clean_run())
-                .finish()
-        );
-    }
     if report.is_clean_run() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_FINDINGS)
     }
+}
+
+/// The `--fuzz --jsonl` records. They hold nothing read from a clock or
+/// the host, so the same seed gives the same bytes at any `--threads`.
+fn print_fuzz_records(report: &FuzzReport) {
+    let record = |kind: &str| JsonObj::new().str("record", kind);
+    let strs = |xs: &[String]| json_str_array(xs.iter().map(String::as_str));
+    for r in &report.registry {
+        let classes: Vec<String> = r.classes.iter().map(|k| class_label(*k)).collect();
+        println!(
+            "{}",
+            record("fuzz_registry")
+                .str("scenario", &r.scenario.name)
+                .bool("clean", r.error_codes.is_empty())
+                .raw("codes", &strs(&r.codes))
+                .raw("classes", &strs(&classes))
+                .finish()
+        );
+    }
+    for (code, count) in &report.code_counts {
+        println!(
+            "{}",
+            record("fuzz_code")
+                .str("code", code)
+                .num("scenarios", *count as u64)
+                .finish()
+        );
+    }
+    for (key, verdict) in &report.checked {
+        println!(
+            "{}",
+            record("fuzz_check")
+                .num("links", key.0 as u64)
+                .str("class", &class_label(*key))
+                .num(
+                    "covering_scenarios",
+                    report.class_counts.get(key).copied().unwrap_or(0) as u64
+                )
+                .bool("counterexample", verdict.counterexample)
+                .bool("truncated", verdict.truncated)
+                .num("expanded", verdict.expanded as u64)
+                .finish()
+        );
+    }
+    for d in &report.divergences {
+        let obj = record("fuzz_divergence").str("kind", d.kind.name());
+        let obj = match &d.origin {
+            Origin::Registry(name) => obj.str("scenario", name),
+            Origin::Seed(seed) => obj.str("seed", &format!("{seed:#018x}")),
+        };
+        println!("{}", obj.str("detail", &d.detail).finish());
+    }
+    let registry_clean = report.registry.iter().filter(|r| r.error_codes.is_empty());
+    let counterexamples = report.checked.iter().filter(|(_, v)| v.counterexample);
+    println!(
+        "{}",
+        record("fuzz_summary")
+            .num("registry", report.registry.len() as u64)
+            .num("registry_clean", registry_clean.count() as u64)
+            .num("scenarios", report.scenarios as u64)
+            .num("clean", report.clean as u64)
+            .num("clean_confirmed", report.clean_confirmed as u64)
+            .num("clean_unknown", report.clean_unknown as u64)
+            .num("with_findings", report.with_errors as u64)
+            .num("roundtrip_failures", report.roundtrip_failures as u64)
+            .num("classes", report.checked.len() as u64)
+            .num("classes_exhaustive", report.classes_exhaustive() as u64)
+            .num("classes_truncated", report.classes_truncated() as u64)
+            .num("counterexamples", counterexamples.count() as u64)
+            .num("divergences", report.divergences.len() as u64)
+            .bool("clean_run", report.is_clean_run())
+            .finish()
+    );
 }
 
 fn main() -> ExitCode {

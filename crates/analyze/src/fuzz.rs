@@ -7,8 +7,9 @@
 //! idioms as the `ipmedia_apps::models` registry, random goal
 //! annotations, timers, and channel bindings. A campaign
 //! ([`fuzz_campaign`]) runs the full static analyzer and the `mck` model
-//! checker differentially over thousands of generated scenarios and
-//! enforces two oracle directions:
+//! checker differentially over the registry's scenarios (its fixed
+//! prefix) and then thousands of generated ones, and enforces two oracle
+//! directions:
 //!
 //! 1. **Soundness** — an analyzer-clean scenario (no error-severity
 //!    finding) must map onto no checker configuration with a
@@ -35,7 +36,7 @@
 //! slot-per-item pool discipline as [`crate::runner`]).
 
 use crate::diag::Severity;
-use crate::interproc::{covered_classes_up_to, MAX_COVERED_LINKS};
+use crate::interproc::covered_classes;
 use crate::{analyze_scenario, parse_scenario, to_ipm};
 use ipmedia_core::hash::{splitmix64_next, GOLDEN_GAMMA};
 use ipmedia_core::path::{EndGoal, Topology};
@@ -409,25 +410,12 @@ impl MckChecker {
     pub fn checked(&self) -> usize {
         self.cache.len()
     }
-
-    fn config_for(key: ClassKey) -> CheckConfig {
-        budgeted(key.0.saturating_sub(1), key.1, key.2, 0)
-    }
 }
 
 impl ClassChecker for MckChecker {
     fn check(&mut self, key: ClassKey) -> ClassVerdict {
-        if let Some(v) = self.cache.get(&key) {
-            return *v;
-        }
-        let res = run_campaign_depth_capped(&[Self::config_for(key)], self.base, 1);
-        let v = ClassVerdict {
-            counterexample: res[0].verdict_class().is_counterexample(),
-            truncated: res[0].truncated,
-            expanded: res[0].expanded,
-        };
-        self.cache.insert(key, v);
-        v
+        self.batch(&[key], 1);
+        self.cache[&key]
     }
 
     fn batch(&mut self, keys: &[ClassKey], threads: usize) {
@@ -436,20 +424,18 @@ impl ClassChecker for MckChecker {
             .copied()
             .filter(|k| !self.cache.contains_key(k))
             .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let cfgs: Vec<CheckConfig> = missing.iter().map(|k| Self::config_for(*k)).collect();
+        let cfgs: Vec<CheckConfig> = missing
+            .iter()
+            .map(|k| budgeted(k.0.saturating_sub(1), k.1, k.2, 0))
+            .collect();
         let results = run_campaign_depth_capped(&cfgs, self.base, threads);
-        for (k, r) in missing.iter().zip(&results) {
-            self.cache.insert(
-                *k,
-                ClassVerdict {
-                    counterexample: r.verdict_class().is_counterexample(),
-                    truncated: r.truncated,
-                    expanded: r.expanded,
-                },
-            );
+        for (k, r) in missing.into_iter().zip(results) {
+            let verdict = ClassVerdict {
+                counterexample: r.verdict_class().is_counterexample(),
+                truncated: r.truncated,
+                expanded: r.expanded,
+            };
+            self.cache.insert(k, verdict);
         }
     }
 }
@@ -465,9 +451,9 @@ pub fn class_label(key: ClassKey) -> String {
 }
 
 /// The sorted, deduplicated class keys a scenario covers (up to
-/// `max_links` path length).
-pub fn class_keys(sc: &ScenarioModel, max_links: usize) -> Vec<ClassKey> {
-    let set: BTreeSet<ClassKey> = covered_classes_up_to(sc, max_links)
+/// [`crate::interproc::MAX_COVERED_LINKS`] path length).
+pub fn class_keys(sc: &ScenarioModel) -> Vec<ClassKey> {
+    let set: BTreeSet<ClassKey> = covered_classes(sc)
         .into_iter()
         .map(|c| (c.links, c.left, c.right))
         .collect();
@@ -504,14 +490,32 @@ impl DivergenceKind {
     }
 }
 
+/// Where a campaign scenario came from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Origin {
+    /// A built-in registry scenario (the campaign's fixed prefix), by name.
+    Registry(String),
+    /// A generated scenario, by its seed.
+    Seed(u64),
+}
+
+impl std::fmt::Display for Origin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Origin::Registry(name) => write!(f, "registry scenario {name}"),
+            Origin::Seed(seed) => write!(f, "scenario seed {seed:#018x}"),
+        }
+    }
+}
+
 /// One analyzer↔checker divergence, with its delta-minimized reproducer
 /// when shrinking was enabled and succeeded.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Direction violated.
     pub kind: DivergenceKind,
-    /// The scenario seed that produced it.
-    pub seed: u64,
+    /// The scenario that produced it.
+    pub origin: Origin,
     /// One-line description (class label, codes seen, …).
     pub detail: String,
     /// The offending scenario as generated.
@@ -523,7 +527,7 @@ pub struct Divergence {
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// Number of scenarios to generate.
+    /// Number of scenarios to generate after the registry prefix.
     pub scenarios: usize,
     /// Campaign seed (scenario `i` uses [`scenario_seed`]`(seed, i)`).
     pub seed: u64,
@@ -532,8 +536,6 @@ pub struct FuzzConfig {
     pub threads: usize,
     /// Base checker budget in states (see [`MckChecker::new`]).
     pub max_states: usize,
-    /// Path-length cap for covered classes.
-    pub max_links: usize,
     /// Delta-minimize at most this many divergences.
     pub shrink_cap: usize,
 }
@@ -545,31 +547,39 @@ impl Default for FuzzConfig {
             seed: 0xF022_DA7A,
             threads: 0,
             max_states: 2_000_000,
-            max_links: MAX_COVERED_LINKS,
             shrink_cap: 8,
         }
     }
 }
 
 /// What one scenario contributed to the campaign.
-#[derive(Debug, Clone, Default)]
-struct Generated {
-    seed: u64,
-    scenario: ScenarioModel,
+#[derive(Debug, Clone)]
+pub struct ScenarioRecord {
+    /// Where the scenario came from.
+    pub origin: Origin,
+    /// The scenario as analyzed (empty if generating it panicked).
+    pub scenario: ScenarioModel,
     /// Sorted, deduplicated error-severity codes.
-    error_codes: Vec<String>,
+    pub error_codes: Vec<String>,
     /// Sorted, deduplicated codes at any severity.
-    codes: Vec<String>,
-    classes: Vec<ClassKey>,
-    roundtrip_ok: bool,
-    panicked: bool,
+    pub codes: Vec<String>,
+    /// The class keys it covers ([`class_keys`]).
+    pub classes: Vec<ClassKey>,
+    /// The `.ipm` round trip reproduced it.
+    pub roundtrip_ok: bool,
+    /// The generator or the analyzer panicked on it.
+    pub panicked: bool,
 }
 
 /// Campaign outcome: aggregate statistics plus every divergence found.
+/// The statistics count the generated scenarios; the registry prefix is
+/// reported per scenario in [`FuzzReport::registry`].
 #[derive(Debug, Clone)]
 pub struct FuzzReport {
     /// Campaign seed.
     pub campaign_seed: u64,
+    /// The registry prefix, one record per scenario in registry order.
+    pub registry: Vec<ScenarioRecord>,
     /// Scenarios generated.
     pub scenarios: usize,
     /// Scenarios with no error-severity finding.
@@ -597,7 +607,8 @@ pub struct FuzzReport {
 /// Promote every divergence in `report` into `dir` as a committed-fixture
 /// candidate: the delta-minimized reproducer (falling back to the
 /// as-generated scenario) written as `fuzz_promoted_<kind>_<seed>.ipm`
-/// with a `#`-comment triage note. Promoted files re-parse with
+/// (`<name>` in place of `<seed>` for a registry scenario) with a
+/// `#`-comment triage note. Promoted files re-parse with
 /// [`parse_scenario`] (comments are ignored), so `planted.rs` can
 /// register them directly. Returns the written paths, divergence order.
 pub fn promote_divergences(
@@ -617,8 +628,8 @@ pub fn promote_divergences(
         );
         let _ = writeln!(
             out,
-            "# campaign seed {:#018x}, scenario seed {:#018x}",
-            report.campaign_seed, d.seed
+            "# campaign seed {:#018x}, {}",
+            report.campaign_seed, d.origin
         );
         let _ = writeln!(out, "# detail: {}", d.detail.replace('\n', " "));
         let _ = writeln!(
@@ -628,11 +639,11 @@ pub fn promote_divergences(
             scenario_weight(repro)
         );
         out.push_str(&to_ipm(repro));
-        let path = dir.join(format!(
-            "fuzz_promoted_{}_{:016x}.ipm",
-            d.kind.name(),
-            d.seed
-        ));
+        let tag = match &d.origin {
+            Origin::Registry(name) => name.clone(),
+            Origin::Seed(seed) => format!("{seed:016x}"),
+        };
+        let path = dir.join(format!("fuzz_promoted_{}_{tag}.ipm", d.kind.name()));
         std::fs::write(&path, &out)?;
         paths.push(path);
     }
@@ -658,8 +669,7 @@ impl FuzzReport {
 }
 
 /// Analyze one scenario into its campaign record.
-fn record_for(seed: u64, max_links: usize) -> Generated {
-    let sc = generate_scenario(seed);
+fn record_for(origin: Origin, sc: ScenarioModel) -> ScenarioRecord {
     let diags = analyze_scenario(&sc);
     let mut error_codes: Vec<String> = diags
         .iter()
@@ -671,10 +681,10 @@ fn record_for(seed: u64, max_links: usize) -> Generated {
     let mut codes: Vec<String> = diags.iter().map(|d| d.code.to_string()).collect();
     codes.sort();
     codes.dedup();
-    let classes = class_keys(&sc, max_links);
+    let classes = class_keys(&sc);
     let roundtrip_ok = parse_scenario(&to_ipm(&sc)).is_ok_and(|p| p == sc);
-    Generated {
-        seed,
+    ScenarioRecord {
+        origin,
         scenario: sc,
         error_codes,
         codes,
@@ -692,7 +702,9 @@ fn has_interproc_finding(codes: &[String]) -> bool {
         .any(|c| c.starts_with("AZ5") || c.starts_with("AZ6"))
 }
 
-/// Run a full differential campaign. Phases:
+/// Run a full differential campaign over the registry
+/// (`ipmedia_apps::models::all_scenarios()`, always, first) and then
+/// [`FuzzConfig::scenarios`] generated scenarios. Phases:
 ///
 /// 1. generate + analyze + round-trip every scenario (parallel,
 ///    slot-per-index, deterministic),
@@ -700,21 +712,32 @@ fn has_interproc_finding(codes: &[String]) -> bool {
 /// 3. cross-examine analyzer and checker per scenario,
 /// 4. delta-minimize the first [`FuzzConfig::shrink_cap`] divergences.
 pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzReport {
-    let seeds: Vec<u64> = (0..cfg.scenarios as u64)
-        .map(|i| scenario_seed(cfg.seed, i))
-        .collect();
+    let registry = ipmedia_apps::models::all_scenarios();
+    let prefix = registry.len();
 
-    // Phase 1: one record slot per seed; any panic becomes a divergence
-    // rather than tearing the campaign down.
-    let guarded = |seed: u64| {
-        catch_unwind(AssertUnwindSafe(|| record_for(seed, cfg.max_links))).unwrap_or(Generated {
-            seed,
-            panicked: true,
-            roundtrip_ok: true,
-            ..Generated::default()
-        })
-    };
-    let records = ipmedia_core::par::slot_map(cfg.threads, seeds.len(), |i| guarded(seeds[i]));
+    // Phase 1: one record slot per scenario; any panic becomes a
+    // divergence rather than tearing the campaign down.
+    let mut records = ipmedia_core::par::slot_map(cfg.threads, prefix + cfg.scenarios, |i| {
+        let origin = match registry.get(i) {
+            Some(sc) => Origin::Registry(sc.name.clone()),
+            None => Origin::Seed(scenario_seed(cfg.seed, (i - prefix) as u64)),
+        };
+        let build = || match &origin {
+            Origin::Registry(_) => registry[i].clone(),
+            Origin::Seed(seed) => generate_scenario(*seed),
+        };
+        catch_unwind(AssertUnwindSafe(|| record_for(origin.clone(), build()))).unwrap_or_else(
+            |_| ScenarioRecord {
+                origin: origin.clone(),
+                scenario: ScenarioModel::default(),
+                error_codes: Vec::new(),
+                codes: Vec::new(),
+                classes: Vec::new(),
+                roundtrip_ok: true,
+                panicked: true,
+            },
+        )
+    });
 
     // Phase 2: one checker run per unique class.
     let union: BTreeSet<ClassKey> = records.iter().flat_map(|r| r.classes.clone()).collect();
@@ -724,11 +747,13 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
         keys.iter().map(|k| (*k, checker.check(*k))).collect();
     let verdicts: BTreeMap<ClassKey, ClassVerdict> = checked.iter().copied().collect();
 
-    // Phase 3: cross-examination.
+    // Phase 3: cross-examination; the statistics count generated
+    // scenarios only.
     let mut divergences = Vec::new();
     let mut report = FuzzReport {
         campaign_seed: cfg.seed,
-        scenarios: records.len(),
+        registry: Vec::new(),
+        scenarios: cfg.scenarios,
         clean: 0,
         clean_confirmed: 0,
         clean_unknown: 0,
@@ -740,76 +765,73 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
         divergences: Vec::new(),
     };
     for rec in &records {
-        if rec.panicked {
+        let mut diverge = |kind, detail: String| {
             divergences.push(Divergence {
-                kind: DivergenceKind::Panic,
-                seed: rec.seed,
-                detail: "generator or analyzer panicked".into(),
+                kind,
+                origin: rec.origin.clone(),
+                detail,
                 scenario: rec.scenario.clone(),
                 minimized: None,
             });
+        };
+        if rec.panicked {
+            diverge(
+                DivergenceKind::Panic,
+                "generator or analyzer panicked".into(),
+            );
             continue;
         }
-        if rec.error_codes.is_empty() {
-            report.clean += 1;
-            if rec
-                .classes
-                .iter()
-                .any(|k| verdicts.get(k).is_some_and(|v| v.truncated))
-            {
-                report.clean_unknown += 1;
+        if let Origin::Seed(_) = rec.origin {
+            if rec.error_codes.is_empty() {
+                report.clean += 1;
+                if rec
+                    .classes
+                    .iter()
+                    .any(|k| verdicts.get(k).is_some_and(|v| v.truncated))
+                {
+                    report.clean_unknown += 1;
+                } else {
+                    report.clean_confirmed += 1;
+                }
             } else {
-                report.clean_confirmed += 1;
+                report.with_errors += 1;
             }
-        } else {
-            report.with_errors += 1;
-        }
-        for c in &rec.codes {
-            *report.code_counts.entry(c.clone()).or_insert(0) += 1;
-        }
-        for k in &rec.classes {
-            *report.class_counts.entry(*k).or_insert(0) += 1;
+            for c in &rec.codes {
+                *report.code_counts.entry(c.clone()).or_insert(0) += 1;
+            }
+            for k in &rec.classes {
+                *report.class_counts.entry(*k).or_insert(0) += 1;
+            }
+            report.roundtrip_failures += usize::from(!rec.roundtrip_ok);
         }
         if !rec.roundtrip_ok {
-            report.roundtrip_failures += 1;
-            divergences.push(Divergence {
-                kind: DivergenceKind::RoundTrip,
-                seed: rec.seed,
-                detail: "to_ipm → parse_scenario did not reproduce the model".into(),
-                scenario: rec.scenario.clone(),
-                minimized: None,
-            });
+            diverge(
+                DivergenceKind::RoundTrip,
+                "to_ipm → parse_scenario did not reproduce the model".into(),
+            );
         }
-        let refuted: Vec<ClassKey> = rec
+        let refuted = rec
             .classes
             .iter()
-            .copied()
-            .filter(|k| verdicts.get(k).is_some_and(|v| v.counterexample))
-            .collect();
-        if let Some(k) = refuted.first() {
+            .find(|k| verdicts.get(k).is_some_and(|v| v.counterexample));
+        if let Some(k) = refuted {
             if rec.error_codes.is_empty() {
-                divergences.push(Divergence {
-                    kind: DivergenceKind::Soundness,
-                    seed: rec.seed,
-                    detail: format!(
+                diverge(
+                    DivergenceKind::Soundness,
+                    format!(
                         "analyzer-clean scenario maps onto refuted class {}",
                         class_label(*k)
                     ),
-                    scenario: rec.scenario.clone(),
-                    minimized: None,
-                });
+                );
             } else if !has_interproc_finding(&rec.codes) {
-                divergences.push(Divergence {
-                    kind: DivergenceKind::Completeness,
-                    seed: rec.seed,
-                    detail: format!(
+                diverge(
+                    DivergenceKind::Completeness,
+                    format!(
                         "checker refuted class {} but no AZ5xx/AZ6xx finding explains it (codes: {})",
                         class_label(*k),
                         rec.codes.join(", ")
                     ),
-                    scenario: rec.scenario.clone(),
-                    minimized: None,
-                });
+                );
             }
         }
     }
@@ -820,10 +842,11 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
             continue;
         }
         let kind = d.kind;
-        let max_links = cfg.max_links;
-        let mut pred = |sc: &ScenarioModel| divergence_reproduces(kind, sc, max_links, checker);
+        let mut pred = |sc: &ScenarioModel| divergence_reproduces(kind, sc, checker);
         d.minimized = Some(shrink_scenario(&d.scenario, &mut pred));
     }
+    records.truncate(prefix);
+    report.registry = records;
     report.divergences = divergences;
     report
 }
@@ -833,7 +856,6 @@ pub fn fuzz_campaign(cfg: &FuzzConfig, checker: &mut dyn ClassChecker) -> FuzzRe
 pub fn divergence_reproduces(
     kind: DivergenceKind,
     sc: &ScenarioModel,
-    max_links: usize,
     checker: &mut dyn ClassChecker,
 ) -> bool {
     match kind {
@@ -843,7 +865,7 @@ pub fn divergence_reproduces(
             let diags = analyze_scenario(sc);
             let clean = diags.iter().all(|d| d.severity != Severity::Error);
             let codes: Vec<String> = diags.iter().map(|d| d.code.to_string()).collect();
-            let refuted = class_keys(sc, max_links)
+            let refuted = class_keys(sc)
                 .into_iter()
                 .any(|k| checker.check(k).counterexample);
             if kind == DivergenceKind::Soundness {
@@ -1198,7 +1220,7 @@ mod tests {
                 analyze_scenario(sc)
                     .iter()
                     .all(|d| d.severity != Severity::Error)
-                    && class_keys(sc, cfg.max_links).iter().any(|k| k.0 >= 2)
+                    && class_keys(sc).iter().any(|k| k.0 >= 2)
             })
             .count();
         assert!(0 < on_truncated && on_truncated < capped.clean);
@@ -1223,6 +1245,66 @@ mod tests {
             (r.clean, r.with_errors, r.code_counts, r.class_counts)
         };
         assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn the_registry_is_the_campaign_prefix_outside_its_counts() {
+        let mut checker = Scripted {
+            refuted: BTreeSet::new(),
+            truncated_from: usize::MAX,
+        };
+        let cfg = FuzzConfig {
+            scenarios: 0,
+            threads: 1,
+            ..FuzzConfig::default()
+        };
+        let report = fuzz_campaign(&cfg, &mut checker);
+        let origins: Vec<Origin> = report.registry.iter().map(|r| r.origin.clone()).collect();
+        let names: Vec<Origin> = ipmedia_apps::models::all_scenarios()
+            .into_iter()
+            .map(|sc| Origin::Registry(sc.name))
+            .collect();
+        assert_eq!(origins, names);
+        assert!(report.registry.iter().all(|r| !r.classes.is_empty()));
+        assert!(!report.checked.is_empty());
+        assert_eq!(
+            (report.scenarios, report.clean, report.with_errors),
+            (0, 0, 0)
+        );
+        assert!(report.class_counts.is_empty() && report.code_counts.is_empty());
+        assert!(report.is_clean_run(), "{:?}", report.divergences);
+    }
+
+    #[test]
+    fn a_refuted_registry_class_is_a_soundness_divergence_naming_the_scenario() {
+        // One flowlink-free open/open path: covered by `verify` alone.
+        let mut checker = Scripted {
+            refuted: [(1, EndGoal::Open, EndGoal::Open)].into(),
+            truncated_from: usize::MAX,
+        };
+        let cfg = FuzzConfig {
+            scenarios: 0,
+            threads: 1,
+            shrink_cap: 1,
+            ..FuzzConfig::default()
+        };
+        let report = fuzz_campaign(&cfg, &mut checker);
+        let [d] = &report.divergences[..] else {
+            panic!("{:?}", report.divergences);
+        };
+        assert_eq!(d.kind, DivergenceKind::Soundness);
+        assert_eq!(d.origin, Origin::Registry("verify".into()));
+        assert!(d.minimized.is_some());
+
+        let dir = std::env::temp_dir().join(format!("ipm-promote-registry-{}", std::process::id()));
+        let paths = promote_divergences(&report, &dir).expect("promote writes");
+        let text = std::fs::read_to_string(&paths[0]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(paths[0].ends_with("fuzz_promoted_soundness_verify.ipm"));
+        assert!(
+            text.contains("# campaign seed 0x00000000f022da7a, registry scenario verify\n"),
+            "{text}"
+        );
     }
 
     #[test]

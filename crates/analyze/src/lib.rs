@@ -33,9 +33,10 @@
 //! ([`runner`]), with baseline suppression ([`baseline`]), and writes
 //! the verified manifest of scenario fingerprints ([`manifest`]) that
 //! the runtime monitor checks live models against.
-//! The [`fuzz`] module scales the analyzer↔checker differential oracle
-//! to thousands of seeded, generated scenarios per run, with divergences
-//! delta-minimized to small `.ipm` reproducers.
+//! The [`fuzz`] module runs the analyzer↔checker differential oracle
+//! over the registry and then thousands of seeded, generated scenarios
+//! per run, with divergences delta-minimized to small `.ipm` reproducers
+//! (`ipmedia-lint --fuzz N`).
 
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
@@ -73,7 +74,7 @@ pub use diag::{sort_report, Diagnostic, Severity};
 pub use fuzz::{
     class_label, fuzz_campaign, generate_scenario, scenario_seed, shrink_scenario, ClassChecker,
     ClassKey, ClassVerdict, Divergence, DivergenceKind, FuzzConfig, FuzzReport, FuzzRng,
-    MckChecker,
+    MckChecker, Origin, ScenarioRecord,
 };
 pub use interproc::{covered_classes, covered_classes_up_to, CoveredClass};
 pub use manifest::{render_manifest, scenario_fingerprint, ScenarioVerdict, ANALYZER_VERSION};

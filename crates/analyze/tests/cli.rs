@@ -20,7 +20,7 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn exit_statuses_follow_the_documented_contract() {
-    let table: [(&[&str], i32); 15] = [
+    let table: [(&[&str], i32); 16] = [
         (&["--all-examples"], 0),
         (&["--all-examples", "--deny", "warnings", "--threads=2"], 0),
         (&["examples/fleet/fleet_004.ipm", "--threads", "2"], 0),
@@ -38,6 +38,7 @@ fn exit_statuses_follow_the_documented_contract() {
         (&["--all-examples", "--incremental"], 2),
         (&["--all-examples", "--cache", "target/lint-cache"], 2),
         (&["--all-examples", "--deny", "errors"], 2),
+        (&["--all-examples", "--promote", "target/promoted"], 2),
         (&["examples/fleet/no_such_file.ipm"], 3),
     ];
     for (args, expected) in table {
@@ -89,4 +90,41 @@ fn jsonl_findings_are_the_same_at_any_thread_count_and_value_syntax() {
     let one = run(&["--threads", "1"]);
     assert!(String::from_utf8_lossy(&one).contains("\"type\":\"lint_summary\""));
     assert_eq!(one, run(&["--threads=8"]));
+}
+
+#[test]
+fn fuzz_jsonl_leads_with_the_registry_and_ignores_the_thread_count() {
+    let run = |threads: &str| {
+        let out = lint(&[
+            "--fuzz",
+            "20",
+            "--max-states",
+            "12000",
+            "--jsonl",
+            "--threads",
+            threads,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        String::from_utf8(out.stdout).expect("utf-8 records")
+    };
+    let one = run("1");
+    assert_eq!(one, run("2"));
+
+    let records: Vec<&str> = one.lines().collect();
+    let registry = ipmedia_apps::models::all_scenarios();
+    for (line, sc) in records.iter().zip(&registry) {
+        let head = format!(
+            "{{\"record\":\"fuzz_registry\",\"scenario\":\"{}\",",
+            sc.name
+        );
+        assert!(line.starts_with(&head), "{line}");
+    }
+    let kind = |k: &str| {
+        let head = format!("{{\"record\":\"{k}\",");
+        records.iter().filter(|l| l.starts_with(&head)).count()
+    };
+    assert_eq!(kind("fuzz_registry"), registry.len());
+    assert!(kind("fuzz_check") >= 1);
+    assert_eq!(kind("fuzz_summary"), 1);
+    assert!(records.last().unwrap().contains("\"clean_run\":true"));
 }

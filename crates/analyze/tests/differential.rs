@@ -1,6 +1,6 @@
 //! Differential validation against the model checker (the soundness
 //! direction of the analyzer's contract): if the static passes report a
-//! scenario **clean**, then `mck`'s exhaustive exploration must find no
+//! scenario **clean**, then `mck`'s exploration must find no
 //! counterexample in any dynamic path class that scenario covers.
 //!
 //! The bridge is [`covered_classes`]: every simple signaling path of a
@@ -17,12 +17,11 @@
 //! Truncated checker runs are accepted but must themselves be violation
 //! free — "no counterexample found in the explored prefix" is the
 //! honest form of the claim under a state cap (`scripts/check.sh` runs
-//! the full-budget form via `ipmedia-differential`).
+//! the full-budget form as the registry prefix of `ipmedia-lint --fuzz
+//! 2000`).
 
+use ipmedia_analyze::fuzz::{fuzz_campaign, FuzzConfig, MckChecker};
 use ipmedia_analyze::{analyze_scenario, covered_classes};
-use ipmedia_core::path::EndGoal;
-use ipmedia_mck::{budgeted, check_path, depth_capped_states};
-use std::collections::BTreeMap;
 
 /// Base budget: exhausts the 0/1-flowlink classes; deeper classes get
 /// the `depth_capped_states` fraction so the widened coverage (up to 3
@@ -31,41 +30,23 @@ const MAX_STATES: usize = 60_000;
 
 #[test]
 fn analyzer_clean_scenarios_have_no_checker_counterexample() {
-    // Collect the union of covered classes over all analyzer-clean
-    // registry scenarios, dedup'd to unique checker configurations so
-    // each is explored once no matter how many scenarios cover it.
-    let mut classes: BTreeMap<(usize, EndGoal, EndGoal), Vec<String>> = BTreeMap::new();
-    let mut clean = 0usize;
-    for sc in ipmedia_apps::models::all_scenarios() {
-        if !analyze_scenario(&sc).is_empty() {
-            continue; // not clean: the analyzer makes no claim here
-        }
-        clean += 1;
-        for c in covered_classes(&sc) {
-            assert!(c.links >= 1, "{}: degenerate covered class", sc.name);
-            classes
-                .entry((c.links - 1, c.left, c.right))
-                .or_default()
-                .push(format!("{}:{}", sc.name, c.via.join("~")));
-        }
-    }
-    assert!(clean > 0, "registry should have analyzer-clean scenarios");
+    // No generated scenarios: the campaign's registry prefix alone, each
+    // covered class checked once however many scenarios cover it.
+    let cfg = FuzzConfig {
+        scenarios: 0,
+        max_states: MAX_STATES,
+        ..FuzzConfig::default()
+    };
+    let report = fuzz_campaign(&cfg, &mut MckChecker::new(MAX_STATES));
     assert!(
-        !classes.is_empty(),
+        report.registry.iter().any(|r| r.error_codes.is_empty()),
+        "registry should have analyzer-clean scenarios"
+    );
+    assert!(
+        !report.checked.is_empty(),
         "clean scenarios should cover at least one dynamic class"
     );
-    for ((links, left, right), witnesses) in &classes {
-        let cfg = budgeted(*links, *left, *right, 0);
-        let (res, _) = check_path(&cfg, depth_capped_states(*links, MAX_STATES));
-        let class = res.verdict_class();
-        assert!(
-            !class.is_counterexample(),
-            "analyzer-clean scenarios cover ({links} flowlinks, \
-             {left:?}/{right:?}) but mck reports {}: {} — witnesses: {witnesses:?}",
-            class.name(),
-            res.verdict(),
-        );
-    }
+    assert!(report.is_clean_run(), "{:#?}", report.divergences);
 }
 
 #[test]

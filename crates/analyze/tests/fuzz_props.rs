@@ -3,9 +3,10 @@
 //! shrinker's contract, and campaign determinism with the real
 //! mck-backed oracle at a small budget.
 //!
-//! The CI-scale campaign (2,000 scenarios, full budget) runs as the
-//! `fuzz_differential` step of `scripts/check.sh`; these tests keep the
-//! harness honest at unit-test cost.
+//! The CI-scale campaign (the registry and 2,000 generated scenarios,
+//! full budget) runs as the `ipmedia-lint --fuzz 2000` step of
+//! `scripts/check.sh`; these tests keep the harness honest at unit-test
+//! cost.
 
 use ipmedia_analyze::fuzz::{
     fuzz_campaign, generate_scenario, scenario_seed, shrink_scenario, FuzzConfig, MckChecker,
@@ -126,7 +127,6 @@ fn campaign_with_real_checker_is_thread_count_invariant() {
             threads,
             max_states: 12_000,
             shrink_cap: 2,
-            ..FuzzConfig::default()
         };
         let mut checker = MckChecker::new(cfg.max_states);
         let r = fuzz_campaign(&cfg, &mut checker);

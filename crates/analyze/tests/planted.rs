@@ -6,7 +6,7 @@
 
 use ipmedia_analyze::fuzz::{
     class_keys, fuzz_campaign, generate_scenario, promote_divergences, shrink_scenario,
-    ClassChecker, ClassKey, ClassVerdict, DivergenceKind, FuzzConfig,
+    ClassChecker, ClassKey, ClassVerdict, DivergenceKind, FuzzConfig, Origin,
 };
 use ipmedia_analyze::{analyze_scenario, parse_scenario, to_ipm, Diagnostic, Severity};
 use ipmedia_core::program::model::ScenarioModel;
@@ -141,21 +141,23 @@ impl ClassChecker for RefuteAll {
 /// The committed promoted fixtures in `examples/models/` must re-derive
 /// byte-for-byte from the fuzz `--promote` pipeline: run a small seeded
 /// campaign against the refute-everything checker, delta-minimize, and
-/// promote the first two soundness divergences. Pins the generator, the
-/// shrinker, the triage-note format, and the promoted scenarios
+/// promote the first two soundness divergences of generated scenarios
+/// (the registry's, which come first, are left out). Pins the generator,
+/// the shrinker, the triage-note format, and the promoted scenarios
 /// themselves. Regenerate with `PROMOTE_REGEN=1 cargo test -p
 /// ipmedia-analyze --test planted promoted`.
 #[test]
 fn promoted_divergence_fixtures_rederive_from_the_campaign() {
+    let registry = ipmedia_apps::models::all_scenarios().len();
     let cfg = FuzzConfig {
         scenarios: 24,
         threads: 1,
-        shrink_cap: 2,
+        shrink_cap: registry + 2,
         ..FuzzConfig::default()
     };
     let mut report = fuzz_campaign(&cfg, &mut RefuteAll);
     assert!(
-        report.divergences.len() >= 2,
+        report.divergences.len() >= registry + 2,
         "refute-all campaign must diverge on every clean scenario: {}",
         report.divergences.len()
     );
@@ -163,6 +165,12 @@ fn promoted_divergence_fixtures_rederive_from_the_campaign() {
         .divergences
         .iter()
         .all(|d| d.kind == DivergenceKind::Soundness));
+    let generated = report.divergences.split_off(registry);
+    assert!(report
+        .divergences
+        .iter()
+        .all(|d| matches!(d.origin, Origin::Registry(_))));
+    report.divergences = generated;
     report.divergences.truncate(2);
 
     let models = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/models");
@@ -198,7 +206,7 @@ fn promoted_divergence_fixtures_rederive_from_the_campaign() {
             .collect();
         assert!(errors.is_empty(), "{name}: {errors:?}");
         assert!(
-            !class_keys(&sc, cfg.max_links).is_empty(),
+            !class_keys(&sc).is_empty(),
             "{name} must cover a path class"
         );
     }

@@ -37,7 +37,7 @@ fn campaign_results_are_identical_at_1_2_and_8_threads() {
 }
 
 #[test]
-fn parallel_exploration_numbering_matches_sequential() {
+fn exploration_numbering_repeats_run_to_run() {
     // The full graph — succ lists, parents, flags — must be identical,
     // not just the aggregate counts: state *numbering* is part of the
     // deterministic contract (trace extraction depends on it). Explored
@@ -78,7 +78,7 @@ fn parallel_exploration_numbering_matches_sequential() {
 }
 
 #[test]
-fn minimized_counterexample_ladder_is_identical_across_thread_counts() {
+fn minimized_counterexample_ladder_repeats_run_to_run() {
     // Check a spec the model genuinely violates (open–open ends never
     // reach bothClosed) so every run has to reconstruct and minimize a
     // real counterexample, then render it byte-for-byte.

@@ -13,8 +13,9 @@ CARGO_ARGS=("$@")
 # timed_gate LABEL BUDGET_SECS FAILURE PACKAGE TARGET [ARG...]
 #
 # Build one release target of PACKAGE and run it with ARGs under a
-# wall-clock budget, stdout discarded (stderr too with GATE_STDERR set to
-# /dev/null). TARGET is a binary's name, or `test:NAME` for the
+# wall-clock budget, stdout where the caller sends it (stderr discarded
+# with GATE_STDERR set to /dev/null). TARGET is a binary's name, or
+# `test:NAME` for the
 # integration test `tests/NAME.rs`. `timeout` enforces the budget, so a
 # throughput regression fails the gate instead of silently slowing CI
 # down: exit 124 is reported as a blown budget, any other failure as
@@ -33,8 +34,7 @@ timed_gate() {
       run=("./target/release/$target")
       ;;
   esac
-  timeout "$budget" "${run[@]}" "$@" \
-    >/dev/null 2>"${GATE_STDERR:-/dev/stderr}" || status=$?
+  timeout "$budget" "${run[@]}" "$@" 2>"${GATE_STDERR:-/dev/stderr}" || status=$?
   if [ "$status" -eq 124 ]; then
     echo "$label exceeded the ${budget}s wall-clock budget" >&2
   elif [ "$status" -ne 0 ]; then
@@ -64,21 +64,21 @@ echo "== storm allocation budget (exact-repeat counts, optimized build)" >&2
 # the debug run above and this release run must both land on the pinned
 # values, so a layout regression fails here whatever the host's speed.
 timed_gate "storm allocation budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
-  ipmedia-bench test:storm_allocs
+  ipmedia-bench test:storm_allocs >/dev/null
 
 echo "== exploration memory budget (exact-repeat counts, optimized build)" >&2
 # The checker's peak bytes per state, allocations per transition and the
 # bytes its graph keeps, pinned the same way: a `PathState` that outlives
 # its expansion, or a successor copied into fresh buffers, fails here.
 timed_gate "exploration memory budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
-  ipmedia-mck test:footprint
+  ipmedia-mck test:footprint >/dev/null
 
 echo "== publish cost (bytes per round trip at 8 and at 512 slots, optimized build)" >&2
 # What an `rt` node allocates for one mid-call round trip, pinned the same
 # way: a snapshot publish that scales with the slots a node holds rather
 # than the slots an event touched fails here by an order of magnitude.
 timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
-  ipmedia-rt test:publish_cost
+  ipmedia-rt test:publish_cost >/dev/null
 
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
@@ -97,40 +97,31 @@ mkdir -p target/lint_gate
 cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-analyze --bin ipmedia-lint -- \
   --all-examples --emit-manifest target/lint_gate/verified-manifest.txt
 timed_gate "monitor" "$MONITOR_BUDGET_SECS" "rejected the freshly verified manifest" \
-  ipmedia-bench ipmedia-monitor --verified-manifest target/lint_gate/verified-manifest.txt
+  ipmedia-bench ipmedia-monitor --verified-manifest target/lint_gate/verified-manifest.txt >/dev/null
 if timeout "$MONITOR_BUDGET_SECS" ./target/release/ipmedia-monitor \
   --verified-manifest /dev/null >/dev/null 2>/dev/null; then
   echo "monitor accepted an unverified model stream (IM401 did not fire)" >&2
   exit 1
 fi
 
-# The three committed artifacts hold only what their bin decides (verdicts,
+# The two committed artifacts hold only what their step decides (verdicts,
 # counts, virtual-time latencies), nothing read from a clock or the host:
-# each bin below rewrites its file, and the last step demands the bytes
+# each step below rewrites its file, and the last step demands the bytes
 # that were committed.
-DECIDED=(BENCH_differential.jsonl BENCH_fuzz.json BENCH_chaos.json)
+DECIDED=(BENCH_fuzz.json BENCH_chaos.json)
 rm -rf target/bench_committed
 mkdir -p target/bench_committed
 cp "${DECIDED[@]}" target/bench_committed/
 
-echo "== differential validation (analyzer clean => no mck counterexample)" >&2
-# Cross-checks every analyzer-clean scenario's covered path classes
-# against the model checker and rewrites BENCH_differential.jsonl.
-timed_gate "differential" "${DIFF_BUDGET_SECS:-240}" "failed" \
-  ipmedia-bench differential --threads "$(nproc)"
-
-echo "== property-based fuzz (generator -> analyzer <-> checker oracle)" >&2
-# A fixed-seed slice of the differential fuzz campaign: seeded scenarios
-# through the round-trip, soundness, and completeness oracles. Any
-# divergence prints its delta-minimized .ipm reproducer on stderr (and
-# the seed to replay with `ipmedia-lint --fuzz`); rewrites
+echo "== differential fuzz (registry + generator -> analyzer <-> checker oracle)" >&2
+# The registry scenarios, then a fixed-seed slice of generated ones,
+# through the round-trip, soundness (analyzer clean => no mck
+# counterexample) and completeness oracles. Any divergence prints its
+# delta-minimized .ipm reproducer on stderr; the JSONL records are
 # BENCH_fuzz.json.
-timed_gate "fuzz_differential" "${FUZZ_BUDGET_SECS:-300}" \
+timed_gate "fuzz campaign" "${FUZZ_BUDGET_SECS:-300}" \
   "found analyzer<->checker divergences" \
-  ipmedia-bench fuzz_differential --threads "$(nproc)"
-
-echo "== fault-matrix smoke (loss x dup/reorder, bounded virtual time)" >&2
-cargo run "${CARGO_ARGS[@]}" -q -p ipmedia-bench --bin fault_matrix -- --threads "$(nproc)" >/dev/null
+  ipmedia-analyze ipmedia-lint --fuzz 2000 --jsonl --threads "$(nproc)" >BENCH_fuzz.json
 
 echo "== verification campaign (parallel, wall-clock budget)" >&2
 # The 12-model §VIII-A campaign at CI budgets plus extension X1 — the six
@@ -140,17 +131,17 @@ echo "== verification campaign (parallel, wall-clock budget)" >&2
 # catches a hang or a state space that blew up, not a slower transition —
 # that shows as a changed count in `crates/mck/tests/footprint.rs` above.
 timed_gate "campaign" "${CAMPAIGN_BUDGET_SECS:-30}" "failed" \
-  ipmedia-mck campaign 0 2 3000000 --threads "$(nproc)"
+  ipmedia-mck campaign 0 2 3000000 --threads "$(nproc)" >/dev/null
 
 echo "== runtime invariant monitor (all scenarios clean + mutant self-test)" >&2
 # Every registry scenario must run clean under the live monitor, and the
 # planted closed-slot mutant must be flagged as IM102 — proving the gate
 # can actually fail.
 timed_gate "monitor" "$MONITOR_BUDGET_SECS" "found invariant violations" \
-  ipmedia-bench ipmedia-monitor
+  ipmedia-bench ipmedia-monitor >/dev/null
 GATE_STDERR=/dev/null timed_gate "monitor mutant self-test" "$MONITOR_BUDGET_SECS" \
   "failed to catch the planted closed-slot mutant" \
-  ipmedia-bench ipmedia-monitor --mutant closed-slot
+  ipmedia-bench ipmedia-monitor --mutant closed-slot >/dev/null
 
 echo "== chaos campaign (seeded schedules, monitor-verified recovery)" >&2
 # Seeded fault schedules across every registry scenario and schedule
@@ -159,7 +150,7 @@ echo "== chaos campaign (seeded schedules, monitor-verified recovery)" >&2
 # the failing seed with its delta-debugged minimal schedule on stderr.
 # Rewrites BENCH_chaos.json.
 timed_gate "chaos campaign" "${CHAOS_BUDGET_SECS:-240}" "found recovery violations" \
-  ipmedia-bench chaos_campaign --threads "$(nproc)"
+  ipmedia-bench chaos_campaign --threads "$(nproc)" >/dev/null
 
 echo "== committed artifacts (every BENCH_* file reproduced byte for byte)" >&2
 for f in "${DECIDED[@]}"; do
