@@ -2,7 +2,7 @@
 //!
 //! The engine is a plain FIFO breadth-first search on one thread: states
 //! are numbered as they are discovered, so the queue is the ids not yet
-//! expanded; state `i` is rebuilt from its row, each enabled action is
+//! expanded; state `i`'s enabled actions are read off its row, each is
 //! stepped, and a successor the seen-set does not hold gets the next id, its
 //! flags and its `(i, action)` parent there and then. Nothing in a run
 //! depends on the host or on a map's iteration order, so the graph (state
@@ -22,10 +22,21 @@
 //! distinct boxes and queue contents. Each endpoint box, flowlink box and
 //! tunnel queue is interned in a table of its own ([`Components`]) and the
 //! row holds the ids, with the three per-tunnel counters packed inline.
-//! Dedup stays exact: a component-hash hit is confirmed by comparing the
-//! values and a row-hash hit by comparing the rows ([`SeenSet`]), so two
-//! rows are equal exactly when their states are. Ids are only ever compared
-//! for equality within one run — never ordered, never exported.
+//! Components and rows are found through one kind of open-addressed index
+//! ([`OpenIndex`]). Dedup stays exact: a hash hit is confirmed by
+//! comparing the values, or the rows ([`SeenSet`]), so two rows are equal
+//! exactly when their states are. Ids are only ever compared for equality
+//! within one run — never ordered, never exported.
+//!
+//! A state is *read* off its row. Each interned box carries its facts,
+//! taken once when it is interned: whether its slots are closed or
+//! flowing, whether it is in phase 2, and the actions it enables. A
+//! tunnel's actions follow from whether its queue ids are the empty
+//! queue's and from its counters, and `bothClosed` / `bothFlowing` are
+//! memoised per pair of endpoint ids. So a state's actions
+//! ([`Components::actions_of`]) and flags ([`Components::flags_of`]) are
+//! the same per-component functions `PathState` composes, with no
+//! `PathState` built.
 //!
 //! A transition is *stepped* on ids too. It reads one box and at most one
 //! queue and appends to at most two more ([`footprint`]), so it is executed
@@ -33,13 +44,13 @@
 //! ([`Components::successor`]); the successor's row is its parent's with
 //! those columns replaced, and whether that row is already canonical is read
 //! off a per-component [`Census`] instead of by canonicalizing. A full
-//! `PathState` exists only for a state while its actions are enumerated,
-//! for a local step the first time it is met, for the few successors that
-//! do need canonicalizing, and to evaluate the flags of a newly discovered
-//! state.
+//! `PathState` is rebuilt from a row only for a state one of whose steps
+//! is not in the memo yet, and for the few successors that do need
+//! canonicalizing ([`StateGraph::rebuilt`] counts both).
 
 use crate::state::{
-    footprint, Action, CheckConfig, EndBox, LinkBox, Part, PathState, Tagged, Tunnel,
+    end_actions, end_pair_flags, footprint, link_actions, tunnel_actions, Action, CheckConfig,
+    EndBox, LinkBox, Part, PathState, Tagged, Tunnel,
 };
 use ipmedia_core::signal::Signal;
 use std::collections::{HashMap, VecDeque};
@@ -111,29 +122,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Hasher for maps keyed by an already-computed 64-bit state hash: the
-/// key *is* the hash, so rehashing it would only discard entropy.
-#[derive(Default)]
-struct PreHashed {
-    hash: u64,
-}
-
-impl Hasher for PreHashed {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PreHashed is only for u64 keys");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.hash = v;
-    }
-}
-
-type HashIndex = HashMap<u64, Vec<u32>, BuildHasherDefault<PreHashed>>;
-
 /// Hash a value with [`FxHasher`]: a canonical state, one of its
 /// components, or a row of component ids.
 pub fn state_hash<T: Hash + ?Sized>(v: &T) -> u64 {
@@ -142,15 +130,61 @@ pub fn state_hash<T: Hash + ?Sized>(v: &T) -> u64 {
     h.finish()
 }
 
-/// The index of the row equal to `row` among those `index` lists under
-/// `hash`, where `rows` holds rows of `row`'s width back to back.
-fn find_row(index: &HashIndex, rows: &[u32], hash: u64, row: &[u32]) -> Option<u32> {
-    let w = row.len();
-    index
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&id| rows[id as usize * w..][..w] == *row)
+/// An open-addressed index of the ids `0..n` by hash: the seen-set's, and
+/// each component table's. A slot holds the high 32 bits of an id's hash
+/// above `id + 1`, 0 being empty. Slots are probed linearly from the one
+/// those bits pick, at most half of them are full, and growing re-files
+/// each id by the bits its slot stores, so nothing is hashed twice. A
+/// match of the bits only nominates an id: the caller compares values.
+#[derive(Default)]
+struct OpenIndex {
+    slots: Vec<u64>,
+}
+
+impl OpenIndex {
+    /// The id filed under `hash` that `is` confirms, and `false`; or else
+    /// `next`, now filed under `hash`, and `true`. The index must hold the
+    /// ids `0..next`.
+    fn find_or_insert(
+        &mut self,
+        hash: u64,
+        next: u32,
+        mut is: impl FnMut(u32) -> bool,
+    ) -> (u32, bool) {
+        if 2 * (next as usize + 1) > self.slots.len() {
+            self.grow();
+        }
+        let high = hash >> 32;
+        let mask = self.slots.len() - 1;
+        let mut at = high as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => {
+                    assert!(next < u32::MAX, "an index holds under 2^32 - 1 ids");
+                    self.slots[at] = high << 32 | u64::from(next + 1);
+                    return (next, true);
+                }
+                slot if slot >> 32 == high && is(slot as u32 - 1) => {
+                    return (slot as u32 - 1, false)
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the slots, 16 at first.
+    fn grow(&mut self) {
+        let mut slots = vec![0; (2 * self.slots.len()).max(16)];
+        let mask = slots.len() - 1;
+        for slot in self.slots.drain(..).filter(|&slot| slot != 0) {
+            let mut at = (slot >> 32) as usize & mask;
+            while slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            slots[at] = slot;
+        }
+        self.slots = slots;
+    }
 }
 
 /// `0x01` in each of the sixteen bytes of a [`Census`] word.
@@ -206,37 +240,108 @@ impl Census {
     }
 }
 
-/// Interning table for one component type: equal values get the same id,
-/// different values different ids.
-struct Table<T> {
-    /// Each value with its census.
-    values: Vec<(T, Census)>,
-    by_hash: HashIndex,
+/// A type of component the search interns.
+trait Component: Clone + Eq + Hash + Tagged {
+    /// What the search reads of a value in place of rebuilding a state.
+    type Facts;
+    fn facts(&self) -> Self::Facts;
 }
 
-impl<T> Default for Table<T> {
-    fn default() -> Self {
-        Table {
-            values: Vec::new(),
-            by_hash: HashIndex::default(),
+/// What the search reads of an interned box.
+struct BoxFacts<const N: usize> {
+    /// Its slots are closed or flowing.
+    settled: bool,
+    /// Its goal object is in phase 2.
+    attached: bool,
+    /// The actions it enables: an endpoint box's as the left end and as
+    /// the right end; a flowlink box's as the one at index 0.
+    actions: [Vec<Action>; N],
+}
+
+impl Component for EndBox {
+    type Facts = BoxFacts<2>;
+
+    fn facts(&self) -> BoxFacts<2> {
+        BoxFacts {
+            settled: self.settled(),
+            attached: self.attached(),
+            actions: [false, true].map(|right| {
+                let mut actions = Vec::new();
+                end_actions(self, right, &mut actions);
+                actions
+            }),
         }
     }
 }
 
-impl<T: Clone + Eq + Hash + Tagged> Table<T> {
-    /// The id of `v`: a hash hit is confirmed by value.
-    fn intern(&mut self, v: &T, origins: &mut Vec<u64>) -> u32 {
-        let Table { values, by_hash } = self;
-        let ids = by_hash.entry(state_hash(v)).or_default();
-        if let Some(&id) = ids.iter().find(|&&id| values[id as usize].0 == *v) {
-            return id;
+impl Component for LinkBox {
+    type Facts = BoxFacts<1>;
+
+    fn facts(&self) -> BoxFacts<1> {
+        let mut actions = Vec::new();
+        link_actions(self, 0, &mut actions);
+        BoxFacts {
+            settled: self.settled(),
+            attached: self.attached(),
+            actions: [actions],
         }
-        let id = values.len() as u32;
-        ids.push(id);
-        let mut v = v.clone();
-        let census = Census::of(&mut v, origins);
-        values.push((v, census));
+    }
+}
+
+/// All the search reads of a queue is whether it is empty, and that is
+/// its id being [`EMPTY`].
+impl Component for VecDeque<Signal> {
+    type Facts = ();
+
+    fn facts(&self) {}
+}
+
+/// An interned value and what is read of it in its place.
+struct Interned<T: Component> {
+    value: T,
+    census: Census,
+    facts: T::Facts,
+}
+
+/// Interning table for one component type: equal values get the same id,
+/// different values different ids.
+struct Table<T: Component> {
+    values: Vec<Interned<T>>,
+    index: OpenIndex,
+}
+
+impl<T: Component> Default for Table<T> {
+    fn default() -> Self {
+        Table {
+            values: Vec::new(),
+            index: OpenIndex::default(),
+        }
+    }
+}
+
+impl<T: Component> Table<T> {
+    /// The id of `v`: a hash hit is confirmed by value. A value met for the
+    /// first time has its census and its facts taken.
+    fn intern(&mut self, v: &T, origins: &mut Vec<u64>) -> u32 {
+        let Table { values, index } = self;
+        let next = u32::try_from(values.len()).expect("under 2^32 components");
+        let (id, fresh) =
+            index.find_or_insert(state_hash(v), next, |id| values[id as usize].value == *v);
+        if fresh {
+            let mut value = v.clone();
+            let census = Census::of(&mut value, origins);
+            let facts = value.facts();
+            values.push(Interned {
+                value,
+                census,
+                facts,
+            });
+        }
         id
+    }
+
+    fn get(&self, id: u32) -> &Interned<T> {
+        &self.values[id as usize]
     }
 }
 
@@ -263,6 +368,9 @@ struct Tables {
     steps: FxMap<(u32, Ids), (Ids, Ids)>,
     /// A queue and what was sent after it → the two end to end.
     appends: FxMap<(u32, u32), u32>,
+    /// The ids of a left and a right endpoint box → their
+    /// [`end_pair_flags`].
+    end_pairs: FxMap<(u32, u32), (bool, bool)>,
 }
 
 impl Tables {
@@ -287,7 +395,7 @@ impl Tables {
         if let Some(&joined) = self.appends.get(&(queue, sent)) {
             return joined;
         }
-        let [queue_then, sent_then] = [queue, sent].map(|id| &self.queues.values[id as usize].0);
+        let [queue_then, sent_then] = [queue, sent].map(|id| &self.queues.get(id).value);
         let joined = queue_then.iter().chain(sent_then).cloned().collect();
         let joined = self.queues.intern(&joined, &mut self.origins);
         self.appends.insert((queue, sent), joined);
@@ -298,12 +406,10 @@ impl Tables {
     /// flowlinks.
     fn census(&self, links: usize, row: &[u32]) -> Census {
         let (boxes, tunnels) = row.split_at(2 + links);
-        let ends = boxes[..2].iter().map(|&id| self.ends.values[id as usize].1);
-        let links = boxes[2..]
-            .iter()
-            .map(|&id| self.boxes.values[id as usize].1);
+        let ends = boxes[..2].iter().map(|&id| self.ends.get(id).census);
+        let links = boxes[2..].iter().map(|&id| self.boxes.get(id).census);
         let queues = tunnels.chunks_exact(3).flat_map(|cols| [cols[0], cols[1]]);
-        let queues = queues.map(|id| self.queues.values[id as usize].1);
+        let queues = queues.map(|id| self.queues.get(id).census);
         ends.chain(links)
             .chain(queues)
             .fold(Census::default(), |all, c| Census {
@@ -319,6 +425,8 @@ struct Components {
     /// Flowlink boxes of the path; fixes the row width.
     links: usize,
     tables: Tables,
+    /// States the search has rebuilt from rows ([`StateGraph::rebuilt`]).
+    rebuilt: u64,
 }
 
 impl Components {
@@ -326,7 +434,11 @@ impl Components {
         let mut tables = Tables::default();
         let empty = tables.queues.intern(&VecDeque::new(), &mut tables.origins);
         assert_eq!(empty, EMPTY);
-        Components { links, tables }
+        Components {
+            links,
+            tables,
+            rebuilt: 0,
+        }
     }
 
     /// `u32`s in a row.
@@ -376,19 +488,15 @@ impl Components {
         let (ends, rest) = row.split_at(2);
         let (links, tunnels) = rest.split_at(self.links);
         let tables = &self.tables;
-        out.left.clone_from(&tables.ends.values[ends[0] as usize].0);
-        out.right
-            .clone_from(&tables.ends.values[ends[1] as usize].0);
+        out.left.clone_from(&tables.ends.get(ends[0]).value);
+        out.right.clone_from(&tables.ends.get(ends[1]).value);
         out.links.clear();
-        let boxes = &tables.boxes.values;
         out.links
-            .extend(links.iter().map(|&id| boxes[id as usize].0.clone()));
+            .extend(links.iter().map(|&id| tables.boxes.get(id).value.clone()));
         out.tunnels.resize_with(self.links + 1, Tunnel::default);
         for (tun, cols) in out.tunnels.iter_mut().zip(tunnels.chunks_exact(3)) {
-            tun.fwd
-                .clone_from(&tables.queues.values[cols[0] as usize].0);
-            tun.bwd
-                .clone_from(&tables.queues.values[cols[1] as usize].0);
+            tun.fwd.clone_from(&tables.queues.get(cols[0]).value);
+            tun.bwd.clone_from(&tables.queues.get(cols[1]).value);
             [tun.faults_left, tun.lost_fwd, tun.lost_bwd, _] = cols[2].to_le_bytes();
         }
     }
@@ -396,7 +504,7 @@ impl Components {
     /// The state `row` was packed from.
     fn unpack(&self, row: &[u32]) -> PathState {
         // Any endpoint box will do to have a state to rebuild into.
-        let end = self.tables.ends.values[row[0] as usize].0.clone();
+        let end = self.tables.ends.get(row[0]).value.clone();
         let mut s = PathState {
             left: end.clone(),
             links: Vec::new(),
@@ -407,18 +515,94 @@ impl Components {
         s
     }
 
+    /// Put into `out` the actions the state `row` stands for enables, in
+    /// [`PathState::actions`]' order: a tunnel's from whether its queues
+    /// are [`EMPTY`] and from its counters, a box's from its facts.
+    fn actions_of(&self, row: &[u32], out: &mut Vec<Action>) {
+        out.clear();
+        let (ends, rest) = row.split_at(2);
+        let (links, tunnels) = rest.split_at(self.links);
+        for (t, cols) in tunnels.chunks_exact(3).enumerate() {
+            let [faults_left, lost_fwd, lost_bwd, _] = cols[2].to_le_bytes();
+            let waiting = [cols[0] != EMPTY, cols[1] != EMPTY];
+            tunnel_actions(t, waiting, [faults_left, lost_fwd, lost_bwd], out);
+        }
+        let tables = &self.tables;
+        for (right, &id) in ends.iter().enumerate() {
+            out.extend_from_slice(&tables.ends.get(id).facts.actions[right]);
+        }
+        for (idx, &id) in links.iter().enumerate() {
+            let [at_0] = &tables.boxes.get(id).facts.actions;
+            out.extend(at_0.iter().map(|a| a.at_link(idx)));
+        }
+    }
+
+    /// The flags of the state `row` stands for: `bothClosed` and
+    /// `bothFlowing` from the memo of its pair of endpoint boxes, the rest
+    /// from its boxes' facts and its queue ids.
+    fn flags_of(&mut self, row: &[u32]) -> StateFlags {
+        let (ends, rest) = row.split_at(2);
+        let (links, tunnels) = rest.split_at(self.links);
+        let tables = &mut self.tables;
+        let [left, right] = [ends[0], ends[1]].map(|id| tables.ends.get(id));
+        let (both_closed, both_flowing) = *tables
+            .end_pairs
+            .entry((ends[0], ends[1]))
+            .or_insert_with(|| end_pair_flags(&left.value, &right.value));
+        let links = || links.iter().map(|&id| &tables.boxes.get(id).facts);
+        StateFlags {
+            both_closed,
+            both_flowing,
+            clean: left.facts.settled
+                && right.facts.settled
+                && links().all(|f| f.settled)
+                && tunnels
+                    .chunks_exact(3)
+                    .all(|cols| cols[0] == EMPTY && cols[1] == EMPTY),
+            fully_attached: left.facts.attached
+                && right.facts.attached
+                && links().all(|f| f.attached),
+        }
+    }
+
+    /// The state under expansion, out of `exp`: rebuilt there from `own`,
+    /// its row, unless it already is.
+    fn rebuild<'e>(
+        &mut self,
+        cfg: &CheckConfig,
+        own: &[u32],
+        exp: &'e mut Expanding,
+    ) -> &'e PathState {
+        if !exp.rebuilt {
+            self.unpack_into(own, &mut exp.state);
+            exp.rebuilt = true;
+            self.rebuilt += 1;
+            debug_assert_eq!(
+                exp.state.actions(cfg),
+                {
+                    let mut actions = Vec::new();
+                    self.actions_of(own, &mut actions);
+                    actions
+                },
+                "a row's actions are not its state's"
+            );
+        }
+        &exp.state
+    }
+
     /// Put into `row` the row of `state.apply(cfg, action)`, given `own`,
     /// the row of `state`: `own` with the columns of the action's footprint
     /// replaced. The step itself is taken once per distinct `(action,
     /// ins)` — in `scratch`, uncanonicalized, and with the `outs` emptied
     /// first, so that what they hold afterwards is what the step sent — and
-    /// looked up from then on. Only a row that cannot be shown canonical on
-    /// its ids is rebuilt as a state, to be canonicalized and packed again;
-    /// returns `false` for such a row.
+    /// looked up from then on; `state` is rebuilt from `own` into `exp` for
+    /// the first step of it taken. Only a row that cannot be shown canonical
+    /// on its ids is rebuilt as a state, to be canonicalized and packed
+    /// again; returns `false` for such a row.
     fn successor(
         &mut self,
         cfg: &CheckConfig,
-        (state, own): (&PathState, &[u32]),
+        (own, exp): (&[u32], &mut Expanding),
         action: Action,
         scratch: &mut PathState,
         row: &mut Vec<u32>,
@@ -431,7 +615,7 @@ impl Components {
         let (after, sent) = if let Some(&known) = self.tables.steps.get(&key) {
             known
         } else {
-            scratch.clone_from(state);
+            scratch.clone_from(self.rebuild(cfg, own, exp));
             for out in outs.into_iter().flatten() {
                 scratch.queue_mut(out).clear();
             }
@@ -455,16 +639,28 @@ impl Components {
         let canonical = self.tables.census(self.links, row).canonical();
         if !canonical {
             self.unpack_into(row, scratch);
+            self.rebuilt += 1;
             scratch.canonicalize();
             *row = self.pack(scratch);
         }
-        debug_assert_eq!(
-            *row,
-            self.pack(&state.apply(cfg, action)),
-            "local step != apply on {action:?}"
-        );
+        if cfg!(debug_assertions) {
+            let long_way = self.rebuild(cfg, own, exp).apply(cfg, action);
+            assert_eq!(
+                *row,
+                self.pack(&long_way),
+                "local step != apply on {action:?}"
+            );
+        }
         canonical
     }
+}
+
+/// The state under expansion as a [`PathState`], once it has had to be
+/// rebuilt from its row.
+struct Expanding {
+    state: PathState,
+    /// `state` is the state under expansion.
+    rebuilt: bool,
 }
 
 /// Per-state predicate bits, evaluated at insertion so full states need not
@@ -480,9 +676,10 @@ pub struct StateFlags {
 impl StateFlags {
     /// Evaluate all predicate bits of one state.
     pub fn of(s: &PathState) -> Self {
+        let (both_closed, both_flowing) = end_pair_flags(&s.left, &s.right);
         StateFlags {
-            both_closed: s.both_closed(),
-            both_flowing: s.both_flowing(),
+            both_closed,
+            both_flowing,
             clean: s.clean(),
             fully_attached: s.fully_attached(),
         }
@@ -520,12 +717,14 @@ impl Default for ExploreOptions {
 
 /// The explored transition system.
 pub struct StateGraph {
-    /// Adjacency: successor state indices per state.
-    pub succ: Vec<Vec<u32>>,
+    /// State `i`'s successors are `succ_to[succ_start[i]..succ_start[i +
+    /// 1]]` ([`StateGraph::succ`]).
+    pub(crate) succ_start: Vec<u32>,
+    pub(crate) succ_to: Vec<u32>,
     pub flags: Vec<StateFlags>,
-    /// BFS predecessor (state, action) for counterexample reconstruction:
-    /// the transition that discovered the state, so traces are BFS-shortest.
-    pub parent: Vec<Option<(u32, Action)>>,
+    /// For each state after the initial one, state 0, the transition that
+    /// discovered it as `(state, Action::code)` ([`StateGraph::parent`]).
+    pub(crate) parent: Vec<(u32, u32)>,
     /// States with no enabled actions.
     pub terminals: Vec<u32>,
     pub transitions: usize,
@@ -547,11 +746,30 @@ pub struct StateGraph {
     /// Successors whose row could not be shown canonical on its ids and
     /// was rebuilt as a state, canonicalized and packed again.
     pub canonicalized: u64,
+    /// Full `PathState`s built from rows: a state under expansion one of
+    /// whose steps was not in the local-step memo, and each canonicalized
+    /// successor. A debug build rebuilds every state it expands, to check
+    /// it, so counts more.
+    pub rebuilt: u64,
 }
 
 impl StateGraph {
     pub fn states(&self) -> usize {
-        self.succ.len()
+        self.flags.len()
+    }
+
+    /// The successors of state `i`, in the order of its actions.
+    pub fn succ(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        &self.succ_to[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
+    }
+
+    /// The BFS predecessor of state `i` for counterexample
+    /// reconstruction: the state and action that discovered it, so traces
+    /// are BFS-shortest. `None` for the initial state.
+    pub fn parent(&self, i: u32) -> Option<(u32, Action)> {
+        let (state, code) = self.parent[(i as usize).checked_sub(1)?];
+        Some((state, Action::from_code(code)))
     }
 
     /// Expansion throughput of the run, in states per second.
@@ -567,7 +785,7 @@ impl StateGraph {
     /// Reconstruct the BFS action path to a state (for counterexamples).
     pub fn trace_to(&self, mut idx: u32) -> Vec<Action> {
         let mut rev = Vec::new();
-        while let Some((p, a)) = self.parent[idx as usize] {
+        while let Some((p, a)) = self.parent(idx) {
             rev.push(a);
             idx = p;
         }
@@ -585,81 +803,89 @@ pub fn explore(cfg: &CheckConfig, max_states: usize) -> StateGraph {
 /// Explore the reachable state space of `cfg` under `opts`.
 pub fn explore_with(cfg: &CheckConfig, opts: &ExploreOptions) -> StateGraph {
     let start = Instant::now();
-    // The two full states the search holds: the one under expansion,
-    // rebuilt from its row, and a scratch one for the few successors that
-    // have to exist as states.
-    let mut state = PathState::initial(cfg);
-    let mut next = state.clone();
+    // The two full states the search may hold: the one under expansion,
+    // once one of its steps has to be taken, and a scratch one for that
+    // step and for the few successors that have to be canonicalized.
+    let initial = PathState::initial(cfg);
+    let mut next = initial.clone();
+    let mut exp = Expanding {
+        state: initial.clone(),
+        rebuilt: false,
+    };
     let mut seen = SeenSet::new();
-    seen.insert(state.clone());
+    seen.insert(initial);
     let w = seen.components.width();
-    let mut row = Vec::with_capacity(w);
+    let (mut row, mut actions) = (Vec::with_capacity(w), Vec::new());
+    let offset = |n: usize| u32::try_from(n).expect("under 2^32 transitions");
 
-    let mut flags = vec![StateFlags::of(&state)];
-    let mut parent = vec![None];
-    let mut succ = vec![Vec::new()];
+    let mut flags = vec![seen.components.flags_of(&seen.rows)];
+    let mut parent = Vec::new();
+    let (mut succ_start, mut succ_to) = (Vec::new(), Vec::new());
     let mut terminals = Vec::new();
-    let mut transitions = 0usize;
     let (mut dedup_hits, mut canonicalized) = (0u64, 0u64);
     // States are numbered as they are discovered, so the queue is the ids
     // from `expanded` up.
     let mut expanded = 0usize;
     while expanded < flags.len() && expanded < opts.max_states {
         let i = expanded;
-        seen.components
-            .unpack_into(&seen.rows[i * w..][..w], &mut state);
-        let actions = state.actions(cfg);
+        let own = &seen.rows[i * w..][..w];
+        seen.components.actions_of(own, &mut actions);
         if actions.is_empty() {
             terminals.push(i as u32);
         }
-        let mut list = Vec::with_capacity(actions.len());
-        for action in actions {
+        succ_start.push(offset(succ_to.len()));
+        exp.rebuilt = false;
+        if cfg!(debug_assertions) {
+            // Every state, so that each is checked against its row and
+            // every step can also be taken the long way (`successor`).
+            seen.components.rebuild(cfg, own, &mut exp);
+        }
+        for &action in &actions {
             let own = &seen.rows[i * w..][..w];
             let canonical =
                 seen.components
-                    .successor(cfg, (&state, own), action, &mut next, &mut row);
+                    .successor(cfg, (own, &mut exp), action, &mut next, &mut row);
             canonicalized += u64::from(!canonical);
             let (id, fresh) = seen.insert_row(state_hash(&row[..]), &row);
             if fresh {
-                seen.components.unpack_into(&row, &mut next);
-                flags.push(StateFlags::of(&next));
-                parent.push(Some((i as u32, action)));
-                succ.push(Vec::new());
+                flags.push(seen.components.flags_of(&row));
+                parent.push((i as u32, action.code()));
             } else {
                 dedup_hits += 1;
             }
-            list.push(id);
+            succ_to.push(id);
         }
-        transitions += list.len();
-        succ[i] = list;
         expanded += 1;
     }
+    succ_start.resize(flags.len() + 1, offset(succ_to.len()));
 
     StateGraph {
         truncated: expanded < flags.len(),
-        succ,
+        transitions: succ_to.len(),
+        succ_start,
+        succ_to,
         flags,
         parent,
         terminals,
-        transitions,
         elapsed: start.elapsed(),
         expanded,
         dedup_hits,
         local_steps: seen.components.tables.steps.len() as u64,
         canonicalized,
+        rebuilt: seen.components.rebuilt,
     }
 }
 
 /// A deduplicating interner over canonical [`PathState`]s, kept as rows of
-/// [`Components`] ids and resolved by hash bucket, then row comparison:
-/// the exploration's seen-set, and "have I been here before" for replay
-/// loops and tests without a full exploration. One set holds states of one
-/// path shape: the first insert fixes the flowlink count, and a state with
-/// another is a panic.
+/// [`Components`] ids and resolved by an [`OpenIndex`] of row hashes, then
+/// row comparison: the exploration's seen-set, and "have I been here
+/// before" for replay loops and tests without a full exploration. One set
+/// holds states of one path shape: the first insert fixes the flowlink
+/// count, and a state with another is a panic.
 pub struct SeenSet {
     /// Rebuilt for the path shape of the first state inserted.
     components: Components,
-    by_hash: HashIndex,
+    index: OpenIndex,
     /// Interned rows, back to back.
     rows: Vec<u32>,
 }
@@ -674,7 +900,7 @@ impl SeenSet {
     pub fn new() -> Self {
         SeenSet {
             components: Components::new(0),
-            by_hash: HashIndex::default(),
+            index: OpenIndex::default(),
             rows: Vec::new(),
         }
     }
@@ -691,13 +917,15 @@ impl SeenSet {
 
     /// Intern a row under `hash`; equality is decided on the row alone.
     fn insert_row(&mut self, hash: u64, row: &[u32]) -> (u32, bool) {
-        if let Some(id) = find_row(&self.by_hash, &self.rows, hash, row) {
-            return (id, false);
+        let SeenSet { index, rows, .. } = self;
+        let w = row.len();
+        let next = u32::try_from(rows.len() / w).expect("under 2^32 states");
+        let (id, fresh) =
+            index.find_or_insert(hash, next, |id| rows[id as usize * w..][..w] == *row);
+        if fresh {
+            rows.extend_from_slice(row);
         }
-        let id = (self.rows.len() / row.len()) as u32;
-        self.by_hash.entry(hash).or_default().push(id);
-        self.rows.extend_from_slice(row);
-        (id, true)
+        (id, fresh)
     }
 
     pub fn len(&self) -> usize {
@@ -813,16 +1041,40 @@ mod tests {
             let (cfg, states) = walk(shape, &picks);
             let mut components = Components::new(cfg.links);
             let (mut scratch, mut row) = (PathState::initial(&cfg), Vec::new());
+            // Rebuilt from each row into what the previous one left, as
+            // the search does.
+            let mut exp = Expanding { state: PathState::initial(&cfg), rebuilt: false };
             for s in &states {
                 let own = components.pack(s);
+                exp.rebuilt = false;
                 for action in s.actions(&cfg) {
                     let want = components.pack(&s.apply(&cfg, action));
                     // Cold — unless an earlier state took the same local
                     // step — and then certainly warm.
                     for _ in 0..2 {
-                        components.successor(&cfg, (s, &own), action, &mut scratch, &mut row);
+                        components.successor(&cfg, (&own, &mut exp), action, &mut scratch, &mut row);
                         prop_assert_eq!(&row, &want, "{:?}", action);
                     }
+                }
+            }
+        }
+
+        #[test]
+        fn a_row_reads_as_its_state(
+            shape in any::<u8>(),
+            picks in proptest::collection::vec(any::<u8>(), 1..48),
+        ) {
+            let (cfg, states) = walk(shape, &picks);
+            let mut components = Components::new(cfg.links);
+            // One buffer throughout, as the search has.
+            let mut actions = vec![Action::LinkAttach { idx: 7 }];
+            for s in &states {
+                let row = components.pack(s);
+                components.actions_of(&row, &mut actions);
+                prop_assert_eq!(&actions, &s.actions(&cfg));
+                prop_assert_eq!(components.flags_of(&row), StateFlags::of(s));
+                for &a in &actions {
+                    prop_assert_eq!(Action::from_code(a.code()), a);
                 }
             }
         }
@@ -899,8 +1151,13 @@ mod tests {
             // Canonical it is, but its census cannot tell.
             assert!(!components.tables.census(cfg.links, &own).canonical());
             let (mut scratch, mut row) = (s.clone(), Vec::new());
+            let mut exp = Expanding {
+                state: s.clone(),
+                rebuilt: true,
+            };
             for action in s.actions(&cfg) {
-                let known = components.successor(&cfg, (&s, &own), action, &mut scratch, &mut row);
+                let known =
+                    components.successor(&cfg, (&own, &mut exp), action, &mut scratch, &mut row);
                 assert!(!known, "{copies} copies, {action:?}");
                 assert_eq!(row, components.pack(&s.apply(&cfg, action)), "{action:?}");
             }

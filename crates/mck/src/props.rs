@@ -137,7 +137,7 @@ fn check_terminals(g: &StateGraph, pred: impl Fn(u32) -> bool) -> Result<(), Vio
 /// an iterative Tarjan SCC: a state is on a cycle iff its SCC is nontrivial
 /// or it has a self-loop.
 pub fn cycle_states(g: &StateGraph, keep: impl Fn(u32) -> bool) -> Vec<u32> {
-    let n = g.succ.len();
+    let n = g.states();
     let keep_v: Vec<bool> = (0..n as u32).map(&keep).collect();
 
     // Iterative Tarjan.
@@ -165,8 +165,7 @@ pub fn cycle_states(g: &StateGraph, keep: impl Fn(u32) -> bool) -> Vec<u32> {
 
         while let Some(&mut (v, ref mut cursor)) = work.last_mut() {
             let vs = v as usize;
-            if *cursor < g.succ[vs].len() {
-                let w = g.succ[vs][*cursor];
+            if let Some(&w) = g.succ(v).get(*cursor) {
                 *cursor += 1;
                 let ws = w as usize;
                 if !keep_v[ws] {
@@ -213,7 +212,7 @@ pub fn cycle_states(g: &StateGraph, keep: impl Fn(u32) -> bool) -> Vec<u32> {
             continue;
         }
         let nontrivial = scc_size[scc_of[vs] as usize] > 1;
-        let self_loop = g.succ[vs].contains(&v);
+        let self_loop = g.succ(v).contains(&v);
         if nontrivial || self_loop {
             out.push(v);
         }
@@ -232,6 +231,10 @@ mod tests {
         let terminals = (0..n as u32)
             .filter(|&i| succ[i as usize].is_empty())
             .collect();
+        let mut succ_start = vec![0];
+        for list in &succ {
+            succ_start.push(succ_start[succ_start.len() - 1] + list.len() as u32);
+        }
         StateGraph {
             flags: (0..n)
                 .map(|i| StateFlags {
@@ -241,7 +244,7 @@ mod tests {
                     fully_attached: true,
                 })
                 .collect(),
-            parent: vec![None; n],
+            parent: Vec::new(),
             terminals,
             transitions: 0,
             elapsed: Duration::ZERO,
@@ -250,7 +253,9 @@ mod tests {
             dedup_hits: 0,
             local_steps: 0,
             canonicalized: 0,
-            succ,
+            rebuilt: 0,
+            succ_start,
+            succ_to: succ.concat(),
         }
     }
 

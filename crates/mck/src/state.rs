@@ -263,6 +263,44 @@ impl Action {
         };
         u32::from_le_bytes(word.map(|b| u8::try_from(b).expect("a path of under 256 boxes")))
     }
+
+    /// The action whose [`Action::code`] is `code`.
+    pub(crate) fn from_code(code: u32) -> Action {
+        use NondetOp::{Accept, Close, Open, ToggleMuteIn, ToggleMuteOut};
+        const OPS: [NondetOp; 5] = [Open, Accept, Close, ToggleMuteIn, ToggleMuteOut];
+        let [kind, a, b, c] = code.to_le_bytes().map(usize::from);
+        let right = a != 0;
+        match kind {
+            0 => Action::DeliverFwd(a),
+            1 => Action::DeliverBwd(a),
+            2 => Action::EndNondet { right, op: OPS[b] },
+            3 => Action::EndAttach { right },
+            4 => Action::EndModify { right, op: OPS[b] },
+            5 => Action::LinkNondet {
+                idx: a,
+                side: b,
+                op: OPS[c],
+            },
+            6 => Action::LinkAttach { idx: a },
+            7 => Action::DropFwd(a),
+            8 => Action::DropBwd(a),
+            9 => Action::DupFwd(a),
+            10 => Action::DupBwd(a),
+            11 => Action::RetransmitFwd(a),
+            12 => Action::RetransmitBwd(a),
+            _ => panic!("{code:#x} is no action's code"),
+        }
+    }
+
+    /// A flowlink box's action moved to the box at index `idx`: the
+    /// search lists a box's actions once, at index 0, and places them.
+    pub(crate) fn at_link(self, idx: usize) -> Action {
+        match self {
+            Action::LinkNondet { side, op, .. } => Action::LinkNondet { idx, side, op },
+            Action::LinkAttach { .. } => Action::LinkAttach { idx },
+            other => panic!("{other:?} is no flowlink box's action"),
+        }
+    }
 }
 
 /// One separately interned component of a [`PathState`]: a box, one
@@ -438,79 +476,20 @@ impl PathState {
         s
     }
 
-    /// Enumerate every enabled action, in deterministic order.
+    /// Enumerate every enabled action, in deterministic order: each
+    /// tunnel's, then the left endpoint's, the right one's and each
+    /// flowlink box's.
     pub fn actions(&self, cfg: &CheckConfig) -> Vec<Action> {
         let mut out = Vec::new();
         for (t, tun) in self.tunnels.iter().enumerate() {
-            if !tun.fwd.is_empty() {
-                out.push(Action::DeliverFwd(t));
-                if tun.faults_left > 0 {
-                    out.push(Action::DropFwd(t));
-                    out.push(Action::DupFwd(t));
-                }
-            }
-            if !tun.bwd.is_empty() {
-                out.push(Action::DeliverBwd(t));
-                if tun.faults_left > 0 {
-                    out.push(Action::DropBwd(t));
-                    out.push(Action::DupBwd(t));
-                }
-            }
-            if tun.lost_fwd > 0 {
-                out.push(Action::RetransmitFwd(t));
-            }
-            if tun.lost_bwd > 0 {
-                out.push(Action::RetransmitBwd(t));
-            }
+            let waiting = [!tun.fwd.is_empty(), !tun.bwd.is_empty()];
+            let counters = [tun.faults_left, tun.lost_fwd, tun.lost_bwd];
+            tunnel_actions(t, waiting, counters, &mut out);
         }
-        for right in [false, true] {
-            let end = if right { &self.right } else { &self.left };
-            match &end.mode {
-                EndMode::Phase1 { budget, .. } => {
-                    if *budget > 0 {
-                        for op in legal_ops(&end.slot) {
-                            out.push(Action::EndNondet { right, op });
-                        }
-                    }
-                    out.push(Action::EndAttach { right });
-                }
-                EndMode::Phase2 {
-                    goal,
-                    modify_budget,
-                } => {
-                    if *modify_budget > 0
-                        && end.slot.state() == SlotState::Flowing
-                        && !matches!(goal, EndGoalObj::Close(_))
-                    {
-                        out.push(Action::EndModify {
-                            right,
-                            op: NondetOp::ToggleMuteIn,
-                        });
-                        out.push(Action::EndModify {
-                            right,
-                            op: NondetOp::ToggleMuteOut,
-                        });
-                    }
-                }
-            }
-        }
+        end_actions(&self.left, false, &mut out);
+        end_actions(&self.right, true, &mut out);
         for (idx, link) in self.links.iter().enumerate() {
-            match &link.mode {
-                LinkMode::Phase1 { budget, .. } => {
-                    if *budget > 0 {
-                        for side in 0..2 {
-                            for op in legal_ops(&link.slots[side]) {
-                                if matches!(op, NondetOp::ToggleMuteIn | NondetOp::ToggleMuteOut) {
-                                    continue; // server slots have nothing to modify
-                                }
-                                out.push(Action::LinkNondet { idx, side, op });
-                            }
-                        }
-                    }
-                    out.push(Action::LinkAttach { idx });
-                }
-                LinkMode::Phase2 { .. } => {}
-            }
+            link_actions(link, idx, &mut out);
         }
         let _ = cfg;
         out
@@ -807,12 +786,7 @@ impl PathState {
 
     /// All goal objects have switched to phase 2.
     pub fn fully_attached(&self) -> bool {
-        matches!(self.left.mode, EndMode::Phase2 { .. })
-            && matches!(self.right.mode, EndMode::Phase2 { .. })
-            && self
-                .links
-                .iter()
-                .all(|l| matches!(l.mode, LinkMode::Phase2 { .. }))
+        self.left.attached() && self.right.attached() && self.links.iter().all(LinkBox::attached)
     }
 
     pub fn tunnels_empty(&self) -> bool {
@@ -823,32 +797,21 @@ impl PathState {
 
     /// Evaluate the `bothClosed` path state.
     pub fn both_closed(&self) -> bool {
-        PathEnds::new(&self.left.slot, &self.right.slot).both_closed()
+        end_pair_flags(&self.left, &self.right).0
     }
 
     /// Evaluate `bothFlowing`, including mute-flag consistency when both
     /// endpoint policies are known (the full §V definition).
     pub fn both_flowing(&self) -> bool {
-        let ends = PathEnds::new(&self.left.slot, &self.right.slot);
-        if !ends.both_flowing() {
-            return false;
-        }
-        match (end_mutes(&self.left), end_mutes(&self.right)) {
-            (Some((li, lo)), Some((ri, ro))) => ends.both_flowing_with_mutes(li, lo, ri, ro),
-            _ => true,
-        }
+        end_pair_flags(&self.left, &self.right).1
     }
 
     /// Safety condition on terminal states (§VIII-A): each slot closed or
     /// flowing and all tunnels empty.
     pub fn clean(&self) -> bool {
-        let slot_ok = |s: &Slot| matches!(s.state(), SlotState::Closed | SlotState::Flowing);
-        slot_ok(&self.left.slot)
-            && slot_ok(&self.right.slot)
-            && self
-                .links
-                .iter()
-                .all(|l| slot_ok(&l.slots[0]) && slot_ok(&l.slots[1]))
+        self.left.settled()
+            && self.right.settled()
+            && self.links.iter().all(LinkBox::settled)
             && self.tunnels_empty()
     }
 
@@ -916,6 +879,137 @@ impl PathState {
             _ => panic!("{part:?} is not a queue"),
         }
     }
+}
+
+// The per-component pieces of `PathState::{actions, clean, fully_attached,
+// both_closed, both_flowing}`: the search reads a state off its row of
+// component ids and evaluates these once per interned component instead.
+
+impl EndBox {
+    /// Its slot is closed or flowing.
+    pub(crate) fn settled(&self) -> bool {
+        slot_ok(&self.slot)
+    }
+
+    /// Its goal object is in phase 2.
+    pub(crate) fn attached(&self) -> bool {
+        matches!(self.mode, EndMode::Phase2 { .. })
+    }
+}
+
+impl LinkBox {
+    /// Both its slots are closed or flowing.
+    pub(crate) fn settled(&self) -> bool {
+        self.slots.iter().all(slot_ok)
+    }
+
+    /// Its flowlink is attached.
+    pub(crate) fn attached(&self) -> bool {
+        matches!(self.mode, LinkMode::Phase2 { .. })
+    }
+}
+
+/// A slot a terminal state may leave as it is (§VIII-A).
+pub(crate) fn slot_ok(slot: &Slot) -> bool {
+    matches!(slot.state(), SlotState::Closed | SlotState::Flowing)
+}
+
+/// Push to `out` the actions tunnel `t` enables, given whether a signal
+/// waits in each direction (`fwd`, `bwd`) and its counters
+/// `[faults_left, lost_fwd, lost_bwd]`.
+pub(crate) fn tunnel_actions(
+    t: usize,
+    waiting: [bool; 2],
+    counters: [u8; 3],
+    out: &mut Vec<Action>,
+) {
+    let [faults_left, lost_fwd, lost_bwd] = counters;
+    if waiting[0] {
+        out.push(Action::DeliverFwd(t));
+        if faults_left > 0 {
+            out.push(Action::DropFwd(t));
+            out.push(Action::DupFwd(t));
+        }
+    }
+    if waiting[1] {
+        out.push(Action::DeliverBwd(t));
+        if faults_left > 0 {
+            out.push(Action::DropBwd(t));
+            out.push(Action::DupBwd(t));
+        }
+    }
+    if lost_fwd > 0 {
+        out.push(Action::RetransmitFwd(t));
+    }
+    if lost_bwd > 0 {
+        out.push(Action::RetransmitBwd(t));
+    }
+}
+
+/// Push to `out` the actions `end` enables as the right endpoint or the
+/// left one.
+pub(crate) fn end_actions(end: &EndBox, right: bool, out: &mut Vec<Action>) {
+    match &end.mode {
+        EndMode::Phase1 { budget, .. } => {
+            if *budget > 0 {
+                for op in legal_ops(&end.slot) {
+                    out.push(Action::EndNondet { right, op });
+                }
+            }
+            out.push(Action::EndAttach { right });
+        }
+        EndMode::Phase2 {
+            goal,
+            modify_budget,
+        } => {
+            if *modify_budget > 0
+                && end.slot.state() == SlotState::Flowing
+                && !matches!(goal, EndGoalObj::Close(_))
+            {
+                out.push(Action::EndModify {
+                    right,
+                    op: NondetOp::ToggleMuteIn,
+                });
+                out.push(Action::EndModify {
+                    right,
+                    op: NondetOp::ToggleMuteOut,
+                });
+            }
+        }
+    }
+}
+
+/// Push to `out` the actions `link` enables as the flowlink box at `idx`.
+pub(crate) fn link_actions(link: &LinkBox, idx: usize, out: &mut Vec<Action>) {
+    match &link.mode {
+        LinkMode::Phase1 { budget, .. } => {
+            if *budget > 0 {
+                for side in 0..2 {
+                    for op in legal_ops(&link.slots[side]) {
+                        if matches!(op, NondetOp::ToggleMuteIn | NondetOp::ToggleMuteOut) {
+                            continue; // server slots have nothing to modify
+                        }
+                        out.push(Action::LinkNondet { idx, side, op });
+                    }
+                }
+            }
+            out.push(Action::LinkAttach { idx });
+        }
+        LinkMode::Phase2 { .. } => {}
+    }
+}
+
+/// `(bothClosed, bothFlowing)` of a path whose endpoint boxes are `left`
+/// and `right`; `bothFlowing` includes mute-flag consistency when both
+/// endpoint policies are known (the full §V definition).
+pub(crate) fn end_pair_flags(left: &EndBox, right: &EndBox) -> (bool, bool) {
+    let ends = PathEnds::new(&left.slot, &right.slot);
+    let flowing = ends.both_flowing()
+        && match (end_mutes(left), end_mutes(right)) {
+            (Some((li, lo)), Some((ri, ro))) => ends.both_flowing_with_mutes(li, lo, ri, ro),
+            _ => true,
+        };
+    (ends.both_closed(), flowing)
 }
 
 fn end_mutes(end: &EndBox) -> Option<(bool, bool)> {

@@ -43,8 +43,8 @@ fn exploration_numbering_repeats_run_to_run() {
     // deterministic contract (trace extraction depends on it). Explored
     // twice in one process, so that a `RandomState` map's iteration order
     // or the order components were interned in reaching the graph shows —
-    // or reaching the counts of distinct local steps and of rebuilt
-    // successors, which belong to the graph.
+    // or reaching the counts of distinct local steps, of canonicalized
+    // successors and of states rebuilt from rows, which belong to the graph.
     let cases = [
         (
             budgeted(0, EndGoal::Open, EndGoal::Hold, 0).with_faults(1),
@@ -66,14 +66,22 @@ fn exploration_numbering_repeats_run_to_run() {
         assert_eq!(base.states(), g.states(), "{at}");
         assert_eq!(base.expanded, g.expanded, "{at}");
         assert_eq!(base.truncated, g.truncated, "{at}");
-        assert!(base.succ == g.succ, "{at}: successor lists differ");
-        assert!(base.parent == g.parent, "{at}: parents differ");
+        let ids = 0..base.states() as u32;
+        assert!(
+            ids.clone().all(|i| base.succ(i) == g.succ(i)),
+            "{at}: successor lists differ"
+        );
+        assert!(
+            ids.clone().all(|i| base.parent(i) == g.parent(i)),
+            "{at}: parents differ"
+        );
         assert!(base.flags == g.flags, "{at}: flags differ");
         assert_eq!(base.terminals, g.terminals, "{at}");
         assert_eq!(base.transitions, g.transitions, "{at}");
         assert_eq!(base.dedup_hits, g.dedup_hits, "{at}");
         assert_eq!(base.local_steps, g.local_steps, "{at}");
         assert_eq!(base.canonicalized, g.canonicalized, "{at}");
+        assert_eq!(base.rebuilt, g.rebuilt, "{at}");
     }
 }
 

@@ -4,9 +4,11 @@
 //! the engine stores a state (DESIGN §5.1: a row of component ids, not a
 //! `PathState`), not from the host, so they are the same on every run and
 //! a regression is a changed count rather than a slower clock.
-//! So is how the transitions were stepped: the local steps executed and the
-//! successors that had to be rebuilt to be canonicalized are pinned beside
-//! the allocations, and are what catches a transition that got dearer.
+//! So is how the transitions were stepped: the local steps executed, the
+//! successors that had to be rebuilt to be canonicalized and the states
+//! rebuilt from rows in all are pinned beside the allocations, and are what
+//! catches a transition that got dearer, or a state rebuilt that need not
+//! be.
 //! The size of the graph itself — states and transitions — is pinned
 //! exactly: those are the counts `benchmark/`'s `mck_explore` divides its
 //! clock by.
@@ -83,9 +85,11 @@ struct Footprint {
     peak: usize,
     /// Bytes the returned graph keeps.
     kept: usize,
-    /// Local steps executed, and successors rebuilt to be canonicalized.
+    /// Local steps executed, successors rebuilt to be canonicalized, and
+    /// states rebuilt from rows in all.
     local_steps: u64,
     canonicalized: u64,
+    rebuilt: u64,
 }
 
 fn measure(cfg: &CheckConfig) -> Footprint {
@@ -103,6 +107,7 @@ fn measure(cfg: &CheckConfig) -> Footprint {
         kept: LIVE.load(Ordering::Relaxed) - live,
         local_steps: g.local_steps,
         canonicalized: g.canonicalized,
+        rebuilt: g.rebuilt,
     }
 }
 
@@ -112,8 +117,8 @@ fn measure(cfg: &CheckConfig) -> Footprint {
 ///
 /// `allocs` is what a transition costs as a lookup and a row (DESIGN §5.1,
 /// "local steps are taken once"): the graph's own vectors, a table entry
-/// per new component, a row per rebuilt successor, and nothing for a
-/// transition that hits — 326,169 = 1.12 a transition on `open-hold/1`.
+/// per new component, a row per canonicalized successor, and nothing for a
+/// transition that hits — 25,785 = 0.09 a transition on `open-hold/1`.
 /// All three were re-pinned down when the search became one FIFO loop
 /// (`peak` 27,178,692 → 22,921,956, `allocs` 426,568 → 326,169, `kept`
 /// 11,354,344 → 9,027,672; with the fault 27,041,380 → 23,113,392, 430,055
@@ -121,10 +126,16 @@ fn measure(cfg: &CheckConfig) -> Footprint {
 /// straight into the seen-set instead of waiting in a per-level pending
 /// list beside the vectors that ordered and renumbered the level, a
 /// successor list is built as ids rather than as 12-byte edges to resolve,
-/// and is kept at its exact capacity, not at three times it. The faulty
-/// configuration peaks on its final plateau, where a debug build also holds
-/// the state it applies the long way: its `peak` is that build's, 488
-/// bytes over the optimized build's 23,112,904.
+/// and is kept at its exact capacity, not at three times it. And again
+/// when states came to be read off their rows (`peak` 22,921,956 →
+/// 14,407,436, `allocs` 326,169 → 25,785, `kept` 9,027,672 → 4,194,320;
+/// with the fault 23,113,392 → 13,490,228, 334,438 → 45,389, 8,777,868 →
+/// 3,145,792): actions and flags come from per-component facts, so a state
+/// is rebuilt only for a step the memo lacks (`rebuilt`, pinned exactly),
+/// the seen-set and the tables index ids in one `Vec<u64>` each instead of
+/// a `HashMap` of `Vec`s, and the graph is two flat successor arrays and a
+/// packed 8-byte parent in place of a `Vec` and a 32-byte `Option<(u32,
+/// Action)>` per state. Both builds now reach the same `peak`.
 struct Budget {
     name: &'static str,
     cfg: CheckConfig,
@@ -135,6 +146,9 @@ struct Budget {
     local_steps: u64,
     /// Exact: the successors whose census could not say "canonical".
     canonicalized: u64,
+    /// Exact: the states rebuilt from rows, to take a step or to be
+    /// canonicalized.
+    rebuilt: u64,
     peak: usize,
     allocs: u64,
     kept: usize,
@@ -151,9 +165,10 @@ fn exploration_stays_inside_its_memory_budget() {
             transitions: 290_834,
             local_steps: 14_393,
             canonicalized: 4_688,
-            peak: 22_921_956,
-            allocs: 326_169,
-            kept: 9_027_672,
+            rebuilt: 17_954,
+            peak: 14_407_436,
+            allocs: 25_785,
+            kept: 4_194_320,
         },
         Budget {
             name: "open-hold/0+1fault",
@@ -162,23 +177,25 @@ fn exploration_stays_inside_its_memory_budget() {
             transitions: 228_371,
             local_steps: 27_283,
             canonicalized: 6_427,
-            peak: 23_113_392,
-            allocs: 334_438,
-            kept: 8_777_868,
+            rebuilt: 32_433,
+            peak: 13_490_228,
+            allocs: 45_389,
+            kept: 3_145_792,
         },
     ];
     for b in &budgets {
         let seen = measure(&b.cfg);
         assert_eq!(seen, measure(&b.cfg), "{}: counts must repeat", b.name);
         eprintln!(
-            "footprint {}: {} states, {} transitions, {} local steps, {} canonicalized; \
-             peak {} B = {} a state; {} allocations = {:.2} a transition; \
+            "footprint {}: {} states, {} transitions, {} local steps, {} canonicalized, \
+             {} rebuilt; peak {} B = {} a state; {} allocations = {:.2} a transition; \
              graph keeps {} B = {} a state",
             b.name,
             seen.states,
             seen.transitions,
             seen.local_steps,
             seen.canonicalized,
+            seen.rebuilt,
             seen.peak,
             seen.peak / seen.states,
             seen.allocs,
@@ -205,10 +222,18 @@ fn exploration_stays_inside_its_memory_budget() {
             seen.peak,
             b.peak
         );
-        // A debug build also applies every transition the long way, to
-        // hold the looked-up row to it (`Components::successor`), and that
-        // allocates: the allocation budget is the optimized build's, which
+        // A debug build also rebuilds every state it expands and applies
+        // every transition the long way, to hold the rows to them
+        // (`Components::successor`), and that allocates: the rebuilds and
+        // the allocation budget are the optimized build's, which
         // `scripts/check.sh` runs.
+        assert!(
+            cfg!(debug_assertions) || seen.rebuilt == b.rebuilt,
+            "{}: {} states rebuilt from rows, pinned {}",
+            b.name,
+            seen.rebuilt,
+            b.rebuilt
+        );
         assert!(
             cfg!(debug_assertions) || seen.allocs <= b.allocs,
             "{}: {} allocations, budget {}",

@@ -29,9 +29,10 @@ struct Reference {
 
 impl Reference {
     fn of(g: StateGraph) -> Self {
+        let ids = 0..g.states() as u32;
         Reference {
-            succ: g.succ,
-            parent: g.parent,
+            succ: ids.clone().map(|i| g.succ(i).to_vec()).collect(),
+            parent: ids.map(|i| g.parent(i)).collect(),
             terminals: g.terminals,
             flags: g.flags,
             transitions: g.transitions,

@@ -67,9 +67,10 @@ timed_gate "storm allocation budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" 
   ipmedia-bench test:storm_allocs >/dev/null
 
 echo "== exploration memory budget (exact-repeat counts, optimized build)" >&2
-# The checker's peak bytes per state, allocations per transition and the
-# bytes its graph keeps, pinned the same way: a `PathState` that outlives
-# its expansion, or a successor copied into fresh buffers, fails here.
+# The checker's peak bytes per state, allocations per transition, the
+# bytes its graph keeps and the states it rebuilds from rows, pinned the
+# same way: a state rebuilt that no step needed, or a successor copied into
+# fresh buffers, fails here.
 timed_gate "exploration memory budget" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
   ipmedia-mck test:footprint >/dev/null
 
@@ -126,10 +127,11 @@ timed_gate "fuzz campaign" "${FUZZ_BUDGET_SECS:-300}" \
 echo "== verification campaign (parallel, wall-clock budget)" >&2
 # The 12-model §VIII-A campaign at CI budgets plus extension X1 — the six
 # two-flowlink rows the paper priced at 900 GB and 300 hours — spread
-# over all cores; the largest configuration holds about 280 MB. The
-# budget is four times the 6–7 s the campaign takes on the 2-vCPU host: it
-# catches a hang or a state space that blew up, not a slower transition —
-# that shows as a changed count in `crates/mck/tests/footprint.rs` above.
+# over all cores; the largest configuration holds about 110 MB. The
+# budget is over ten times the 1.8 s the campaign takes on the 2-vCPU
+# host: it catches a hang or a state space that blew up, not a slower
+# transition — that shows as a changed count in
+# `crates/mck/tests/footprint.rs` above.
 timed_gate "campaign" "${CAMPAIGN_BUDGET_SECS:-30}" "failed" \
   ipmedia-mck campaign 0 2 3000000 --threads "$(nproc)" >/dev/null
 
