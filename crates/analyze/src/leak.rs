@@ -125,17 +125,6 @@ pub fn analyze(model: &ProgramModel, abs: &AbsMap) -> Vec<Diagnostic> {
     diags
 }
 
-/// Leak-related lints on one slot's final abstract set — exported for the
-/// CLI's `--explain` output.
-pub fn describe_set(set: &BTreeSet<AbsState>) -> String {
-    let names: Vec<&str> = set.iter().map(|a| a.name()).collect();
-    let live = set
-        .iter()
-        .filter(|a| matches!(a, AbsState::In(s) if s.is_live()))
-        .count();
-    format!("{{{}}} ({live} live)", names.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -85,18 +85,19 @@ const SPEC: StormSpec = StormSpec {
 };
 
 /// Allocations of one whole 500-call storm (generate, build, establish,
-/// features, relink, report, teardown): 2.46 for each of its 10,524
+/// features, relink, report, teardown): 2.05 for each of its 10,524
 /// stimuli. Four of them are per histogram in the metric table (two to
 /// make it, two to snapshot it), whatever the storm's size, and one is
 /// the event queue's `BTreeMap` node (a handful of pending instants fit
 /// one leaf; nothing is allocated per event).
-const STORM_ALLOCS: u64 = 25_898;
+const STORM_ALLOCS: u64 = 21_622;
 /// Bytes the 1,319 boxes of the built storm keep allocated, network and
-/// event queue included: 1,458 a box. The queue's share is its slab —
-/// 136-byte slots, as many as the deepest it has been (4,096 reserved
+/// event queue included: 995 a box. The queue's share is its slab —
+/// 104-byte slots, as many as the deepest it has been (4,096 reserved
 /// here) — and the 192-byte map node. A slot stores neither a time nor a
-/// sequence number: the map key and the chain order carry them.
-const BUILT_BYTES: usize = 1_924_259;
+/// sequence number: the map key and the chain order carry them, and a
+/// trace context only when tracing is on.
+const BUILT_BYTES: usize = 1_313_496;
 
 #[test]
 fn storm_stays_inside_its_allocation_budget() {

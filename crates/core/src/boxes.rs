@@ -505,16 +505,6 @@ impl MediaBox {
         self.observe_transitions(obs, before, "user");
         Ok(())
     }
-
-    /// Update the endpoint policy of a user-agent slot via a modify event.
-    pub fn user_modify(
-        &mut self,
-        slot_id: SlotId,
-        mute_in: bool,
-        mute_out: bool,
-    ) -> Result<Vec<Outgoing>, ProtocolError> {
-        self.user(slot_id, UserCmd::Modify { mute_in, mute_out })
-    }
 }
 
 /// Append `signals`, all for `slot`, to an output buffer.

@@ -53,13 +53,6 @@ impl OpenSlot {
         &self.policy
     }
 
-    /// Update the policy (endpoint mute flags changed). Takes effect on the
-    /// next descriptor/selector this goal composes; callers that want an
-    /// immediate renegotiation drive a `modify` through [`Self::modify`].
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
-    }
-
     /// The goal object gains control of its slot. The annotation
     /// `openSlot(s, m)` may appear only in program states entered with `s`
     /// closed (§IV-A), but after a race backoff or goal reshuffling the slot

@@ -3,7 +3,7 @@
 //! substrate.
 //!
 //! A [`NodeHost`] owns the box, its timer generations, slot-id allocation,
-//! the channel → slots table and slot → `(channel, tunnel)` routes, the
+//! the channel → slot-range table (which routes a slot's signals too), the
 //! optional §VI [`Reliability`] layer, and the activation-span logic. A
 //! substrate feeds it [`Input`]s and executes the [`Effect`]s it appends
 //! to the [`Buffers`] the substrate lends it; observer calls happen
@@ -15,7 +15,7 @@
 use crate::boxes::{BoxNote, MediaBox};
 use crate::error::ProtocolError;
 use crate::goal::{Outgoing, UserCmd};
-use crate::ids::{BoxId, ChannelId, SlotId, TunnelId};
+use crate::ids::{BoxId, ChannelId, SlotId, SlotRange, TunnelId};
 use crate::program::{AppLogic, BoxCmd, BoxInput, ProgramBox, TimerGenerations, TimerId};
 use crate::reliable::{self, Reliability, ReliableConfig, TimerAction};
 use crate::signal::{Availability, ChannelMsg, MetaSignal};
@@ -59,8 +59,8 @@ pub enum Input {
         /// Echo of the dial request tag, if this box dialed.
         req: Option<u32>,
     },
-    /// The far end (or the substrate) destroyed a channel: its slots and
-    /// routes are removed, then the program is told.
+    /// The far end (or the substrate) destroyed a channel: its slots are
+    /// removed, and with them their routes, then the program is told.
     ChannelDown {
         /// The destroyed channel.
         channel: ChannelId,
@@ -219,15 +219,14 @@ impl Outcome {
 pub struct NodeHost {
     pb: ProgramBox,
     timers: TimerGenerations,
-    /// Slots per channel, in tunnel order; sorted by channel id. Most
-    /// boxes have a channel or two, and a sorted `Vec` costs a fleet of
-    /// them less memory than a hash table each.
-    channels: Vec<(ChannelId, Vec<SlotId>)>,
-    /// Outgoing route per slot. The host allocates slot ids densely from
-    /// zero and never reuses one, so the table is indexed by slot id and
-    /// its length is the next id.
-    routes: Vec<Option<(ChannelId, TunnelId)>>,
-    reliab: Option<Reliability>,
+    /// Slots per channel, sorted by channel id; it is the route table
+    /// too. Most boxes have a channel or two, and a sorted `Vec` costs a
+    /// fleet of them less memory than a hash table each.
+    channels: Vec<(ChannelId, SlotRange)>,
+    /// The next slot id: ids are dealt densely from zero, never reused.
+    next_slot: u16,
+    /// Boxed: most boxes never turn it on.
+    reliab: Option<Box<Reliability>>,
 }
 
 impl NodeHost {
@@ -235,9 +234,9 @@ impl NodeHost {
     pub fn new(id: BoxId, logic: Box<dyn AppLogic>) -> Self {
         Self {
             pb: ProgramBox::new(id, logic),
-            timers: TimerGenerations::new(),
+            timers: TimerGenerations::default(),
             channels: Vec::new(),
-            routes: Vec::new(),
+            next_slot: 0,
             reliab: None,
         }
     }
@@ -253,9 +252,9 @@ impl NodeHost {
     }
 
     /// The slots of a registered channel, in tunnel order.
-    pub fn channel_slots(&self, channel: ChannelId) -> Option<&[SlotId]> {
+    pub fn channel_slots(&self, channel: ChannelId) -> Option<SlotRange> {
         let i = self.channel_index(channel).ok()?;
-        Some(&self.channels[i].1)
+        Some(self.channels[i].1)
     }
 
     /// Position of `channel` in the sorted table, or where it would go.
@@ -263,9 +262,16 @@ impl NodeHost {
         self.channels.binary_search_by_key(&channel, |(ch, _)| *ch)
     }
 
-    /// Where signals of `slot` go.
+    /// Where signals of `slot` go: read off the channel table, so a slot
+    /// of a dropped channel has no route.
     pub fn route(&self, slot: SlotId) -> Option<(ChannelId, TunnelId)> {
-        self.routes.get(usize::from(slot.0)).copied().flatten()
+        self.channels.iter().find_map(|&(ch, slots)| {
+            let t = slot
+                .0
+                .checked_sub(slots.first.0)
+                .filter(|&t| t < slots.len)?;
+            Some((ch, TunnelId(t)))
+        })
     }
 
     /// Slots that exhausted their retransmissions and parked.
@@ -279,10 +285,10 @@ impl NodeHost {
     /// Turn the §VI retransmission layer on; feed [`Input::Rearm`] to arm
     /// the awaits already outstanding.
     pub fn enable_reliability(&mut self, cfg: ReliableConfig) {
-        self.reliab = Some(Reliability::new(cfg));
+        self.reliab = Some(Box::new(Reliability::new(cfg)));
     }
 
-    /// Register a channel: allocate one slot per tunnel and route it.
+    /// Register a channel: deal one slot per tunnel, consecutively.
     /// `initiator` is true iff this box initiated the channel. Registering
     /// is separate from [`Input::ChannelUp`] because a substrate may learn
     /// of a channel (and must fix its slot ids) before the box is told.
@@ -291,20 +297,21 @@ impl NodeHost {
         channel: ChannelId,
         tunnels: u16,
         initiator: bool,
-    ) -> &[SlotId] {
+    ) -> SlotRange {
         let Err(at) = self.channel_index(channel) else {
             panic!("channel {channel:?} already registered");
         };
-        let slots = (0..tunnels)
-            .map(|t| {
-                let slot = SlotId(u16::try_from(self.routes.len()).expect("slot ids fit u16"));
-                self.pb.media_mut().add_slot(slot, initiator);
-                self.routes.push(Some((channel, TunnelId(t))));
-                slot
-            })
-            .collect();
+        let first = SlotId(self.next_slot);
+        self.next_slot = first.0.checked_add(tunnels).expect("slot ids fit u16");
+        let slots = SlotRange {
+            first,
+            len: tunnels,
+        };
+        for slot in slots.iter() {
+            self.pb.media_mut().add_slot(slot, initiator);
+        }
         self.channels.insert(at, (channel, slots));
-        &self.channels[at].1
+        slots
     }
 
     /// Apply one input. Effects are appended to `bufs.effects` in the
@@ -330,7 +337,7 @@ impl NodeHost {
                 };
                 let input = match msg {
                     ChannelMsg::Tunnel { tunnel, signal } => {
-                        let Some(&slot) = slots.get(usize::from(tunnel.0)) else {
+                        let Some(slot) = slots.get(usize::from(tunnel.0)) else {
                             return Ok(Outcome::QUIET);
                         };
                         BoxInput::Tunnel { slot, signal }
@@ -417,7 +424,8 @@ impl NodeHost {
                 elapsed_ms,
             } => {
                 let mut resend = Vec::new();
-                for &slot in self.channel_slots(channel).into_iter().flatten() {
+                let slots = self.channel_slots(channel);
+                for slot in slots.into_iter().flat_map(SlotRange::iter) {
                     let Some(s) = self.pb.media().slot(slot) else {
                         continue;
                     };
@@ -438,8 +446,8 @@ impl NodeHost {
                 return Ok(Outcome::QUIET);
             }
             Input::Rearm => {
-                if let Some(rel) = &self.reliab {
-                    self.reliab = Some(Reliability::new(*rel.config()));
+                if let Some(rel) = &mut self.reliab {
+                    **rel = Reliability::new(*rel.config());
                 }
                 self.sync_reliability(at, obs, &mut bufs.effects);
                 return Ok(Outcome::QUIET);
@@ -617,14 +625,14 @@ impl NodeHost {
         out.push(Effect::ArmTimer { id, gen, after_ms });
     }
 
-    /// Remove a channel with its slots and routes; false if unknown.
+    /// Remove a channel with its slots (and so their routes); false if
+    /// unknown.
     fn drop_channel(&mut self, channel: ChannelId) -> bool {
         let Ok(at) = self.channel_index(channel) else {
             return false;
         };
-        for slot in self.channels.remove(at).1 {
+        for slot in self.channels.remove(at).1.iter() {
             self.pb.media_mut().remove_slot(slot);
-            self.routes[usize::from(slot.0)] = None;
         }
         true
     }

@@ -31,6 +31,46 @@ pub struct TunnelId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlotId(pub u16);
 
+/// The slots of one channel at one box, in tunnel order. A box deals a
+/// channel's slot ids consecutively, so tunnel `i` is slot `first + i`;
+/// only the box that dealt them builds one, so `first + len` fits a
+/// `u16`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRange {
+    /// The slot of tunnel 0.
+    pub(crate) first: SlotId,
+    /// Number of tunnels, and so of slots.
+    pub(crate) len: u16,
+}
+
+impl SlotRange {
+    /// The slot of tunnel `i`, if the channel has that many.
+    pub fn get(self, i: usize) -> Option<SlotId> {
+        let i = u16::try_from(i).ok().filter(|&i| i < self.len)?;
+        Some(SlotId(self.first.0 + i))
+    }
+
+    /// Number of slots, one per tunnel.
+    pub fn len(self) -> u16 {
+        self.len
+    }
+
+    /// True iff the channel has no tunnels.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The slots, in tunnel order.
+    pub fn iter(self) -> impl Iterator<Item = SlotId> {
+        (self.first.0..self.first.0 + self.len).map(SlotId)
+    }
+
+    /// The slots, in tunnel order, as a `Vec`.
+    pub fn to_vec(self) -> Vec<SlotId> {
+        self.iter().collect()
+    }
+}
+
 /// Globally unique reference to a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlotRef {

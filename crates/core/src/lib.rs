@@ -58,7 +58,7 @@ pub use goal::{
     AcceptMode, CloseSlot, EndpointPolicy, FlowLink, Goal, GoalKind, HoldSlot, LinkSide, OpenSlot,
     Outgoing, Policy, UserAgent, UserCmd, UserNote,
 };
-pub use ids::{BoxId, ChannelId, SlotId, SlotRef, TunnelId};
+pub use ids::{BoxId, ChannelId, SlotId, SlotRange, SlotRef, TunnelId};
 pub use path::{ChannelLink, EndGoal, PathEnds, PathSpec, PathType, Topology};
 pub use program::{
     AppLogic, BoxCmd, BoxInput, Ctx, GoalAnnotation, ModelEffect, ModelTrigger, ProgramBox,

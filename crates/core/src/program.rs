@@ -25,7 +25,6 @@ use crate::goal::{Outgoing, UserCmd};
 use crate::ids::{BoxId, ChannelId, SlotId};
 use crate::signal::MetaSignal;
 use ipmedia_obs::{NoopObserver, Observer};
-use std::collections::HashMap;
 
 /// Identity of an application timer within its box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -41,22 +40,27 @@ pub struct TimerId(pub u32);
 /// timer's generation, each scheduled fire carries the generation current
 /// when it was armed, and a fire whose generation is no longer current is
 /// stale and must be dropped. Both the discrete-event simulator and the
-/// tokio actor use this type so the two substrates cannot drift.
+/// tokio actor use this type so the two substrates cannot drift. The
+/// default has no timer armed.
 #[derive(Debug, Clone, Default)]
 pub struct TimerGenerations {
-    gens: HashMap<TimerId, u64>,
+    /// A box arms a handful of timers: a scan costs less than a hash
+    /// table, and nothing until the first arm.
+    gens: Vec<(TimerId, u64)>,
 }
 
 impl TimerGenerations {
-    /// New bookkeeping with no timers armed.
-    pub fn new() -> Self {
-        Self::default()
+    fn gen_mut(&mut self, id: TimerId) -> Option<&mut u64> {
+        self.gens.iter_mut().find(|(t, _)| *t == id).map(|(_, g)| g)
     }
 
     /// Arm (or restart) a timer: returns the generation to stamp on the
     /// scheduled fire. Any previously scheduled fire becomes stale.
     pub fn arm(&mut self, id: TimerId) -> u64 {
-        let g = self.gens.entry(id).or_insert(0);
+        let Some(g) = self.gen_mut(id) else {
+            self.gens.push((id, 1));
+            return 1;
+        };
         *g += 1;
         *g
     }
@@ -64,7 +68,7 @@ impl TimerGenerations {
     /// Cancel a timer: any scheduled fire becomes stale. Cancelling a timer
     /// that was never armed is a no-op.
     pub fn cancel(&mut self, id: TimerId) {
-        if let Some(g) = self.gens.get_mut(&id) {
+        if let Some(g) = self.gen_mut(id) {
             *g += 1;
         }
     }
@@ -72,7 +76,7 @@ impl TimerGenerations {
     /// True iff a fire stamped with `gen` is still current and must be
     /// delivered to the application.
     pub fn is_current(&self, id: TimerId, gen: u64) -> bool {
-        self.gens.get(&id) == Some(&gen)
+        self.gens.contains(&(id, gen))
     }
 }
 
@@ -389,7 +393,7 @@ mod tests {
 
     #[test]
     fn timer_generations_invalidate_stale_fires() {
-        let mut tg = TimerGenerations::new();
+        let mut tg = TimerGenerations::default();
         let g1 = tg.arm(TimerId(1));
         assert!(tg.is_current(TimerId(1), g1));
 

@@ -466,12 +466,6 @@ impl Slot {
         self.medium
     }
 
-    /// True iff this box initiated setup of the slot's signaling channel
-    /// (the open/open race tiebreaker, §VI-B).
-    pub fn is_channel_initiator(&self) -> bool {
-        self.channel_initiator
-    }
-
     /// The slot's current peer descriptor, i.e. the most recent descriptor
     /// received in an `open`, `oack`, or `describe` signal (§VII).
     pub fn peer_desc(&self) -> Option<&Descriptor> {

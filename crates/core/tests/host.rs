@@ -1,15 +1,19 @@
 //! [`NodeHost`] with no substrate: plain input vectors in, effect lists
 //! out. These pin the environment behaviour both `netsim::Network` and
 //! `rt::Actor` inherit — channel lifecycle and routing, the dial outcome,
-//! timer generations, and the §VI re-ack and resync paths.
+//! timer generations, and the §VI re-ack and resync paths — and check
+//! routing against a model of the route table the host used to keep.
 
+use ipmedia_core::hash::splitmix64_next;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost, Outcome};
 use ipmedia_core::reliable::{self, ReliableConfig};
 use ipmedia_core::{
-    AppLogic, Availability, BoxId, BoxInput, ChannelId, ChannelMsg, Ctx, EndpointLogic,
-    EndpointPolicy, MediaAddr, Medium, MetaSignal, Signal, SlotId, TimerId, TunnelId, UserCmd,
+    AppLogic, Availability, BoxCmd, BoxId, BoxInput, ChannelId, ChannelMsg, Ctx, EndpointLogic,
+    EndpointPolicy, MediaAddr, Medium, MetaSignal, NullLogic, Outgoing, Signal, SlotId, SlotRange,
+    TimerId, TunnelId, UserCmd,
 };
 use ipmedia_obs::{ManualClock, NoopObserver, ObsEvent, Observer, RecordingObserver};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 fn phone(id: u32) -> NodeHost {
@@ -154,7 +158,10 @@ fn channel_up_routes_signals_and_channel_down_removes_them() {
         .1
         .activated
     );
-    assert_eq!(host.register_channel(ChannelId(8), 1, false), [SlotId(2)]);
+    assert_eq!(
+        host.register_channel(ChannelId(8), 1, false).to_vec(),
+        [SlotId(2)]
+    );
 }
 
 #[test]
@@ -196,7 +203,10 @@ fn failed_dial_leaves_a_half_open_channel_and_reports_unavailable() {
     host.register_channel(ch, 1, true);
     let [up, peer] = Input::dial_outcome(ch, 7, false);
     assert_eq!(feed(&mut host, up), []);
-    assert_eq!(host.channel_slots(ch), Some(&[SlotId(0)][..]));
+    assert_eq!(
+        host.channel_slots(ch).map(SlotRange::to_vec),
+        Some(vec![SlotId(0)])
+    );
     assert_eq!(
         feed(&mut host, peer),
         [Effect::Hangup { channel: ch }, Effect::Terminated]
@@ -409,4 +419,145 @@ fn rejected_user_command_is_returned_not_swallowed() {
         .expect_err("no such slot");
     assert_eq!(err.slot, SlotId(9));
     assert!(out.effects.is_empty());
+}
+
+/// The route table the host kept before its channel table held ranges:
+/// every live slot's `(channel, tunnel)`.
+type RouteMap = HashMap<SlotId, (ChannelId, TunnelId)>;
+
+/// Everything the host says about routing agrees with `model`: each slot
+/// dealt so far (and the next, not yet dealt) routes as the map says,
+/// each channel lists the slots the map gives it, a signal of `probe`
+/// leaves where the map says or nowhere, and a message for a dead
+/// channel is dropped without activating the box.
+fn check_routes(
+    host: &mut NodeHost,
+    model: &RouteMap,
+    channels: &[(ChannelId, bool)],
+    dealt: u16,
+    probe: SlotId,
+) {
+    for slot in (0..=dealt).map(SlotId) {
+        assert_eq!(
+            host.route(slot),
+            model.get(&slot).copied(),
+            "route of {slot}"
+        );
+    }
+    for &(ch, live) in channels {
+        let mut slots: Vec<(TunnelId, SlotId)> = model
+            .iter()
+            .filter(|(_, (c, _))| *c == ch)
+            .map(|(slot, (_, t))| (*t, *slot))
+            .collect();
+        slots.sort_unstable();
+        let listed = host.channel_slots(ch).map(SlotRange::to_vec);
+        assert_eq!(
+            listed,
+            live.then(|| slots.into_iter().map(|(_, s)| s).collect()),
+            "{ch}"
+        );
+        if !live {
+            for msg in [
+                ChannelMsg::Tunnel {
+                    tunnel: TunnelId(0),
+                    signal: Signal::Close,
+                },
+                ChannelMsg::Meta(MetaSignal::Peer(Availability::Available)),
+            ] {
+                let (out, outcome) =
+                    feed_obs(host, Input::Msg { channel: ch, msg }, &mut NoopObserver);
+                assert!(
+                    out.is_empty() && !outcome.activated,
+                    "a message for dead {ch}"
+                );
+            }
+        }
+    }
+    let send = move |_: &mut _| {
+        vec![BoxCmd::Signal(Outgoing {
+            slot: probe,
+            signal: Signal::Close,
+        })]
+    };
+    let expected: Vec<Effect> = model
+        .get(&probe)
+        .map(|&(channel, tunnel)| Effect::Send {
+            channel,
+            msg: ChannelMsg::Tunnel {
+                tunnel,
+                signal: Signal::Close,
+            },
+        })
+        .into_iter()
+        .collect();
+    assert_eq!(
+        feed(host, Input::Apply(Box::new(send))),
+        expected,
+        "a signal of {probe}"
+    );
+}
+
+#[test]
+fn routes_read_off_the_channel_table_match_the_old_route_map() {
+    for seed in 0..6u64 {
+        let mut rng = seed;
+        let mut next = || splitmix64_next(&mut rng);
+        let mut host = NodeHost::new(BoxId(1), Box::new(NullLogic));
+        let mut model = RouteMap::new();
+        // Every channel registered so far, and whether it is still up.
+        let mut channels: Vec<(ChannelId, bool)> = Vec::new();
+        let mut dealt = 0u16;
+        // Seed 0 is a gateway: 64 channels up before any goes down.
+        let gateway = if seed == 0 { 64 } else { 0 };
+        for step in 0..160 {
+            let r = next();
+            let live: Vec<ChannelId> = channels.iter().filter(|c| c.1).map(|c| c.0).collect();
+            if step < gateway || live.is_empty() || r % 3 == 0 {
+                // Channel ids arrive in no particular order.
+                let ch = loop {
+                    let ch = ChannelId((next() % 1_000) as u32);
+                    if channels.iter().all(|c| c.0 != ch) {
+                        break ch;
+                    }
+                };
+                let tunnels = ((r >> 8) % 4) as u16;
+                let slots = host.register_channel(ch, tunnels, r & 1 == 0);
+                // Consecutive, and never an id dealt before.
+                assert_eq!(
+                    slots.to_vec(),
+                    (dealt..dealt + tunnels).map(SlotId).collect::<Vec<_>>()
+                );
+                for (t, slot) in (0..).zip(slots.iter()) {
+                    model.insert(slot, (ch, TunnelId(t)));
+                }
+                dealt += tunnels;
+                channels.push((ch, true));
+            } else {
+                let ch = live[(r >> 8) as usize % live.len()];
+                // The far end hangs up, or the box closes it itself.
+                let (input, expected) = if r & 4 == 0 {
+                    (Input::ChannelDown { channel: ch }, vec![])
+                } else {
+                    let close = move |_: &mut _| vec![BoxCmd::CloseChannel(ch)];
+                    (
+                        Input::Apply(Box::new(close)),
+                        vec![Effect::Hangup { channel: ch }],
+                    )
+                };
+                assert_eq!(feed(&mut host, input), expected);
+                model.retain(|_, (c, _)| *c != ch);
+                channels
+                    .iter_mut()
+                    .find(|c| c.0 == ch)
+                    .expect("registered")
+                    .1 = false;
+            }
+            let probe = SlotId((next() % (u64::from(dealt) + 1)) as u16);
+            check_routes(&mut host, &model, &channels, dealt, probe);
+        }
+        if seed == 0 {
+            assert!(channels.len() >= 64 && dealt > 64, "the gateway ran");
+        }
+    }
 }

@@ -21,7 +21,7 @@ use ipmedia_obs::clock::ManualClock;
 use ipmedia_obs::ladder::{render, LadderEvent};
 use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
 use ipmedia_obs::{Fanout, NoopObserver, Observer};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Timing parameters of the simulated deployment.
@@ -92,16 +92,17 @@ enum Ev {
 
 struct Scheduled {
     ev: Ev,
-    /// Causal trace context the event carries (tracing enabled only).
-    /// The queue orders by time and push order and never looks inside
-    /// what it holds, so enabling tracing cannot change the event
-    /// schedule — the zero-perturbation guarantee.
-    ctx: Option<SpanCtx>,
+    /// Causal trace context the event carries (tracing enabled only;
+    /// boxed, so an untraced event does not pay for its width). The queue
+    /// orders by time and push order and never looks inside what it
+    /// holds, so enabling tracing cannot change the event schedule — the
+    /// zero-perturbation guarantee.
+    ctx: Option<Box<SpanCtx>>,
 }
 
+/// A box as the network runs it; its name is only the key of `names`.
 struct Node {
     host: NodeHost,
-    name: String,
     /// The box processes stimuli serially; this is when it frees up.
     busy_until: SimTime,
     available: bool,
@@ -218,10 +219,6 @@ impl Network {
         }
     }
 
-    pub fn config(&self) -> SimConfig {
-        self.cfg
-    }
-
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -263,7 +260,11 @@ impl Network {
     /// column per box. Requires `trace_enabled` to have been set before
     /// the events of interest.
     pub fn ladder(&self) -> String {
-        let columns: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
+        // A box's name is only the key of `names`: invert the map.
+        let mut columns = vec![""; self.nodes.len()];
+        for (name, id) in &self.names {
+            columns[ix(*id)] = name;
+        }
         let events: Vec<LadderEvent> = self
             .trace
             .iter()
@@ -278,15 +279,13 @@ impl Network {
     /// Add a box running `logic` under a unique `name`. A `Start` input is
     /// scheduled at the current time.
     pub fn add_box(&mut self, name: impl Into<String>, logic: Box<dyn AppLogic>) -> BoxId {
-        let name = name.into();
         let id = BoxId(u32::try_from(self.nodes.len()).expect("box ids fit u32"));
-        assert!(
-            self.names.insert(name.clone(), id).is_none(),
-            "duplicate box name {name}"
-        );
+        match self.names.entry(name.into()) {
+            Entry::Occupied(e) => panic!("duplicate box name {}", e.key()),
+            Entry::Vacant(e) => e.insert(id),
+        };
         self.nodes.push(Node {
             host: NodeHost::new(id, logic),
-            name,
             busy_until: SimTime::ZERO,
             available: true,
             terminated: false,
@@ -432,10 +431,6 @@ impl Network {
         self.nodes[ix(id)].host.media()
     }
 
-    pub fn media_by_name(&self, name: &str) -> &MediaBox {
-        self.media(self.box_id(name).expect("known name"))
-    }
-
     /// Create a signaling channel between two existing boxes with `tunnels`
     /// tunnels, delivering `ChannelUp` to both at the current time. Slots
     /// at `a` are channel initiators. Returns (channel, slots at a,
@@ -522,6 +517,7 @@ impl Network {
     }
 
     fn push(&mut self, at: SimTime, ev: Ev, ctx: Option<SpanCtx>) {
+        let ctx = ctx.map(Box::new);
         self.events.push(at, Scheduled { ev, ctx });
     }
 
@@ -539,7 +535,7 @@ impl Network {
             t.clear_current();
         }
         match sch.ev {
-            Ev::Input { to, input, from } => self.deliver(to, input, from, sch.ctx),
+            Ev::Input { to, input, from } => self.deliver(to, input, from, sch.ctx.map(|c| *c)),
             Ev::Crash { to } => {
                 if let Some(node) = self.nodes.get_mut(ix(to)) {
                     node.down = true;
@@ -840,14 +836,6 @@ impl Network {
         self.clock.set(self.now.0);
     }
 
-    /// Names and ids of all boxes, in id order.
-    pub fn boxes(&self) -> Vec<(BoxId, String)> {
-        (0..)
-            .zip(&self.nodes)
-            .map(|(id, n)| (BoxId(id), n.name.clone()))
-            .collect()
-    }
-
     /// Count of pending events (for quiescence checks in tests).
     pub fn pending_events(&self) -> usize {
         self.events.len()
@@ -866,7 +854,7 @@ fn describe(host: &NodeHost, input: &Input) -> Option<String> {
             msg: ChannelMsg::Tunnel { tunnel: t, signal },
         } => {
             let slot = host.channel_slots(*channel)?.get(usize::from(t.0))?;
-            return tunnel(slot, signal);
+            return tunnel(&slot, signal);
         }
         Input::Inject(BoxInput::Tunnel { slot, signal }) => return tunnel(slot, signal),
         Input::Inject(other) => other.clone(),
@@ -886,4 +874,24 @@ fn describe(host: &NodeHost, input: &Input) -> Option<String> {
         _ => return None,
     };
     Some(format!("{shown:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// The event record sits by value in the queue's slab, thousands deep
+    /// in a storm; the trace context it carries only when tracing is on
+    /// stays out of its width. Growing it should be a decision:
+    /// `BUILT_BYTES` in `storm_allocs.rs` moves with it.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_event_record_stays_small() {
+        let record = size_of::<Scheduled>();
+        assert!(record <= 96, "{record}");
+        // The queue's slab slot: the record and the index of the next.
+        let slot = size_of::<(Option<Scheduled>, u32)>();
+        assert!(slot <= 104, "{slot}");
+    }
 }

@@ -16,7 +16,7 @@ use crate::wire::{self, Frame, Hello};
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::hash::fnv1a;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
-use ipmedia_core::ids::{ChannelId, SlotId};
+use ipmedia_core::ids::{ChannelId, SlotId, SlotRange};
 use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
 use ipmedia_core::slot::Slot;
@@ -866,7 +866,7 @@ impl Actor {
         };
         conn.recovering = true;
         self.obs.fault_injected(self.host.id().0, "disconnect");
-        let tunnels = self.host.channel_slots(channel).map_or(0, <[_]>::len) as u16;
+        let tunnels = self.host.channel_slots(channel).map_or(0, SlotRange::len);
         let dir = self.dir.clone();
         let name = self.name.clone();
         let policy = self.policy;
