@@ -7,7 +7,8 @@
 //! seed 0 of each cell runs twice and the outcomes must be identical
 //! (the determinism the virtual-time substrate promises). A smaller
 //! sweep (`--rt-seeds` per family) replays compressed schedules against
-//! a live two-node TCP deployment through the shared [`ChaosGate`].
+//! a live two-node TCP deployment through the shared
+//! [`ChaosGate`](ipmedia_rt::ChaosGate).
 //! Any post-heal invariant violation fails the campaign; the failing
 //! seed is printed together with the delta-debugged minimal schedule.
 //!
@@ -19,8 +20,8 @@
 //! committed to `BENCH_chaos.json`), the human-readable table on stderr.
 //! The records hold only what the seeds decide — counts, verdicts and
 //! virtual-time recovery latencies — so `scripts/check.sh` compares the
-//! file with the committed copy. How many frames an rt run saw cut or
-//! shed depends on wall-clock scheduling and goes to stderr only.
+//! file with the committed copy. How many frames an rt run saw cut
+//! depends on wall-clock scheduling and goes to stderr only.
 
 use ipmedia_bench::chaos::{
     chain_topology, minimize_failing_netsim, rt_topology, run_netsim_chaos, run_rt_chaos, ChaosRun,
@@ -234,10 +235,9 @@ fn main() {
                         Ok(run) => {
                             let ok = run.violations.is_empty();
                             eprintln!(
-                                "  rt {:>16} seed {s}: {} partition cut(s), {} shed(s)  {}",
+                                "  rt {:>16} seed {s}: {} partition cut(s)  {}",
                                 family.name(),
                                 run.partitions,
-                                run.sheds,
                                 if ok { "PASS" } else { "FAIL" }
                             );
                             if !ok {

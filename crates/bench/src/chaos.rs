@@ -210,8 +210,6 @@ pub struct RtChaosRun {
     pub violations: Vec<String>,
     /// Gate-cut frames the nodes observed (`partition` fault counter).
     pub partitions: u64,
-    /// Frames shed by bounded inboxes (`shed` fault counter).
-    pub sheds: u64,
 }
 
 type SharedLog = Arc<std::sync::Mutex<Vec<(u64, ObsEvent)>>>;
@@ -285,7 +283,6 @@ fn rt_policy() -> ReconnectPolicy {
         base_delay: Duration::from_millis(10),
         max_delay: Duration::from_millis(80),
         send_timeout: Duration::from_secs(2),
-        full_jitter: true,
     }
 }
 
@@ -426,7 +423,6 @@ pub async fn run_rt_chaos(
         findings: monitor.findings().len(),
         violations,
         partitions: m_l.faults("partition") + m_r.faults("partition"),
-        sheds: m_l.faults("shed") + m_r.faults("shed"),
     })
 }
 

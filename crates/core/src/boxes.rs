@@ -722,7 +722,7 @@ mod tests {
             &mut obs,
         );
 
-        let events: Vec<ObsEvent> = log.lock().unwrap().iter().map(|(_, e)| e.clone()).collect();
+        let events: Vec<ObsEvent> = log.lock().unwrap().iter().map(|&(_, e)| e).collect();
         assert!(events.contains(&ObsEvent::GoalActivated {
             bx: 1,
             slot: 0,
@@ -789,7 +789,7 @@ mod tests {
             &mut obs,
         );
 
-        let events: Vec<ObsEvent> = log.lock().unwrap().iter().map(|(_, e)| e.clone()).collect();
+        let events: Vec<ObsEvent> = log.lock().unwrap().iter().map(|&(_, e)| e).collect();
         assert!(events.contains(&ObsEvent::RaceResolved {
             bx: 2,
             slot: 0,

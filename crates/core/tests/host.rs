@@ -370,7 +370,7 @@ fn resync_reemits_the_cached_signals_of_each_live_slot() {
     let (out, outcome) = feed_obs(&mut a, resync, &mut obs);
     assert_eq!(out, expected);
     assert!(!outcome.activated, "a resync is not a stimulus");
-    let events: Vec<ObsEvent> = log.lock().unwrap().iter().map(|(_, e)| e.clone()).collect();
+    let events: Vec<ObsEvent> = log.lock().unwrap().iter().map(|&(_, e)| e).collect();
     let retransmitted = |kind| ObsEvent::Retransmission {
         bx: 1,
         slot: 1,

@@ -454,7 +454,7 @@ fn far_end_channel_down_is_observed() {
 
     let at_relay: Vec<ObsEvent> = log.lock().unwrap()[before..]
         .iter()
-        .map(|(_, e)| e.clone())
+        .map(|&(_, e)| e)
         .filter(|e| e.bx() == relay.0)
         .filter(|e| {
             matches!(

@@ -3,7 +3,7 @@
 //! The unified observability layer of the workspace: one sans-IO
 //! [`Observer`] trait through which every execution substrate — the
 //! discrete-event simulator, the tokio runtime, the model checker, and
-//! bare [`ipmedia-core`] state machines — reports protocol activity, plus
+//! bare `ipmedia-core` state machines — reports protocol activity, plus
 //! the machinery that consumes those reports:
 //!
 //! - [`metrics::Registry`]: lock-free counters and fixed-bucket latency
@@ -15,8 +15,9 @@
 //!
 //! This crate sits *below* `ipmedia-core` in the dependency graph, so all
 //! callbacks use plain data (`u32` box ids, `u16` slot ids, `&'static str`
-//! protocol names) rather than core types. [`NoopObserver`] implements
-//! every hook as an empty default method; threaded through core's generic
+//! protocol names) rather than core types. What can be observed is the
+//! one enum [`ObsEvent`]; [`NoopObserver`] drops every event in the empty
+//! default [`Observer::observe`], so threaded through core's generic
 //! `_obs` entry points it monomorphizes away completely.
 
 pub mod clock;
@@ -46,8 +47,11 @@ use std::sync::{Arc, Mutex};
 
 /// Sink for protocol-level observations.
 ///
-/// Every hook has an empty default body, so implementations override only
-/// what they consume and [`NoopObserver`] costs nothing once inlined.
+/// What can be observed is declared once, as the variants of [`ObsEvent`];
+/// an implementation consumes them in [`Observer::observe`], whose default
+/// drops them, so [`NoopObserver`] costs nothing once inlined. The named
+/// hooks (`stimulus`, `signal_sent`, …) are the emitters: each builds its
+/// variant and hands it to `observe`, and no implementation overrides them.
 ///
 /// Emission responsibilities are split to avoid double counting:
 /// `signal_received`, `slot_transition`, `goal_activated`, `goal_dropped`,
@@ -58,24 +62,27 @@ use std::sync::{Arc, Mutex};
 /// *every* send path, including goal re-annotations injected by test
 /// harnesses.
 pub trait Observer {
-    /// A box began processing one stimulus; `kind` names the input class
-    /// (`"tunnel"`, `"timer"`, `"meta"`, …).
+    /// Consume one observation.
+    fn observe(&mut self, ev: ObsEvent) {
+        let _ = ev;
+    }
+
+    /// Emit [`ObsEvent::Stimulus`].
     fn stimulus(&mut self, bx: u32, kind: &'static str) {
-        let _ = (bx, kind);
+        self.observe(ObsEvent::Stimulus { bx, kind });
     }
 
-    /// A protocol signal left `bx` into the tunnel of `slot`.
+    /// Emit [`ObsEvent::SignalSent`].
     fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        let _ = (bx, slot, kind);
+        self.observe(ObsEvent::SignalSent { bx, slot, kind });
     }
 
-    /// A protocol signal arrived at `bx` from the tunnel of `slot`.
+    /// Emit [`ObsEvent::SignalReceived`].
     fn signal_received(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        let _ = (bx, slot, kind);
+        self.observe(ObsEvent::SignalReceived { bx, slot, kind });
     }
 
-    /// A slot's protocol FSM moved `from` → `to` because of `cause` (a
-    /// signal kind, `"goal"`, or `"user"`).
+    /// Emit [`ObsEvent::SlotTransition`].
     fn slot_transition(
         &mut self,
         bx: u32,
@@ -84,153 +91,72 @@ pub trait Observer {
         to: &'static str,
         cause: &'static str,
     ) {
-        let _ = (bx, slot, from, to, cause);
+        let ev = ObsEvent::SlotTransition {
+            bx,
+            slot,
+            from,
+            to,
+            cause,
+        };
+        self.observe(ev);
     }
 
-    /// A goal object of the given kind took control of `slot`.
+    /// Emit [`ObsEvent::GoalActivated`].
     fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        let _ = (bx, slot, kind);
+        self.observe(ObsEvent::GoalActivated { bx, slot, kind });
     }
 
-    /// The goal controlling `slot` was destroyed (re-annotation or slot
-    /// teardown).
+    /// Emit [`ObsEvent::GoalDropped`].
     fn goal_dropped(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        let _ = (bx, slot, kind);
+        self.observe(ObsEvent::GoalDropped { bx, slot, kind });
     }
 
-    /// An open/open race was resolved at `bx`; `won` is true iff this end
-    /// kept its own open in flight (§VI-B: the channel initiator wins).
+    /// Emit [`ObsEvent::RaceResolved`].
     fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {
-        let _ = (bx, slot, won);
+        self.observe(ObsEvent::RaceResolved { bx, slot, won });
     }
 
-    /// A stale or duplicate signal was tolerated and dropped by the
-    /// idempotent protocol.
+    /// Emit [`ObsEvent::SignalIgnored`].
     fn signal_ignored(&mut self, bx: u32, slot: u16, reason: &'static str) {
-        let _ = (bx, slot, reason);
+        self.observe(ObsEvent::SignalIgnored { bx, slot, reason });
     }
 
-    /// A channel-level meta-signal was processed at `bx`.
+    /// Emit [`ObsEvent::MetaSignal`].
     fn meta_signal(&mut self, bx: u32, channel: u32, kind: &'static str) {
-        let _ = (bx, channel, kind);
+        self.observe(ObsEvent::MetaSignal { bx, channel, kind });
     }
 
-    /// The environment injected a network fault affecting `bx` (`kind` is
-    /// one of [`metrics::FAULT_KINDS`]: `"drop"`, `"duplicate"`,
-    /// `"reorder"`, `"partition"`, `"shed"`, `"crash"`, `"restart"`).
+    /// Emit [`ObsEvent::FaultInjected`].
     fn fault_injected(&mut self, bx: u32, kind: &'static str) {
-        let _ = (bx, kind);
+        self.observe(ObsEvent::FaultInjected { bx, kind });
     }
 
-    /// The reliability layer re-emitted signals for `slot` at `bx`; `kind`
-    /// names the retransmitted await (`"open"`, `"close"`, `"refresh"`,
-    /// `"reack"`).
+    /// Emit [`ObsEvent::Retransmission`].
     fn retransmission(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        let _ = (bx, slot, kind);
+        self.observe(ObsEvent::Retransmission { bx, slot, kind });
     }
 
-    /// A pending await at `bx`/`slot` resolved after `attempts`
-    /// retransmissions, `elapsed_ms` after it first appeared.
+    /// Emit [`ObsEvent::Recovered`].
     fn recovered(&mut self, bx: u32, slot: u16, attempts: u32, elapsed_ms: u64) {
-        let _ = (bx, slot, attempts, elapsed_ms);
+        let ev = ObsEvent::Recovered {
+            bx,
+            slot,
+            attempts,
+            elapsed_ms,
+        };
+        self.observe(ev);
     }
 }
 
-/// The zero-cost observer: every hook is the empty default.
+/// The zero-cost observer: drops every observation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
 impl Observer for NoopObserver {}
 
 impl<T: Observer + ?Sized> Observer for Box<T> {
-    fn stimulus(&mut self, bx: u32, kind: &'static str) {
-        (**self).stimulus(bx, kind)
-    }
-    fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).signal_sent(bx, slot, kind)
-    }
-    fn signal_received(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).signal_received(bx, slot, kind)
-    }
-    fn slot_transition(
-        &mut self,
-        bx: u32,
-        slot: u16,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        (**self).slot_transition(bx, slot, from, to, cause)
-    }
-    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).goal_activated(bx, slot, kind)
-    }
-    fn goal_dropped(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).goal_dropped(bx, slot, kind)
-    }
-    fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {
-        (**self).race_resolved(bx, slot, won)
-    }
-    fn signal_ignored(&mut self, bx: u32, slot: u16, reason: &'static str) {
-        (**self).signal_ignored(bx, slot, reason)
-    }
-    fn meta_signal(&mut self, bx: u32, channel: u32, kind: &'static str) {
-        (**self).meta_signal(bx, channel, kind)
-    }
-    fn fault_injected(&mut self, bx: u32, kind: &'static str) {
-        (**self).fault_injected(bx, kind)
-    }
-    fn retransmission(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).retransmission(bx, slot, kind)
-    }
-    fn recovered(&mut self, bx: u32, slot: u16, attempts: u32, elapsed_ms: u64) {
-        (**self).recovered(bx, slot, attempts, elapsed_ms)
-    }
-}
-
-impl<T: Observer + ?Sized> Observer for &mut T {
-    fn stimulus(&mut self, bx: u32, kind: &'static str) {
-        (**self).stimulus(bx, kind)
-    }
-    fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).signal_sent(bx, slot, kind)
-    }
-    fn signal_received(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).signal_received(bx, slot, kind)
-    }
-    fn slot_transition(
-        &mut self,
-        bx: u32,
-        slot: u16,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        (**self).slot_transition(bx, slot, from, to, cause)
-    }
-    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).goal_activated(bx, slot, kind)
-    }
-    fn goal_dropped(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).goal_dropped(bx, slot, kind)
-    }
-    fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {
-        (**self).race_resolved(bx, slot, won)
-    }
-    fn signal_ignored(&mut self, bx: u32, slot: u16, reason: &'static str) {
-        (**self).signal_ignored(bx, slot, reason)
-    }
-    fn meta_signal(&mut self, bx: u32, channel: u32, kind: &'static str) {
-        (**self).meta_signal(bx, channel, kind)
-    }
-    fn fault_injected(&mut self, bx: u32, kind: &'static str) {
-        (**self).fault_injected(bx, kind)
-    }
-    fn retransmission(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        (**self).retransmission(bx, slot, kind)
-    }
-    fn recovered(&mut self, bx: u32, slot: u16, attempts: u32, elapsed_ms: u64) {
-        (**self).recovered(bx, slot, attempts, elapsed_ms)
+    fn observe(&mut self, ev: ObsEvent) {
+        (**self).observe(ev);
     }
 }
 
@@ -239,81 +165,34 @@ impl<T: Observer + ?Sized> Observer for &mut T {
 pub struct Fanout<A, B>(pub A, pub B);
 
 impl<A: Observer, B: Observer> Observer for Fanout<A, B> {
-    fn stimulus(&mut self, bx: u32, kind: &'static str) {
-        self.0.stimulus(bx, kind);
-        self.1.stimulus(bx, kind);
-    }
-    fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.0.signal_sent(bx, slot, kind);
-        self.1.signal_sent(bx, slot, kind);
-    }
-    fn signal_received(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.0.signal_received(bx, slot, kind);
-        self.1.signal_received(bx, slot, kind);
-    }
-    fn slot_transition(
-        &mut self,
-        bx: u32,
-        slot: u16,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        self.0.slot_transition(bx, slot, from, to, cause);
-        self.1.slot_transition(bx, slot, from, to, cause);
-    }
-    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.0.goal_activated(bx, slot, kind);
-        self.1.goal_activated(bx, slot, kind);
-    }
-    fn goal_dropped(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.0.goal_dropped(bx, slot, kind);
-        self.1.goal_dropped(bx, slot, kind);
-    }
-    fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {
-        self.0.race_resolved(bx, slot, won);
-        self.1.race_resolved(bx, slot, won);
-    }
-    fn signal_ignored(&mut self, bx: u32, slot: u16, reason: &'static str) {
-        self.0.signal_ignored(bx, slot, reason);
-        self.1.signal_ignored(bx, slot, reason);
-    }
-    fn meta_signal(&mut self, bx: u32, channel: u32, kind: &'static str) {
-        self.0.meta_signal(bx, channel, kind);
-        self.1.meta_signal(bx, channel, kind);
-    }
-    fn fault_injected(&mut self, bx: u32, kind: &'static str) {
-        self.0.fault_injected(bx, kind);
-        self.1.fault_injected(bx, kind);
-    }
-    fn retransmission(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.0.retransmission(bx, slot, kind);
-        self.1.retransmission(bx, slot, kind);
-    }
-    fn recovered(&mut self, bx: u32, slot: u16, attempts: u32, elapsed_ms: u64) {
-        self.0.recovered(bx, slot, attempts, elapsed_ms);
-        self.1.recovered(bx, slot, attempts, elapsed_ms);
+    fn observe(&mut self, ev: ObsEvent) {
+        self.0.observe(ev);
+        self.1.observe(ev);
     }
 }
 
-/// One recorded observation (plain data, timestamp attached by the
-/// recorder's clock).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One observation: the set of these variants is everything an
+/// [`Observer`] can be told. Plain data; a recorder attaches the
+/// timestamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
-    Stimulus {
-        bx: u32,
-        kind: &'static str,
-    },
+    /// A box began processing one stimulus; `kind` names the input class
+    /// (`"tunnel"`, `"timer"`, `"meta"`, …).
+    Stimulus { bx: u32, kind: &'static str },
+    /// A protocol signal left `bx` into the tunnel of `slot`.
     SignalSent {
         bx: u32,
         slot: u16,
         kind: &'static str,
     },
+    /// A protocol signal arrived at `bx` from the tunnel of `slot`.
     SignalReceived {
         bx: u32,
         slot: u16,
         kind: &'static str,
     },
+    /// A slot's protocol FSM moved `from` → `to` because of `cause` (a
+    /// signal kind, `"goal"`, or `"user"`).
     SlotTransition {
         bx: u32,
         slot: u16,
@@ -321,40 +200,50 @@ pub enum ObsEvent {
         to: &'static str,
         cause: &'static str,
     },
+    /// A goal object of the given kind took control of `slot`.
     GoalActivated {
         bx: u32,
         slot: u16,
         kind: &'static str,
     },
+    /// The goal controlling `slot` was destroyed (re-annotation or slot
+    /// teardown).
     GoalDropped {
         bx: u32,
         slot: u16,
         kind: &'static str,
     },
-    RaceResolved {
-        bx: u32,
-        slot: u16,
-        won: bool,
-    },
+    /// An open/open race was resolved at `bx`; `won` is true iff this end
+    /// kept its own open in flight (§VI-B: the channel initiator wins).
+    RaceResolved { bx: u32, slot: u16, won: bool },
+    /// A stale or duplicate signal was tolerated and dropped by the
+    /// idempotent protocol.
     SignalIgnored {
         bx: u32,
         slot: u16,
         reason: &'static str,
     },
+    /// A channel-level meta-signal was processed at `bx`.
     MetaSignal {
         bx: u32,
         channel: u32,
         kind: &'static str,
     },
-    FaultInjected {
-        bx: u32,
-        kind: &'static str,
-    },
+    /// The environment injected a network fault affecting `bx`. `kind` is
+    /// `"drop"`, `"duplicate"`, `"reorder"`, `"partition"`, `"crash"` or
+    /// `"restart"` from [`metrics::FAULT_KINDS`], or a name counted in its
+    /// `"other"` bucket (`rt`'s `"disconnect"` and `"reconnect"`).
+    FaultInjected { bx: u32, kind: &'static str },
+    /// The reliability layer re-emitted signals for `slot` at `bx`; `kind`
+    /// names the retransmitted await (`"open"`, `"close"`, `"refresh"`,
+    /// `"reack"`).
     Retransmission {
         bx: u32,
         slot: u16,
         kind: &'static str,
     },
+    /// A pending await at `bx`/`slot` resolved after `attempts`
+    /// retransmissions, `elapsed_ms` after it first appeared.
     Recovered {
         bx: u32,
         slot: u16,
@@ -404,67 +293,12 @@ impl RecordingObserver {
     pub fn log(&self) -> Arc<Mutex<Vec<(u64, ObsEvent)>>> {
         self.events.clone()
     }
-
-    fn push(&mut self, ev: ObsEvent) {
-        let at = self.clock.now_micros();
-        self.events.lock().unwrap().push((at, ev));
-    }
 }
 
 impl Observer for RecordingObserver {
-    fn stimulus(&mut self, bx: u32, kind: &'static str) {
-        self.push(ObsEvent::Stimulus { bx, kind });
-    }
-    fn signal_sent(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.push(ObsEvent::SignalSent { bx, slot, kind });
-    }
-    fn signal_received(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.push(ObsEvent::SignalReceived { bx, slot, kind });
-    }
-    fn slot_transition(
-        &mut self,
-        bx: u32,
-        slot: u16,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        self.push(ObsEvent::SlotTransition {
-            bx,
-            slot,
-            from,
-            to,
-            cause,
-        });
-    }
-    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.push(ObsEvent::GoalActivated { bx, slot, kind });
-    }
-    fn goal_dropped(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.push(ObsEvent::GoalDropped { bx, slot, kind });
-    }
-    fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {
-        self.push(ObsEvent::RaceResolved { bx, slot, won });
-    }
-    fn signal_ignored(&mut self, bx: u32, slot: u16, reason: &'static str) {
-        self.push(ObsEvent::SignalIgnored { bx, slot, reason });
-    }
-    fn meta_signal(&mut self, bx: u32, channel: u32, kind: &'static str) {
-        self.push(ObsEvent::MetaSignal { bx, channel, kind });
-    }
-    fn fault_injected(&mut self, bx: u32, kind: &'static str) {
-        self.push(ObsEvent::FaultInjected { bx, kind });
-    }
-    fn retransmission(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.push(ObsEvent::Retransmission { bx, slot, kind });
-    }
-    fn recovered(&mut self, bx: u32, slot: u16, attempts: u32, elapsed_ms: u64) {
-        self.push(ObsEvent::Recovered {
-            bx,
-            slot,
-            attempts,
-            elapsed_ms,
-        });
+    fn observe(&mut self, ev: ObsEvent) {
+        let at = self.clock.now_micros();
+        self.events.lock().unwrap().push((at, ev));
     }
 }
 
@@ -513,6 +347,11 @@ mod tests {
                 ),
             ]
         );
+    }
+
+    #[test]
+    fn an_observation_stays_small() {
+        assert!(std::mem::size_of::<ObsEvent>() <= 56);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cross-cell ordering is needed, and a snapshot taken mid-burst is
 //! allowed to be a few events stale.
 
-use crate::Observer;
+use crate::{ObsEvent, Observer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -348,45 +348,26 @@ impl CountingObserver {
 }
 
 impl Observer for CountingObserver {
-    fn stimulus(&mut self, _bx: u32, _kind: &'static str) {
-        self.registry.stimuli.fetch_add(1, Ordering::Relaxed);
-    }
-    fn signal_sent(&mut self, _bx: u32, _slot: u16, kind: &'static str) {
-        self.registry.signals_sent[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
-    }
-    fn signal_received(&mut self, _bx: u32, _slot: u16, kind: &'static str) {
-        self.registry.signals_received[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
-    }
-    fn goal_activated(&mut self, _bx: u32, _slot: u16, _kind: &'static str) {
-        self.registry
-            .goal_activations
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    fn goal_dropped(&mut self, _bx: u32, _slot: u16, _kind: &'static str) {
-        self.registry.goal_drops.fetch_add(1, Ordering::Relaxed);
-    }
-    fn race_resolved(&mut self, _bx: u32, _slot: u16, _won: bool) {
-        self.registry.races_resolved.fetch_add(1, Ordering::Relaxed);
-    }
-    fn signal_ignored(&mut self, _bx: u32, _slot: u16, _reason: &'static str) {
-        self.registry
-            .signals_ignored
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    fn meta_signal(&mut self, _bx: u32, _channel: u32, _kind: &'static str) {
-        self.registry.meta_signals.fetch_add(1, Ordering::Relaxed);
-    }
-    fn fault_injected(&mut self, _bx: u32, kind: &'static str) {
-        self.registry.faults_injected[fault_index(kind)].fetch_add(1, Ordering::Relaxed);
-    }
-    fn retransmission(&mut self, _bx: u32, _slot: u16, _kind: &'static str) {
-        self.registry
-            .retransmissions
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    fn recovered(&mut self, _bx: u32, _slot: u16, _attempts: u32, elapsed_ms: u64) {
-        self.registry.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.registry.recovery_latency_ms.observe(elapsed_ms);
+    fn observe(&mut self, ev: ObsEvent) {
+        let r = &*self.registry;
+        let counter = match ev {
+            ObsEvent::Stimulus { .. } => &r.stimuli,
+            ObsEvent::SignalSent { kind, .. } => &r.signals_sent[kind_index(kind)],
+            ObsEvent::SignalReceived { kind, .. } => &r.signals_received[kind_index(kind)],
+            ObsEvent::SlotTransition { .. } => return,
+            ObsEvent::GoalActivated { .. } => &r.goal_activations,
+            ObsEvent::GoalDropped { .. } => &r.goal_drops,
+            ObsEvent::RaceResolved { .. } => &r.races_resolved,
+            ObsEvent::SignalIgnored { .. } => &r.signals_ignored,
+            ObsEvent::MetaSignal { .. } => &r.meta_signals,
+            ObsEvent::FaultInjected { kind, .. } => &r.faults_injected[fault_index(kind)],
+            ObsEvent::Retransmission { .. } => &r.retransmissions,
+            ObsEvent::Recovered { elapsed_ms, .. } => {
+                r.recovery_latency_ms.observe(elapsed_ms);
+                &r.recoveries
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

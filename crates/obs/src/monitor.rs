@@ -292,7 +292,7 @@ impl Monitor {
     /// Ingest one event from the live stream.
     pub fn ingest(&mut self, at: u64, ev: &ObsEvent) {
         self.events_seen += 1;
-        self.ring.push_back((at, ev.clone()));
+        self.ring.push_back((at, *ev));
         if self.ring.len() > RING_CAP {
             self.ring.pop_front();
         }

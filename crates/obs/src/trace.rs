@@ -25,7 +25,7 @@
 
 use crate::clock::Clock;
 use crate::export::{json_array, JsonObj};
-use crate::Observer;
+use crate::{ObsEvent, Observer};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -297,63 +297,54 @@ pub struct TracingObserver {
 }
 
 impl Observer for TracingObserver {
-    fn slot_transition(
-        &mut self,
-        bx: u32,
-        slot: u16,
-        from: &'static str,
-        to: &'static str,
-        cause: &'static str,
-    ) {
-        self.tracer.instant(
-            bx,
-            "slot_transition",
-            format!("s{slot}:{from}->{to} ({cause})"),
-        );
-    }
-
-    fn race_resolved(&mut self, bx: u32, slot: u16, won: bool) {
-        let outcome = if won { "won" } else { "backed off" };
-        self.tracer
-            .instant(bx, "race", format!("s{slot}: open/open race {outcome}"));
-    }
-
-    fn signal_ignored(&mut self, bx: u32, slot: u16, reason: &'static str) {
-        self.tracer
-            .instant(bx, "ignored", format!("s{slot}: {reason}"));
-    }
-
-    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.tracer.instant(bx, "goal", format!("s{slot}: +{kind}"));
-    }
-
-    fn goal_dropped(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.tracer.instant(bx, "goal", format!("s{slot}: -{kind}"));
-    }
-
-    fn fault_injected(&mut self, bx: u32, kind: &'static str) {
-        self.tracer.instant(bx, "fault", kind);
-    }
-
-    fn retransmission(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.tracer
-            .instant(bx, "retransmission", format!("s{slot}: resend {kind}"));
-    }
-
-    fn recovered(&mut self, bx: u32, slot: u16, attempts: u32, elapsed_ms: u64) {
-        if let Some((trace, parent)) = self.tracer.current() {
-            let end = self.tracer.now_micros();
-            let start = end.saturating_sub(elapsed_ms.saturating_mul(1_000));
-            self.tracer.span(
-                trace,
-                Some(parent),
+    fn observe(&mut self, ev: ObsEvent) {
+        let t = &self.tracer;
+        match ev {
+            ObsEvent::SlotTransition {
                 bx,
-                None,
-                "recovery",
-                format!("s{slot}: recovered after {attempts} resends"),
-                start,
-                end,
-            );
+                slot,
+                from,
+                to,
+                cause,
+            } => t.instant(
+                bx,
+                "slot_transition",
+                format!("s{slot}:{from}->{to} ({cause})"),
+            ),
+            ObsEvent::RaceResolved { bx, slot, won } => {
+                let outcome = if won { "won" } else { "backed off" };
+                t.instant(bx, "race", format!("s{slot}: open/open race {outcome}"));
+            }
+            ObsEvent::SignalIgnored { bx, slot, reason } => {
+                t.instant(bx, "ignored", format!("s{slot}: {reason}"));
+            }
+            ObsEvent::GoalActivated { bx, slot, kind } => {
+                t.instant(bx, "goal", format!("s{slot}: +{kind}"));
+            }
+            ObsEvent::GoalDropped { bx, slot, kind } => {
+                t.instant(bx, "goal", format!("s{slot}: -{kind}"));
+            }
+            ObsEvent::FaultInjected { bx, kind } => t.instant(bx, "fault", kind),
+            ObsEvent::Retransmission { bx, slot, kind } => {
+                t.instant(bx, "retransmission", format!("s{slot}: resend {kind}"));
+            }
+            ObsEvent::Recovered {
+                bx,
+                slot,
+                attempts,
+                elapsed_ms,
+            } => {
+                if let Some((trace, parent)) = t.current() {
+                    let end = t.now_micros();
+                    let start = end.saturating_sub(elapsed_ms.saturating_mul(1_000));
+                    let label = format!("s{slot}: recovered after {attempts} resends");
+                    t.span(trace, Some(parent), bx, None, "recovery", label, start, end);
+                }
+            }
+            ObsEvent::Stimulus { .. }
+            | ObsEvent::SignalSent { .. }
+            | ObsEvent::SignalReceived { .. }
+            | ObsEvent::MetaSignal { .. } => {}
         }
     }
 }
@@ -514,6 +505,47 @@ mod tests {
         assert_eq!(spans[1].kind, "recovery");
         assert_eq!(spans[1].start_micros, 0);
         assert_eq!(spans[1].end_micros, 450_000);
+    }
+
+    #[test]
+    fn observer_span_labels_are_pinned() {
+        let (t, sink, _) = tracer();
+        let trace = t.new_trace();
+        let root = t.span(trace, None, 0, None, "stimulus", "root", 0, 0);
+        t.set_current(trace, root);
+        let mut obs = t.observer();
+        // The four observations the tracer does not turn into spans.
+        obs.stimulus(1, "tunnel");
+        obs.signal_sent(1, 3, "open");
+        obs.signal_received(1, 3, "open");
+        obs.meta_signal(1, 2, "peer");
+        // One of each that it does.
+        obs.slot_transition(1, 3, "closed", "opening", "user");
+        obs.race_resolved(1, 3, false);
+        obs.race_resolved(1, 3, true);
+        obs.signal_ignored(1, 3, "stale oack");
+        obs.goal_activated(1, 3, "userAgent");
+        obs.goal_dropped(1, 3, "userAgent");
+        obs.fault_injected(1, "drop");
+        obs.retransmission(1, 3, "open");
+        obs.recovered(1, 3, 2, 0);
+        let spans: Vec<(&str, String)> = sink.snapshot()[1..]
+            .iter()
+            .map(|s| (s.kind, s.label.clone()))
+            .collect();
+        let expect = [
+            ("slot_transition", "s3:closed->opening (user)"),
+            ("race", "s3: open/open race backed off"),
+            ("race", "s3: open/open race won"),
+            ("ignored", "s3: stale oack"),
+            ("goal", "s3: +userAgent"),
+            ("goal", "s3: -userAgent"),
+            ("fault", "drop"),
+            ("retransmission", "s3: resend open"),
+            ("recovery", "s3: recovered after 2 resends"),
+        ];
+        let expect: Vec<(&str, String)> = expect.iter().map(|&(k, l)| (k, l.to_string())).collect();
+        assert_eq!(spans, expect);
     }
 
     #[test]

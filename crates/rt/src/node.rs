@@ -3,7 +3,8 @@
 //!
 //! Each box is one asynchronous actor: an accept loop admits incoming
 //! signaling channels, per-connection reader tasks feed a single inbox,
-//! and the actor serially applies inputs to its [`ProgramBox`] — the same
+//! and the actor serially applies inputs to its
+//! [`ProgramBox`](ipmedia_core::program::ProgramBox) — the same
 //! sans-IO state machines the simulator and the model checker drive. All
 //! I/O is non-blocking; per-connection writer tasks apply backpressure via
 //! bounded channels — an actor whose writer queue is full waits for room,
@@ -25,7 +26,7 @@ use ipmedia_obs::clock::Clock;
 use ipmedia_obs::export::prometheus_text;
 use ipmedia_obs::metrics::{CountingObserver, MetricsSnapshot, Registry};
 use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
-use ipmedia_obs::{Fanout, NoopObserver, Observer};
+use ipmedia_obs::{Fanout, NoopObserver, ObsEvent, Observer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -54,12 +55,6 @@ pub struct ReconnectPolicy {
     /// Bound on any single connect or frame write before the connection
     /// is declared dead.
     pub send_timeout: Duration,
-    /// Full jitter on retry delays: each attempt sleeps a uniform random
-    /// duration in `[0, min(base · 2^i, max)]` instead of the cap itself,
-    /// so the simultaneous reconnects that follow a partition heal spread
-    /// out rather than stampede the peer in lockstep. The jitter stream
-    /// is seeded per (node, channel) and thus deterministic in tests.
-    pub full_jitter: bool,
 }
 
 impl Default for ReconnectPolicy {
@@ -70,17 +65,17 @@ impl Default for ReconnectPolicy {
             base_delay: Duration::from_millis(50),
             max_delay: Duration::from_secs(2),
             send_timeout: Duration::from_secs(5),
-            full_jitter: true,
         }
     }
 }
 
 /// The retry delay sequence a policy yields for `attempts` attempts,
-/// seeded for reproducibility. Without jitter this is the classic capped
-/// doubling (`base, 2·base, … , max`); with [`ReconnectPolicy::full_jitter`]
-/// each delay is drawn uniformly from `[0, cap_i]` (AWS-style full
-/// jitter), which keeps the expected spacing half the cap while
-/// decorrelating concurrent reconnectors.
+/// seeded for reproducibility. Attempt `i` sleeps a uniform random
+/// duration in `[0, min(base · 2^i, max)]` (AWS-style full jitter): the
+/// expected spacing is half the capped doubling, and the simultaneous
+/// reconnects that follow a partition heal spread out rather than
+/// stampede the peer in lockstep. The jitter stream is seeded per (node,
+/// channel) and thus deterministic in tests.
 pub fn backoff_delays(policy: &ReconnectPolicy, seed: u64, attempts: u32) -> Vec<Duration> {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -91,15 +86,11 @@ pub fn backoff_delays(policy: &ReconnectPolicy, seed: u64, attempts: u32) -> Vec
                 .base_delay
                 .saturating_mul(2u32.saturating_pow(i))
                 .min(policy.max_delay);
-            if policy.full_jitter {
-                let cap_us = cap.as_micros() as u64;
-                if cap_us == 0 {
-                    Duration::ZERO
-                } else {
-                    Duration::from_micros(rng.random_range(0..=cap_us))
-                }
+            let cap_us = cap.as_micros() as u64;
+            if cap_us == 0 {
+                Duration::ZERO
             } else {
-                cap
+                Duration::from_micros(rng.random_range(0..=cap_us))
             }
         })
         .collect()
@@ -542,21 +533,23 @@ struct SlotLog {
 }
 
 impl Observer for SlotLog {
-    fn signal_sent(&mut self, _bx: u32, slot: u16, _kind: &'static str) {
-        self.touched.push(SlotId(slot));
-    }
-    fn signal_received(&mut self, _bx: u32, slot: u16, _kind: &'static str) {
-        self.touched.push(SlotId(slot));
-    }
-    fn slot_transition(&mut self, _bx: u32, slot: u16, from: &str, to: &str, _cause: &str) {
-        if to == SlotState::Opening.name() {
-            self.opening.insert(SlotId(slot), std::time::Instant::now());
-        } else if from == SlotState::Opening.name() {
-            let since = self.opening.remove(&SlotId(slot));
-            if let Some(since) = since.filter(|_| to == SlotState::Flowing.name()) {
-                let us = since.elapsed().as_micros() as u64;
-                self.registry.call_setup_us.observe(us);
+    fn observe(&mut self, ev: ObsEvent) {
+        match ev {
+            ObsEvent::SignalSent { slot, .. } | ObsEvent::SignalReceived { slot, .. } => {
+                self.touched.push(SlotId(slot));
             }
+            ObsEvent::SlotTransition { slot, from, to, .. } => {
+                if to == SlotState::Opening.name() {
+                    self.opening.insert(SlotId(slot), std::time::Instant::now());
+                } else if from == SlotState::Opening.name() {
+                    let since = self.opening.remove(&SlotId(slot));
+                    if let Some(since) = since.filter(|_| to == SlotState::Flowing.name()) {
+                        let us = since.elapsed().as_micros() as u64;
+                        self.registry.call_setup_us.observe(us);
+                    }
+                }
+            }
+            _ => {}
         }
     }
 }

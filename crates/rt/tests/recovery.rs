@@ -58,7 +58,6 @@ fn fast_policy(reconnect_attempts: u32) -> ReconnectPolicy {
         base_delay: Duration::from_millis(20),
         max_delay: Duration::from_millis(100),
         send_timeout: Duration::from_secs(2),
-        full_jitter: true,
     }
 }
 
@@ -103,25 +102,6 @@ fn backoff_full_jitter_is_bounded_and_seeded_deterministic() {
     // Distinct channels of one node decorrelate too.
     let other_ch = backoff_delays(&policy, jitter_seed("caller", 1), 8);
     assert_ne!(a, other_ch, "distinct channels draw distinct jitter");
-}
-
-/// Without jitter the sequence is the classic capped doubling — the
-/// envelope the jittered delays are bounded by.
-#[test]
-fn backoff_without_jitter_is_capped_doubling() {
-    let mut policy = fast_policy(5);
-    policy.full_jitter = false;
-    let d = backoff_delays(&policy, 0, 5);
-    assert_eq!(
-        d,
-        vec![
-            Duration::from_millis(20),
-            Duration::from_millis(40),
-            Duration::from_millis(80),
-            Duration::from_millis(100),
-            Duration::from_millis(100),
-        ]
-    );
 }
 
 #[tokio::test]

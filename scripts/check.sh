@@ -49,6 +49,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings" >&2
 cargo clippy "${CARGO_ARGS[@]}" --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (broken intra-doc links are errors)" >&2
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc "${CARGO_ARGS[@]}" --workspace --no-deps
+
 echo "== cargo test" >&2
 cargo test "${CARGO_ARGS[@]}" --workspace -q
 
