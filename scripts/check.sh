@@ -85,6 +85,12 @@ echo "== publish cost (bytes per round trip at 8 and at 512 slots, optimized bui
 timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
   ipmedia-rt test:publish_cost >/dev/null
 
+echo "== executor handoffs (the tokio stand-in's lost-wake tests, optimized build)" >&2
+# A push that reaches no worker, or readiness that no worker polls, makes
+# `shims/tokio/tests/executor.rs` hang rather than fail: under a 60 s
+# budget (the tests take about 2 s) that hang is a failure, not a stuck CI.
+timed_gate "executor handoffs" 60 "failed" tokio test:executor >/dev/null
+
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output: any finding fails the gate.

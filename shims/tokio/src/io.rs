@@ -4,6 +4,7 @@
 //! type in this shim is `Unpin`, which keeps the extension futures plain
 //! structs and lets `select!` poll them with `Pin::new`.
 
+use crate::lock;
 use std::io;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
@@ -167,7 +168,7 @@ pub fn duplex(max_buf_size: usize) -> (DuplexStream, DuplexStream) {
 
 impl AsyncRead for DuplexStream {
     fn poll_read(&mut self, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-        let mut p = self.read.lock().unwrap();
+        let mut p = lock(&self.read);
         if !p.buf.is_empty() {
             let n = buf.len().min(p.buf.len());
             for b in buf.iter_mut().take(n) {
@@ -188,7 +189,7 @@ impl AsyncRead for DuplexStream {
 
 impl AsyncWrite for DuplexStream {
     fn poll_write(&mut self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        let mut p = self.write.lock().unwrap();
+        let mut p = lock(&self.write);
         if p.read_closed {
             return Poll::Ready(Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -215,13 +216,13 @@ impl AsyncWrite for DuplexStream {
 
 impl Drop for DuplexStream {
     fn drop(&mut self) {
-        let mut w = self.write.lock().unwrap();
+        let mut w = lock(&self.write);
         w.write_closed = true;
         if let Some(wk) = w.read_waker.take() {
             wk.wake();
         }
         drop(w);
-        let mut r = self.read.lock().unwrap();
+        let mut r = lock(&self.read);
         r.read_closed = true;
         if let Some(wk) = r.write_waker.take() {
             wk.wake();

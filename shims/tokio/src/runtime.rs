@@ -5,13 +5,28 @@
 //! A per-task state machine (idle / queued / running / notified / done)
 //! guarantees a task is polled by at most one worker at a time and that a
 //! wake arriving *during* a poll re-queues the task afterwards instead of
-//! being lost — the two classic races of naive executors.
+//! being lost — the two classic races of naive executors. A task whose
+//! poll panics is dropped and its `JoinHandle` resolves to a panic
+//! `JoinError`; the worker carries on.
+//!
+//! The workers also drive socket readiness ([`reactor`]); there is no
+//! thread of its own for it. A worker that finds the queue empty takes
+//! the single driver role if it is free and blocks in `turn(-1)`, or
+//! else parks on the pool's condvar. A push wakes a thread only when it
+//! must: it notifies the condvar when a worker is parked there, failing
+//! that interrupts the driver if it is blocked, and otherwise wakes
+//! nobody, because an awake worker will pop the task. A busy worker
+//! polls the reactor without blocking every [`EVENT_INTERVAL`] tasks, so
+//! readiness is not starved while no worker is idle to drive it.
 
+use crate::task::JoinError;
+use crate::{lock, reactor};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 
 const IDLE: u8 = 0;
@@ -20,11 +35,20 @@ const RUNNING: u8 = 2;
 const NOTIFIED: u8 = 3;
 const DONE: u8 = 4;
 
+/// Tasks a worker runs between two nonblocking reactor polls: tokio's
+/// `event_interval`.
+const EVENT_INTERVAL: u32 = 61;
+
+type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+/// Completes the `JoinHandle` with an error if the task ends without
+/// finishing its future: aborted, or panicked.
+type Fail = Box<dyn FnOnce(JoinError) + Send>;
+
 pub(crate) struct Task {
     state: AtomicU8,
-    future: Mutex<Option<Pin<Box<dyn Future<Output = ()> + Send>>>>,
-    /// Runs if the task is dropped before completion (JoinHandle::abort).
-    cancel: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    future: Mutex<Option<BoxFuture>>,
+    fail: Mutex<Option<Fail>>,
     pub(crate) aborted: AtomicBool,
 }
 
@@ -39,14 +63,11 @@ impl Wake for Task {
 }
 
 impl Task {
-    pub(crate) fn new(
-        future: Pin<Box<dyn Future<Output = ()> + Send>>,
-        cancel: Box<dyn FnOnce() + Send>,
-    ) -> Arc<Task> {
+    pub(crate) fn new(future: BoxFuture, fail: Fail) -> Arc<Task> {
         Arc::new(Task {
             state: AtomicU8::new(IDLE),
             future: Mutex::new(Some(future)),
-            cancel: Mutex::new(Some(cancel)),
+            fail: Mutex::new(Some(fail)),
             aborted: AtomicBool::new(false),
         })
     }
@@ -79,34 +100,40 @@ impl Task {
         }
     }
 
+    /// End the task without its future's result: drop the future, then
+    /// resolve the handle to `error`.
+    fn abandon(&self, slot: &mut Option<BoxFuture>, error: JoinError) {
+        *slot = None;
+        if let Some(fail) = lock(&self.fail).take() {
+            fail(error);
+        }
+        self.state.store(DONE, Ordering::Release);
+    }
+
     /// Poll once on a worker thread.
     fn run(self: Arc<Self>) {
         self.state.store(RUNNING, Ordering::Release);
 
+        let mut slot = lock(&self.future);
         if self.aborted.load(Ordering::Acquire) {
-            *self.future.lock().unwrap() = None;
-            if let Some(cancel) = self.cancel.lock().unwrap().take() {
-                cancel();
-            }
-            self.state.store(DONE, Ordering::Release);
+            self.abandon(&mut slot, JoinError::cancelled());
             return;
         }
 
         let waker = Waker::from(self.clone());
         let mut cx = Context::from_waker(&waker);
-        let mut slot = self.future.lock().unwrap();
         let Some(fut) = slot.as_mut() else {
             self.state.store(DONE, Ordering::Release);
             return;
         };
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
+        match panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+            Ok(Poll::Ready(())) => {
                 *slot = None;
                 drop(slot);
-                self.cancel.lock().unwrap().take();
+                lock(&self.fail).take();
                 self.state.store(DONE, Ordering::Release);
             }
-            Poll::Pending => {
+            Ok(Poll::Pending) => {
                 drop(slot);
                 // A wake that arrived mid-poll left us NOTIFIED: requeue.
                 if self
@@ -118,19 +145,44 @@ impl Task {
                     pool().push(self);
                 }
             }
+            Err(payload) => self.abandon(&mut slot, JoinError::panic(payload)),
         }
     }
 }
 
+/// Who holds the reactor: nobody, a worker blocked in `turn(-1)`, or
+/// such a worker whose eventfd a push has already written.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    Free,
+    Blocked,
+    Interrupted,
+}
+
+struct Queue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers inside `Condvar::wait` on [`Pool::available`].
+    parked: usize,
+    driver: Driver,
+}
+
 struct Pool {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<Queue>,
     available: Condvar,
 }
 
 impl Pool {
     fn push(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
+        let mut q = lock(&self.queue);
+        q.tasks.push_back(task);
+        if q.parked > 0 {
+            drop(q);
+            self.available.notify_one();
+        } else if q.driver == Driver::Blocked {
+            q.driver = Driver::Interrupted;
+            drop(q);
+            reactor::interrupt();
+        }
     }
 }
 
@@ -147,7 +199,11 @@ fn pool() -> &'static Pool {
                 .expect("spawn worker thread");
         }
         Pool {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                parked: 0,
+                driver: Driver::Free,
+            }),
             available: Condvar::new(),
         }
     })
@@ -155,17 +211,41 @@ fn pool() -> &'static Pool {
 
 fn worker_loop() {
     let pool = pool();
+    let mut due: Vec<Waker> = Vec::new();
+    let mut ran: u32 = 0;
     loop {
         let task = {
-            let mut q = pool.queue.lock().unwrap();
+            let mut q = lock(&pool.queue);
             loop {
-                if let Some(t) = q.pop_front() {
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
-                q = pool.available.wait(q).unwrap();
+                if q.driver == Driver::Free {
+                    q.driver = Driver::Blocked;
+                    drop(q);
+                    reactor::turn(-1, &mut due);
+                    // Give the role up before waking: the tasks woken are
+                    // pushed where this worker looks next, so none of those
+                    // pushes needs the eventfd.
+                    lock(&pool.queue).driver = Driver::Free;
+                    due.drain(..).for_each(Waker::wake);
+                    q = lock(&pool.queue);
+                } else {
+                    q.parked += 1;
+                    q = pool
+                        .available
+                        .wait(q)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    q.parked -= 1;
+                }
             }
         };
         task.run();
+        ran = ran.wrapping_add(1);
+        if ran.is_multiple_of(EVENT_INTERVAL) {
+            reactor::turn(0, &mut due);
+            due.drain(..).for_each(Waker::wake);
+        }
     }
 }
 

@@ -1,7 +1,12 @@
 //! Channels: bounded multi-producer `mpsc` and broadcast-latest `watch`.
+//!
+//! Neither is poisoned by a panic: every lock is taken through
+//! [`crate::lock`], so a caller's code that panics while it holds one (a
+//! `watch` predicate under [`watch::Ref`]) leaves the channel usable.
 
 /// Bounded multi-producer, single-consumer channel.
 pub mod mpsc {
+    use crate::lock;
     use std::collections::VecDeque;
     use std::future::Future;
     use std::pin::Pin;
@@ -22,6 +27,19 @@ pub mod mpsc {
             for w in self.tx_wakers.drain(..) {
                 w.wake();
             }
+        }
+
+        /// Dequeue one value. Blocked senders are woken once the queue is
+        /// down to half its capacity, not on every pop: the low-water mark
+        /// a kernel applies to a writer blocked on a full send buffer, so
+        /// a receiver draining a full queue wakes them once, with room
+        /// for a batch, rather than once per value.
+        fn pop(&mut self) -> Option<T> {
+            let v = self.queue.pop_front()?;
+            if self.queue.len() <= self.cap / 2 {
+                self.wake_senders();
+            }
+            Some(v)
         }
     }
 
@@ -63,7 +81,7 @@ pub mod mpsc {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.chan.lock().unwrap().senders += 1;
+            lock(&self.chan).senders += 1;
             Sender {
                 chan: self.chan.clone(),
             }
@@ -72,7 +90,7 @@ pub mod mpsc {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let mut c = self.chan.lock().unwrap();
+            let mut c = lock(&self.chan);
             c.senders -= 1;
             if c.senders == 0 {
                 if let Some(w) = c.rx_waker.take() {
@@ -84,7 +102,7 @@ pub mod mpsc {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut c = self.chan.lock().unwrap();
+            let mut c = lock(&self.chan);
             c.rx_alive = false;
             c.wake_senders();
         }
@@ -124,7 +142,7 @@ pub mod mpsc {
         /// Enqueue without waiting: errors with `Full` at capacity,
         /// `Closed` when the receiver is gone.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut c = self.chan.lock().unwrap();
+            let mut c = lock(&self.chan);
             if !c.rx_alive {
                 return Err(TrySendError::Closed(value));
             }
@@ -153,7 +171,7 @@ pub mod mpsc {
 
         fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
             let this = &mut *self;
-            let mut c = this.chan.lock().unwrap();
+            let mut c = lock(this.chan);
             let value = this.value.take().expect("polled after completion");
             if !c.rx_alive {
                 return Poll::Ready(Err(SendError(value)));
@@ -191,9 +209,8 @@ pub mod mpsc {
         /// Dequeue without waiting. Batch consumers drain with this after
         /// an awaited `recv`/`poll_recv` delivers the first value.
         pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
-            let mut c = self.chan.lock().unwrap();
-            if let Some(v) = c.queue.pop_front() {
-                c.wake_senders();
+            let mut c = lock(&self.chan);
+            if let Some(v) = c.pop() {
                 Ok(v)
             } else if c.senders == 0 {
                 Err(TryRecvError::Disconnected)
@@ -205,9 +222,8 @@ pub mod mpsc {
         /// Poll for the next value (the primitive under `recv`), for
         /// callers multiplexing several receivers in one `poll_fn`.
         pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Option<T>> {
-            let mut c = self.chan.lock().unwrap();
-            if let Some(v) = c.queue.pop_front() {
-                c.wake_senders();
+            let mut c = lock(&self.chan);
+            if let Some(v) = c.pop() {
                 Poll::Ready(Some(v))
             } else if c.senders == 0 {
                 Poll::Ready(None)
@@ -229,9 +245,8 @@ pub mod mpsc {
         type Output = Option<T>;
 
         fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut c = self.chan.lock().unwrap();
-            if let Some(v) = c.queue.pop_front() {
-                c.wake_senders();
+            let mut c = lock(self.chan);
+            if let Some(v) = c.pop() {
                 Poll::Ready(Some(v))
             } else if c.senders == 0 {
                 Poll::Ready(None)
@@ -241,10 +256,133 @@ pub mod mpsc {
             }
         }
     }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::runtime::block_on;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::task::Wake;
+
+        /// A waker that counts its wakes.
+        #[derive(Default)]
+        struct Wakes(AtomicUsize);
+
+        impl Wake for Wakes {
+            fn wake(self: Arc<Self>) {
+                self.wake_by_ref();
+            }
+
+            fn wake_by_ref(self: &Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        impl Wakes {
+            fn count(&self) -> usize {
+                self.0.load(Ordering::SeqCst)
+            }
+        }
+
+        /// A channel of `cap` filled to capacity, and a counting waker for
+        /// the sends that then block on it.
+        fn blocked(cap: usize) -> (Sender<usize>, Receiver<usize>, Arc<Wakes>) {
+            let (tx, rx) = channel(cap);
+            for i in 0..cap {
+                tx.try_send(i).unwrap();
+            }
+            (tx, rx, Arc::default())
+        }
+
+        fn poll_send(send: &mut Send<'_, usize>, wakes: &Arc<Wakes>) -> Poll<Result<(), ()>> {
+            let waker = Waker::from(wakes.clone());
+            Pin::new(send)
+                .poll(&mut Context::from_waker(&waker))
+                .map(|sent| sent.map_err(|_| ()))
+        }
+
+        #[test]
+        fn a_blocked_sender_is_woken_at_half_empty() {
+            let (tx, mut rx, wakes) = blocked(8);
+            let mut send = tx.send(8);
+            assert!(poll_send(&mut send, &wakes).is_pending());
+            for i in 0..3 {
+                assert_eq!(rx.try_recv(), Ok(i));
+                assert_eq!(wakes.count(), 0, "woken with {} of 8 queued", 7 - i);
+            }
+            assert_eq!(rx.try_recv(), Ok(3));
+            assert_eq!(wakes.count(), 1);
+            assert_eq!(poll_send(&mut send, &wakes), Poll::Ready(Ok(())));
+            for i in 4..=8 {
+                assert_eq!(rx.try_recv(), Ok(i));
+            }
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        }
+
+        #[test]
+        fn a_dropped_receiver_wakes_every_blocked_sender() {
+            let (tx, rx, wakes) = blocked(2);
+            let others: Vec<_> = (0..3).map(|_| tx.clone()).collect();
+            let mut sends: Vec<_> = others.iter().map(|tx| tx.send(7)).collect();
+            for send in &mut sends {
+                assert!(poll_send(send, &wakes).is_pending());
+            }
+            drop(rx);
+            assert_eq!(wakes.count(), 3);
+            for send in &mut sends {
+                assert_eq!(poll_send(send, &wakes), Poll::Ready(Err(())));
+            }
+        }
+
+        #[test]
+        fn a_one_slot_channel_wakes_its_sender_on_the_one_pop() {
+            let (tx, mut rx, wakes) = blocked(1);
+            let mut send = tx.send(1);
+            assert!(poll_send(&mut send, &wakes).is_pending());
+            assert_eq!(rx.try_recv(), Ok(0));
+            assert_eq!(wakes.count(), 1);
+            assert_eq!(poll_send(&mut send, &wakes), Poll::Ready(Ok(())));
+            assert_eq!(rx.try_recv(), Ok(1));
+        }
+
+        /// Senders blocked and woken in batches still deliver every value,
+        /// each producer's in the order it sent them.
+        #[test]
+        fn many_producers_through_a_narrow_channel_arrive_complete_and_in_order() {
+            const PRODUCERS: usize = 4;
+            const SENDS: usize = 10_000;
+            let (tx, mut rx) = channel(4);
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        block_on(async {
+                            for i in 0..SENDS {
+                                tx.send((p, i)).await.unwrap();
+                            }
+                        })
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut next = [0; PRODUCERS];
+            block_on(async {
+                while let Some((p, i)) = rx.recv().await {
+                    assert_eq!(i, next[p], "producer {p} out of order");
+                    next[p] += 1;
+                }
+            });
+            assert_eq!(next, [SENDS; PRODUCERS]);
+            for producer in producers {
+                producer.join().unwrap();
+            }
+        }
+    }
 }
 
 /// Single-value broadcast channel: receivers observe the latest value.
 pub mod watch {
+    use crate::lock;
     use std::collections::BTreeMap;
     use std::future::Future;
     use std::ops::Deref;
@@ -337,7 +475,7 @@ pub mod watch {
         /// calls (after the lock is released, as tokio does).
         pub fn send_modify(&self, modify: impl FnOnce(&mut T)) {
             let wakers = {
-                let mut s = self.shared.lock().expect("a watch lock holder panicked");
+                let mut s = lock(&self.shared);
                 modify(&mut s.value);
                 s.version += 1;
                 std::mem::take(&mut s.wakers)
@@ -350,7 +488,7 @@ pub mod watch {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let mut s = self.shared.lock().unwrap();
+            let mut s = lock(&self.shared);
             s.sender_alive = false;
             s.wake_all();
         }
@@ -359,7 +497,7 @@ pub mod watch {
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
             let id = {
-                let mut s = self.shared.lock().unwrap();
+                let mut s = lock(&self.shared);
                 s.last_id += 1;
                 s.last_id
             };
@@ -373,10 +511,7 @@ pub mod watch {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            // A poisoned channel is left alone: `drop` must not panic.
-            if let Ok(mut s) = self.shared.lock() {
-                s.wakers.remove(&self.id);
-            }
+            lock(&self.shared).wakers.remove(&self.id);
         }
     }
 
@@ -393,7 +528,7 @@ pub mod watch {
 
     impl<T> Receiver<T> {
         pub fn borrow(&self) -> Ref<'_, T> {
-            Ref(self.shared.lock().unwrap())
+            Ref(lock(&self.shared))
         }
 
         /// Resolves when a value newer than the last seen one is
@@ -415,7 +550,7 @@ pub mod watch {
 
         fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
             let rx = &mut *self.rx;
-            let mut s = rx.shared.lock().unwrap();
+            let mut s = lock(&rx.shared);
             if s.version != rx.seen {
                 rx.seen = s.version;
                 Poll::Ready(Ok(()))
@@ -441,18 +576,38 @@ pub mod watch {
             for _ in 0..10_000 {
                 assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_pending());
             }
-            assert_eq!(tx.shared.lock().unwrap().wakers.len(), 1);
+            assert_eq!(lock(&tx.shared).wakers.len(), 1);
 
             let mut other = rx.clone();
             assert!(Pin::new(&mut other.changed()).poll(&mut cx).is_pending());
-            assert_eq!(tx.shared.lock().unwrap().wakers.len(), 2);
+            assert_eq!(lock(&tx.shared).wakers.len(), 2);
             drop(other);
-            assert_eq!(tx.shared.lock().unwrap().wakers.len(), 1);
+            assert_eq!(lock(&tx.shared).wakers.len(), 1);
 
             tx.send(1).unwrap();
-            assert!(tx.shared.lock().unwrap().wakers.is_empty());
+            assert!(lock(&tx.shared).wakers.is_empty());
             assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_ready());
             assert_eq!(*rx.borrow(), 1);
+        }
+
+        /// A `wait_for` predicate that panics while it holds `borrow()`
+        /// leaves the channel usable: the next publish goes out and is
+        /// seen.
+        #[test]
+        fn a_panic_under_borrow_does_not_poison_the_channel() {
+            let (tx, mut rx) = channel(0u32);
+            let held = rx.clone();
+            let panicked = std::thread::spawn(move || {
+                let _value = held.borrow();
+                panic!("a predicate's own bug");
+            })
+            .join();
+            assert!(panicked.is_err());
+            let waiter = std::thread::spawn(move || {
+                crate::runtime::block_on(rx.changed()).map(|()| *rx.borrow())
+            });
+            tx.send_modify(|v| *v = 7);
+            assert_eq!(waiter.join().unwrap(), Ok(7));
         }
 
         /// However much a `send_modify` changes, it is one new version:
@@ -467,7 +622,7 @@ pub mod watch {
                 v[0] = 7;
                 v.push(4);
             });
-            assert!(tx.shared.lock().unwrap().wakers.is_empty());
+            assert!(lock(&tx.shared).wakers.is_empty());
             assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_ready());
             assert!(Pin::new(&mut rx.changed()).poll(&mut cx).is_pending());
             assert_eq!(*rx.borrow(), [7, 2, 3, 4]);

@@ -1,6 +1,8 @@
 //! `spawn`, `JoinHandle`, and `JoinError`.
 
+use crate::lock;
 use crate::runtime::{inject, Task};
+use std::any::Any;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::Ordering;
@@ -18,7 +20,7 @@ struct JoinState<T> {
 
 impl<T> JoinState<T> {
     fn complete(&self, result: Result<T, JoinError>) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.result.is_none() {
             inner.result = Some(result);
             if let Some(w) = inner.waker.take() {
@@ -28,24 +30,46 @@ impl<T> JoinState<T> {
     }
 }
 
-/// Error returned by awaiting a `JoinHandle` whose task was aborted.
+/// Error returned by awaiting a `JoinHandle` whose task was aborted or
+/// panicked.
 #[derive(Debug)]
 pub struct JoinError {
-    cancelled: bool,
+    /// `None` for a cancelled task, else the panic's message.
+    panic: Option<String>,
 }
 
 impl JoinError {
+    pub(crate) fn cancelled() -> JoinError {
+        JoinError { panic: None }
+    }
+
+    pub(crate) fn panic(payload: Box<dyn Any + Send>) -> JoinError {
+        let message = match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or("Box<dyn Any>", |s| s)
+                .to_owned(),
+        };
+        JoinError {
+            panic: Some(message),
+        }
+    }
+
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled
+        self.panic.is_none()
+    }
+
+    pub fn is_panic(&self) -> bool {
+        self.panic.is_some()
     }
 }
 
 impl std::fmt::Display for JoinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.cancelled {
-            f.write_str("task was cancelled")
-        } else {
-            f.write_str("task failed")
+        match &self.panic {
+            None => f.write_str("task was cancelled"),
+            Some(message) => write!(f, "task panicked: {message}"),
         }
     }
 }
@@ -67,7 +91,7 @@ impl<T> JoinHandle<T> {
     }
 
     pub fn is_finished(&self) -> bool {
-        self.state.inner.lock().unwrap().result.is_some()
+        lock(&self.state.inner).result.is_some()
     }
 }
 
@@ -77,7 +101,7 @@ impl<T> Future for JoinHandle<T> {
     type Output = Result<T, JoinError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut inner = self.state.inner.lock().unwrap();
+        let mut inner = lock(&self.state.inner);
         if let Some(result) = inner.result.take() {
             Poll::Ready(result)
         } else {
@@ -100,15 +124,13 @@ where
         }),
     });
     let run_state = state.clone();
-    let cancel_state = state.clone();
+    let fail_state = state.clone();
     let wrapped: Pin<Box<dyn Future<Output = ()> + Send>> = Box::pin(async move {
         let value = future.await;
         run_state.complete(Ok(value));
     });
-    let cancel = Box::new(move || {
-        cancel_state.complete(Err(JoinError { cancelled: true }));
-    });
-    let task = Task::new(wrapped, cancel);
+    let fail = Box::new(move |error| fail_state.complete(Err(error)));
+    let task = Task::new(wrapped, fail);
     let handle = JoinHandle {
         state,
         task: task.clone(),

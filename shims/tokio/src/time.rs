@@ -5,13 +5,18 @@
 //! when first polled before its deadline, has its waker replaced in place
 //! when polled again, and leaves it when it fires or is dropped — so a
 //! `timeout` whose future wins, or a `select!` arm that loses, leaves
-//! nothing behind. The thread is notified only when a new entry becomes
-//! the earliest; any other insertion cannot change when it must next wake.
+//! nothing behind. The table keeps the instant the thread sleeps toward,
+//! which only moves earlier until it passes, and a new entry notifies the
+//! thread only when it is earlier than that; any other insertion cannot
+//! change when it must next wake. Re-creating
+//! a sleep at the same deadline — a `select!` loop that builds
+//! `sleep_until(deadline)` on every pass — therefore costs no wake.
 
+use crate::lock;
 use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::task::{Context, Poll, Waker};
 
 pub use std::time::{Duration, Instant};
@@ -19,10 +24,24 @@ pub use std::time::{Duration, Instant};
 /// Deadline and insertion number: entries fire in that order.
 type Key = (Instant, u64);
 
+struct Table {
+    entries: BTreeMap<Key, Waker>,
+    /// The highest insertion number handed out.
+    last_seq: u64,
+    /// The instant the thread sleeps toward, or will once it has fired
+    /// what is due; `None` while it waits with no deadline. Until it
+    /// passes, it only ever moves earlier.
+    wake_at: Option<Instant>,
+}
+
 struct Timer {
-    table: Mutex<(BTreeMap<Key, Waker>, u64)>,
+    table: Mutex<Table>,
     changed: Condvar,
 }
+
+/// Notifications sent to the timer thread.
+#[cfg(test)]
+static NOTIFIES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 fn timer() -> &'static Timer {
     static TIMER: OnceLock<Timer> = OnceLock::new();
@@ -32,7 +51,11 @@ fn timer() -> &'static Timer {
             .spawn(timer_loop)
             .expect("spawn timer thread");
         Timer {
-            table: Mutex::new((BTreeMap::new(), 0)),
+            table: Mutex::new(Table {
+                entries: BTreeMap::new(),
+                last_seq: 0,
+                wake_at: None,
+            }),
             changed: Condvar::new(),
         }
     })
@@ -43,21 +66,33 @@ fn timer_loop() {
     let mut due: Vec<Waker> = Vec::new();
     loop {
         {
-            let mut guard = t.table.lock().unwrap();
+            let mut guard = lock(&t.table);
             loop {
                 let now = Instant::now();
-                while let Some(first) = guard.0.first_entry().filter(|e| e.key().0 <= now) {
+                while let Some(first) = guard.entries.first_entry().filter(|e| e.key().0 <= now) {
                     due.push(first.remove());
                 }
                 if !due.is_empty() {
                     break;
                 }
-                guard = match guard.0.first_key_value() {
-                    Some(((at, _), _)) => {
+                // An instant already promised stands even if its entry is
+                // gone: a sleep re-created at it was told no notify was
+                // needed.
+                let first = guard.entries.first_key_value().map(|((at, _), _)| *at);
+                let promised = guard.wake_at.filter(|at| *at > now);
+                guard.wake_at = first.into_iter().chain(promised).min();
+                guard = match guard.wake_at {
+                    Some(at) => {
                         let wait = at.saturating_duration_since(now);
-                        t.changed.wait_timeout(guard, wait).unwrap().0
+                        t.changed
+                            .wait_timeout(guard, wait)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
                     }
-                    None => t.changed.wait(guard).unwrap(),
+                    None => t
+                        .changed
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner),
                 };
             }
         }
@@ -90,15 +125,19 @@ impl Future for Sleep {
             return Poll::Ready(());
         }
         let t = timer();
-        let mut guard = t.table.lock().unwrap();
+        let mut guard = lock(&t.table);
         let fresh = self.entry.is_none();
         let seq = *self.entry.get_or_insert_with(|| {
-            guard.1 += 1;
-            guard.1
+            guard.last_seq += 1;
+            guard.last_seq
         });
-        let key = (self.deadline, seq);
-        guard.0.insert(key, cx.waker().clone());
-        if fresh && guard.0.first_key_value().map(|(k, _)| *k) == Some(key) {
+        guard
+            .entries
+            .insert((self.deadline, seq), cx.waker().clone());
+        if fresh && guard.wake_at.is_none_or(|at| self.deadline < at) {
+            guard.wake_at = Some(self.deadline);
+            #[cfg(test)]
+            NOTIFIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             t.changed.notify_one();
         }
         Poll::Pending
@@ -108,10 +147,7 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         let Some(seq) = self.entry else { return };
-        // A poisoned table is left alone: `drop` must not panic.
-        if let Ok(mut guard) = timer().table.lock() {
-            guard.0.remove(&(self.deadline, seq));
-        }
+        lock(&timer().table).entries.remove(&(self.deadline, seq));
     }
 }
 
@@ -176,7 +212,7 @@ mod tests {
 
     /// Number of entries in the timer table.
     fn pending() -> usize {
-        timer().table.lock().unwrap().0.len()
+        lock(&timer().table).entries.len()
     }
 
     /// Pending once (so the timeout's sleep enters the table), then ready.
@@ -222,6 +258,48 @@ mod tests {
                 timeout(Duration::from_millis(5), sleep(Duration::from_secs(10)))
                     .await
                     .is_err()
+            );
+        });
+        assert_eq!(pending(), 0);
+    }
+
+    /// A `select!` loop builds `sleep_until(deadline)` afresh on every
+    /// pass, always with the same deadline, dropping the last one first:
+    /// the thread hears of it once (or not at all, if it already sleeps
+    /// toward an earlier instant), however soon it wakes to that notify.
+    #[test]
+    fn fresh_sleeps_at_one_deadline_notify_the_thread_at_most_once() {
+        let _serial = crate::test_serial();
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let before = NOTIFIES.load(std::sync::atomic::Ordering::Relaxed);
+        block_on(async {
+            for _ in 0..100 {
+                let mut nap = sleep_until(deadline);
+                let polled = std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut nap).poll(cx)));
+                assert!(polled.await.is_pending());
+            }
+            sleep_until(deadline).await;
+        });
+        let sent = NOTIFIES.load(std::sync::atomic::Ordering::Relaxed) - before;
+        assert!(sent <= 1, "{sent} notifies for one deadline");
+        assert_eq!(pending(), 0);
+    }
+
+    /// The thread sleeps toward the one pending deadline, ten seconds out;
+    /// a sleep due sooner must wake it, and fire on time.
+    #[test]
+    fn a_sleep_earlier_than_the_pending_one_fires_on_time() {
+        let _serial = crate::test_serial();
+        block_on(async {
+            let mut late = sleep(Duration::from_secs(10));
+            let polled = std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut late).poll(cx)));
+            assert!(polled.await.is_pending());
+            let t0 = Instant::now();
+            sleep(Duration::from_millis(20)).await;
+            let took = t0.elapsed();
+            assert!(
+                took >= Duration::from_millis(20) && took < Duration::from_millis(500),
+                "a 20 ms sleep took {took:?}"
             );
         });
         assert_eq!(pending(), 0);
