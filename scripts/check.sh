@@ -91,6 +91,13 @@ echo "== executor handoffs (the tokio stand-in's lost-wake tests, optimized buil
 # budget (the tests take about 2 s) that hang is a failure, not a stuck CI.
 timed_gate "executor handoffs" 60 "failed" tokio test:executor >/dev/null
 
+echo "== socket readiness (the tokio stand-in's lost-edge tests, optimized build)" >&2
+# Each socket is armed once, edge-triggered: an edge the reactor drops is
+# never reported again, so `shims/tokio/tests/readiness.rs` hangs rather
+# than fails on one. Its tests time themselves out at 5-60 s; the 60 s
+# budget (the file takes well under a second) catches what they miss.
+timed_gate "socket readiness" 60 "failed" tokio test:readiness >/dev/null
+
 echo "== ipmedia-lint (static analysis over all example models)" >&2
 # All passes (AZ1xx–AZ6xx) at deny level, parallel with deterministic
 # output: any finding fails the gate.

@@ -8,7 +8,12 @@
 //! (`split_to` and `freeze` copy instead of refcounting; signaling frames
 //! are tiny, so this is not a measurable cost here).
 
+use std::mem::MaybeUninit;
 use std::ops::Deref;
+
+/// The most [`BufMut::chunk_mut`] hands out of a `Vec<u8>`, which zeroes
+/// it on every call.
+const VEC_CHUNK_MAX: usize = 16 * 1024;
 
 /// Read-side cursor over a contiguous byte buffer.
 pub trait Buf {
@@ -54,6 +59,23 @@ pub trait Buf {
 /// Write-side cursor appending to a growable byte buffer.
 pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
+
+    /// Room past the end of the buffer for a reader to fill, reserving
+    /// some first if there is none; [`advance_mut`](BufMut::advance_mut)
+    /// then appends the prefix it filled. Unlike the real crate's, the
+    /// bytes are initialized (zeroed, holding no data), so a plain
+    /// `&mut [u8]` reader can fill them.
+    fn chunk_mut(&mut self) -> &mut [u8];
+
+    /// Append the first `cnt` bytes of the slice [`chunk_mut`] returned.
+    ///
+    /// # Safety
+    ///
+    /// `cnt` is at most that slice's length, and the buffer was not
+    /// touched between the two calls.
+    ///
+    /// [`chunk_mut`]: BufMut::chunk_mut
+    unsafe fn advance_mut(&mut self, cnt: usize);
 
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
@@ -181,10 +203,15 @@ impl std::fmt::Debug for Bytes {
 }
 
 /// A growable byte buffer with a read cursor at the front.
-#[derive(Clone, Default, PartialEq, Eq)]
+///
+/// The content is `data[pos..end]`. `data[end..]` is room already zeroed
+/// for [`BufMut::chunk_mut`], so a buffer read into over and over zeroes
+/// each byte of its capacity once, not once per read.
+#[derive(Clone, Default)]
 pub struct BytesMut {
     data: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
 impl BytesMut {
@@ -196,11 +223,12 @@ impl BytesMut {
         BytesMut {
             data: Vec::with_capacity(cap),
             pos: 0,
+            end: 0,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.data.len() - self.pos
+        self.end - self.pos
     }
 
     pub fn is_empty(&self) -> bool {
@@ -208,14 +236,19 @@ impl BytesMut {
     }
 
     pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
+        if self.data.capacity() - self.end < additional {
+            self.data.truncate(self.end);
+            self.data.reserve(additional);
+        }
     }
 
     /// Split off the first `n` unread bytes, leaving the rest in place.
     pub fn split_to(&mut self, n: usize) -> BytesMut {
         assert!(n <= self.len(), "split_to out of bounds");
+        let data = self.data[self.pos..self.pos + n].to_vec();
         let out = BytesMut {
-            data: self.data[self.pos..self.pos + n].to_vec(),
+            end: data.len(),
+            data,
             pos: 0,
         };
         self.pos += n;
@@ -223,7 +256,8 @@ impl BytesMut {
         out
     }
 
-    pub fn freeze(self) -> Bytes {
+    pub fn freeze(mut self) -> Bytes {
+        self.data.truncate(self.end);
         Bytes {
             data: self.data,
             pos: self.pos,
@@ -231,10 +265,12 @@ impl BytesMut {
     }
 
     /// Drop consumed front bytes once they dominate the buffer, keeping
-    /// `advance`/`split_to` amortized O(1).
+    /// `advance`/`split_to` amortized O(1). The content moves to the front
+    /// over bytes that stay initialized, so the zeroed room is kept.
     fn compact(&mut self) {
-        if self.pos > 64 && self.pos >= self.data.len() / 2 {
-            self.data.drain(..self.pos);
+        if self.pos > 64 && self.pos >= self.end / 2 {
+            self.data.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
     }
@@ -246,7 +282,7 @@ impl Buf for BytesMut {
     }
 
     fn chunk(&self) -> &[u8] {
-        &self.data[self.pos..]
+        &self.data[self.pos..self.end]
     }
 
     fn advance(&mut self, cnt: usize) {
@@ -258,7 +294,26 @@ impl Buf for BytesMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
+        self.data.truncate(self.end);
         self.data.extend_from_slice(src);
+        self.end = self.data.len();
+    }
+
+    fn chunk_mut(&mut self) -> &mut [u8] {
+        if self.end == self.data.capacity() {
+            self.data.reserve(64);
+        }
+        // Zeroes only room no earlier call zeroed.
+        self.data.resize(self.data.capacity(), 0);
+        &mut self.data[self.end..]
+    }
+
+    unsafe fn advance_mut(&mut self, cnt: usize) {
+        assert!(
+            cnt <= self.data.len() - self.end,
+            "advance_mut out of bounds"
+        );
+        self.end += cnt;
     }
 }
 
@@ -266,15 +321,46 @@ impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
+
+    fn chunk_mut(&mut self) -> &mut [u8] {
+        if self.len() == self.capacity() {
+            self.reserve(64);
+        }
+        let spare = self.spare_capacity_mut();
+        let len = spare.len().min(VEC_CHUNK_MAX);
+        let spare = &mut spare[..len];
+        spare.fill(MaybeUninit::new(0));
+        // SAFETY: every byte of `spare` was just initialized.
+        unsafe { &mut *(spare as *mut [MaybeUninit<u8>] as *mut [u8]) }
+    }
+
+    unsafe fn advance_mut(&mut self, cnt: usize) {
+        assert!(
+            cnt <= (self.capacity() - self.len()).min(VEC_CHUNK_MAX),
+            "advance_mut out of bounds"
+        );
+        // SAFETY: the caller promises these bytes are a prefix of the
+        // slice `chunk_mut` zeroed, which nothing has touched since.
+        unsafe { self.set_len(self.len() + cnt) }
+    }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data[self.pos..]
+        &self.data[self.pos..self.end]
     }
 }
+
+/// Equal content is equal, whatever the room behind it.
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for BytesMut {}
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
@@ -317,6 +403,38 @@ mod tests {
         let frame = b.split_to(5).freeze();
         assert_eq!(frame.as_ref(), b"hello");
         assert_eq!(b.as_ref(), b" rest");
+    }
+
+    /// What a reader writes into `chunk_mut` and commits is appended, for
+    /// both buffer types, across a compaction that keeps the zeroed room.
+    #[test]
+    fn chunk_mut_appends_what_a_reader_filled() {
+        fn fill(buf: &mut impl BufMut, src: &[u8]) {
+            let room = buf.chunk_mut();
+            assert!(!room.is_empty());
+            let n = src.len().min(room.len());
+            room[..n].copy_from_slice(&src[..n]);
+            // SAFETY: `n` is within the slice just returned.
+            unsafe { buf.advance_mut(n) };
+        }
+        let mut b = BytesMut::with_capacity(256);
+        fill(&mut b, &[1; 200]);
+        fill(&mut b, b"tail");
+        assert_eq!(b.split_to(200).as_ref(), &[1; 200][..]);
+        fill(&mut b, b"!");
+        assert_eq!(b.as_ref(), b"tail!");
+        let mut same = BytesMut::new();
+        same.put_slice(b"tail!");
+        assert_eq!(
+            b, same,
+            "the zeroed room behind the content is not compared"
+        );
+        assert_eq!(b.freeze().as_ref(), b"tail!");
+
+        let mut v = Vec::new();
+        fill(&mut v, b"ab");
+        fill(&mut v, b"c");
+        assert_eq!(v, b"abc");
     }
 
     #[test]

@@ -30,16 +30,20 @@ pub struct ReadBuf<'a, S: ?Sized, B> {
 impl<S: AsyncRead + ?Sized, B: bytes::BufMut> std::future::Future for ReadBuf<'_, S, B> {
     type Output = io::Result<usize>;
 
+    /// Reads straight into the buffer's spare room, with no copy.
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut tmp = [0u8; 16 * 1024];
         let this = &mut *self;
-        match this.stream.poll_read(cx, &mut tmp) {
+        let room = this.buf.chunk_mut();
+        let len = room.len();
+        match this.stream.poll_read(cx, room) {
             Poll::Ready(Ok(n)) => {
-                this.buf.put_slice(&tmp[..n]);
+                assert!(n <= len, "poll_read claimed {n} bytes of {len}");
+                // SAFETY: `n` is within the slice `chunk_mut` returned,
+                // and the buffer was not touched since.
+                unsafe { this.buf.advance_mut(n) };
                 Poll::Ready(Ok(n))
             }
-            Poll::Ready(Err(e)) => Poll::Ready(Err(e)),
-            Poll::Pending => Poll::Pending,
+            other => other,
         }
     }
 }

@@ -6,14 +6,18 @@
 //!
 //! - a thread-pool executor with `spawn`/`JoinHandle`/`abort` and a
 //!   parker-based `block_on` (used by `#[tokio::main]`/`#[tokio::test]`);
-//!   a task that panics resolves its handle to a panic `JoinError` and
-//!   leaves its worker running;
+//!   a task woken on a worker runs next on that worker (a LIFO slot, as
+//!   in tokio), spawned tasks start in spawn order, and a task that
+//!   panics resolves its handle to a panic `JoinError` and leaves its
+//!   worker running;
 //! - a timer thread backing `time::{sleep, sleep_until, timeout}`;
-//! - nonblocking TCP (`net::{TcpListener, TcpStream}`) woken by socket
-//!   readiness: the pool's workers drive an `epoll` reactor (Linux only)
-//!   — one with nothing to run blocks in `epoll_wait`, a busy one polls
-//!   it every 61 tasks — and wake the task waiting on each socket, so
-//!   latency is the kernel's and an idle connection uses no CPU;
+//! - nonblocking TCP (`net::{TcpListener, TcpStream}`, `connect`
+//!   included) woken by socket readiness: the pool's workers drive an
+//!   `epoll` reactor (Linux only) — one with nothing to run blocks in
+//!   `epoll_wait`, a busy one polls it every 61 tasks — in which each
+//!   socket is registered once, edge-triggered, and wake the task waiting
+//!   on each socket, so latency is the kernel's and an idle connection
+//!   uses no CPU;
 //! - `sync::{mpsc, watch}` channels, which a panic does not poison, and
 //!   an in-memory `io::duplex` pipe;
 //! - a `select!` macro with tokio's pattern/guard semantics (always

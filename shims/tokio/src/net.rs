@@ -5,14 +5,114 @@
 //! operation that would block parks its task until the kernel reports the
 //! socket readable or writable, so a hop costs what the kernel and the
 //! executor cost (tens of microseconds over loopback) and an idle
-//! connection costs nothing. Per-socket FIFO order is the kernel's and
-//! does not depend on when a reader is woken.
+//! connection costs nothing. A read shorter than its buffer tells the
+//! reactor the socket is drained, so the next read waits for the kernel's
+//! next report instead of asking the socket and getting `EAGAIN`.
+//! Per-socket FIFO order is the kernel's and does not depend on when a
+//! reader is woken.
+//!
+//! [`TcpStream::connect`] goes through the reactor too: the socket is
+//! created nonblocking, and a connect still in progress waits for the
+//! socket to turn writable, then reads the outcome from `SO_ERROR`
+//! (`take_error`). No worker thread blocks in it, which matters because a
+//! blocked worker strands the task in its LIFO slot. `socket` and
+//! `connect` are declared here, as the reactor declares `epoll`: the
+//! standard library has no call that starts a connect without waiting for
+//! it.
 
 use crate::io::{AsyncRead, AsyncWrite};
 use crate::reactor::{Interest, Source};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr};
+use std::os::fd::{FromRawFd, OwnedFd};
+use std::os::raw::c_int;
 use std::task::{Context, Poll};
+use std::time::Duration;
+
+extern "C" {
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
+}
+
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const EINPROGRESS: i32 = 115;
+
+/// How long [`TcpStream::connect`] waits for the handshake.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// `struct sockaddr_in`.
+#[repr(C)]
+struct SockaddrIn {
+    family: u16,
+    port: [u8; 2],
+    addr: [u8; 4],
+    zero: [u8; 8],
+}
+
+/// `struct sockaddr_in6`.
+#[repr(C)]
+struct SockaddrIn6 {
+    family: u16,
+    port: [u8; 2],
+    flowinfo: u32,
+    addr: [u8; 16],
+    scope_id: u32,
+}
+
+/// Start a nonblocking connect to `addr`: the socket, and whether the
+/// handshake is still in progress.
+fn start_connect(addr: &SocketAddr) -> io::Result<(std::net::TcpStream, bool)> {
+    let family = match addr {
+        SocketAddr::V4(_) => AF_INET,
+        SocketAddr::V6(_) => AF_INET6,
+    };
+    // SAFETY: no pointer arguments; the result is checked below.
+    let fd = unsafe { socket(family.into(), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a fresh descriptor that nothing else owns; the
+    // stream closes it on every path out of here.
+    let stream = std::net::TcpStream::from(unsafe { OwnedFd::from_raw_fd(fd) });
+    // SAFETY (both arms): the address outlives the call, and the length
+    // passed is its own.
+    let rc = match addr {
+        SocketAddr::V4(a) => {
+            let sa = SockaddrIn {
+                family,
+                port: a.port().to_be_bytes(),
+                addr: a.ip().octets(),
+                zero: [0; 8],
+            };
+            let len = std::mem::size_of_val(&sa) as u32;
+            unsafe { connect(fd, (&raw const sa).cast(), len) }
+        }
+        SocketAddr::V6(a) => {
+            let sa = SockaddrIn6 {
+                family,
+                port: a.port().to_be_bytes(),
+                flowinfo: a.flowinfo().to_be(),
+                addr: a.ip().octets(),
+                scope_id: a.scope_id(),
+            };
+            let len = std::mem::size_of_val(&sa) as u32;
+            unsafe { connect(fd, (&raw const sa).cast(), len) }
+        }
+    };
+    if rc == 0 {
+        return Ok((stream, false));
+    }
+    let e = io::Error::last_os_error();
+    if e.raw_os_error() == Some(EINPROGRESS) {
+        Ok((stream, true))
+    } else {
+        Err(e)
+    }
+}
 
 /// Nonblocking TCP listener.
 pub struct TcpListener {
@@ -36,7 +136,7 @@ impl TcpListener {
     pub async fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
         let (stream, peer) = std::future::poll_fn(|cx| {
             self.inner
-                .poll_io(cx, Interest::Read, std::net::TcpListener::accept)
+                .poll_io(cx, Interest::Read, std::net::TcpListener::accept, |_| false)
         })
         .await?;
         Ok((TcpStream::register(stream)?, peer))
@@ -58,12 +158,35 @@ impl TcpStream {
         })
     }
 
+    /// Connect to `addr`, giving up after ten seconds.
     pub async fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
-        // A blocking connect briefly occupies one worker thread; loopback
-        // connects resolve in microseconds and the timeout bounds the rest.
-        let stream =
-            std::net::TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(10))?;
-        TcpStream::register(stream)
+        let (stream, in_progress) = start_connect(&addr)?;
+        if !in_progress {
+            return Ok(TcpStream {
+                inner: Source::new(stream)?,
+            });
+        }
+        // Writable only once the handshake is over: `SO_ERROR` then says
+        // how it ended.
+        let inner = Source::unready(stream)?;
+        let handshake = std::future::poll_fn(|cx| {
+            inner.poll_io(
+                cx,
+                Interest::Write,
+                |s| match s.take_error()? {
+                    Some(e) => Err(e),
+                    None => Ok(()),
+                },
+                |_| false,
+            )
+        });
+        match crate::time::timeout(CONNECT_TIMEOUT, handshake).await {
+            Ok(result) => result.map(|()| TcpStream { inner }),
+            Err(_) => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "connection timed out",
+            )),
+        }
     }
 
     pub fn set_nodelay(&self, nodelay: bool) -> io::Result<()> {
@@ -99,12 +222,14 @@ impl TcpStream {
 
 // `impl Read for &TcpStream` / `impl Write for &TcpStream` let an
 // operation run through the shared reference a `Source` hands out.
+// A read that fills less than `buf` has drained the socket.
 fn poll_read_inner(sock: &Sock, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-    sock.poll_io(cx, Interest::Read, |mut s| s.read(buf))
+    let len = buf.len();
+    sock.poll_io(cx, Interest::Read, |mut s| s.read(buf), |&n| n < len)
 }
 
 fn poll_write_inner(sock: &Sock, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-    sock.poll_io(cx, Interest::Write, |mut s| s.write(buf))
+    sock.poll_io(cx, Interest::Write, |mut s| s.write(buf), |_| false)
 }
 
 impl AsyncRead for TcpStream {

@@ -1,5 +1,6 @@
-//! Socket readiness: [`turn`] runs one `epoll_wait` and hands back the
-//! wakers of the tasks whose sockets the kernel reported.
+//! Socket readiness: [`turn`] runs one `epoll_wait`, records what the
+//! kernel reported on each socket, and hands back the wakers of the tasks
+//! waiting for it.
 //!
 //! There is no reactor thread. The executor's workers call [`turn`]
 //! (`runtime.rs`): a worker with nothing queued takes the single driver
@@ -11,23 +12,36 @@
 //! it could leave the driver asleep on a write meant for it.
 //!
 //! A [`Source`] is a nonblocking socket plus its registration with the
-//! reactor. An operation that returns `WouldBlock` goes through three
-//! steps, in this order: **store** the task's waker in the
-//! registration, **arm** a one-shot interest in the direction it needs
-//! (`EPOLLIN` or `EPOLLOUT`, `| EPOLLONESHOT`), return `Pending`; the
-//! turn that sees the kernel report the socket then **wakes** the stored
-//! waker. Interest is level-triggered, so a socket that
-//! became ready between the failed operation and the arm is reported at
-//! once — there is no window in which a wake can be lost — and one-shot,
-//! so a socket nobody is waiting on costs nothing however ready it is,
-//! and two turns running at once never both report it.
-//! An event that finds no waker (its task was woken some other way and
-//! has moved on) is dropped; an event that finds the waker of a later
-//! wait is a spurious wake, after which the task re-arms.
+//! reactor. It is registered once, edge-triggered, for both directions
+//! and for the peer's hangup (`EPOLLIN | EPOLLOUT | EPOLLRDHUP |
+//! EPOLLET`), and never re-armed. The registration keeps a readiness
+//! word: a readable and a writable bit, a sticky closed bit per
+//! direction, and in the high half a count of the events the kernel has
+//! reported. An operation runs only while its direction's bit (or closed
+//! bit) is set; a fresh source starts readable and writable, so the first
+//! operation tries the socket instead of waiting for a report.
+//!
+//! - A turn **sets** the bits an event reports, counts it, and wakes the
+//!   stored waker only if the direction it waits for is among them.
+//! - An operation that returns `WouldBlock` **clears** its bit, unless
+//!   the count moved since it read the word: an edge that arrived in
+//!   between may be for data the operation missed, so it runs again.
+//! - A read shorter than its buffer clears the read bit the same way: on
+//!   a stream socket that means the kernel's queue is drained (epoll(7)),
+//!   so the next read waits for an edge instead of probing for `EAGAIN`.
+//! - `EPOLLRDHUP`, `EPOLLHUP` or `EPOLLERR` set the read side's closed bit,
+//!   and `EPOLLHUP` or `EPOLLERR` the write side's. No clear removes them:
+//!   when the last data and the FIN arrive in one edge, the short read
+//!   that takes the data clears the read bit, and only the closed bit
+//!   sends the next read to the socket to see EOF.
+//! - A task with nothing ready **stores** its waker and its direction,
+//!   then reads the count again: an edge the turn reported after the first
+//!   read of the word found no waker, or an older one, and would be lost,
+//!   so the operation runs again instead of returning `Pending`.
 //!
 //! Every `Source` registers its *own* file descriptor: the write half
 //! of a split stream is a `try_clone` of the read half, so the two
-//! share one open file description but arm and disarm independently,
+//! share one open file description but keep readiness and wakers apart,
 //! and each is deleted from the epoll set before its descriptor closes
 //! (a closed descriptor whose description lives on in a duplicate would
 //! otherwise stay in the set with nobody able to remove it).
@@ -38,7 +52,7 @@
 #[cfg(not(target_os = "linux"))]
 compile_error!("the tokio stand-in's reactor is epoll: it builds on Linux only");
 
-use crate::lock;
+use crate::{lock, runtime};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -67,36 +81,103 @@ extern "C" {
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
-const EPOLLONESHOT: u32 = 1 << 30;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLET: u32 = 1 << 31;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 
 /// The eventfd's token; registrations count up from zero.
 const INTERRUPT: u64 = u64::MAX;
 
-/// The direction a pending operation waits for.
-#[derive(Clone, Copy)]
-#[repr(u32)]
-pub(crate) enum Interest {
-    Read = EPOLLIN,
-    Write = EPOLLOUT,
+// The readiness word: direction bits low, the event count high.
+const READABLE: u64 = 1;
+const WRITABLE: u64 = 1 << 1;
+const READ_CLOSED: u64 = 1 << 2;
+const WRITE_CLOSED: u64 = 1 << 3;
+/// One reported event, in the word's high half.
+const EVENT: u64 = 1 << 32;
+
+/// The readiness bits an epoll event sets.
+fn readiness(events: u32) -> u64 {
+    let mut bits = 0;
+    if events & EPOLLIN != 0 {
+        bits |= READABLE;
+    }
+    if events & EPOLLOUT != 0 {
+        bits |= WRITABLE;
+    }
+    if events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+        bits |= READ_CLOSED;
+    }
+    if events & (EPOLLHUP | EPOLLERR) != 0 {
+        bits |= WRITE_CLOSED;
+    }
+    bits
 }
 
-/// The waker of the task waiting on one source. A source has one: its
-/// operations take `&mut self` (or, for `accept`, are awaited by one
-/// task), so at most one task waits on it at a time.
-type Slot = Arc<Mutex<Option<Waker>>>;
+/// The direction a pending operation waits for.
+#[derive(Clone, Copy)]
+pub(crate) enum Interest {
+    Read,
+    Write,
+}
+
+impl Interest {
+    /// The bit an operation in this direction clears when it finds the
+    /// socket not ready.
+    fn bit(self) -> u64 {
+        match self {
+            Interest::Read => READABLE,
+            Interest::Write => WRITABLE,
+        }
+    }
+
+    /// The bits under which an operation in this direction runs.
+    fn ready(self) -> u64 {
+        match self {
+            Interest::Read => READABLE | READ_CLOSED,
+            Interest::Write => WRITABLE | WRITE_CLOSED,
+        }
+    }
+}
+
+/// One source's readiness and the task waiting on it. A source has at
+/// most one: its operations take `&mut self` (or, for `accept`, are
+/// awaited by one task).
+struct Registration {
+    readiness: AtomicU64,
+    waiter: Mutex<Option<(Waker, Interest)>>,
+}
+
+impl Registration {
+    /// Record one event that set `bits`; hand the waiter's waker to `due`
+    /// if it waits for one of them.
+    fn report(&self, bits: u64, due: &mut Vec<Waker>) {
+        // Set, then look for a waiter: a task that stores its waker after
+        // this update reads the new count.
+        let _ = self
+            .readiness
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+                Some((word | bits).wrapping_add(EVENT))
+            });
+        let mut waiter = lock(&self.waiter);
+        if matches!(&*waiter, Some((_, interest)) if bits & interest.ready() != 0) {
+            due.extend(waiter.take().map(|(waker, _)| waker));
+        }
+    }
+}
 
 struct Reactor {
     epfd: RawFd,
     /// Readable while an [`interrupt`] is pending; level-triggered, so a
     /// write that lands before the driver blocks is seen when it does.
     wake: File,
-    /// Registration token → waker slot, for every live [`Source`].
-    table: Mutex<HashMap<u64, Slot>>,
+    /// Registration token → registration, for every live [`Source`].
+    table: Mutex<HashMap<u64, Arc<Registration>>>,
     next_token: AtomicU64,
 }
 
@@ -128,8 +209,8 @@ fn reactor() -> &'static Reactor {
 }
 
 /// One `epoll_wait` of up to `timeout_ms` (−1 blocks until an event or an
-/// [`interrupt`]); appends the wakers of the sockets reported to `due`.
-/// A blocking turn also consumes a pending interrupt.
+/// [`interrupt`]); records what it reports and appends the wakers it
+/// satisfies to `due`. A blocking turn also consumes a pending interrupt.
 pub(crate) fn turn(timeout_ms: c_int, due: &mut Vec<Waker>) {
     let r = reactor();
     let mut events = [EpollEvent { events: 0, data: 0 }; 64];
@@ -161,8 +242,8 @@ pub(crate) fn turn(timeout_ms: c_int, due: &mut Vec<Waker>) {
             // A token that is gone belongs to a source dropped after the
             // kernel queued this event.
             token => {
-                if let Some(slot) = table.get(&token) {
-                    due.extend(lock(slot).take());
+                if let Some(reg) = table.get(&token) {
+                    reg.report(readiness(ev.events), due);
                 }
             }
         }
@@ -179,23 +260,40 @@ pub(crate) fn interrupt() {
 /// A nonblocking socket registered with the reactor.
 pub(crate) struct Source<S: AsRawFd> {
     token: u64,
-    slot: Slot,
+    reg: Arc<Registration>,
     io: S,
 }
 
 impl<S: AsRawFd> Source<S> {
-    /// Register `io`, which must already be nonblocking, with no interest
-    /// armed yet.
+    /// Register `io`, which must already be nonblocking. Both directions
+    /// start ready: the first operation finds out from the socket.
     pub(crate) fn new(io: S) -> io::Result<Self> {
+        Source::register(io, READABLE | WRITABLE)
+    }
+
+    /// Register `io` with nothing ready: its first operation waits for
+    /// the kernel's first report. For a socket whose connect is in
+    /// progress, on which writability means the connection completed.
+    pub(crate) fn unready(io: S) -> io::Result<Self> {
+        Source::register(io, 0)
+    }
+
+    fn register(io: S, ready: u64) -> io::Result<Self> {
+        // Only a worker turns the reactor: a program that waits on a
+        // socket before it spawns anything needs them running too.
+        runtime::start();
         let r = reactor();
         // Relaxed: the counter only has to hand out distinct numbers.
         let token = r.next_token.fetch_add(1, Ordering::Relaxed);
-        let slot = Slot::default();
-        lock(&r.table).insert(token, slot.clone());
+        let reg = Arc::new(Registration {
+            readiness: AtomicU64::new(ready),
+            waiter: Mutex::new(None),
+        });
+        lock(&r.table).insert(token, reg.clone());
         // Constructed before the ADD so that a failed ADD unwinds through
         // `Drop` like any other source (its DEL then fails and is ignored).
-        let source = Source { token, slot, io };
-        source.ctl(EPOLL_CTL_ADD, EPOLLONESHOT)?;
+        let source = Source { token, reg, io };
+        source.ctl(EPOLL_CTL_ADD, EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET)?;
         Ok(source)
     }
 
@@ -218,28 +316,52 @@ impl<S: AsRawFd> Source<S> {
         }
     }
 
-    /// Run the nonblocking operation `op`; if it would block, leave the
-    /// task's waker with the reactor, to be woken when the socket is ready
-    /// for `interest`.
+    /// Clear `interest`'s bit if no event arrived since `seen` was read.
+    fn clear(&self, interest: Interest, seen: u64) {
+        let _ = self
+            .reg
+            .readiness
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+                (word >> 32 == seen >> 32).then_some(word & !interest.bit())
+            });
+    }
+
+    /// Run the nonblocking operation `op` while the socket is ready for
+    /// `interest`; once it is not, leave the task's waker with the
+    /// reactor, to be woken when the kernel reports it ready. A result
+    /// for which `drained` holds means the socket has nothing more for
+    /// `interest` (a short read), and clears its readiness like a
+    /// `WouldBlock` without the extra call that would return one.
     pub(crate) fn poll_io<T>(
         &self,
         cx: &mut Context<'_>,
         interest: Interest,
         mut op: impl FnMut(&S) -> io::Result<T>,
+        drained: impl Fn(&T) -> bool,
     ) -> Poll<io::Result<T>> {
         loop {
-            match op(&self.io) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Store, then arm, both under the slot's lock: a turn
-                    // takes the waker under the same lock, so it sees
-                    // either no waker or an armed one.
-                    let mut slot = lock(&self.slot);
-                    *slot = Some(cx.waker().clone());
-                    self.ctl(EPOLL_CTL_MOD, interest as u32 | EPOLLONESHOT)?;
-                    return Poll::Pending;
+            let seen = self.reg.readiness.load(Ordering::Acquire);
+            if seen & interest.ready() != 0 {
+                match op(&self.io) {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.clear(interest, seen),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Ok(v) if drained(&v) => {
+                        self.clear(interest, seen);
+                        return Poll::Ready(Ok(v));
+                    }
+                    result => return Poll::Ready(result),
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                result => return Poll::Ready(result),
+            }
+            // Store, then read the count again: a turn updates the word
+            // before it takes the waiter's lock, so an event it reported
+            // after `seen` is either counted here or finds this waker.
+            let mut waiter = lock(&self.reg.waiter);
+            match &mut *waiter {
+                Some((waker, wants)) if waker.will_wake(cx.waker()) => *wants = interest,
+                other => *other = Some((cx.waker().clone(), interest)),
+            }
+            if self.reg.readiness.load(Ordering::Acquire) >> 32 == seen >> 32 {
+                return Poll::Pending;
             }
         }
     }
@@ -259,4 +381,46 @@ impl<S: AsRawFd> Drop for Source<S> {
 #[cfg(test)]
 pub(crate) fn registered() -> usize {
     lock(&reactor().table).len()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    /// An edge the kernel reports while an operation is failing on the
+    /// state before it: the failure must not clear the readiness the edge
+    /// set, and the task must not park on it. Both slips would leave the
+    /// task waiting for an edge that has already come.
+    #[test]
+    fn an_edge_reported_during_a_failing_operation_is_not_lost() {
+        let _serial = crate::test_serial();
+        let (io, _peer) = UnixStream::pair().unwrap();
+        io.set_nonblocking(true).unwrap();
+        let source = Source::new(io).unwrap();
+        // The ADD reports the socket writable once; wait for that turn, so
+        // that the only edge below is the one this test makes.
+        let t0 = Instant::now();
+        while source.reg.readiness.load(Ordering::Acquire) < EVENT {
+            assert!(t0.elapsed() < Duration::from_secs(5), "no first report");
+            std::thread::yield_now();
+        }
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut calls = 0;
+        let polled = source.poll_io(
+            &mut cx,
+            Interest::Read,
+            |_| {
+                calls += 1;
+                if calls > 1 {
+                    return Ok(calls);
+                }
+                source.reg.report(READABLE, &mut Vec::new());
+                Err(io::ErrorKind::WouldBlock.into())
+            },
+            |_| false,
+        );
+        assert!(matches!(polled, Poll::Ready(Ok(2))), "{polled:?}");
+    }
 }

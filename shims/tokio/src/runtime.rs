@@ -1,5 +1,6 @@
-//! The executor: a fixed thread pool fed by a global injector queue, plus
-//! a parker-based `block_on` for the main thread.
+//! The executor: a fixed thread pool fed by a global injector queue and a
+//! LIFO slot per worker, plus a parker-based `block_on` for the main
+//! thread.
 //!
 //! Each task is an `Arc<Task>` that is its own waker (`std::task::Wake`).
 //! A per-task state machine (idle / queued / running / notified / done)
@@ -8,6 +9,25 @@
 //! being lost — the two classic races of naive executors. A task whose
 //! poll panics is dropped and its `JoinHandle` resolves to a panic
 //! `JoinError`; the worker carries on.
+//!
+//! A task woken on a worker thread — by the task that worker is running,
+//! or by the worker's own reactor turn — goes into that worker's LIFO
+//! slot and runs next, on the same thread: no queue lock, no condvar, no
+//! eventfd, and the data the waker just wrote is still in that core's
+//! cache. A wake that finds the slot taken moves the older task to the
+//! queue. After `MAX_LIFO_POLLS` slot tasks in a row the slot's task
+//! goes to the back of the queue, so two tasks that wake each other
+//! cannot keep a worker from the queue. A worker only parks or blocks in
+//! the reactor with its slot empty: nobody else can run what is in it.
+//! Wakes from any other thread (the timer's, `block_on`'s), a task's wake
+//! of itself during its poll (a yield), and every `spawn` go to the back
+//! of the queue.
+//!
+//! Ordering the stand-in guarantees: tasks spawned by one thread start in
+//! spawn order (the queue is FIFO and spawns never take the slot), and
+//! bytes on one socket arrive in the kernel's order. Nothing else: which
+//! of two woken tasks runs first, or on which worker, is not part of the
+//! contract, and a test that depends on it is wrong.
 //!
 //! The workers also drive socket readiness ([`reactor`]); there is no
 //! thread of its own for it. A worker that finds the queue empty takes
@@ -21,6 +41,7 @@
 
 use crate::task::JoinError;
 use crate::{lock, reactor};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
@@ -38,6 +59,17 @@ const DONE: u8 = 4;
 /// Tasks a worker runs between two nonblocking reactor polls: tokio's
 /// `event_interval`.
 const EVENT_INTERVAL: u32 = 61;
+
+/// Tasks a worker runs from its LIFO slot in a row before the slot's task
+/// goes to the back of the queue: tokio's `MAX_LIFO_POLLS_PER_TICK`.
+const MAX_LIFO_POLLS: u32 = 3;
+
+thread_local! {
+    /// Set on the pool's worker threads only.
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The task this worker runs next.
+    static LIFO: Cell<Option<Arc<Task>>> = const { Cell::new(None) };
+}
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
@@ -72,6 +104,9 @@ impl Task {
         })
     }
 
+    /// Wake: queue the task unless it is queued, running (then it is
+    /// flagged to run again) or done. On a worker thread it takes the
+    /// worker's LIFO slot.
     pub(crate) fn schedule(self: Arc<Self>) {
         loop {
             match self.state.load(Ordering::Acquire) {
@@ -81,7 +116,13 @@ impl Task {
                         .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        pool().push(self);
+                        if WORKER.get() {
+                            if let Some(older) = LIFO.replace(Some(self)) {
+                                pool().push(older);
+                            }
+                        } else {
+                            pool().push(self);
+                        }
                         return;
                     }
                 }
@@ -210,34 +251,23 @@ fn pool() -> &'static Pool {
 }
 
 fn worker_loop() {
+    WORKER.set(true);
     let pool = pool();
     let mut due: Vec<Waker> = Vec::new();
     let mut ran: u32 = 0;
+    let mut lifo_polls: u32 = 0;
     loop {
-        let task = {
-            let mut q = lock(&pool.queue);
-            loop {
-                if let Some(t) = q.tasks.pop_front() {
-                    break t;
+        let task = match LIFO.take() {
+            Some(task) if lifo_polls < MAX_LIFO_POLLS => {
+                lifo_polls += 1;
+                task
+            }
+            over => {
+                lifo_polls = 0;
+                if let Some(task) = over {
+                    pool.push(task);
                 }
-                if q.driver == Driver::Free {
-                    q.driver = Driver::Blocked;
-                    drop(q);
-                    reactor::turn(-1, &mut due);
-                    // Give the role up before waking: the tasks woken are
-                    // pushed where this worker looks next, so none of those
-                    // pushes needs the eventfd.
-                    lock(&pool.queue).driver = Driver::Free;
-                    due.drain(..).for_each(Waker::wake);
-                    q = lock(&pool.queue);
-                } else {
-                    q.parked += 1;
-                    q = pool
-                        .available
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    q.parked -= 1;
-                }
+                next_from_queue(pool, &mut due)
             }
         };
         task.run();
@@ -249,8 +279,49 @@ fn worker_loop() {
     }
 }
 
+/// Pop the queue's front, or else drive the reactor or park until there
+/// is a task to run. Called with this worker's LIFO slot empty; returns
+/// the slot's task if the driver's own wakes filled it.
+fn next_from_queue(pool: &Pool, due: &mut Vec<Waker>) -> Arc<Task> {
+    let mut q = lock(&pool.queue);
+    loop {
+        if let Some(t) = q.tasks.pop_front() {
+            return t;
+        }
+        if q.driver == Driver::Free {
+            q.driver = Driver::Blocked;
+            drop(q);
+            reactor::turn(-1, due);
+            // Give the role up before waking: the tasks woken land in this
+            // worker's slot or queue, where it looks next, so none of those
+            // pushes needs the eventfd.
+            lock(&pool.queue).driver = Driver::Free;
+            due.drain(..).for_each(Waker::wake);
+            if let Some(task) = LIFO.take() {
+                return task;
+            }
+            q = lock(&pool.queue);
+        } else {
+            q.parked += 1;
+            q = pool
+                .available
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
+            q.parked -= 1;
+        }
+    }
+}
+
+/// Start the workers if they are not running yet.
+pub(crate) fn start() {
+    pool();
+}
+
+/// Queue a new task. Spawns skip the LIFO slot, so tasks spawned by one
+/// task start in the order they were spawned.
 pub(crate) fn inject(task: Arc<Task>) {
-    task.schedule();
+    task.state.store(QUEUED, Ordering::Release);
+    pool().push(task);
 }
 
 struct Parker {
