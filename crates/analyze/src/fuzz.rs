@@ -38,7 +38,7 @@
 use crate::diag::Severity;
 use crate::interproc::covered_classes;
 use crate::{analyze_scenario, parse_scenario, to_ipm};
-use ipmedia_core::hash::{splitmix64_next, GOLDEN_GAMMA};
+use ipmedia_core::hash::{SplitMix64, GOLDEN_GAMMA};
 use ipmedia_core::path::{EndGoal, Topology};
 use ipmedia_core::program::model::{
     GoalAnnotation, ModelEffect, ModelTrigger, ProgramModel, ScenarioModel, StateModel,
@@ -48,48 +48,11 @@ use ipmedia_mck::{budgeted, run_campaign_depth_capped, CheckConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A small, fast, seedable PRNG (splitmix64). Deterministic across
-/// platforms and thread counts; every generated artifact derives from
-/// one `u64` seed.
-#[derive(Debug, Clone)]
-pub struct FuzzRng {
-    state: u64,
-}
-
-impl FuzzRng {
-    /// New generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        splitmix64_next(&mut self.state)
-    }
-
-    /// Uniform value in `0..n` (`n` must be nonzero).
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn range(&mut self, n: usize) -> usize {
-        assert!(n > 0, "range over empty interval");
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Pick one element of a nonempty slice.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.range(xs.len())]
-    }
-
-    /// True with probability `num/den`.
-    pub fn chance(&mut self, num: usize, den: usize) -> bool {
-        self.range(den) < num
-    }
-}
-
 /// The per-scenario seed for scenario `index` of a campaign: one
 /// splitmix64 step off the campaign seed, so scenario streams from
 /// different campaign seeds do not overlap trivially.
 pub fn scenario_seed(campaign_seed: u64, index: u64) -> u64 {
-    FuzzRng::new(campaign_seed.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA))).next_u64()
+    SplitMix64::new(campaign_seed.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA))).next_u64()
 }
 
 // ---------------------------------------------------------------------------
@@ -129,7 +92,7 @@ pub const RELAY_ROLES: [&str; 4] = ["relay_all", "gated_relay", "dial_through", 
 /// flowlinks — and that population is exactly what the differential
 /// oracle cross-examines against the model checker.
 pub fn generate_scenario(seed: u64) -> ScenarioModel {
-    let mut rng = FuzzRng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let n = 2 + rng.range(5); // 2..=6 boxes
     let boxes: Vec<String> = (0..n).map(|i| format!("b{i}")).collect();
     let mut topo = Topology::new();
@@ -178,7 +141,7 @@ fn with_channels(mut m: ProgramModel, count: usize) -> ProgramModel {
 
 /// One endpoint program (or `None` for an unprogrammed box), built over
 /// channel `c0` / slot `s0`.
-fn endpoint_program(rng: &mut FuzzRng) -> Option<ProgramModel> {
+fn endpoint_program(rng: &mut SplitMix64) -> Option<ProgramModel> {
     let role = *rng.pick(&ENDPOINT_ROLES);
     let m = with_channels(ProgramModel::new(role), 1);
     let s0 = || "s0".to_string();
@@ -280,7 +243,7 @@ fn endpoint_program(rng: &mut FuzzRng) -> Option<ProgramModel> {
 /// for a random distinct pair `(i, j)`. Extra slots (degree > 2) get an
 /// `openSlot` claim at rest with probability 1/2 — the box doubles as an
 /// endpoint toward those neighbors — and are otherwise left unclaimed.
-fn relay_program(rng: &mut FuzzRng, degree: usize) -> ProgramModel {
+fn relay_program(rng: &mut SplitMix64, degree: usize) -> ProgramModel {
     let role = *rng.pick(&RELAY_ROLES);
     let i = rng.range(degree);
     let j = (i + 1 + rng.range(degree - 1)) % degree;
@@ -1068,8 +1031,8 @@ mod tests {
 
     #[test]
     fn rng_is_deterministic_and_spread() {
-        let mut a = FuzzRng::new(7);
-        let mut b = FuzzRng::new(7);
+        let mut a = SplitMix64::new(7);
+        let mut b = SplitMix64::new(7);
         let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys);

@@ -70,8 +70,8 @@ pub mod wellformed;
 pub use diag::{sort_report, Diagnostic, Severity};
 pub use fuzz::{
     class_label, fuzz_campaign, generate_scenario, scenario_seed, shrink_scenario, ClassChecker,
-    ClassKey, ClassVerdict, Divergence, DivergenceKind, FuzzConfig, FuzzReport, FuzzRng,
-    MckChecker, Origin, ScenarioRecord,
+    ClassKey, ClassVerdict, Divergence, DivergenceKind, FuzzConfig, FuzzReport, MckChecker, Origin,
+    ScenarioRecord,
 };
 pub use interproc::{covered_classes, covered_classes_up_to, CoveredClass};
 pub use manifest::{render_manifest, scenario_fingerprint, ScenarioVerdict, ANALYZER_VERSION};

@@ -354,22 +354,23 @@ pub async fn run_rt_chaos(
             .ok_or_else(|| err("no flowing slot on the caller".into()))?
     };
 
-    // Churn inside the fault window, as on the simulator: a concurrent
-    // task closes the call just after the first edge lands, so the
-    // close/closeack exchange must cross whatever the gate is doing —
-    // blocked frames register partition cuts and force connection-level
-    // recovery rather than an idle wait-out.
-    let first_ms = schedule.phases.first().map_or(0, |p| p.at_ms) / compress.max(1);
-    let cmd = caller.commander();
-    let churn = tokio::spawn(async move {
-        tokio::time::sleep(Duration::from_millis(first_ms + 20)).await;
-        let _ = cmd.send((slot, UserCmd::Close)).await;
+    // Replay the schedule onto the gate in compressed wall-clock time,
+    // on a task of its own; the heal instant for RTO accounting is when
+    // the last edge landed.
+    let drive = tokio::spawn({
+        let (gate, schedule) = (gate.clone(), schedule.clone());
+        async move { drive_schedule(&gate, &schedule, compress).await }
     });
 
-    // Replay the schedule onto the gate in compressed wall-clock time;
-    // the heal instant for RTO accounting is when the last edge landed.
-    drive_schedule(&gate, schedule, compress).await;
-    let _ = churn.await;
+    // Churn inside the fault window, as on the simulator: the call is
+    // closed just after the first edge lands, so the close/closeack
+    // exchange must cross whatever the gate is doing — blocked frames
+    // register partition cuts and force connection-level recovery rather
+    // than an idle wait-out.
+    let first_ms = schedule.phases.first().map_or(0, |p| p.at_ms) / compress.max(1);
+    tokio::time::sleep(Duration::from_millis(first_ms + 20)).await;
+    caller.user(slot, UserCmd::Close).await;
+    drive.await.expect("the schedule driver does not panic");
     let heal_at = clock.now_micros();
     gate.heal_all(); // belt and braces: judge recovery, not lingering cuts
 

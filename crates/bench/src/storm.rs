@@ -23,10 +23,11 @@
 //! `ipmedia-rt`'s own tests (`crates/rt/tests/overload.rs`) and
 //! `benchmark/`'s `rt_waves`.
 
-use ipmedia_analyze::fuzz::{scenario_seed, FuzzRng, ENDPOINT_ROLES, RELAY_ROLES};
+use ipmedia_analyze::fuzz::{scenario_seed, ENDPOINT_ROLES, RELAY_ROLES};
 use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
+use ipmedia_core::hash::SplitMix64;
 use ipmedia_core::ids::{BoxId, SlotId};
 use ipmedia_core::path::{EndGoal, PathType};
 use ipmedia_core::{BoxCmd, MediaAddr, Medium};
@@ -111,7 +112,7 @@ impl CallPlan {
 // array argument, so clippy's auto-deref suggestion does not compile.
 #[allow(clippy::explicit_auto_deref)]
 pub fn call_plan(seed: u64, index: usize) -> CallPlan {
-    let mut rng = FuzzRng::new(scenario_seed(seed, index as u64));
+    let mut rng = SplitMix64::new(scenario_seed(seed, index as u64));
     let path = *rng.pick(&PathType::all());
     // Path-length mix: half direct, a third one relay, the rest two —
     // roughly the deployment shapes of §VIII-C's chains.

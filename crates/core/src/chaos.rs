@@ -20,6 +20,8 @@
 //! list down to a minimal still-failing subsequence, mirroring the model
 //! checker's counterexample-ladder minimizers.
 
+use crate::hash::SplitMix64;
+
 /// Which direction(s) of a box pair a partition cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
@@ -323,31 +325,18 @@ impl ScheduleFamily {
     }
 }
 
-/// Splitmix64: the schedule generators' only entropy source, so a
-/// `(family, seed, topology)` triple always yields the same schedule.
-struct Mix(u64);
+/// Uniform in `lo..=hi`, drawn from the schedule generators' only entropy
+/// source, so a `(family, seed, topology)` triple always yields the same
+/// schedule.
+fn between(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    let span = usize::try_from(hi - lo + 1).expect("span fits usize");
+    lo + rng.range(span) as u64
+}
 
-impl Mix {
-    fn next(&mut self) -> u64 {
-        crate::hash::splitmix64_next(&mut self.0)
-    }
-
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next() % (hi - lo + 1)
-    }
-
-    /// Uniform percentage in `lo..=hi`, as a probability.
-    #[allow(clippy::cast_precision_loss)] // values are < 100
-    fn percent(&mut self, lo: u64, hi: u64) -> f64 {
-        self.range(lo, hi) as f64 / 100.0
-    }
-
-    fn pick<'a, T>(&mut self, s: &'a [T]) -> &'a T {
-        let i = usize::try_from(self.next() % s.len() as u64).expect("index fits usize");
-        &s[i]
-    }
+/// Uniform percentage in `lo..=hi`, as a probability.
+#[allow(clippy::cast_precision_loss)] // values are < 100
+fn percent(rng: &mut SplitMix64, lo: u64, hi: u64) -> f64 {
+    between(rng, lo, hi) as f64 / 100.0
 }
 
 /// Generate a seeded schedule of the given family over a topology.
@@ -358,7 +347,7 @@ impl Mix {
 /// within ~8 s, crashes restart within ~2.5 s, bursts expire within
 /// ~4 s.
 pub fn generate(family: ScheduleFamily, seed: u64, topo: &ChaosTopology) -> ChaosSchedule {
-    let mut rng = Mix(seed ^ 0x000C_4A05_u64.wrapping_mul(family as u64 + 1));
+    let mut rng = SplitMix64::new(seed ^ 0x000C_4A05_u64.wrapping_mul(family as u64 + 1));
     let mut s = ChaosSchedule::new(seed);
     assert!(
         !topo.links.is_empty() && !topo.boxes.is_empty(),
@@ -366,11 +355,11 @@ pub fn generate(family: ScheduleFamily, seed: u64, topo: &ChaosTopology) -> Chao
     );
     match family {
         ScheduleFamily::PartitionHeal => {
-            let n = rng.range(1, 2.min(topo.links.len() as u64));
+            let n = between(&mut rng, 1, 2.min(topo.links.len() as u64));
             for _ in 0..n {
                 let (a, b) = rng.pick(&topo.links).clone();
-                let t0 = rng.range(500, 1_500);
-                let dur = rng.range(3_000, 8_000);
+                let t0 = between(&mut rng, 500, 1_500);
+                let dur = between(&mut rng, 3_000, 8_000);
                 s = s
                     .partition(t0, &a, &b, Direction::Both)
                     .heal(t0 + dur, &a, &b);
@@ -378,58 +367,62 @@ pub fn generate(family: ScheduleFamily, seed: u64, topo: &ChaosTopology) -> Chao
         }
         ScheduleFamily::AsymmetricFlap => {
             let (a, b) = rng.pick(&topo.links).clone();
-            let mut t = rng.range(400, 1_000);
-            let flaps = rng.range(2, 3);
+            let mut t = between(&mut rng, 400, 1_000);
+            let flaps = between(&mut rng, 2, 3);
             for i in 0..flaps {
                 let dir = if i % 2 == 0 {
                     Direction::AToB
                 } else {
                     Direction::BToA
                 };
-                let dur = rng.range(800, 2_000);
+                let dur = between(&mut rng, 800, 2_000);
                 s = s.partition(t, &a, &b, dir).heal(t + dur, &a, &b);
-                t += dur + rng.range(300, 900);
+                t += dur + between(&mut rng, 300, 900);
             }
         }
         ScheduleFamily::CrashStorm => {
-            let n = rng.range(2, 4.min(topo.boxes.len() as u64).max(2));
-            let mut t = rng.range(400, 1_000);
+            let n = between(&mut rng, 2, 4.min(topo.boxes.len() as u64).max(2));
+            let mut t = between(&mut rng, 400, 1_000);
             for _ in 0..n {
                 let bx = rng.pick(&topo.boxes).clone();
-                let down = rng.range(500, 2_500);
+                let down = between(&mut rng, 500, 2_500);
                 s = s.crash(t, &bx, down);
-                t += rng.range(400, 1_000);
+                t += between(&mut rng, 400, 1_000);
             }
         }
         ScheduleFamily::BurstLoss => {
-            let n = rng.range(1, 2);
+            let n = between(&mut rng, 1, 2);
             for _ in 0..n {
                 let (a, b) = rng.pick(&topo.links).clone();
-                let t0 = rng.range(400, 1_200);
-                let drop = rng.percent(30, 70);
-                let dur = rng.range(1_500, 4_000);
+                let t0 = between(&mut rng, 400, 1_200);
+                let drop = percent(&mut rng, 30, 70);
+                let dur = between(&mut rng, 1_500, 4_000);
                 s = s.burst(t0, &a, &b, drop, 0.10, 0.20, 150, dur);
             }
         }
         ScheduleFamily::Mixed => {
             let (a, b) = rng.pick(&topo.links).clone();
-            let t0 = rng.range(500, 1_200);
-            let pdur = rng.range(2_500, 6_000);
+            let t0 = between(&mut rng, 500, 1_200);
+            let pdur = between(&mut rng, 2_500, 6_000);
             s = s
                 .partition(t0, &a, &b, Direction::Both)
                 .heal(t0 + pdur, &a, &b);
             let bx = rng.pick(&topo.boxes).clone();
-            s = s.crash(t0 + rng.range(200, 800), &bx, rng.range(500, 2_000));
+            s = s.crash(
+                t0 + between(&mut rng, 200, 800),
+                &bx,
+                between(&mut rng, 500, 2_000),
+            );
             let (ba, bb) = rng.pick(&topo.links).clone();
             s = s.burst(
-                t0 + pdur + rng.range(100, 500),
+                t0 + pdur + between(&mut rng, 100, 500),
                 &ba,
                 &bb,
-                rng.percent(20, 50),
+                percent(&mut rng, 20, 50),
                 0.10,
                 0.20,
                 150,
-                rng.range(1_000, 2_500),
+                between(&mut rng, 1_000, 2_500),
             );
         }
     }

@@ -39,6 +39,43 @@ pub fn splitmix64_next(state: &mut u64) -> u64 {
     splitmix64(*state)
 }
 
+/// A small, fast, seedable PRNG (splitmix64). Deterministic across
+/// platforms and thread counts; every generated artifact derives from
+/// one `u64` seed.
+#[derive(Debug, Clone)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// New generator from a seed.
+    pub fn new(seed: u64) -> Self {
+        Self { state: seed }
+    }
+
+    /// Next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        splitmix64_next(&mut self.state)
+    }
+
+    /// Uniform value in `0..n` (`n` must be nonzero).
+    #[allow(clippy::cast_possible_truncation)]
+    pub fn range(&mut self, n: usize) -> usize {
+        assert!(n > 0, "range over empty interval");
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Pick one element of a nonempty slice.
+    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+        &xs[self.range(xs.len())]
+    }
+
+    /// True with probability `num/den`.
+    pub fn chance(&mut self, num: usize, den: usize) -> bool {
+        self.range(den) < num
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,15 +1,18 @@
 //! Running a media-control box as a tokio task with real TCP signaling
 //! channels.
 //!
-//! Each box is one asynchronous actor: an accept loop admits incoming
-//! signaling channels, per-connection reader tasks feed a single inbox,
-//! and the actor serially applies inputs to its
+//! Each box is one asynchronous actor with one input queue (§VIII-C): an
+//! accept loop admits incoming signaling channels, and it, the
+//! per-connection reader tasks and the node's [`NodeHandle`] all feed a
+//! single bounded inbox. The actor awaits only that inbox, bounded by its
+//! next timer, and applies what it reads, in arrival order, to its
 //! [`ProgramBox`](ipmedia_core::program::ProgramBox) — the same
 //! sans-IO state machines the simulator and the model checker drive. All
 //! I/O is non-blocking; per-connection writer tasks apply backpressure via
 //! bounded channels — an actor whose writer queue is full waits for room,
 //! for at most the send timeout, and never discards a frame; shutdown
-//! closes every channel with an orderly `Bye` frame.
+//! applies what was queued before it, then closes every channel with an
+//! orderly `Bye` frame.
 
 use crate::chaos::ChaosGate;
 use crate::frame::Framed;
@@ -32,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, watch};
 use tokio::task::JoinHandle;
-use tokio::time::{sleep, sleep_until, timeout, Duration, Instant};
+use tokio::time::{sleep, timeout, timeout_at, Duration, Instant};
 
 /// Real-world fault-tolerance knobs: the runtime counterparts of the
 /// simulator's retransmission layer. TCP already gives per-channel
@@ -101,11 +104,11 @@ pub fn jitter_seed(name: &str, channel: u32) -> u64 {
     fnv1a(name.as_bytes()) ^ (u64::from(channel) << 32 | u64::from(channel))
 }
 
-/// Inbox events, or user commands, applied per actor wakeup before the
-/// snapshot publish. A publish costs what the events touched, but each
-/// one wakes whoever waits on the snapshot (a futex wake of a parked
-/// thread): paying that per event cost ×0.89 on `rt_waves`, 64 ahead in
-/// 9 of 10 pairs; per user command, ×0.93, ahead in 4 of 5.
+/// Inbox inputs of any kind applied per actor wakeup before the snapshot
+/// publish. A publish costs what the inputs touched, but each one wakes
+/// whoever waits on the snapshot (a futex wake of a parked thread):
+/// paying that per frame cost ×0.89 on `rt_waves`, 64 ahead in 9 of 10
+/// pairs; per user command, ×0.93, ahead in 4 of 5.
 const INBOX_BATCH: usize = 64;
 
 /// Frames a connection writer folds into one buffered write and flush:
@@ -191,14 +194,22 @@ pub struct NodeSnapshot {
     pub recovering: usize,
 }
 
-/// Control handle for a running node.
+/// Control handle for a running node. Its commands go into the node's one
+/// inbox behind whatever is already queued there, so they are applied in
+/// the order they were sent, interleaved with frames in arrival order.
+///
+/// Dropping the handle detaches the node, as dropping a tokio
+/// `JoinHandle` detaches its task: the node keeps serving its channels
+/// and, once they are quiet, sits idle at no CPU cost. [`shutdown`] and
+/// [`abort`] are the ways to stop it.
+///
+/// [`shutdown`]: NodeHandle::shutdown
+/// [`abort`]: NodeHandle::abort
 pub struct NodeHandle {
     pub name: String,
     /// Local listener address (register it in the [`Directory`]).
     pub addr: SocketAddr,
-    user_tx: mpsc::Sender<(SlotId, UserCmd)>,
-    input_tx: mpsc::Sender<BoxInput>,
-    shutdown_tx: watch::Sender<bool>,
+    inbox_tx: mpsc::Sender<Inbox>,
     pub snapshot: watch::Receiver<NodeSnapshot>,
     registry: Arc<Registry>,
     join: JoinHandle<()>,
@@ -208,24 +219,21 @@ pub struct NodeHandle {
 impl NodeHandle {
     /// Issue a user command on a slot (Fig. 5 user events).
     pub async fn user(&self, slot: SlotId, cmd: UserCmd) {
-        self.user_tx.send((slot, cmd)).await.expect("node alive");
-    }
-
-    /// Cloneable sender for user commands, for tasks that drive the node
-    /// concurrently with its owner (e.g. chaos churn during a schedule).
-    pub fn commander(&self) -> mpsc::Sender<(SlotId, UserCmd)> {
-        self.user_tx.clone()
+        let msg = Inbox::User { slot, cmd };
+        self.inbox_tx.send(msg).await.expect("node alive");
     }
 
     /// Inject an application input (meta-signals from local features).
     pub async fn inject(&self, input: BoxInput) {
-        self.input_tx.send(input).await.expect("node alive");
+        let msg = Inbox::Inject(input);
+        self.inbox_tx.send(msg).await.expect("node alive");
     }
 
-    /// Gracefully shut the node down: `Bye` on all channels, release the
-    /// directory entry, then exit.
+    /// Gracefully shut the node down: apply every command sent before
+    /// this one, then `Bye` on all channels, release the directory entry
+    /// and exit.
     pub async fn shutdown(self) {
-        let _ = self.shutdown_tx.send(true);
+        let _ = self.inbox_tx.send(Inbox::Shutdown).await;
         let _ = self.join.await;
         self.accept_join.abort();
     }
@@ -259,14 +267,9 @@ impl NodeHandle {
             if pred(&self.snapshot.borrow()) {
                 return true;
             }
-            tokio::select! {
-                changed = self.snapshot.changed() => {
-                    if changed.is_err() {
-                        return false;
-                    }
-                }
-                _ = sleep_until(deadline) => return false,
-            }
+            let Ok(Ok(())) = timeout_at(deadline, self.snapshot.changed()).await else {
+                return false;
+            };
         }
     }
 }
@@ -294,6 +297,12 @@ enum Inbox {
     },
     /// A background re-dial exhausted its attempts.
     ReconnectFailed { channel: ChannelId },
+    /// [`NodeHandle::user`].
+    User { slot: SlotId, cmd: UserCmd },
+    /// [`NodeHandle::inject`].
+    Inject(BoxInput),
+    /// [`NodeHandle::shutdown`]: everything queued before it is applied.
+    Shutdown,
 }
 
 struct Conn {
@@ -390,9 +399,6 @@ pub async fn spawn_node(
     let addr = listener.local_addr()?;
     dir.register(name.clone(), addr);
 
-    let (user_tx, user_rx) = mpsc::channel(64);
-    let (input_tx, input_rx) = mpsc::channel(64);
-    let (shutdown_tx, shutdown_rx) = watch::channel(false);
     let (snap_tx, snapshot) = watch::channel(NodeSnapshot::default());
     let registry = Arc::new(Registry::new());
     let obs: Box<dyn Observer + Send> = match &tracer {
@@ -408,8 +414,8 @@ pub async fn spawn_node(
         registry: registry.clone(),
     };
 
-    // One queue for every connection's events: per-channel FIFO (what §VI
-    // resync and the Bye protocol rely on) is global FIFO.
+    // One queue for every input, the handle's included: per-channel FIFO
+    // (what §VI resync and the Bye protocol rely on) is global FIFO.
     let (inbox_tx, inbox_rx) = mpsc::channel::<Inbox>(256);
 
     // Accept loop: do the hello handshake off the main loop so a slow
@@ -453,18 +459,16 @@ pub async fn spawn_node(
         registry: registry.clone(),
         tracer,
         gate,
-        inbox_tx,
+        inbox_tx: inbox_tx.clone(),
         buffers: Buffers::default(),
         lost: VecDeque::new(),
     };
-    let join = tokio::spawn(actor.run(inbox_rx, user_rx, input_rx, shutdown_rx));
+    let join = tokio::spawn(actor.run(inbox_rx));
 
     Ok(NodeHandle {
         name,
         addr,
-        user_tx,
-        input_tx,
-        shutdown_tx,
+        inbox_tx,
         snapshot,
         registry,
         join,
@@ -549,57 +553,37 @@ struct Actor {
 }
 
 impl Actor {
-    async fn run(
-        mut self,
-        mut inbox_rx: mpsc::Receiver<Inbox>,
-        mut user_rx: mpsc::Receiver<(SlotId, UserCmd)>,
-        mut input_rx: mpsc::Receiver<BoxInput>,
-        mut shutdown_rx: watch::Receiver<bool>,
-    ) {
+    /// Reads the inbox until an [`Inbox::Shutdown`]. The actor holds a
+    /// sender to it, so it never closes: with its handle dropped, the node
+    /// waits on it at no cost for as long as the process lives.
+    async fn run(mut self, mut inbox_rx: mpsc::Receiver<Inbox>) {
         self.feed(Input::Inject(BoxInput::Start), None).await;
 
-        loop {
+        'run: loop {
             while let Some((channel, gen)) = self.lost.pop_front() {
                 self.on_conn_lost(channel, gen).await;
             }
             self.publish();
-            let next_timer = self.timers.peek().map(|Reverse((due, ..))| *due);
-            tokio::select! {
-                biased;
-                _ = shutdown_rx.changed() => {
-                    if *shutdown_rx.borrow() {
-                        break;
-                    }
-                }
-                Some(msg) = inbox_rx.recv() => {
-                    self.on_inbox(msg).await;
-                    // Apply what else is already queued before paying for
-                    // the snapshot publish.
-                    for _ in 1..INBOX_BATCH {
-                        let Ok(msg) = inbox_rx.try_recv() else {
-                            break;
-                        };
-                        self.on_inbox(msg).await;
-                    }
-                }
-                Some((slot, cmd)) = user_rx.recv() => {
-                    self.feed(Input::User { slot, cmd }, None).await;
-                    // Likewise for the caller's commands: one publish, and
-                    // one wake of whoever waits on it, per batch.
-                    for _ in 1..INBOX_BATCH {
-                        let Ok((slot, cmd)) = user_rx.try_recv() else {
-                            break;
-                        };
-                        self.feed(Input::User { slot, cmd }, None).await;
-                    }
-                }
-                Some(input) = input_rx.recv() => {
-                    self.feed(Input::Inject(input), None).await;
-                }
-                // Disabled while no wakeup is pending; the fallback deadline
-                // only gives the disabled branch a value.
-                _ = sleep_until(next_timer.unwrap_or_else(Instant::now)), if next_timer.is_some() => {
-                    self.fire_due_timers().await;
+            let next_due = self.timers.peek().map(|Reverse((due, ..))| *due);
+            let msg = match next_due {
+                Some(due) => timeout_at(due, inbox_rx.recv()).await,
+                None => Ok(inbox_rx.recv().await),
+            };
+            let Ok(msg) = msg else {
+                self.fire_due_timers().await;
+                continue;
+            };
+            if !self.on_inbox(msg.expect("the actor holds a sender")).await {
+                break;
+            }
+            // Apply what else is already queued before paying for the
+            // snapshot publish.
+            for _ in 1..INBOX_BATCH {
+                let Ok(msg) = inbox_rx.try_recv() else {
+                    break;
+                };
+                if !self.on_inbox(msg).await {
+                    break 'run;
                 }
             }
         }
@@ -744,7 +728,8 @@ impl Actor {
         }
     }
 
-    async fn on_inbox(&mut self, msg: Inbox) {
+    /// Applies one inbox input; `false` once it is [`Inbox::Shutdown`].
+    async fn on_inbox(&mut self, msg: Inbox) -> bool {
         match msg {
             Inbox::Accepted { hello, framed } => {
                 let channel =
@@ -761,7 +746,7 @@ impl Actor {
                 // a dead connection; acting on it (especially a Bye) would
                 // hit the live replacement.
                 if self.conns.get(&channel).map(|c| c.gen) != Some(gen) {
-                    return;
+                    return true;
                 }
                 match frame {
                     Frame::Msg(msg) => self.feed(Input::Msg { channel, msg }, None).await,
@@ -790,7 +775,11 @@ impl Actor {
                 // program), exactly as if the peer had said Bye.
                 self.drop_channel(channel).await;
             }
+            Inbox::User { slot, cmd } => self.feed(Input::User { slot, cmd }, None).await,
+            Inbox::Inject(input) => self.feed(Input::Inject(input), None).await,
+            Inbox::Shutdown => return false,
         }
+        true
     }
 
     /// The TCP connection behind `channel` died without a Bye. If this

@@ -1,5 +1,6 @@
-//! An idle node costs no CPU. One test, so that the process holds nothing
-//! but the pair being measured.
+//! An idle node costs no CPU, and neither does one whose handle was
+//! dropped. One test, so that the process holds nothing but the pair being
+//! measured.
 
 use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::EndpointLogic;
@@ -57,6 +58,13 @@ fn cpu_ticks() -> u64 {
     tick() + tick()
 }
 
+/// CPU ticks this process uses over the next second.
+async fn ticks_in_one_second() -> u64 {
+    let before = cpu_ticks();
+    sleep(Duration::from_secs(1)).await;
+    cpu_ticks() - before
+}
+
 #[tokio::test]
 async fn an_idle_pair_uses_no_cpu() {
     let dir = Directory::new();
@@ -93,11 +101,18 @@ async fn an_idle_pair_uses_no_cpu() {
     // 128 connections, each with a parked reader and writer. Ticks are
     // 10 ms: polled at 1 kHz this pair took dozens of them per second.
     sleep(Duration::from_millis(200)).await; // the last frames in flight
-    let before = cpu_ticks();
-    sleep(Duration::from_secs(1)).await;
-    let used = cpu_ticks() - before;
+    let used = ticks_in_one_second().await;
     assert!(used < 2, "an idle pair used {used} CPU ticks in one second");
 
+    // A dropped handle detaches its node, which keeps its calls up and
+    // stays idle: nothing the handle closed may wake it.
+    drop(callee);
+    let used = ticks_in_one_second().await;
+    assert!(
+        used < 2,
+        "a detached idle node used {used} CPU ticks in one second"
+    );
+    assert!(all_flowing(&caller.snapshot.borrow()));
+
     caller.shutdown().await;
-    callee.shutdown().await;
 }

@@ -25,16 +25,24 @@ fn phone(h: u8) -> Box<EndpointLogic> {
     ))
 }
 
-/// A box that dials a peer at start and opens one audio tunnel via an
-/// endpoint user agent.
+/// A box that dials a peer at start and opens an audio call on each of
+/// the channel's tunnels via endpoint user agents.
 struct Dialer {
     target: String,
+    tunnels: u16,
+}
+
+fn dialer(target: &str, tunnels: u16) -> Box<Dialer> {
+    Box::new(Dialer {
+        target: target.into(),
+        tunnels,
+    })
 }
 
 impl AppLogic for Dialer {
     fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
         match input {
-            BoxInput::Start => ctx.open_channel(self.target.clone(), 1, 1),
+            BoxInput::Start => ctx.open_channel(self.target.clone(), self.tunnels, 1),
             BoxInput::ChannelUp {
                 slots,
                 req: Some(1),
@@ -46,8 +54,8 @@ impl AppLogic for Dialer {
                         policy: EndpointPolicy::audio(addr(1)),
                         mode: AcceptMode::Auto,
                     });
+                    ctx.user(*s, UserCmd::Open(Medium::Audio));
                 }
-                ctx.user(slots[0], UserCmd::Open(Medium::Audio));
             }
             _ => {}
         }
@@ -102,9 +110,7 @@ async fn direct_call_over_tcp() {
     let mut caller = spawn_node(
         "phone-a",
         BoxId(1),
-        Box::new(Dialer {
-            target: "phone-b".into(),
-        }),
+        dialer("phone-b", 1),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -178,9 +184,7 @@ async fn spawned_observer_sees_structural_events() {
     let mut caller = spawn_node(
         "phone-a",
         BoxId(1),
-        Box::new(Dialer {
-            target: "phone-b".into(),
-        }),
+        dialer("phone-b", 1),
         dir.clone(),
         NodeOptions {
             observer: Box::new(rec),
@@ -258,9 +262,7 @@ async fn call_through_gateway_server_over_tcp() {
     let mut caller = spawn_node(
         "phone-a",
         BoxId(1),
-        Box::new(Dialer {
-            target: "gateway".into(),
-        }),
+        dialer("gateway", 1),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -351,9 +353,7 @@ async fn user_close_tears_down_over_tcp() {
     let mut caller = spawn_node(
         "phone-a",
         BoxId(1),
-        Box::new(Dialer {
-            target: "phone-b".into(),
-        }),
+        dialer("phone-b", 1),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -406,9 +406,7 @@ async fn graceful_shutdown_closes_peer_channel() {
     let mut caller = spawn_node(
         "phone-a",
         BoxId(1),
-        Box::new(Dialer {
-            target: "phone-b".into(),
-        }),
+        dialer("phone-b", 1),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -429,5 +427,56 @@ async fn graceful_shutdown_closes_peer_channel() {
         callee.wait_for(WAIT, |s| s.channels == 0).await,
         "callee saw the Bye and dropped the channel"
     );
+    callee.shutdown().await;
+}
+
+/// A node's handle applies its commands in the order they were sent, and
+/// `shutdown` is one of them: closes queued ahead of it all go out before
+/// the node says Bye.
+#[tokio::test]
+async fn shutdown_applies_the_commands_queued_before_it() {
+    const CALLS: u16 = 8;
+    let dir = Directory::new();
+    let mut callee = spawn_node(
+        "phone-b",
+        BoxId(2),
+        phone(2),
+        dir.clone(),
+        NodeOptions::default(),
+    )
+    .await
+    .unwrap();
+    let mut caller = spawn_node(
+        "phone-a",
+        BoxId(1),
+        dialer("phone-b", CALLS),
+        dir.clone(),
+        NodeOptions::default(),
+    )
+    .await
+    .unwrap();
+    let all_flowing = |s: &ipmedia_rt::NodeSnapshot| {
+        s.slots
+            .iter()
+            .filter(|sl| sl.state == SlotState::Flowing)
+            .count()
+            == usize::from(CALLS)
+    };
+    assert!(caller.wait_for(WAIT, all_flowing).await);
+    assert!(callee.wait_for(WAIT, all_flowing).await);
+
+    let registry = caller.registry();
+    let slots: Vec<SlotId> = caller
+        .snapshot
+        .borrow()
+        .slots
+        .iter()
+        .map(|sl| sl.slot)
+        .collect();
+    for slot in slots {
+        caller.user(slot, UserCmd::Close).await;
+    }
+    caller.shutdown().await;
+    assert_eq!(registry.snapshot().sent("close"), u64::from(CALLS));
     callee.shutdown().await;
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Code lines per crate and in total: non-blank lines that are not `//`
-# comments (doc comments included), up to the first `#[cfg(test)]` of each
-# file. With arguments, counts just those files and prints one line each;
-# without, also one line per `shims/*` and for `benchmark`, below `total`
-# and not part of it.
+# comments (doc comments included), up to the first unindented
+# `#[cfg(test)]` of each file that opens a `mod`; one on a test-only `fn`
+# or `static` counts as code with its item. With arguments, counts just
+# those files and prints one line each; without, also one line per
+# `shims/*` and for `benchmark`, below `total` and not part of it.
 #
 # Usage: scripts/loc.sh [FILE.rs ...]
 #
@@ -12,11 +13,13 @@
 set -euo pipefail
 
 count() {
-    awk 'FNR == 1 { skip = 0 }
-         /^#\[cfg\(test\)\]/ { skip = 1 }
-         skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    awk 'FNR == 1 { n += held; skip = 0; held = 0 }
+         skip { next }
+         held { held = 0; if (/^(pub(\([a-z]+\))? )?mod /) { skip = 1; next } n++ }
+         /^#\[cfg\(test\)\]/ { held = 1; next }
+         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
          { n++ }
-         END { print n + 0 }' "$@"
+         END { print n + held }' "$@"
 }
 
 if [ "$#" -gt 0 ]; then

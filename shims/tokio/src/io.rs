@@ -2,7 +2,7 @@
 //!
 //! The traits take `&mut self` rather than `Pin<&mut Self>`: every stream
 //! type in this shim is `Unpin`, which keeps the extension futures plain
-//! structs and lets `select!` poll them with `Pin::new`.
+//! structs that a `timeout` can poll with `Pin::new`.
 
 use crate::lock;
 use std::io;

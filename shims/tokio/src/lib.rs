@@ -10,7 +10,8 @@
 //!   in tokio), spawned tasks start in spawn order, and a task that
 //!   panics resolves its handle to a panic `JoinError` and leaves its
 //!   worker running;
-//! - a timer thread backing `time::{sleep, sleep_until, timeout}`;
+//! - a timer thread backing `time::{sleep, sleep_until, timeout,
+//!   timeout_at}`;
 //! - nonblocking TCP (`net::{TcpListener, TcpStream}`, `connect`
 //!   included) woken by socket readiness: the pool's workers drive an
 //!   `epoll` reactor (Linux only) — one with nothing to run blocks in
@@ -19,15 +20,15 @@
 //!   on each socket, so latency is the kernel's and an idle connection
 //!   uses no CPU;
 //! - `sync::{mpsc, watch}` channels, which a panic does not poison, and
-//!   an in-memory `io::duplex` pipe;
-//! - a `select!` macro with tokio's pattern/guard semantics (always
-//!   biased: branches are polled in declaration order).
+//!   an in-memory `io::duplex` pipe.
+//!
+//! A task that waits on a queue until a deadline awaits
+//! `time::timeout_at(deadline, rx.recv())`.
 //!
 //! Single-flavor runtime: `rt-multi-thread` et al. are accepted as feature
 //! names but do not change behavior.
 
 pub mod io;
-pub mod macros;
 pub mod net;
 mod reactor;
 pub mod runtime;

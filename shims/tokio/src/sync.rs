@@ -567,8 +567,9 @@ pub mod watch {
     mod tests {
         use super::*;
 
-        /// A `changed()` that is polled and never fires (a `select!` arm
-        /// that keeps losing) must not grow the channel.
+        /// A `changed()` that is polled and never fires (one under a
+        /// `timeout_at` whose task keeps being woken) must not grow the
+        /// channel.
         #[test]
         fn unsent_changed_polls_keep_one_waker_per_receiver() {
             let (tx, mut rx) = channel(0u32);

@@ -4,13 +4,13 @@
 //! The table holds one entry per *pending* [`Sleep`]: a `Sleep` enters it
 //! when first polled before its deadline, has its waker replaced in place
 //! when polled again, and leaves it when it fires or is dropped — so a
-//! `timeout` whose future wins, or a `select!` arm that loses, leaves
-//! nothing behind. The table keeps the instant the thread sleeps toward,
-//! which only moves earlier until it passes, and a new entry notifies the
-//! thread only when it is earlier than that; any other insertion cannot
-//! change when it must next wake. Re-creating
-//! a sleep at the same deadline — a `select!` loop that builds
-//! `sleep_until(deadline)` on every pass — therefore costs no wake.
+//! `timeout` whose future wins leaves nothing behind. The table keeps the
+//! instant the thread sleeps toward, which only moves earlier until it
+//! passes, and a new entry notifies the thread only when it is earlier
+//! than that; any other insertion cannot change when it must next wake.
+//! Re-creating a sleep at the same deadline — a loop that awaits
+//! `timeout_at(deadline, ..)` afresh on every pass — therefore costs no
+//! wake.
 
 use crate::lock;
 use std::collections::BTreeMap;
@@ -199,9 +199,13 @@ impl<F: Future> Future for Timeout<F> {
 }
 
 pub fn timeout<F: Future>(duration: Duration, future: F) -> Timeout<F> {
+    timeout_at(Instant::now() + duration, future)
+}
+
+pub fn timeout_at<F: Future>(deadline: Instant, future: F) -> Timeout<F> {
     Timeout {
         future,
-        sleep: sleep(duration),
+        sleep: sleep_until(deadline),
     }
 }
 
@@ -236,6 +240,8 @@ mod tests {
                 timeout(Duration::from_secs(10), ready_on_second_poll())
                     .await
                     .unwrap();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                timeout_at(deadline, ready_on_second_poll()).await.unwrap();
             }
         });
         assert_eq!(pending(), 0);
@@ -263,10 +269,10 @@ mod tests {
         assert_eq!(pending(), 0);
     }
 
-    /// A `select!` loop builds `sleep_until(deadline)` afresh on every
-    /// pass, always with the same deadline, dropping the last one first:
-    /// the thread hears of it once (or not at all, if it already sleeps
-    /// toward an earlier instant), however soon it wakes to that notify.
+    /// A loop awaiting `timeout_at(deadline, ..)` builds a sleep at that
+    /// deadline afresh on every pass, dropping the last one first: the
+    /// thread hears of it once (or not at all, if it already sleeps toward
+    /// an earlier instant), however soon it wakes to that notify.
     #[test]
     fn fresh_sleeps_at_one_deadline_notify_the_thread_at_most_once() {
         let _serial = crate::test_serial();
