@@ -282,6 +282,7 @@ fn prepaid() -> ProgramModel {
 
 /// The tcp_call gateway: waits for the caller's open, places the onward
 /// call over real TCP, then flowlinks.
+/// Drift, unfixed: `tcp_call.rs`'s `RelayLogic` dials on `ChannelUp` and links at once.
 fn tcp_gateway() -> ProgramModel {
     ProgramModel::new("gateway")
         .channel("chIn")
@@ -312,6 +313,7 @@ fn tcp_gateway() -> ProgramModel {
 
 /// The tcp_call dialer: opens a channel to the gateway and drives its one
 /// slot toward flowing.
+/// Drift, unfixed: `tcp_call.rs`'s `CallerLogic` runs a user agent and a user `open`.
 fn tcp_dialer() -> ProgramModel {
     ProgramModel::new("dialer")
         .channel("chG")

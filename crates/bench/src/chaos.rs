@@ -11,11 +11,9 @@
 //! mirroring the model checker's counterexample ladders.
 
 use crate::Chain;
-use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::chaos::{ChaosSchedule, ChaosTopology};
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::reliable::ReliableConfig;
 use ipmedia_core::{BoxCmd, BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_netsim::{apply_schedule, SimConfig, SimDuration, SimTime};
@@ -249,33 +247,6 @@ fn rt_addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
 }
 
-/// Caller box for the runtime harness: dials `end-r` at start and opens
-/// one audio tunnel.
-struct RtDialer;
-
-impl AppLogic for RtDialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => ctx.open_channel("end-r".to_string(), 1, 1),
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                for s in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot: *s,
-                        policy: EndpointPolicy::audio(rt_addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                }
-                ctx.user(slots[0], UserCmd::Open(Medium::Audio));
-            }
-            _ => {}
-        }
-    }
-}
-
 fn rt_policy() -> ReconnectPolicy {
     ReconnectPolicy {
         connect_attempts: 5,
@@ -317,10 +288,7 @@ pub async fn run_rt_chaos(
     let mut callee = spawn_node(
         "end-r",
         BoxId(2),
-        Box::new(EndpointLogic::new(
-            EndpointPolicy::audio(rt_addr(2)),
-            AcceptMode::Auto,
-        )),
+        Box::new(EndpointLogic::resource(EndpointPolicy::audio(rt_addr(2)))),
         dir.clone(),
         opts(rec_r),
     )
@@ -329,7 +297,12 @@ pub async fn run_rt_chaos(
     let mut caller = spawn_node(
         "end-l",
         BoxId(1),
-        Box::new(RtDialer),
+        Box::new(CallerLogic::new(
+            EndpointPolicy::audio(rt_addr(1)),
+            "end-r",
+            1,
+            1,
+        )),
         dir.clone(),
         opts(rec_l),
     )

@@ -52,7 +52,7 @@ pub use chaos::{
 };
 pub use codec::{Codec, CodecList, Medium};
 pub use descriptor::{DescTag, Descriptor, MediaAddr, Selector, TagSource};
-pub use endpoint::{EndpointLogic, NullLogic};
+pub use endpoint::{CallerLogic, EndpointLogic, NullLogic, RelayLogic};
 pub use error::ProtocolError;
 pub use goal::{
     AcceptMode, CloseSlot, EndpointPolicy, FlowLink, Goal, GoalKind, HoldSlot, LinkSide, OpenSlot,

@@ -2,7 +2,7 @@
 //! discrete-event simulator, including the paper's latency arithmetic.
 
 use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, NullLogic, RelayLogic};
 use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::path::PathEnds;
 use ipmedia_core::{Codec, MediaAddr, Medium};
@@ -489,4 +489,37 @@ fn far_end_channel_down_is_observed() {
         ],
         "{at_relay:#?}"
     );
+}
+
+#[test]
+fn a_relay_pairs_each_caller_with_its_own_onward_leg() {
+    // Two callers reach the relay at once; each onward dial comes up one
+    // round trip (2n) later, after both callers have arrived. Each caller
+    // must still be linked to its own leg: a relay holding one "incoming"
+    // channel links both legs to the second caller.
+    let callee_addr = MediaAddr::v4(10, 0, 0, 3, 4000);
+    let caller = |host| {
+        let policy = EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, host, 4000));
+        Box::new(CallerLogic::new(policy, "relay", 1, 1))
+    };
+    let mut net = Network::new(SimConfig::paper());
+    let callers = [
+        net.add_box("phone-1", caller(1)),
+        net.add_box("phone-2", caller(2)),
+    ];
+    let relay = net.add_box("relay", Box::new(RelayLogic::new("callee")));
+    net.add_box("callee", audio_endpoint(3));
+    net.run_until_quiescent(T_MAX);
+
+    for c in callers {
+        let (_, slot) = net.media(c).slots().next().expect("the caller's slot");
+        assert!(slot.is_flowing(), "{c:?} flows");
+        assert_eq!(slot.tx_route(), Some((callee_addr, Codec::G711)));
+    }
+    let relay = net.media(relay);
+    assert_eq!(relay.slot_ids().count(), 4);
+    for s in relay.slot_ids() {
+        let goal = relay.goal_of(s).map(|g| g.kind());
+        assert_eq!(goal, Some("flowLink"), "relay slot {s}");
+    }
 }

@@ -318,45 +318,18 @@ mod tests {
     /// must still answer instead of cascading the panic.
     #[tokio::test]
     async fn node_still_answers_after_gate_poison() {
-        use ipmedia_core::boxes::GoalSpec;
-        use ipmedia_core::endpoint::EndpointLogic;
-        use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-        use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-        use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
-
-        struct Dialer;
-        impl AppLogic for Dialer {
-            fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-                match input {
-                    BoxInput::Start => ctx.open_channel("callee".to_string(), 1, 1),
-                    BoxInput::ChannelUp {
-                        slots,
-                        req: Some(1),
-                        ..
-                    } => {
-                        for s in slots {
-                            ctx.set_goal(GoalSpec::User {
-                                slot: *s,
-                                policy: EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000)),
-                                mode: AcceptMode::Auto,
-                            });
-                        }
-                        ctx.user(slots[0], UserCmd::Open(Medium::Audio));
-                    }
-                    _ => {}
-                }
-            }
-        }
+        use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+        use ipmedia_core::goal::EndpointPolicy;
+        use ipmedia_core::{BoxId, MediaAddr, SlotState};
 
         let gate = ChaosGate::new();
         let dir = crate::node::Directory::new();
         let callee = crate::node::spawn_node(
             "callee",
             BoxId(2),
-            Box::new(EndpointLogic::new(
-                EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 2, 4000)),
-                AcceptMode::Auto,
-            )),
+            Box::new(EndpointLogic::resource(EndpointPolicy::audio(
+                MediaAddr::v4(10, 0, 0, 2, 4000),
+            ))),
             dir.clone(),
             crate::node::NodeOptions {
                 gate: Some(gate.clone()),
@@ -380,7 +353,12 @@ mod tests {
         let mut caller = crate::node::spawn_node(
             "caller",
             BoxId(1),
-            Box::new(Dialer),
+            Box::new(CallerLogic::new(
+                EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000)),
+                "callee",
+                1,
+                1,
+            )),
             dir.clone(),
             crate::node::NodeOptions {
                 gate: Some(gate.clone()),

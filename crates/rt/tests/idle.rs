@@ -2,49 +2,17 @@
 //! dropped. One test, so that the process holds nothing but the pair being
 //! measured.
 
-use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+use ipmedia_core::goal::EndpointPolicy;
+use ipmedia_core::{BoxId, MediaAddr, SlotState};
 use ipmedia_rt::{spawn_node, Directory, NodeOptions};
 use tokio::time::{sleep, Duration};
 
-const CHANNELS: u32 = 64;
+const CHANNELS: u16 = 64;
 const TUNNELS: u16 = 8;
 
 fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
-}
-
-/// Opens [`CHANNELS`] channels of [`TUNNELS`] slots and dials every slot.
-struct Dialer;
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => {
-                for c in 0..CHANNELS {
-                    ctx.open_channel("callee", TUNNELS, c);
-                }
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(_),
-                ..
-            } => {
-                for &slot in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot,
-                        policy: EndpointPolicy::audio(addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                    ctx.user(slot, UserCmd::Open(Medium::Audio));
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// User plus system CPU time of this process so far, in clock ticks
@@ -81,13 +49,18 @@ async fn an_idle_pair_uses_no_cpu() {
     let mut caller = spawn_node(
         "caller",
         BoxId(1),
-        Box::new(Dialer),
+        Box::new(CallerLogic::new(
+            EndpointPolicy::audio(addr(1)),
+            "callee",
+            CHANNELS,
+            TUNNELS,
+        )),
         dir,
         NodeOptions::default(),
     )
     .await
     .unwrap();
-    let calls = CHANNELS as usize * usize::from(TUNNELS);
+    let calls = usize::from(CHANNELS * TUNNELS);
     let all_flowing = |s: &ipmedia_rt::NodeSnapshot| {
         s.slots
             .iter()

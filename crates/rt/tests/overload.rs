@@ -3,7 +3,7 @@
 //! costs its own connection and nothing else.
 
 use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::ids::SlotId;
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx, TimerId};
@@ -28,45 +28,14 @@ fn callee_logic() -> Box<dyn AppLogic> {
     Box::new(EndpointLogic::resource(EndpointPolicy::audio(addr(2))))
 }
 
-/// Opens `channels` channels of `tunnels` slots each to `target` and dials
-/// every slot.
-struct Dialer {
-    target: &'static str,
-    channels: u16,
-    tunnels: u16,
-}
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => {
-                for _ in 0..self.channels {
-                    ctx.open_channel(self.target, self.tunnels, 1);
-                }
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                for &slot in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot,
-                        policy: EndpointPolicy::audio(addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                    ctx.user(slot, UserCmd::Open(Medium::Audio));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 type Links = Arc<Mutex<Vec<(SlotId, SlotId)>>>;
 
 /// Dials the callee when the caller's channel arrives and flowlinks the
-/// two channels tunnel by tunnel, recording the links it made.
+/// two channels tunnel by tunnel, recording the links it made. It is an
+/// `endpoint::RelayLogic` plus that record, which the test hands to
+/// `Monitor::watch_flowlink` and which `RelayLogic` does not keep. One
+/// `incoming` is enough on `rt`, which places a dial before it reads the
+/// next input.
 struct Gateway {
     incoming: Vec<SlotId>,
     links: Links,
@@ -138,11 +107,8 @@ async fn waves(channels: u16, tunnels: u16, via_gateway: bool) {
         );
         gateway = Some(node.await.unwrap());
     }
-    let dialer = Dialer {
-        target: if via_gateway { "gateway" } else { "callee" },
-        channels,
-        tunnels,
-    };
+    let target = if via_gateway { "gateway" } else { "callee" };
+    let dialer = CallerLogic::new(EndpointPolicy::audio(addr(1)), target, channels, tunnels);
     let mut caller = spawn_node("caller", BoxId(1), Box::new(dialer), dir, recorded())
         .await
         .unwrap();
@@ -396,11 +362,7 @@ async fn a_silent_opener_is_hung_up_on() {
     let end = timeout(Duration::from_secs(2), silent.read_frame()).await;
     assert!(matches!(end, Ok(Ok(None))), "no EOF in 2 s: {end:?}");
 
-    let dialer = Dialer {
-        target: "phone",
-        channels: 1,
-        tunnels: 1,
-    };
+    let dialer = CallerLogic::new(EndpointPolicy::audio(addr(1)), "phone", 1, 1);
     let mut caller = spawn_node(
         "caller",
         BoxId(1),

@@ -7,11 +7,9 @@
 //!
 //! One `#[test]` only: the counter is process-wide.
 
-use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+use ipmedia_core::goal::{EndpointPolicy, UserCmd};
+use ipmedia_core::{BoxId, MediaAddr, SlotState};
 use ipmedia_rt::{spawn_node, Directory, NodeOptions, NodeSnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,35 +48,6 @@ fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
 }
 
-/// Opens `channels` channels of eight tunnels to the callee and dials
-/// every slot.
-struct Dialer {
-    channels: u16,
-}
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => (0..self.channels).for_each(|_| ctx.open_channel("callee", 8, 1)),
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                for &slot in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot,
-                        policy: EndpointPolicy::audio(addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                    ctx.user(slot, UserCmd::Open(Medium::Audio));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Bytes allocated per round trip — mute one call's inbound at the
 /// caller, wait for the callee's route to go, and back — between two
 /// nodes holding `channels × 8` flowing calls, after a warm-up.
@@ -100,7 +69,12 @@ async fn bytes_per_round_trip(channels: u16) -> u64 {
     let mut caller = spawn_node(
         "caller",
         BoxId(1),
-        Box::new(Dialer { channels }),
+        Box::new(CallerLogic::new(
+            EndpointPolicy::audio(addr(1)),
+            "callee",
+            channels,
+            8,
+        )),
         dir,
         NodeOptions::default(),
     )

@@ -3,10 +3,8 @@
 //! raw listener so it can kill connections without a Bye and watch what
 //! the node retransmits after reconnecting.
 
-use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::signal::{ChannelMsg, Signal};
 use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_rt::{
@@ -22,32 +20,13 @@ fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
 }
 
-/// Dials a peer at start and opens one audio tunnel.
-struct Dialer {
-    target: String,
-}
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => ctx.open_channel(self.target.clone(), 1, 1),
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                for s in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot: *s,
-                        policy: EndpointPolicy::audio(addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                }
-                ctx.user(slots[0], UserCmd::Open(Medium::Audio));
-            }
-            _ => {}
-        }
-    }
+fn dialer(target: &str) -> Box<CallerLogic> {
+    Box::new(CallerLogic::new(
+        EndpointPolicy::audio(addr(1)),
+        target,
+        1,
+        1,
+    ))
 }
 
 fn fast_policy(reconnect_attempts: u32) -> ReconnectPolicy {
@@ -111,9 +90,7 @@ async fn connection_loss_parks_slot_and_reconnect_retransmits() {
     let mut node = spawn_node(
         "caller",
         BoxId(1),
-        Box::new(Dialer {
-            target: "flaky".into(),
-        }),
+        dialer("flaky"),
         dir.clone(),
         NodeOptions {
             policy: fast_policy(20),
@@ -185,10 +162,7 @@ async fn crash_restart_reregisters_and_peer_recovers() {
     let callee = spawn_node(
         "callee",
         BoxId(2),
-        Box::new(EndpointLogic::new(
-            EndpointPolicy::audio(addr(2)),
-            AcceptMode::Auto,
-        )),
+        Box::new(EndpointLogic::resource(EndpointPolicy::audio(addr(2)))),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -200,9 +174,7 @@ async fn crash_restart_reregisters_and_peer_recovers() {
     let mut caller = spawn_node(
         "caller",
         BoxId(1),
-        Box::new(Dialer {
-            target: "callee".into(),
-        }),
+        dialer("callee"),
         dir.clone(),
         NodeOptions {
             policy: fast_policy(40),
@@ -252,10 +224,7 @@ async fn crash_restart_reregisters_and_peer_recovers() {
     let mut callee2 = spawn_node(
         "callee",
         BoxId(2),
-        Box::new(EndpointLogic::new(
-            EndpointPolicy::audio(addr(2)),
-            AcceptMode::Auto,
-        )),
+        Box::new(EndpointLogic::resource(EndpointPolicy::audio(addr(2)))),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -323,9 +292,7 @@ async fn reconnect_exhaustion_degrades_to_orderly_teardown() {
     let mut node = spawn_node(
         "caller",
         BoxId(1),
-        Box::new(Dialer {
-            target: "flaky".into(),
-        }),
+        dialer("flaky"),
         dir.clone(),
         NodeOptions {
             policy: fast_policy(2),

@@ -7,12 +7,11 @@
 //! builds every publish of every node also checks itself against a
 //! rebuild; see `Actor::publish`.)
 
-use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, RelayLogic};
+use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::ids::{ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx, TimerId};
-use ipmedia_core::{BoxId, Codec, MediaAddr, Medium, SlotState};
+use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
 use ipmedia_rt::{spawn_node, Directory, NodeHandle, NodeOptions, ReconnectPolicy, SlotSnapshot};
 use tokio::time::Duration;
 
@@ -24,74 +23,38 @@ fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
 }
 
-/// Box 1. Dials `target` `channels` times at start and once more per
-/// injected [`DIAL`], opens every slot of a channel it dialled, and hangs
-/// its oldest channel up on [`HANGUP`].
-struct Dialer {
+/// Box 1: a [`CallerLogic`] of two-tunnel channels that dials once more
+/// per injected [`DIAL`] and hangs its oldest channel up on [`HANGUP`].
+struct Churn {
     target: &'static str,
-    channels: u16,
+    caller: CallerLogic,
     up: Vec<ChannelId>,
 }
 
-impl AppLogic for Dialer {
+impl AppLogic for Churn {
     fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
         match input {
-            BoxInput::Start => (0..self.channels).for_each(|_| ctx.open_channel(self.target, 2, 1)),
             BoxInput::Timer(DIAL) => ctx.open_channel(self.target, 2, 1),
             BoxInput::Timer(HANGUP) => ctx.close_channel(self.up.remove(0)),
-            BoxInput::ChannelUp {
-                channel,
-                slots,
-                req: Some(1),
-            } => {
-                self.up.push(*channel);
-                for &slot in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot,
-                        policy: EndpointPolicy::audio(addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                    ctx.user(slot, UserCmd::Open(Medium::Audio));
+            _ => {
+                if let BoxInput::ChannelUp {
+                    channel,
+                    req: Some(_),
+                    ..
+                } = input
+                {
+                    self.up.push(*channel);
                 }
+                self.caller.handle(input, ctx);
             }
-            _ => {}
-        }
-    }
-}
-
-/// Box 2. Dials box 3 when a channel arrives and flowlinks the two,
-/// tunnel by tunnel.
-struct Gateway {
-    incoming: Vec<SlotId>,
-}
-
-impl AppLogic for Gateway {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::ChannelUp {
-                slots, req: None, ..
-            } => {
-                self.incoming = slots.clone();
-                ctx.open_channel("callee", slots.len() as u16, 9);
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(9),
-                ..
-            } => {
-                for (&a, &b) in self.incoming.iter().zip(slots) {
-                    ctx.set_goal(GoalSpec::Link { a, b });
-                }
-            }
-            _ => {}
         }
     }
 }
 
 async fn caller(target: &'static str, channels: u16, dir: &Directory) -> NodeHandle {
-    let logic = Dialer {
+    let logic = Churn {
         target,
-        channels,
+        caller: CallerLogic::new(EndpointPolicy::audio(addr(1)), target, channels, 2),
         up: Vec::new(),
     };
     let policy = ReconnectPolicy {
@@ -115,7 +78,7 @@ async fn caller(target: &'static str, channels: u16, dir: &Directory) -> NodeHan
 }
 
 async fn callee(dir: &Directory) -> NodeHandle {
-    let logic = EndpointLogic::new(EndpointPolicy::audio(addr(3)), AcceptMode::Auto);
+    let logic = EndpointLogic::resource(EndpointPolicy::audio(addr(3)));
     spawn_node(
         "callee",
         BoxId(3),
@@ -238,13 +201,10 @@ async fn crash_redial_and_resync_fold_into_the_parked_slots() {
 async fn one_signal_through_a_flowlink_moves_both_of_its_slots() {
     let dir = Directory::new();
     let mut callee = callee(&dir).await;
-    let logic = Gateway {
-        incoming: Vec::new(),
-    };
     let mut gateway = spawn_node(
         "gateway",
         BoxId(2),
-        Box::new(logic),
+        Box::new(RelayLogic::new("callee")),
         dir.clone(),
         NodeOptions::default(),
     )

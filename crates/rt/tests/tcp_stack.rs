@@ -1,12 +1,11 @@
 //! End-to-end tests of the tokio runtime: real TCP signaling channels
 //! between boxes running the same state machines as the simulator.
 
-use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, RelayLogic};
+use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::ids::SlotId;
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-use ipmedia_core::{BoxId, Codec, MediaAddr, Medium, SlotState};
+use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
 use ipmedia_obs::{
     prometheus_text, Clock, MetricsSnapshot, ObsEvent, RecordingObserver, WallClock,
 };
@@ -19,78 +18,16 @@ fn addr(h: u8) -> MediaAddr {
 }
 
 fn phone(h: u8) -> Box<EndpointLogic> {
-    Box::new(EndpointLogic::new(
-        EndpointPolicy::audio(addr(h)),
-        AcceptMode::Auto,
-    ))
+    Box::new(EndpointLogic::resource(EndpointPolicy::audio(addr(h))))
 }
 
-/// A box that dials a peer at start and opens an audio call on each of
-/// the channel's tunnels via endpoint user agents.
-struct Dialer {
-    target: String,
-    tunnels: u16,
-}
-
-fn dialer(target: &str, tunnels: u16) -> Box<Dialer> {
-    Box::new(Dialer {
-        target: target.into(),
+fn dialer(target: &str, tunnels: u16) -> Box<CallerLogic> {
+    Box::new(CallerLogic::new(
+        EndpointPolicy::audio(addr(1)),
+        target,
+        1,
         tunnels,
-    })
-}
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => ctx.open_channel(self.target.clone(), self.tunnels, 1),
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                for s in slots {
-                    ctx.set_goal(GoalSpec::User {
-                        slot: *s,
-                        policy: EndpointPolicy::audio(addr(1)),
-                        mode: AcceptMode::Auto,
-                    });
-                    ctx.user(*s, UserCmd::Open(Medium::Audio));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A server that dials a target on behalf of incoming callers and links
-/// the legs (like the PC server's basic operation).
-struct Gateway {
-    target: String,
-    caller: Option<SlotId>,
-}
-
-impl AppLogic for Gateway {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::ChannelUp {
-                slots, req: None, ..
-            } => {
-                self.caller = Some(slots[0]);
-                ctx.open_channel(self.target.clone(), 1, 9);
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(9),
-                ..
-            } => {
-                ctx.set_goal(GoalSpec::Link {
-                    a: self.caller.expect("caller first"),
-                    b: slots[0],
-                });
-            }
-            _ => {}
-        }
-    }
+    ))
 }
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -250,10 +187,7 @@ async fn call_through_gateway_server_over_tcp() {
     let _gw = spawn_node(
         "gateway",
         BoxId(2),
-        Box::new(Gateway {
-            target: "phone-c".into(),
-            caller: None,
-        }),
+        Box::new(RelayLogic::new("phone-c")),
         dir.clone(),
         NodeOptions::default(),
     )

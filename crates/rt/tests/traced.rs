@@ -2,11 +2,10 @@
 //! in flight between two of them is a `"transit"` span that starts after
 //! its cause and ends before its effect, whichever node was spawned first.
 
-use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::EndpointLogic;
-use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+use ipmedia_core::goal::EndpointPolicy;
+use ipmedia_core::program::AppLogic;
+use ipmedia_core::{BoxId, MediaAddr, SlotState};
 use ipmedia_obs::trace::{SpanRecord, SpanSink, Tracer};
 use ipmedia_obs::{Clock, WallClock};
 use ipmedia_rt::{spawn_node, Directory, NodeHandle, NodeOptions};
@@ -22,28 +21,13 @@ fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
 }
 
-/// Opens one channel of one slot to `callee` and dials it.
-struct Dialer;
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => ctx.open_channel("callee", 1, 1),
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                ctx.set_goal(GoalSpec::User {
-                    slot: slots[0],
-                    policy: EndpointPolicy::audio(addr(1)),
-                    mode: AcceptMode::Auto,
-                });
-                ctx.user(slots[0], UserCmd::Open(Medium::Audio));
-            }
-            _ => {}
-        }
-    }
+fn dialer() -> Box<CallerLogic> {
+    Box::new(CallerLogic::new(
+        EndpointPolicy::audio(addr(1)),
+        "callee",
+        1,
+        1,
+    ))
 }
 
 async fn traced(
@@ -85,7 +69,7 @@ async fn two_traced_nodes_put_a_transit_between_its_cause_and_its_effect() {
     let clock: SharedClock = Arc::new(WallClock::new());
     let mut callee = traced("callee", 2, callee_logic(), &dir, &sink, &clock).await;
     sleep(SPAWN_GAP).await;
-    let mut caller = traced("caller", 1, Box::new(Dialer), &dir, &sink, &clock).await;
+    let mut caller = traced("caller", 1, dialer(), &dir, &sink, &clock).await;
     assert!(established(&mut caller).await, "caller flowing");
     assert!(established(&mut callee).await, "callee flowing");
     caller.shutdown().await;
@@ -141,7 +125,7 @@ async fn a_traced_caller_establishes_against_an_untraced_callee() {
     )
     .await
     .unwrap();
-    let mut caller = traced("caller", 1, Box::new(Dialer), &dir, &sink, &clock).await;
+    let mut caller = traced("caller", 1, dialer(), &dir, &sink, &clock).await;
     assert!(established(&mut caller).await, "caller flowing");
     assert!(established(&mut callee).await, "callee flowing");
     // Plain frames carry no context back: the caller records its own

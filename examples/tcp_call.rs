@@ -1,71 +1,16 @@
 //! A live call over real TCP sockets: three boxes as tokio tasks —
-//! caller, gateway server (flowlink), callee — speaking the binary wire
-//! protocol over loopback TCP. The same state machines the simulator and
-//! the model checker execute, now on an actual network stack.
+//! caller ([`CallerLogic`]), gateway server ([`RelayLogic`], which
+//! flowlinks the legs), callee ([`EndpointLogic`]) — speaking the binary
+//! wire protocol over loopback TCP. The same state machines the simulator
+//! and the model checker execute, now on an actual network stack.
 //!
 //! Run with: `cargo run --example tcp_call`
 
-use ipmedia::core::boxes::GoalSpec;
-use ipmedia::core::endpoint::EndpointLogic;
-use ipmedia::core::goal::{AcceptMode, EndpointPolicy, UserCmd};
-use ipmedia::core::ids::SlotId;
-use ipmedia::core::program::{AppLogic, BoxInput, Ctx};
-use ipmedia::core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia::core::endpoint::{CallerLogic, EndpointLogic, RelayLogic};
+use ipmedia::core::goal::{EndpointPolicy, UserCmd};
+use ipmedia::core::{BoxId, MediaAddr, SlotState};
 use ipmedia::rt::{spawn_node, Directory, NodeOptions};
 use tokio::time::Duration;
-
-/// Dials the gateway at start and opens an audio channel.
-struct Dialer;
-
-impl AppLogic for Dialer {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::Start => ctx.open_channel("gateway", 1, 1),
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(1),
-                ..
-            } => {
-                ctx.set_goal(GoalSpec::User {
-                    slot: slots[0],
-                    policy: EndpointPolicy::audio(MediaAddr::v4(127, 0, 0, 1, 40010)),
-                    mode: AcceptMode::Auto,
-                });
-                ctx.user(slots[0], UserCmd::Open(Medium::Audio));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Dials the callee on behalf of incoming callers and flowlinks the legs.
-struct Gateway {
-    caller: Option<SlotId>,
-}
-
-impl AppLogic for Gateway {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::ChannelUp {
-                slots, req: None, ..
-            } => {
-                self.caller = Some(slots[0]);
-                ctx.open_channel("callee", 1, 9);
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(9),
-                ..
-            } => {
-                ctx.set_goal(GoalSpec::Link {
-                    a: self.caller.expect("caller connected first"),
-                    b: slots[0],
-                });
-            }
-            _ => {}
-        }
-    }
-}
 
 #[tokio::main]
 async fn main() -> std::io::Result<()> {
@@ -86,7 +31,7 @@ async fn main() -> std::io::Result<()> {
     let gateway = spawn_node(
         "gateway",
         BoxId(2),
-        Box::new(Gateway { caller: None }),
+        Box::new(RelayLogic::new("callee")),
         dir.clone(),
         NodeOptions::default(),
     )
@@ -96,7 +41,12 @@ async fn main() -> std::io::Result<()> {
     let mut caller = spawn_node(
         "caller",
         BoxId(1),
-        Box::new(Dialer),
+        Box::new(CallerLogic::new(
+            EndpointPolicy::audio(MediaAddr::v4(127, 0, 0, 1, 40010)),
+            "gateway",
+            1,
+            1,
+        )),
         dir.clone(),
         NodeOptions::default(),
     )

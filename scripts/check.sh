@@ -56,6 +56,23 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 echo "== cargo test" >&2
 cargo test "${CARGO_ARGS[@]}" --workspace -q
 
+echo "== examples (each one runs to a zero exit, debug build)" >&2
+# `cargo test` builds the examples but runs none of them, and
+# `tcp_call` is the only run of a caller and a relay over real TCP
+# outside the tests. Each takes a few milliseconds; `verify` is left out:
+# it takes over two minutes in a debug build, and the campaign gate below
+# runs its checker.
+for src in examples/*.rs; do
+  name=$(basename "$src" .rs)
+  [ "$name" = verify ] && continue
+  status=0
+  timeout 60 "./target/debug/examples/$name" >/dev/null || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "example $name failed (exit $status)" >&2
+    exit "$status"
+  fi
+done
+
 echo "== benchmark self-test (unit tests + --quick smoke of every workload)" >&2
 # The benchmark is a package of its own and the instrument every
 # performance claim is judged by: its smoke run applies each workload's
