@@ -8,7 +8,7 @@
 //! a line doubled.
 
 use ipmedia_analyze::{parse_scenario, render_manifest, ScenarioVerdict};
-use ipmedia_obs::monitor::VerifiedManifest;
+use ipmedia_core::monitor::VerifiedManifest;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 

@@ -27,7 +27,7 @@ use ipmedia_bench::chaos::{
     chain_topology, minimize_failing_netsim, rt_topology, run_netsim_chaos, run_rt_chaos, ChaosRun,
 };
 use ipmedia_core::chaos::{generate, ScheduleFamily};
-use ipmedia_obs::monitor::RecoveryObjectives;
+use ipmedia_core::monitor::RecoveryObjectives;
 use ipmedia_obs::{json_array, json_str_array, Histogram, JsonObj};
 
 const USAGE: &str = "usage: chaos_campaign [--seeds N] [--rt-seeds N] \

@@ -8,7 +8,8 @@
 //! a deployed chain exercise sized by the scenario's topology on the
 //! discrete-event simulator — establish the call through the scenario's
 //! box count, hold and re-link a server, tear the call down — while a
-//! recording observer captures the event stream. The monitor then
+//! recording observer captures the event stream. The monitor
+//! (`ipmedia_core::monitor`, stepping the slot's own rule tables) then
 //! reconstructs per-call ladders and checks the §V path invariants the
 //! static analyzer and the model checker verify offline:
 //!
@@ -38,10 +39,10 @@ use ipmedia_analyze::scenario_fingerprint;
 use ipmedia_bench::Chain;
 use ipmedia_core::descriptor::{DescTag, Selector};
 use ipmedia_core::goal::{Outgoing, UserCmd};
+use ipmedia_core::monitor::{finding_json, VerifiedManifest, IM_CLOSED_ACTION};
 use ipmedia_core::program::BoxCmd;
 use ipmedia_core::signal::Signal;
 use ipmedia_netsim::{SimConfig, SimDuration, SimTime};
-use ipmedia_obs::monitor::{finding_json, Monitor, VerifiedManifest, IM_CLOSED_ACTION};
 use ipmedia_obs::JsonObj;
 use std::process::ExitCode;
 
@@ -65,16 +66,7 @@ fn run_scenario(
     let k = boxes.saturating_sub(2).clamp(1, 4);
     let (mut chain, log) = Chain::new_recorded(k, SimConfig::paper());
 
-    let mut monitor = Monitor::new(ipmedia_core::monitor_rules());
-    monitor.register_box(chain.l.0, "end-l");
-    monitor.register_box(chain.r.0, "end-r");
-    for (i, srv) in chain.servers.iter().enumerate() {
-        monitor.register_box(srv.0, format!("s{i}"));
-    }
-    for (i, &srv) in chain.servers.iter().enumerate() {
-        let (a, b) = chain.server_slots[i];
-        monitor.watch_flowlink((srv.0, a.0), (srv.0, b.0));
-    }
+    let mut monitor = chain.monitor();
 
     // Exercise: the established call is held, re-linked, and torn down.
     chain.hold(0);

@@ -14,11 +14,11 @@ use crate::Chain;
 use ipmedia_core::chaos::{ChaosSchedule, ChaosTopology};
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
+use ipmedia_core::monitor::{Finding, Monitor, RecoveryObjectives};
 use ipmedia_core::reliable::ReliableConfig;
 use ipmedia_core::{BoxCmd, BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_netsim::{apply_schedule, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::clock::{Clock, WallClock};
-use ipmedia_obs::monitor::{Finding, Monitor, RecoveryObjectives};
 use ipmedia_obs::{ObsEvent, RecordingObserver};
 use ipmedia_rt::{drive_schedule, spawn_node, ChaosGate, Directory, NodeOptions, ReconnectPolicy};
 use std::sync::Arc;
@@ -96,16 +96,7 @@ pub fn run_netsim_chaos(
         chain.net.enable_reliability(id, ReliableConfig::default());
     }
 
-    let mut monitor = Monitor::new(ipmedia_core::monitor_rules());
-    monitor.register_box(chain.l.0, "end-l");
-    monitor.register_box(chain.r.0, "end-r");
-    for (i, srv) in chain.servers.iter().enumerate() {
-        monitor.register_box(srv.0, format!("s{i}"));
-    }
-    for (i, &srv) in chain.servers.iter().enumerate() {
-        let (a, b) = chain.server_slots[i];
-        monitor.watch_flowlink((srv.0, a.0), (srv.0, b.0));
-    }
+    let mut monitor = chain.monitor();
 
     chain.net.trace_enabled = true;
     let applied = apply_schedule(&mut chain.net, schedule)?;
@@ -384,7 +375,7 @@ pub async fn run_rt_chaos(
     log.extend(log_r.lock().unwrap().iter().cloned());
     log.sort_by_key(|(t, _)| *t);
 
-    let mut monitor = Monitor::new(ipmedia_core::monitor_rules());
+    let mut monitor = Monitor::new();
     monitor.register_box(1, "end-l");
     monitor.register_box(2, "end-r");
     monitor.ingest_all(&log);

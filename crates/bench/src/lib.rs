@@ -12,6 +12,7 @@ use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::ids::{BoxId, SlotId};
+use ipmedia_core::monitor::Monitor;
 use ipmedia_core::reliable::ReliableConfig;
 use ipmedia_core::{BoxCmd, MediaAddr, Medium};
 use ipmedia_netsim::{FaultPlan, Network, SimConfig, SimDuration, SimTime};
@@ -157,6 +158,20 @@ impl Chain {
         };
         assert!(chain.converged(), "initial establishment must converge");
         chain
+    }
+
+    /// An invariant monitor for this chain: its boxes named as the
+    /// network names them (`end-l`, `end-r`, `s0`, …) and each server's
+    /// flowlink watched, in server order.
+    pub fn monitor(&self) -> Monitor {
+        let mut monitor = Monitor::new();
+        monitor.register_box(self.l.0, "end-l");
+        monitor.register_box(self.r.0, "end-r");
+        for (i, (srv, (a, b))) in self.servers.iter().zip(&self.server_slots).enumerate() {
+            monitor.register_box(srv.0, format!("s{i}"));
+            monitor.watch_flowlink((srv.0, a.0), (srv.0, b.0));
+        }
+        monitor
     }
 
     /// Both ends transmit at each other's negotiated addresses.

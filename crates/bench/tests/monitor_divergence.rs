@@ -9,27 +9,18 @@ use ipmedia_bench::Chain;
 use ipmedia_core::chaos::{generate, ChaosSchedule, Direction, ScheduleFamily};
 use ipmedia_core::descriptor::{DescTag, Selector};
 use ipmedia_core::goal::{Outgoing, UserCmd};
+use ipmedia_core::monitor::{
+    Monitor, RecoveryObjectives, VerifiedManifest, IM_CLOSED_ACTION, IM_UNVERIFIED,
+};
 use ipmedia_core::program::BoxCmd;
 use ipmedia_core::signal::Signal;
 use ipmedia_netsim::{SimConfig, SimDuration, SimTime};
-use ipmedia_obs::monitor::{
-    Monitor, RecoveryObjectives, VerifiedManifest, IM_CLOSED_ACTION, IM_UNVERIFIED,
-};
 
 const T_MAX: SimTime = SimTime(3_600_000_000);
 
 fn run(plant: bool) -> Monitor {
     let (mut chain, log) = Chain::new_recorded(2, SimConfig::paper());
-    let mut monitor = Monitor::new(ipmedia_core::monitor_rules());
-    monitor.register_box(chain.l.0, "end-l");
-    monitor.register_box(chain.r.0, "end-r");
-    for (i, srv) in chain.servers.iter().enumerate() {
-        monitor.register_box(srv.0, format!("s{i}"));
-    }
-    for (i, &srv) in chain.servers.iter().enumerate() {
-        let (a, b) = chain.server_slots[i];
-        monitor.watch_flowlink((srv.0, a.0), (srv.0, b.0));
-    }
+    let mut monitor = chain.monitor();
 
     chain.hold(0);
     chain.net.advance(SimDuration::from_millis(1_000));

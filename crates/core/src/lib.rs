@@ -37,6 +37,7 @@ pub mod goal;
 pub mod hash;
 pub mod host;
 pub mod ids;
+pub mod monitor;
 pub mod par;
 pub mod path;
 pub mod program;
@@ -70,6 +71,5 @@ pub use signal::{
     AppEvent, Availability, ChannelMsg, MetaSignal, MixRow, MovieCommand, Signal, SignalKind,
 };
 pub use slot::{
-    monitor_rules, RecvRule, SendRule, Slot, SlotAction, SlotEvent, SlotState, RECV_RULES,
-    SEND_RULES,
+    RecvRule, SendRule, Slot, SlotAction, SlotEvent, SlotState, RECV_RULES, SEND_RULES,
 };

@@ -1,14 +1,14 @@
 //! Runtime invariant monitor: checks live observer-event streams against
 //! the verified slot-protocol model.
 //!
-//! The monitor consumes the same [`crate::ObsEvent`] stream every
-//! substrate already emits and mirrors each box's slot FSMs as a *belief*
-//! state, validating sends and transitions against the rule tables that
-//! `ipmedia-core` exports from its single source of truth
-//! (`SEND_RULES`/`RECV_RULES`). Any divergence between deployed behavior
-//! and the verified model is flagged with an invariant code shared with
-//! the static analyzer and the model checker, so static, exhaustive, and
-//! runtime findings are diffable:
+//! The monitor consumes the same [`ObsEvent`] stream every substrate
+//! already emits and mirrors each box's slot FSMs as a *belief* state,
+//! stepping it with the slot's own rule tables ([`SEND_RULES`] and
+//! [`RECV_RULES`]) — the tables the implementation validates against, the
+//! analyzer product-constructs with and the model checker explores. Any
+//! divergence between deployed behavior and the verified model is flagged
+//! with an invariant code shared with the static analyzer and the model
+//! checker, so static, exhaustive, and runtime findings are diffable:
 //!
 //! - **IM101** — slot-protocol conformance: a send or transition with no
 //!   matching rule row (and no auto-response justification).
@@ -27,6 +27,9 @@
 //!   Always fatal: there is no recovery budget for running unverified
 //!   models.
 //!
+//! [`ObsEvent`] carries protocol names as strings; the monitor resolves
+//! them to [`SlotState`] and [`SignalKind`] once, as each event arrives.
+//!
 //! Because observation can begin mid-call and some harness paths mutate
 //! boxes without an observer attached (e.g. `apply`-injected goals), the
 //! monitor is deliberately *belief-updating* rather than strict: a send
@@ -36,66 +39,58 @@
 //! signal. Only sends that no rule can explain are flagged — that is
 //! exactly the divergence class the model checker proves absent.
 
-use crate::ladder::{render, LadderEvent};
-use crate::ObsEvent;
+use crate::signal::SignalKind;
+use crate::slot::{SlotAction, SlotState, RECV_RULES, SEND_RULES};
+use ipmedia_obs::ladder::{render, LadderEvent};
+use ipmedia_obs::{JsonObj, ObsEvent};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Invariant codes, shared across `obs::monitor`, `mck`, and docs.
+/// Invariant code: slot-protocol conformance.
 pub const IM_CONFORMANCE: &str = "IM101";
+/// Invariant code: action on a Closed slot.
 pub const IM_CLOSED_ACTION: &str = "IM102";
+/// Invariant code: flowlink convergence at quiescence.
 pub const IM_FLOWLINK: &str = "IM201";
+/// Invariant code: clean terminal states at quiescence.
 pub const IM_TERMINAL: &str = "IM301";
+/// Invariant code: live behavior from an unverified model.
 pub const IM_UNVERIFIED: &str = "IM401";
-
-/// One send-rule row: in `state`, `action` is legal and moves to `next`.
-/// All fields are state/action names (`SlotState::name()` spelling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendRuleData {
-    pub state: &'static str,
-    pub action: &'static str,
-    pub next: &'static str,
-}
-
-/// One receive-rule row: in `state`, receiving `signal` moves to `next`,
-/// optionally emitting the `auto` response signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvRuleData {
-    pub state: &'static str,
-    pub signal: &'static str,
-    pub next: &'static str,
-    pub auto: Option<&'static str>,
-}
-
-/// The slot-protocol rule tables in plain data, exported by
-/// `ipmedia-core` (`slot::monitor_rules()`) from the same consts the
-/// implementation, the analyzer, and the model checker execute.
-#[derive(Debug, Clone, Default)]
-pub struct MonitorRules {
-    pub send: Vec<SendRuleData>,
-    pub recv: Vec<RecvRuleData>,
-}
 
 /// The protocol action a spontaneously *sent* signal corresponds to;
 /// `None` for signals that only ever occur as auto-responses.
-fn action_for_signal(kind: &str) -> Option<&'static str> {
+fn action_of(kind: SignalKind) -> Option<SlotAction> {
     match kind {
-        "open" => Some("open"),
-        "oack" => Some("accept"),
-        "select" => Some("select"),
-        "describe" => Some("describe"),
-        "close" => Some("close"),
-        _ => None,
+        SignalKind::Open => Some(SlotAction::Open),
+        SignalKind::Oack => Some(SlotAction::Accept),
+        SignalKind::Select => Some(SlotAction::Select),
+        SignalKind::Describe => Some(SlotAction::Describe),
+        SignalKind::Close => Some(SlotAction::Close),
+        SignalKind::CloseAck => None,
     }
+}
+
+/// The Fig.-9 state an event names, if any.
+fn state_named(name: &str) -> Option<SlotState> {
+    SlotState::ALL.into_iter().find(|s| s.name() == name)
+}
+
+/// The signal class an event names, if any.
+fn signal_named(name: &str) -> Option<SignalKind> {
+    SignalKind::ALL.into_iter().find(|k| k.name() == name)
 }
 
 /// One detected divergence between live behavior and the verified model.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Invariant code (`IM101`, `IM102`, `IM201`, `IM301`).
+    /// Invariant code (`IM101`, `IM102`, `IM201`, `IM301`, `IM401`).
     pub code: &'static str,
+    /// Box the finding is anchored to.
     pub bx: u32,
+    /// Slot of that box the finding is anchored to.
     pub slot: u16,
+    /// When the finding was raised, in the event stream's microseconds.
     pub at_micros: u64,
+    /// What diverged, in words.
     pub detail: String,
     /// Minimized Fig.-10-style ladder of the events leading up to the
     /// divergence, restricted to the implicated box/slot (and flowlink
@@ -202,10 +197,10 @@ impl VerifiedManifest {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SlotBelief {
-    state: &'static str,
-    last_received: Option<&'static str>,
+    state: SlotState,
+    last_received: Option<SignalKind>,
 }
 
 /// Maximum raw events retained for ladder reconstruction.
@@ -214,12 +209,11 @@ const RING_CAP: usize = 1024;
 const LADDER_ROWS: usize = 40;
 
 /// The monitor proper. Feed it timestamped [`ObsEvent`]s in causal order
-/// (e.g. a [`crate::RecordingObserver`] log, or live at each step) and
-/// call [`Monitor::check_quiescent`] whenever the system should be at
+/// (e.g. an [`ipmedia_obs::RecordingObserver`] log, or live at each step)
+/// and call [`Monitor::check_quiescent`] whenever the system should be at
 /// rest.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Monitor {
-    rules: MonitorRules,
     names: BTreeMap<u32, String>,
     beliefs: BTreeMap<(u32, u16), SlotBelief>,
     flowlinks: Vec<((u32, u16), (u32, u16))>,
@@ -229,16 +223,9 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    pub fn new(rules: MonitorRules) -> Self {
-        Monitor {
-            rules,
-            names: BTreeMap::new(),
-            beliefs: BTreeMap::new(),
-            flowlinks: Vec::new(),
-            ring: VecDeque::new(),
-            findings: Vec::new(),
-            events_seen: 0,
-        }
+    /// A monitor that has seen nothing: every slot is believed closed.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Name a box for ladder column headers (optional; unnamed boxes
@@ -253,10 +240,12 @@ impl Monitor {
         self.flowlinks.push((a, b));
     }
 
+    /// Every finding raised so far, in the order raised.
     pub fn findings(&self) -> &[Finding] {
         &self.findings
     }
 
+    /// True iff nothing has been flagged.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -278,6 +267,7 @@ impl Monitor {
             .collect()
     }
 
+    /// Number of events ingested so far.
     pub fn events_seen(&self) -> u64 {
         self.events_seen
     }
@@ -307,7 +297,7 @@ impl Monitor {
             } => self.on_transition(at, bx, slot, from, to, cause),
             ObsEvent::SignalSent { bx, slot, kind } => self.on_sent(at, bx, slot, kind),
             ObsEvent::SignalReceived { bx, slot, kind } => {
-                self.belief(bx, slot).last_received = Some(kind);
+                self.belief(bx, slot).last_received = signal_named(kind);
             }
             _ => {}
         }
@@ -317,7 +307,7 @@ impl Monitor {
         self.beliefs
             .entry((bx, slot))
             .or_insert_with(|| SlotBelief {
-                state: "closed",
+                state: SlotState::Closed,
                 last_received: None,
             })
     }
@@ -330,11 +320,13 @@ impl Monitor {
     /// alone (a user/goal stimulus). Full graph reachability would be
     /// vacuous here (the protocol FSM is cyclic); the stimulus shape keeps
     /// the check discriminating — e.g. `flowing -> opened` stays illegal.
-    fn reachable(&self, from: &'static str, to: &'static str) -> bool {
+    /// The receive rules' initiator restriction is not applied: the
+    /// monitor does not track initiator flags and accepts either outcome
+    /// of an open/open race.
+    fn reachable(from: SlotState, to: SlotState) -> bool {
         let mut starts = vec![from];
         starts.extend(
-            self.rules
-                .recv
+            RECV_RULES
                 .iter()
                 .filter(|r| r.state == from)
                 .map(|r| r.next),
@@ -346,10 +338,10 @@ impl Monitor {
                 if s == to {
                     return true;
                 }
-                for r in self.rules.send.iter().filter(|r| r.state == s) {
-                    if !seen.contains(&r.next) {
-                        seen.push(r.next);
-                        frontier.push(r.next);
+                for next in SEND_RULES.iter().filter(|r| r.state == s).map(|r| r.next) {
+                    if !seen.contains(&next) {
+                        seen.push(next);
+                        frontier.push(next);
                     }
                 }
             }
@@ -366,8 +358,9 @@ impl Monitor {
         to: &'static str,
         cause: &'static str,
     ) {
-        let legal = from == to || self.reachable(from, to);
-        if !legal {
+        // A transition naming no Fig.-9 state leaves the belief as it was.
+        let step = state_named(from).zip(state_named(to));
+        if !step.is_some_and(|(f, t)| f == t || Self::reachable(f, t)) {
             self.flag(
                 IM_CONFORMANCE,
                 bx,
@@ -376,7 +369,9 @@ impl Monitor {
                 format!("transition {from}->{to} (cause: {cause}) matches no protocol rule"),
             );
         }
-        self.belief(bx, slot).state = to;
+        if let Some((_, to)) = step {
+            self.belief(bx, slot).state = to;
+        }
     }
 
     fn on_sent(&mut self, at: u64, bx: u32, slot: u16, kind: &'static str) {
@@ -384,28 +379,34 @@ impl Monitor {
             let b = self.belief(bx, slot);
             (b.state, b.last_received)
         };
+        let illegal = if state == SlotState::Closed {
+            IM_CLOSED_ACTION
+        } else {
+            IM_CONFORMANCE
+        };
+        let signal = signal_named(kind);
 
         // Auto-responses (closeack always; defensive close from Closed)
         // are justified by the last received signal, not by a send rule.
-        let auto_ok =
-            self.rules.recv.iter().any(|r| {
-                r.auto == Some(kind) && r.next == state && last_received == Some(r.signal)
-            });
+        let auto_ok = signal.is_some_and(|k| {
+            RECV_RULES
+                .iter()
+                .any(|r| r.auto == Some(k) && r.next == state && last_received == Some(r.signal))
+        });
         if auto_ok {
             return;
         }
 
-        let Some(action) = action_for_signal(kind) else {
+        let Some(action) = signal.and_then(action_of) else {
             self.flag(
-                if state == "closed" {
-                    IM_CLOSED_ACTION
-                } else {
-                    IM_CONFORMANCE
-                },
+                illegal,
                 bx,
                 slot,
                 at,
-                format!("sent {kind} in believed state {state} with no auto-response rule"),
+                format!(
+                    "sent {kind} in believed state {} with no auto-response rule",
+                    state.name()
+                ),
             );
             return;
         };
@@ -413,22 +414,15 @@ impl Monitor {
         // Pre-state view: the send itself drives the FSM (covers boxes
         // mutated without an attached observer, where no transition event
         // preceded the send).
-        if let Some(r) = self
-            .rules
-            .send
-            .iter()
-            .find(|r| r.state == state && r.action == action)
-        {
-            self.belief(bx, slot).state = r.next;
+        if let Some(next) = state.after_send(action) {
+            self.belief(bx, slot).state = next;
             return;
         }
         // Post-state view: the instrumented path emits the transition
         // first, so by the time we see the send the belief is already the
         // rule's `next` state. Also covers retransmissions, which re-send
         // from the post-state.
-        if self
-            .rules
-            .send
+        if SEND_RULES
             .iter()
             .any(|r| r.next == state && r.action == action)
         {
@@ -436,20 +430,22 @@ impl Monitor {
         }
 
         self.flag(
-            if state == "closed" {
-                IM_CLOSED_ACTION
-            } else {
-                IM_CONFORMANCE
-            },
+            illegal,
             bx,
             slot,
             at,
-            format!("sent {kind} ({action}) illegal in believed state {state}"),
+            format!(
+                "sent {kind} ({}) illegal in believed state {}",
+                action.name(),
+                state.name()
+            ),
         );
     }
 
-    fn state_of(&self, key: (u32, u16)) -> &'static str {
-        self.beliefs.get(&key).map(|b| b.state).unwrap_or("closed")
+    fn state_of(&self, key: (u32, u16)) -> SlotState {
+        self.beliefs
+            .get(&key)
+            .map_or(SlotState::Closed, |b| b.state)
     }
 
     /// Check quiescence invariants: call when the system should be at
@@ -460,25 +456,29 @@ impl Monitor {
         let links = self.flowlinks.clone();
         for (a, b) in links {
             let (sa, sb) = (self.state_of(a), self.state_of(b));
-            let both_flowing = sa == "flowing" && sb == "flowing";
-            let both_down = sa == "closed" && sb == "closed";
-            if !(both_flowing || both_down) {
+            let converged = sa == sb && matches!(sa, SlotState::Flowing | SlotState::Closed);
+            if !converged {
                 self.flag(
                     IM_FLOWLINK,
                     a.0,
                     a.1,
                     at,
                     format!(
-                        "flowlink unconverged at quiescence: box{} s{} is {sa}, box{} s{} is {sb}",
-                        a.0, a.1, b.0, b.1
+                        "flowlink unconverged at quiescence: box{} s{} is {}, box{} s{} is {}",
+                        a.0,
+                        a.1,
+                        sa.name(),
+                        b.0,
+                        b.1,
+                        sb.name()
                     ),
                 );
             }
         }
-        let stuck: Vec<((u32, u16), &'static str)> = self
+        let stuck: Vec<((u32, u16), SlotState)> = self
             .beliefs
             .iter()
-            .filter(|(_, b)| b.state != "closed" && b.state != "flowing")
+            .filter(|(_, b)| !matches!(b.state, SlotState::Closed | SlotState::Flowing))
             .map(|(k, b)| (*k, b.state))
             .collect();
         for ((bx, slot), state) in stuck {
@@ -487,7 +487,7 @@ impl Monitor {
                 bx,
                 slot,
                 at,
-                format!("slot in transient state {state} at quiescence"),
+                format!("slot in transient state {} at quiescence", state.name()),
             );
         }
     }
@@ -590,14 +590,14 @@ impl Monitor {
                     .unwrap_or_else(|| format!("box{b}"))
             })
             .collect();
-        let cols: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+        let cols: Vec<&str> = names.iter().map(String::as_str).collect();
         render(&cols, &rows)
     }
 }
 
 /// One finding as a JSONL record (for `ipmedia-monitor` output).
 pub fn finding_json(f: &Finding) -> String {
-    crate::JsonObj::new()
+    JsonObj::new()
         .str("record", "monitor_finding")
         .str("invariant_code", f.code)
         .num("box", u64::from(f.bx))
@@ -611,51 +611,10 @@ pub fn finding_json(f: &Finding) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The real tables, transcribed; unit tests here can't depend on
-    /// `ipmedia-core` (which depends on this crate), so this mirrors
-    /// `core::slot::monitor_rules()` — the integration tests in `bench`
-    /// use the exported tables directly.
-    fn rules() -> MonitorRules {
-        let s = |state, action, next| SendRuleData {
-            state,
-            action,
-            next,
-        };
-        let r = |state, signal, next, auto| RecvRuleData {
-            state,
-            signal,
-            next,
-            auto,
-        };
-        MonitorRules {
-            send: vec![
-                s("closed", "open", "opening"),
-                s("opened", "accept", "flowing"),
-                s("flowing", "select", "flowing"),
-                s("flowing", "describe", "flowing"),
-                s("opening", "close", "closing"),
-                s("opened", "close", "closing"),
-                s("flowing", "close", "closing"),
-            ],
-            recv: vec![
-                r("closed", "open", "opened", None),
-                r("opening", "open", "opened", None),
-                r("opening", "oack", "flowing", None),
-                r("closed", "oack", "closed", Some("close")),
-                r("opening", "close", "closed", Some("closeack")),
-                r("opened", "close", "closed", Some("closeack")),
-                r("flowing", "close", "closed", Some("closeack")),
-                r("closing", "close", "closing", Some("closeack")),
-                r("closed", "close", "closed", Some("closeack")),
-                r("closing", "closeack", "closed", None),
-                r("flowing", "describe", "flowing", None),
-                r("closed", "describe", "closed", Some("close")),
-                r("flowing", "select", "flowing", None),
-                r("closed", "select", "closed", Some("close")),
-            ],
-        }
-    }
+    use crate::codec::Medium;
+    use crate::descriptor::{DescTag, Descriptor, Selector, TagSource};
+    use crate::signal::Signal;
+    use crate::slot::Slot;
 
     fn sent(bx: u32, slot: u16, kind: &'static str) -> ObsEvent {
         ObsEvent::SignalSent { bx, slot, kind }
@@ -683,7 +642,7 @@ mod tests {
 
     #[test]
     fn clean_call_setup_and_teardown_pass() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.watch_flowlink((0, 0), (1, 0));
         // Instrumented order: transition first, then the send it causes.
         let log = vec![
@@ -716,7 +675,7 @@ mod tests {
     fn uninstrumented_sends_update_belief_via_pre_state_rule() {
         // A box mutated without an observer emits sends but no
         // transitions; the pre-state view keeps the belief in sync.
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.ingest(0, &sent(0, 0, "open")); // closed -> opening
         m.ingest(10, &recv(0, 0, "oack"));
         m.ingest(10, &trans(0, 0, "opening", "flowing", "oack"));
@@ -727,7 +686,7 @@ mod tests {
 
     #[test]
     fn action_on_closed_slot_is_im102_with_ladder() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.register_box(0, "end-l");
         m.ingest(0, &sent(0, 7, "select"));
         assert_eq!(m.findings().len(), 1);
@@ -741,7 +700,7 @@ mod tests {
 
     #[test]
     fn illegal_send_in_open_state_is_im101() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
         m.ingest(0, &sent(0, 0, "open"));
         // describe is never legal in opening (pre- or post-state).
@@ -752,7 +711,7 @@ mod tests {
 
     #[test]
     fn impossible_transition_is_im101() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         // No stimulus (one recv step + send steps) leads from flowing
         // back to opened.
         m.ingest(0, &trans(0, 0, "flowing", "opened", "goal"));
@@ -765,7 +724,7 @@ mod tests {
         // A received open that is auto-accepted within the same stimulus
         // is reported as one closed->flowing diff; the monitor must
         // recognize the per-stimulus compound (recv open, send oack).
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.ingest(0, &recv(1, 0, "open"));
         m.ingest(0, &trans(1, 0, "closed", "flowing", "open"));
         m.ingest(0, &sent(1, 0, "oack"));
@@ -774,7 +733,7 @@ mod tests {
 
     #[test]
     fn unconverged_flowlink_is_im201() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.watch_flowlink((0, 0), (1, 0));
         m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
         m.ingest(0, &sent(0, 0, "open"));
@@ -791,7 +750,7 @@ mod tests {
 
     #[test]
     fn defensive_close_from_closed_is_legal() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         // A stale select arrives on a closed slot; the box answers with
         // a defensive close (auto-response), which must not be flagged.
         m.ingest(0, &recv(0, 3, "select"));
@@ -801,7 +760,7 @@ mod tests {
 
     #[test]
     fn finding_json_carries_code_and_ladder() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.ingest(42, &sent(2, 1, "oack"));
         let json = finding_json(&m.findings()[0]);
         assert!(json.contains("\"invariant_code\":\"IM102\""));
@@ -812,7 +771,7 @@ mod tests {
 
     #[test]
     fn rto_forgives_findings_inside_the_budget() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.watch_flowlink((0, 0), (1, 0));
         m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
         m.ingest(0, &sent(0, 0, "open"));
@@ -827,7 +786,7 @@ mod tests {
 
     #[test]
     fn rto_flags_findings_past_the_budget() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.watch_flowlink((0, 0), (1, 0));
         m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
         m.ingest(0, &sent(0, 0, "open"));
@@ -857,7 +816,7 @@ mod tests {
 
     #[test]
     fn unverified_model_is_im401_and_never_forgiven() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.register_box(0, "end-l");
         m.ingest(0, &sent(0, 0, "open"));
         let manifest = VerifiedManifest::parse("1111111111111111 clean other\n");
@@ -882,19 +841,170 @@ mod tests {
 
     #[test]
     fn findings_bearing_verdict_says_so_in_the_detail() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         m.flag_unverified(0, 0, 5, "dirty", "aaaaaaaaaaaaaaaa", Some(false));
         assert!(m.findings()[0].detail.contains("analyzed with findings"));
     }
 
     #[test]
     fn rto_never_forgives_im102() {
-        let mut m = Monitor::new(rules());
+        let mut m = Monitor::new();
         // An action on a Closed slot at t=42us, long before any heal.
         m.ingest(42, &sent(2, 1, "oack"));
         let rto = RecoveryObjectives::default();
         let v = m.rto_violations(10_000_000, &rto);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, IM_CLOSED_ACTION);
+    }
+
+    #[test]
+    fn names_outside_the_protocol_are_flagged_without_panicking() {
+        let mut m = Monitor::new();
+        m.ingest(0, &sent(0, 0, "bogus"));
+        m.ingest(1, &trans(0, 1, "closed", "opening", "goal"));
+        m.ingest(2, &sent(0, 1, "bogus"));
+        m.ingest(3, &trans(0, 1, "opening", "limbo", "goal"));
+        let codes: Vec<&str> = m.findings().iter().map(|f| f.code).collect();
+        assert_eq!(codes, [IM_CLOSED_ACTION, IM_CONFORMANCE, IM_CONFORMANCE]);
+        // The unnamed state left the belief where it was.
+        assert_eq!(m.state_of((0, 1)), SlotState::Opening);
+        // An unknown received signal justifies no auto-response.
+        m.ingest(4, &recv(0, 2, "close"));
+        m.ingest(5, &recv(0, 2, "bogus"));
+        m.ingest(6, &sent(0, 2, "closeack"));
+        assert_eq!(m.findings().len(), 4);
+    }
+
+    /// A monitor that believes slot `(0, 0)` is in `state`.
+    fn believing(state: SlotState) -> Monitor {
+        let mut m = Monitor::new();
+        m.belief(0, 0).state = state;
+        m
+    }
+
+    /// A real slot driven into `state` through its public API.
+    fn slot_in(state: SlotState, initiator: bool) -> Slot {
+        let mut slot = Slot::new(initiator);
+        let mut own = TagSource::new(1);
+        let peer = Descriptor::no_media(TagSource::new(2).next());
+        let peer_open = Signal::Open {
+            medium: Medium::Audio,
+            desc: peer.clone(),
+        };
+        match state {
+            SlotState::Closed => {}
+            SlotState::Opening => {
+                slot.send_open(Medium::Audio, Descriptor::no_media(own.next()))
+                    .unwrap();
+            }
+            SlotState::Opened => {
+                slot.on_signal(peer_open);
+            }
+            SlotState::Flowing => {
+                slot.on_signal(peer_open);
+                slot.accept(
+                    Descriptor::no_media(own.next()),
+                    Selector::not_sending(peer.tag),
+                )
+                .unwrap();
+            }
+            SlotState::Closing => {
+                slot.send_open(Medium::Audio, Descriptor::no_media(own.next()))
+                    .unwrap();
+                slot.send_close().unwrap();
+            }
+        }
+        assert_eq!(slot.state(), state);
+        slot
+    }
+
+    /// What `slot` puts on the wire for `action`, or `None` if it refuses.
+    fn try_send(slot: &mut Slot, action: SlotAction) -> Option<Vec<Signal>> {
+        let desc = Descriptor::no_media(TagSource::new(3).next());
+        let answers = slot.peer_desc().map_or(
+            DescTag {
+                origin: 99,
+                generation: 0,
+            },
+            |d| d.tag,
+        );
+        let sel = Selector::not_sending(answers);
+        match action {
+            SlotAction::Open => slot.send_open(Medium::Audio, desc).map(|s| vec![s]),
+            SlotAction::Accept => slot.accept(desc, sel).map(Vec::from),
+            SlotAction::Select => slot.send_select(sel).map(|s| vec![s]),
+            SlotAction::Describe => slot.send_describe(desc).map(|s| vec![s]),
+            SlotAction::Close => slot.send_close().map(|s| vec![s]),
+        }
+        .ok()
+    }
+
+    /// A signal of class `kind` as a peer would send it.
+    fn incoming(kind: SignalKind) -> Signal {
+        let desc = Descriptor::no_media(TagSource::new(4).next());
+        match kind {
+            SignalKind::Open => Signal::Open {
+                medium: Medium::Audio,
+                desc,
+            },
+            SignalKind::Oack => Signal::Oack { desc },
+            SignalKind::Close => Signal::Close,
+            SignalKind::CloseAck => Signal::CloseAck,
+            SignalKind::Describe => Signal::Describe { desc },
+            SignalKind::Select => Signal::Select {
+                sel: Selector::not_sending(desc.tag),
+            },
+        }
+    }
+
+    #[test]
+    fn every_send_a_real_slot_makes_is_accepted() {
+        let (mut sends, mut autos) = (0, 0);
+        for initiator in [false, true] {
+            for state in SlotState::ALL {
+                // Whatever the slot lets a goal send, the monitor accepts.
+                for action in SlotAction::ALL {
+                    let mut slot = slot_in(state, initiator);
+                    let Some(signals) = try_send(&mut slot, action) else {
+                        continue;
+                    };
+                    let mut m = believing(state);
+                    for sig in &signals {
+                        m.ingest(0, &sent(0, 0, sig.kind_enum().name()));
+                    }
+                    assert!(
+                        m.is_clean(),
+                        "{action:?} in {state:?} (initiator={initiator}): {:?}",
+                        m.findings()
+                    );
+                    sends += 1;
+                }
+                // Whatever the slot answers on its own, the monitor
+                // accepts after the receipt and the transition it causes,
+                // in the order the box layer reports them.
+                for kind in SignalKind::ALL {
+                    let mut slot = slot_in(state, initiator);
+                    let (_, auto) = slot.on_signal(incoming(kind));
+                    if auto.is_empty() {
+                        continue;
+                    }
+                    let mut m = believing(state);
+                    m.ingest(0, &recv(0, 0, kind.name()));
+                    m.ingest(0, &trans(0, 0, state.name(), slot.state().name(), "recv"));
+                    for sig in &auto {
+                        m.ingest(0, &sent(0, 0, sig.kind_enum().name()));
+                    }
+                    assert!(
+                        m.is_clean(),
+                        "auto-response to {kind:?} in {state:?} (initiator={initiator}): {:?}",
+                        m.findings()
+                    );
+                    autos += 1;
+                }
+            }
+        }
+        assert_eq!(sends, 2 * SEND_RULES.len());
+        let auto_rows = RECV_RULES.iter().filter(|r| r.auto.is_some()).count();
+        assert_eq!(autos, 2 * auto_rows);
     }
 }

@@ -342,39 +342,6 @@ pub const RECV_RULES: &[RecvRule] = &[
     },
 ];
 
-/// Export the protocol rule tables as the plain-data form the runtime
-/// invariant monitor consumes (`ipmedia_obs::monitor`).
-///
-/// Built from [`SEND_RULES`] and [`RECV_RULES`] — the same single source
-/// of truth the implementation validates against, the analyzer
-/// product-constructs with, and the model checker explores — so a
-/// monitor verdict of "no rule explains this send" is exactly a
-/// divergence from the verified model. The initiator restriction on the
-/// open/open race row is intentionally erased: the monitor tracks
-/// believed states, not initiator flags, and accepts either race
-/// outcome.
-pub fn monitor_rules() -> ipmedia_obs::monitor::MonitorRules {
-    ipmedia_obs::monitor::MonitorRules {
-        send: SEND_RULES
-            .iter()
-            .map(|r| ipmedia_obs::monitor::SendRuleData {
-                state: r.state.name(),
-                action: r.action.name(),
-                next: r.next.name(),
-            })
-            .collect(),
-        recv: RECV_RULES
-            .iter()
-            .map(|r| ipmedia_obs::monitor::RecvRuleData {
-                state: r.state.name(),
-                signal: r.signal.name(),
-                next: r.next.name(),
-                auto: r.auto.map(SignalKind::name),
-            })
-            .collect(),
-    }
-}
-
 /// What an incoming signal meant, reported to the controlling goal object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SlotEvent {
@@ -1331,24 +1298,6 @@ mod tests {
                     assert_eq!(s.state(), state, "failed send must not move the slot");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn monitor_rules_mirror_the_tables() {
-        let rules = monitor_rules();
-        assert_eq!(rules.send.len(), SEND_RULES.len());
-        assert_eq!(rules.recv.len(), RECV_RULES.len());
-        for (data, rule) in rules.send.iter().zip(SEND_RULES) {
-            assert_eq!(data.state, rule.state.name());
-            assert_eq!(data.action, rule.action.name());
-            assert_eq!(data.next, rule.next.name());
-        }
-        for (data, rule) in rules.recv.iter().zip(RECV_RULES) {
-            assert_eq!(data.state, rule.state.name());
-            assert_eq!(data.signal, rule.signal.name());
-            assert_eq!(data.next, rule.next.name());
-            assert_eq!(data.auto, rule.auto.map(SignalKind::name));
         }
     }
 

@@ -13,6 +13,7 @@
 //!   `C`.
 
 use crate::explore::StateGraph;
+use ipmedia_core::monitor::{IM_FLOWLINK, IM_TERMINAL};
 use ipmedia_core::path::PathSpec;
 use std::fmt;
 
@@ -46,19 +47,19 @@ impl fmt::Display for Violation {
 }
 
 /// Map a violation to the invariant code shared with the runtime monitor
-/// (`ipmedia_obs::monitor`): static counterexamples and live findings of
+/// (`ipmedia_core::monitor`): static counterexamples and live findings of
 /// the same class carry the same code, so the two are directly diffable.
 ///
 /// * `IM201` — flowlink convergence (liveness of `bothFlowing`).
 /// * `IM301` — dirty/ill-terminated terminal state.
 pub fn invariant_code(spec: PathSpec, v: &Violation) -> &'static str {
     match v {
-        Violation::DirtyTerminal { .. } => "IM301",
+        Violation::DirtyTerminal { .. } => IM_TERMINAL,
         Violation::BadTerminal { .. } | Violation::BadCycle { .. } => match spec {
             PathSpec::AlwaysEventuallyBothFlowing | PathSpec::EventuallyAlwaysNotBothFlowing => {
-                "IM201"
+                IM_FLOWLINK
             }
-            PathSpec::EventuallyAlwaysBothClosed | PathSpec::ClosedOrFlowing => "IM301",
+            PathSpec::EventuallyAlwaysBothClosed | PathSpec::ClosedOrFlowing => IM_TERMINAL,
         },
     }
 }
@@ -349,28 +350,22 @@ mod tests {
             P::AlwaysEventuallyBothFlowing,
             P::ClosedOrFlowing,
         ] {
-            assert_eq!(
-                invariant_code(spec, &dirty),
-                ipmedia_obs::monitor::IM_TERMINAL
-            );
+            assert_eq!(invariant_code(spec, &dirty), IM_TERMINAL);
         }
         // Flowing-liveness specs map to the flowlink-convergence code.
         assert_eq!(
             invariant_code(P::AlwaysEventuallyBothFlowing, &cycle),
-            ipmedia_obs::monitor::IM_FLOWLINK
+            IM_FLOWLINK
         );
         assert_eq!(
             invariant_code(P::EventuallyAlwaysNotBothFlowing, &term),
-            ipmedia_obs::monitor::IM_FLOWLINK
+            IM_FLOWLINK
         );
         // Teardown/terminal-shape specs map to the terminal code.
         assert_eq!(
             invariant_code(P::EventuallyAlwaysBothClosed, &cycle),
-            ipmedia_obs::monitor::IM_TERMINAL
+            IM_TERMINAL
         );
-        assert_eq!(
-            invariant_code(P::ClosedOrFlowing, &term),
-            ipmedia_obs::monitor::IM_TERMINAL
-        );
+        assert_eq!(invariant_code(P::ClosedOrFlowing, &term), IM_TERMINAL);
     }
 }

@@ -11,7 +11,11 @@
 //! - [`export`]: JSONL structured events, Prometheus-style text, and JSON
 //!   snapshots for benchmark artifacts;
 //! - [`ladder`]: the Fig.-10-style ASCII signal-ladder renderer shared by
-//!   the simulator's trace dump and the model checker's counterexamples.
+//!   the simulator's trace dump, the model checker's counterexamples and
+//!   the invariant monitor's findings.
+//!
+//! The invariant monitor itself is `ipmedia_core::monitor`: it steps the
+//! slot's rule tables, which this crate cannot see.
 //!
 //! This crate sits *below* `ipmedia-core` in the dependency graph, so all
 //! callbacks use plain data (`u32` box ids, `u16` slot ids, `&'static str`
@@ -24,7 +28,6 @@ pub mod clock;
 pub mod export;
 pub mod ladder;
 pub mod metrics;
-pub mod monitor;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, WallClock};
@@ -33,10 +36,6 @@ pub use export::{
 };
 pub use ladder::LadderEvent;
 pub use metrics::{CountingObserver, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
-pub use monitor::{
-    Finding, Monitor, MonitorRules, RecoveryObjectives, RecvRuleData, SendRuleData,
-    VerifiedManifest,
-};
 pub use trace::{
     chrome_trace_json, SpanCtx, SpanId, SpanRecord, SpanSink, TraceId, Tracer, TracingObserver,
 };

@@ -6,10 +6,10 @@ use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::ids::SlotId;
+use ipmedia_core::monitor::Monitor;
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx, TimerId};
 use ipmedia_core::signal::{AppEvent, MetaSignal};
-use ipmedia_core::{monitor_rules, BoxId, MediaAddr, Medium, SlotState};
-use ipmedia_obs::monitor::Monitor;
+use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_obs::{Clock, ObsEvent, RecordingObserver, WallClock};
 use ipmedia_rt::{
     spawn_node, wire, Directory, Frame, Framed, NodeOptions, NodeSnapshot, ReconnectPolicy,
@@ -184,7 +184,7 @@ async fn waves(channels: u16, tunnels: u16, via_gateway: bool) {
         log.extend(l.lock().unwrap().iter().cloned());
     }
     log.sort_by_key(|(t, _)| *t);
-    let mut monitor = Monitor::new(monitor_rules());
+    let mut monitor = Monitor::new();
     for (a, b) in links.lock().unwrap().iter() {
         monitor.watch_flowlink((2, a.0), (2, b.0));
     }
