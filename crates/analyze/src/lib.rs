@@ -37,6 +37,7 @@
 //! per run, with divergences delta-minimized to small `.ipm` reproducers
 //! (`ipmedia-lint --fuzz N`).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
 // Same pedantic allowlist as ipmedia-core: these fight the codebase's

@@ -15,6 +15,8 @@
 //! * [`harness::MediaNet`] — glue running the media plane against the
 //!   signaling simulator.
 
+#![deny(unsafe_code)]
+
 pub mod click_to_dial;
 pub mod collab_tv;
 pub mod conference;

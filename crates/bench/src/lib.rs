@@ -5,6 +5,8 @@
 //! the measured latency, so that every number in the paper's performance
 //! analysis is *measured* here rather than derived.
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod storm;
 

@@ -186,6 +186,13 @@ impl MediaBox {
         }
     }
 
+    /// Start loading what a stimulus reads first: the whole slot table and
+    /// the goal table's first line (see [`crate::prefetch()`]).
+    pub(crate) fn prefetch(&self) {
+        crate::prefetch(self.slots.as_ptr().cast(), size_of_val(&self.slots[..]));
+        crate::prefetch(self.goals.as_ptr().cast(), self.goals.len().min(1));
+    }
+
     /// Position of `id` in the slot table, or where it would go.
     fn slot_index(&self, id: SlotId) -> Result<usize, usize> {
         self.slots.binary_search_by_key(&id, |e| e.id)

@@ -274,6 +274,19 @@ impl NodeHost {
         })
     }
 
+    /// Start loading the heap blocks a stimulus reads — the channel
+    /// table, the slot table, the goal table's first line and the
+    /// program's state — so a substrate that knows which box comes next
+    /// need not wait for them (DESIGN §3.1). The host itself must be in
+    /// cache already: its pointers name the blocks.
+    pub fn prefetch(&self) {
+        crate::prefetch(
+            self.channels.as_ptr().cast(),
+            size_of_val(&self.channels[..]),
+        );
+        self.pb.prefetch();
+    }
+
     /// Slots that exhausted their retransmissions and parked.
     pub fn parked_slots(&self) -> Vec<SlotId> {
         self.reliab

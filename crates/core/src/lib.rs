@@ -6,6 +6,7 @@
 //! media-control goal primitives (`openSlot`, `closeSlot`, `holdSlot`,
 //! `flowLink`).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
 // Pedantic allowlist: these lints fight the codebase's established idiom
@@ -40,6 +41,7 @@ pub mod ids;
 pub mod monitor;
 pub mod par;
 pub mod path;
+mod prefetch;
 pub mod program;
 pub mod reliable;
 pub mod retag;
@@ -61,6 +63,7 @@ pub use goal::{
 };
 pub use ids::{BoxId, ChannelId, SlotId, SlotRange, SlotRef, TunnelId};
 pub use path::{ChannelLink, EndGoal, PathEnds, PathSpec, PathType, Topology};
+pub use prefetch::prefetch;
 pub use program::{
     AppLogic, BoxCmd, BoxInput, Ctx, GoalAnnotation, ModelEffect, ModelTrigger, ProgramBox,
     ProgramModel, ScenarioModel, SlotDecl, StateModel, TimerGenerations, TimerId, TransitionModel,

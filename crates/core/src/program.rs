@@ -286,6 +286,14 @@ impl ProgramBox {
         &mut self.media
     }
 
+    /// Start loading the media box's tables and the program's state (see
+    /// [`crate::prefetch()`]).
+    pub(crate) fn prefetch(&self) {
+        self.media.prefetch();
+        let logic: *const dyn AppLogic = &*self.logic;
+        crate::prefetch(logic.cast(), size_of_val(&*self.logic));
+    }
+
     /// Feed one input through the media box (for tunnel signals) and then
     /// the application logic; collect the resulting commands.
     pub fn handle(&mut self, input: BoxInput) -> Vec<BoxCmd> {

@@ -20,6 +20,9 @@ fn signal_slot_and_descriptor_stay_small() {
 /// A storm builds tens of thousands of hosts and arms a timer in none of
 /// them: the timer table is an empty `Vec` and the reliability layer a
 /// null pointer until used, and the channel table is the route table.
+/// The simulator prefetches a host whole, inside its node, every cache
+/// line of it, before the step that needs it (netsim's
+/// `a_node_stays_small` pins the node): a wider host costs every step.
 #[test]
 #[cfg(target_pointer_width = "64")]
 fn a_host_stays_small() {

@@ -9,6 +9,8 @@
 //! phase, and the §V temporal specifications are checked by cycle analysis
 //! over the explored graph.
 
+#![deny(unsafe_code)]
+
 pub mod campaign;
 pub mod counterexample;
 pub mod explore;

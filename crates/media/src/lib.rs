@@ -9,6 +9,8 @@
 //! that is not listening are counted as lost — the failure the erroneous
 //! scenario of Fig. 2 produces.
 
+#![deny(unsafe_code)]
+
 pub mod flow;
 pub mod mixer;
 pub mod packet;

@@ -8,6 +8,8 @@
 //! formulas (2n+3c for Fig. 13, pn+(p+1)c in general) are *measured* on
 //! this substrate rather than merely derived.
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod fault;
 pub mod queue;

@@ -9,8 +9,13 @@
 //! grows, so arrival order within an instant *is* `(at, seq)` order — also
 //! for a push at the instant being drained — and the key is the exact
 //! `SimTime`: no bucket width, nothing to tune and nothing rounded.
+//!
+//! [`EventQueue::ahead`] names an event still to come, so a simulator can
+//! fetch what that event will touch before its turn. It is a hint: it
+//! changes no order, and a push may make the event it named come later.
 
 use crate::time::SimTime;
+use ipmedia_core::prefetch;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// End of a FIFO's chain, and of the free list.
@@ -29,6 +34,12 @@ pub struct EventQueue<T> {
     /// Most recently popped slot, the next one pushed to.
     free: u32,
     len: usize,
+    /// The look-ahead cursor: `NIL`, or the slot `ahead_by` links behind
+    /// the head of the earliest instant's FIFO. A pop brings it one
+    /// closer; draining that instant, or a push that makes a new earliest
+    /// one, resets it.
+    cursor: u32,
+    ahead_by: usize,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -38,6 +49,8 @@ impl<T> Default for EventQueue<T> {
             slab: Vec::new(),
             free: NIL,
             len: 0,
+            cursor: NIL,
+            ahead_by: 0,
         }
     }
 }
@@ -61,6 +74,12 @@ impl<T> EventQueue<T> {
         match self.instants.entry(at) {
             Entry::Vacant(fifo) => {
                 fifo.insert((slot, slot));
+                // The cursor counted from the head of an instant that is
+                // no longer the earliest.
+                if self.next_at() == Some(at) {
+                    self.cursor = NIL;
+                    self.ahead_by = 0;
+                }
             }
             Entry::Occupied(mut fifo) => {
                 let tail = &mut fifo.get_mut().1;
@@ -81,13 +100,47 @@ impl<T> EventQueue<T> {
         let item = slot.0.take().expect("a queued slot holds its event");
         if head == tail {
             fifo.remove();
+            self.cursor = NIL;
+            self.ahead_by = 0;
         } else {
             fifo.get_mut().0 = slot.1;
+            match self.ahead_by.checked_sub(1) {
+                Some(by) => self.ahead_by = by,
+                // The cursor was on the slot just popped.
+                None => self.cursor = NIL,
+            }
         }
         slot.1 = self.free;
         self.free = head;
         self.len -= 1;
         Some((at, item))
+    }
+
+    /// The event `pop` will return `n` pops from now, if it is one of the
+    /// earliest instant's and nothing is pushed meanwhile. Walks on from
+    /// where the last call stopped, so asking for the same distance before
+    /// every pop costs one link a pop and allocates nothing; and it
+    /// prefetches the slot that link leads to, so the walk does not wait.
+    pub fn ahead(&mut self, n: usize) -> Option<&T> {
+        let (_, &(head, _)) = self.instants.first_key_value()?;
+        if self.cursor == NIL || n < self.ahead_by {
+            self.cursor = head;
+            self.ahead_by = 0;
+        }
+        while self.ahead_by < n {
+            let next = self.slab[self.cursor as usize].1;
+            if next == NIL {
+                return None;
+            }
+            self.cursor = next;
+            self.ahead_by += 1;
+        }
+        let (item, next) = &self.slab[self.cursor as usize];
+        // The slot the next call walks to.
+        if let Some(slot) = self.slab.get(*next as usize) {
+            prefetch(std::ptr::from_ref(slot).cast(), size_of_val(slot));
+        }
+        item.as_ref()
     }
 
     /// The instant of the event `pop` would return.

@@ -16,7 +16,7 @@ use ipmedia_core::ids::{BoxId, ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox};
 use ipmedia_core::reliable::{self, ReliableConfig};
 use ipmedia_core::signal::{ChannelMsg, Signal};
-use ipmedia_core::MediaBox;
+use ipmedia_core::{prefetch, MediaBox};
 use ipmedia_obs::clock::ManualClock;
 use ipmedia_obs::ladder::{render, LadderEvent};
 use ipmedia_obs::trace::{SpanCtx, SpanSink, Tracer};
@@ -112,6 +112,18 @@ struct Node {
     down: bool,
 }
 
+/// How many events ahead a step fetches the `Node` of the box an input is
+/// for, and how many ahead it fetches the heap blocks that `Node` points
+/// to. Two stages, because a box's heap blocks can only be named once its
+/// `Node` is in cache: the ring in between holds the 8 box ids fetched on
+/// the way. A storm step finds the box it is for gone cold (DESIGN §3.1).
+/// The sweep on `sim_storm`: without the queue's own slot prefetch, 8/4
+/// read ×0.93 of 16/8's ops/s and 24/12 level with it; with it, 8/4 and
+/// 24/12 both read level with 16/8.
+const NODE_AHEAD: usize = 16;
+const HEAP_AHEAD: usize = 8;
+const RING: usize = NODE_AHEAD - HEAP_AHEAD;
+
 /// The two ends of a channel. `b` is `None` for the half-open channel a
 /// failed dial leaves behind: whatever `a` sends on it goes nowhere.
 struct Channel {
@@ -179,6 +191,10 @@ pub struct Network {
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
     events: EventQueue<Scheduled>,
+    /// The boxes whose `Node` the last `RING` steps fetched, oldest at
+    /// `fetched_at` (see [`NODE_AHEAD`]).
+    fetched: [Option<BoxId>; RING],
+    fetched_at: usize,
     /// Lent to every host call and drained right after; reused so a
     /// stimulus costs no allocation for them.
     buffers: Buffers,
@@ -209,6 +225,8 @@ impl Network {
             partitions: HashMap::new(),
             bursts: HashMap::new(),
             events: EventQueue::default(),
+            fetched: [None; RING],
+            fetched_at: 0,
             buffers: Buffers::default(),
             now: SimTime::ZERO,
             trace_enabled: false,
@@ -523,6 +541,7 @@ impl Network {
 
     /// Process one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
+        self.read_ahead();
         let Some((at, sch)) = self.events.pop() else {
             return false;
         };
@@ -579,6 +598,28 @@ impl Network {
             }
         }
         true
+    }
+
+    /// Start loading what the steps ahead will touch: the `Node` of the
+    /// box the event [`NODE_AHEAD`] out is for, and the heap blocks of the
+    /// one fetched [`RING`] steps ago, [`HEAP_AHEAD`] out by now. Changes
+    /// nothing the simulation reads.
+    fn read_ahead(&mut self) {
+        let far = match self.events.ahead(NODE_AHEAD) {
+            Some(Scheduled {
+                ev: Ev::Input { to, .. },
+                ..
+            }) => self.nodes.get(ix(*to)).map(|node| {
+                prefetch(std::ptr::from_ref(node).cast(), size_of::<Node>());
+                *to
+            }),
+            _ => None,
+        };
+        let near = std::mem::replace(&mut self.fetched[self.fetched_at], far);
+        self.fetched_at = (self.fetched_at + 1) % RING;
+        if let Some(node) = near.and_then(|to| self.nodes.get(ix(to))) {
+            node.host.prefetch();
+        }
     }
 
     /// Hand one input to a box's host — charging the compute cost *c* if
@@ -893,5 +934,15 @@ mod tests {
         // The queue's slab slot: the record and the index of the next.
         let slot = size_of::<(Option<Scheduled>, u32)>();
         assert!(slot <= 104, "{slot}");
+    }
+
+    /// `step` fetches a box's whole `Node` ahead of its turn, every line
+    /// of it, and the gain is measured at this size: a field that grows it
+    /// should be a decision, not a quiet loss.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_node_stays_small() {
+        let node = size_of::<Node>();
+        assert!(node <= 160, "{node}");
     }
 }

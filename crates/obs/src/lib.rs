@@ -24,6 +24,8 @@
 //! default [`Observer::observe`], so threaded through core's generic
 //! `_obs` entry points it monomorphizes away completely.
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod export;
 pub mod ladder;

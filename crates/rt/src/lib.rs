@@ -7,6 +7,8 @@
 //! simulator and the model checker execute are driven here by live
 //! sockets; nothing in `ipmedia-core` knows the difference.
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod frame;
 pub mod node;

@@ -9,6 +9,8 @@
 //! [`scenario`] reproduces Fig. 14 and the common-case comparison against
 //! the compositional protocol's Fig. 13.
 
+#![deny(unsafe_code)]
+
 pub mod b2bua;
 pub mod msg;
 pub mod scenario;
