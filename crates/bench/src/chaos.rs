@@ -136,11 +136,6 @@ pub fn run_netsim_chaos(
     let end = chain.net.now();
 
     let log = log.lock().unwrap();
-    if std::env::var("CHAOS_DEBUG").is_ok() {
-        for (t, ev) in log.iter() {
-            eprintln!("  {t}us {ev:?}");
-        }
-    }
     monitor.ingest_all(&log);
     monitor.check_quiescent(end.0);
 
@@ -199,20 +194,6 @@ pub struct RtChaosRun {
     pub violations: Vec<String>,
     /// Gate-cut frames the nodes observed (`partition` fault counter).
     pub partitions: u64,
-}
-
-type SharedLog = Arc<std::sync::Mutex<Vec<(u64, ObsEvent)>>>;
-
-fn dump_logs(log_l: &SharedLog, log_r: &SharedLog) {
-    if std::env::var("CHAOS_DEBUG").is_err() {
-        return;
-    }
-    let mut log: Vec<(u64, ObsEvent)> = log_l.lock().unwrap().clone();
-    log.extend(log_r.lock().unwrap().iter().cloned());
-    log.sort_by_key(|(t, _)| *t);
-    for (t, ev) in &log {
-        eprintln!("  {t}us {ev:?}");
-    }
 }
 
 fn snap_detail(caller: &ipmedia_rt::NodeHandle, callee: &ipmedia_rt::NodeHandle) -> String {
@@ -345,7 +326,6 @@ pub async fn run_rt_chaos(
     };
     if !caller.wait_for(WAIT, closed).await {
         let detail = snap_detail(&caller, &callee);
-        dump_logs(&log_l, &log_r);
         caller.shutdown().await;
         callee.shutdown().await;
         return Err(err(format!(
@@ -364,7 +344,6 @@ pub async fn run_rt_chaos(
     callee.shutdown().await;
 
     if !recovered {
-        dump_logs(&log_l, &log_r);
         return Err(err(format!(
             "call did not recover within {WAIT:?} of the last heal (schedule: {}; {detail})",
             schedule.describe()

@@ -178,10 +178,7 @@ impl Chain {
 
     /// Both ends transmit at each other's negotiated addresses.
     pub fn converged(&self) -> bool {
-        let sl = self.net.media(self.l).slot(self.l_slot).unwrap();
-        let sr = self.net.media(self.r).slot(self.r_slot).unwrap();
-        sl.tx_route().map(|(to, _)| to) == Some(r_addr())
-            && sr.tx_route().map(|(to, _)| to) == Some(l_addr())
+        ends_converged(&self.net, (self.l, self.l_slot), (self.r, self.r_slot))
     }
 
     /// Put server `i`'s two slots on hold (the PC Snapshot-2 move): the
@@ -229,16 +226,19 @@ impl Chain {
     /// Run until both ends transmit at each other again; return the
     /// completion instant (end-of-compute of the later endpoint).
     pub fn measure_reconvergence(&mut self, t0: SimTime) -> SimDuration {
-        let (l, r, ls, rs) = (self.l, self.r, self.l_slot, self.r_slot);
-        let ok = self.net.run_until(T_MAX, |n| {
-            let sl = n.media(l).slot(ls).unwrap();
-            let sr = n.media(r).slot(rs).unwrap();
-            sl.tx_route().map(|(to, _)| to) == Some(r_addr())
-                && sr.tx_route().map(|(to, _)| to) == Some(l_addr())
-        });
+        let (l, r) = ((self.l, self.l_slot), (self.r, self.r_slot));
+        let ok = self.net.run_until(T_MAX, |n| ends_converged(n, l, r));
         assert!(ok, "path must reconverge");
         self.net.busy_until(self.l).max(self.net.busy_until(self.r)) - t0
     }
+}
+
+/// [`Chain::converged`] over a network the chain lends out.
+fn ends_converged(net: &Network, (l, ls): (BoxId, SlotId), (r, rs): (BoxId, SlotId)) -> bool {
+    let sl = net.media(l).slot(ls).unwrap();
+    let sr = net.media(r).slot(rs).unwrap();
+    sl.tx_route().map(|(to, _)| to) == Some(r_addr())
+        && sr.tx_route().map(|(to, _)| to) == Some(l_addr())
 }
 
 /// Fig. 13 (experiment E8): the PBX and PC change state concurrently.

@@ -3,9 +3,10 @@
 //!
 //! Each box is one asynchronous actor with one input queue (§VIII-C): an
 //! accept loop admits incoming signaling channels, and it, the
-//! per-connection reader tasks and the node's [`NodeHandle`] all feed a
-//! single bounded inbox. The actor awaits only that inbox, bounded by its
-//! next timer, and applies what it reads, in arrival order, to its
+//! per-connection reader tasks, the dial tasks and the node's
+//! [`NodeHandle`] all feed a single bounded inbox. The actor awaits only
+//! that inbox, bounded by its next timer (never a connect), and applies
+//! what it reads, in arrival order, to its
 //! [`ProgramBox`](ipmedia_core::program::ProgramBox) — the same
 //! sans-IO state machines the simulator and the model checker drive. All
 //! I/O is non-blocking; per-connection writer tasks apply backpressure via
@@ -288,15 +289,8 @@ enum Inbox {
     },
     /// A connection died.
     Gone { channel: ChannelId, gen: u64 },
-    /// A background re-dial of a lost channel succeeded.
-    Reconnected {
-        channel: ChannelId,
-        framed: Framed<TcpStream>,
-        attempts: u32,
-        elapsed_ms: u64,
-    },
-    /// A background re-dial exhausted its attempts.
-    ReconnectFailed { channel: ChannelId },
+    /// A dial task is done.
+    Dialed(Dial),
     /// [`NodeHandle::user`].
     User { slot: SlotId, cmd: UserCmd },
     /// [`NodeHandle::inject`].
@@ -305,14 +299,30 @@ enum Inbox {
     Shutdown,
 }
 
+/// A dial task's job, the connection under `channel` to the box named
+/// `to`, and once it is done its outcome. `req` is the box's dial tag on a
+/// first dial, `None` on the re-dial of a lost connection.
+struct Dial {
+    channel: ChannelId,
+    to: String,
+    tunnels: u16,
+    req: Option<u32>,
+    /// The connection, or `None` once every attempt failed.
+    framed: Option<Framed<TcpStream>>,
+    /// Attempts made, and the milliseconds they took.
+    attempts: u32,
+    elapsed_ms: u64,
+}
+
 struct Conn {
     writer_tx: mpsc::Sender<Frame>,
-    /// Dial target when this end initiated the channel; reconnection is
-    /// only possible (and only attempted) from the initiating side.
-    peer: Option<String>,
+    /// This end dialed the channel; only the dialing side re-dials a lost
+    /// connection.
+    dialed: bool,
     /// The far end's name whichever side initiated: the dial target for
     /// dialed connections, the hello's `from` for accepted ones. Chaos
-    /// gating keys on it; `None` only for half-open channels.
+    /// gating keys on it and a re-dial goes to it; `None` only for
+    /// half-open channels.
     remote: Option<String>,
     /// The connection died and a background re-dial is in flight.
     recovering: bool,
@@ -460,6 +470,7 @@ pub async fn spawn_node(
         tracer,
         gate,
         inbox_tx: inbox_tx.clone(),
+        dial_turn: None,
         buffers: Buffers::default(),
         lost: VecDeque::new(),
     };
@@ -543,6 +554,8 @@ struct Actor {
     /// [`NodeOptions::gate`].
     gate: Option<Arc<ChaosGate>>,
     inbox_tx: mpsc::Sender<Inbox>,
+    /// Closes once the latest first dial has made its first try.
+    dial_turn: Option<mpsc::Receiver<()>>,
     /// Lent to every host call and drained right after.
     buffers: Buffers,
     /// Connections (with their generation) the actor itself declared dead
@@ -597,40 +610,34 @@ impl Actor {
         self.dir.deregister(&self.name, self.addr);
     }
 
-    /// Feed one input to the host and execute its effects — and the
-    /// inputs those give rise to (a dial's outcome) — until none are left.
-    /// `cause` is the trace context the input arrived with, if any.
+    /// Feed one input to the host and execute its effects. `cause` is the
+    /// trace context the input arrived with, if any.
     async fn feed(&mut self, input: Input, cause: Option<SpanCtx>) {
-        let mut next = Some((input, cause));
-        let mut pending = VecDeque::new();
-        while let Some((input, cause)) = next {
-            let ctx = self.apply(input, cause);
-            let mut effects = std::mem::take(&mut self.buffers.effects);
-            for effect in effects.drain(..) {
-                match effect {
-                    Effect::Send { channel, msg } => self.transmit(channel, msg, ctx).await,
-                    Effect::Dial { to, tunnels, req } => {
-                        let (channel, answered) = self.open_channel(&to, tunnels).await;
-                        pending.extend(Input::dial_outcome(channel, req, answered));
-                    }
-                    Effect::Hangup { channel } => {
-                        // Local teardown is immediate; the peer acts on Bye.
-                        self.slots_changed = true;
-                        if let Some(conn) = self.conns.remove(&channel) {
-                            let _ = conn.writer_tx.send(Frame::Bye).await;
-                        }
-                    }
-                    Effect::ArmTimer { id, gen, after_ms } => {
-                        let due = Instant::now() + Duration::from_millis(after_ms);
-                        self.timers.push(Reverse((due, id, gen)));
-                    }
-                    // The actor stays alive to drain signaling.
-                    Effect::Terminated => {}
+        let ctx = self.apply(input, cause);
+        let mut effects = std::mem::take(&mut self.buffers.effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { channel, msg } => self.transmit(channel, msg, ctx).await,
+                Effect::Dial { to, tunnels, req } => {
+                    let channel = self.new_channel();
+                    self.spawn_dial(channel, to, tunnels, Some(req));
                 }
+                Effect::Hangup { channel } => {
+                    // Local teardown is immediate; the peer acts on Bye.
+                    self.slots_changed = true;
+                    if let Some(conn) = self.conns.remove(&channel) {
+                        let _ = conn.writer_tx.send(Frame::Bye).await;
+                    }
+                }
+                Effect::ArmTimer { id, gen, after_ms } => {
+                    let due = Instant::now() + Duration::from_millis(after_ms);
+                    self.timers.push(Reverse((due, id, gen)));
+                }
+                // The actor stays alive to drain signaling.
+                Effect::Terminated => {}
             }
-            self.buffers.effects = effects;
-            next = pending.pop_front().map(|input| (input, None));
         }
+        self.buffers.effects = effects;
     }
 
     /// One host call: stamps the arrival with the tracer's clock, times
@@ -732,8 +739,8 @@ impl Actor {
     async fn on_inbox(&mut self, msg: Inbox) -> bool {
         match msg {
             Inbox::Accepted { hello, framed } => {
-                let channel =
-                    self.add_channel(hello.tunnels, false, None, Some(hello.from), Some(framed));
+                let (channel, remote) = (self.new_channel(), Some(hello.from));
+                self.add_channel(channel, hello.tunnels, false, remote, Some(framed));
                 self.feed(Input::ChannelUp { channel, req: None }, None)
                     .await;
             }
@@ -760,21 +767,7 @@ impl Actor {
                 }
             }
             Inbox::Gone { channel, gen } => self.on_conn_lost(channel, gen).await,
-            Inbox::Reconnected {
-                channel,
-                framed,
-                attempts,
-                elapsed_ms,
-            } => {
-                self.on_reconnected(channel, framed, attempts, elapsed_ms)
-                    .await;
-            }
-            Inbox::ReconnectFailed { channel } => {
-                // Graceful degradation: the peer stayed unreachable, so
-                // the channel is torn down in order (ChannelDown to the
-                // program), exactly as if the peer had said Bye.
-                self.drop_channel(channel).await;
-            }
+            Inbox::Dialed(dial) => self.on_dialed(dial).await,
             Inbox::User { slot, cmd } => self.feed(Input::User { slot, cmd }, None).await,
             Inbox::Inject(input) => self.feed(Input::Inject(input), None).await,
             Inbox::Shutdown => return false,
@@ -783,9 +776,9 @@ impl Actor {
     }
 
     /// The TCP connection behind `channel` died without a Bye. If this
-    /// end initiated the channel, park its slots (state retained, nothing
-    /// removed) and re-dial in the background with capped exponential
-    /// backoff; otherwise tear the channel down as before.
+    /// end dialed the channel, park its slots (state retained, nothing
+    /// removed) and re-dial in the background; otherwise tear the channel
+    /// down as before.
     async fn on_conn_lost(&mut self, channel: ChannelId, gen: u64) {
         let Some(conn) = self.conns.get_mut(&channel) else {
             return;
@@ -796,65 +789,49 @@ impl Actor {
         if conn.recovering {
             return; // reader and writer can both report the same death
         }
-        let Some(peer) = conn
-            .peer
-            .clone()
-            .filter(|_| self.policy.reconnect_attempts > 0)
-        else {
+        let redial = conn.dialed && self.policy.reconnect_attempts > 0;
+        let Some(to) = conn.remote.clone().filter(|_| redial) else {
             self.drop_channel(channel).await;
             return;
         };
         conn.recovering = true;
         self.obs.fault_injected(self.host.id().0, "disconnect");
         let tunnels = self.host.channel_slots(channel).map_or(0, SlotRange::len);
-        let dir = self.dir.clone();
-        let name = self.name.clone();
-        let policy = self.policy;
-        let gate = self.gate.clone();
-        let tx = self.inbox_tx.clone();
-        tokio::spawn(async move {
-            let t0 = std::time::Instant::now();
-            // Jittered capped backoff: after a partition heals, every
-            // initiator on the link redials at once; full jitter keeps
-            // them from stampeding in lockstep.
-            let delays = backoff_delays(
-                &policy,
-                jitter_seed(&name, channel.0),
-                policy.reconnect_attempts,
-            );
-            for (i, delay) in delays.iter().enumerate() {
-                sleep(*delay).await;
-                let Some(framed) = connect(&dir, &gate, &policy, &name, &peer, tunnels).await
-                else {
-                    continue;
-                };
-                let _ = tx
-                    .send(Inbox::Reconnected {
-                        channel,
-                        framed,
-                        attempts: i as u32 + 1,
-                        elapsed_ms: t0.elapsed().as_millis() as u64,
-                    })
-                    .await;
-                return;
-            }
-            let _ = tx.send(Inbox::ReconnectFailed { channel }).await;
-        });
+        self.spawn_dial(channel, to, tunnels, None);
     }
 
-    /// A re-dial landed: swap the new connection in under the existing
-    /// channel id, then have the host retransmit each parked slot's
-    /// cached signals so the (idempotent, §VI) protocol re-establishes
-    /// peer state.
-    async fn on_reconnected(
-        &mut self,
-        channel: ChannelId,
-        framed: Framed<TcpStream>,
-        attempts: u32,
-        elapsed_ms: u64,
-    ) {
+    /// A dial task is done. A first dial registers its channel, half-open
+    /// when nobody answered, for the program to observe and destroy
+    /// (Fig. 6), and reports the outcome to the box.
+    async fn on_dialed(&mut self, dial: Dial) {
+        let Some(req) = dial.req else {
+            return self.on_redialed(dial).await;
+        };
+        let answered = dial.framed.is_some();
+        let remote = answered.then_some(dial.to);
+        self.add_channel(dial.channel, dial.tunnels, true, remote, dial.framed);
+        if answered {
+            self.registry.tunnel_setup_ms.observe(dial.elapsed_ms);
+        }
+        for input in Input::dial_outcome(dial.channel, req, answered) {
+            self.feed(input, None).await;
+        }
+    }
+
+    /// A re-dial is done. If it landed, swap the new connection in under
+    /// the existing channel id, then have the host retransmit each parked
+    /// slot's cached signals so the (idempotent, §VI) protocol
+    /// re-establishes peer state. If the peer stayed unreachable, tear the
+    /// channel down in order (ChannelDown to the program), exactly as if
+    /// it had said Bye.
+    async fn on_redialed(&mut self, dial: Dial) {
+        let channel = dial.channel;
         let Some(gen) = self.conns.get(&channel).map(|c| c.gen + 1) else {
             return; // torn down while the dial was in flight
+        };
+        let Some(framed) = dial.framed else {
+            self.drop_channel(channel).await;
+            return;
         };
         let writer_tx = self.spawn_io_tasks(channel, gen, framed);
         let conn = self.conns.get_mut(&channel).expect("checked above");
@@ -864,8 +841,8 @@ impl Actor {
         self.obs.fault_injected(self.host.id().0, "reconnect");
         let resync = Input::Resync {
             channel,
-            attempts,
-            elapsed_ms,
+            attempts: dial.attempts,
+            elapsed_ms: dial.elapsed_ms,
         };
         self.feed(resync, None).await;
     }
@@ -877,21 +854,23 @@ impl Actor {
         }
     }
 
-    /// Allocate a channel id, register it with the host (which allocates
-    /// its slots), and — unless it is half-open — spawn reader and writer
-    /// tasks for its connection. `peer` is the dial target when this end
-    /// opened the connection (it enables reconnection).
+    fn new_channel(&mut self) -> ChannelId {
+        self.next_channel += 1;
+        ChannelId(self.next_channel - 1)
+    }
+
+    /// Register `channel` with the host (which allocates its slots), and —
+    /// unless it is half-open — spawn reader and writer tasks for its
+    /// connection. `dialed` is true iff this end opened the connection.
     fn add_channel(
         &mut self,
+        channel: ChannelId,
         tunnels: u16,
-        initiator: bool,
-        peer: Option<String>,
+        dialed: bool,
         remote: Option<String>,
         framed: Option<Framed<TcpStream>>,
-    ) -> ChannelId {
-        let channel = ChannelId(self.next_channel);
-        self.next_channel += 1;
-        self.host.register_channel(channel, tunnels, initiator);
+    ) {
+        self.host.register_channel(channel, tunnels, dialed);
         self.slots_changed = true;
         let writer_tx = match framed {
             Some(framed) => self.spawn_io_tasks(channel, 0, framed),
@@ -902,13 +881,12 @@ impl Actor {
             channel,
             Conn {
                 writer_tx,
-                peer,
+                dialed,
                 remote,
                 recovering: false,
                 gen: 0,
             },
         );
-        channel
     }
 
     /// Spawn the reader and writer tasks for one live connection and
@@ -1050,49 +1028,72 @@ impl Actor {
         }
     }
 
-    /// Execute a dial: on success the new channel rides the connection;
-    /// on failure it is half-open, for the program to observe and destroy
-    /// (Fig. 6). Returns the channel and whether the target answered.
-    async fn open_channel(&mut self, to: &str, tunnels: u16) -> (ChannelId, bool) {
-        let t0 = std::time::Instant::now();
-        let framed = self.dial(to, tunnels).await;
-        let answered = framed.is_some();
-        let peer = answered.then(|| to.to_string());
-        let channel = self.add_channel(tunnels, true, peer.clone(), peer, framed);
-        if answered {
-            self.registry
-                .tunnel_setup_ms
-                .observe(t0.elapsed().as_millis() as u64);
-        }
-        (channel, answered)
-    }
-
-    /// Dial a named box: fail fast when the directory has no entry (the
-    /// name is simply wrong), otherwise retry the connect with capped
-    /// exponential backoff up to `connect_attempts`.
-    async fn dial(&mut self, to: &str, tunnels: u16) -> Option<Framed<TcpStream>> {
-        let attempts = self.policy.connect_attempts.max(1);
-        let delays = backoff_delays(&self.policy, jitter_seed(&self.name, 0), attempts);
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                sleep(delays[attempt as usize - 1]).await;
+    /// Run a dial in a task of its own, so the actor goes on applying its
+    /// inbox meanwhile: up to `connect_attempts` tries of [`connect`] for a
+    /// first dial (`req` is its tag), `reconnect_attempts` for a re-dial,
+    /// with jittered capped backoff between them, then one
+    /// [`Inbox::Dialed`] with the outcome. A first dial tries at once,
+    /// but only once the first dial before it has made its first try: a
+    /// box dialed twice accepts the channels in the order they were
+    /// dialed, and numbers their slots alike. A re-dial waits out a delay
+    /// before its first try too, so the initiators a partition heal
+    /// releases together do not all redial in the same instant.
+    fn spawn_dial(&mut self, channel: ChannelId, to: String, tunnels: u16, req: Option<u32>) {
+        let policy = self.policy;
+        let (attempts, mut turn, mut done) = match req {
+            Some(_) => {
+                let (done, next) = mpsc::channel::<()>(1);
+                let turn = self.dial_turn.replace(next);
+                (policy.connect_attempts.max(1), turn, Some(done))
             }
-            self.dir.lookup(to)?;
-            let (dir, gate, policy) = (&self.dir, &self.gate, &self.policy);
-            if let Some(framed) = connect(dir, gate, policy, &self.name, to, tunnels).await {
-                return Some(framed);
-            }
+            None => (policy.reconnect_attempts, None, None),
+        };
+        let mut delays = backoff_delays(&policy, jitter_seed(&self.name, channel.0), attempts);
+        if req.is_some() {
+            delays.rotate_right(1);
+            delays[0] = Duration::ZERO;
         }
-        None
+        let (dir, gate) = (self.dir.clone(), self.gate.clone());
+        let (name, tx) = (self.name.clone(), self.inbox_tx.clone());
+        tokio::spawn(async move {
+            if let Some(turn) = &mut turn {
+                turn.recv().await;
+            }
+            let t0 = std::time::Instant::now();
+            let mut dial = Dial {
+                channel,
+                to,
+                tunnels,
+                req,
+                framed: None,
+                attempts: 0,
+                elapsed_ms: 0,
+            };
+            for delay in delays {
+                sleep(delay).await;
+                if tx.is_closed() {
+                    return; // the node is gone: nobody would take the channel
+                }
+                dial.attempts += 1;
+                dial.framed = connect(&dir, &gate, &policy, &name, &dial.to, tunnels).await;
+                if dial.framed.is_some() {
+                    break;
+                }
+                drop(done.take()); // the next dial's turn
+            }
+            dial.elapsed_ms = t0.elapsed().as_millis() as u64;
+            let _ = tx.send(Inbox::Dialed(dial)).await;
+        });
     }
 }
 
 /// One attempt to set up the connection under a channel from `name` to
 /// `to`: resolve, connect and say hello, each bounded by the send
-/// timeout. A partitioned or crashed target costs the attempt exactly as
-/// an unreachable address would (but skips the useless connect), and the
-/// name is looked up anew every time because a restarted box re-registers
-/// under the same name at a fresh address.
+/// timeout. A partitioned or crashed target, and a name the directory
+/// does not hold, cost the attempt exactly as an unreachable address would
+/// (but skip the useless connect), and the name is looked up anew every
+/// time because a restarted box re-registers under the same name at a
+/// fresh address.
 async fn connect(
     dir: &Directory,
     gate: &Option<Arc<ChaosGate>>,

@@ -3,14 +3,17 @@
 
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, RelayLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
-use ipmedia_core::ids::SlotId;
+use ipmedia_core::ids::{ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
-use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
+use ipmedia_core::{Availability, BoxId, Codec, MediaAddr, MetaSignal, SlotState};
 use ipmedia_obs::{
     prometheus_text, Clock, MetricsSnapshot, ObsEvent, RecordingObserver, WallClock,
 };
-use ipmedia_rt::{spawn_node, Directory, NodeOptions};
-use std::sync::Arc;
+use ipmedia_rt::{
+    backoff_delays, jitter_seed, spawn_node, Directory, NodeOptions, ReconnectPolicy,
+};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use tokio::time::Duration;
 
 fn addr(h: u8) -> MediaAddr {
@@ -413,4 +416,148 @@ async fn shutdown_applies_the_commands_queued_before_it() {
     caller.shutdown().await;
     assert_eq!(registry.snapshot().sent("close"), u64::from(CALLS));
     callee.shutdown().await;
+}
+
+/// A dial runs beside the node, not inside it: while one target refuses
+/// every connect and the dial backs off between attempts, the node goes
+/// on with its other work, here a second dial in the same `Start`.
+#[tokio::test]
+async fn a_dial_in_flight_holds_up_nothing_else() {
+    type Outcomes = Arc<Mutex<Vec<(u32, bool)>>>;
+    /// Dials "ghost" (tag 1), then "callee" (tag 2), and records each
+    /// dial's tag with the availability its channel reported.
+    struct TwoDials {
+        tags: HashMap<ChannelId, u32>,
+        outcomes: Outcomes,
+    }
+    impl AppLogic for TwoDials {
+        fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+            match input {
+                BoxInput::Start => {
+                    ctx.open_channel("ghost", 1, 1);
+                    ctx.open_channel("callee", 1, 2);
+                }
+                BoxInput::ChannelUp {
+                    channel,
+                    req: Some(tag),
+                    ..
+                } => {
+                    self.tags.insert(*channel, *tag);
+                }
+                BoxInput::Meta {
+                    channel,
+                    meta: MetaSignal::Peer(av),
+                } => {
+                    let up = matches!(av, Availability::Available);
+                    self.outcomes.lock().unwrap().push((self.tags[channel], up));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let policy = ReconnectPolicy {
+        connect_attempts: 6,
+        base_delay: Duration::from_millis(100),
+        ..ReconnectPolicy::default()
+    };
+    // The sleeps between the ghost's six attempts: "ghost" is the node's
+    // first channel.
+    let planned: Duration = backoff_delays(&policy, jitter_seed("two-dials", 0), 6)[..5]
+        .iter()
+        .sum();
+    assert!(planned > Duration::from_secs(1), "planned {planned:?}");
+
+    // "ghost" resolves, but nothing listens there: every connect is
+    // refused at once.
+    let dir = Directory::new();
+    let gone = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    dir.register("ghost", gone.local_addr().unwrap());
+    drop(gone);
+    let mut callee = spawn_node(
+        "callee",
+        BoxId(2),
+        phone(2),
+        dir.clone(),
+        NodeOptions::default(),
+    )
+    .await
+    .unwrap();
+    let outcomes = Outcomes::default();
+    let mut node = spawn_node(
+        "two-dials",
+        BoxId(1),
+        Box::new(TwoDials {
+            tags: HashMap::new(),
+            outcomes: outcomes.clone(),
+        }),
+        dir,
+        NodeOptions {
+            policy,
+            ..NodeOptions::default()
+        },
+    )
+    .await
+    .unwrap();
+
+    let t0 = std::time::Instant::now();
+    assert!(
+        callee.wait_for(planned / 4, |s| s.channels == 1).await,
+        "the callee's channel waited {:?} behind the ghost's backoff",
+        t0.elapsed()
+    );
+    // The ghost's dial still runs its course and leaves a half-open
+    // channel that reports its peer unavailable.
+    assert!(node.wait_for(WAIT, |s| s.channels == 2).await);
+    let mut seen = outcomes.lock().unwrap().clone();
+    seen.sort();
+    assert_eq!(seen, [(1, false), (2, true)]);
+
+    node.shutdown().await;
+    callee.shutdown().await;
+}
+
+/// A dial task outlives nothing: once its node has shut down, a dial
+/// still backing off makes no further attempt, so no peer accepts a
+/// channel from a node that is gone.
+#[tokio::test]
+async fn a_node_that_shut_down_dials_no_more() {
+    struct DialsGhost;
+    impl AppLogic for DialsGhost {
+        fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+            if let BoxInput::Start = input {
+                ctx.open_channel("ghost", 1, 1);
+            }
+        }
+    }
+    let dir = Directory::new();
+    let gone = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    dir.register("ghost", gone.local_addr().unwrap());
+    drop(gone);
+    let policy = ReconnectPolicy {
+        connect_attempts: 6,
+        base_delay: Duration::from_millis(100),
+        ..ReconnectPolicy::default()
+    };
+    let node = spawn_node(
+        "dials-ghost",
+        BoxId(1),
+        Box::new(DialsGhost),
+        dir.clone(),
+        NodeOptions {
+            policy,
+            ..NodeOptions::default()
+        },
+    )
+    .await
+    .unwrap();
+    node.shutdown().await;
+    // The ghost comes up while the dial would still be backing off.
+    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+    dir.register("ghost", listener.local_addr().unwrap());
+    let planned: Duration = backoff_delays(&policy, jitter_seed("dials-ghost", 0), 6)[..5]
+        .iter()
+        .sum();
+    let dialed = tokio::time::timeout(planned, listener.accept()).await;
+    assert!(dialed.is_err(), "a node that shut down dialed again");
 }

@@ -156,6 +156,11 @@ pub mod mpsc {
                 Err(TrySendError::Full(value))
             }
         }
+
+        /// Whether the receiver is gone.
+        pub fn is_closed(&self) -> bool {
+            !lock(&self.chan).rx_alive
+        }
     }
 
     /// Future returned by [`Sender::send`].
