@@ -36,17 +36,10 @@
 //! list as verified clean is flagged as `IM401`.
 
 use ipmedia_analyze::scenario_fingerprint;
-use ipmedia_bench::Chain;
-use ipmedia_core::descriptor::{DescTag, Selector};
-use ipmedia_core::goal::{Outgoing, UserCmd};
+use ipmedia_bench::monitored_exercise;
 use ipmedia_core::monitor::{finding_json, VerifiedManifest, IM_CLOSED_ACTION};
-use ipmedia_core::program::BoxCmd;
-use ipmedia_core::signal::Signal;
-use ipmedia_netsim::{SimConfig, SimDuration, SimTime};
 use ipmedia_obs::JsonObj;
 use std::process::ExitCode;
-
-const T_MAX: SimTime = SimTime(3_600_000_000);
 
 const USAGE: &str =
     "usage: ipmedia-monitor [--mutant closed-slot] [--verified-manifest FILE] [scenario...]";
@@ -64,42 +57,7 @@ fn run_scenario(
     // Size the chain by the scenario topology: its interior boxes become
     // servers (at least one, capped so big conferences stay fast).
     let k = boxes.saturating_sub(2).clamp(1, 4);
-    let (mut chain, log) = Chain::new_recorded(k, SimConfig::paper());
-
-    let mut monitor = chain.monitor();
-
-    // Exercise: the established call is held, re-linked, and torn down.
-    chain.hold(0);
-    chain.net.advance(SimDuration::from_millis(1_000));
-    let t0 = chain.net.now();
-    chain.relink(0);
-    chain.measure_reconvergence(t0);
-    chain.net.user(chain.l, chain.l_slot, UserCmd::Close);
-    chain.net.run_until_quiescent(T_MAX);
-
-    if mutant {
-        // The planted divergence: a server emits a Select on a slot that
-        // is already Closed — deployed behavior the verified model
-        // forbids (the model checker's no-action-on-Closed class).
-        let srv = chain.servers[0];
-        let (slot, _) = chain.server_slots[0];
-        chain.net.apply(srv, move |_pb| {
-            vec![BoxCmd::Signal(Outgoing {
-                slot,
-                signal: Signal::Select {
-                    sel: Selector::not_sending(DescTag {
-                        origin: 0xBAD,
-                        generation: 1,
-                    }),
-                },
-            })]
-        });
-        chain.net.run_until_quiescent(T_MAX);
-    }
-
-    let log = log.lock().unwrap();
-    monitor.ingest_all(&log);
-    monitor.check_quiescent(chain.net.now().0);
+    let (chain, mut monitor) = monitored_exercise(k, mutant);
     if let Some((fp, verdict)) = unverified {
         // The whole event stream came from a model the analyzer never
         // verified clean — the live-side divergence class.

@@ -16,7 +16,7 @@ use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::monitor::{Finding, Monitor, RecoveryObjectives};
 use ipmedia_core::reliable::ReliableConfig;
-use ipmedia_core::{BoxCmd, BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_netsim::{apply_schedule, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::clock::{Clock, WallClock};
 use ipmedia_obs::{ObsEvent, RecordingObserver};
@@ -112,22 +112,16 @@ pub fn run_netsim_chaos(
     let last_at = schedule.phases.last().map_or(0, |p| p.at_ms);
     let (l, ls) = (chain.l, chain.l_slot);
     let t_close = applied.start + SimDuration::from_millis(first_at + 50);
-    chain.net.apply_at(t_close, l, move |pb| {
-        pb.media_mut()
-            .user(ls, UserCmd::Close)
-            .map(|out| out.into_iter().map(BoxCmd::Signal).collect())
-            .unwrap_or_default()
-    });
+    chain.net.user_at(t_close, l, ls, UserCmd::Close);
     // If the schedule never settles, re-open anyway: the attempt runs
     // into the standing partition and wedges — the failure under test.
+    // Under a cut slow to heal the slot may still be closing then; the
+    // network reports the rejected open and goes on.
     let reopen_ms = schedule.settle_ms().unwrap_or(last_at + 1_000) + 500;
     let t_open = applied.start + SimDuration::from_millis(reopen_ms);
-    chain.net.apply_at(t_open, l, move |pb| {
-        pb.media_mut()
-            .user(ls, UserCmd::Open(Medium::Audio))
-            .map(|out| out.into_iter().map(BoxCmd::Signal).collect())
-            .unwrap_or_default()
-    });
+    chain
+        .net
+        .user_at(t_open, l, ls, UserCmd::Open(Medium::Audio));
 
     // Drain everything: chaos edges, retransmission timers (bounded), and
     // the churn's recovery. Quiescence is guaranteed — the reliability

@@ -11,11 +11,13 @@ pub mod chaos;
 pub mod storm;
 
 use ipmedia_core::boxes::GoalSpec;
+use ipmedia_core::descriptor::{DescTag, Selector};
 use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
-use ipmedia_core::goal::{EndpointPolicy, UserCmd};
+use ipmedia_core::goal::{EndpointPolicy, Outgoing, Policy, UserCmd};
 use ipmedia_core::ids::{BoxId, SlotId};
 use ipmedia_core::monitor::Monitor;
 use ipmedia_core::reliable::ReliableConfig;
+use ipmedia_core::signal::Signal;
 use ipmedia_core::{BoxCmd, MediaAddr, Medium};
 use ipmedia_netsim::{FaultPlan, Network, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::clock::Clock;
@@ -135,15 +137,8 @@ impl Chain {
         net.run_until_quiescent(T_MAX);
 
         // Flowlink every server, then establish the call from L.
-        for (i, &srv) in servers.iter().enumerate() {
-            let (a, b) = server_slots[i];
-            net.apply(srv, move |pb| {
-                pb.media_mut()
-                    .set_goal(GoalSpec::Link { a, b })
-                    .into_iter()
-                    .map(BoxCmd::Signal)
-                    .collect()
-            });
+        for (&srv, &(a, b)) in servers.iter().zip(&server_slots) {
+            net.set_goal(srv, [GoalSpec::Link { a, b }]);
         }
         net.run_until_quiescent(T_MAX);
         net.user(l, l_slots[0], UserCmd::Open(Medium::Audio));
@@ -162,16 +157,15 @@ impl Chain {
         chain
     }
 
-    /// An invariant monitor for this chain: its boxes named as the
-    /// network names them (`end-l`, `end-r`, `s0`, …) and each server's
-    /// flowlink watched, in server order.
+    /// An invariant monitor for this chain, its boxes named as the
+    /// network names them (`end-l`, `end-r`, `s0`, …). It learns the
+    /// servers' flowlinks from the events it is fed.
     pub fn monitor(&self) -> Monitor {
         let mut monitor = Monitor::new();
         monitor.register_box(self.l.0, "end-l");
         monitor.register_box(self.r.0, "end-r");
-        for (i, (srv, (a, b))) in self.servers.iter().zip(&self.server_slots).enumerate() {
+        for (i, srv) in self.servers.iter().enumerate() {
             monitor.register_box(srv.0, format!("s{i}"));
-            monitor.watch_flowlink((srv.0, a.0), (srv.0, b.0));
         }
         monitor
     }
@@ -184,43 +178,20 @@ impl Chain {
     /// Put server `i`'s two slots on hold (the PC Snapshot-2 move): the
     /// path is split and both ends go silent.
     pub fn hold(&mut self, i: usize) {
-        let srv = self.servers[i];
         let (a, b) = self.server_slots[i];
-        self.net.apply(srv, move |pb| {
-            let mut out = pb
-                .media_mut()
-                .set_goal(GoalSpec::Hold {
-                    slot: a,
-                    policy: ipmedia_core::goal::Policy::Server,
-                })
-                .into_iter()
-                .map(BoxCmd::Signal)
-                .collect::<Vec<_>>();
-            out.extend(
-                pb.media_mut()
-                    .set_goal(GoalSpec::Hold {
-                        slot: b,
-                        policy: ipmedia_core::goal::Policy::Server,
-                    })
-                    .into_iter()
-                    .map(BoxCmd::Signal),
-            );
-            out
-        });
+        let hold = |slot| GoalSpec::Hold {
+            slot,
+            policy: Policy::Server,
+        };
+        self.net.set_goal(self.servers[i], [hold(a), hold(b)]);
         self.net.run_until_quiescent(T_MAX);
     }
 
     /// Re-link server `i` (attach a fresh flowlink to its two slots).
     pub fn relink(&mut self, i: usize) {
-        let srv = self.servers[i];
         let (a, b) = self.server_slots[i];
-        self.net.apply(srv, move |pb| {
-            pb.media_mut()
-                .set_goal(GoalSpec::Link { a, b })
-                .into_iter()
-                .map(BoxCmd::Signal)
-                .collect()
-        });
+        self.net
+            .set_goal(self.servers[i], [GoalSpec::Link { a, b }]);
     }
 
     /// Run until both ends transmit at each other again; return the
@@ -231,6 +202,42 @@ impl Chain {
         assert!(ok, "path must reconverge");
         self.net.busy_until(self.l).max(self.net.busy_until(self.r)) - t0
     }
+}
+
+/// The monitored exercise: a `k`-server chain recorded from its first
+/// event, the call held at `s0`, re-linked, reconverged and closed. With
+/// `plant`, `s0` then sends a `Select` on its closed left slot through
+/// [`Network::apply`], a box acting on a Closed slot, which the monitor
+/// must flag as `IM102`. Returns the chain and its monitor, fed the whole
+/// stream and checked at quiescence.
+pub fn monitored_exercise(k: usize, plant: bool) -> (Chain, Monitor) {
+    let (mut chain, log) = Chain::new_recorded(k, SimConfig::paper());
+    chain.hold(0);
+    chain.net.advance(SimDuration::from_millis(1_000));
+    let t0 = chain.net.now();
+    chain.relink(0);
+    chain.measure_reconvergence(t0);
+    chain.net.user(chain.l, chain.l_slot, UserCmd::Close);
+    chain.net.run_until_quiescent(T_MAX);
+
+    if plant {
+        let (slot, _) = chain.server_slots[0];
+        let sel = Selector::not_sending(DescTag {
+            origin: 0xBAD,
+            generation: 1,
+        });
+        let select = BoxCmd::Signal(Outgoing {
+            slot,
+            signal: Signal::Select { sel },
+        });
+        chain.net.apply(chain.servers[0], move |_| vec![select]);
+        chain.net.run_until_quiescent(T_MAX);
+    }
+
+    let mut monitor = chain.monitor();
+    monitor.ingest_all(&log.lock().unwrap());
+    monitor.check_quiescent(chain.net.now().0);
+    (chain, monitor)
 }
 
 /// [`Chain::converged`] over a network the chain lends out.
@@ -346,24 +353,13 @@ pub fn flowlink_convergence_under_loss(
     net.run_until_quiescent(T_MAX);
 
     let (a, b) = (srv_l[0], srv_r[0]);
-    net.apply(srv, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(BoxCmd::Signal)
-            .collect()
-    });
+    net.set_goal(srv, [GoalSpec::Link { a, b }]);
     net.run_until_quiescent(T_MAX);
 
     let t0 = net.now();
     net.user(l, l_slots[0], UserCmd::Open(Medium::Audio));
-    let (ls, rs) = (l_slots[0], r_slots[0]);
-    let ok = net.run_until(SimTime(t0.0 + budget.0), |n| {
-        let sl = n.media(l).slot(ls).unwrap();
-        let sr = n.media(r).slot(rs).unwrap();
-        sl.tx_route().map(|(to, _)| to) == Some(r_addr())
-            && sr.tx_route().map(|(to, _)| to) == Some(l_addr())
-    });
+    let (le, re) = ((l, l_slots[0]), (r, r_slots[0]));
+    let ok = net.run_until(SimTime(t0.0 + budget.0), |n| ends_converged(n, le, re));
     if !ok {
         return Err(format!(
             "no convergence within {budget} (loss={loss}, dup={duplicate}, \

@@ -178,9 +178,10 @@ impl MediaBox {
     }
 
     /// Destroy a slot (its signaling channel was torn down). Any goal
-    /// controlling it dies; a flowlink's other slot becomes uncontrolled.
-    pub fn remove_slot(&mut self, id: SlotId) {
-        self.drop_goal_of_obs(id, &mut NoopObserver);
+    /// controlling it dies, reported to `obs`; a flowlink's other slot
+    /// becomes uncontrolled.
+    pub fn remove_slot<O: Observer + ?Sized>(&mut self, id: SlotId, obs: &mut O) {
+        self.drop_goal_of_obs(id, obs);
         if let Ok(at) = self.slot_index(id) {
             self.slots.remove(at);
         }
@@ -356,12 +357,12 @@ impl MediaBox {
 
         let id = GoalId(self.next_goal);
         self.next_goal += 1;
-        let first = match controls {
+        let (first, peer) = match controls {
             Controlled::One(s) => {
                 let entry = self.entry_mut(s).expect("checked above");
                 entry.goal = Some(id);
                 emit(out, s, goal::attach_single(&mut new_goal, &mut entry.slot));
-                s
+                (s, None)
             }
             Controlled::Two(a, b) => {
                 let Goal::Link(link) = &mut new_goal else {
@@ -370,10 +371,10 @@ impl MediaBox {
                 let (ea, eb) = pair_mut(&mut self.slots, a, b);
                 (ea.goal, eb.goal) = (Some(id), Some(id));
                 emit_link(out, a, b, link.attach(&mut ea.slot, &mut eb.slot));
-                a
+                (a, Some(b.0))
             }
         };
-        obs.goal_activated(self.id.0, first.0, new_goal.kind());
+        obs.goal_activated(self.id.0, first.0, new_goal.kind(), peer);
         self.goals.reserve_exact(1);
         self.goals.push(GoalEntry {
             id,
@@ -733,7 +734,8 @@ mod tests {
         assert!(events.contains(&ObsEvent::GoalActivated {
             bx: 1,
             slot: 0,
-            kind: "openSlot"
+            kind: "openSlot",
+            peer: None,
         }));
         assert!(events.contains(&ObsEvent::SlotTransition {
             bx: 1,
@@ -750,7 +752,8 @@ mod tests {
         assert!(events.contains(&ObsEvent::GoalActivated {
             bx: 1,
             slot: 0,
-            kind: "closeSlot"
+            kind: "closeSlot",
+            peer: None,
         }));
         assert!(events.contains(&ObsEvent::SignalReceived {
             bx: 1,
@@ -816,13 +819,38 @@ mod tests {
 
     #[test]
     fn remove_slot_kills_goal() {
+        use ipmedia_obs::{ManualClock, ObsEvent, RecordingObserver};
+        use std::sync::Arc;
+
+        let mut obs = RecordingObserver::new(Arc::new(ManualClock::new()));
+        let log = obs.log();
         let mut b = server_box();
-        b.set_goal(GoalSpec::Link {
+        let link = GoalSpec::Link {
             a: SlotId(0),
             b: SlotId(1),
-        });
-        b.remove_slot(SlotId(0));
+        };
+        b.set_goal_obs(link, &mut obs);
+        b.remove_slot(SlotId(0), &mut obs);
         assert!(b.slot(SlotId(0)).is_none());
         assert!(b.goal_of(SlotId(1)).is_none());
+        // The link names both its slots when it starts, and its end is
+        // reported when a slot goes with its channel.
+        let goals: Vec<ObsEvent> = log.lock().unwrap().iter().map(|&(_, e)| e).collect();
+        assert_eq!(
+            goals,
+            [
+                ObsEvent::GoalActivated {
+                    bx: 1,
+                    slot: 0,
+                    kind: "flowLink",
+                    peer: Some(1),
+                },
+                ObsEvent::GoalDropped {
+                    bx: 1,
+                    slot: 0,
+                    kind: "flowLink",
+                },
+            ]
+        );
     }
 }

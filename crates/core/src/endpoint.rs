@@ -51,7 +51,7 @@ impl AppLogic for EndpointLogic {
 }
 
 /// A box with no autonomous behaviour: goals are assigned externally
-/// (tests and benchmarks drive it through closures).
+/// (tests and benchmarks give it goals through `Network::set_goal`).
 #[derive(Default)]
 pub struct NullLogic;
 

@@ -12,7 +12,7 @@
 //! runtime turns them into frames, and a test can wire two hosts back to
 //! back with a `Vec`.
 
-use crate::boxes::{BoxNote, MediaBox};
+use crate::boxes::{BoxNote, GoalSpec, MediaBox};
 use crate::error::ProtocolError;
 use crate::goal::{Outgoing, UserCmd};
 use crate::ids::{BoxId, ChannelId, SlotId, SlotRange, TunnelId};
@@ -22,9 +22,9 @@ use crate::signal::{Availability, ChannelMsg, MetaSignal};
 use ipmedia_obs::trace::{SpanCtx, Tracer};
 use ipmedia_obs::Observer;
 
-/// A harness closure over the box (goal re-annotations driven from
-/// outside the program); the commands it returns are executed like the
-/// program's own.
+/// A harness closure over the box; the commands it returns are executed
+/// like the program's own. What it does to the box itself goes
+/// unobserved (see [`Input::Apply`]).
 pub type ApplyFn = Box<dyn FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send>;
 
 /// What a substrate feeds a [`NodeHost`].
@@ -36,7 +36,15 @@ pub enum Input {
         /// The command.
         cmd: UserCmd,
     },
-    /// A harness closure over the box.
+    /// Goals a harness gives the box from outside its program, set in
+    /// order as one stimulus, each the way the program's own
+    /// [`crate::program::Ctx::set_goal`] sets one: every goal dropped and
+    /// activated and every transition it causes is observed.
+    Goals(Vec<GoalSpec>),
+    /// A harness closure over the box: the unobserved back door, for
+    /// planting raw commands (a fault the program would never make). What
+    /// it does to the box reaches no observer; only the signals it returns
+    /// are observed, as sent.
     Apply(ApplyFn),
     /// A box input delivered as is (`Start`, application meta-signals from
     /// local features, test stimuli).
@@ -371,7 +379,7 @@ impl NodeHost {
                 return Ok(self.deliver(input, at, obs, tracer, bufs));
             }
             Input::ChannelDown { channel } => {
-                if !self.drop_channel(channel) {
+                if !self.drop_channel(channel, obs) {
                     return Ok(Outcome::QUIET);
                 }
                 let input = BoxInput::ChannelDown { channel };
@@ -422,6 +430,15 @@ impl NodeHost {
                     .user_into(slot, cmd, obs, &mut bufs.cmds);
                 self.execute(bufs.cmds.drain(..), obs, &mut bufs.effects);
                 sent.map_err(|error| Rejected { slot, error })?;
+                ctx
+            }
+            Input::Goals(goals) => {
+                let ctx = self.activate(at, tracer, "stimulus", || "goals".into());
+                obs.stimulus(bx, "goals");
+                for spec in goals {
+                    self.pb.media_mut().set_goal_into(spec, obs, &mut bufs.cmds);
+                }
+                self.execute(bufs.cmds.drain(..), obs, &mut bufs.effects);
                 ctx
             }
             Input::Apply(f) => {
@@ -604,7 +621,7 @@ impl NodeHost {
                     out.push(Effect::Dial { to, tunnels, req });
                 }
                 BoxCmd::CloseChannel(channel) => {
-                    if self.drop_channel(channel) {
+                    if self.drop_channel(channel, obs) {
                         out.push(Effect::Hangup { channel });
                     }
                 }
@@ -638,14 +655,14 @@ impl NodeHost {
         out.push(Effect::ArmTimer { id, gen, after_ms });
     }
 
-    /// Remove a channel with its slots (and so their routes); false if
-    /// unknown.
-    fn drop_channel(&mut self, channel: ChannelId) -> bool {
+    /// Remove a channel with its slots (and so their routes), reporting
+    /// the goals that die with them; false if unknown.
+    fn drop_channel(&mut self, channel: ChannelId, obs: &mut dyn Observer) -> bool {
         let Ok(at) = self.channel_index(channel) else {
             return false;
         };
         for slot in self.channels.remove(at).1.iter() {
-            self.pb.media_mut().remove_slot(slot);
+            self.pb.media_mut().remove_slot(slot, obs);
         }
         true
     }

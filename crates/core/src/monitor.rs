@@ -15,8 +15,11 @@
 //! - **IM102** — action on a Closed slot: the send was illegal *and* the
 //!   monitor believes the slot is closed (the classic
 //!   use-after-teardown bug class).
-//! - **IM201** — flowlink convergence: at quiescence, a watched flowlink
-//!   has one end flowing and the other not.
+//! - **IM201** — flowlink convergence: at quiescence, a flowlink has one
+//!   end flowing and the other not. The monitor learns the flowlinks from
+//!   the stream itself: a flowlink goal's activation names both its slots,
+//!   and a goal dropped from either slot (re-annotation, or the slot's
+//!   channel torn down) ends it.
 //! - **IM301** — dirty terminal: at quiescence some slot is neither
 //!   closed nor flowing (the model checker's clean-terminal safety
 //!   property).
@@ -30,20 +33,26 @@
 //! [`ObsEvent`] carries protocol names as strings; the monitor resolves
 //! them to [`SlotState`] and [`SignalKind`] once, as each event arrives.
 //!
-//! Because observation can begin mid-call and some harness paths mutate
-//! boxes without an observer attached (e.g. `apply`-injected goals), the
-//! monitor is deliberately *belief-updating* rather than strict: a send
-//! is accepted if it is consistent with the believed pre-state, with the
-//! believed post-state (transition events arrive before the sends they
-//! cause), or as a protocol-mandated auto-response to the last received
-//! signal. Only sends that no rule can explain are flagged — that is
-//! exactly the divergence class the model checker proves absent.
+//! A belief moves only on a transition event. Every state change a box
+//! makes is reported as one, before the sends it causes, so a send that
+//! would move the believed state with no transition before it is `IM101`,
+//! even from Closed (where the one such send, `open`, is legal): some path
+//! changed the box behind the observer's back. What stays lenient, and
+//! why:
+//!
+//! - a send is accepted if the rule it follows leaves the believed state
+//!   where it is (`select`/`describe` while flowing), or if some rule's
+//!   *post*-state is the believed state: the transition came first, and a
+//!   retransmission re-sends from the post-state;
+//! - a transition is accepted if one receive-rule step plus any send-rule
+//!   steps reach it, because a box reports one diff per stimulus;
+//! - an auto-response is accepted after the signal that mandates it.
 
 use crate::signal::SignalKind;
 use crate::slot::{SlotAction, SlotState, RECV_RULES, SEND_RULES};
 use ipmedia_obs::ladder::{render, LadderEvent};
 use ipmedia_obs::{JsonObj, ObsEvent};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Invariant code: slot-protocol conformance.
 pub const IM_CONFORMANCE: &str = "IM101";
@@ -93,8 +102,7 @@ pub struct Finding {
     /// What diverged, in words.
     pub detail: String,
     /// Minimized Fig.-10-style ladder of the events leading up to the
-    /// divergence, restricted to the implicated box/slot (and flowlink
-    /// peer, for convergence findings).
+    /// divergence, restricted to the implicated box.
     pub ladder: String,
 }
 
@@ -216,7 +224,8 @@ const LADDER_ROWS: usize = 40;
 pub struct Monitor {
     names: BTreeMap<u32, String>,
     beliefs: BTreeMap<(u32, u16), SlotBelief>,
-    flowlinks: Vec<((u32, u16), (u32, u16))>,
+    /// The live flowlinks, as (box, slot, other slot).
+    flowlinks: BTreeSet<(u32, u16, u16)>,
     ring: VecDeque<(u64, ObsEvent)>,
     findings: Vec<Finding>,
     events_seen: u64,
@@ -232,12 +241,6 @@ impl Monitor {
     /// render as `box<N>`).
     pub fn register_box(&mut self, bx: u32, name: impl Into<String>) {
         self.names.insert(bx, name.into());
-    }
-
-    /// Declare a flowlink whose two member slots must converge: at
-    /// quiescence both flowing, or both torn down.
-    pub fn watch_flowlink(&mut self, a: (u32, u16), b: (u32, u16)) {
-        self.flowlinks.push((a, b));
     }
 
     /// Every finding raised so far, in the order raised.
@@ -298,6 +301,18 @@ impl Monitor {
             ObsEvent::SignalSent { bx, slot, kind } => self.on_sent(at, bx, slot, kind),
             ObsEvent::SignalReceived { bx, slot, kind } => {
                 self.belief(bx, slot).last_received = signal_named(kind);
+            }
+            ObsEvent::GoalActivated {
+                bx,
+                slot,
+                peer: Some(peer),
+                ..
+            } => {
+                self.flowlinks.insert((bx, slot, peer));
+            }
+            ObsEvent::GoalDropped { bx, slot, .. } => {
+                self.flowlinks
+                    .retain(|&(b, x, y)| b != bx || (x != slot && y != slot));
             }
             _ => {}
         }
@@ -411,35 +426,39 @@ impl Monitor {
             return;
         };
 
-        // Pre-state view: the send itself drives the FSM (covers boxes
-        // mutated without an attached observer, where no transition event
-        // preceded the send).
-        if let Some(next) = state.after_send(action) {
-            self.belief(bx, slot).state = next;
+        // Pre-state view, for the rules that leave the state as it is.
+        let next = state.after_send(action);
+        if next == Some(state) {
             return;
         }
-        // Post-state view: the instrumented path emits the transition
-        // first, so by the time we see the send the belief is already the
-        // rule's `next` state. Also covers retransmissions, which re-send
-        // from the post-state.
+        // Post-state view: the box reports the transition first, so by
+        // the time we see the send the belief is already the rule's `next`
+        // state. Also covers retransmissions, which re-send from the
+        // post-state.
         if SEND_RULES
             .iter()
             .any(|r| r.next == state && r.action == action)
         {
             return;
         }
-
-        self.flag(
-            illegal,
-            bx,
-            slot,
-            at,
-            format!(
-                "sent {kind} ({}) illegal in believed state {}",
-                action.name(),
-                state.name()
+        let (action, state) = (action.name(), state.name());
+        let (code, detail) = match next {
+            // A rule would move the belief, but no transition was
+            // reported: the box changed behind the observer's back.
+            Some(next) => (
+                IM_CONFORMANCE,
+                format!(
+                    "sent {kind} ({action}) in believed state {state}, which moves it to {}, \
+                     with no transition reported",
+                    next.name()
+                ),
             ),
-        );
+            None => (
+                illegal,
+                format!("sent {kind} ({action}) illegal in believed state {state}"),
+            ),
+        };
+        self.flag(code, bx, slot, at, detail);
     }
 
     fn state_of(&self, key: (u32, u16)) -> SlotState {
@@ -450,11 +469,12 @@ impl Monitor {
 
     /// Check quiescence invariants: call when the system should be at
     /// rest (virtual-time drain, end of scenario). Flags IM201 for
-    /// unconverged watched flowlinks and IM301 for slots stuck in a
+    /// unconverged live flowlinks and IM301 for slots stuck in a
     /// transient state.
     pub fn check_quiescent(&mut self, at: u64) {
         let links = self.flowlinks.clone();
-        for (a, b) in links {
+        for (bx, a, b) in links {
+            let (a, b) = ((bx, a), (bx, b));
             let (sa, sb) = (self.state_of(a), self.state_of(b));
             let converged = sa == sb && matches!(sa, SlotState::Flowing | SlotState::Closed);
             if !converged {
@@ -522,7 +542,7 @@ impl Monitor {
     }
 
     fn flag(&mut self, code: &'static str, bx: u32, slot: u16, at: u64, detail: String) {
-        let ladder = self.minimized_ladder(bx, slot);
+        let ladder = self.minimized_ladder(bx);
         self.findings.push(Finding {
             code,
             bx,
@@ -533,65 +553,32 @@ impl Monitor {
         });
     }
 
-    /// Boxes causally adjacent to the implicated slot: the box itself
-    /// plus any flowlink peer of the same (bx, slot).
-    fn implicated(&self, bx: u32, slot: u16) -> Vec<u32> {
-        let mut boxes = vec![bx];
-        for (a, b) in &self.flowlinks {
-            if *a == (bx, slot) && !boxes.contains(&b.0) {
-                boxes.push(b.0);
-            }
-            if *b == (bx, slot) && !boxes.contains(&a.0) {
-                boxes.push(a.0);
-            }
-        }
-        boxes.sort_unstable();
-        boxes
-    }
-
-    fn minimized_ladder(&self, bx: u32, slot: u16) -> String {
-        let boxes = self.implicated(bx, slot);
-        let col = |b: u32| boxes.iter().position(|x| *x == b);
-
+    /// The last [`LADDER_ROWS`] events at box `bx`, one column. A
+    /// flowlink's two slots are both in it: a flowlink lives in one box.
+    fn minimized_ladder(&self, bx: u32) -> String {
         let mut rows: Vec<LadderEvent> = Vec::new();
-        for (at, ev) in &self.ring {
-            let (ev_bx, label) = match ev {
-                ObsEvent::SignalSent { bx, slot, kind } => (*bx, format!("!{kind} s{slot}")),
-                ObsEvent::SignalReceived { bx, slot, kind } => (*bx, format!("?{kind} s{slot}")),
-                ObsEvent::SlotTransition {
-                    bx, slot, from, to, ..
-                } => (*bx, format!("s{slot} {from}->{to}")),
-                ObsEvent::SignalIgnored { bx, slot, reason } => {
-                    (*bx, format!("s{slot} ignored: {reason}"))
+        for (at, ev) in self.ring.iter().filter(|(_, ev)| ev.bx() == bx) {
+            let label = match *ev {
+                ObsEvent::SignalSent { slot, kind, .. } => format!("!{kind} s{slot}"),
+                ObsEvent::SignalReceived { slot, kind, .. } => format!("?{kind} s{slot}"),
+                ObsEvent::SlotTransition { slot, from, to, .. } => format!("s{slot} {from}->{to}"),
+                ObsEvent::SignalIgnored { slot, reason, .. } => {
+                    format!("s{slot} ignored: {reason}")
                 }
-                ObsEvent::RaceResolved { bx, slot, won } => (
-                    *bx,
-                    format!("s{slot} race {}", if *won { "won" } else { "lost" }),
-                ),
-                ObsEvent::Retransmission { bx, slot, kind } => {
-                    (*bx, format!("s{slot} resend {kind}"))
+                ObsEvent::RaceResolved { slot, won, .. } => {
+                    format!("s{slot} race {}", if won { "won" } else { "lost" })
                 }
+                ObsEvent::Retransmission { slot, kind, .. } => format!("s{slot} resend {kind}"),
                 _ => continue,
             };
-            if let Some(c) = col(ev_bx) {
-                rows.push(LadderEvent::local(*at, c, label));
-            }
+            rows.push(LadderEvent::local(*at, 0, label));
         }
         if rows.len() > LADDER_ROWS {
             rows.drain(..rows.len() - LADDER_ROWS);
         }
 
-        let names: Vec<String> = boxes
-            .iter()
-            .map(|b| {
-                self.names
-                    .get(b)
-                    .cloned()
-                    .unwrap_or_else(|| format!("box{b}"))
-            })
-            .collect();
-        let cols: Vec<&str> = names.iter().map(String::as_str).collect();
-        render(&cols, &rows)
+        let name = self.names.get(&bx).cloned();
+        render(&[&name.unwrap_or_else(|| format!("box{bx}"))], &rows)
     }
 }
 
@@ -640,10 +627,19 @@ mod tests {
         }
     }
 
+    /// A flowlink goal taking `(bx, a)` and `(bx, b)`.
+    fn linked(bx: u32, a: u16, b: u16) -> ObsEvent {
+        ObsEvent::GoalActivated {
+            bx,
+            slot: a,
+            kind: "flowLink",
+            peer: Some(b),
+        }
+    }
+
     #[test]
     fn clean_call_setup_and_teardown_pass() {
         let mut m = Monitor::new();
-        m.watch_flowlink((0, 0), (1, 0));
         // Instrumented order: transition first, then the send it causes.
         let log = vec![
             (0, trans(0, 0, "closed", "opening", "goal")),
@@ -672,16 +668,42 @@ mod tests {
     }
 
     #[test]
-    fn uninstrumented_sends_update_belief_via_pre_state_rule() {
-        // A box mutated without an observer emits sends but no
-        // transitions; the pre-state view keeps the belief in sync.
+    fn a_send_that_moves_the_belief_unreported_is_im101() {
+        // A box changed without an observer sends `open` with no
+        // `closed -> opening` before it: the belief does not follow.
         let mut m = Monitor::new();
-        m.ingest(0, &sent(0, 0, "open")); // closed -> opening
-        m.ingest(10, &recv(0, 0, "oack"));
-        m.ingest(10, &trans(0, 0, "opening", "flowing", "oack"));
-        m.ingest(20, &sent(0, 0, "select")); // legal in flowing
-        m.check_quiescent(100);
-        assert!(m.is_clean(), "unexpected findings: {:?}", m.findings());
+        m.ingest(0, &sent(0, 0, "open"));
+        assert_eq!(m.findings().len(), 1, "{:?}", m.findings());
+        assert_eq!(m.findings()[0].code, IM_CONFORMANCE);
+        assert!(m.findings()[0].detail.contains("no transition reported"));
+        assert_eq!(m.state_of((0, 0)), SlotState::Closed);
+        // A send that leaves the believed state as it is still passes.
+        m.ingest(1, &trans(0, 1, "closed", "flowing", "open"));
+        m.ingest(2, &sent(0, 1, "select"));
+        assert_eq!(m.findings().len(), 1, "{:?}", m.findings());
+    }
+
+    #[test]
+    fn flowlinks_are_learned_from_goal_events() {
+        let mut m = Monitor::new();
+        for (bx, a, b) in [(1, 0, 1), (1, 2, 3), (2, 0, 1)] {
+            m.ingest(0, &linked(bx, a, b));
+        }
+        // A one-slot goal names no peer and is no flowlink.
+        let hold = ObsEvent::GoalActivated {
+            bx: 1,
+            slot: 4,
+            kind: "holdSlot",
+            peer: None,
+        };
+        m.ingest(1, &hold);
+        assert_eq!(m.flowlinks.len(), 3);
+        // A goal dropped from either slot ends the flowlink, at that box.
+        for (bx, slot) in [(1, 1), (2, 0)] {
+            let kind = "flowLink";
+            m.ingest(2, &ObsEvent::GoalDropped { bx, slot, kind });
+        }
+        assert_eq!(m.flowlinks.iter().collect::<Vec<_>>(), [&(1, 2, 3)]);
     }
 
     #[test]
@@ -733,18 +755,20 @@ mod tests {
 
     #[test]
     fn unconverged_flowlink_is_im201() {
+        // Box 1 links its slots 0 and 1; an open arrives on slot 0 and is
+        // forwarded on slot 1, whose oack never comes back.
         let mut m = Monitor::new();
-        m.watch_flowlink((0, 0), (1, 0));
-        m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
-        m.ingest(0, &sent(0, 0, "open"));
+        m.ingest(0, &linked(1, 0, 1));
         m.ingest(10, &recv(1, 0, "open"));
         m.ingest(10, &trans(1, 0, "closed", "opened", "open"));
-        m.ingest(20, &trans(1, 0, "opened", "flowing", "goal"));
-        m.ingest(20, &sent(1, 0, "oack"));
-        // The oack never arrives; box 0 is stuck in opening.
+        m.ingest(10, &trans(1, 1, "closed", "opening", "open"));
+        m.ingest(10, &sent(1, 1, "open"));
         m.check_quiescent(1_000_000);
+        let f = m.findings().iter().find(|f| f.code == IM_FLOWLINK);
+        let f = f.expect("IM201");
+        assert_eq!((f.bx, f.slot), (1, 0));
+        assert!(f.detail.contains("box1 s1 is opening"), "{}", f.detail);
         let codes: Vec<&str> = m.findings().iter().map(|f| f.code).collect();
-        assert!(codes.contains(&IM_FLOWLINK), "findings: {codes:?}");
         assert!(codes.contains(&IM_TERMINAL), "findings: {codes:?}");
     }
 
@@ -772,7 +796,7 @@ mod tests {
     #[test]
     fn rto_forgives_findings_inside_the_budget() {
         let mut m = Monitor::new();
-        m.watch_flowlink((0, 0), (1, 0));
+        m.ingest(0, &linked(0, 0, 1));
         m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
         m.ingest(0, &sent(0, 0, "open"));
         // Quiescence checked 2 s after the heal: inside the 5 s budget,
@@ -787,7 +811,7 @@ mod tests {
     #[test]
     fn rto_flags_findings_past_the_budget() {
         let mut m = Monitor::new();
-        m.watch_flowlink((0, 0), (1, 0));
+        m.ingest(0, &linked(0, 0, 1));
         m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
         m.ingest(0, &sent(0, 0, "open"));
         let heal = 10_000_000u64;
@@ -818,6 +842,7 @@ mod tests {
     fn unverified_model_is_im401_and_never_forgiven() {
         let mut m = Monitor::new();
         m.register_box(0, "end-l");
+        m.ingest(0, &trans(0, 0, "closed", "opening", "user"));
         m.ingest(0, &sent(0, 0, "open"));
         let manifest = VerifiedManifest::parse("1111111111111111 clean other\n");
         let fp = "2222222222222222";
@@ -968,7 +993,12 @@ mod tests {
                     let Some(signals) = try_send(&mut slot, action) else {
                         continue;
                     };
+                    // The box layer reports the transition before the
+                    // signals it causes.
                     let mut m = believing(state);
+                    if slot.state() != state {
+                        m.ingest(0, &trans(0, 0, state.name(), slot.state().name(), "goal"));
+                    }
                     for sig in &signals {
                         m.ingest(0, &sent(0, 0, sig.kind_enum().name()));
                     }

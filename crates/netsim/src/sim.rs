@@ -10,8 +10,9 @@
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
+use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::goal::UserCmd;
-use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
+use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost, Outcome};
 use ipmedia_core::ids::{BoxId, ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox};
 use ipmedia_core::reliable::{self, ReliableConfig};
@@ -493,8 +494,11 @@ impl Network {
     }
 
     /// Inject a user command at the current time (as if the human acted).
+    /// A command the slot protocol rejects is observed as
+    /// `signal_ignored(.., "user_rejected")` and costs a stimulus all the
+    /// same.
     pub fn user(&mut self, to: BoxId, slot: SlotId, cmd: UserCmd) {
-        self.push_input(self.now, to, Input::User { slot, cmd }, None, None);
+        self.user_at(self.now, to, slot, cmd);
     }
 
     /// Inject an arbitrary input at the current time. Used by tests and
@@ -504,22 +508,32 @@ impl Network {
         self.push_input(self.now, to, Input::Inject(input), None, None);
     }
 
-    /// Inject a closure over a box at the current time; used by test
-    /// harnesses and benchmarks to drive goal re-annotations directly.
+    /// Schedule a user command at `at` (as if the human acted then).
+    pub fn user_at(&mut self, at: SimTime, to: BoxId, slot: SlotId, cmd: UserCmd) {
+        assert!(at >= self.now, "cannot schedule in the past");
+        self.push_input(at, to, Input::User { slot, cmd }, None, None);
+    }
+
+    /// Give a box goals from outside its program at the current time, as
+    /// one stimulus (it costs *c*, like any other): the way a test or a
+    /// benchmark re-annotates a box its program leaves alone. Observed
+    /// like the program's own `Ctx::set_goal`.
+    pub fn set_goal(&mut self, to: BoxId, goals: impl IntoIterator<Item = GoalSpec>) {
+        let input = Input::Goals(goals.into_iter().collect());
+        self.push_input(self.now, to, input, None, None);
+    }
+
+    /// Inject a closure over a box at the current time: the unobserved
+    /// back door. What the closure does to the box reaches no observer,
+    /// so a monitor fed from this network misjudges the box from then on;
+    /// only the signals it returns are observed, as sent. Use it to plant
+    /// raw commands a program would never issue (a fault under test), and
+    /// [`Network::set_goal`] or [`Network::user`] for everything else.
     pub fn apply<F>(&mut self, to: BoxId, f: F)
     where
         F: FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send + 'static,
     {
-        self.apply_at(self.now, to, f);
-    }
-
-    /// Schedule a closure at an absolute virtual time.
-    pub fn apply_at<F>(&mut self, at: SimTime, to: BoxId, f: F)
-    where
-        F: FnOnce(&mut ProgramBox) -> Vec<BoxCmd> + Send + 'static,
-    {
-        assert!(at >= self.now, "cannot schedule in the past");
-        self.push_input(at, to, Input::Apply(Box::new(f)), None, None);
+        self.push_input(self.now, to, Input::Apply(Box::new(f)), None, None);
     }
 
     /// Schedule the delivery of `input` to `to` at `at`.
@@ -629,11 +643,11 @@ impl Network {
             return;
         };
         // Crashed and terminated boxes lose what is sent to them. Harness
-        // closures, the far end's teardown and the host's own re-arming
-        // are not network deliveries; a user can still act on a box that
-        // is down.
+        // goals and closures, the far end's teardown and the host's own
+        // re-arming are not network deliveries; a user can still act on a
+        // box that is down.
         let lost = match input {
-            Input::Apply(_) | Input::ChannelDown { .. } | Input::Rearm => false,
+            Input::Goals(_) | Input::Apply(_) | Input::ChannelDown { .. } | Input::Rearm => false,
             Input::User { .. } => node.terminated,
             _ => node.terminated || node.down,
         };
@@ -654,16 +668,23 @@ impl Network {
             start_micros: start.0,
             done_micros: done.0,
         };
-        let outcome = node
-            .host
-            .handle(
-                input,
-                &at,
-                &mut self.obs,
-                self.tracer.as_ref(),
-                &mut self.buffers,
-            )
-            .unwrap_or_else(|e| panic!("user command failed on {to}: {}", e.error));
+        let result = node.host.handle(
+            input,
+            &at,
+            &mut self.obs,
+            self.tracer.as_ref(),
+            &mut self.buffers,
+        );
+        // A rejected user command left the box as it was, but the box read
+        // it: it costs c like any other stimulus.
+        let outcome = result.unwrap_or_else(|rejected| {
+            self.obs
+                .signal_ignored(to.0, rejected.slot.0, "user_rejected");
+            Outcome {
+                activated: true,
+                ctx: None,
+            }
+        });
         // The box's outputs leave when it is done computing; bookkeeping
         // that costs no stimulus takes effect at once.
         let sent = if outcome.activated {

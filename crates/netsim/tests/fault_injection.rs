@@ -44,13 +44,7 @@ fn flowlinked_call(fault: Option<(u64, f64)>) -> (Vec<String>, Arc<Registry>) {
     net.run_until_quiescent(T_MAX);
 
     let (a, b) = (srv_l[0], srv_r[0]);
-    net.apply(srv, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(ipmedia_core::BoxCmd::Signal)
-            .collect()
-    });
+    net.set_goal(srv, [GoalSpec::Link { a, b }]);
     net.run_until_quiescent(T_MAX);
 
     net.user(l, sl[0], UserCmd::Open(Medium::Audio));

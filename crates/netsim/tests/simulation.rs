@@ -5,7 +5,7 @@ use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, NullLogic, RelayLogic};
 use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::path::PathEnds;
-use ipmedia_core::{Codec, MediaAddr, Medium};
+use ipmedia_core::{BoxId, Codec, MediaAddr, Medium, SlotId};
 use ipmedia_netsim::{Network, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::Clock;
 
@@ -66,10 +66,10 @@ fn direct_call_latency_is_2n_plus_3c() {
     assert_eq!(elapsed, SimDuration::from_millis(128), "got {elapsed}");
 }
 
-#[test]
-fn call_through_flowlinked_server_is_transparent() {
-    // L -- server(flowlink) -- R: the endpoints observe exactly a direct
-    // call; media addresses exchanged end-to-end.
+/// `L — server — R`, the server flowlinking its two slots, and the call
+/// opened from L: the network, the three boxes, and the slots of L, of
+/// the server (left, right) and of R.
+fn linked_call() -> (Network, [BoxId; 3], [SlotId; 4]) {
     let mut net = Network::new(SimConfig::paper());
     let l = net.add_box("phone-l", audio_endpoint(1));
     let srv = net.add_box("server", Box::new(NullLogic));
@@ -77,22 +77,22 @@ fn call_through_flowlinked_server_is_transparent() {
     let (_, sl, srv_l) = net.connect(l, srv, 1);
     let (_, srv_r, sr) = net.connect(srv, r, 1);
     net.run_until_quiescent(T_MAX);
-
     let (a, b) = (srv_l[0], srv_r[0]);
-    net.apply(srv, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(ipmedia_core::BoxCmd::Signal)
-            .collect()
-    });
+    net.set_goal(srv, [GoalSpec::Link { a, b }]);
     net.run_until_quiescent(T_MAX);
-
     net.user(l, sl[0], UserCmd::Open(Medium::Audio));
     net.run_until_quiescent(T_MAX);
+    (net, [l, srv, r], [sl[0], a, b, sr[0]])
+}
 
-    let slot_l = net.media(l).slot(sl[0]).unwrap();
-    let slot_r = net.media(r).slot(sr[0]).unwrap();
+#[test]
+fn call_through_flowlinked_server_is_transparent() {
+    // L -- server(flowlink) -- R: the endpoints observe exactly a direct
+    // call; media addresses exchanged end-to-end.
+    let (net, [l, _, r], [sl, _, _, sr]) = linked_call();
+
+    let slot_l = net.media(l).slot(sl).unwrap();
+    let slot_r = net.media(r).slot(sr).unwrap();
     let ends = PathEnds::new(slot_l, slot_r);
     assert!(ends.both_flowing(), "L and R are the path endpoints");
 
@@ -126,13 +126,7 @@ fn chain_of_three_flowlinks_still_transparent() {
         .zip([(s1l[0], s1r[0]), (s2l[0], s2r[0]), (s3l[0], s3r[0])])
     {
         let (srv, a, b) = (*srv, a, b);
-        net.apply(srv, move |pb| {
-            pb.media_mut()
-                .set_goal(GoalSpec::Link { a, b })
-                .into_iter()
-                .map(ipmedia_core::BoxCmd::Signal)
-                .collect()
-        });
+        net.set_goal(srv, [GoalSpec::Link { a, b }]);
     }
     net.run_until_quiescent(T_MAX);
 
@@ -154,31 +148,14 @@ fn chain_of_three_flowlinks_still_transparent() {
 
 #[test]
 fn mute_modify_propagates_end_to_end() {
-    let mut net = Network::new(SimConfig::paper());
-    let l = net.add_box("phone-l", audio_endpoint(1));
-    let srv = net.add_box("server", Box::new(NullLogic));
-    let r = net.add_box("phone-r", audio_endpoint(2));
-    let (_, sl, srv_l) = net.connect(l, srv, 1);
-    let (_, srv_r, sr) = net.connect(srv, r, 1);
-    net.run_until_quiescent(T_MAX);
-    let (a, b) = (srv_l[0], srv_r[0]);
-    net.apply(srv, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(ipmedia_core::BoxCmd::Signal)
-            .collect()
-    });
-    net.run_until_quiescent(T_MAX);
-    net.user(l, sl[0], UserCmd::Open(Medium::Audio));
-    net.run_until_quiescent(T_MAX);
-    assert!(net.media(r).slot(sr[0]).unwrap().tx_route().is_some());
+    let (mut net, [l, _, r], [sl, _, _, sr]) = linked_call();
+    assert!(net.media(r).slot(sr).unwrap().tx_route().is_some());
 
     // L mutes inward: R must stop transmitting once the describe/select
     // exchange completes — through the server, end to end.
     net.user(
         l,
-        sl[0],
+        sl,
         UserCmd::Modify {
             mute_in: true,
             mute_out: false,
@@ -186,58 +163,41 @@ fn mute_modify_propagates_end_to_end() {
     );
     net.run_until_quiescent(T_MAX);
     assert!(
-        net.media(r).slot(sr[0]).unwrap().tx_route().is_none(),
+        net.media(r).slot(sr).unwrap().tx_route().is_none(),
         "R must stop sending after L mutes in"
     );
     assert!(
-        net.media(l).slot(sl[0]).unwrap().tx_route().is_some(),
+        net.media(l).slot(sl).unwrap().tx_route().is_some(),
         "L→R direction unaffected"
     );
 
     // Unmute: flow recurs (the □◇bothFlowing excursion-and-return).
     net.user(
         l,
-        sl[0],
+        sl,
         UserCmd::Modify {
             mute_in: false,
             mute_out: false,
         },
     );
     net.run_until_quiescent(T_MAX);
-    let slot_l = net.media(l).slot(sl[0]).unwrap();
-    let slot_r = net.media(r).slot(sr[0]).unwrap();
+    let slot_l = net.media(l).slot(sl).unwrap();
+    let slot_r = net.media(r).slot(sr).unwrap();
     assert!(PathEnds::new(slot_l, slot_r).both_flowing());
     assert!(slot_r.tx_route().is_some());
 }
 
 #[test]
 fn close_tears_down_whole_path() {
-    let mut net = Network::new(SimConfig::paper());
-    let l = net.add_box("phone-l", audio_endpoint(1));
-    let srv = net.add_box("server", Box::new(NullLogic));
-    let r = net.add_box("phone-r", audio_endpoint(2));
-    let (_, sl, srv_l) = net.connect(l, srv, 1);
-    let (_, srv_r, sr) = net.connect(srv, r, 1);
-    net.run_until_quiescent(T_MAX);
-    let (a, b) = (srv_l[0], srv_r[0]);
-    net.apply(srv, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(ipmedia_core::BoxCmd::Signal)
-            .collect()
-    });
-    net.run_until_quiescent(T_MAX);
-    net.user(l, sl[0], UserCmd::Open(Medium::Audio));
-    net.run_until_quiescent(T_MAX);
+    let (mut net, [l, srv, r], [sl, srv_l, srv_r, sr]) = linked_call();
 
-    net.user(l, sl[0], UserCmd::Close);
+    net.user(l, sl, UserCmd::Close);
     net.run_until_quiescent(T_MAX);
-    let slot_l = net.media(l).slot(sl[0]).unwrap();
-    let slot_r = net.media(r).slot(sr[0]).unwrap();
+    let slot_l = net.media(l).slot(sl).unwrap();
+    let slot_r = net.media(r).slot(sr).unwrap();
     assert!(PathEnds::new(slot_l, slot_r).both_closed());
-    assert!(net.media(srv).slot(srv_l[0]).unwrap().is_closed());
-    assert!(net.media(srv).slot(srv_r[0]).unwrap().is_closed());
+    assert!(net.media(srv).slot(srv_l).unwrap().is_closed());
+    assert!(net.media(srv).slot(srv_r).unwrap().is_closed());
 }
 
 #[test]
@@ -379,6 +339,45 @@ fn two_tunnels_are_independent() {
 }
 
 #[test]
+fn a_rejected_user_command_is_observed_and_the_run_goes_on() {
+    use ipmedia_obs::{ObsEvent, RecordingObserver};
+
+    let mut net = Network::new(SimConfig::paper());
+    let rec = RecordingObserver::new(net.clock());
+    let log = rec.log();
+    net.set_observer(Box::new(rec));
+    let a = net.add_box("phone-a", audio_endpoint(1));
+    let b = net.add_box("phone-b", audio_endpoint(2));
+    let (_, sa, sb) = net.connect(a, b, 1);
+    net.run_until_quiescent(T_MAX);
+    net.user(a, sa[0], UserCmd::Open(Medium::Audio));
+    net.run_until_quiescent(T_MAX);
+
+    net.advance(SimDuration::from_millis(1_000));
+
+    // The open lands while the close still waits for its closeack.
+    let t0 = net.now();
+    net.user(a, sa[0], UserCmd::Close);
+    net.user(a, sa[0], UserCmd::Open(Medium::Audio));
+    let rejected = ObsEvent::SignalIgnored {
+        bx: a.0,
+        slot: sa[0].0,
+        reason: "user_rejected",
+    };
+    let seen = |_: &Network| log.lock().unwrap().iter().any(|&(_, e)| e == rejected);
+    assert!(net.run_until(T_MAX, seen));
+    // The box read it all the same: one stimulus, c, after the close's.
+    assert_eq!(net.busy_until(a) - t0, SimDuration::from_millis(40));
+
+    // The close completes, and a fresh open reaches the far end.
+    net.run_until_quiescent(T_MAX);
+    assert!(net.media(a).slot(sa[0]).unwrap().is_closed());
+    net.user(a, sa[0], UserCmd::Open(Medium::Audio));
+    net.run_until_quiescent(T_MAX);
+    assert!(net.media(b).slot(sb[0]).unwrap().is_flowing());
+}
+
+#[test]
 fn open_open_race_within_one_tunnel_resolves() {
     // Both ends open the same tunnel simultaneously: the channel initiator
     // (side a) wins, the other backs off and accepts (§VI-B).
@@ -433,13 +432,7 @@ fn far_end_channel_down_is_observed() {
     let (_, relay_r, sr) = net.connect(relay, r, 1);
     net.run_until_quiescent(T_MAX);
     let (a, b) = (relay_l[0], relay_r[0]);
-    net.apply(relay, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(BoxCmd::Signal)
-            .collect()
-    });
+    net.set_goal(relay, [GoalSpec::Link { a, b }]);
     net.user(l, sl[0], UserCmd::Open(Medium::Audio));
     net.run_until_quiescent(T_MAX);
     assert!(net.media(r).slot(sr[0]).unwrap().is_flowing());
@@ -461,15 +454,22 @@ fn far_end_channel_down_is_observed() {
                 e,
                 ObsEvent::Stimulus { .. }
                     | ObsEvent::GoalActivated { .. }
+                    | ObsEvent::GoalDropped { .. }
                     | ObsEvent::SlotTransition { .. }
             )
         })
         .collect();
-    // The teardown is its own stimulus kind, and the goal and slot
-    // activity the program's reaction causes is visible.
+    // The flowlink dies with the left slot, the teardown is its own
+    // stimulus kind, and the goal and slot activity the program's
+    // reaction causes is visible.
     assert_eq!(
-        at_relay[..3],
+        at_relay[..4],
         [
+            ObsEvent::GoalDropped {
+                bx: relay.0,
+                slot: relay_l[0].0,
+                kind: "flowLink"
+            },
             ObsEvent::Stimulus {
                 bx: relay.0,
                 kind: "channel_down"
@@ -477,7 +477,8 @@ fn far_end_channel_down_is_observed() {
             ObsEvent::GoalActivated {
                 bx: relay.0,
                 slot: relay_r[0].0,
-                kind: "closeSlot"
+                kind: "closeSlot",
+                peer: None,
             },
             ObsEvent::SlotTransition {
                 bx: relay.0,

@@ -101,8 +101,14 @@ pub trait Observer {
     }
 
     /// Emit [`ObsEvent::GoalActivated`].
-    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str) {
-        self.observe(ObsEvent::GoalActivated { bx, slot, kind });
+    fn goal_activated(&mut self, bx: u32, slot: u16, kind: &'static str, peer: Option<u16>) {
+        let ev = ObsEvent::GoalActivated {
+            bx,
+            slot,
+            kind,
+            peer,
+        };
+        self.observe(ev);
     }
 
     /// Emit [`ObsEvent::GoalDropped`].
@@ -199,11 +205,13 @@ pub enum ObsEvent {
         to: &'static str,
         cause: &'static str,
     },
-    /// A goal object of the given kind took control of `slot`.
+    /// A goal object of the given kind took control of `slot`; `peer` is
+    /// the other slot of a flowlink, `None` for a one-slot goal.
     GoalActivated {
         bx: u32,
         slot: u16,
         kind: &'static str,
+        peer: Option<u16>,
     },
     /// The goal controlling `slot` was destroyed (re-annotation or slot
     /// teardown).

@@ -405,7 +405,7 @@ mod tests {
         obs.signal_received(1, 0, "oack");
         obs.race_resolved(1, 0, false);
         obs.signal_ignored(1, 0, "close/close race");
-        obs.goal_activated(0, 0, "userAgent");
+        obs.goal_activated(0, 0, "userAgent", None);
         obs.goal_dropped(0, 0, "userAgent");
         obs.meta_signal(0, 3, "peer");
 

@@ -297,7 +297,7 @@ impl Observer for TracingObserver {
             ObsEvent::SignalIgnored { bx, slot, reason } => {
                 t.instant(bx, "ignored", format!("s{slot}: {reason}"));
             }
-            ObsEvent::GoalActivated { bx, slot, kind } => {
+            ObsEvent::GoalActivated { bx, slot, kind, .. } => {
                 t.instant(bx, "goal", format!("s{slot}: +{kind}"));
             }
             ObsEvent::GoalDropped { bx, slot, kind } => {
@@ -461,7 +461,7 @@ mod tests {
         obs.race_resolved(1, 3, false);
         obs.race_resolved(1, 3, true);
         obs.signal_ignored(1, 3, "stale oack");
-        obs.goal_activated(1, 3, "userAgent");
+        obs.goal_activated(1, 3, "userAgent", None);
         obs.goal_dropped(1, 3, "userAgent");
         obs.fault_injected(1, "drop");
         obs.retransmission(1, 3, "open");

@@ -24,7 +24,7 @@ fn populated() -> Arc<Registry> {
         obs.fault_injected(1, kind);
     }
     obs.stimulus(1, "user");
-    obs.goal_activated(1, 0, "flowlink");
+    obs.goal_activated(1, 0, "flowlink", Some(1));
     obs.goal_dropped(1, 0, "flowlink");
     obs.race_resolved(1, 0, true);
     obs.signal_ignored(1, 0, "stale");

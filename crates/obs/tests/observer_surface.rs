@@ -13,7 +13,7 @@ fn every_hook(obs: &mut dyn Observer) {
     obs.signal_sent(1, 2, "open");
     obs.signal_received(1, 2, "oack");
     obs.slot_transition(1, 2, "closed", "opening", "user");
-    obs.goal_activated(1, 2, "userAgent");
+    obs.goal_activated(1, 2, "flowLink", Some(3));
     obs.goal_dropped(1, 2, "userAgent");
     obs.race_resolved(1, 2, true);
     obs.signal_ignored(1, 2, "stale oack");
@@ -49,7 +49,8 @@ fn expected() -> Vec<ObsEvent> {
         ObsEvent::GoalActivated {
             bx: 1,
             slot: 2,
-            kind: "userAgent",
+            kind: "flowLink",
+            peer: Some(3),
         },
         ObsEvent::GoalDropped {
             bx: 1,

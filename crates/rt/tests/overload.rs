@@ -3,7 +3,7 @@
 //! costs its own connection and nothing else.
 
 use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, RelayLogic};
 use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::ids::SlotId;
 use ipmedia_core::monitor::Monitor;
@@ -14,7 +14,7 @@ use ipmedia_obs::{Clock, ObsEvent, RecordingObserver, WallClock};
 use ipmedia_rt::{
     spawn_node, wire, Directory, Frame, Framed, NodeOptions, NodeSnapshot, ReconnectPolicy,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::time::{timeout, Duration, Instant};
 
@@ -26,43 +26,6 @@ fn addr(h: u8) -> MediaAddr {
 
 fn callee_logic() -> Box<dyn AppLogic> {
     Box::new(EndpointLogic::resource(EndpointPolicy::audio(addr(2))))
-}
-
-type Links = Arc<Mutex<Vec<(SlotId, SlotId)>>>;
-
-/// Dials the callee when the caller's channel arrives and flowlinks the
-/// two channels tunnel by tunnel, recording the links it made. It is an
-/// `endpoint::RelayLogic` plus that record, which the test hands to
-/// `Monitor::watch_flowlink` and which `RelayLogic` does not keep. One
-/// `incoming` is enough on `rt`, which places a dial before it reads the
-/// next input.
-struct Gateway {
-    incoming: Vec<SlotId>,
-    links: Links,
-}
-
-impl AppLogic for Gateway {
-    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-        match input {
-            BoxInput::ChannelUp {
-                slots, req: None, ..
-            } => {
-                self.incoming = slots.clone();
-                ctx.open_channel("callee", slots.len() as u16, 9);
-            }
-            BoxInput::ChannelUp {
-                slots,
-                req: Some(9),
-                ..
-            } => {
-                for (&a, &b) in self.incoming.iter().zip(slots) {
-                    ctx.set_goal(GoalSpec::Link { a, b });
-                    self.links.lock().unwrap().push((a, b));
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 fn count(s: &NodeSnapshot, state: SlotState) -> usize {
@@ -87,24 +50,14 @@ async fn waves(channels: u16, tunnels: u16, via_gateway: bool) {
             ..NodeOptions::default()
         }
     };
-    let links = Links::default();
 
     let mut callee = spawn_node("callee", BoxId(3), callee_logic(), dir.clone(), recorded())
         .await
         .unwrap();
     let mut gateway = None;
     if via_gateway {
-        let logic = Gateway {
-            incoming: Vec::new(),
-            links: links.clone(),
-        };
-        let node = spawn_node(
-            "gateway",
-            BoxId(2),
-            Box::new(logic),
-            dir.clone(),
-            recorded(),
-        );
+        let logic = Box::new(RelayLogic::new("callee"));
+        let node = spawn_node("gateway", BoxId(2), logic, dir.clone(), recorded());
         gateway = Some(node.await.unwrap());
     }
     let target = if via_gateway { "gateway" } else { "callee" };
@@ -184,10 +137,8 @@ async fn waves(channels: u16, tunnels: u16, via_gateway: bool) {
         log.extend(l.lock().unwrap().iter().cloned());
     }
     log.sort_by_key(|(t, _)| *t);
+    // The gateway's flowlinks are learned from its own goal events.
     let mut monitor = Monitor::new();
-    for (a, b) in links.lock().unwrap().iter() {
-        monitor.watch_flowlink((2, a.0), (2, b.0));
-    }
     monitor.ingest_all(&log);
     monitor.check_quiescent(clock.now_micros());
     assert!(monitor.is_clean(), "{:#?}", monitor.findings());

@@ -14,7 +14,7 @@
 use ipmedia::core::boxes::GoalSpec;
 use ipmedia::core::endpoint::{EndpointLogic, NullLogic};
 use ipmedia::core::goal::{EndpointPolicy, UserCmd};
-use ipmedia::core::{BoxCmd, MediaAddr, Medium};
+use ipmedia::core::{MediaAddr, Medium};
 use ipmedia::netsim::{Network, SimConfig, SimTime};
 use ipmedia::obs::{snapshot_json, CountingObserver, Registry};
 use std::sync::Arc;
@@ -46,13 +46,7 @@ fn main() {
     net.run_until_quiescent(SimTime(10_000_000));
 
     let (a, b) = (srv_a[0], srv_b[0]);
-    net.apply(server, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(BoxCmd::Signal)
-            .collect()
-    });
+    net.set_goal(server, [GoalSpec::Link { a, b }]);
     net.user(alice, alice_slots[0], UserCmd::Open(Medium::Audio));
     net.run_until_quiescent(SimTime(10_000_000));
 

@@ -12,7 +12,7 @@ use ipmedia::core::boxes::GoalSpec;
 use ipmedia::core::endpoint::{EndpointLogic, NullLogic};
 use ipmedia::core::goal::{EndpointPolicy, UserCmd};
 use ipmedia::core::path::PathEnds;
-use ipmedia::core::{BoxCmd, MediaAddr, Medium};
+use ipmedia::core::{MediaAddr, Medium};
 use ipmedia::netsim::{Network, SimConfig, SimTime};
 
 fn main() {
@@ -45,13 +45,7 @@ fn main() {
     // The server flowlinks its two slots: from now on the two tunnels form
     // one signaling path, transparently.
     let (a, b) = (srv_a[0], srv_b[0]);
-    net.apply(server, move |pb| {
-        pb.media_mut()
-            .set_goal(GoalSpec::Link { a, b })
-            .into_iter()
-            .map(BoxCmd::Signal)
-            .collect()
-    });
+    net.set_goal(server, [GoalSpec::Link { a, b }]);
     net.run_until_quiescent(SimTime(10_000_000));
 
     // Alice picks up and opens an audio channel.
