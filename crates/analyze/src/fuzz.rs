@@ -1000,10 +1000,10 @@ fn unreferenced_decls(sc: &ScenarioModel, m: &ProgramModel) -> Vec<Decl> {
     out
 }
 
-/// Greedy deterministic delta-minimization: repeatedly apply the first
-/// single-step reduction that keeps `interesting` true and strictly
-/// decreases [`scenario_weight`], until no step applies. The input is
-/// returned unchanged if it is not interesting to begin with.
+/// Greedy deterministic delta-minimization with [`ipmedia_core::shrink`]:
+/// the candidates are [`shrink_candidates`] that strictly decrease
+/// [`scenario_weight`], in that order. The input is returned unchanged if
+/// it is not interesting to begin with.
 pub fn shrink_scenario(
     sc: &ScenarioModel,
     interesting: &mut dyn FnMut(&ScenarioModel) -> bool,
@@ -1011,17 +1011,13 @@ pub fn shrink_scenario(
     if !interesting(sc) {
         return sc.clone();
     }
-    let mut current = sc.clone();
-    loop {
-        let w = scenario_weight(&current);
-        let step = shrink_candidates(&current)
+    let lighter = |c: &ScenarioModel| {
+        let w = scenario_weight(c);
+        shrink_candidates(c)
             .into_iter()
-            .find(|c| scenario_weight(c) < w && interesting(c));
-        match step {
-            Some(next) => current = next,
-            None => return current,
-        }
-    }
+            .filter(move |cand| scenario_weight(cand) < w)
+    };
+    ipmedia_core::shrink(sc.clone(), lighter, interesting)
 }
 
 #[cfg(test)]

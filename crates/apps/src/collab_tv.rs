@@ -129,9 +129,11 @@ const REQ_SERVER: u32 = 1;
 /// The primary collaborative-control box (A's): owns the server channel
 /// and the movie controls; flowlinks device tunnels to server tunnels.
 ///
-/// Device tunnels are attached by `attach:<kind>:<t>` meta commands from
-/// the harness after it connects device channels; movie control arrives as
-/// `MovieControl` meta-signals and is forwarded to the server channel.
+/// Device tunnels are attached by `link:<slot>:<tunnel>` meta commands
+/// from the harness after it connects device channels; movie control
+/// arrives as `MovieControl` meta-signals and is forwarded to the server
+/// channel. A malformed link, or one naming a slot the box does not have
+/// or a tunnel the server channel does not carry, is ignored.
 pub struct CollabPrimaryLogic {
     server_name: String,
     server_slots: Vec<SlotId>,
@@ -155,10 +157,9 @@ impl CollabPrimaryLogic {
             return;
         }
         for (dev, t) in self.pending_links.drain(..) {
-            ctx.set_goal(GoalSpec::Link {
-                a: dev,
-                b: self.server_slots[t],
-            });
+            if let (Some(_), Some(&b)) = (ctx.media().slot(dev), self.server_slots.get(t)) {
+                ctx.set_goal(GoalSpec::Link { a: dev, b });
+            }
         }
     }
 }
@@ -184,11 +185,12 @@ impl AppLogic for CollabPrimaryLogic {
             } => {
                 // "link:<slot>:<tunnel>" — flowlink a device slot (on this
                 // box) to server tunnel <tunnel>.
-                if let Some(rest) = cmd.strip_prefix("link:") {
-                    let mut it = rest.split(':');
-                    let slot = SlotId(it.next().unwrap().parse().unwrap());
-                    let tunnel: usize = it.next().unwrap().parse().unwrap();
-                    self.pending_links.push((slot, tunnel));
+                let link = cmd.strip_prefix("link:").and_then(|rest| {
+                    let (slot, tunnel) = rest.split_once(':')?;
+                    Some((SlotId(slot.parse().ok()?), tunnel.parse().ok()?))
+                });
+                if let Some(link) = link {
+                    self.pending_links.push(link);
                     self.try_links(ctx);
                 }
             }
@@ -211,7 +213,8 @@ impl AppLogic for CollabPrimaryLogic {
 /// The secondary collaboration box (C's): initially just a relay — its
 /// device-side tunnels are flowlinked pairwise to its tunnels toward the
 /// primary box. On `leave`, it opens its own channel to the movie server
-/// and re-links the device tunnels to it.
+/// and re-links the device tunnels to it. A malformed slot list or channel
+/// id, or a slot list naming a slot the box does not have, is ignored.
 pub struct CollabSecondaryLogic {
     server_name: String,
     /// Device-side slots in stream order (video, audio).
@@ -238,6 +241,9 @@ impl CollabSecondaryLogic {
     }
 
     fn relay_links(&self, ctx: &mut Ctx<'_>) {
+        if self.uplink_slots.len() != self.device_slots.len() {
+            return;
+        }
         for (d, u) in self.device_slots.iter().zip(self.uplink_slots.iter()) {
             ctx.set_goal(GoalSpec::Link { a: *d, b: *u });
         }
@@ -252,18 +258,19 @@ impl AppLogic for CollabSecondaryLogic {
                 ..
             } => {
                 if let Some(rest) = cmd.strip_prefix("device-slots:") {
-                    self.device_slots = parse_slots(rest);
-                    if self.uplink_slots.len() == self.device_slots.len() {
+                    if let Some(slots) = parse_slots(rest, ctx) {
+                        self.device_slots = slots;
                         self.relay_links(ctx);
                     }
                 } else if let Some(rest) = cmd.strip_prefix("uplink-slots:") {
-                    self.uplink_slots = parse_slots(rest);
-                    if self.uplink_slots.len() == self.device_slots.len() {
+                    if let Some(slots) = parse_slots(rest, ctx) {
+                        self.uplink_slots = slots;
                         self.relay_links(ctx);
                     }
                 } else if let Some(id) = cmd.strip_prefix("uplink-channel:") {
-                    self.uplink_channel =
-                        Some(ipmedia_core::ChannelId(id.parse().expect("channel id")));
+                    if let Ok(id) = id.parse() {
+                        self.uplink_channel = Some(ChannelId(id));
+                    }
                 } else if cmd == "leave" {
                     // Fast-forward to independence: own channel, own time
                     // pointer, drop the collaboration.
@@ -303,9 +310,11 @@ impl AppLogic for CollabSecondaryLogic {
     }
 }
 
-fn parse_slots(s: &str) -> Vec<SlotId> {
+/// A comma-separated slot list, or `None` if it is malformed or names a
+/// slot the box does not have.
+fn parse_slots(s: &str, ctx: &Ctx<'_>) -> Option<Vec<SlotId>> {
     s.split(',')
         .filter(|p| !p.is_empty())
-        .map(|p| SlotId(p.parse().expect("slot id")))
+        .map(|p| Some(SlotId(p.parse().ok()?)).filter(|&slot| ctx.media().slot(slot).is_some()))
         .collect()
 }

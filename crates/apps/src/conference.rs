@@ -22,8 +22,6 @@ const REQ_BRIDGE_BASE: u32 = 1000;
 struct Party {
     device_slot: SlotId,
     bridge_slot: Option<SlotId>,
-    #[allow(dead_code)]
-    device_channel: ChannelId,
     fully_muted: bool,
 }
 
@@ -33,6 +31,9 @@ struct Party {
 /// * `fullmute:<i>` / `unmute:<i>` — replace party `i`'s flowlink by two
 ///   holdslots / restore it;
 /// * any [`AppEvent::MixMatrix`] is forwarded to the bridge.
+///
+/// A malformed or out-of-range index is ignored, like an unknown command,
+/// and so is a party whose device or bridge channel went down.
 pub struct ConferenceLogic {
     bridge_name: String,
     parties: Vec<Party>,
@@ -55,6 +56,12 @@ impl ConferenceLogic {
     fn relink(&self, idx: usize, ctx: &mut Ctx<'_>) {
         let p = &self.parties[idx];
         let Some(bslot) = p.bridge_slot else { return };
+        if [p.device_slot, bslot]
+            .iter()
+            .any(|s| ctx.media().slot(*s).is_none())
+        {
+            return;
+        }
         if p.fully_muted {
             ctx.set_goal(GoalSpec::Hold {
                 slot: p.device_slot,
@@ -88,7 +95,6 @@ impl AppLogic for ConferenceLogic {
                     self.parties.push(Party {
                         device_slot: slots[0],
                         bridge_slot: None,
-                        device_channel: *channel,
                         fully_muted: false,
                     });
                     self.bridge_channel_of_req
@@ -112,15 +118,14 @@ impl AppLogic for ConferenceLogic {
                 ..
             } => match ev {
                 AppEvent::Custom(cmd) => {
-                    if let Some(i) = cmd.strip_prefix("fullmute:") {
-                        let i: usize = i.parse().expect("fullmute:<idx>");
-                        self.parties[i].fully_muted = true;
-                        self.relink(i, ctx);
-                    } else if let Some(i) = cmd.strip_prefix("unmute:") {
-                        let i: usize = i.parse().expect("unmute:<idx>");
-                        self.parties[i].fully_muted = false;
-                        self.relink(i, ctx);
-                    }
+                    let mute = (cmd.strip_prefix("fullmute:").map(|i| (i, true)))
+                        .or_else(|| cmd.strip_prefix("unmute:").map(|i| (i, false)));
+                    let Some((i, muted)) = mute else { return };
+                    let Some(i) = i.parse().ok().filter(|&i: &usize| i < self.parties.len()) else {
+                        return;
+                    };
+                    self.parties[i].fully_muted = muted;
+                    self.relink(i, ctx);
                 }
                 AppEvent::MixMatrix(rows) => {
                     // Forward the partial-muting request to the bridge.

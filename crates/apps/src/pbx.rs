@@ -14,6 +14,8 @@
 //!   the active call;
 //! * `switch:<idx>` — make outside call `idx` (arrival order) active;
 //! * `hangup` — drop the active call link (everything goes on hold).
+//!
+//! A malformed or out-of-range command is ignored, like an unknown one.
 
 use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::goal::Policy;
@@ -28,7 +30,6 @@ const REQ_CALL_BASE: u32 = 100;
 #[derive(Debug, Clone, Copy)]
 struct Call {
     slot: SlotId,
-    #[allow(dead_code)]
     channel: ChannelId,
 }
 
@@ -124,18 +125,26 @@ impl AppLogic for PbxLogic {
                     self.next_req += 1;
                     ctx.open_channel(name.to_string(), 1, req);
                 } else if let Some(idx) = cmd.strip_prefix("switch:") {
-                    let idx: usize = idx.parse().expect("switch:<idx>");
-                    assert!(idx < self.calls.len(), "no such call appearance");
-                    self.active = Some(idx);
-                    self.apply_links(ctx);
+                    let idx = idx.parse().ok().filter(|&i: &usize| i < self.calls.len());
+                    if idx.is_some() {
+                        self.active = idx;
+                        self.apply_links(ctx);
+                    }
                 } else if cmd == "hangup" {
                     self.active = None;
                     self.apply_links(ctx);
                 }
             }
             BoxInput::ChannelDown { channel } => {
-                // A party's channel died; drop its call appearance. The
-                // slots were already removed by the environment.
+                // A party's channel died; drop its call appearance (or
+                // forget the phone). The slots were already removed by the
+                // environment.
+                if self
+                    .phone_slot
+                    .is_some_and(|s| ctx.media().slot(s).is_none())
+                {
+                    self.phone_slot = None;
+                }
                 let active_slot = self.active.map(|i| self.calls[i].slot);
                 self.calls.retain(|c| c.channel != *channel);
                 self.active = active_slot.and_then(|s| self.calls.iter().position(|c| c.slot == s));

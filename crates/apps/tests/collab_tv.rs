@@ -301,3 +301,34 @@ fn headphones_carry_audio_stream_of_same_movie() {
         "no more French audio after hangup"
     );
 }
+
+#[test]
+fn bad_collaboration_commands_are_ignored() {
+    // The collaboration commands are outside input (they can arrive on
+    // the wire): malformed ones, and ones naming a slot the box does not
+    // have or a tunnel the server channel does not carry, change nothing.
+    let mut w = build();
+    for cmd in ["link:", "link:1", "link:x:0", "link:999:0", "link:0:99"] {
+        w.mn.net.inject_input(w.collab_a, meta(cmd));
+    }
+    for cmd in [
+        "device-slots:a,b",
+        "device-slots:999",
+        "uplink-slots:0,zz",
+        "uplink-channel:",
+        "uplink-channel:x",
+    ] {
+        w.mn.net.inject_input(w.collab_c, meta(cmd));
+    }
+    w.mn.net
+        .inject_input(w.collab_a, movie_cmd(MovieCommand::Play));
+    w.settle();
+    w.mn.pump_media(10);
+    let tv_pos = w.pos_at(31).expect("TV receives the movie");
+    assert!(tv_pos > 0, "movie is playing");
+    assert_eq!(
+        w.pos_at(33),
+        Some(tv_pos),
+        "laptop still shares the time point"
+    );
+}

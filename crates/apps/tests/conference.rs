@@ -247,3 +247,53 @@ fn full_mute_by_goal_reannotation() {
 
     let _ = SlotId(0);
 }
+
+fn command(c: &mut Conf, cmd: &str) {
+    c.mn.net.inject_input(
+        c.conf,
+        BoxInput::Meta {
+            channel: ChannelId(u32::MAX),
+            meta: MetaSignal::App(AppEvent::Custom(cmd.into())),
+        },
+    );
+}
+
+#[test]
+fn bad_or_stale_mute_commands_are_ignored() {
+    // Mute commands are outside input (they can arrive on the wire): a
+    // malformed or out-of-range index changes nothing, and muting a party
+    // that has hung up touches none of its removed slots.
+    let mut c = build([
+        SourceKind::SpeechLike(1),
+        SourceKind::SpeechLike(2),
+        SourceKind::SpeechLike(3),
+    ]);
+    for cmd in [
+        "fullmute:",
+        "fullmute:x",
+        "unmute:-1",
+        "fullmute:3",
+        "unmute:99",
+    ] {
+        command(&mut c, cmd);
+    }
+    c.mn.settle_and_pump(T_MAX, 10);
+    for i in 0..3 {
+        assert!(
+            c.mn.plane.flows().count(addr(1 + i as u8), bridge_port(i)) > 0,
+            "party {i} still confers"
+        );
+    }
+
+    // Party 0 hangs up: the server loses its device slot with the channel.
+    let party0 = BoxId(0);
+    let channel = c.mn.net.channels_between(party0, c.conf)[0];
+    c.mn.net.apply(party0, move |_| {
+        vec![ipmedia_core::BoxCmd::CloseChannel(channel)]
+    });
+    c.mn.net.run_until_quiescent(T_MAX);
+    command(&mut c, "fullmute:0");
+    command(&mut c, "unmute:0");
+    c.mn.settle_and_pump(T_MAX, 10);
+    assert!(c.mn.plane.flows().count(addr(2), bridge_port(1)) > 0);
+}

@@ -236,3 +236,48 @@ fn no_media_is_ever_lost_to_absent_endpoints() {
         );
     }
 }
+
+#[test]
+fn malformed_or_out_of_range_switches_are_ignored() {
+    // A `switch:` is outside input (it can arrive on the wire): one the
+    // PBX cannot act on leaves the media as it was, and a good one after
+    // it still works.
+    let mut s = to_snapshot1();
+    for cmd in [
+        "switch:",
+        "switch:one",
+        "switch:-1",
+        "switch:2",
+        "switch:99",
+    ] {
+        s.mn.net.inject_input(
+            s.pbx,
+            BoxInput::Meta {
+                channel: ChannelId(u32::MAX),
+                meta: MetaSignal::App(AppEvent::Custom(cmd.into())),
+            },
+        );
+    }
+    s.mn.settle_and_pump(T_MAX, 10);
+    s.mn.plane
+        .flows()
+        .assert_exactly(&[(addr(1), addr(3)), (addr(3), addr(1))])
+        .expect("still Snapshot 1: A ↔ C");
+    switch(&mut s, 0);
+    s.mn.settle_and_pump(T_MAX, 10);
+    s.mn.plane
+        .flows()
+        .assert_exactly(&[(addr(1), addr(2)), (addr(2), addr(1))])
+        .expect("a good switch still works: A ↔ B");
+
+    // The phone's own channel goes down: the PBX forgets the phone, and a
+    // switch after that has no phone slot to link.
+    let phone = s.mn.net.channels_between(s.a, s.pbx)[0];
+    s.mn.net.apply(s.a, move |_| {
+        vec![ipmedia_core::BoxCmd::CloseChannel(phone)]
+    });
+    s.mn.net.run_until_quiescent(T_MAX);
+    switch(&mut s, 1);
+    s.mn.net.run_until_quiescent(T_MAX);
+    assert!(s.mn.net.media(s.pbx).slot(SlotId(0)).is_none());
+}

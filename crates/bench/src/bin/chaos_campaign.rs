@@ -27,7 +27,6 @@ use ipmedia_bench::chaos::{
     chain_topology, minimize_failing_netsim, rt_topology, run_netsim_chaos, run_rt_chaos, ChaosRun,
 };
 use ipmedia_core::chaos::{generate, ScheduleFamily};
-use ipmedia_core::monitor::RecoveryObjectives;
 use ipmedia_obs::{json_array, json_str_array, Histogram, JsonObj};
 
 const USAGE: &str = "usage: chaos_campaign [--seeds N] [--rt-seeds N] \
@@ -69,7 +68,6 @@ fn main() {
         other => ipmedia_core::cli::usage_error(USAGE, &format!("unknown substrate `{other}`")),
     };
 
-    let rto = RecoveryObjectives::default();
     let scenarios: Vec<(String, usize)> = ipmedia_apps::models::EXAMPLE_NAMES
         .iter()
         .map(|name| {
@@ -113,12 +111,12 @@ fn main() {
                     cell_seed(sc, s),
                     &chain_topology(k),
                 );
-                run_netsim_chaos(k, &schedule, &rto).map(|run| {
+                run_netsim_chaos(k, &schedule).map(|run| {
                     // Seed 0 of each cell doubles as the replay
                     // determinism probe: identical seeds must yield
                     // identical outcomes, field for field.
-                    let replayed = s != 0
-                        || run_netsim_chaos(k, &schedule, &rto).is_ok_and(|again| again == run);
+                    let replayed =
+                        s != 0 || run_netsim_chaos(k, &schedule).is_ok_and(|again| again == run);
                     (run, replayed)
                 })
             });
@@ -161,7 +159,7 @@ fn main() {
                             violations += 1;
                             let (name, k) = &scenarios[sc];
                             let schedule = generate(family, cell_seed(sc, s), &chain_topology(*k));
-                            let minimized = minimize_failing_netsim(*k, &schedule, &rto);
+                            let minimized = minimize_failing_netsim(*k, &schedule);
                             failures.push(Failure {
                                 scenario: name.clone(),
                                 family: family.name(),
@@ -231,7 +229,7 @@ fn main() {
                 for s in 0..rt_seeds {
                     let schedule = generate(family, s, &topo);
                     rt_runs += 1;
-                    match run_rt_chaos(&schedule, &rto, RT_COMPRESS).await {
+                    match run_rt_chaos(&schedule, RT_COMPRESS).await {
                         Ok(run) => {
                             let ok = run.violations.is_empty();
                             eprintln!(

@@ -4,18 +4,20 @@
 //!
 //! A run is judged by **recovery-time objectives**, not by the absence
 //! of turbulence: findings the monitor raises while faults are active
-//! (or within the per-invariant budget after the last heal) are
-//! forgiven; anything later — and any `IM102` ever — is a violation.
+//! (or within [`RECOVERY_BUDGET_MS`] after the last heal) are forgiven;
+//! anything later — and any `IM102` or `IM401` ever — is a violation.
 //! When a run fails, [`minimize_failing_netsim`] delta-debugs the
 //! schedule to a minimal phase list that still reproduces the failure,
-//! mirroring the model checker's counterexample ladders.
+//! with the shrinker that minimizes the model checker's counterexample
+//! ladders.
+//!
+//! [`RECOVERY_BUDGET_MS`]: ipmedia_core::monitor::RECOVERY_BUDGET_MS
 
 use crate::Chain;
 use ipmedia_core::chaos::{ChaosSchedule, ChaosTopology};
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
-use ipmedia_core::monitor::{Finding, Monitor, RecoveryObjectives};
-use ipmedia_core::reliable::ReliableConfig;
+use ipmedia_core::monitor::{Finding, Monitor};
 use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_netsim::{apply_schedule, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::clock::{Clock, WallClock};
@@ -86,14 +88,10 @@ fn render(f: &Finding) -> String {
 /// signaling through the turbulence, so recovery is exercised, not just
 /// survival. Returns `Err` only if the schedule does not fit the
 /// deployment (unknown box name, burst over a missing link).
-pub fn run_netsim_chaos(
-    k: usize,
-    schedule: &ChaosSchedule,
-    rto: &RecoveryObjectives,
-) -> Result<ChaosRun, String> {
+pub fn run_netsim_chaos(k: usize, schedule: &ChaosSchedule) -> Result<ChaosRun, String> {
     let (mut chain, log) = Chain::new_recorded(k, SimConfig::paper());
     for id in chain.servers.iter().copied().chain([chain.l, chain.r]) {
-        chain.net.enable_reliability(id, ReliableConfig::default());
+        chain.net.enable_reliability(id);
     }
 
     let mut monitor = chain.monitor();
@@ -145,7 +143,7 @@ pub fn run_netsim_chaos(
 
     let violations: Vec<String> = match applied.settle {
         Some(heal) => monitor
-            .rto_violations(heal.0, rto)
+            .rto_violations(heal.0)
             .iter()
             .map(|f| render(f))
             .collect(),
@@ -167,13 +165,9 @@ pub fn run_netsim_chaos(
 /// Delta-debug a failing `(k, schedule)` pair down to a minimal phase
 /// list that still produces violations (or still fails to apply), for
 /// the campaign's red-run logs.
-pub fn minimize_failing_netsim(
-    k: usize,
-    schedule: &ChaosSchedule,
-    rto: &RecoveryObjectives,
-) -> ChaosSchedule {
+pub fn minimize_failing_netsim(k: usize, schedule: &ChaosSchedule) -> ChaosSchedule {
     ipmedia_core::minimize_schedule(schedule, |s| {
-        run_netsim_chaos(k, s, rto).map_or(true, |r| !r.violations.is_empty())
+        run_netsim_chaos(k, s).map_or(true, |r| !r.violations.is_empty())
     })
 }
 
@@ -230,11 +224,7 @@ fn rt_policy() -> ReconnectPolicy {
 /// merged event streams of both nodes are then replayed through the
 /// monitor and judged by the same RTO semantics as the simulator runs
 /// (heal instant = wall clock when the last fault edge was applied).
-pub async fn run_rt_chaos(
-    schedule: &ChaosSchedule,
-    rto: &RecoveryObjectives,
-    compress: u64,
-) -> Result<RtChaosRun, String> {
+pub async fn run_rt_chaos(schedule: &ChaosSchedule, compress: u64) -> Result<RtChaosRun, String> {
     const WAIT: Duration = Duration::from_secs(20);
     let err = |e: String| -> String { format!("rt chaos: {e}") };
 
@@ -354,7 +344,7 @@ pub async fn run_rt_chaos(
     monitor.ingest_all(&log);
 
     let violations: Vec<String> = monitor
-        .rto_violations(heal_at, rto)
+        .rto_violations(heal_at)
         .iter()
         .map(|f| render(f))
         .collect();
@@ -376,7 +366,7 @@ mod tests {
         let s = ChaosSchedule::new(7)
             .partition(500, "end-l", "s0", Direction::Both)
             .heal(3_000, "end-l", "s0");
-        let run = run_netsim_chaos(2, &s, &RecoveryObjectives::default()).unwrap();
+        let run = run_netsim_chaos(2, &s).unwrap();
         assert!(run.settle.is_some());
         assert!(
             run.violations.is_empty(),
@@ -390,8 +380,8 @@ mod tests {
         let topo = chain_topology(2);
         for family in ScheduleFamily::ALL {
             let s = generate(family, 42, &topo);
-            let a = run_netsim_chaos(2, &s, &RecoveryObjectives::default()).unwrap();
-            let b = run_netsim_chaos(2, &s, &RecoveryObjectives::default()).unwrap();
+            let a = run_netsim_chaos(2, &s).unwrap();
+            let b = run_netsim_chaos(2, &s).unwrap();
             assert_eq!(a, b, "{} replay diverged", family.name());
         }
     }
@@ -404,8 +394,7 @@ mod tests {
             .partition(100, "s0", "s1", Direction::Both)
             .burst(200, "s1", "end-r", 0.2, 0.0, 0.0, 0, 2_000)
             .crash(400, "end-r", 500);
-        let rto = RecoveryObjectives::default();
-        let run = run_netsim_chaos(2, &s, &rto).unwrap();
+        let run = run_netsim_chaos(2, &s).unwrap();
         assert_eq!(run.settle, None);
         assert!(
             run.violations.iter().any(|v| v.starts_with("IM201")),
@@ -414,14 +403,13 @@ mod tests {
         );
         // Delta-debugging strips the burst and the crash: the partition
         // alone reproduces the failure.
-        let min = minimize_failing_netsim(2, &s, &rto);
-        assert_eq!(min.phases.len(), 1, "minimized to: {}", min.describe());
-        assert!(min.describe().contains("partition"));
+        let min = minimize_failing_netsim(2, &s);
+        assert_eq!(min.describe(), "seed=3 t=100ms partition s0<->s1 (both)");
     }
 
     #[test]
     fn schedule_that_does_not_fit_the_deployment_errors() {
         let s = ChaosSchedule::new(1).partition(0, "end-l", "nonesuch", Direction::Both);
-        assert!(run_netsim_chaos(1, &s, &RecoveryObjectives::default()).is_err());
+        assert!(run_netsim_chaos(1, &s).is_err());
     }
 }

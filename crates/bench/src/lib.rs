@@ -16,7 +16,6 @@ use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
 use ipmedia_core::goal::{EndpointPolicy, Outgoing, Policy, UserCmd};
 use ipmedia_core::ids::{BoxId, SlotId};
 use ipmedia_core::monitor::Monitor;
-use ipmedia_core::reliable::ReliableConfig;
 use ipmedia_core::signal::Signal;
 use ipmedia_core::{BoxCmd, MediaAddr, Medium};
 use ipmedia_netsim::{FaultPlan, Network, SimConfig, SimDuration, SimTime};
@@ -348,7 +347,7 @@ pub fn flowlink_convergence_under_loss(
     net.set_fault_plan(ch_l, plan(seed));
     net.set_fault_plan(ch_r, plan(seed ^ 0x9E37_79B9_7F4A_7C15));
     for id in [l, srv, r] {
-        net.enable_reliability(id, ReliableConfig::default());
+        net.enable_reliability(id);
     }
     net.run_until_quiescent(T_MAX);
 

@@ -10,7 +10,7 @@ use ipmedia_core::chaos::{generate, ChaosSchedule, Direction, ScheduleFamily};
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, RelayLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::monitor::{
-    Monitor, RecoveryObjectives, VerifiedManifest, IM_CLOSED_ACTION, IM_FLOWLINK, IM_UNVERIFIED,
+    Monitor, VerifiedManifest, IM_CLOSED_ACTION, IM_FLOWLINK, IM_UNVERIFIED,
 };
 use ipmedia_core::{BoxCmd, MediaAddr};
 use ipmedia_netsim::{Network, SimConfig, SimTime};
@@ -82,10 +82,9 @@ fn unverified_model_stream_is_flagged_im401() {
             .find(|f| f.code == IM_UNVERIFIED)
             .expect("IM401 finding");
         assert!(f.detail.contains(&fp), "{}", f.detail);
-        let rto = RecoveryObjectives::default();
         assert!(
             monitor
-                .rto_violations(u64::MAX - 1, &rto)
+                .rto_violations(u64::MAX - 1)
                 .iter()
                 .any(|f| f.code == IM_UNVERIFIED),
             "IM401 has no recovery budget"
@@ -99,14 +98,13 @@ fn unverified_model_stream_is_flagged_im401() {
 /// objectives.
 #[test]
 fn every_registry_scenario_is_clean_under_healed_chaos() {
-    let rto = RecoveryObjectives::default();
     for name in ipmedia_apps::models::EXAMPLE_NAMES {
         let sc = ipmedia_apps::models::scenario(name).expect("registered scenario");
         let k = sc.topology.boxes.len().saturating_sub(2).clamp(1, 4);
         let topo = chain_topology(k);
         for family in ScheduleFamily::ALL {
             let schedule = generate(family, 7, &topo);
-            let run = run_netsim_chaos(k, &schedule, &rto).expect("schedule fits the chain");
+            let run = run_netsim_chaos(k, &schedule).expect("schedule fits the chain");
             assert!(
                 run.settle.is_some(),
                 "generated schedules always heal: {}",
@@ -132,15 +130,14 @@ fn planted_no_heal_schedule_is_flagged_and_minimized() {
         .burst(50, "end-l", "s0", 0.3, 0.0, 0.0, 0, 1_000)
         .partition(100, "s0", "s1", Direction::Both)
         .crash(400, "end-r", 500);
-    let rto = RecoveryObjectives::default();
-    let run = run_netsim_chaos(2, &schedule, &rto).expect("schedule fits the chain");
+    let run = run_netsim_chaos(2, &schedule).expect("schedule fits the chain");
     assert_eq!(run.settle, None, "an unhealed partition never settles");
     assert!(
         run.violations.iter().any(|v| v.starts_with("IM201")),
         "stuck flowlink must be flagged: {:?}",
         run.violations
     );
-    let min = minimize_failing_netsim(2, &schedule, &rto);
+    let min = minimize_failing_netsim(2, &schedule);
     assert_eq!(
         min.phases.len(),
         1,

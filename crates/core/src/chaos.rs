@@ -17,8 +17,9 @@
 //!
 //! Minimization: when a `(schedule, seed)` pair makes an invariant
 //! monitor flag a violation, [`minimize_schedule`] delta-debugs the phase
-//! list down to a minimal still-failing subsequence, mirroring the model
-//! checker's counterexample-ladder minimizers.
+//! list down to a minimal still-failing subsequence with the same
+//! [`crate::shrink`] that minimizes the model checker's counterexample
+//! ladders.
 
 use crate::hash::SplitMix64;
 
@@ -341,9 +342,11 @@ fn percent(rng: &mut SplitMix64, lo: u64, hi: u64) -> f64 {
 
 /// Generate a seeded schedule of the given family over a topology.
 ///
-/// All durations are conservative with respect to the default
-/// reliability window (`ReliableConfig`: ~32 s of capped-backoff
-/// retries), so a healed schedule is always recoverable: partitions heal
+/// All durations are conservative with respect to the reliability
+/// window (~32 s of retries backing off from
+/// [`reliable::BASE_MS`](crate::reliable::BASE_MS) to
+/// [`reliable::MAX_MS`](crate::reliable::MAX_MS)), so a healed schedule
+/// is always recoverable: partitions heal
 /// within ~8 s, crashes restart within ~2.5 s, bursts expire within
 /// ~4 s.
 pub fn generate(family: ScheduleFamily, seed: u64, topo: &ChaosTopology) -> ChaosSchedule {
@@ -430,36 +433,27 @@ pub fn generate(family: ScheduleFamily, seed: u64, topo: &ChaosTopology) -> Chao
 }
 
 /// Delta-debug a failing schedule down to a minimal still-failing phase
-/// list, mirroring the model checker's counterexample minimizers.
+/// list with [`crate::shrink`]: each candidate drops one phase, the last
+/// phase first, and no candidate goes below one phase.
 ///
 /// `still_fails` re-runs the system under a candidate schedule and
-/// reports whether the original violation persists. Greedy one-at-a-time
-/// removal to a fixpoint: the result is 1-minimal (removing any single
-/// remaining phase makes the failure disappear), and deterministic given
-/// a deterministic predicate.
-pub fn minimize_schedule<F>(schedule: &ChaosSchedule, mut still_fails: F) -> ChaosSchedule
+/// reports whether the original violation persists. The result is
+/// 1-minimal (removing any single remaining phase makes the failure
+/// disappear), and deterministic given a deterministic predicate.
+pub fn minimize_schedule<F>(schedule: &ChaosSchedule, still_fails: F) -> ChaosSchedule
 where
     F: FnMut(&ChaosSchedule) -> bool,
 {
-    let mut cur = schedule.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let mut i = cur.phases.len();
-        while i > 0 {
-            i -= 1;
-            if cur.phases.len() == 1 {
-                break;
-            }
-            let mut cand = cur.clone();
+    let drop_one_phase = |s: &ChaosSchedule| {
+        let s = s.clone();
+        let n = s.phases.len();
+        (0..n).rev().filter(move |_| n > 1).map(move |i| {
+            let mut cand = s.clone();
             cand.phases.remove(i);
-            if still_fails(&cand) {
-                cur = cand;
-                changed = true;
-            }
-        }
-    }
-    cur
+            cand
+        })
+    };
+    crate::shrink(schedule.clone(), drop_one_phase, still_fails)
 }
 
 #[cfg(test)]
@@ -547,11 +541,7 @@ mod tests {
         };
         assert!(fails(&noisy));
         let min = minimize_schedule(&noisy, fails);
-        assert_eq!(min.phases.len(), 1);
-        assert!(matches!(
-            &min.phases[0].action,
-            ChaosAction::Partition { a, b, .. } if a == "l" && b == "s0"
-        ));
+        assert_eq!(min.describe(), "seed=3 t=500ms partition l<->s0 (both)");
     }
 
     #[test]

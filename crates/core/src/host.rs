@@ -17,7 +17,7 @@ use crate::error::ProtocolError;
 use crate::goal::{Outgoing, UserCmd};
 use crate::ids::{BoxId, ChannelId, SlotId, SlotRange, TunnelId};
 use crate::program::{AppLogic, BoxCmd, BoxInput, ProgramBox, TimerGenerations, TimerId};
-use crate::reliable::{self, Reliability, ReliableConfig, TimerAction};
+use crate::reliable::{self, Reliability, TimerAction};
 use crate::signal::{Availability, ChannelMsg, MetaSignal};
 use ipmedia_obs::trace::{SpanCtx, Tracer};
 use ipmedia_obs::Observer;
@@ -305,8 +305,8 @@ impl NodeHost {
 
     /// Turn the §VI retransmission layer on; feed [`Input::Rearm`] to arm
     /// the awaits already outstanding.
-    pub fn enable_reliability(&mut self, cfg: ReliableConfig) {
-        self.reliab = Some(Box::new(Reliability::new(cfg)));
+    pub fn enable_reliability(&mut self) {
+        self.reliab = Some(Box::new(Reliability::new()));
     }
 
     /// Register a channel: deal one slot per tunnel, consecutively.
@@ -379,7 +379,7 @@ impl NodeHost {
                 return Ok(self.deliver(input, at, obs, tracer, bufs));
             }
             Input::ChannelDown { channel } => {
-                if !self.drop_channel(channel, obs) {
+                if self.channel_index(channel).is_err() {
                     return Ok(Outcome::QUIET);
                 }
                 let input = BoxInput::ChannelDown { channel };
@@ -477,7 +477,7 @@ impl NodeHost {
             }
             Input::Rearm => {
                 if let Some(rel) = &mut self.reliab {
-                    **rel = Reliability::new(*rel.config());
+                    **rel = Reliability::new();
                 }
                 self.sync_reliability(at, obs, &mut bufs.effects);
                 return Ok(Outcome::QUIET);
@@ -490,7 +490,10 @@ impl NodeHost {
         })
     }
 
-    /// Run the program on one box input.
+    /// Run the program on one box input. A `ChannelDown` removes the
+    /// channel's slots inside the activation, after its stimulus and
+    /// before the program runs, so the goals that die with them are
+    /// reported under it.
     fn deliver(
         &mut self,
         input: BoxInput,
@@ -532,6 +535,10 @@ impl NodeHost {
             BoxInput::Start => "start".into(),
             other => format!("{other:?}"),
         });
+        obs.stimulus(bx, input.kind());
+        if let BoxInput::ChannelDown { channel } = input {
+            self.drop_channel(channel, obs);
+        }
         self.pb
             .handle_into(input, obs, &mut bufs.cmds, &mut bufs.notes);
         self.execute(bufs.cmds.drain(..), obs, &mut bufs.effects);

@@ -45,6 +45,7 @@ mod prefetch;
 pub mod program;
 pub mod reliable;
 pub mod retag;
+mod shrink;
 pub mod signal;
 pub mod slot;
 
@@ -68,8 +69,9 @@ pub use program::{
     AppLogic, BoxCmd, BoxInput, Ctx, GoalAnnotation, ModelEffect, ModelTrigger, ProgramBox,
     ProgramModel, ScenarioModel, SlotDecl, StateModel, TimerGenerations, TimerId, TransitionModel,
 };
-pub use reliable::{Reliability, ReliableConfig};
+pub use reliable::Reliability;
 pub use retag::Retag;
+pub use shrink::shrink;
 pub use signal::{
     AppEvent, Availability, ChannelMsg, MetaSignal, MixRow, MovieCommand, Signal, SignalKind,
 };

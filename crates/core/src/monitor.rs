@@ -106,44 +106,13 @@ pub struct Finding {
     pub ladder: String,
 }
 
-/// Per-invariant recovery-time objectives for chaos runs: after the last
-/// heal of a schedule, how long each invariant class may take to be
-/// restored. `IM102` (action on a Closed slot) has no budget — it is a
-/// safety violation and fatal whenever it fires, mid-chaos or not.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryObjectives {
-    /// Budget (ms after last heal) for `IM101` conformance findings.
-    pub conformance_ms: u64,
-    /// Budget (ms after last heal) for `IM201` flowlink convergence.
-    pub flowlink_ms: u64,
-    /// Budget (ms after last heal) for `IM301` clean terminal states.
-    pub terminal_ms: u64,
-}
-
-impl Default for RecoveryObjectives {
-    /// 5 s per class: generous against the reliability layer's capped
-    /// backoff (200 ms..3.2 s), tight against a wedged recovery.
-    fn default() -> Self {
-        RecoveryObjectives {
-            conformance_ms: 5_000,
-            flowlink_ms: 5_000,
-            terminal_ms: 5_000,
-        }
-    }
-}
-
-impl RecoveryObjectives {
-    /// The budget for a finding code; `None` means no budget (always
-    /// fatal).
-    fn budget_ms(&self, code: &str) -> Option<u64> {
-        match code {
-            IM_CONFORMANCE => Some(self.conformance_ms),
-            IM_FLOWLINK => Some(self.flowlink_ms),
-            IM_TERMINAL => Some(self.terminal_ms),
-            _ => None,
-        }
-    }
-}
+/// Recovery budget for chaos runs, in ms after the last heal of a
+/// schedule: how long an `IM101`, `IM201` or `IM301` finding may take to
+/// clear. Generous against the reliability layer's capped backoff
+/// (200 ms..3.2 s), tight against a wedged recovery. `IM102` (action on a
+/// Closed slot) and `IM401` (unverified model) have no budget: they are
+/// fatal whenever they fire, mid-chaos or not.
+pub const RECOVERY_BUDGET_MS: u64 = 5_000;
 
 /// The verified manifest written by `ipmedia-lint --emit-manifest`:
 /// scenario content fingerprints mapped to their analysis verdict. Plain
@@ -253,19 +222,20 @@ impl Monitor {
         self.findings.is_empty()
     }
 
-    /// Judge the findings against per-invariant recovery-time objectives
-    /// for a chaos run whose last heal happened at `heal_at_micros`:
-    /// returns the findings that violate their objective. `IM102` is
-    /// fatal wherever it fires; `IM101`/`IM201`/`IM301` findings are
-    /// violations only when stamped *after* the heal plus their budget —
-    /// transient divergence inside the chaos window or the recovery
-    /// budget is the fault injector working as intended.
-    pub fn rto_violations(&self, heal_at_micros: u64, rto: &RecoveryObjectives) -> Vec<&Finding> {
+    /// Judge the findings against the recovery budget for a chaos run
+    /// whose last heal happened at `heal_at_micros`: returns the findings
+    /// that violate it. `IM102` and `IM401` are fatal wherever they fire;
+    /// `IM101`/`IM201`/`IM301` findings are violations only when stamped
+    /// *after* the heal plus [`RECOVERY_BUDGET_MS`] — transient divergence
+    /// inside the chaos window or the budget is the fault injector working
+    /// as intended.
+    pub fn rto_violations(&self, heal_at_micros: u64) -> Vec<&Finding> {
+        let deadline = heal_at_micros.saturating_add(RECOVERY_BUDGET_MS * 1_000);
         self.findings
             .iter()
-            .filter(|f| match rto.budget_ms(f.code) {
-                None => true,
-                Some(ms) => f.at_micros > heal_at_micros + ms * 1_000,
+            .filter(|f| match f.code {
+                IM_CONFORMANCE | IM_FLOWLINK | IM_TERMINAL => f.at_micros > deadline,
+                _ => true,
             })
             .collect()
     }
@@ -804,8 +774,20 @@ mod tests {
         let heal = 10_000_000u64;
         m.check_quiescent(heal + 2_000_000);
         assert!(!m.findings().is_empty());
-        let rto = RecoveryObjectives::default();
-        assert!(m.rto_violations(heal, &rto).is_empty());
+        assert!(m.rto_violations(heal).is_empty());
+    }
+
+    #[test]
+    fn a_heal_at_the_end_of_time_forgives_without_overflow() {
+        let mut m = Monitor::new();
+        m.ingest(0, &linked(0, 0, 1));
+        m.ingest(0, &trans(0, 0, "closed", "opening", "goal"));
+        m.ingest(0, &sent(0, 0, "open"));
+        m.check_quiescent(1_000_000);
+        assert!(m.findings().iter().any(|f| f.code == IM_FLOWLINK));
+        // The deadline saturates instead of wrapping: the IM201 finding
+        // lies inside the budget and is forgiven.
+        assert!(m.rto_violations(u64::MAX - 1).is_empty());
     }
 
     #[test]
@@ -816,8 +798,7 @@ mod tests {
         m.ingest(0, &sent(0, 0, "open"));
         let heal = 10_000_000u64;
         m.check_quiescent(heal + 6_000_000); // past the 5 s budget
-        let rto = RecoveryObjectives::default();
-        let v = m.rto_violations(heal, &rto);
+        let v = m.rto_violations(heal);
         assert!(v.iter().any(|f| f.code == IM_FLOWLINK));
         assert!(v.iter().any(|f| f.code == IM_TERMINAL));
     }
@@ -857,9 +838,8 @@ mod tests {
         assert!(f.detail.contains(fp), "{}", f.detail);
         assert!(f.ladder.contains("end-l"), "{}", f.ladder);
         // No recovery budget: IM401 is a violation whenever it fires.
-        let rto = RecoveryObjectives::default();
         assert!(m
-            .rto_violations(u64::MAX - 1, &rto)
+            .rto_violations(u64::MAX - 1)
             .iter()
             .any(|f| f.code == IM_UNVERIFIED));
     }
@@ -876,8 +856,7 @@ mod tests {
         let mut m = Monitor::new();
         // An action on a Closed slot at t=42us, long before any heal.
         m.ingest(42, &sent(2, 1, "oack"));
-        let rto = RecoveryObjectives::default();
-        let v = m.rto_violations(10_000_000, &rto);
+        let v = m.rto_violations(10_000_000);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].code, IM_CLOSED_ACTION);
     }

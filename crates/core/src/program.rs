@@ -302,12 +302,12 @@ impl ProgramBox {
         cmds
     }
 
-    /// [`ProgramBox::handle`] with observability — the stimulus itself, the
-    /// media-layer processing, and everything the logic does through its
-    /// [`Ctx`] are reported to `obs`; the caller reports the *sending* of
-    /// the [`BoxCmd::Signal`]s once it actually transmits them — appending
-    /// the commands to `cmds`. Both buffers are the caller's to reuse;
-    /// `notes` is scratch and comes back empty.
+    /// [`ProgramBox::handle`] with observability — the media-layer
+    /// processing and everything the logic does through its [`Ctx`] are
+    /// reported to `obs`; the caller reports the stimulus itself before,
+    /// and the *sending* of the [`BoxCmd::Signal`]s once it actually
+    /// transmits them — appending the commands to `cmds`. Both buffers are
+    /// the caller's to reuse; `notes` is scratch and comes back empty.
     pub(crate) fn handle_into(
         &mut self,
         input: BoxInput,
@@ -315,7 +315,6 @@ impl ProgramBox {
         cmds: &mut Vec<BoxCmd>,
         notes: &mut Vec<BoxNote>,
     ) {
-        obs.stimulus(self.media.id().0, input.kind());
         match &input {
             BoxInput::Tunnel { slot, signal } => {
                 self.media

@@ -167,28 +167,17 @@ pub fn reack_signals(slot: &Slot, incoming: &Signal) -> Vec<Signal> {
     }
 }
 
-/// Retransmission policy: capped exponential backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliableConfig {
-    /// First retransmission fires this long after the await appears. Must
-    /// comfortably exceed one fault-free round trip, or healthy runs pay
-    /// for spurious (if harmless) duplicates.
-    pub base_ms: u64,
-    /// Backoff cap: the interval doubles per attempt up to this bound.
-    pub max_ms: u64,
-    /// Give up and park the slot after this many retransmissions.
-    pub max_retries: u32,
-}
+/// The first retransmission fires this long (ms) after the await appears.
+/// It comfortably exceeds one fault-free round trip, so healthy runs do
+/// not pay for spurious (if harmless) duplicates.
+pub const BASE_MS: u64 = 200;
 
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        Self {
-            base_ms: 200,
-            max_ms: 3_200,
-            max_retries: 12,
-        }
-    }
-}
+/// Backoff cap (ms): the interval doubles per attempt up to this bound.
+pub const MAX_MS: u64 = 3_200;
+
+/// A slot parks after this many retransmissions: with [`BASE_MS`] and
+/// [`MAX_MS`], some 32 s after its await appeared.
+pub const MAX_RETRIES: u32 = 12;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Pending {
@@ -235,24 +224,14 @@ pub enum TimerAction {
 /// await, capped exponential backoff, and park-on-exhaustion.
 #[derive(Debug, Default)]
 pub struct Reliability {
-    cfg: ReliableConfig,
     pending: BTreeMap<SlotId, Pending>,
     parked: BTreeMap<SlotId, Await>,
 }
 
 impl Reliability {
-    /// Bookkeeping with the given retransmission configuration.
-    pub fn new(cfg: ReliableConfig) -> Self {
-        Self {
-            cfg,
-            pending: BTreeMap::new(),
-            parked: BTreeMap::new(),
-        }
-    }
-
-    /// The retransmission configuration in force.
-    pub fn config(&self) -> &ReliableConfig {
-        &self.cfg
+    /// Bookkeeping with nothing pending or parked.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// No retransmission is outstanding (every tracked await resolved).
@@ -314,7 +293,7 @@ impl Reliability {
                 );
                 cmds.push(BoxCmd::SetTimer {
                     id: retransmit_timer(*id),
-                    after_ms: self.cfg.base_ms,
+                    after_ms: BASE_MS,
                 });
             }
         }
@@ -340,7 +319,7 @@ impl Reliability {
             // The await resolved but the fire raced its cancellation.
             return Some(TimerAction::Stale);
         }
-        if p.attempts >= self.cfg.max_retries {
+        if p.attempts >= MAX_RETRIES {
             let what = p.what;
             self.pending.remove(&slot_id);
             self.parked.insert(slot_id, what);
@@ -348,12 +327,7 @@ impl Reliability {
         }
         p.attempts += 1;
         let factor = 1u64 << p.attempts.min(32);
-        let rearm_ms = self
-            .cfg
-            .base_ms
-            .saturating_mul(factor)
-            .min(self.cfg.max_ms)
-            .max(self.cfg.base_ms);
+        let rearm_ms = BASE_MS.saturating_mul(factor).min(MAX_MS);
         Some(TimerAction::Resend {
             slot: slot_id,
             signals: resend_signals(slot),
@@ -551,12 +525,7 @@ mod tests {
     fn reliability_arms_backs_off_and_recovers() {
         let mut pb = MediaBox::new(BoxId(1));
         pb.add_slot(SlotId(0), true);
-        let cfg = ReliableConfig {
-            base_ms: 100,
-            max_ms: 400,
-            max_retries: 3,
-        };
-        let mut rel = Reliability::new(cfg);
+        let mut rel = Reliability::new();
 
         // Nothing pending: no commands.
         let (cmds, rec) = rel.sync(&pb, 0);
@@ -574,29 +543,23 @@ mod tests {
             cmds,
             vec![BoxCmd::SetTimer {
                 id: retransmit_timer(SlotId(0)),
-                after_ms: 100
+                after_ms: BASE_MS
             }]
         );
         assert!(!rel.is_quiescent());
 
-        // First fire: resend with doubled backoff; then the cap binds.
+        // Each fire resends with the interval doubled, until the cap binds.
         let t = retransmit_timer(SlotId(0));
-        match rel.on_timer(&pb, t).unwrap() {
-            TimerAction::Resend {
-                signals, rearm_ms, ..
-            } => {
-                assert!(matches!(signals[0], Signal::Open { .. }));
-                assert_eq!(rearm_ms, 200);
+        for expected in [400, 800, 1_600, MAX_MS, MAX_MS] {
+            match rel.on_timer(&pb, t).unwrap() {
+                TimerAction::Resend {
+                    signals, rearm_ms, ..
+                } => {
+                    assert!(matches!(signals[0], Signal::Open { .. }));
+                    assert_eq!(rearm_ms, expected);
+                }
+                other => panic!("expected resend, got {other:?}"),
             }
-            other => panic!("expected resend, got {other:?}"),
-        }
-        match rel.on_timer(&pb, t).unwrap() {
-            TimerAction::Resend { rearm_ms, .. } => assert_eq!(rearm_ms, 400),
-            other => panic!("expected resend, got {other:?}"),
-        }
-        match rel.on_timer(&pb, t).unwrap() {
-            TimerAction::Resend { rearm_ms, .. } => assert_eq!(rearm_ms, 400, "capped"),
-            other => panic!("expected resend, got {other:?}"),
         }
 
         // The oack arrives: the await resolves and a recovery is reported.
@@ -607,7 +570,7 @@ mod tests {
                 desc: Descriptor::no_media(ts.next()),
             },
         );
-        let (cmds, rec) = rel.sync(&pb, 750);
+        let (cmds, rec) = rel.sync(&pb, 9_250);
         assert!(cmds
             .iter()
             .any(|c| matches!(c, BoxCmd::CancelTimer(id) if *id == t)));
@@ -617,20 +580,15 @@ mod tests {
         // immediately, so only check the recovery record.
         assert_eq!(rec.len(), 1);
         assert_eq!(rec[0].slot, SlotId(0));
-        assert_eq!(rec[0].attempts, 3);
-        assert_eq!(rec[0].elapsed_ms, 750);
+        assert_eq!(rec[0].attempts, 5);
+        assert_eq!(rec[0].elapsed_ms, 9_250);
     }
 
     #[test]
     fn exhausted_retries_park_the_slot() {
         let mut pb = MediaBox::new(BoxId(1));
         pb.add_slot(SlotId(0), true);
-        let cfg = ReliableConfig {
-            base_ms: 100,
-            max_ms: 400,
-            max_retries: 1,
-        };
-        let mut rel = Reliability::new(cfg);
+        let mut rel = Reliability::new();
         pb.set_goal(GoalSpec::Open {
             slot: SlotId(0),
             medium: Medium::Audio,
@@ -638,10 +596,12 @@ mod tests {
         });
         rel.sync(&pb, 0);
         let t = retransmit_timer(SlotId(0));
-        assert!(matches!(
-            rel.on_timer(&pb, t).unwrap(),
-            TimerAction::Resend { .. }
-        ));
+        for _ in 0..MAX_RETRIES {
+            assert!(matches!(
+                rel.on_timer(&pb, t).unwrap(),
+                TimerAction::Resend { .. }
+            ));
+        }
         assert!(matches!(
             rel.on_timer(&pb, t).unwrap(),
             TimerAction::Parked { slot } if slot == SlotId(0)
@@ -649,7 +609,7 @@ mod tests {
         assert_eq!(rel.parked_slots().collect::<Vec<_>>(), vec![SlotId(0)]);
 
         // While parked with the same await, sync does not re-arm.
-        let (cmds, _) = rel.sync(&pb, 1_000);
+        let (cmds, _) = rel.sync(&pb, 40_000);
         assert!(cmds.is_empty());
 
         // Once the await resolves (peer finally answers), the park clears.
@@ -660,14 +620,14 @@ mod tests {
                 desc: Descriptor::no_media(ts.next()),
             },
         );
-        let (_, _) = rel.sync(&pb, 1_100);
+        let (_, _) = rel.sync(&pb, 41_000);
         assert!(rel.parked_slots().next().is_none());
     }
 
     #[test]
     fn app_timers_pass_through() {
         let pb = MediaBox::new(BoxId(1));
-        let mut rel = Reliability::new(ReliableConfig::default());
+        let mut rel = Reliability::new();
         assert!(rel.on_timer(&pb, TimerId(3)).is_none());
     }
 }

@@ -6,7 +6,7 @@
 
 use ipmedia_core::hash::splitmix64_next;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost, Outcome};
-use ipmedia_core::reliable::{self, ReliableConfig};
+use ipmedia_core::reliable;
 use ipmedia_core::{
     AppLogic, Availability, BoxCmd, BoxId, BoxInput, ChannelId, ChannelMsg, Ctx, EndpointLogic,
     EndpointPolicy, MediaAddr, Medium, MetaSignal, NullLogic, Outgoing, Signal, SlotId, SlotRange,
@@ -281,7 +281,7 @@ fn duplicate_open_is_reacked_only_with_reliability_on() {
     for reliable in [false, true] {
         let (mut a, mut b) = (phone(1), phone(2));
         if reliable {
-            b.enable_reliability(ReliableConfig::default());
+            b.enable_reliability();
             assert_eq!(feed(&mut b, Input::Rearm), []);
         }
         let ch = ChannelId(0);

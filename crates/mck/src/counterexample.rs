@@ -43,36 +43,27 @@ pub fn replay(cfg: &CheckConfig, trace: &[Action]) -> Option<PathState> {
     Some(state)
 }
 
-/// Greedily shrink a counterexample trace: repeatedly delete any single
-/// action whose removal still yields a legal run whose final state
-/// satisfies `keep`, until no single deletion survives. Deletions are
-/// tried left-to-right, so the result is deterministic — the same input
-/// trace minimizes to the same ladder however the graph that produced it
-/// was explored.
+/// Greedily shrink a counterexample trace with [`ipmedia_core::shrink`]:
+/// each candidate deletes one action, the first action first, and counts
+/// only if it still replays to a final state satisfying `keep`. The result
+/// is deterministic — the same input trace minimizes to the same ladder
+/// however the graph that produced it was explored.
 pub fn minimize_trace(
     cfg: &CheckConfig,
     trace: &[Action],
     keep: &dyn Fn(&CheckConfig, &PathState) -> bool,
 ) -> Vec<Action> {
-    let mut current: Vec<Action> = trace.to_vec();
-    let mut improved = true;
-    while improved {
-        improved = false;
-        let mut i = 0;
-        while i < current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(i);
-            match replay(cfg, &candidate) {
-                Some(fin) if keep(cfg, &fin) => {
-                    current = candidate;
-                    improved = true;
-                    // Re-test the same index: it now holds the next action.
-                }
-                _ => i += 1,
-            }
-        }
-    }
-    current
+    let drop_one_action = |t: &Vec<Action>| {
+        let t = t.clone();
+        (0..t.len()).map(move |i| {
+            let mut cand = t.clone();
+            cand.remove(i);
+            cand
+        })
+    };
+    ipmedia_core::shrink(trace.to_vec(), drop_one_action, |cand| {
+        replay(cfg, cand).is_some_and(|fin| keep(cfg, &fin))
+    })
 }
 
 /// Minimize the graph's counterexample for `violation`. For terminal

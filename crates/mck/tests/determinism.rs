@@ -101,4 +101,11 @@ fn minimized_counterexample_ladder_repeats_run_to_run() {
     let base = ladder();
     assert!(!base.is_empty());
     assert_eq!(ladder(), base);
+    // The ladder itself is pinned, so a change to the minimizer that
+    // picks a different (if equally minimal) trace shows as a diff.
+    let golden = include_str!("fixtures/open_open_wrong_spec_ladder.txt");
+    assert_eq!(
+        base, golden,
+        "minimized ladder drifted from the fixture;\nactual:\n{base}"
+    );
 }

@@ -15,7 +15,7 @@ use ipmedia_core::goal::UserCmd;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost, Outcome};
 use ipmedia_core::ids::{BoxId, ChannelId, SlotId};
 use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox};
-use ipmedia_core::reliable::{self, ReliableConfig};
+use ipmedia_core::reliable;
 use ipmedia_core::signal::{ChannelMsg, Signal};
 use ipmedia_core::{prefetch, MediaBox};
 use ipmedia_obs::clock::ManualClock;
@@ -329,8 +329,8 @@ impl Network {
 
     /// Enable the §VI retransmission/recovery layer on a box. Awaits
     /// already outstanding are armed immediately.
-    pub fn enable_reliability(&mut self, id: BoxId, cfg: ReliableConfig) {
-        self.nodes[ix(id)].host.enable_reliability(cfg);
+    pub fn enable_reliability(&mut self, id: BoxId) {
+        self.nodes[ix(id)].host.enable_reliability();
         self.deliver(id, Input::Rearm, None, None);
     }
 

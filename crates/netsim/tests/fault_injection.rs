@@ -8,7 +8,6 @@ use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::path::PathEnds;
-use ipmedia_core::reliable::ReliableConfig;
 use ipmedia_core::{MediaAddr, Medium};
 use ipmedia_netsim::{FaultPlan, Network, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::{CountingObserver, Registry};
@@ -39,7 +38,7 @@ fn flowlinked_call(fault: Option<(u64, f64)>) -> (Vec<String>, Arc<Registry>) {
         net.set_fault_plan(ch_r, FaultPlan::chaos(seed ^ 0xBEEF, loss));
     }
     for id in [l, srv, r] {
-        net.enable_reliability(id, ReliableConfig::default());
+        net.enable_reliability(id);
     }
     net.run_until_quiescent(T_MAX);
 
@@ -138,8 +137,8 @@ fn chaos_seeds_sweep_direct_call() {
         let b = net.add_box("phone-b", audio_endpoint(2));
         let (ch, sa, sb) = net.connect(a, b, 1);
         net.set_fault_plan(ch, FaultPlan::chaos(seed, 0.10));
-        net.enable_reliability(a, ReliableConfig::default());
-        net.enable_reliability(b, ReliableConfig::default());
+        net.enable_reliability(a);
+        net.enable_reliability(b);
         net.run_until_quiescent(T_MAX);
 
         net.user(a, sa[0], UserCmd::Open(Medium::Audio));
@@ -167,8 +166,8 @@ fn open_open_race_survives_duplication_and_reordering() {
             ch,
             FaultPlan::new(seed).with_duplicate(0.35).with_reorder(0.35),
         );
-        net.enable_reliability(a, ReliableConfig::default());
-        net.enable_reliability(b, ReliableConfig::default());
+        net.enable_reliability(a);
+        net.enable_reliability(b);
         net.run_until_quiescent(T_MAX);
 
         // Both ends open the same tunnel simultaneously.
@@ -194,8 +193,8 @@ fn crash_during_setup_recovers_after_restart() {
     let a = net.add_box("phone-a", audio_endpoint(1));
     let b = net.add_box("phone-b", audio_endpoint(2));
     let (_, sa, sb) = net.connect(a, b, 1);
-    net.enable_reliability(a, ReliableConfig::default());
-    net.enable_reliability(b, ReliableConfig::default());
+    net.enable_reliability(a);
+    net.enable_reliability(b);
     net.run_until_quiescent(T_MAX);
 
     // B goes dark for a second just as A opens: the open and the first few
@@ -229,22 +228,16 @@ fn unreachable_peer_parks_instead_of_panicking() {
     let a = net.add_box("phone-a", audio_endpoint(1));
     let b = net.add_box("phone-b", audio_endpoint(2));
     let (_, sa, _) = net.connect(a, b, 1);
-    net.enable_reliability(
-        a,
-        ReliableConfig {
-            base_ms: 100,
-            max_ms: 400,
-            max_retries: 3,
-        },
-    );
+    net.enable_reliability(a);
     net.run_until_quiescent(T_MAX);
 
     // B is down for good: A retries, backs off, and parks the slot in a
-    // recovering state instead of spinning or panicking.
+    // recovering state instead of spinning or panicking. Its twelve
+    // retransmissions span some 32 s (200 ms doubling to a 3.2 s cap).
     let t = net.now();
     net.schedule_crash(b, t, SimDuration(T_MAX.0));
     net.user(a, sa[0], UserCmd::Open(Medium::Audio));
-    net.run_until_quiescent(SimTime(10_000_000));
+    net.run_until_quiescent(SimTime(60_000_000));
 
     assert_eq!(net.parked_slots(a), vec![sa[0]]);
     assert!(!net.converged(a), "the await is still outstanding");

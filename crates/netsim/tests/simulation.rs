@@ -396,35 +396,34 @@ fn open_open_race_within_one_tunnel_resolves() {
     assert!(PathEnds::new(slot_a, slot_b).both_flowing());
 }
 
-#[test]
-fn far_end_channel_down_is_observed() {
-    use ipmedia_core::{AppLogic, BoxCmd, BoxInput, ChannelId, Ctx, SlotId};
-    use ipmedia_obs::{ObsEvent, RecordingObserver};
+/// Closes its other leg when one leg's channel is destroyed.
+#[derive(Default)]
+struct HangupRelay {
+    legs: Vec<(ipmedia_core::ChannelId, SlotId)>,
+}
 
-    /// Closes its other leg when one leg's channel is destroyed.
-    #[derive(Default)]
-    struct HangupRelay {
-        legs: Vec<(ChannelId, SlotId)>,
-    }
-    impl AppLogic for HangupRelay {
-        fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
-            match input {
-                BoxInput::ChannelUp { channel, slots, .. } => self.legs.push((*channel, slots[0])),
-                BoxInput::ChannelDown { channel } => {
-                    self.legs.retain(|(ch, _)| ch != channel);
-                    for &(_, slot) in &self.legs {
-                        ctx.set_goal(GoalSpec::Close { slot });
-                    }
+impl ipmedia_core::AppLogic for HangupRelay {
+    fn handle(&mut self, input: &ipmedia_core::BoxInput, ctx: &mut ipmedia_core::Ctx<'_>) {
+        use ipmedia_core::BoxInput;
+        match input {
+            BoxInput::ChannelUp { channel, slots, .. } => self.legs.push((*channel, slots[0])),
+            BoxInput::ChannelDown { channel } => {
+                self.legs.retain(|(ch, _)| ch != channel);
+                for &(_, slot) in &self.legs {
+                    ctx.set_goal(GoalSpec::Close { slot });
                 }
-                _ => {}
             }
+            _ => {}
         }
     }
+}
 
-    let mut net = Network::new(SimConfig::paper());
-    let rec = RecordingObserver::new(net.clock());
-    let log = rec.log();
-    net.set_observer(Box::new(rec));
+/// A flowing call `phone-l — relay — phone-r` through a [`HangupRelay`]
+/// whose two slots are flowlinked; returns the left phone with its
+/// channel to the relay, then the relay with its left and right slots.
+fn hangup_relay_call(
+    net: &mut Network,
+) -> ((BoxId, ipmedia_core::ChannelId), (BoxId, SlotId, SlotId)) {
     let l = net.add_box("phone-l", audio_endpoint(1));
     let relay = net.add_box("relay", Box::<HangupRelay>::default());
     let r = net.add_box("phone-r", audio_endpoint(2));
@@ -436,14 +435,27 @@ fn far_end_channel_down_is_observed() {
     net.user(l, sl[0], UserCmd::Open(Medium::Audio));
     net.run_until_quiescent(T_MAX);
     assert!(net.media(r).slot(sr[0]).unwrap().is_flowing());
+    ((l, ch_l), (relay, a, b))
+}
+
+#[test]
+fn far_end_channel_down_is_observed() {
+    use ipmedia_core::BoxCmd;
+    use ipmedia_obs::{ObsEvent, RecordingObserver};
+
+    let mut net = Network::new(SimConfig::paper());
+    let rec = RecordingObserver::new(net.clock());
+    let log = rec.log();
+    net.set_observer(Box::new(rec));
+    let ((l, ch_l), (relay, relay_l, relay_r)) = hangup_relay_call(&mut net);
 
     // The left phone destroys its channel; the relay hears of it one
     // network latency later and hangs up the right leg.
     let before = log.lock().unwrap().len();
     net.apply(l, move |_| vec![BoxCmd::CloseChannel(ch_l)]);
     net.run_until_quiescent(T_MAX);
-    assert!(net.media(relay).slot(relay_l[0]).is_none());
-    assert!(net.media(r).slot(sr[0]).unwrap().is_closed());
+    assert!(net.media(relay).slot(relay_l).is_none());
+    assert!(net.media(relay).slot(relay_r).unwrap().is_closed());
 
     let at_relay: Vec<ObsEvent> = log.lock().unwrap()[before..]
         .iter()
@@ -459,30 +471,30 @@ fn far_end_channel_down_is_observed() {
             )
         })
         .collect();
-    // The flowlink dies with the left slot, the teardown is its own
-    // stimulus kind, and the goal and slot activity the program's
+    // The teardown is its own stimulus kind, the flowlink dies with the
+    // left slot inside it, and the goal and slot activity the program's
     // reaction causes is visible.
     assert_eq!(
         at_relay[..4],
         [
-            ObsEvent::GoalDropped {
-                bx: relay.0,
-                slot: relay_l[0].0,
-                kind: "flowLink"
-            },
             ObsEvent::Stimulus {
                 bx: relay.0,
                 kind: "channel_down"
             },
+            ObsEvent::GoalDropped {
+                bx: relay.0,
+                slot: relay_l.0,
+                kind: "flowLink"
+            },
             ObsEvent::GoalActivated {
                 bx: relay.0,
-                slot: relay_r[0].0,
+                slot: relay_r.0,
                 kind: "closeSlot",
                 peer: None,
             },
             ObsEvent::SlotTransition {
                 bx: relay.0,
-                slot: relay_r[0].0,
+                slot: relay_r.0,
                 from: "flowing",
                 to: "closing",
                 cause: "goal"
@@ -490,6 +502,33 @@ fn far_end_channel_down_is_observed() {
         ],
         "{at_relay:#?}"
     );
+}
+
+#[test]
+fn goals_dropped_by_a_channel_down_are_traced_under_it() {
+    use ipmedia_core::BoxCmd;
+    use ipmedia_obs::trace::SpanSink;
+
+    let mut net = Network::new(SimConfig::paper());
+    let sink = std::sync::Arc::new(SpanSink::new(4_096));
+    net.enable_tracing(sink.clone());
+    let ((l, ch_l), (relay, relay_l, _)) = hangup_relay_call(&mut net);
+    net.apply(l, move |_| vec![BoxCmd::CloseChannel(ch_l)]);
+    net.run_until_quiescent(T_MAX);
+
+    let spans = sink.snapshot();
+    let dropped = format!("s{}: -flowLink", relay_l.0);
+    let drop = spans
+        .iter()
+        .find(|s| s.bx == relay.0 && s.label == dropped)
+        .unwrap_or_else(|| panic!("no span for the dropped flowlink: {spans:#?}"));
+    let parent = spans
+        .iter()
+        .find(|s| Some(s.id) == drop.parent)
+        .expect("the drop has a parent span");
+    assert_eq!(parent.bx, relay.0);
+    assert_eq!(parent.kind, "stimulus");
+    assert!(parent.label.starts_with("channel_down"), "{parent:?}");
 }
 
 #[test]
