@@ -22,6 +22,13 @@ use crate::signal::{Availability, ChannelMsg, MetaSignal};
 use ipmedia_obs::trace::{SpanCtx, Tracer};
 use ipmedia_obs::Observer;
 
+/// The most slots one box holds at once. A channel that would take a box
+/// past it is refused, whoever asked: a peer's channel is turned away, and
+/// the box's own dial comes back unavailable. Eight times the slots of the
+/// busiest node the benchmark runs (512, on `rt_waves`), and far below the
+/// end of the `u16` slot ids.
+pub const MAX_SLOTS: u16 = 4096;
+
 /// A harness closure over the box; the commands it returns are executed
 /// like the program's own. What it does to the box itself goes
 /// unobserved (see [`Input::Apply`]).
@@ -295,6 +302,12 @@ impl NodeHost {
         self.pb.prefetch();
     }
 
+    /// The generations of the timers the box and its reliability layer
+    /// armed.
+    pub fn timers(&self) -> &TimerGenerations {
+        &self.timers
+    }
+
     /// Slots that exhausted their retransmissions and parked.
     pub fn parked_slots(&self) -> Vec<SlotId> {
         self.reliab
@@ -309,21 +322,39 @@ impl NodeHost {
         self.reliab = Some(Box::new(Reliability::new()));
     }
 
+    /// True iff a channel of `tunnels` more slots fits in the box: it
+    /// stays within [`MAX_SLOTS`] live slots and within the slot ids left
+    /// to deal.
+    pub fn fits(&self, tunnels: u16) -> bool {
+        let live: usize = self
+            .channels
+            .iter()
+            .map(|(_, s)| usize::from(s.len()))
+            .sum();
+        live + usize::from(tunnels) <= usize::from(MAX_SLOTS)
+            && self.next_slot.checked_add(tunnels).is_some()
+    }
+
     /// Register a channel: deal one slot per tunnel, consecutively.
     /// `initiator` is true iff this box initiated the channel. Registering
     /// is separate from [`Input::ChannelUp`] because a substrate may learn
     /// of a channel (and must fix its slot ids) before the box is told.
+    /// A channel that does not [`fit`](NodeHost::fits) is refused: `None`,
+    /// and nothing is registered.
     pub fn register_channel(
         &mut self,
         channel: ChannelId,
         tunnels: u16,
         initiator: bool,
-    ) -> SlotRange {
+    ) -> Option<SlotRange> {
         let Err(at) = self.channel_index(channel) else {
             panic!("channel {channel:?} already registered");
         };
+        if !self.fits(tunnels) {
+            return None;
+        }
         let first = SlotId(self.next_slot);
-        self.next_slot = first.0.checked_add(tunnels).expect("slot ids fit u16");
+        self.next_slot += tunnels;
         let slots = SlotRange {
             first,
             len: tunnels,
@@ -332,7 +363,18 @@ impl NodeHost {
             self.pb.media_mut().add_slot(slot, initiator);
         }
         self.channels.insert(at, (channel, slots));
-        slots
+        Some(slots)
+    }
+
+    /// Register the channel a dial of this box set up, `answered` or left
+    /// half-open, and return whether it is up. A dial whose tunnels do not
+    /// [`fit`](NodeHost::fits) comes back half-open with no slots, as if
+    /// nobody had answered: [`Input::dial_outcome`] then reports its peer
+    /// unavailable.
+    pub fn register_dialed(&mut self, channel: ChannelId, tunnels: u16, answered: bool) -> bool {
+        let fits = self.fits(tunnels);
+        self.register_channel(channel, if fits { tunnels } else { 0 }, true);
+        answered && fits
     }
 
     /// Apply one input. Effects are appended to `bufs.effects` in the
@@ -662,14 +704,18 @@ impl NodeHost {
         out.push(Effect::ArmTimer { id, gen, after_ms });
     }
 
-    /// Remove a channel with its slots (and so their routes), reporting
-    /// the goals that die with them; false if unknown.
+    /// Remove a channel with its slots (and so their routes and their
+    /// retransmission timers), reporting the goals that die with them;
+    /// false if unknown.
     fn drop_channel(&mut self, channel: ChannelId, obs: &mut dyn Observer) -> bool {
         let Ok(at) = self.channel_index(channel) else {
             return false;
         };
         for slot in self.channels.remove(at).1.iter() {
             self.pb.media_mut().remove_slot(slot, obs);
+            // Slot ids are never reused: a fire still scheduled for the
+            // slot reads as stale with its generation gone too.
+            self.timers.forget(reliable::retransmit_timer(slot));
         }
         true
     }

@@ -38,6 +38,7 @@ pub mod goal;
 pub mod hash;
 pub mod host;
 pub mod ids;
+pub mod link;
 pub mod monitor;
 pub mod par;
 pub mod path;
@@ -63,6 +64,7 @@ pub use goal::{
     Outgoing, Policy, UserAgent, UserCmd, UserNote,
 };
 pub use ids::{BoxId, ChannelId, SlotId, SlotRange, SlotRef, TunnelId};
+pub use link::{backoff_delays, jitter_seed, Link, LinkState, ReconnectPolicy};
 pub use path::{ChannelLink, EndGoal, PathEnds, PathSpec, PathType, Topology};
 pub use prefetch::prefetch;
 pub use program::{

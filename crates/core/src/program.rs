@@ -73,6 +73,25 @@ impl TimerGenerations {
         }
     }
 
+    /// Forget a timer that is never armed again, its slot gone for good:
+    /// any fire still scheduled reads as stale, and the table holds the
+    /// timers of the live slots, not of every slot the box ever had.
+    pub fn forget(&mut self, id: TimerId) {
+        if let Some(i) = self.gens.iter().position(|(t, _)| *t == id) {
+            self.gens.swap_remove(i);
+        }
+    }
+
+    /// Timers the table holds a generation for.
+    pub fn len(&self) -> usize {
+        self.gens.len()
+    }
+
+    /// True iff no timer was ever armed, or every one was forgotten.
+    pub fn is_empty(&self) -> bool {
+        self.gens.is_empty()
+    }
+
     /// True iff a fire stamped with `gen` is still current and must be
     /// delivered to the application.
     pub fn is_current(&self, id: TimerId, gen: u64) -> bool {

@@ -80,7 +80,7 @@ fn channel_up_routes_signals_and_channel_down_removes_them() {
     assert_eq!(feed(&mut host, Input::Inject(BoxInput::Start)), []);
 
     let ch = ChannelId(7);
-    let slots = host.register_channel(ch, 2, true).to_vec();
+    let slots = host.register_channel(ch, 2, true).unwrap().to_vec();
     assert_eq!(slots, [SlotId(0), SlotId(1)]);
     assert_eq!(
         feed(
@@ -159,7 +159,9 @@ fn channel_up_routes_signals_and_channel_down_removes_them() {
         .activated
     );
     assert_eq!(
-        host.register_channel(ChannelId(8), 1, false).to_vec(),
+        host.register_channel(ChannelId(8), 1, false)
+            .unwrap()
+            .to_vec(),
         [SlotId(2)]
     );
 }
@@ -522,7 +524,7 @@ fn routes_read_off_the_channel_table_match_the_old_route_map() {
                     }
                 };
                 let tunnels = ((r >> 8) % 4) as u16;
-                let slots = host.register_channel(ch, tunnels, r & 1 == 0);
+                let slots = host.register_channel(ch, tunnels, r & 1 == 0).unwrap();
                 // Consecutive, and never an id dealt before.
                 assert_eq!(
                     slots.to_vec(),
@@ -559,5 +561,38 @@ fn routes_read_off_the_channel_table_match_the_old_route_map() {
         if seed == 0 {
             assert!(channels.len() >= 64 && dealt > 64, "the gateway ran");
         }
+    }
+}
+
+/// A slot's retransmission timer goes with the slot: a box that takes
+/// channel after channel down mid-`open`, reliability on, keeps a timer
+/// table the size of its live slots, not of every slot it ever had.
+#[test]
+fn a_removed_slots_retransmit_timer_is_forgotten() {
+    let mut host = phone(1);
+    host.enable_reliability();
+    feed(&mut host, Input::Rearm);
+    let mut after_first = None;
+    for c in 0..64 {
+        let channel = ChannelId(c);
+        let slot = host.register_channel(channel, 1, true).unwrap().to_vec()[0];
+        feed(&mut host, Input::ChannelUp { channel, req: None });
+        let open = Input::User {
+            slot,
+            cmd: UserCmd::Open(Medium::Audio),
+        };
+        let armed = feed(&mut host, open);
+        assert!(
+            armed.iter().any(|e| matches!(e, Effect::ArmTimer { id, .. }
+                if *id == reliable::retransmit_timer(slot))),
+            "the open awaits its oack"
+        );
+        feed(&mut host, Input::ChannelDown { channel });
+        let held = host.timers().len();
+        let first = *after_first.get_or_insert(held);
+        assert!(
+            held <= first,
+            "channel {c}: {held} timers, {first} after the first"
+        );
     }
 }

@@ -13,7 +13,8 @@ use crate::time::{SimDuration, SimTime};
 use ipmedia_core::boxes::GoalSpec;
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost, Outcome};
-use ipmedia_core::ids::{BoxId, ChannelId, SlotId};
+use ipmedia_core::ids::{BoxId, ChannelId, SlotId, SlotRange};
+use ipmedia_core::link::{jitter_seed, Command, Event, Link, LinkState, ReconnectPolicy};
 use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, ProgramBox};
 use ipmedia_core::reliable;
 use ipmedia_core::signal::{ChannelMsg, Signal};
@@ -64,6 +65,31 @@ enum Ev {
         to: BoxId,
         input: Input,
         from: Option<BoxId>,
+    },
+    /// A message `from` sent on connection `gen` of its channel, once some
+    /// channel has lost a connection ([`Network::schedule_disconnect`]):
+    /// delivered as `Input` is, unless that connection has since died.
+    /// Until then every message is an `Input`, and left on connection 0.
+    Frame {
+        to: BoxId,
+        input: Input,
+        from: BoxId,
+        gen: u32,
+    },
+    /// The connection under a channel breaks, as a TCP reset breaks it:
+    /// both ends' lifecycles hear of it at once.
+    Disconnect { ch: ChannelId },
+    /// The initiator's lifecycle makes a connection attempt.
+    Attempt { ch: ChannelId, gen: u32 },
+    /// An attempt's outcome reaches the initiator, a round trip after it
+    /// was made: it landed iff connection `gen` is still up at the far end.
+    Dialed { ch: ChannelId, gen: u32 },
+    /// A frame written to dead connection `gen` got no acknowledgement:
+    /// the writing end (`initiator` or not) hears of the death.
+    Lost {
+        ch: ChannelId,
+        initiator: bool,
+        gen: u32,
     },
     /// The box goes down: inputs and timer fires addressed to it are lost
     /// until the matching `Restart`. Protocol state survives (a transient
@@ -191,6 +217,10 @@ pub struct Network {
     partitions: HashMap<(BoxId, BoxId), (bool, bool)>,
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
+    /// The connection lifecycles, initiator's end first, of the channels
+    /// that lost a connection (see [`Network::schedule_disconnect`]). A
+    /// channel that never did has none and pays nothing for it.
+    links: HashMap<ChannelId, [Link; 2]>,
     events: EventQueue<Scheduled>,
     /// The boxes whose `Node` the last `RING` steps fetched, oldest at
     /// `fetched_at` (see [`NODE_AHEAD`]).
@@ -225,6 +255,7 @@ impl Network {
             faults: HashMap::new(),
             partitions: HashMap::new(),
             bursts: HashMap::new(),
+            links: HashMap::new(),
             events: EventQueue::default(),
             fetched: [None; RING],
             fetched_at: 0,
@@ -394,6 +425,22 @@ impl Network {
         self.push(at, Ev::BurstStart { ch, plan, until }, None);
     }
 
+    /// Schedule the loss of the connection under channel `ch` at `at`, the
+    /// analogue of a TCP reset. Both ends' lifecycles ([`Link`]) hear of
+    /// it at once: the acceptor's channel goes down, and the initiator
+    /// parks its slots and re-dials on the lifecycle's delays, each
+    /// attempt reaching the far end only as [`Network::open_channel`]'s
+    /// rule allows and the far end is up. An attempt that lands gives the
+    /// acceptor the channel anew (fresh slots, `ChannelUp`) and the
+    /// initiator `Resync` a round trip later; when the attempts run out
+    /// the initiator's channel goes down too. Messages still in flight on
+    /// the dead connection are dropped where they arrive. A half-open or
+    /// closed channel has no connection to lose.
+    pub fn schedule_disconnect(&mut self, at: SimTime, ch: ChannelId) {
+        assert!(at >= self.now, "cannot schedule in the past");
+        self.push(at, Ev::Disconnect { ch }, None);
+    }
+
     /// Current block flags between two boxes as `(a→b, b→a)`.
     pub fn partition_between(&self, a: BoxId, b: BoxId) -> (bool, bool) {
         let key = pair_key(a, b);
@@ -408,6 +455,14 @@ impl Network {
     /// True iff traffic from `from` to `to` is currently cut.
     fn blocked(&self, from: BoxId, to: BoxId) -> bool {
         self.partition_between(from, to).0
+    }
+
+    /// True iff channel setup from `from` reaches `to`. Setup is a round
+    /// trip, so a partition in either direction makes the target as
+    /// unreachable as an unavailable one.
+    fn reachable(&self, from: BoxId, to: BoxId) -> bool {
+        let (ab, ba) = self.partition_between(from, to);
+        self.nodes[ix(to)].available && !ab && !ba
     }
 
     /// All channels whose endpoints are exactly this box pair (either
@@ -479,16 +534,15 @@ impl Network {
     }
 
     /// Allocate a channel id, record its two ends, and register it (slot
-    /// ids are fixed here) with the host at each.
+    /// ids are fixed here) with the host at each: `a` dialed it, and `b`,
+    /// if any, has room for it.
     fn pair(&mut self, a: BoxId, b: Option<BoxId>, tunnels: u16) -> ChannelId {
         let ch = ChannelId(u32::try_from(self.channels.len()).expect("channel ids fit u32"));
         self.channels.push(Some(Channel { a, b }));
-        for (id, initiator) in [(Some(a), true), (b, false)] {
-            if let Some(id) = id {
-                self.nodes[ix(id)]
-                    .host
-                    .register_channel(ch, tunnels, initiator);
-            }
+        let up = b.is_some();
+        self.nodes[ix(a)].host.register_dialed(ch, tunnels, up);
+        if let Some(b) = b {
+            self.nodes[ix(b)].host.register_channel(ch, tunnels, false);
         }
         ch
     }
@@ -548,6 +602,35 @@ impl Network {
         self.push(at, Ev::Input { to, input, from }, ctx);
     }
 
+    /// Schedule the arrival at `to` of a message `from` sent on
+    /// connection `gen` of its channel, `None` while no channel has lost
+    /// a connection.
+    #[inline]
+    fn push_msg(
+        &mut self,
+        at: SimTime,
+        to: BoxId,
+        input: Input,
+        from: BoxId,
+        gen: Option<u32>,
+        ctx: Option<SpanCtx>,
+    ) {
+        let ev = match gen {
+            None => Ev::Input {
+                to,
+                input,
+                from: Some(from),
+            },
+            Some(gen) => Ev::Frame {
+                to,
+                input,
+                from,
+                gen,
+            },
+        };
+        self.push(at, ev, ctx);
+    }
+
     fn push(&mut self, at: SimTime, ev: Ev, ctx: Option<SpanCtx>) {
         let ctx = ctx.map(Box::new);
         self.events.push(at, Scheduled { ev, ctx });
@@ -568,7 +651,30 @@ impl Network {
             t.clear_current();
         }
         match sch.ev {
-            Ev::Input { to, input, from } => self.deliver(to, input, from, sch.ctx.map(|c| *c)),
+            // A message sent before any channel lost a connection left on
+            // its channel's first one.
+            Ev::Input { to, input, from } => {
+                if self.links.is_empty() || self.current(to, &input, 0) {
+                    self.deliver(to, input, from, sch.ctx.map(|c| *c));
+                }
+            }
+            Ev::Frame {
+                to,
+                input,
+                from,
+                gen,
+            } => {
+                if self.current(to, &input, gen) {
+                    self.deliver(to, input, Some(from), sch.ctx.map(|c| *c));
+                }
+            }
+            Ev::Disconnect { ch } => self.disconnect(ch),
+            Ev::Attempt { ch, gen } => self.attempt(ch, gen),
+            Ev::Dialed { ch, gen } => {
+                let landed = self.links.get(&ch).is_some_and(|l| l[1].admits(gen));
+                self.link_event(ch, true, Event::Dialed(landed));
+            }
+            Ev::Lost { ch, initiator, gen } => self.link_event(ch, initiator, Event::Lost(gen)),
             Ev::Crash { to } => {
                 if let Some(node) = self.nodes.get_mut(ix(to)) {
                     node.down = true;
@@ -749,6 +855,14 @@ impl Network {
             self.obs.fault_injected(from.0, "partition");
             return;
         }
+        let gen = if self.links.is_empty() {
+            None
+        } else {
+            let Some(gen) = self.writes_on(ch, from, sent) else {
+                return;
+            };
+            Some(gen)
+        };
         let at = sent + self.cfg.net_latency;
         // Meta traffic rides the same links (so partitions swallow it
         // too) but is not subject to per-signal fault plans.
@@ -766,7 +880,7 @@ impl Network {
         };
         let Some(plan) = plan else {
             let input = Input::Msg { channel: ch, msg };
-            return self.push_input(at, peer, input, Some(from), ctx);
+            return self.push_msg(at, peer, input, from, gen, ctx);
         };
         match plan.fate() {
             SendFate::Dropped => self.obs.fault_injected(from.0, "drop"),
@@ -785,7 +899,7 @@ impl Network {
                         msg.clone().expect("kept until last")
                     };
                     let input = Input::Msg { channel: ch, msg };
-                    self.push_input(at + copy.extra_delay, peer, input, Some(from), ctx);
+                    self.push_msg(at + copy.extra_delay, peer, input, from, gen, ctx);
                 }
             }
         }
@@ -800,14 +914,12 @@ impl Network {
         sent: SimTime,
         ctx: Option<SpanCtx>,
     ) {
-        // Channel setup is a round trip, so a partition in either
-        // direction makes the target as unreachable as an unavailable
-        // one. Then the requester is left with a half-open channel it can
+        // An unreachable target, or a channel that does not fit either
+        // box, leaves the requester with a half-open channel it can
         // observe and destroy (Fig. 6's busy branch).
-        let target = self.names.get(to_name).copied().filter(|t| {
-            let (ab, ba) = self.partition_between(from, *t);
-            self.nodes[ix(*t)].available && !ab && !ba
-        });
+        let fits = |id: BoxId| self.nodes[ix(id)].host.fits(tunnels);
+        let target = self.names.get(to_name).copied();
+        let target = target.filter(|t| self.reachable(from, *t) && fits(*t) && fits(from));
         let ch = self.pair(from, target, tunnels);
 
         // One-way setup message + acknowledgement: the requester learns the
@@ -850,6 +962,142 @@ impl Network {
         if let Some(peer) = channel.peer_of(from) {
             let down = Input::ChannelDown { channel: ch };
             self.push_input(sent + self.cfg.net_latency, peer, down, None, None);
+        }
+        if !self.links.is_empty() {
+            self.links.remove(&ch);
+        }
+    }
+
+    /// The two ends of a channel with a connection under it.
+    fn ends(&self, ch: ChannelId) -> Option<(BoxId, BoxId)> {
+        let channel = self.channels.get(ch.0 as usize)?.as_ref()?;
+        Some((channel.a, channel.b?))
+    }
+
+    /// True iff `input` still counts at `to`: a message that left on a
+    /// connection its channel has since lost or replaced does not.
+    fn current(&self, to: BoxId, input: &Input, gen: u32) -> bool {
+        let Input::Msg { channel, .. } = input else {
+            return true;
+        };
+        let Some((ends, (a, _))) = self.links.get(channel).zip(self.ends(*channel)) else {
+            return true;
+        };
+        ends[usize::from(to != a)].admits(gen)
+    }
+
+    /// The connection a frame `from` writes on channel `ch` at `sent`
+    /// leaves on. A frame written to a dead connection is lost (`None`),
+    /// and the end hears of the death a round trip later, when no
+    /// acknowledgement came.
+    fn writes_on(&mut self, ch: ChannelId, from: BoxId, sent: SimTime) -> Option<u32> {
+        let (Some(ends), Some((a, _))) = (self.links.get(&ch), self.ends(ch)) else {
+            return Some(0);
+        };
+        let initiator = from == a;
+        let link = &ends[usize::from(!initiator)];
+        let gen = link.gen();
+        if link.state() != LinkState::Lost {
+            return Some(gen);
+        }
+        let rtt = self.cfg.net_latency + self.cfg.net_latency;
+        let lost = Ev::Lost { ch, initiator, gen };
+        self.push(sent + rtt, lost, None);
+        None
+    }
+
+    /// [`Ev::Disconnect`]: the connection under `ch` breaks. Its ends get
+    /// lifecycles on the first loss, running the policy every `rt` node
+    /// runs by default, jitter seeded by the initiator's name as on `rt`.
+    fn disconnect(&mut self, ch: ChannelId) {
+        let Some((a, _)) = self.ends(ch) else {
+            return;
+        };
+        if !self.links.contains_key(&ch) {
+            let policy = ReconnectPolicy::default();
+            let name = self.names.iter().find(|(_, id)| **id == a).map(|(n, _)| n);
+            let seed = jitter_seed(name.map_or("", String::as_str), ch.0);
+            let ends = [true, false].map(|initiator| Link::established(policy, seed, initiator, 0));
+            self.links.insert(ch, ends);
+        }
+        for initiator in [true, false] {
+            let gen = self.links[&ch][usize::from(!initiator)].gen();
+            self.link_event(ch, initiator, Event::Lost(gen));
+        }
+    }
+
+    /// [`Ev::Attempt`]: the initiator tries connection `gen`. It reaches
+    /// the acceptor as [`Network::open_channel`]'s rule allows and the
+    /// acceptor is up and has room, and then gives it the channel anew;
+    /// either way the initiator hears a round trip later.
+    fn attempt(&mut self, ch: ChannelId, gen: u32) {
+        let Some((a, b)) = self.ends(ch).filter(|_| self.links.contains_key(&ch)) else {
+            return;
+        };
+        let slots = self.nodes[ix(a)].host.channel_slots(ch);
+        let tunnels = slots.map_or(0, SlotRange::len);
+        let acceptor = &self.nodes[ix(b)];
+        let answers = !acceptor.down
+            && !acceptor.terminated
+            && acceptor.host.channel_slots(ch).is_none()
+            && acceptor.host.fits(tunnels);
+        if answers && self.reachable(a, b) {
+            self.nodes[ix(b)].host.register_channel(ch, tunnels, false);
+            let policy = ReconnectPolicy::default();
+            let link = Link::established(policy, 0, false, gen);
+            self.links.get_mut(&ch).expect("checked")[1] = link;
+            let up = Input::ChannelUp {
+                channel: ch,
+                req: None,
+            };
+            self.push_input(self.now + self.cfg.net_latency, b, up, Some(a), None);
+        }
+        let rtt = self.cfg.net_latency + self.cfg.net_latency;
+        self.push(self.now + rtt, Ev::Dialed { ch, gen }, None);
+    }
+
+    /// Tell one end's lifecycle what happened, and do what it decides.
+    fn link_event(&mut self, ch: ChannelId, initiator: bool, event: Event) {
+        let now_ms = self.now.as_micros() / 1_000;
+        let Some((a, b)) = self.ends(ch) else {
+            return;
+        };
+        let Some(ends) = self.links.get_mut(&ch) else {
+            return;
+        };
+        let who = if initiator { a } else { b };
+        match ends[usize::from(!initiator)].on(event, now_ms) {
+            Some(Command::Connect { after, gen }) => {
+                if let Event::Lost(_) = event {
+                    self.obs.fault_injected(who.0, "disconnect");
+                }
+                let after = SimDuration::from_micros(after.as_micros() as u64);
+                self.push(self.now + after, Ev::Attempt { ch, gen }, None);
+            }
+            Some(Command::Resync {
+                attempts,
+                elapsed_ms,
+                ..
+            }) => {
+                self.obs.fault_injected(who.0, "reconnect");
+                let resync = Input::Resync {
+                    channel: ch,
+                    attempts,
+                    elapsed_ms,
+                };
+                self.push_input(self.now, who, resync, None, None);
+            }
+            Some(Command::Down) => {
+                if initiator {
+                    // The initiator gave up: the channel is over.
+                    self.channels[ch.0 as usize] = None;
+                    self.links.remove(&ch);
+                }
+                let down = Input::ChannelDown { channel: ch };
+                self.push_input(self.now, who, down, None, None);
+            }
+            // A first dial on the simulator is one round trip of its own.
+            Some(Command::Opened { .. }) | None => {}
         }
     }
 

@@ -563,3 +563,57 @@ fn a_relay_pairs_each_caller_with_its_own_onward_leg() {
         assert_eq!(goal, Some("flowLink"), "relay slot {s}");
     }
 }
+
+/// A box holds at most `MAX_SLOTS` slots: a dial of its own over the cap
+/// comes back unavailable with nothing dealt, and a target with no room
+/// answers as a busy box does, leaving the dialer half-open.
+#[test]
+fn a_dial_over_the_slot_cap_comes_back_unavailable() {
+    use ipmedia_core::host::MAX_SLOTS;
+    use ipmedia_core::program::{AppLogic, BoxInput, Ctx};
+    use ipmedia_core::{Availability, MetaSignal};
+    use std::sync::{Arc, Mutex};
+
+    type Outcomes = Arc<Mutex<Vec<(u32, usize, bool)>>>;
+    /// Dials each `(target, tunnels)` at start, tagged by position, and
+    /// records each channel's tag, slot count and availability.
+    struct Dials(Vec<(&'static str, u16)>, Outcomes);
+    impl AppLogic for Dials {
+        fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+            match input {
+                BoxInput::Start => {
+                    for (tag, (to, tunnels)) in (0..).zip(&self.0) {
+                        ctx.open_channel(*to, *tunnels, tag);
+                    }
+                }
+                BoxInput::ChannelUp {
+                    slots,
+                    req: Some(tag),
+                    ..
+                } => self.1.lock().unwrap().push((*tag, slots.len(), false)),
+                BoxInput::Meta {
+                    meta: MetaSignal::Peer(Availability::Available),
+                    ..
+                } => self.1.lock().unwrap().last_mut().unwrap().2 = true,
+                _ => {}
+            }
+        }
+    }
+
+    let mut net = Network::new(SimConfig::paper());
+    let outcomes = Outcomes::default();
+    let full = MAX_SLOTS - 8;
+    net.add_box("callee", audio_endpoint(2));
+    let big = vec![("callee", full)];
+    net.add_box("big", Box::new(Dials(big, Outcomes::default())));
+    net.run_until_quiescent(T_MAX);
+    let dials = vec![("callee", MAX_SLOTS + 1), ("callee", 16), ("callee", 8)];
+    let probe = net.add_box("probe", Box::new(Dials(dials, outcomes.clone())));
+    net.run_until_quiescent(T_MAX);
+    assert_eq!(
+        *outcomes.lock().unwrap(),
+        [(0, 0, false), (1, 16, false), (2, 8, true)],
+        "over its own cap, over the callee's, and one that fits"
+    );
+    assert_eq!(net.media(probe).slots().count(), 24);
+}

@@ -239,7 +239,8 @@ pub enum ObsEvent {
     /// The environment injected a network fault affecting `bx`. `kind` is
     /// `"drop"`, `"duplicate"`, `"reorder"`, `"partition"`, `"crash"` or
     /// `"restart"` from [`metrics::FAULT_KINDS`], or a name counted in its
-    /// `"other"` bucket (`rt`'s `"disconnect"` and `"reconnect"`).
+    /// `"other"` bucket (a connection lifecycle's `"disconnect"` and
+    /// `"reconnect"`, and `rt`'s `"over_cap"`, a refused channel).
     FaultInjected { bx: u32, kind: &'static str },
     /// The reliability layer re-emitted signals for `slot` at `bx`; `kind`
     /// names the retransmitted await (`"open"`, `"close"`, `"refresh"`,

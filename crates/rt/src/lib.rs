@@ -16,8 +16,9 @@ pub mod wire;
 
 pub use chaos::{drive_schedule, ChaosGate};
 pub use frame::{FrameError, Framed, MAX_FRAME};
+pub use ipmedia_core::link::{backoff_delays, jitter_seed, ReconnectPolicy};
 pub use node::{
-    backoff_delays, jitter_seed, spawn_node, spawn_node_tuned, Directory, NodeHandle, NodeOptions,
-    NodeSnapshot, NodeTuning, ReconnectPolicy, SlotSnapshot,
+    spawn_node, spawn_node_tuned, Directory, NodeHandle, NodeOptions, NodeSnapshot, NodeTuning,
+    SlotSnapshot,
 };
 pub use wire::{decode, encode, Frame, Hello, WireError, WIRE_VERSION};

@@ -19,9 +19,9 @@ use crate::chaos::ChaosGate;
 use crate::frame::Framed;
 use crate::wire::{self, Frame, Hello};
 use ipmedia_core::goal::UserCmd;
-use ipmedia_core::hash::fnv1a;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
-use ipmedia_core::ids::{ChannelId, SlotId, SlotRange};
+use ipmedia_core::ids::{ChannelId, SlotId};
+use ipmedia_core::link::{jitter_seed, Command, Event, Link, LinkState, ReconnectPolicy};
 use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
 use ipmedia_core::slot::Slot;
@@ -37,73 +37,6 @@ use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, watch};
 use tokio::task::JoinHandle;
 use tokio::time::{sleep, timeout, timeout_at, Duration, Instant};
-
-/// Real-world fault-tolerance knobs: the runtime counterparts of the
-/// simulator's retransmission layer. TCP already gives per-channel
-/// reliability, so what is left to handle is the connection itself dying
-/// — slow peers (send timeout), transient outages (reconnect with capped
-/// exponential backoff), and permanent ones (orderly channel teardown
-/// after the attempts are exhausted, never a panic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Attempts for the *initial* dial of an outgoing channel.
-    pub connect_attempts: u32,
-    /// Attempts to re-dial a lost channel before giving up. Zero disables
-    /// reconnection: a lost connection tears the channel down immediately.
-    pub reconnect_attempts: u32,
-    /// First retry delay; doubled per attempt up to `max_delay`.
-    pub base_delay: Duration,
-    pub max_delay: Duration,
-    /// Bound on any single connect or frame write before the connection
-    /// is declared dead.
-    pub send_timeout: Duration,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        Self {
-            connect_attempts: 3,
-            reconnect_attempts: 8,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-            send_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// The retry delay sequence a policy yields for `attempts` attempts,
-/// seeded for reproducibility. Attempt `i` sleeps a uniform random
-/// duration in `[0, min(base · 2^i, max)]` (AWS-style full jitter): the
-/// expected spacing is half the capped doubling, and the simultaneous
-/// reconnects that follow a partition heal spread out rather than
-/// stampede the peer in lockstep. The jitter stream is seeded per (node,
-/// channel) and thus deterministic in tests.
-pub fn backoff_delays(policy: &ReconnectPolicy, seed: u64, attempts: u32) -> Vec<Duration> {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..attempts)
-        .map(|i| {
-            let cap = policy
-                .base_delay
-                .saturating_mul(2u32.saturating_pow(i))
-                .min(policy.max_delay);
-            let cap_us = cap.as_micros() as u64;
-            if cap_us == 0 {
-                Duration::ZERO
-            } else {
-                Duration::from_micros(rng.random_range(0..=cap_us))
-            }
-        })
-        .collect()
-}
-
-/// Deterministic per-(node, channel) jitter seed (FNV-1a over the name,
-/// mixed with the channel id) so two nodes — or two channels of one node
-/// — never share a jitter stream.
-pub fn jitter_seed(name: &str, channel: u32) -> u64 {
-    fnv1a(name.as_bytes()) ^ (u64::from(channel) << 32 | u64::from(channel))
-}
 
 /// Inbox inputs of any kind applied per actor wakeup before the snapshot
 /// publish. A publish costs what the inputs touched, but each one wakes
@@ -279,7 +212,7 @@ enum Inbox {
     /// A frame arrived on a connection.
     Net {
         channel: ChannelId,
-        gen: u64,
+        gen: u32,
         frame: Frame,
     },
     /// A connection was accepted and sent its hello.
@@ -288,9 +221,13 @@ enum Inbox {
         framed: Framed<TcpStream>,
     },
     /// A connection died.
-    Gone { channel: ChannelId, gen: u64 },
-    /// A dial task is done.
-    Dialed(Dial),
+    Gone { channel: ChannelId, gen: u32 },
+    /// A connection attempt is over: the connection, or `None` when it
+    /// failed.
+    Dialed {
+        channel: ChannelId,
+        framed: Option<Framed<TcpStream>>,
+    },
     /// [`NodeHandle::user`].
     User { slot: SlotId, cmd: UserCmd },
     /// [`NodeHandle::inject`].
@@ -299,39 +236,18 @@ enum Inbox {
     Shutdown,
 }
 
-/// A dial task's job, the connection under `channel` to the box named
-/// `to`, and once it is done its outcome. `req` is the box's dial tag on a
-/// first dial, `None` on the re-dial of a lost connection.
-struct Dial {
-    channel: ChannelId,
-    to: String,
-    tunnels: u16,
-    req: Option<u32>,
-    /// The connection, or `None` once every attempt failed.
-    framed: Option<Framed<TcpStream>>,
-    /// Attempts made, and the milliseconds they took.
-    attempts: u32,
-    elapsed_ms: u64,
-}
-
+/// One channel: its connection's writer and its lifecycle, which decides
+/// everything else about the connection.
 struct Conn {
-    writer_tx: mpsc::Sender<Frame>,
-    /// This end dialed the channel; only the dialing side re-dials a lost
-    /// connection.
-    dialed: bool,
-    /// The far end's name whichever side initiated: the dial target for
-    /// dialed connections, the hello's `from` for accepted ones. Chaos
-    /// gating keys on it and a re-dial goes to it; `None` only for
-    /// half-open channels.
-    remote: Option<String>,
-    /// The connection died and a background re-dial is in flight.
-    recovering: bool,
-    /// Socket generation, bumped on every reconnect. Reader/writer tasks
-    /// tag inbox traffic with the generation they serve; a superseded
-    /// socket's death notice can surface after the swap, and acting on it
-    /// would re-trigger recovery on the healthy replacement — forever,
-    /// since each replacement's teardown seeds the next notice.
-    gen: u64,
+    /// The far end's name: the box dialed, or the hello's `from`. Chaos
+    /// gating keys on it and a re-dial goes to it.
+    peer: String,
+    /// The channel's tunnels, said in every hello.
+    tunnels: u16,
+    /// The connection's writer queue; `None` while the first dial runs, on
+    /// a half-open channel, and once a write timed out.
+    writer: Option<mpsc::Sender<Frame>>,
+    link: Link,
 }
 
 /// What a node runs with besides its box. Every field has a default, so a
@@ -471,6 +387,7 @@ pub async fn spawn_node(
         gate,
         inbox_tx: inbox_tx.clone(),
         dial_turn: None,
+        started: Instant::now(),
         buffers: Buffers::default(),
         lost: VecDeque::new(),
     };
@@ -556,13 +473,15 @@ struct Actor {
     inbox_tx: mpsc::Sender<Inbox>,
     /// Closes once the latest first dial has made its first try.
     dial_turn: Option<mpsc::Receiver<()>>,
+    /// The origin of the milliseconds the channels' lifecycles read.
+    started: Instant,
     /// Lent to every host call and drained right after.
     buffers: Buffers,
     /// Connections (with their generation) the actor itself declared dead
     /// while transmitting, handled before its next event. They do not go
     /// through the inbox: the actor is its only consumer, so awaiting room
     /// in it would wait on itself.
-    lost: VecDeque<(ChannelId, u64)>,
+    lost: VecDeque<(ChannelId, u32)>,
 }
 
 impl Actor {
@@ -574,7 +493,7 @@ impl Actor {
 
         'run: loop {
             while let Some((channel, gen)) = self.lost.pop_front() {
-                self.on_conn_lost(channel, gen).await;
+                self.on_link(channel, Event::Lost(gen), None).await;
             }
             self.publish();
             let next_due = self.timers.peek().map(|Reverse((due, ..))| *due);
@@ -604,8 +523,8 @@ impl Actor {
         // Graceful shutdown: orderly Bye on every channel, then release
         // the directory entry — guarded by address, so a replacement
         // instance that already re-registered keeps its fresh binding.
-        for conn in self.conns.values() {
-            let _ = conn.writer_tx.send(Frame::Bye).await;
+        for writer in self.conns.values().filter_map(|c| c.writer.as_ref()) {
+            let _ = writer.send(Frame::Bye).await;
         }
         self.dir.deregister(&self.name, self.addr);
     }
@@ -618,15 +537,13 @@ impl Actor {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { channel, msg } => self.transmit(channel, msg, ctx).await,
-                Effect::Dial { to, tunnels, req } => {
-                    let channel = self.new_channel();
-                    self.spawn_dial(channel, to, tunnels, Some(req));
-                }
+                Effect::Dial { to, tunnels, req } => self.dial(to, tunnels, req),
                 Effect::Hangup { channel } => {
                     // Local teardown is immediate; the peer acts on Bye.
                     self.slots_changed = true;
-                    if let Some(conn) = self.conns.remove(&channel) {
-                        let _ = conn.writer_tx.send(Frame::Bye).await;
+                    let conn = self.conns.remove(&channel);
+                    if let Some(writer) = conn.and_then(|c| c.writer) {
+                        let _ = writer.send(Frame::Bye).await;
                     }
                 }
                 Effect::ArmTimer { id, gen, after_ms } => {
@@ -701,8 +618,14 @@ impl Actor {
             self.fresh
                 .extend(touched.map(|id| SlotSnapshot::of(id, slot(id))));
         }
-        let channels = self.conns.len();
-        let recovering = self.conns.values().filter(|c| c.recovering).count();
+        let count = |state| {
+            self.conns
+                .values()
+                .filter(|c| c.link.state() == state)
+                .count()
+        };
+        let channels = self.conns.len() - count(LinkState::Dialing);
+        let recovering = count(LinkState::Lost);
         self.snap_tx.send_modify(|snap| {
             if rebuild {
                 std::mem::swap(&mut snap.slots, &mut self.fresh);
@@ -738,12 +661,7 @@ impl Actor {
     /// Applies one inbox input; `false` once it is [`Inbox::Shutdown`].
     async fn on_inbox(&mut self, msg: Inbox) -> bool {
         match msg {
-            Inbox::Accepted { hello, framed } => {
-                let (channel, remote) = (self.new_channel(), Some(hello.from));
-                self.add_channel(channel, hello.tunnels, false, remote, Some(framed));
-                self.feed(Input::ChannelUp { channel, req: None }, None)
-                    .await;
-            }
+            Inbox::Accepted { hello, framed } => self.on_accepted(hello, framed).await,
             Inbox::Net {
                 channel,
                 gen,
@@ -752,7 +670,7 @@ impl Actor {
                 // A frame surfacing from a superseded socket is a ghost of
                 // a dead connection; acting on it (especially a Bye) would
                 // hit the live replacement.
-                if self.conns.get(&channel).map(|c| c.gen) != Some(gen) {
+                if !self.conns.get(&channel).is_some_and(|c| c.link.admits(gen)) {
                     return true;
                 }
                 match frame {
@@ -762,12 +680,15 @@ impl Actor {
                     Frame::Traced { ctx, msg } => {
                         self.feed(Input::Msg { channel, msg }, Some(ctx)).await;
                     }
-                    Frame::Bye => self.drop_channel(channel).await,
+                    Frame::Bye => self.on_link(channel, Event::Bye, None).await,
                     Frame::Hello(_) => {} // protocol error
                 }
             }
-            Inbox::Gone { channel, gen } => self.on_conn_lost(channel, gen).await,
-            Inbox::Dialed(dial) => self.on_dialed(dial).await,
+            Inbox::Gone { channel, gen } => self.on_link(channel, Event::Lost(gen), None).await,
+            Inbox::Dialed { channel, framed } => {
+                let event = Event::Dialed(framed.is_some());
+                self.on_link(channel, event, framed).await;
+            }
             Inbox::User { slot, cmd } => self.feed(Input::User { slot, cmd }, None).await,
             Inbox::Inject(input) => self.feed(Input::Inject(input), None).await,
             Inbox::Shutdown => return false,
@@ -775,118 +696,128 @@ impl Actor {
         true
     }
 
-    /// The TCP connection behind `channel` died without a Bye. If this
-    /// end dialed the channel, park its slots (state retained, nothing
-    /// removed) and re-dial in the background; otherwise tear the channel
-    /// down as before.
-    async fn on_conn_lost(&mut self, channel: ChannelId, gen: u64) {
+    /// A peer opened a channel. It chooses how many tunnels it asks for:
+    /// a channel that does not fit the box is refused, its socket closed
+    /// unregistered.
+    async fn on_accepted(&mut self, hello: Hello, framed: Framed<TcpStream>) {
+        if !self.host.fits(hello.tunnels) {
+            self.obs.fault_injected(self.host.id().0, "over_cap");
+            return;
+        }
+        let channel = self.new_channel();
+        self.host.register_channel(channel, hello.tunnels, false);
+        self.slots_changed = true;
+        let link = Link::established(self.policy, 0, false, 0);
+        let writer = Some(self.spawn_io_tasks(channel, link.gen(), framed));
+        let conn = Conn {
+            peer: hello.from,
+            tunnels: hello.tunnels,
+            writer,
+            link,
+        };
+        self.conns.insert(channel, conn);
+        self.feed(Input::ChannelUp { channel, req: None }, None)
+            .await;
+    }
+
+    /// The box asked for a channel to the box named `to`: its lifecycle
+    /// starts with a first attempt at once, which waits only for the first
+    /// attempt of the dial before it.
+    fn dial(&mut self, to: String, tunnels: u16, req: u32) {
+        let channel = self.new_channel();
+        let seed = jitter_seed(&self.name, channel.0);
+        let link = Link::dial(self.policy, seed, req, self.now_ms());
+        let conn = Conn {
+            peer: to,
+            tunnels,
+            writer: None,
+            link,
+        };
+        self.conns.insert(channel, conn);
+        let (done, next) = mpsc::channel::<()>(1);
+        let turn = self.dial_turn.replace(next);
+        self.spawn_connect(channel, Duration::ZERO, turn, Some(done));
+    }
+
+    /// Tell a channel's lifecycle what happened to its connection, and do
+    /// what it decides. `framed` is the connection an attempt that landed
+    /// made.
+    async fn on_link(
+        &mut self,
+        channel: ChannelId,
+        event: Event,
+        framed: Option<Framed<TcpStream>>,
+    ) {
+        let now = self.now_ms();
         let Some(conn) = self.conns.get_mut(&channel) else {
-            return;
+            return; // torn down while the news was on its way
         };
-        if conn.gen != gen {
-            return; // death notice from a socket a reconnect already replaced
+        let bx = self.host.id().0;
+        match conn.link.on(event, now) {
+            None => {}
+            Some(Command::Connect { after, .. }) => {
+                if let Event::Lost(_) = event {
+                    self.obs.fault_injected(bx, "disconnect");
+                }
+                self.spawn_connect(channel, after, None, None);
+            }
+            // A first dial is over: register the channel, half-open when
+            // nobody answered (or it does not fit), for the program to
+            // observe and destroy (Fig. 6), and report the outcome.
+            Some(Command::Opened {
+                req,
+                gen,
+                elapsed_ms,
+            }) => {
+                let up = self
+                    .host
+                    .register_dialed(channel, conn.tunnels, gen.is_some());
+                self.slots_changed = true;
+                if let (true, Some(gen), Some(framed)) = (up, gen, framed) {
+                    let writer = self.spawn_io_tasks(channel, gen, framed);
+                    self.conns.get_mut(&channel).expect("just read").writer = Some(writer);
+                    self.registry.tunnel_setup_ms.observe(elapsed_ms);
+                }
+                for input in Input::dial_outcome(channel, req, up) {
+                    self.feed(input, None).await;
+                }
+            }
+            // A re-dial landed: swap the new connection in under the
+            // existing channel id, then have the host retransmit each
+            // parked slot's cached signals so the (idempotent, §VI)
+            // protocol re-establishes peer state.
+            Some(Command::Resync {
+                gen,
+                attempts,
+                elapsed_ms,
+            }) => {
+                let writer = framed.map(|f| self.spawn_io_tasks(channel, gen, f));
+                self.conns.get_mut(&channel).expect("just read").writer = writer;
+                self.obs.fault_injected(bx, "reconnect");
+                let resync = Input::Resync {
+                    channel,
+                    attempts,
+                    elapsed_ms,
+                };
+                self.feed(resync, None).await;
+            }
+            // A Bye, a loss nobody re-dials, or a re-dial that gave up:
+            // the channel goes down in order, ChannelDown to the program.
+            Some(Command::Down) => {
+                self.conns.remove(&channel);
+                self.slots_changed = true;
+                self.feed(Input::ChannelDown { channel }, None).await;
+            }
         }
-        if conn.recovering {
-            return; // reader and writer can both report the same death
-        }
-        let redial = conn.dialed && self.policy.reconnect_attempts > 0;
-        let Some(to) = conn.remote.clone().filter(|_| redial) else {
-            self.drop_channel(channel).await;
-            return;
-        };
-        conn.recovering = true;
-        self.obs.fault_injected(self.host.id().0, "disconnect");
-        let tunnels = self.host.channel_slots(channel).map_or(0, SlotRange::len);
-        self.spawn_dial(channel, to, tunnels, None);
     }
 
-    /// A dial task is done. A first dial registers its channel, half-open
-    /// when nobody answered, for the program to observe and destroy
-    /// (Fig. 6), and reports the outcome to the box.
-    async fn on_dialed(&mut self, dial: Dial) {
-        let Some(req) = dial.req else {
-            return self.on_redialed(dial).await;
-        };
-        let answered = dial.framed.is_some();
-        let remote = answered.then_some(dial.to);
-        self.add_channel(dial.channel, dial.tunnels, true, remote, dial.framed);
-        if answered {
-            self.registry.tunnel_setup_ms.observe(dial.elapsed_ms);
-        }
-        for input in Input::dial_outcome(dial.channel, req, answered) {
-            self.feed(input, None).await;
-        }
-    }
-
-    /// A re-dial is done. If it landed, swap the new connection in under
-    /// the existing channel id, then have the host retransmit each parked
-    /// slot's cached signals so the (idempotent, §VI) protocol
-    /// re-establishes peer state. If the peer stayed unreachable, tear the
-    /// channel down in order (ChannelDown to the program), exactly as if
-    /// it had said Bye.
-    async fn on_redialed(&mut self, dial: Dial) {
-        let channel = dial.channel;
-        let Some(gen) = self.conns.get(&channel).map(|c| c.gen + 1) else {
-            return; // torn down while the dial was in flight
-        };
-        let Some(framed) = dial.framed else {
-            self.drop_channel(channel).await;
-            return;
-        };
-        let writer_tx = self.spawn_io_tasks(channel, gen, framed);
-        let conn = self.conns.get_mut(&channel).expect("checked above");
-        conn.writer_tx = writer_tx;
-        conn.gen = gen;
-        conn.recovering = false;
-        self.obs.fault_injected(self.host.id().0, "reconnect");
-        let resync = Input::Resync {
-            channel,
-            attempts: dial.attempts,
-            elapsed_ms: dial.elapsed_ms,
-        };
-        self.feed(resync, None).await;
-    }
-
-    async fn drop_channel(&mut self, channel: ChannelId) {
-        if self.conns.remove(&channel).is_some() {
-            self.slots_changed = true;
-            self.feed(Input::ChannelDown { channel }, None).await;
-        }
+    fn now_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
     }
 
     fn new_channel(&mut self) -> ChannelId {
         self.next_channel += 1;
         ChannelId(self.next_channel - 1)
-    }
-
-    /// Register `channel` with the host (which allocates its slots), and —
-    /// unless it is half-open — spawn reader and writer tasks for its
-    /// connection. `dialed` is true iff this end opened the connection.
-    fn add_channel(
-        &mut self,
-        channel: ChannelId,
-        tunnels: u16,
-        dialed: bool,
-        remote: Option<String>,
-        framed: Option<Framed<TcpStream>>,
-    ) {
-        self.host.register_channel(channel, tunnels, dialed);
-        self.slots_changed = true;
-        let writer_tx = match framed {
-            Some(framed) => self.spawn_io_tasks(channel, 0, framed),
-            // Nothing reads what is written to a half-open channel.
-            None => mpsc::channel(1).0,
-        };
-        self.conns.insert(
-            channel,
-            Conn {
-                writer_tx,
-                dialed,
-                remote,
-                recovering: false,
-                gen: 0,
-            },
-        );
     }
 
     /// Spawn the reader and writer tasks for one live connection and
@@ -897,7 +828,7 @@ impl Actor {
     fn spawn_io_tasks(
         &self,
         channel: ChannelId,
-        gen: u64,
+        gen: u32,
         framed: Framed<TcpStream>,
     ) -> mpsc::Sender<Frame> {
         let (writer_tx, mut writer_rx) = mpsc::channel::<Frame>(64);
@@ -910,30 +841,21 @@ impl Actor {
             // buffer; the reader must start from them.
             let mut reader = Framed::from_parts(read_half, leftover);
             loop {
-                match reader.read_frame().await {
-                    Ok(Some(bytes)) => match wire::decode(bytes) {
-                        Ok(frame) => {
-                            if tx
-                                .send(Inbox::Net {
-                                    channel,
-                                    gen,
-                                    frame,
-                                })
-                                .await
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = tx.send(Inbox::Gone { channel, gen }).await;
-                            break;
-                        }
-                    },
-                    Ok(None) | Err(_) => {
-                        let _ = tx.send(Inbox::Gone { channel, gen }).await;
-                        break;
-                    }
+                let read = reader.read_frame().await.ok().flatten();
+                let Some(frame) = read.and_then(|bytes| wire::decode(bytes).ok()) else {
+                    let _ = tx.send(Inbox::Gone { channel, gen }).await;
+                    break;
+                };
+                if tx
+                    .send(Inbox::Net {
+                        channel,
+                        gen,
+                        frame,
+                    })
+                    .await
+                    .is_err()
+                {
+                    break;
                 }
             }
         });
@@ -981,10 +903,16 @@ impl Actor {
     /// (plain [`Frame::Msg`] otherwise, so untraced peers never see the
     /// extended frame).
     async fn transmit(&mut self, channel: ChannelId, msg: ChannelMsg, ctx: Option<SpanCtx>) {
+        // No writer: the first dial runs, the channel is half-open, or a
+        // write timed out. The frame has nowhere to go.
         let Some(conn) = self.conns.get_mut(&channel) else {
             return;
         };
-        if let Some(kind) = gate_verdict(&self.gate, &self.name, conn) {
+        let Some(writer) = &conn.writer else {
+            return;
+        };
+        let gate = self.gate.as_ref();
+        if let Some(kind) = gate.and_then(|g| g.check(&self.name, &conn.peer).err()) {
             self.obs.fault_injected(self.host.id().0, kind);
             // A gate-blocked frame means the link is dead from this
             // node's point of view: declare the connection gone.
@@ -992,9 +920,7 @@ impl Actor {
             // tear the pipe down so the far initiator notices and
             // re-dials — never a silent byte eater, which would wedge the
             // peer's await forever.
-            if !conn.recovering {
-                self.lost.push_back((channel, conn.gen));
-            }
+            self.lost.push_back((channel, conn.link.gen()));
             return;
         }
         let frame = match (ctx, &self.tracer) {
@@ -1008,8 +934,8 @@ impl Actor {
             _ => Frame::Msg(msg),
         };
         // A closed queue belongs to a connection already dead (its writer
-        // has gone, or it is half-open): the frame has nowhere to go.
-        let Err(mpsc::error::TrySendError::Full(frame)) = conn.writer_tx.try_send(frame) else {
+        // has gone): the frame has nowhere to go.
+        let Err(mpsc::error::TrySendError::Full(frame)) = writer.try_send(frame) else {
             return;
         };
         // Back-pressure: a full writer queue makes the actor wait for
@@ -1018,71 +944,47 @@ impl Actor {
         // that long: stop queueing behind it and declare the connection
         // gone.
         let t0 = std::time::Instant::now();
-        let waited = timeout(self.policy.send_timeout, conn.writer_tx.send(frame)).await;
+        let waited = timeout(self.policy.send_timeout, writer.send(frame)).await;
         self.registry
             .writer_wait_us
             .observe(t0.elapsed().as_micros() as u64);
         if waited.is_err() {
-            conn.writer_tx = mpsc::channel(1).0;
-            self.lost.push_back((channel, conn.gen));
+            conn.writer = None;
+            self.lost.push_back((channel, conn.link.gen()));
         }
     }
 
-    /// Run a dial in a task of its own, so the actor goes on applying its
-    /// inbox meanwhile: up to `connect_attempts` tries of [`connect`] for a
-    /// first dial (`req` is its tag), `reconnect_attempts` for a re-dial,
-    /// with jittered capped backoff between them, then one
-    /// [`Inbox::Dialed`] with the outcome. A first dial tries at once,
-    /// but only once the first dial before it has made its first try: a
-    /// box dialed twice accepts the channels in the order they were
-    /// dialed, and numbers their slots alike. A re-dial waits out a delay
-    /// before its first try too, so the initiators a partition heal
-    /// releases together do not all redial in the same instant.
-    fn spawn_dial(&mut self, channel: ChannelId, to: String, tunnels: u16, req: Option<u32>) {
-        let policy = self.policy;
-        let (attempts, mut turn, mut done) = match req {
-            Some(_) => {
-                let (done, next) = mpsc::channel::<()>(1);
-                let turn = self.dial_turn.replace(next);
-                (policy.connect_attempts.max(1), turn, Some(done))
-            }
-            None => (policy.reconnect_attempts, None, None),
+    /// Make one attempt of [`connect`] to the channel's peer in a task of
+    /// its own, `after` from now, and report it as one [`Inbox::Dialed`]:
+    /// the actor goes on applying its inbox meanwhile. A first dial's
+    /// first attempt waits for `turn`, which closes once the first attempt
+    /// of the dial before it is over, and closes `done` in turn: a box
+    /// dialed twice accepts the channels in the order they were dialed,
+    /// and numbers their slots alike.
+    fn spawn_connect(
+        &self,
+        channel: ChannelId,
+        after: Duration,
+        mut turn: Option<mpsc::Receiver<()>>,
+        done: Option<mpsc::Sender<()>>,
+    ) {
+        let Some(conn) = self.conns.get(&channel) else {
+            return;
         };
-        let mut delays = backoff_delays(&policy, jitter_seed(&self.name, channel.0), attempts);
-        if req.is_some() {
-            delays.rotate_right(1);
-            delays[0] = Duration::ZERO;
-        }
-        let (dir, gate) = (self.dir.clone(), self.gate.clone());
+        let (to, tunnels) = (conn.peer.clone(), conn.tunnels);
+        let (dir, gate, policy) = (self.dir.clone(), self.gate.clone(), self.policy);
         let (name, tx) = (self.name.clone(), self.inbox_tx.clone());
         tokio::spawn(async move {
             if let Some(turn) = &mut turn {
                 turn.recv().await;
             }
-            let t0 = std::time::Instant::now();
-            let mut dial = Dial {
-                channel,
-                to,
-                tunnels,
-                req,
-                framed: None,
-                attempts: 0,
-                elapsed_ms: 0,
-            };
-            for delay in delays {
-                sleep(delay).await;
-                if tx.is_closed() {
-                    return; // the node is gone: nobody would take the channel
-                }
-                dial.attempts += 1;
-                dial.framed = connect(&dir, &gate, &policy, &name, &dial.to, tunnels).await;
-                if dial.framed.is_some() {
-                    break;
-                }
-                drop(done.take()); // the next dial's turn
+            sleep(after).await;
+            if tx.is_closed() {
+                return; // the node is gone: nobody would take the channel
             }
-            dial.elapsed_ms = t0.elapsed().as_millis() as u64;
-            let _ = tx.send(Inbox::Dialed(dial)).await;
+            let framed = connect(&dir, &gate, &policy, &name, &to, tunnels).await;
+            let _ = tx.send(Inbox::Dialed { channel, framed }).await;
+            drop(done); // the next dial's turn
         });
     }
 }
@@ -1118,15 +1020,6 @@ async fn connect(
     }));
     framed.write_frame(&hello).await.ok()?;
     Some(framed)
-}
-
-/// The chaos gate's verdict for a frame leaving `name` on `conn`:
-/// `None` passes, `Some(kind)` blocks with the fault kind to count.
-/// Half-open channels (no remote name) are never gated.
-fn gate_verdict(gate: &Option<Arc<ChaosGate>>, name: &str, conn: &Conn) -> Option<&'static str> {
-    let gate = gate.as_ref()?;
-    let remote = conn.remote.as_deref()?;
-    gate.check(name, remote).err()
 }
 
 #[cfg(test)]
