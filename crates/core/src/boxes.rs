@@ -226,7 +226,7 @@ impl MediaBox {
 
     /// All registered slots with their ids, in id order: one walk of the
     /// table where `slot_ids` + `slot` would search it once per slot.
-    pub fn slots(&self) -> impl Iterator<Item = (SlotId, &Slot)> + '_ {
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = (SlotId, &Slot)> + '_ {
         self.slots.iter().map(|e| (e.id, &e.slot))
     }
 

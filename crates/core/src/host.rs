@@ -322,25 +322,13 @@ impl NodeHost {
         self.reliab = Some(Box::new(Reliability::new()));
     }
 
-    /// True iff a channel of `tunnels` more slots fits in the box: it
-    /// stays within [`MAX_SLOTS`] live slots and within the slot ids left
-    /// to deal.
-    pub fn fits(&self, tunnels: u16) -> bool {
-        let live: usize = self
-            .channels
-            .iter()
-            .map(|(_, s)| usize::from(s.len()))
-            .sum();
-        live + usize::from(tunnels) <= usize::from(MAX_SLOTS)
-            && self.next_slot.checked_add(tunnels).is_some()
-    }
-
     /// Register a channel: deal one slot per tunnel, consecutively.
     /// `initiator` is true iff this box initiated the channel. Registering
     /// is separate from [`Input::ChannelUp`] because a substrate may learn
     /// of a channel (and must fix its slot ids) before the box is told.
-    /// A channel that does not [`fit`](NodeHost::fits) is refused: `None`,
-    /// and nothing is registered.
+    /// A channel that would take the box past [`MAX_SLOTS`] live slots, or
+    /// past the last slot id, is refused: `None`, and nothing is
+    /// registered.
     pub fn register_channel(
         &mut self,
         channel: ChannelId,
@@ -350,15 +338,14 @@ impl NodeHost {
         let Err(at) = self.channel_index(channel) else {
             panic!("channel {channel:?} already registered");
         };
-        if !self.fits(tunnels) {
-            return None;
-        }
-        let first = SlotId(self.next_slot);
-        self.next_slot += tunnels;
+        let live = self.pb.media().slots().len() + usize::from(tunnels);
+        let next = self.next_slot.checked_add(tunnels);
+        let next = next.filter(|_| live <= usize::from(MAX_SLOTS))?;
         let slots = SlotRange {
-            first,
+            first: SlotId(self.next_slot),
             len: tunnels,
         };
+        self.next_slot = next;
         for slot in slots.iter() {
             self.pb.media_mut().add_slot(slot, initiator);
         }
@@ -366,15 +353,17 @@ impl NodeHost {
         Some(slots)
     }
 
-    /// Register the channel a dial of this box set up, `answered` or left
-    /// half-open, and return whether it is up. A dial whose tunnels do not
-    /// [`fit`](NodeHost::fits) comes back half-open with no slots, as if
-    /// nobody had answered: [`Input::dial_outcome`] then reports its peer
-    /// unavailable.
-    pub fn register_dialed(&mut self, channel: ChannelId, tunnels: u16, answered: bool) -> bool {
-        let fits = self.fits(tunnels);
-        self.register_channel(channel, if fits { tunnels } else { 0 }, true);
-        answered && fits
+    /// Register the channel a dial of this box set up, and return whether
+    /// its slots were dealt. One that does not fit (see
+    /// [`NodeHost::register_channel`]) is registered with no slots, and
+    /// its dial comes back as if nobody had answered: half-open, the peer
+    /// unavailable ([`Input::dial_outcome`]).
+    pub fn register_dialed(&mut self, channel: ChannelId, tunnels: u16) -> bool {
+        let dealt = self.register_channel(channel, tunnels, true).is_some();
+        if !dealt {
+            self.register_channel(channel, 0, true);
+        }
+        dealt
     }
 
     /// Apply one input. Effects are appended to `bufs.effects` in the

@@ -12,6 +12,7 @@
 //! the simulator is the code a deployment runs.
 //!
 //! ```text
+//! (none)   --dial-->           Dialing      Connect at once
 //! Dialing  --landed-->         Up(gen)      Opened
 //! Dialing  --attempts out-->   HalfOpen     Opened, no connection
 //! Up(gen)  --lost, initiator-> Lost(n)      Connect after the backoff
@@ -181,16 +182,17 @@ pub struct Link {
 
 impl Link {
     /// Start the first dial of a channel this end initiates; `req` is the
-    /// box's tag to echo. Its first attempt goes at once: make it, and
-    /// report it with [`Event::Dialed`].
-    pub fn dial(policy: ReconnectPolicy, seed: u64, req: u32, now_ms: u64) -> Link {
-        Link {
+    /// box's tag to echo. Its first attempt, which goes at once, comes
+    /// back with it.
+    pub fn dial(policy: ReconnectPolicy, seed: u64, req: u32, now_ms: u64) -> (Link, Command) {
+        let mut link = Link {
             state: LinkState::Dialing,
             req,
-            attempts: 1,
             since_ms: now_ms,
             ..Link::established(policy, seed, true, 0)
-        }
+        };
+        let first = link.connect();
+        (link, first)
     }
 
     /// A channel already carried by connection `gen`: one the far end
@@ -216,6 +218,12 @@ impl Link {
     /// The current connection's generation.
     pub fn gen(&self) -> u32 {
         self.gen
+    }
+
+    /// Attempts made in the current dial or re-dial, the one under way
+    /// included.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
     }
 
     /// True iff a frame read from connection `gen` still counts: it is
@@ -288,7 +296,7 @@ impl Link {
         }
     }
 
-    /// The next attempt, after its backoff delay: a first dial tried at
+    /// The next attempt, after its backoff delay: a first dial tries at
     /// once and backs off before each retry; a re-dial backs off before
     /// its first try too, so the initiators a partition heal releases
     /// together do not all re-dial in the same instant.
@@ -308,13 +316,6 @@ mod tests {
     use super::*;
 
     const SEED: u64 = 0x5eed;
-
-    /// A first dial's first attempt, which [`Link::dial`] leaves to its
-    /// caller.
-    const AT_ONCE: Command = Command::Connect {
-        after: Duration::ZERO,
-        gen: 1,
-    };
 
     fn policy(connect_attempts: u32, reconnect_attempts: u32) -> ReconnectPolicy {
         ReconnectPolicy {
@@ -362,8 +363,8 @@ mod tests {
     #[test]
     fn a_first_dial_lands_on_its_kth_attempt() {
         for k in 1..=3 {
-            let mut link = Link::dial(policy(3, 8), SEED, 7, 1_000);
-            let (delays, last, now) = run(&mut link, AT_ONCE, 1_000, 10, Some(k));
+            let (mut link, first) = Link::dial(policy(3, 8), SEED, 7, 1_000);
+            let (delays, last, now) = run(&mut link, first, 1_000, 10, Some(k));
             // At once, then the backoff schedule.
             let mut planned = vec![Duration::ZERO];
             planned.extend(backoff_delays(&policy(3, 8), SEED, k - 1));
@@ -383,8 +384,9 @@ mod tests {
 
     #[test]
     fn a_first_dial_that_never_lands_leaves_the_channel_half_open() {
-        let mut link = Link::dial(policy(3, 8), SEED, 7, 0);
-        let (delays, last, now) = run(&mut link, AT_ONCE, 0, 10, None);
+        let (mut link, first) = Link::dial(policy(3, 8), SEED, 7, 0);
+        assert_eq!(link.attempts(), 1, "the first attempt is under way");
+        let (delays, last, now) = run(&mut link, first, 0, 10, None);
         assert_eq!(delays.len(), 3, "connect_attempts");
         let planned = backoff_delays(&policy(3, 8), SEED, 2);
         assert_eq!(delays[1..], planned[..]);
@@ -398,8 +400,8 @@ mod tests {
         );
         assert_eq!(link.state(), LinkState::HalfOpen);
         // Zero attempts still makes one.
-        let mut link = Link::dial(policy(0, 8), SEED, 7, 0);
-        assert_eq!(run(&mut link, AT_ONCE, 0, 10, None).0.len(), 1);
+        let (mut link, first) = Link::dial(policy(0, 8), SEED, 7, 0);
+        assert_eq!(run(&mut link, first, 0, 10, None).0.len(), 1);
     }
 
     #[test]
@@ -473,7 +475,7 @@ mod tests {
 
     #[test]
     fn bye_ends_every_state() {
-        let mut dialing = Link::dial(policy(3, 8), SEED, 1, 0);
+        let (mut dialing, _) = Link::dial(policy(3, 8), SEED, 1, 0);
         assert_eq!(dialing.on(Event::Bye, 0), None, "nothing registered yet");
         assert_eq!(dialing.state(), LinkState::Gone);
         // The attempt in flight lands on a channel that is over.
@@ -487,8 +489,8 @@ mod tests {
         assert_eq!(lost.on(Event::Bye, 1), Some(Command::Down));
         assert_eq!(lost.on(Event::Dialed(true), 2), None, "re-dial dropped");
 
-        let mut half = Link::dial(policy(1, 8), SEED, 1, 0);
-        run(&mut half, AT_ONCE, 0, 10, None);
+        let (mut half, first) = Link::dial(policy(1, 8), SEED, 1, 0);
+        run(&mut half, first, 0, 10, None);
         assert_eq!(half.state(), LinkState::HalfOpen);
         assert_eq!(half.on(Event::Bye, 0), Some(Command::Down));
 

@@ -60,20 +60,14 @@ impl SimConfig {
 enum Ev {
     /// Deliver an input to a box's host (and let it process it). `from`
     /// is the box whose output caused the input, when there is one — it
-    /// feeds the trace's source column and ladder arrows.
+    /// feeds the trace's source column and ladder arrows. A message left
+    /// on connection `gen` of its channel (0 until the channel loses one,
+    /// [`Network::schedule_disconnect`]); it is dropped on arrival if that
+    /// connection has died since.
     Input {
         to: BoxId,
         input: Input,
         from: Option<BoxId>,
-    },
-    /// A message `from` sent on connection `gen` of its channel, once some
-    /// channel has lost a connection ([`Network::schedule_disconnect`]):
-    /// delivered as `Input` is, unless that connection has since died.
-    /// Until then every message is an `Input`, and left on connection 0.
-    Frame {
-        to: BoxId,
-        input: Input,
-        from: BoxId,
         gen: u32,
     },
     /// The connection under a channel breaks, as a TCP reset breaks it:
@@ -515,7 +509,11 @@ impl Network {
         b: BoxId,
         tunnels: u16,
     ) -> (ChannelId, Vec<SlotId>, Vec<SlotId>) {
-        let ch = self.pair(a, Some(b), tunnels);
+        let (ch, up) = self.pair(a, Some(b), tunnels);
+        assert!(
+            up.is_some(),
+            "connect: {tunnels} more slots do not fit {a:?} or {b:?} (MAX_SLOTS)"
+        );
         for to in [a, b] {
             let input = Input::ChannelUp {
                 channel: ch,
@@ -533,18 +531,21 @@ impl Network {
         (ch, slots(a), slots(b))
     }
 
-    /// Allocate a channel id, record its two ends, and register it (slot
-    /// ids are fixed here) with the host at each: `a` dialed it, and `b`,
-    /// if any, has room for it.
-    fn pair(&mut self, a: BoxId, b: Option<BoxId>, tunnels: u16) -> ChannelId {
+    /// Allocate a channel id, register it (slot ids are fixed here) with
+    /// the host at each end, and record the ends: `a` dialed it, and `b`,
+    /// if any, answered. Returns the far end the channel came up with:
+    /// `b`, unless either end had no room for it, and then `a` holds it
+    /// half-open.
+    fn pair(&mut self, a: BoxId, b: Option<BoxId>, tunnels: u16) -> (ChannelId, Option<BoxId>) {
         let ch = ChannelId(u32::try_from(self.channels.len()).expect("channel ids fit u32"));
+        let dealt = self.nodes[ix(a)].host.register_dialed(ch, tunnels);
+        let mut answers = |b: &BoxId| {
+            let host = &mut self.nodes[ix(*b)].host;
+            dealt && host.register_channel(ch, tunnels, false).is_some()
+        };
+        let b = b.filter(|b| answers(b));
         self.channels.push(Some(Channel { a, b }));
-        let up = b.is_some();
-        self.nodes[ix(a)].host.register_dialed(ch, tunnels, up);
-        if let Some(b) = b {
-            self.nodes[ix(b)].host.register_channel(ch, tunnels, false);
-        }
-        ch
+        (ch, b)
     }
 
     /// Inject a user command at the current time (as if the human acted).
@@ -599,34 +600,11 @@ impl Network {
         from: Option<BoxId>,
         ctx: Option<SpanCtx>,
     ) {
-        self.push(at, Ev::Input { to, input, from }, ctx);
-    }
-
-    /// Schedule the arrival at `to` of a message `from` sent on
-    /// connection `gen` of its channel, `None` while no channel has lost
-    /// a connection.
-    #[inline]
-    fn push_msg(
-        &mut self,
-        at: SimTime,
-        to: BoxId,
-        input: Input,
-        from: BoxId,
-        gen: Option<u32>,
-        ctx: Option<SpanCtx>,
-    ) {
-        let ev = match gen {
-            None => Ev::Input {
-                to,
-                input,
-                from: Some(from),
-            },
-            Some(gen) => Ev::Frame {
-                to,
-                input,
-                from,
-                gen,
-            },
+        let ev = Ev::Input {
+            to,
+            input,
+            from,
+            gen: 0,
         };
         self.push(at, ev, ctx);
     }
@@ -651,21 +629,14 @@ impl Network {
             t.clear_current();
         }
         match sch.ev {
-            // A message sent before any channel lost a connection left on
-            // its channel's first one.
-            Ev::Input { to, input, from } => {
-                if self.links.is_empty() || self.current(to, &input, 0) {
-                    self.deliver(to, input, from, sch.ctx.map(|c| *c));
-                }
-            }
-            Ev::Frame {
+            Ev::Input {
                 to,
                 input,
                 from,
                 gen,
             } => {
                 if self.current(to, &input, gen) {
-                    self.deliver(to, input, Some(from), sch.ctx.map(|c| *c));
+                    self.deliver(to, input, from, sch.ctx.map(|c| *c));
                 }
             }
             Ev::Disconnect { ch } => self.disconnect(ch),
@@ -855,13 +826,8 @@ impl Network {
             self.obs.fault_injected(from.0, "partition");
             return;
         }
-        let gen = if self.links.is_empty() {
-            None
-        } else {
-            let Some(gen) = self.writes_on(ch, from, sent) else {
-                return;
-            };
-            Some(gen)
+        let Some(gen) = self.writes_on(ch, from, sent) else {
+            return;
         };
         let at = sent + self.cfg.net_latency;
         // Meta traffic rides the same links (so partitions swallow it
@@ -880,7 +846,14 @@ impl Network {
         };
         let Some(plan) = plan else {
             let input = Input::Msg { channel: ch, msg };
-            return self.push_msg(at, peer, input, from, gen, ctx);
+            let (to, from) = (peer, Some(from));
+            let ev = Ev::Input {
+                to,
+                input,
+                from,
+                gen,
+            };
+            return self.push(at, ev, ctx);
         };
         match plan.fate() {
             SendFate::Dropped => self.obs.fault_injected(from.0, "drop"),
@@ -899,7 +872,14 @@ impl Network {
                         msg.clone().expect("kept until last")
                     };
                     let input = Input::Msg { channel: ch, msg };
-                    self.push_msg(at + copy.extra_delay, peer, input, from, gen, ctx);
+                    let (to, from) = (peer, Some(from));
+                    let ev = Ev::Input {
+                        to,
+                        input,
+                        from,
+                        gen,
+                    };
+                    self.push(at + copy.extra_delay, ev, ctx);
                 }
             }
         }
@@ -917,10 +897,9 @@ impl Network {
         // An unreachable target, or a channel that does not fit either
         // box, leaves the requester with a half-open channel it can
         // observe and destroy (Fig. 6's busy branch).
-        let fits = |id: BoxId| self.nodes[ix(id)].host.fits(tunnels);
         let target = self.names.get(to_name).copied();
-        let target = target.filter(|t| self.reachable(from, *t) && fits(*t) && fits(from));
-        let ch = self.pair(from, target, tunnels);
+        let target = target.filter(|t| self.reachable(from, *t));
+        let (ch, target) = self.pair(from, target, tunnels);
 
         // One-way setup message + acknowledgement: the requester learns the
         // outcome after a round trip.
@@ -963,9 +942,7 @@ impl Network {
             let down = Input::ChannelDown { channel: ch };
             self.push_input(sent + self.cfg.net_latency, peer, down, None, None);
         }
-        if !self.links.is_empty() {
-            self.links.remove(&ch);
-        }
+        self.links.remove(&ch);
     }
 
     /// The two ends of a channel with a connection under it.
@@ -980,10 +957,11 @@ impl Network {
         let Input::Msg { channel, .. } = input else {
             return true;
         };
-        let Some((ends, (a, _))) = self.links.get(channel).zip(self.ends(*channel)) else {
+        let Some(ends) = self.links.get(channel) else {
             return true;
         };
-        ends[usize::from(to != a)].admits(gen)
+        let initiator = self.ends(*channel).is_some_and(|(a, _)| a == to);
+        ends[usize::from(!initiator)].admits(gen)
     }
 
     /// The connection a frame `from` writes on channel `ch` at `sent`
@@ -991,10 +969,10 @@ impl Network {
     /// and the end hears of the death a round trip later, when no
     /// acknowledgement came.
     fn writes_on(&mut self, ch: ChannelId, from: BoxId, sent: SimTime) -> Option<u32> {
-        let (Some(ends), Some((a, _))) = (self.links.get(&ch), self.ends(ch)) else {
+        let Some(ends) = self.links.get(&ch) else {
             return Some(0);
         };
-        let initiator = from == a;
+        let initiator = self.ends(ch).is_some_and(|(a, _)| a == from);
         let link = &ends[usize::from(!initiator)];
         let gen = link.gen();
         if link.state() != LinkState::Lost {
@@ -1009,6 +987,9 @@ impl Network {
     /// [`Ev::Disconnect`]: the connection under `ch` breaks. Its ends get
     /// lifecycles on the first loss, running the policy every `rt` node
     /// runs by default, jitter seeded by the initiator's name as on `rt`.
+    /// Cold, as `attempt` and `link_event` are: only a scheduled
+    /// disconnect runs them, and inlined they near triple `step`'s code.
+    #[cold]
     fn disconnect(&mut self, ch: ChannelId) {
         let Some((a, _)) = self.ends(ch) else {
             return;
@@ -1030,6 +1011,7 @@ impl Network {
     /// the acceptor as [`Network::open_channel`]'s rule allows and the
     /// acceptor is up and has room, and then gives it the channel anew;
     /// either way the initiator hears a round trip later.
+    #[cold]
     fn attempt(&mut self, ch: ChannelId, gen: u32) {
         let Some((a, b)) = self.ends(ch).filter(|_| self.links.contains_key(&ch)) else {
             return;
@@ -1040,9 +1022,9 @@ impl Network {
         let answers = !acceptor.down
             && !acceptor.terminated
             && acceptor.host.channel_slots(ch).is_none()
-            && acceptor.host.fits(tunnels);
-        if answers && self.reachable(a, b) {
-            self.nodes[ix(b)].host.register_channel(ch, tunnels, false);
+            && self.reachable(a, b);
+        let host = &mut self.nodes[ix(b)].host;
+        if answers && host.register_channel(ch, tunnels, false).is_some() {
             let policy = ReconnectPolicy::default();
             let link = Link::established(policy, 0, false, gen);
             self.links.get_mut(&ch).expect("checked")[1] = link;
@@ -1057,6 +1039,7 @@ impl Network {
     }
 
     /// Tell one end's lifecycle what happened, and do what it decides.
+    #[cold]
     fn link_event(&mut self, ch: ChannelId, initiator: bool, event: Event) {
         let now_ms = self.now.as_micros() / 1_000;
         let Some((a, b)) = self.ends(ch) else {

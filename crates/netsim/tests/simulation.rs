@@ -617,3 +617,16 @@ fn a_dial_over_the_slot_cap_comes_back_unavailable() {
     );
     assert_eq!(net.media(probe).slots().count(), 24);
 }
+
+/// `Network::connect` is the harness's own channel, with no one to turn
+/// it away: one that does not fit a box is a mistake in the test.
+#[test]
+#[should_panic(expected = "do not fit")]
+fn a_harness_channel_over_the_slot_cap_panics() {
+    use ipmedia_core::host::MAX_SLOTS;
+    let mut net = Network::new(SimConfig::instant());
+    let a = net.add_box("a", audio_endpoint(1));
+    let b = net.add_box("b", audio_endpoint(2));
+    net.connect(a, b, MAX_SLOTS);
+    net.connect(a, b, 1);
+}

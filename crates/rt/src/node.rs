@@ -697,36 +697,38 @@ impl Actor {
     }
 
     /// A peer opened a channel. It chooses how many tunnels it asks for:
-    /// a channel that does not fit the box is refused, its socket closed
-    /// unregistered.
-    async fn on_accepted(&mut self, hello: Hello, framed: Framed<TcpStream>) {
-        if !self.host.fits(hello.tunnels) {
-            self.obs.fault_injected(self.host.id().0, "over_cap");
-            return;
-        }
+    /// a channel that does not fit the box is refused with a `Bye`, so the
+    /// dialer's lifecycle ends the channel rather than re-dial it.
+    async fn on_accepted(&mut self, hello: Hello, mut framed: Framed<TcpStream>) {
         let channel = self.new_channel();
-        self.host.register_channel(channel, hello.tunnels, false);
+        let Some(_) = self.host.register_channel(channel, hello.tunnels, false) else {
+            self.obs.fault_injected(self.host.id().0, "over_cap");
+            let send_timeout = self.policy.send_timeout;
+            tokio::spawn(async move {
+                let bye = wire::encode(&Frame::Bye);
+                let _ = timeout(send_timeout, framed.write_frame(&bye)).await;
+            });
+            return;
+        };
         self.slots_changed = true;
-        let link = Link::established(self.policy, 0, false, 0);
-        let writer = Some(self.spawn_io_tasks(channel, link.gen(), framed));
         let conn = Conn {
             peer: hello.from,
             tunnels: hello.tunnels,
-            writer,
-            link,
+            writer: None,
+            link: Link::established(self.policy, 0, false, 0),
         };
         self.conns.insert(channel, conn);
+        self.attach(channel, 0, framed);
         self.feed(Input::ChannelUp { channel, req: None }, None)
             .await;
     }
 
     /// The box asked for a channel to the box named `to`: its lifecycle
-    /// starts with a first attempt at once, which waits only for the first
-    /// attempt of the dial before it.
+    /// starts with an attempt.
     fn dial(&mut self, to: String, tunnels: u16, req: u32) {
         let channel = self.new_channel();
         let seed = jitter_seed(&self.name, channel.0);
-        let link = Link::dial(self.policy, seed, req, self.now_ms());
+        let (link, first) = Link::dial(self.policy, seed, req, self.now_ms());
         let conn = Conn {
             peer: to,
             tunnels,
@@ -734,9 +736,9 @@ impl Actor {
             link,
         };
         self.conns.insert(channel, conn);
-        let (done, next) = mpsc::channel::<()>(1);
-        let turn = self.dial_turn.replace(next);
-        self.spawn_connect(channel, Duration::ZERO, turn, Some(done));
+        if let Command::Connect { after, .. } = first {
+            self.spawn_connect(channel, after);
+        }
     }
 
     /// Tell a channel's lifecycle what happened to its connection, and do
@@ -752,14 +754,14 @@ impl Actor {
         let Some(conn) = self.conns.get_mut(&channel) else {
             return; // torn down while the news was on its way
         };
-        let bx = self.host.id().0;
+        let (bx, tunnels) = (self.host.id().0, conn.tunnels);
         match conn.link.on(event, now) {
             None => {}
             Some(Command::Connect { after, .. }) => {
                 if let Event::Lost(_) = event {
                     self.obs.fault_injected(bx, "disconnect");
                 }
-                self.spawn_connect(channel, after, None, None);
+                self.spawn_connect(channel, after);
             }
             // A first dial is over: register the channel, half-open when
             // nobody answered (or it does not fit), for the program to
@@ -769,15 +771,16 @@ impl Actor {
                 gen,
                 elapsed_ms,
             }) => {
-                let up = self
-                    .host
-                    .register_dialed(channel, conn.tunnels, gen.is_some());
+                let dealt = self.host.register_dialed(channel, tunnels);
                 self.slots_changed = true;
-                if let (true, Some(gen), Some(framed)) = (up, gen, framed) {
-                    let writer = self.spawn_io_tasks(channel, gen, framed);
-                    self.conns.get_mut(&channel).expect("just read").writer = Some(writer);
-                    self.registry.tunnel_setup_ms.observe(elapsed_ms);
-                }
+                let up = match (dealt, gen, framed) {
+                    (true, Some(gen), Some(framed)) => {
+                        self.attach(channel, gen, framed);
+                        self.registry.tunnel_setup_ms.observe(elapsed_ms);
+                        true
+                    }
+                    _ => false,
+                };
                 for input in Input::dial_outcome(channel, req, up) {
                     self.feed(input, None).await;
                 }
@@ -791,8 +794,9 @@ impl Actor {
                 attempts,
                 elapsed_ms,
             }) => {
-                let writer = framed.map(|f| self.spawn_io_tasks(channel, gen, f));
-                self.conns.get_mut(&channel).expect("just read").writer = writer;
+                if let Some(framed) = framed {
+                    self.attach(channel, gen, framed);
+                }
                 self.obs.fault_injected(bx, "reconnect");
                 let resync = Input::Resync {
                     channel,
@@ -820,17 +824,12 @@ impl Actor {
         ChannelId(self.next_channel - 1)
     }
 
-    /// Spawn the reader and writer tasks for one live connection and
-    /// return the writer's input queue. Both report a dead connection as
-    /// [`Inbox::Gone`]; a frame write that exceeds the send timeout
-    /// counts as dead (backpressure on a stalled peer must not wedge the
-    /// channel silently).
-    fn spawn_io_tasks(
-        &self,
-        channel: ChannelId,
-        gen: u32,
-        framed: Framed<TcpStream>,
-    ) -> mpsc::Sender<Frame> {
+    /// Put connection `gen` under a channel: spawn its reader and writer
+    /// tasks, and make the writer's input queue the channel's. Both tasks
+    /// report a dead connection as [`Inbox::Gone`]; a frame write that
+    /// exceeds the send timeout counts as dead (backpressure on a stalled
+    /// peer must not wedge the channel silently).
+    fn attach(&mut self, channel: ChannelId, gen: u32, framed: Framed<TcpStream>) {
         let (writer_tx, mut writer_rx) = mpsc::channel::<Frame>(64);
         let (stream, leftover) = framed.into_parts();
         let (read_half, write_half) = stream.into_split();
@@ -895,7 +894,9 @@ impl Actor {
                 }
             }
         });
-        writer_tx
+        if let Some(conn) = self.conns.get_mut(&channel) {
+            conn.writer = Some(writer_tx);
+        }
     }
 
     /// Put one message on a channel's connection, carrying the trace
@@ -957,21 +958,20 @@ impl Actor {
     /// Make one attempt of [`connect`] to the channel's peer in a task of
     /// its own, `after` from now, and report it as one [`Inbox::Dialed`]:
     /// the actor goes on applying its inbox meanwhile. A first dial's
-    /// first attempt waits for `turn`, which closes once the first attempt
-    /// of the dial before it is over, and closes `done` in turn: a box
-    /// dialed twice accepts the channels in the order they were dialed,
-    /// and numbers their slots alike.
-    fn spawn_connect(
-        &self,
-        channel: ChannelId,
-        after: Duration,
-        mut turn: Option<mpsc::Receiver<()>>,
-        done: Option<mpsc::Sender<()>>,
-    ) {
+    /// first attempt waits until the first attempt of the dial before it
+    /// is over ([`Actor::dial_turn`]): a box dialed twice accepts the
+    /// channels in the order they were dialed, and numbers their slots
+    /// alike.
+    fn spawn_connect(&mut self, channel: ChannelId, after: Duration) {
         let Some(conn) = self.conns.get(&channel) else {
             return;
         };
         let (to, tunnels) = (conn.peer.clone(), conn.tunnels);
+        let (mut turn, mut done) = (None, None);
+        if conn.link.state() == LinkState::Dialing && conn.link.attempts() == 1 {
+            let (tx, next) = mpsc::channel::<()>(1);
+            (turn, done) = (self.dial_turn.replace(next), Some(tx));
+        }
         let (dir, gate, policy) = (self.dir.clone(), self.gate.clone(), self.policy);
         let (name, tx) = (self.name.clone(), self.inbox_tx.clone());
         tokio::spawn(async move {
