@@ -220,12 +220,6 @@ impl Link {
         self.gen
     }
 
-    /// Attempts made in the current dial or re-dial, the one under way
-    /// included.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
     /// True iff a frame read from connection `gen` still counts: it is
     /// the current one, and the channel is not over. A frame from a
     /// superseded connection is a ghost of a dead one.
@@ -385,7 +379,6 @@ mod tests {
     #[test]
     fn a_first_dial_that_never_lands_leaves_the_channel_half_open() {
         let (mut link, first) = Link::dial(policy(3, 8), SEED, 7, 0);
-        assert_eq!(link.attempts(), 1, "the first attempt is under way");
         let (delays, last, now) = run(&mut link, first, 0, 10, None);
         assert_eq!(delays.len(), 3, "connect_attempts");
         let planned = backoff_delays(&policy(3, 8), SEED, 2);

@@ -420,11 +420,13 @@ impl Network {
     }
 
     /// Schedule the loss of the connection under channel `ch` at `at`, the
-    /// analogue of a TCP reset. Both ends' lifecycles ([`Link`]) hear of
-    /// it at once: the acceptor's channel goes down, and the initiator
-    /// parks its slots and re-dials on the lifecycle's delays, each
-    /// attempt reaching the far end only as [`Network::open_channel`]'s
-    /// rule allows and the far end is up. An attempt that lands gives the
+    /// analogue of a TCP reset. As on `rt`, every channel one box dialed to
+    /// another rides one connection, so the loss is every such channel's:
+    /// all those with `ch`'s initiator and target. Both ends' lifecycles
+    /// ([`Link`]) hear of it at once: the acceptor's channel goes down, and
+    /// the initiator parks its slots and re-dials on the lifecycle's
+    /// delays, each attempt reaching the far end only as
+    /// [`Network::open_channel`]'s rule allows. An attempt that lands gives the
     /// acceptor the channel anew (fresh slots, `ChannelUp`) and the
     /// initiator `Resync` a round trip later; when the attempts run out
     /// the initiator's channel goes down too. Messages still in flight on
@@ -451,12 +453,14 @@ impl Network {
         self.partition_between(from, to).0
     }
 
-    /// True iff channel setup from `from` reaches `to`. Setup is a round
-    /// trip, so a partition in either direction makes the target as
-    /// unreachable as an unavailable one.
+    /// True iff channel setup from `from` reaches `to`, a first dial or a
+    /// re-dial alike. Setup is a round trip, so a partition in either
+    /// direction makes the target as unreachable as an unavailable one,
+    /// and so does a target that is down or terminated: nothing answers.
     fn reachable(&self, from: BoxId, to: BoxId) -> bool {
         let (ab, ba) = self.partition_between(from, to);
-        self.nodes[ix(to)].available && !ab && !ba
+        let node = &self.nodes[ix(to)];
+        node.available && !node.down && !node.terminated && !ab && !ba
     }
 
     /// All channels whose endpoints are exactly this box pair (either
@@ -984,16 +988,34 @@ impl Network {
         None
     }
 
-    /// [`Ev::Disconnect`]: the connection under `ch` breaks. Its ends get
-    /// lifecycles on the first loss, running the policy every `rt` node
-    /// runs by default, jitter seeded by the initiator's name as on `rt`.
-    /// Cold, as `attempt` and `link_event` are: only a scheduled
-    /// disconnect runs them, and inlined they near triple `step`'s code.
+    /// [`Ev::Disconnect`]: the connection under `ch` breaks, and with it
+    /// every channel that shares it (same initiator, same target), in
+    /// channel-id order. Cold, as `attempt` and `link_event` are: only a
+    /// scheduled disconnect runs them, and inlined they near triple
+    /// `step`'s code.
     #[cold]
     fn disconnect(&mut self, ch: ChannelId) {
-        let Some((a, _)) = self.ends(ch) else {
+        let Some((a, b)) = self.ends(ch) else {
             return;
         };
+        let shares = |c: &Option<Channel>| c.as_ref().is_some_and(|c| c.a == a && c.b == Some(b));
+        let siblings: Vec<ChannelId> = (0..)
+            .map(ChannelId)
+            .zip(&self.channels)
+            .filter(|(_, c)| shares(c))
+            .map(|(id, _)| id)
+            .collect();
+        for ch in siblings {
+            self.lose(ch, a);
+        }
+    }
+
+    /// The connection under `ch`, which `a` initiated, is lost. Its ends
+    /// get lifecycles on the first loss, running the policy every `rt`
+    /// node runs by default, jitter seeded by the initiator's name and the
+    /// channel as on `rt`.
+    #[cold]
+    fn lose(&mut self, ch: ChannelId, a: BoxId) {
         if !self.links.contains_key(&ch) {
             let policy = ReconnectPolicy::default();
             let name = self.names.iter().find(|(_, id)| **id == a).map(|(n, _)| n);
@@ -1018,11 +1040,7 @@ impl Network {
         };
         let slots = self.nodes[ix(a)].host.channel_slots(ch);
         let tunnels = slots.map_or(0, SlotRange::len);
-        let acceptor = &self.nodes[ix(b)];
-        let answers = !acceptor.down
-            && !acceptor.terminated
-            && acceptor.host.channel_slots(ch).is_none()
-            && self.reachable(a, b);
+        let answers = self.nodes[ix(b)].host.channel_slots(ch).is_none() && self.reachable(a, b);
         let host = &mut self.nodes[ix(b)].host;
         if answers && host.register_channel(ch, tunnels, false).is_some() {
             let policy = ReconnectPolicy::default();

@@ -60,10 +60,11 @@ fn us(d: std::time::Duration) -> SimDuration {
     SimDuration::from_micros(u64::try_from(d.as_micros()).unwrap())
 }
 
-/// When each re-dial attempt goes after a loss at `t`: attempt `k` waits
-/// out delay `k` after the previous attempt's round trip.
-fn attempt_instants(t: SimTime, rtt: SimDuration) -> Vec<SimTime> {
-    let seed = jitter_seed("phone-a", 0);
+/// When each re-dial attempt of "phone-a"'s channel `ch` goes after a loss
+/// at `t`: attempt `k` waits out delay `k` after the previous attempt's
+/// round trip.
+fn attempt_instants(ch: ChannelId, t: SimTime, rtt: SimDuration) -> Vec<SimTime> {
+    let seed = jitter_seed("phone-a", ch.0);
     let policy = ReconnectPolicy::default();
     let mut at = t;
     let mut instants = Vec::new();
@@ -107,7 +108,7 @@ fn outage(lands: Option<usize>) -> (Call, SimTime, Vec<SimTime>) {
     let mut call = flowing_call(SimConfig::paper());
     let n = SimConfig::paper().net_latency;
     let t = call.net.now() + SimDuration::from_millis(10);
-    let attempts = attempt_instants(t, n + n);
+    let attempts = attempt_instants(call.ch, t, n + n);
     call.net.schedule_partition(t, call.a, call.b, true, true);
     if let Some(k) = lands {
         // Heal between the attempt before the k-th and the k-th.
@@ -211,7 +212,7 @@ fn news_from_a_superseded_connection_is_dropped() {
     // t + 261 ms, when connection 1 has long been up.
     call.net
         .user_at(t + SimDuration::from_millis(60), a, slot, mute(false));
-    let first = attempt_instants(t, cfg.net_latency + cfg.net_latency)[0];
+    let first = attempt_instants(call.ch, t, cfg.net_latency + cfg.net_latency)[0];
     assert!(first < t + SimDuration::from_millis(60));
     call.net.run_until_quiescent(T_MAX);
 
@@ -234,4 +235,51 @@ fn news_from_a_superseded_connection_is_dropped() {
     assert_eq!(states(&call.net, a), [SlotState::Closed]);
     assert_eq!(states(&call.net, b), [SlotState::Closed]);
     assert!(call.net.all_converged());
+}
+
+/// Two channels "phone-a" dialed to "phone-b" share one connection, as on
+/// `rt`: a disconnect scheduled on either loses both. Each initiator end
+/// re-dials on its own channel's backoff and resyncs at the instant it
+/// predicts; the acceptor loses both channels at once.
+#[test]
+fn channels_between_one_pair_share_their_connections_fate() {
+    let mut net = Network::new(SimConfig::paper());
+    let rec = RecordingObserver::new(net.clock());
+    let log = rec.log();
+    net.set_observer(Box::new(rec));
+    let a = net.add_box("phone-a", phone(1));
+    let b = net.add_box("phone-b", phone(2));
+    let (ch0, s0, _) = net.connect(a, b, 1);
+    let (ch1, s1, _) = net.connect(a, b, 1);
+    net.run_until_quiescent(T_MAX);
+    for slot in [s0[0], s1[0]] {
+        net.user(a, slot, UserCmd::Open(Medium::Audio));
+    }
+    net.run_until_quiescent(T_MAX);
+    net.advance(SimDuration::from_millis(1_000));
+
+    let n = SimConfig::paper().net_latency;
+    let t = net.now() + SimDuration::from_millis(10);
+    net.schedule_disconnect(t, ch1);
+    net.run_until_quiescent(T_MAX);
+
+    // Nothing blocks the first attempts: each lands and resyncs a round
+    // trip after it goes.
+    let mut resyncs: Vec<u64> = [ch0, ch1]
+        .map(|ch| (attempt_instants(ch, t, n + n)[0] + n + n).0)
+        .to_vec();
+    resyncs.sort_unstable();
+    assert_ne!(resyncs[0], resyncs[1], "the channels draw distinct jitter");
+    assert_eq!(faults(&log, a, "disconnect"), [t.0, t.0]);
+    assert_eq!(faults(&log, a, "reconnect"), resyncs);
+    assert_eq!(stimuli(&log, b, "channel_down"), [t.0, t.0]);
+    let recovered: Vec<u64> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(_, e)| matches!(e, ObsEvent::Recovered { bx, .. } if *bx == a.0))
+        .map(|(at, _)| *at)
+        .collect();
+    assert_eq!(recovered, resyncs);
+    assert!(net.all_converged());
 }

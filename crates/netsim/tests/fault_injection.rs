@@ -5,12 +5,12 @@
 //! as a fault-free run.
 
 use ipmedia_core::boxes::GoalSpec;
-use ipmedia_core::endpoint::{EndpointLogic, NullLogic};
+use ipmedia_core::endpoint::{CallerLogic, EndpointLogic, NullLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::path::PathEnds;
-use ipmedia_core::{MediaAddr, Medium};
+use ipmedia_core::{BoxId, MediaAddr, Medium};
 use ipmedia_netsim::{FaultPlan, Network, SimConfig, SimDuration, SimTime};
-use ipmedia_obs::{CountingObserver, Registry};
+use ipmedia_obs::{CountingObserver, ObsEvent, RecordingObserver, Registry};
 use std::sync::Arc;
 
 fn audio_endpoint(host: u8) -> Box<EndpointLogic> {
@@ -241,6 +241,55 @@ fn unreachable_peer_parks_instead_of_panicking() {
 
     assert_eq!(net.parked_slots(a), vec![sa[0]]);
     assert!(!net.converged(a), "the await is still outstanding");
+}
+
+/// A first dial to a box that is down finds nobody, as a re-dial would:
+/// the dialer hears its peer is unavailable, and the crashed box gets no
+/// channel (its inputs are lost while it is down, so a `ChannelUp` for it
+/// would deal slots it never heard of).
+#[test]
+fn a_first_dial_to_a_crashed_box_finds_it_unavailable() {
+    let mut net = Network::new(SimConfig::paper());
+    let b = net.add_box("phone-b", audio_endpoint(2));
+    net.run_until_quiescent(T_MAX);
+    net.schedule_crash(b, net.now(), SimDuration::from_millis(10_000));
+    net.run_until_quiescent(net.now()); // the crash, not the restart
+    let caller = CallerLogic::new(
+        EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000)),
+        "phone-b",
+        1,
+        1,
+    );
+    let recorder = RecordingObserver::new(net.clock());
+    let log = recorder.log();
+    net.set_observer(Box::new(recorder));
+    let a = net.add_box("phone-a", Box::new(caller));
+    net.run_until_quiescent(T_MAX);
+
+    let log = log.lock().unwrap();
+    let peer = |bx: BoxId| {
+        log.iter()
+            .filter_map(|(_, e)| match e {
+                ObsEvent::MetaSignal { bx: at, kind, .. }
+                    if *at == bx.0 && kind.starts_with("peer_") =>
+                {
+                    Some(*kind)
+                }
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(peer(a), ["peer_unavailable"]);
+    assert_eq!(
+        net.media(b).slots().count(),
+        0,
+        "the crashed box got a channel"
+    );
+    assert_eq!(
+        net.media(a).slots().count(),
+        1,
+        "the dialer's half-open channel"
+    );
 }
 
 /// The hot delivery path moves the signal payload into the final copy and

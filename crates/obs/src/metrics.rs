@@ -210,8 +210,9 @@ macro_rules! metric_table {
 metric_table! {
     /// Signals sent, indexed by [`SIGNAL_KINDS`].
     signals_sent: by_kind(SIGNAL_KINDS) => "ipmedia_signals_sent_total";
-    /// Signals received, indexed by [`SIGNAL_KINDS`].
-    signals_received: by_kind(SIGNAL_KINDS) => "ipmedia_signals_received_total";
+    /// Signals received, indexed by [`SIGNAL_KINDS`]; readable live, as a
+    /// wait on a count must not allocate.
+    pub signals_received: by_kind(SIGNAL_KINDS) => "ipmedia_signals_received_total";
     stimuli: counter => "ipmedia_stimuli_total";
     goal_activations: counter => "ipmedia_goal_activations_total";
     goal_drops: counter => "ipmedia_goal_drops_total";

@@ -222,7 +222,8 @@ async fn a_stalled_peer_costs_its_connection_and_nothing_else() {
         let (sock, _) = listener.accept().await.unwrap();
         let mut framed = Framed::new(sock);
         let hello = framed.read_frame().await.unwrap().expect("hello frame");
-        assert!(matches!(wire::decode(hello).unwrap(), Frame::Hello(_)));
+        let (_, hello) = wire::decode_tagged(hello).unwrap();
+        assert!(matches!(hello, Frame::Hello(_)));
         // Held open, never read: returned so that it outlives the test body.
         (framed, listener)
     });

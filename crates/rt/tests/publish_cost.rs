@@ -10,22 +10,37 @@
 use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::{BoxId, MediaAddr, SlotState};
+use ipmedia_obs::metrics::{kind_index, Registry};
 use ipmedia_rt::{spawn_node, Directory, NodeOptions, NodeSnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tokio::time::Duration;
 
-/// Counts the bytes every thread asks for: the actors run on the
-/// runtime's workers, not on the test's thread.
+/// Counts the bytes the runtime's workers ask for: the nodes run there.
+/// The test's own thread only sends commands and waits, and is not
+/// counted: whether a wait finds its condition met at once or parks (and
+/// allocates for it) is a race, not something the nodes pay.
 struct CountingAlloc;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the test's thread.
+    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    if !UNCOUNTED.try_with(Cell::get).unwrap_or(false) {
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: every call is forwarded unchanged to `System`; the wrapper only
 // adds to a counter, and never allocates itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -34,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,9 +63,16 @@ fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
 }
 
+/// Selects a node has received, read without allocating.
+fn selects(registry: &Registry) -> u64 {
+    registry.signals_received[kind_index("select")].load(Ordering::Relaxed)
+}
+
 /// Bytes allocated per round trip — mute one call's inbound at the
-/// caller, wait for the callee's route to go, and back — between two
-/// nodes holding `channels × 8` flowing calls, after a warm-up.
+/// caller, wait for the callee's route to go and for the caller to hold
+/// the callee's answering select, and back — between two nodes holding
+/// `channels × 8` flowing calls, after a warm-up. Each round trip ends
+/// with both nodes quiescent, so none is billed for the tail of another.
 async fn bytes_per_round_trip(channels: u16) -> u64 {
     const WARMUP: u64 = 50;
     const MEASURED: u64 = 200;
@@ -89,6 +111,7 @@ async fn bytes_per_round_trip(channels: u16) -> u64 {
     assert!(caller.wait_for(WAIT, |s| flowing(s) == calls).await);
     assert!(callee.wait_for(WAIT, |s| flowing(s) == calls).await);
     let slot = caller.snapshot.borrow().slots[calls / 2].slot;
+    let registry = caller.registry();
 
     let mut start = 0;
     for trip in 0..WARMUP + MEASURED {
@@ -100,11 +123,19 @@ async fn bytes_per_round_trip(channels: u16) -> u64 {
             mute_in,
             mute_out: false,
         };
+        let answered = selects(&registry) + 1;
         caller.user(slot, cmd).await;
         let seen = callee.wait_for(WAIT, |s| {
             s.slots.iter().filter(|sl| sl.tx_route.is_none()).count() == usize::from(mute_in)
         });
         assert!(seen.await, "{calls} calls: round trip {trip} never landed");
+        // At least: during the warm-up a select of the calls' setup may
+        // still trail in.
+        let held = caller.wait_for(WAIT, |_| selects(&registry) >= answered);
+        assert!(
+            held.await,
+            "{calls} calls: round trip {trip} never answered"
+        );
     }
     let bytes = BYTES.load(Ordering::Relaxed) - start;
     caller.shutdown().await;
@@ -114,6 +145,7 @@ async fn bytes_per_round_trip(channels: u16) -> u64 {
 
 #[tokio::test]
 async fn a_round_trip_allocates_the_same_at_8_slots_and_at_512() {
+    UNCOUNTED.with(|u| u.set(true));
     let small = bytes_per_round_trip(1).await;
     let large = bytes_per_round_trip(64).await;
     eprintln!("bytes allocated per Modify round trip: {small} at 8 slots, {large} at 512");

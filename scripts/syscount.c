@@ -9,7 +9,9 @@
  *   LD_PRELOAD=$PWD/target/syscount.so benchmark/target/release/ipmedia-benchmark \
  *       --workload rt_midcall --seed 4242 --seconds 6 --trace 0
  *
- * Divide each count by the result line's `attempted` for a per-op figure.
+ * Divide each count by the result line's `attempted` for a per-op figure;
+ * `connect` (every attempt) and `accept` (the connections taken, by
+ * `accept` or `accept4`) are per run.
  * `recv_eagain` is the subset of `recv` that failed with EAGAIN;
  * `eventfd_write` and `eventfd_read` count the calls on the one eventfd
  * the process made (the stand-in's reactor interrupt); `futex_worker` is the subset of `futex`
@@ -29,7 +31,7 @@
 #include <unistd.h>
 
 static _Atomic long n_send, n_recv, n_recv_eagain, n_epoll_ctl, n_epoll_wait, n_futex,
-    n_futex_worker, n_eventfd_write, n_eventfd_read;
+    n_futex_worker, n_eventfd_write, n_eventfd_read, n_connect, n_accept;
 static _Atomic int the_eventfd = -1;
 
 /* The next definition of `name` after this library's: libc's. */
@@ -60,6 +62,28 @@ ssize_t recv(int fd, void *buf, size_t len, int flags) {
     ssize_t r = real(fd, buf, len, flags);
     if (r < 0 && errno == EAGAIN)
         n_recv_eagain++;
+    return r;
+}
+
+int connect(int fd, const struct sockaddr *addr, socklen_t len) {
+    REAL(connect);
+    n_connect++;
+    return real(fd, addr, len);
+}
+
+int accept(int fd, struct sockaddr *addr, socklen_t *len) {
+    REAL(accept);
+    int r = real(fd, addr, len);
+    if (r >= 0)
+        n_accept++;
+    return r;
+}
+
+int accept4(int fd, struct sockaddr *addr, socklen_t *len, int flags) {
+    REAL(accept4);
+    int r = real(fd, addr, len, flags);
+    if (r >= 0)
+        n_accept++;
     return r;
 }
 
@@ -116,7 +140,7 @@ __attribute__((destructor)) static void report(void) {
     fprintf(stderr,
             "SYSCOUNT {\"send\":%ld,\"recv\":%ld,\"recv_eagain\":%ld,\"epoll_ctl\":%ld,"
             "\"epoll_wait\":%ld,\"futex\":%ld,\"futex_worker\":%ld,\"eventfd_write\":%ld,"
-            "\"eventfd_read\":%ld}\n",
+            "\"eventfd_read\":%ld,\"connect\":%ld,\"accept\":%ld}\n",
             n_send, n_recv, n_recv_eagain, n_epoll_ctl, n_epoll_wait, n_futex, n_futex_worker,
-            n_eventfd_write, n_eventfd_read);
+            n_eventfd_write, n_eventfd_read, n_connect, n_accept);
 }
