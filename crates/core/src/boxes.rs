@@ -300,7 +300,8 @@ impl MediaBox {
     /// annotation does. Returns the signals the new goal emits on gaining
     /// control. Reassignment destroys the slots' previous goal objects
     /// ("the slots are moved elsewhere and this goal object becomes
-    /// garbage", §VII).
+    /// garbage", §VII). Panics on a goal that names a slot the box does
+    /// not hold, or a flowlink of one slot twice.
     pub fn set_goal(&mut self, spec: GoalSpec) -> Vec<Outgoing> {
         self.set_goal_obs(spec, &mut NoopObserver)
     }
@@ -313,29 +314,35 @@ impl MediaBox {
         obs: &mut O,
     ) -> Vec<Outgoing> {
         let mut out = Vec::new();
-        self.set_goal_into(spec, obs, &mut out);
+        if let Err(slot) = self.set_goal_into(spec, obs, &mut out) {
+            panic!("a goal names {slot}, unknown or twice");
+        }
         out
     }
 
     /// [`MediaBox::set_goal_obs`] appending what the goal emits to a
-    /// buffer the caller reuses.
+    /// buffer the caller reuses. A goal naming a slot the box does not
+    /// hold, or a flowlink naming one slot twice, changes nothing and
+    /// comes back as that slot.
     pub(crate) fn set_goal_into<T: From<Outgoing>, O: Observer + ?Sized>(
         &mut self,
         spec: GoalSpec,
         obs: &mut O,
         out: &mut Vec<T>,
-    ) {
+    ) -> Result<(), SlotId> {
         let controls = spec.slots();
+        let named = match controls {
+            Controlled::One(s) => [s, s],
+            Controlled::Two(a, b) if a != b => [a, b],
+            Controlled::Two(a, _) => return Err(a),
+        };
+        if let Some(&unknown) = named.iter().find(|&&s| self.slot_index(s).is_err()) {
+            return Err(unknown);
+        }
         let before = self.states_of(controls);
         match controls {
-            Controlled::One(s) => {
-                assert!(self.slot_index(s).is_ok(), "unknown slot {s}");
-                self.drop_goal_of_obs(s, obs);
-            }
+            Controlled::One(s) => self.drop_goal_of_obs(s, obs),
             Controlled::Two(a, b) => {
-                assert!(a != b, "flowLink needs two distinct slots");
-                assert!(self.slot_index(a).is_ok(), "unknown slot {a}");
-                assert!(self.slot_index(b).is_ok(), "unknown slot {b}");
                 self.drop_goal_of_obs(a, obs);
                 self.drop_goal_of_obs(b, obs);
             }
@@ -382,6 +389,7 @@ impl MediaBox {
             controls,
         });
         self.observe_transitions(obs, before, "goal");
+        Ok(())
     }
 
     /// Deliver one tunnel signal to its slot and the controlling goal.

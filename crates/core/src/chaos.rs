@@ -21,7 +21,7 @@
 //! [`crate::shrink`] that minimizes the model checker's counterexample
 //! ladders.
 
-use crate::hash::SplitMix64;
+use crate::hash::{SplitMix64, GOLDEN_GAMMA};
 
 /// Which direction(s) of a box pair a partition cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,6 +216,13 @@ impl ChaosSchedule {
                 duration_ms,
             },
         )
+    }
+
+    /// The seed of phase `i`'s probabilistic faults, derived from the
+    /// schedule's: both substrates seed a phase's faults from it.
+    pub fn phase_seed(&self, i: usize) -> u64 {
+        self.seed
+            .wrapping_add((i as u64).wrapping_mul(GOLDEN_GAMMA))
     }
 
     /// Add a crash phase.

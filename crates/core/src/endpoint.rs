@@ -103,7 +103,8 @@ impl AppLogic for CallerLogic {
 /// server of Figs. 2–3): each incoming channel is answered by a dial to
 /// `to` with as many tunnels, tagged with the incoming channel's id, and
 /// once that dial is up the two channels are flowlinked tunnel by tunnel.
-/// An unanswered dial leaves its incoming channel unlinked.
+/// An unanswered dial leaves its incoming channel unlinked, and an onward
+/// channel that comes up after its incoming one went down is closed.
 pub struct RelayLogic {
     to: String,
     /// The slots of each incoming channel whose onward dial is not up yet,
@@ -129,10 +130,16 @@ impl AppLogic for RelayLogic {
             req,
         } = input
         else {
+            if let BoxInput::ChannelDown { channel } = input {
+                self.waiting.remove(&channel.0);
+            }
             return;
         };
         if let Some(req) = req {
-            for (a, &b) in self.waiting.remove(req).into_iter().flatten().zip(slots) {
+            let Some(incoming) = self.waiting.remove(req) else {
+                return ctx.close_channel(*channel);
+            };
+            for (a, &b) in incoming.into_iter().zip(slots) {
                 ctx.set_goal(GoalSpec::Link { a, b });
             }
         } else {

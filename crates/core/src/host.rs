@@ -46,7 +46,8 @@ pub enum Input {
     /// Goals a harness gives the box from outside its program, set in
     /// order as one stimulus, each the way the program's own
     /// [`crate::program::Ctx::set_goal`] sets one: every goal dropped and
-    /// activated and every transition it causes is observed.
+    /// activated and every transition it causes is observed, and so is a
+    /// goal the box refuses.
     Goals(Vec<GoalSpec>),
     /// A harness closure over the box: the unobserved back door, for
     /// planting raw commands (a fault the program would never make). What
@@ -467,7 +468,10 @@ impl NodeHost {
                 let ctx = self.activate(at, tracer, "stimulus", || "goals".into());
                 obs.stimulus(bx, "goals");
                 for spec in goals {
-                    self.pb.media_mut().set_goal_into(spec, obs, &mut bufs.cmds);
+                    let set = self.pb.media_mut().set_goal_into(spec, obs, &mut bufs.cmds);
+                    if let Err(slot) = set {
+                        obs.signal_ignored(bx, slot.0, "program_rejected");
+                    }
                 }
                 self.execute(bufs.cmds.drain(..), obs, &mut bufs.effects);
                 ctx

@@ -117,8 +117,8 @@ pub enum Event {
     /// The connection of this generation died without a `Bye`: an end of
     /// stream, an error, a write that timed out.
     Lost(u32),
-    /// The far end said `Bye` on a connection [`Link::admits`] admitted,
-    /// or the substrate hung the channel up itself.
+    /// The far end said `Bye` on the channel's live connection, or the
+    /// substrate hung the channel up itself.
     Bye,
 }
 
@@ -222,7 +222,10 @@ impl Link {
 
     /// True iff a frame read from connection `gen` still counts: it is
     /// the current one, and the channel is not over. A frame from a
-    /// superseded connection is a ghost of a dead one.
+    /// superseded connection is a ghost of a dead one. netsim asks it of
+    /// every message on arrival; `rt` frames carry no generation, since a
+    /// re-dialed channel there always rides a new TCP connection and a
+    /// frame of the dead one finds no channel.
     pub fn admits(&self, gen: u32) -> bool {
         gen == self.gen && self.state != LinkState::Gone
     }

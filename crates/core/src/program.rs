@@ -233,16 +233,31 @@ impl Ctx<'_> {
     }
 
     /// Annotate slots with a goal (immediately attaches the goal object and
-    /// queues the signals it emits).
+    /// queues the signals it emits). A goal naming a slot the box does not
+    /// hold, or a flowlink of one slot twice, is a rejected command.
     pub fn set_goal(&mut self, spec: GoalSpec) {
-        self.media.set_goal_into(spec, self.obs, self.cmds);
+        if let Err(slot) = self.media.set_goal_into(spec, self.obs, self.cmds) {
+            self.rejected(slot);
+        }
     }
 
-    /// Issue a user command on a user-agent slot.
+    /// Issue a user command on a user-agent slot. One the slot protocol
+    /// refuses is a rejected command.
     pub fn user(&mut self, slot: SlotId, cmd: UserCmd) {
-        if let Err(e) = self.media.user_into(slot, cmd, self.obs, self.cmds) {
-            panic!("user command failed: {e}");
+        if self
+            .media
+            .user_into(slot, cmd, self.obs, self.cmds)
+            .is_err()
+        {
+            self.rejected(slot);
         }
+    }
+
+    /// A command the program issued that the box refuses: observed, and
+    /// the box left as it was.
+    fn rejected(&mut self, slot: SlotId) {
+        let bx = self.media.id().0;
+        self.obs.signal_ignored(bx, slot.0, "program_rejected");
     }
 
     /// Queue a channel-level meta-signal ([`BoxCmd::Meta`]).
@@ -476,5 +491,76 @@ mod tests {
             BoxCmd::Signal(out) if out.signal == Signal::Close
         )));
         assert!(cmds.contains(&BoxCmd::Terminate));
+    }
+
+    /// A program that, on start, issues what its function does.
+    struct OnStart(fn(&mut Ctx<'_>));
+
+    impl AppLogic for OnStart {
+        fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+            if let BoxInput::Start = input {
+                (self.0)(ctx);
+            }
+        }
+    }
+
+    /// Every `signal_ignored` a box reports: the slot and the reason.
+    #[derive(Default)]
+    struct Ignored(Vec<(u16, &'static str)>);
+
+    impl Observer for Ignored {
+        fn observe(&mut self, ev: ipmedia_obs::ObsEvent) {
+            if let ipmedia_obs::ObsEvent::SignalIgnored { slot, reason, .. } = ev {
+                self.0.push((slot, reason));
+            }
+        }
+    }
+
+    /// Start a box holding slot 0 with `program`: the commands it issued,
+    /// what it reported ignored, and the box.
+    fn start(program: fn(&mut Ctx<'_>)) -> (Vec<BoxCmd>, Ignored, ProgramBox) {
+        let mut pb = ProgramBox::new(BoxId(9), Box::new(OnStart(program)));
+        pb.media_mut().add_slot(SlotId(0), true);
+        let (mut cmds, mut obs) = (Vec::new(), Ignored::default());
+        pb.handle_into(BoxInput::Start, &mut obs, &mut cmds, &mut Vec::new());
+        (cmds, obs, pb)
+    }
+
+    #[test]
+    fn a_user_command_the_slot_refuses_is_a_rejected_command() {
+        // Slot 0 has no user-agent goal to take the command.
+        let (cmds, ignored, pb) = start(|ctx| ctx.user(SlotId(0), UserCmd::Open(Medium::Audio)));
+        assert_eq!(ignored.0, [(0, "program_rejected")]);
+        assert!(cmds.is_empty());
+        assert!(pb.media().goal_of(SlotId(0)).is_none());
+        assert!(pb.media().slot(SlotId(0)).unwrap().is_closed());
+    }
+
+    #[test]
+    fn a_goal_on_a_slot_the_box_does_not_hold_is_a_rejected_command() {
+        let (cmds, ignored, pb) = start(|ctx| ctx.set_goal(GoalSpec::Close { slot: SlotId(7) }));
+        assert_eq!(ignored.0, [(7, "program_rejected")]);
+        assert!(cmds.is_empty());
+        assert!(pb.media().goal_of(SlotId(0)).is_none());
+    }
+
+    #[test]
+    fn a_flowlink_of_one_slot_twice_is_a_rejected_command() {
+        let (cmds, ignored, pb) = start(|ctx| {
+            ctx.set_goal(GoalSpec::Open {
+                slot: SlotId(0),
+                medium: Medium::Audio,
+                policy: Policy::Server,
+            });
+            let (a, b) = (SlotId(0), SlotId(0));
+            ctx.set_goal(GoalSpec::Link { a, b });
+        });
+        assert_eq!(ignored.0, [(0, "program_rejected")]);
+        // The open goal keeps the slot, and its open is all that was sent.
+        assert_eq!(pb.media().goal_of(SlotId(0)).unwrap().kind(), "openSlot");
+        assert!(matches!(
+            &cmds[..],
+            [BoxCmd::Signal(out)] if matches!(out.signal, Signal::Open { .. })
+        ));
     }
 }

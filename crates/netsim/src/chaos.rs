@@ -11,7 +11,7 @@ use crate::fault::FaultPlan;
 use crate::sim::Network;
 use crate::time::{SimDuration, SimTime};
 use ipmedia_core::chaos::{ChaosAction, ChaosSchedule};
-use ipmedia_core::hash::{splitmix64, GOLDEN_GAMMA};
+use ipmedia_core::hash::splitmix64;
 use ipmedia_core::BoxId;
 
 /// Where a schedule landed in virtual time.
@@ -25,15 +25,11 @@ pub struct AppliedChaos {
     pub settle: Option<SimTime>,
 }
 
-/// Derive a per-channel burst seed from the schedule seed, the phase
-/// index, and the channel id (splitmix64 finalizer), so every burst
-/// window owns an independent, reproducible PRNG stream.
-fn burst_seed(schedule_seed: u64, phase_idx: usize, ch: u32) -> u64 {
-    splitmix64(
-        schedule_seed
-            .wrapping_add((phase_idx as u64).wrapping_mul(GOLDEN_GAMMA))
-            .wrapping_add(u64::from(ch) << 17),
-    )
+/// Derive a per-channel burst seed from the phase's seed and the channel
+/// id (splitmix64 finalizer), so every burst window owns an independent,
+/// reproducible PRNG stream.
+fn burst_seed(phase_seed: u64, ch: u32) -> u64 {
+    splitmix64(phase_seed.wrapping_add(u64::from(ch) << 17))
 }
 
 /// Arm every phase of `schedule` on `net`, anchored at the current
@@ -75,7 +71,7 @@ pub fn apply_schedule(net: &mut Network, schedule: &ChaosSchedule) -> Result<App
                     ));
                 }
                 for ch in channels {
-                    let plan = FaultPlan::new(burst_seed(schedule.seed, i, ch.0))
+                    let plan = FaultPlan::new(burst_seed(schedule.phase_seed(i), ch.0))
                         .with_drop(*drop)
                         .with_duplicate(*duplicate)
                         .with_reorder(*reorder)

@@ -564,6 +564,30 @@ fn a_relay_pairs_each_caller_with_its_own_onward_leg() {
     }
 }
 
+#[test]
+fn a_caller_that_hangs_up_before_the_onward_leg_is_up_costs_the_relay_nothing() {
+    // The caller destroys its channel while the relay's onward dial is
+    // still on its way: the relay forgets the incoming slot, and closes
+    // the onward channel when it comes up with nothing to link it to.
+    use ipmedia_core::BoxCmd;
+
+    let policy = EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000));
+    let mut net = Network::new(SimConfig::paper());
+    let caller = net.add_box("caller", Box::new(CallerLogic::new(policy, "relay", 1, 1)));
+    let relay = net.add_box("relay", Box::new(RelayLogic::new("callee")));
+    let callee = net.add_box("callee", audio_endpoint(3));
+    let holds_incoming = |n: &Network| n.media(relay).slots().len() == 1;
+    assert!(net.run_until(T_MAX, holds_incoming));
+    let ch = net.channels_between(caller, relay)[0];
+    net.apply(caller, move |_| vec![BoxCmd::CloseChannel(ch)]);
+    net.run_until_quiescent(T_MAX);
+
+    for bx in [caller, relay, callee] {
+        assert_eq!(net.media(bx).slots().len(), 0, "{bx:?} holds a slot");
+    }
+    assert!(net.channels_between(relay, callee).is_empty());
+}
+
 /// A box holds at most `MAX_SLOTS` slots: a dial of its own over the cap
 /// comes back unavailable with nothing dealt, and a target with no room
 /// answers as a busy box does, leaving the dialer half-open.

@@ -10,16 +10,17 @@
 //! compressed) wall-clock time.
 //!
 //! Fault semantics mirror a real outage rather than a silent byte
-//! eater: when the gate blocks a frame on a connection the sender
-//! initiated, the node declares the connection dead and enters its
-//! reconnect path — which the gate also blocks until the heal — so
-//! recovery exercises the same redial + §VI resync machinery a genuine
-//! partition would. Crashes are approximated by isolating every link of
+//! eater: when the gate blocks a frame, the node declares the connection
+//! it was to cross dead, at either end, and with it every channel the
+//! connection carries, as a TCP connection fails whole. The far end reads
+//! end of stream. The dialer's channels enter their reconnect path —
+//! which the gate also blocks until the heal — so recovery exercises the
+//! same redial + §VI resync machinery a genuine partition would; the
+//! acceptor's go down. Crashes are approximated by isolating every link of
 //! the named box for the down interval (the simulator's crash likewise
 //! loses all of the box's inputs).
 
 use ipmedia_core::chaos::{ChaosAction, ChaosSchedule};
-use ipmedia_core::hash::GOLDEN_GAMMA;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -187,9 +188,7 @@ pub async fn drive_schedule(gate: &ChaosGate, schedule: &ChaosSchedule, compress
     }
     let mut edges: Vec<(u64, Edge)> = Vec::new();
     for (i, phase) in schedule.phases.iter().enumerate() {
-        let seed = schedule
-            .seed
-            .wrapping_add((i as u64).wrapping_mul(GOLDEN_GAMMA));
+        let seed = schedule.phase_seed(i);
         match &phase.action {
             ChaosAction::Partition { a, b, dir } => {
                 let (ab, ba) = dir.blocks();

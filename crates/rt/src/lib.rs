@@ -23,5 +23,5 @@ pub use node::{
     SlotSnapshot,
 };
 pub use wire::{
-    decode, decode_tagged, encode, encode_tagged, Frame, Hello, Tag, WireError, WIRE_VERSION,
+    decode, decode_tagged, encode, encode_tagged, Frame, Hello, WireError, WIRE_VERSION,
 };

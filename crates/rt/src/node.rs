@@ -11,10 +11,11 @@
 //! sans-IO state machines the simulator and the model checker drive.
 //!
 //! Every channel a node dials to one peer rides one TCP connection, the
-//! *transport*, and each frame on it carries its channel's [`Tag`] (the
-//! dialer's channel id and the generation of the channel's connection):
-//! a channel is *bound* to a transport by its `Hello` and leaves it by
-//! its `Bye`, and the socket closes with the last channel bound to it.
+//! *transport*, and each frame on it is tagged with its channel (the
+//! dialer's channel id): a channel is *bound* to a transport by its
+//! `Hello` and leaves it by its `Bye`, and the socket closes with the
+//! last channel bound to it. A transport fails whole, as a TCP
+//! connection does: every channel bound to it loses its connection.
 //! All I/O is non-blocking; per-transport writer tasks apply
 //! backpressure via bounded channels — an actor whose writer queue is
 //! full waits for room, for at most the send timeout, and never discards
@@ -23,7 +24,7 @@
 
 use crate::chaos::ChaosGate;
 use crate::frame::Framed;
-use crate::wire::{self, Frame, Hello, Tag};
+use crate::wire::{self, Frame, Hello};
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
 use ipmedia_core::ids::{ChannelId, SlotId};
@@ -215,16 +216,16 @@ impl NodeHandle {
 }
 
 enum Inbox {
-    /// A frame of the binding `tag` arrived on a transport.
+    /// A frame of the channel tagged `tag` arrived on a transport.
     Net {
         transport: u32,
-        tag: Tag,
+        tag: u32,
         frame: Frame,
     },
     /// A connection was accepted and sent its first hello, for the
-    /// binding `tag`.
+    /// channel tagged `tag`.
     Accepted {
-        tag: Tag,
+        tag: u32,
         hello: Hello,
         framed: Framed<TcpStream>,
     },
@@ -252,10 +253,11 @@ struct Conn {
     peer: String,
     /// The channel's tunnels, said in every hello.
     tunnels: u16,
-    /// The channel's binding: its tag on its transports (the dialer's
-    /// channel id), and the generation of the connection it rides or its
-    /// attempt makes. Every frame the channel sends carries it.
-    tag: Tag,
+    /// The channel's tag on its transports: the dialer's channel id.
+    tag: u32,
+    /// The generation of the connection the channel rides or its attempt
+    /// makes, which a loss of it reports to the `Link`.
+    gen: u32,
     /// The transport carrying the channel; `None` while a dial or re-dial
     /// runs and on a half-open channel.
     transport: Option<u32>,
@@ -267,7 +269,7 @@ struct Transport {
     /// The box this node dialed, or `None` on a connection it accepted.
     dialed: Option<String>,
     /// The writer task's input queue.
-    writer: mpsc::Sender<(Tag, Frame)>,
+    writer: mpsc::Sender<(u32, Frame)>,
     /// Channel tag → channel, for every channel bound to the transport.
     /// Ordered, so the channels a dead transport leaves hear of it in tag
     /// order.
@@ -308,10 +310,11 @@ pub struct NodeOptions {
     pub tracer: Option<Tracer>,
     /// Consulted on every outgoing frame and every (re)dial, so the node
     /// takes part in orchestrated fault schedules. A gate-blocked frame
-    /// declares its channel's connection dead (the runtime analogue of a
-    /// partition killing TCP) and its siblings on the transport carry on;
-    /// redials stay blocked until the gate heals, and recovery then rides
-    /// the ordinary redial and §VI resync. Default: none.
+    /// declares its transport dead (the runtime analogue of a partition
+    /// killing TCP): every channel on it loses its connection, and the far
+    /// end reads end of stream. Redials stay blocked until the gate heals,
+    /// and recovery then rides the ordinary redial and §VI resync.
+    /// Default: none.
     pub gate: Option<Arc<ChaosGate>>,
 }
 
@@ -523,8 +526,8 @@ struct Actor {
     /// Lent to every host call and drained right after.
     buffers: Buffers,
     /// What the actor itself learned about channels' connections while
-    /// applying an input (an attempt's outcome, a binding it declared
-    /// dead, with that binding's generation), told to their lifecycles
+    /// applying an input (an attempt's outcome, a transport it declared
+    /// dead, with each channel's generation), told to their lifecycles
     /// before the next input. It does not go through the inbox: the actor
     /// is its only consumer, so awaiting room in it would wait on itself.
     news: VecDeque<(ChannelId, Event)>,
@@ -742,13 +745,11 @@ impl Actor {
         }
     }
 
-    /// A frame of the binding `tag` on a transport. One on a transport
-    /// already dead, for a channel no longer bound to it, or from a
-    /// connection of the channel's that its `Link` no longer admits (the
-    /// far end sent it before it heard that the channel lost that one) is
-    /// a ghost: acting on it (especially a `Lost` or a `Bye`) would hit
-    /// the live replacement.
-    async fn on_frame(&mut self, transport: u32, tag: Tag, frame: Frame) {
+    /// A frame of the channel tagged `tag` on a transport. One on a
+    /// transport already dead, or for a channel no longer bound to it, is
+    /// a ghost: a re-dialed channel rides a new transport, so acting on it
+    /// (especially a `Bye`) would hit the live replacement.
+    async fn on_frame(&mut self, transport: u32, tag: u32, frame: Frame) {
         let Some(t) = self.transports.get(&transport) else {
             return;
         };
@@ -759,16 +760,9 @@ impl Actor {
             }
             return;
         }
-        let Some(&channel) = t.channels.get(&tag.channel) else {
+        let Some(&channel) = t.channels.get(&tag) else {
             return;
         };
-        if !self
-            .conns
-            .get(&channel)
-            .is_some_and(|c| c.link.admits(tag.gen))
-        {
-            return;
-        }
         match frame {
             Frame::Msg(msg) => self.feed(Input::Msg { channel, msg }, None).await,
             // A traced frame is its inner message plus the sender's causal
@@ -777,26 +771,23 @@ impl Actor {
                 self.feed(Input::Msg { channel, msg }, Some(ctx)).await;
             }
             Frame::Bye => self.on_link(channel, Event::Bye).await,
-            Frame::Lost => {
-                self.lose(channel);
-                self.release(transport);
-            }
             Frame::Hello(_) => unreachable!("handled above"),
         }
     }
 
-    /// A peer opened the binding `tag` on a transport it dialed. It
+    /// A peer opened the channel tagged `tag` on a transport it dialed. It
     /// chooses how many tunnels it asks for: a channel that does not fit
     /// the box is refused with its `Bye`, so the dialer's lifecycle ends
     /// the channel rather than re-dial it, and its siblings carry on. So
     /// is a channel of no tunnels: it costs no slot, so the slot cap would
     /// not bound how many of them one connection opens.
-    async fn on_hello(&mut self, transport: u32, tag: Tag, hello: Hello) {
-        // A conforming dialer says `Lost` or `Bye` before it binds a tag
-        // anew; one that does not loses the old binding here. The
+    async fn on_hello(&mut self, transport: u32, tag: u32, hello: Hello) {
+        // No conforming dialer binds a tag twice on one transport; one
+        // that does ends the old channel here as its `Bye` would. The
         // transport stays, as it carries the new one.
-        if let Some(&old) = self.transports[&transport].channels.get(&tag.channel) {
-            self.lose(old);
+        if let Some(&old) = self.transports[&transport].channels.get(&tag) {
+            self.detach(old);
+            self.news.push_back((old, Event::Bye));
         }
         let channel = self.new_channel();
         let dealt = hello.tunnels > 0
@@ -815,8 +806,9 @@ impl Actor {
             peer: hello.from,
             tunnels: hello.tunnels,
             tag,
+            gen: 0,
             transport: None,
-            link: Link::established(self.policy, 0, false, tag.gen),
+            link: Link::established(self.policy, 0, false, 0),
         };
         self.conns.insert(channel, conn);
         self.bind(channel, transport);
@@ -836,10 +828,8 @@ impl Actor {
         let conn = Conn {
             peer: to,
             tunnels,
-            tag: Tag {
-                channel: channel.0,
-                gen,
-            },
+            tag: channel.0,
+            gen,
             transport: None,
             link,
         };
@@ -857,7 +847,7 @@ impl Actor {
         let (bx, tunnels, bound) = (self.host.id().0, conn.tunnels, conn.transport.is_some());
         let command = conn.link.on(event, now);
         if let Some(Command::Connect { gen, .. }) = command {
-            conn.tag.gen = gen;
+            conn.gen = gen;
         }
         match command {
             None => {}
@@ -991,8 +981,7 @@ impl Actor {
     }
 
     /// Bind a channel to a transport: the transport's frames tagged with
-    /// the channel's tag are the channel's, once its `Link` admits their
-    /// generation.
+    /// the channel's tag are the channel's.
     fn bind(&mut self, channel: ChannelId, transport: u32) {
         let conn = self.conns.get_mut(&channel).expect("a channel to bind");
         conn.transport = Some(transport);
@@ -1000,7 +989,7 @@ impl Actor {
             .transports
             .get_mut(&transport)
             .expect("a live transport");
-        t.channels.insert(conn.tag.channel, channel);
+        t.channels.insert(conn.tag, channel);
     }
 
     /// A channel this node dials just bound: its hello opens it at the far
@@ -1033,7 +1022,7 @@ impl Actor {
         let conn = self.conns.get_mut(&channel)?;
         let transport = conn.transport.take()?;
         if let Some(t) = self.transports.get_mut(&transport) {
-            t.channels.remove(&conn.tag.channel);
+            t.channels.remove(&conn.tag);
         }
         Some(transport)
     }
@@ -1069,15 +1058,6 @@ impl Actor {
         Some(t)
     }
 
-    /// One bound channel's connection is gone while its transport lives
-    /// on, left open for its caller to release or go on using.
-    fn lose(&mut self, channel: ChannelId) {
-        if self.detach(channel).is_some() {
-            let gen = self.conns[&channel].tag.gen;
-            self.news.push_back((channel, Event::Lost(gen)));
-        }
-    }
-
     /// A transport died: every channel bound to it lost its connection.
     fn lose_transport(&mut self, transport: u32) {
         let Some(t) = self.close(transport) else {
@@ -1086,16 +1066,16 @@ impl Actor {
         for channel in t.channels.into_values() {
             if let Some(conn) = self.conns.get_mut(&channel) {
                 conn.transport = None;
-                self.news.push_back((channel, Event::Lost(conn.tag.gen)));
+                self.news.push_back((channel, Event::Lost(conn.gen)));
             }
         }
     }
 
-    /// Queue a frame of the binding `tag` on a transport. A full writer queue
-    /// makes the actor wait for room rather than discard the frame; a
-    /// writer that makes none within the send timeout is as dead as a
-    /// socket write that takes that long, and so is the transport.
-    async fn send(&mut self, transport: u32, tag: Tag, frame: Frame) {
+    /// Queue a frame of the channel tagged `tag` on a transport. A full
+    /// writer queue makes the actor wait for room rather than discard the
+    /// frame; a writer that makes none within the send timeout is as dead
+    /// as a socket write that takes that long, and so is the transport.
+    async fn send(&mut self, transport: u32, tag: u32, frame: Frame) {
         let Some(t) = self.transports.get(&transport) else {
             return;
         };
@@ -1122,7 +1102,7 @@ impl Actor {
     fn attach(&mut self, dialed: Option<String>, framed: Framed<TcpStream>) -> u32 {
         let transport = self.next_transport;
         self.next_transport += 1;
-        let (writer_tx, mut writer_rx) = mpsc::channel::<(Tag, Frame)>(64);
+        let (writer_tx, mut writer_rx) = mpsc::channel::<(u32, Frame)>(64);
         let (stream, leftover) = framed.into_parts();
         let (read_half, write_half) = stream.into_split();
 
@@ -1199,15 +1179,12 @@ impl Actor {
         let gate = self.gate.as_ref();
         if let Some(kind) = gate.and_then(|g| g.check(&self.name, &conn.peer).err()) {
             self.obs.fault_injected(self.host.id().0, kind);
-            // A gate-blocked frame means the channel's connection is dead
-            // from this node's point of view, and the far end hears so:
-            // the initiator re-dials (equally gated) and resyncs, the
-            // acceptor ends the channel — never a silent byte eater, which
-            // would wedge the peer's await forever. The siblings on the
-            // transport carry on.
-            self.send(transport, tag, Frame::Lost).await;
-            self.lose(channel);
-            self.release(transport);
+            // A gate-blocked frame means the connection is dead from this
+            // node's point of view, and the far end reads its end: the
+            // initiator's channels re-dial (equally gated) and resync, the
+            // acceptor's go down — never a silent byte eater, which would
+            // wedge the peer's await forever.
+            self.lose_transport(transport);
             return;
         }
         let frame = match (ctx, &self.tracer) {

@@ -7,9 +7,9 @@
 //! integers, length-prefixed strings and lists.
 //!
 //! Every channel a node dials to one peer shares one TCP connection, its
-//! *transport*, so a frame on a transport names its channel's binding:
-//! [`encode_tagged`] puts its [`Tag`] between the version and the frame.
-//! [`encode`] is the frame alone.
+//! *transport*, so a frame on a transport names its channel:
+//! [`encode_tagged`] puts the dialer's channel id between the version and
+//! the frame. [`encode`] is the frame alone.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ipmedia_core::{
@@ -19,9 +19,9 @@ use ipmedia_core::{
 use ipmedia_obs::trace::{SpanCtx, SpanId, TraceId};
 use std::net::IpAddr;
 
-/// Format version carried in every frame. Version 2 tags each frame with
-/// its channel's binding.
-pub const WIRE_VERSION: u8 = 2;
+/// Format version carried in every frame. Version 3 tags each frame with
+/// its channel id alone.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Errors from decoding a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,18 +45,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The binding a frame on a transport belongs to: its channel, named by
-/// the dialer's channel id, and the generation of the channel's
-/// connection (`core::link::Link`) it was sent on. A channel re-dialed
-/// onto the transport it lost binds under the same `channel` with the
-/// next `gen`, so a frame the far end sent for the old binding, before it
-/// heard of the loss, is told from the new binding's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tag {
-    pub channel: u32,
-    pub gen: u32,
-}
-
 /// Channel setup: the first frame of a channel on its transport, whether
 /// the transport is new or already carries others.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,10 +60,6 @@ pub enum Frame {
     Msg(ChannelMsg),
     /// Orderly shutdown of the signaling channel.
     Bye,
-    /// The connection under the channel is lost, though the transport
-    /// carries on: what a socket close says to a channel that has one
-    /// of its own. The initiator re-dials; the acceptor ends the channel.
-    Lost,
     /// A [`ChannelMsg`] with the sender's causal trace context piggybacked
     /// on it (`sent_micros` is the sender's clock; receivers use their own
     /// for the arrival edge). Receivers that don't trace simply unwrap the
@@ -94,12 +78,12 @@ pub fn encode(frame: &Frame) -> Bytes {
     b.freeze()
 }
 
-/// A frame's bytes on a transport: `frame` of the binding `tag`.
-pub fn encode_tagged(tag: Tag, frame: &Frame) -> Bytes {
+/// A frame's bytes on a transport: `frame` of the channel the dialer
+/// numbered `channel`.
+pub fn encode_tagged(channel: u32, frame: &Frame) -> Bytes {
     let mut b = BytesMut::with_capacity(64);
     b.put_u8(WIRE_VERSION);
-    b.put_u32(tag.channel);
-    b.put_u32(tag.gen);
+    b.put_u32(channel);
     encode_frame(&mut b, frame);
     b.freeze()
 }
@@ -110,14 +94,11 @@ pub fn decode(mut buf: Bytes) -> Result<Frame, WireError> {
     decode_frame(&mut buf)
 }
 
-/// The inverse of [`encode_tagged`]: the binding and its frame.
-pub fn decode_tagged(mut buf: Bytes) -> Result<(Tag, Frame), WireError> {
+/// The inverse of [`encode_tagged`]: the channel and its frame.
+pub fn decode_tagged(mut buf: Bytes) -> Result<(u32, Frame), WireError> {
     version(&mut buf)?;
-    let tag = Tag {
-        channel: get_u32(&mut buf)?,
-        gen: get_u32(&mut buf)?,
-    };
-    Ok((tag, decode_frame(&mut buf)?))
+    let channel = get_u32(&mut buf)?;
+    Ok((channel, decode_frame(&mut buf)?))
 }
 
 fn version(buf: &mut Bytes) -> Result<(), WireError> {
@@ -147,7 +128,6 @@ fn encode_frame(b: &mut BytesMut, frame: &Frame) {
             b.put_u64(ctx.sent_micros);
             encode_msg(b, msg);
         }
-        Frame::Lost => b.put_u8(4),
     }
 }
 
@@ -170,7 +150,6 @@ fn decode_frame(buf: &mut Bytes) -> Result<Frame, WireError> {
             let msg = decode_msg(buf)?;
             Ok(Frame::Traced { ctx, msg })
         }
-        4 => Ok(Frame::Lost),
         t => Err(WireError::BadTag("frame", t)),
     }
 }
@@ -644,26 +623,16 @@ mod tests {
     }
 
     #[test]
-    fn lost_roundtrip() {
-        roundtrip(Frame::Lost);
-    }
-
-    #[test]
     fn a_tagged_frame_is_its_tag_before_the_frame() {
         let frame = Frame::Msg(ChannelMsg::Meta(MetaSignal::Teardown));
-        let tag = Tag {
-            channel: 0x0102_0304,
-            gen: 0x0506_0708,
-        };
-        let tagged = encode_tagged(tag, &frame);
+        let tagged = encode_tagged(0x0102_0304, &frame);
         let plain = encode(&frame);
-        assert_eq!(tagged[..9], [WIRE_VERSION, 1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(tagged[9..], plain[1..]);
-        assert_eq!(decode_tagged(tagged), Ok((tag, frame)));
+        assert_eq!(tagged[..5], [WIRE_VERSION, 1, 2, 3, 4]);
+        assert_eq!(tagged[5..], plain[1..]);
+        assert_eq!(decode_tagged(tagged), Ok((0x0102_0304, frame)));
         // A tagged frame cut inside its tag is truncated, not misread.
-        let tag = Tag { channel: 7, gen: 1 };
-        for cut in 0..9 {
-            let partial = encode_tagged(tag, &Frame::Bye).slice(0..cut);
+        for cut in 0..5 {
+            let partial = encode_tagged(7, &Frame::Bye).slice(0..cut);
             assert_eq!(decode_tagged(partial), Err(WireError::Truncated));
         }
     }

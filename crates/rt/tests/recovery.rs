@@ -9,7 +9,7 @@ use ipmedia_core::signal::{ChannelMsg, Signal};
 use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
 use ipmedia_rt::{
     backoff_delays, jitter_seed, spawn_node, wire, Directory, Frame, Framed, NodeOptions,
-    ReconnectPolicy, Tag,
+    ReconnectPolicy,
 };
 use tokio::net::{TcpListener, TcpStream};
 use tokio::time::Duration;
@@ -47,7 +47,7 @@ async fn accept_peer(listener: &TcpListener) -> Framed<TcpStream> {
     let bytes = framed.read_frame().await.unwrap().expect("hello frame");
     assert!(matches!(
         wire::decode_tagged(bytes).unwrap(),
-        (Tag { channel: 0, .. }, Frame::Hello(_))
+        (0, Frame::Hello(_))
     ));
     framed
 }

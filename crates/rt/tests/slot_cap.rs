@@ -12,7 +12,7 @@ use ipmedia_core::{
     Availability, BoxId, Codec, DescTag, Descriptor, MediaAddr, Medium, MetaSignal, SlotState,
     TunnelId,
 };
-use ipmedia_rt::{spawn_node, wire, Directory, Frame, Framed, Hello, NodeHandle, NodeOptions, Tag};
+use ipmedia_rt::{spawn_node, wire, Directory, Frame, Framed, Hello, NodeHandle, NodeOptions};
 use std::sync::{Arc, Mutex};
 use tokio::net::TcpStream;
 use tokio::time::Duration;
@@ -21,11 +21,6 @@ const WAIT: Duration = Duration::from_secs(10);
 
 fn addr(h: u8) -> MediaAddr {
     MediaAddr::v4(10, 0, 0, h, 4000)
-}
-
-/// Channel `channel`'s first binding, as a dialer tags it.
-fn tag(channel: u32) -> Tag {
-    Tag { channel, gen: 1 }
 }
 
 /// Two hellos asking for 65,535 tunnels each, from a raw TCP peer: the
@@ -54,7 +49,7 @@ async fn a_peers_oversized_hellos_cannot_panic_the_node() {
             tunnels: u16::MAX,
         };
         framed
-            .write_frame(&wire::encode_tagged(tag(0), &Frame::Hello(hello)))
+            .write_frame(&wire::encode_tagged(0, &Frame::Hello(hello)))
             .await
             .unwrap();
         floods.push(framed);
@@ -85,7 +80,7 @@ async fn a_peers_oversized_hellos_cannot_panic_the_node() {
     for mut framed in floods {
         let read = tokio::time::timeout(WAIT, framed.read_frame()).await;
         let frame = read.unwrap().unwrap().map(wire::decode_tagged);
-        assert_eq!(frame, Some(Ok((tag(0), Frame::Bye))));
+        assert_eq!(frame, Some(Ok((0, Frame::Bye))));
         let read = tokio::time::timeout(WAIT, framed.read_frame()).await;
         assert!(matches!(read, Ok(Ok(None)) | Ok(Err(_))), "{read:?}");
     }
@@ -113,7 +108,7 @@ async fn raw_peer_of_callee(hellos: &[(u32, u16)]) -> (NodeHandle, Framed<TcpStr
             from: "peer".into(),
             tunnels,
         });
-        let bytes = wire::encode_tagged(tag(channel), &hello);
+        let bytes = wire::encode_tagged(channel, &hello);
         peer.write_frame(&bytes).await.unwrap();
     }
     (callee, peer)
@@ -121,7 +116,7 @@ async fn raw_peer_of_callee(hellos: &[(u32, u16)]) -> (NodeHandle, Framed<TcpStr
 
 /// Open a call on channel `channel`'s first tunnel and read the
 /// connection up to its answer: every frame read, the `oack` last.
-async fn open_call(peer: &mut Framed<TcpStream>, channel: u32) -> Vec<(Tag, Frame)> {
+async fn open_call(peer: &mut Framed<TcpStream>, channel: u32) -> Vec<(u32, Frame)> {
     let desc = Descriptor::media(
         DescTag {
             origin: 9,
@@ -137,7 +132,7 @@ async fn open_call(peer: &mut Framed<TcpStream>, channel: u32) -> Vec<(Tag, Fram
             desc,
         },
     });
-    let bytes = wire::encode_tagged(tag(channel), &open);
+    let bytes = wire::encode_tagged(channel, &open);
     peer.write_frame(&bytes).await.unwrap();
     let mut seen = Vec::new();
     loop {
@@ -169,15 +164,15 @@ async fn an_oversized_hello_on_a_shared_transport_costs_only_its_channel() {
 
     // An open on the last sibling is answered on the same connection.
     let seen = open_call(&mut peer, 2).await;
-    assert_eq!(seen[0], (tag(1), Frame::Bye), "{seen:?}");
-    assert_eq!(seen.last().map(|(t, _)| *t), Some(tag(2)), "{seen:?}");
-    assert!(seen[1..].iter().all(|(t, _)| *t != tag(1)), "{seen:?}");
+    assert_eq!(seen[0], (1, Frame::Bye), "{seen:?}");
+    assert_eq!(seen.last().map(|(t, _)| *t), Some(2), "{seen:?}");
+    assert!(seen[1..].iter().all(|(t, _)| *t != 1), "{seen:?}");
     assert_eq!(callee.registry().snapshot().faults("other"), 1);
     callee.shutdown().await;
 }
 
 /// A peer that says hello twice under one tag, the first time on the
-/// connection's first frame, loses the tag's first channel to the second
+/// connection's first frame, ends the tag's first channel with the second
 /// and nothing else: the connection, its only one, stays up for the new
 /// channel, which answers a call. (Before, losing the first channel
 /// closed the connection, and binding the second to it killed the node.)
@@ -185,7 +180,7 @@ async fn an_oversized_hello_on_a_shared_transport_costs_only_its_channel() {
 async fn a_second_hello_under_a_bound_tag_cannot_panic_the_node() {
     let (mut callee, mut peer) = raw_peer_of_callee(&[(0, 1), (0, 1)]).await;
     let seen = open_call(&mut peer, 0).await;
-    assert!(seen.iter().all(|(t, _)| *t == tag(0)), "{seen:?}");
+    assert!(seen.iter().all(|(t, _)| *t == 0), "{seen:?}");
     assert!(callee.wait_for(WAIT, |s| s.channels == 1).await);
     assert_eq!(callee.snapshot.borrow().slots.len(), 1);
     callee.shutdown().await;
@@ -202,11 +197,9 @@ async fn hellos_of_no_tunnels_are_refused() {
     hellos.extend((1..=EMPTY).map(|channel| (channel, 0)));
     let (mut callee, mut peer) = raw_peer_of_callee(&hellos).await;
     let seen = open_call(&mut peer, 0).await;
-    let byes: Vec<_> = (1..=EMPTY)
-        .map(|channel| (tag(channel), Frame::Bye))
-        .collect();
+    let byes: Vec<_> = (1..=EMPTY).map(|channel| (channel, Frame::Bye)).collect();
     assert_eq!(seen[..byes.len()], byes[..], "{seen:?}");
-    assert!(seen[byes.len()..].iter().all(|(t, _)| *t == tag(0)));
+    assert!(seen[byes.len()..].iter().all(|(t, _)| *t == 0));
     assert!(callee.wait_for(WAIT, |s| s.channels == 1).await);
     assert_eq!(
         callee.registry().snapshot().faults("other"),

@@ -11,9 +11,11 @@ use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::ids::ChannelId;
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx, TimerId};
 use ipmedia_core::signal::{ChannelMsg, Signal};
-use ipmedia_core::{BoxId, Codec, DescTag, Descriptor, MediaAddr, Medium, SlotState, TunnelId};
+use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_obs::{ObsEvent, Observer};
 use ipmedia_rt::{
-    spawn_node, wire, Directory, Frame, Framed, NodeOptions, NodeSnapshot, ReconnectPolicy, Tag,
+    spawn_node, wire, ChaosGate, Directory, Frame, Framed, NodeOptions, NodeSnapshot,
+    ReconnectPolicy,
 };
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -57,8 +59,8 @@ async fn caller_of_raw_peer(channels: u16) -> (ipmedia_rt::NodeHandle, TcpListen
     (node.await.unwrap(), listener)
 }
 
-/// The next frame on a transport, with its binding's tag.
-async fn next_frame(framed: &mut Framed<TcpStream>) -> (Tag, Frame) {
+/// The next frame on a transport, with its channel's tag.
+async fn next_frame(framed: &mut Framed<TcpStream>) -> (u32, Frame) {
     let read = timeout(WAIT, framed.read_frame())
         .await
         .expect("a frame in time");
@@ -68,7 +70,7 @@ async fn next_frame(framed: &mut Framed<TcpStream>) -> (Tag, Frame) {
 
 /// Read a transport until `channels` channels have said hello and sent an
 /// open; returns their tags in the order their hellos came.
-async fn hellos_and_opens(framed: &mut Framed<TcpStream>, channels: u32) -> Vec<Tag> {
+async fn hellos_and_opens(framed: &mut Framed<TcpStream>, channels: u32) -> Vec<u32> {
     let (mut hellos, mut opens) = (Vec::new(), 0);
     while hellos.len() < channels as usize || opens < channels {
         match next_frame(framed).await {
@@ -76,7 +78,7 @@ async fn hellos_and_opens(framed: &mut Framed<TcpStream>, channels: u32) -> Vec<
             (tag, Frame::Msg(ChannelMsg::Tunnel { signal, .. })) => {
                 assert!(
                     hellos.contains(&tag),
-                    "channel {tag:?} spoke before its hello"
+                    "channel {tag} spoke before its hello"
                 );
                 opens += u32::from(matches!(signal, Signal::Open { .. }));
             }
@@ -95,8 +97,7 @@ async fn first_dials_to_one_box_share_one_connection_in_dial_order() {
     let (sock, _) = timeout(WAIT, listener.accept()).await.unwrap().unwrap();
     let mut peer = Framed::new(sock);
     let hellos = hellos_and_opens(&mut peer, N.into()).await;
-    let first = |channel| Tag { channel, gen: 1 };
-    assert_eq!(hellos, (0..u32::from(N)).map(first).collect::<Vec<_>>());
+    assert_eq!(hellos, (0..u32::from(N)).collect::<Vec<_>>());
     assert!(node.wait_for(WAIT, |s| s.channels == usize::from(N)).await);
     let second = timeout(QUIET, listener.accept()).await;
     assert!(second.is_err(), "a second connection came");
@@ -118,9 +119,8 @@ async fn a_dead_transport_is_redialed_once_for_all_its_channels() {
     let (sock, _) = timeout(WAIT, listener.accept()).await.unwrap().unwrap();
     let mut peer = Framed::new(sock);
     let mut hellos = hellos_and_opens(&mut peer, N.into()).await;
-    hellos.sort_unstable_by_key(|tag| tag.channel);
-    let redialed = |channel| Tag { channel, gen: 2 };
-    assert_eq!(hellos, (0..u32::from(N)).map(redialed).collect::<Vec<_>>());
+    hellos.sort_unstable();
+    assert_eq!(hellos, (0..u32::from(N)).collect::<Vec<_>>());
     let recovered = |s: &NodeSnapshot| s.recovering == 0 && s.channels == usize::from(N);
     assert!(node.wait_for(WAIT, recovered).await);
     let second = timeout(QUIET, listener.accept()).await;
@@ -132,73 +132,6 @@ async fn a_dead_transport_is_redialed_once_for_all_its_channels() {
         "a loss and a resync each"
     );
     assert_eq!(m.recoveries, u64::from(N));
-    node.shutdown().await;
-}
-
-/// An answer to a channel's open on its one tunnel, in the binding `tag`.
-fn oack(tag: Tag) -> Vec<u8> {
-    let desc = Descriptor::media(
-        DescTag {
-            origin: 9,
-            generation: 1,
-        },
-        addr(9),
-        vec![Codec::G711],
-    );
-    let oack = Frame::Msg(ChannelMsg::Tunnel {
-        tunnel: TunnelId(0),
-        signal: Signal::Oack { desc },
-    });
-    wire::encode_tagged(tag, &oack).to_vec()
-}
-
-/// A `Lost` the far end sent before it read the dialer's re-hello lands
-/// on the channel's new binding to the same transport: it is from the
-/// connection the channel already lost, so it costs nothing, and neither
-/// does an answer that was on its way with it. One recovery; the channel
-/// takes the answer of its new binding.
-#[tokio::test]
-async fn a_stale_lost_crossing_a_redial_costs_no_second_recovery() {
-    let (mut node, listener) = caller_of_raw_peer(2).await;
-    let (sock, _) = timeout(WAIT, listener.accept()).await.unwrap().unwrap();
-    let mut peer = Framed::new(sock);
-    let first = Tag { channel: 0, gen: 1 };
-    assert!(hellos_and_opens(&mut peer, 2).await.contains(&first));
-
-    // Channel 0 loses its connection; its sibling keeps the transport up,
-    // so it says hello again on it, and re-sends its parked open.
-    let lost = wire::encode_tagged(first, &Frame::Lost);
-    peer.write_frame(&lost).await.unwrap();
-    let again = Tag { channel: 0, gen: 2 };
-    let (mut hello, mut open) = (false, false);
-    while !(hello && open) {
-        match next_frame(&mut peer).await {
-            (tag, Frame::Hello(_)) if tag == again => hello = true,
-            (tag, Frame::Msg(_)) if tag == again => open = hello,
-            (tag, frame) => assert_eq!(tag.channel, 1, "{frame:?}"),
-        }
-    }
-
-    // What the far end sent for the old binding arrives now.
-    peer.write_frame(&oack(first)).await.unwrap();
-    peer.write_frame(&lost).await.unwrap();
-    let flowing = |s: &NodeSnapshot| s.slots.iter().any(|sl| sl.state == SlotState::Flowing);
-    let quiet = timeout(QUIET, peer.read_frame()).await;
-    assert!(
-        quiet.is_err(),
-        "the stale frames moved the channel: {quiet:?}"
-    );
-    assert!(
-        !flowing(&node.snapshot.borrow()),
-        "a stale answer was taken"
-    );
-    let m = node.registry().snapshot();
-    assert_eq!(m.recoveries, 1);
-    assert_eq!(m.faults("other"), 2, "one loss and one resync");
-
-    peer.write_frame(&oack(again)).await.unwrap();
-    assert!(node.wait_for(WAIT, flowing).await);
-    assert_eq!(node.snapshot.borrow().recovering, 0);
     node.shutdown().await;
 }
 
@@ -324,6 +257,82 @@ async fn closing_one_channel_leaves_its_siblings_flowing() {
     assert!(callee.wait_for(WAIT, flowing(2)).await);
     assert_eq!(connections.load(Ordering::SeqCst), 1);
     assert_eq!(caller.registry().snapshot().faults_total(), 0);
+    caller.shutdown().await;
+    callee.shutdown().await;
+}
+
+/// Counts the `reconnect` faults its node observes: one per re-dial that
+/// landed.
+struct Reconnects(Arc<AtomicUsize>);
+
+impl Observer for Reconnects {
+    fn observe(&mut self, ev: ObsEvent) {
+        if let ObsEvent::FaultInjected {
+            kind: "reconnect", ..
+        } = ev
+        {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// (d) A transport fails whole, as the TCP connection under it does: one
+/// gate-blocked frame on one channel costs every channel on the transport
+/// its connection, and after the heal their re-dials share one new
+/// connection, each resyncing once.
+#[tokio::test]
+async fn a_gated_transmit_costs_every_channel_on_its_transport() {
+    const N: usize = 3;
+    let dir = Directory::new();
+    let logic = EndpointLogic::resource(EndpointPolicy::audio(addr(2)));
+    let callee = spawn_node(
+        "callee-node",
+        BoxId(2),
+        Box::new(logic),
+        dir.clone(),
+        NodeOptions::default(),
+    )
+    .await
+    .unwrap();
+    let (relay, connections) = counting_relay(callee.addr).await;
+    dir.register("callee", relay);
+    let gate = ChaosGate::new();
+    let reconnects = Arc::new(AtomicUsize::new(0));
+    let opts = NodeOptions {
+        policy: fast_policy(),
+        observer: Box::new(Reconnects(reconnects.clone())),
+        gate: Some(gate.clone()),
+        ..NodeOptions::default()
+    };
+    let logic = CallerLogic::new(EndpointPolicy::audio(addr(1)), "callee", N as u16, 1);
+    let mut caller = spawn_node("caller", BoxId(1), Box::new(logic), dir, opts)
+        .await
+        .unwrap();
+    let flowing = |s: &NodeSnapshot| {
+        s.slots
+            .iter()
+            .filter(|sl| sl.state == SlotState::Flowing)
+            .count()
+            == N
+    };
+    assert!(caller.wait_for(WAIT, flowing).await);
+
+    // A mid-call change on one call: its frame is the one the gate blocks.
+    gate.partition("caller", "callee", true, false);
+    let slot = caller.snapshot.borrow().slots[0].slot;
+    let cmd = UserCmd::Modify {
+        mute_in: true,
+        mute_out: false,
+    };
+    caller.user(slot, cmd).await;
+    assert!(caller.wait_for(WAIT, |s| s.recovering == N).await);
+
+    gate.heal("caller", "callee");
+    let recovered = |s: &NodeSnapshot| s.recovering == 0 && s.channels == N;
+    assert!(caller.wait_for(WAIT, recovered).await);
+    tokio::time::sleep(QUIET).await;
+    assert_eq!(connections.load(Ordering::SeqCst), 2, "one new connection");
+    assert_eq!(reconnects.load(Ordering::SeqCst), N);
     caller.shutdown().await;
     callee.shutdown().await;
 }

@@ -16,7 +16,7 @@ use ipmedia_core::{
 };
 use ipmedia_obs::trace::{SpanCtx, SpanId, TraceId};
 use ipmedia_rt::{
-    decode, decode_tagged, encode, encode_tagged, Frame, FrameError, Framed, Hello, Tag, MAX_FRAME,
+    decode, decode_tagged, encode, encode_tagged, Frame, FrameError, Framed, Hello, MAX_FRAME,
     WIRE_VERSION,
 };
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ fn corpus() -> Vec<Frame> {
         tunnels: 5,
     });
     let traced = msgs.iter().cloned().map(|msg| Frame::Traced { ctx, msg });
-    [hello, Frame::Bye, Frame::Lost]
+    [hello, Frame::Bye]
         .into_iter()
         .chain(msgs.iter().cloned().map(Frame::Msg))
         .chain(traced)
@@ -137,25 +137,22 @@ proptest! {
     }
 
     #[test]
-    fn tagged_frames_round_trip(pick in any::<usize>(), channel in any::<u32>(), gen in any::<u32>()) {
-        let tag = Tag { channel, gen };
+    fn tagged_frames_round_trip(pick in any::<usize>(), channel in any::<u32>()) {
         let frames = corpus();
         let frame = &frames[pick % frames.len()];
-        let bytes = encode_tagged(tag, frame);
-        prop_assert_eq!(decode_tagged(bytes), Ok((tag, frame.clone())));
+        let bytes = encode_tagged(channel, frame);
+        prop_assert_eq!(decode_tagged(bytes), Ok((channel, frame.clone())));
     }
 
     #[test]
     fn decode_tagged_is_total_on_damaged_frames(
         pick in any::<usize>(),
         channel in any::<u32>(),
-        gen in any::<u32>(),
         edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
         keep in any::<u16>(),
     ) {
-        let tag = Tag { channel, gen };
         let frames = corpus();
-        let mut bytes = encode_tagged(tag, &frames[pick % frames.len()]).to_vec();
+        let mut bytes = encode_tagged(channel, &frames[pick % frames.len()]).to_vec();
         for &(at, byte) in &edits {
             let at = usize::from(at) % bytes.len();
             bytes[at] = byte;

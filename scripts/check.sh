@@ -110,6 +110,14 @@ echo "== publish cost (bytes per round trip at 8 and at 512 slots, optimized bui
 timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
   ipmedia-rt test:publish_cost >/dev/null
 
+echo "== rt socket tests (optimized build)" >&2
+# `cargo test` runs these in debug only, and deployments and the benchmark
+# run this code optimized: the shared transport, the slot cap and
+# connection recovery over real sockets, each file under a 120 s budget.
+for test in transport slot_cap recovery; do
+  timed_gate "rt $test" 120 "failed" ipmedia-rt "test:$test" >/dev/null
+done
+
 echo "== executor handoffs (the tokio stand-in's lost-wake tests, optimized build)" >&2
 # A push that reaches no worker, or readiness that no worker polls, makes
 # `shims/tokio/tests/executor.rs` hang rather than fail: under a 60 s
