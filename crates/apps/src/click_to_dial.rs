@@ -82,6 +82,9 @@ impl ClickToDialLogic {
 impl AppLogic for ClickToDialLogic {
     fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
         match (self.state, input) {
+            // A dial that did not fit the box has no slot: its unavailable
+            // peer, or the answer timer, decides.
+            (_, BoxInput::ChannelUp { slots, .. }) if slots.is_empty() => {}
             // The initial transition: the user clicked; call their phone.
             (CtdState::Init, BoxInput::Start) => {
                 ctx.open_channel(self.user1.clone(), 1, REQ_USER1);

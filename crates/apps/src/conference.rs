@@ -83,11 +83,12 @@ impl ConferenceLogic {
 impl AppLogic for ConferenceLogic {
     fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
         match input {
+            // A dial of its own that did not fit the box has no slot.
             BoxInput::ChannelUp {
                 channel,
                 slots,
                 req,
-            } => match req {
+            } if !slots.is_empty() => match req {
                 None => {
                     // A device joined: lease a bridge port for it.
                     let req = self.next_req;

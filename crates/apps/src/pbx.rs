@@ -88,11 +88,12 @@ impl AppLogic for PbxLogic {
             BoxInput::Start => {
                 ctx.open_channel(self.phone_name.clone(), 1, REQ_PHONE);
             }
+            // A dial of its own that did not fit the box has no slot.
             BoxInput::ChannelUp {
                 channel,
                 slots,
                 req,
-            } => match req {
+            } if !slots.is_empty() => match req {
                 Some(REQ_PHONE) => {
                     self.phone_slot = Some(slots[0]);
                     self.apply_links(ctx);

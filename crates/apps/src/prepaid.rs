@@ -95,7 +95,8 @@ impl AppLogic for PrepaidLogic {
             BoxInput::Start => {
                 ctx.open_channel(self.resource_name.clone(), 1, REQ_RESOURCE);
             }
-            BoxInput::ChannelUp { slots, req, .. } => match req {
+            // A dial of its own that did not fit the box has no slot.
+            BoxInput::ChannelUp { slots, req, .. } if !slots.is_empty() => match req {
                 Some(REQ_RESOURCE) => {
                     self.resource = Some(slots[0]);
                     if self.state == State::Talking {

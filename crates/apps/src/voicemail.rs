@@ -76,6 +76,8 @@ impl VoicemailLogic {
 impl AppLogic for VoicemailLogic {
     fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
         match input {
+            // A dial of its own that did not fit the box has no slot.
+            BoxInput::ChannelUp { slots, .. } if slots.is_empty() => {}
             BoxInput::ChannelUp {
                 slots, req: None, ..
             } if self.state == State::Idle => {

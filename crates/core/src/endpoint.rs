@@ -6,7 +6,7 @@
 use crate::boxes::GoalSpec;
 use crate::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use crate::program::{AppLogic, BoxInput, Ctx};
-use crate::{Medium, SlotId};
+use crate::{ChannelId, Medium, SlotId};
 use std::collections::BTreeMap;
 
 /// A genuine media endpoint (user device or simple media resource): every
@@ -104,12 +104,16 @@ impl AppLogic for CallerLogic {
 /// `to` with as many tunnels, tagged with the incoming channel's id, and
 /// once that dial is up the two channels are flowlinked tunnel by tunnel.
 /// An unanswered dial leaves its incoming channel unlinked, and an onward
-/// channel that comes up after its incoming one went down is closed.
+/// channel that comes up after its incoming one went down is closed. The
+/// two legs of a call live and die together: either one going down
+/// closes the other.
 pub struct RelayLogic {
     to: String,
     /// The slots of each incoming channel whose onward dial is not up yet,
     /// by channel id: several callers may arrive within one round trip.
     waiting: BTreeMap<u32, Vec<SlotId>>,
+    /// Each leg of a linked call → the other leg, both ways.
+    legs: BTreeMap<ChannelId, ChannelId>,
 }
 
 impl RelayLogic {
@@ -118,6 +122,7 @@ impl RelayLogic {
         Self {
             to: to.into(),
             waiting: BTreeMap::new(),
+            legs: BTreeMap::new(),
         }
     }
 }
@@ -132,6 +137,10 @@ impl AppLogic for RelayLogic {
         else {
             if let BoxInput::ChannelDown { channel } = input {
                 self.waiting.remove(&channel.0);
+                if let Some(other) = self.legs.remove(channel) {
+                    self.legs.remove(&other);
+                    ctx.close_channel(other);
+                }
             }
             return;
         };
@@ -142,6 +151,9 @@ impl AppLogic for RelayLogic {
             for (a, &b) in incoming.into_iter().zip(slots) {
                 ctx.set_goal(GoalSpec::Link { a, b });
             }
+            let incoming = ChannelId(*req);
+            self.legs
+                .extend([(incoming, *channel), (*channel, incoming)]);
         } else {
             let tunnels = u16::try_from(slots.len()).expect("a channel's tunnels fit u16");
             ctx.open_channel(self.to.as_str(), tunnels, channel.0);

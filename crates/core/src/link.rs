@@ -1,11 +1,17 @@
-//! The connection lifecycle of one end of a signaling channel, sans-IO.
+//! The lifecycle of one signaling connection, sans-IO.
 //!
-//! A [`Link`] decides everything about the connection under a channel
-//! that is not the box's business: who re-dials a lost connection (only
-//! the end that initiated the channel), how often and after what delay
-//! (full-jitter capped doubling, [`backoff_delays`]), which connection's
-//! news still counts (the generation), and when to give up (the channel
-//! goes down). It has no clock, no socket and no `async`: a substrate
+//! Every channel a box dials to another rides one connection (a TCP
+//! connection on `rt`, an (initiator, target) pair on the simulator), and
+//! a [`Link`] decides everything about it that is not the boxes'
+//! business: how often to attempt it and after what delay (full-jitter
+//! capped doubling, [`backoff_delays`]), which of its incarnations' news
+//! still counts (the generation), and when to give up. Only the dialing
+//! end holds one: an acceptor never re-dials, and its channels go down
+//! with their connection. The channels themselves stay the substrate's:
+//! when the connection lands, every channel bound to it says hello again,
+//! in tag order, and resyncs, and every first dial waiting on it opens;
+//! when it gives up, the bound channels go down and the waiting dials come
+//! back half-open. It has no clock, no socket and no `async`: a substrate
 //! feeds it [`Event`]s with the time in milliseconds and executes the
 //! [`Command`] it returns. The tokio runtime runs it over TCP and the
 //! simulator in virtual time, so the reconnect code a test replays on
@@ -13,16 +19,15 @@
 //!
 //! ```text
 //! (none)   --dial-->           Dialing      Connect at once
-//! Dialing  --landed-->         Up(gen)      Opened
-//! Dialing  --attempts out-->   HalfOpen     Opened, no connection
-//! Up(gen)  --lost, initiator-> Lost(n)      Connect after the backoff
-//! Up(gen)  --lost, acceptor--> Gone         Down
-//! Lost(n)  --landed-->         Up(gen + 1)  Resync
-//! Lost(n)  --attempts out-->   Gone         Down
-//! any      --Bye-->            Gone         Down, once registered
+//! Dialing  --landed-->         Up(1)        Landed
+//! Up(gen)  --lost-->           Lost         Connect after the backoff
+//! Up(gen)  --lost, no budget-> Gone         Down
+//! Lost     --landed-->         Up(gen + 1)  Landed
+//! Dialing  --attempts out-->   Gone         Down
+//! Lost     --attempts out-->   Gone         Down
 //! ```
 
-use crate::hash::{fnv1a, SplitMix64};
+use crate::hash::{fnv1a, fnv1a_extend, SplitMix64};
 use std::time::Duration;
 
 /// Real-world fault-tolerance knobs: the runtime counterparts of the
@@ -33,10 +38,11 @@ use std::time::Duration;
 /// after the attempts are exhausted, never a panic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
-    /// Attempts for the *initial* dial of an outgoing channel.
+    /// Attempts for the *initial* dial of an outgoing connection.
     pub connect_attempts: u32,
-    /// Attempts to re-dial a lost channel before giving up. Zero disables
-    /// reconnection: a lost connection tears the channel down immediately.
+    /// Attempts to re-dial a lost connection before giving up. Zero
+    /// disables reconnection: a lost connection tears its channels down
+    /// immediately.
     pub reconnect_attempts: u32,
     /// First retry delay; doubled per attempt up to `max_delay`.
     pub base_delay: Duration,
@@ -64,8 +70,8 @@ impl Default for ReconnectPolicy {
 /// duration in `[0, min(base · 2^i, max)]` (AWS-style full jitter): the
 /// expected spacing is half the capped doubling, and the simultaneous
 /// reconnects that follow a partition heal spread out rather than
-/// stampede the peer in lockstep. The jitter stream is seeded per (node,
-/// channel) and thus deterministic in tests.
+/// stampede the peer in lockstep. The jitter stream is seeded per
+/// connection ([`jitter_seed`]) and thus deterministic in tests.
 #[allow(clippy::cast_possible_truncation)]
 pub fn backoff_delays(policy: &ReconnectPolicy, seed: u64, attempts: u32) -> Vec<Duration> {
     let mut rng = SplitMix64::new(seed);
@@ -84,27 +90,25 @@ pub fn backoff_delays(policy: &ReconnectPolicy, seed: u64, attempts: u32) -> Vec
     (0..attempts).map(delay).collect()
 }
 
-/// Deterministic per-(node, channel) jitter seed (FNV-1a over the name,
-/// mixed with the channel id) so two nodes — or two channels of one node
-/// — never share a jitter stream.
-pub fn jitter_seed(name: &str, channel: u32) -> u64 {
-    fnv1a(name.as_bytes()) ^ (u64::from(channel) << 32 | u64::from(channel))
+/// Deterministic per-connection jitter seed: FNV-1a over the dialing
+/// box's name, a zero byte and the dialed box's name, so two boxes
+/// re-dialing one peer, or one box re-dialing two, never share a jitter
+/// stream.
+pub fn jitter_seed(from: &str, to: &str) -> u64 {
+    fnv1a_extend(fnv1a_extend(fnv1a(from.as_bytes()), &[0]), to.as_bytes())
 }
 
 /// Where a [`Link`] is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
-    /// The first dial is under way; the channel is not registered yet.
+    /// The first dial is under way.
     Dialing,
-    /// A connection carries the channel.
+    /// The connection is up.
     Up,
-    /// The connection died; the channel's slots are parked and this end
-    /// re-dials.
+    /// The connection died; its channels' slots are parked while it is
+    /// re-dialed.
     Lost,
-    /// The first dial found nobody: the channel exists with no connection
-    /// under it, for the box to observe and destroy (Fig. 6).
-    HalfOpen,
-    /// The channel is over: a `Bye`, or a loss nobody re-dials.
+    /// The attempts ran out: the lifecycle is over.
     Gone,
 }
 
@@ -114,12 +118,9 @@ pub enum Event {
     /// The attempt a [`Command::Connect`] asked for is over: it landed
     /// (`true`) or it failed.
     Dialed(bool),
-    /// The connection of this generation died without a `Bye`: an end of
-    /// stream, an error, a write that timed out.
+    /// The connection of this generation died: an end of stream, an
+    /// error, a write that timed out.
     Lost(u32),
-    /// The far end said `Bye` on the channel's live connection, or the
-    /// substrate hung the channel up itself.
-    Bye,
 }
 
 /// What a [`Link`] asks its substrate to do.
@@ -133,47 +134,37 @@ pub enum Command {
         /// The generation the connection gets if the attempt lands.
         gen: u32,
     },
-    /// The first dial is over: register the channel and tell the box
-    /// (`Input::dial_outcome`). It rides connection `gen`, or is half-open
-    /// when `gen` is `None`.
-    Opened {
-        /// The box's dial request tag.
-        req: u32,
-        /// The connection, if anybody answered.
-        gen: Option<u32>,
-        /// Milliseconds from the dial to this outcome.
-        elapsed_ms: u64,
-    },
-    /// A re-dial landed: connection `gen` replaces the dead one, and the
-    /// parked slots re-send their cached signals (`Input::Resync`).
-    Resync {
+    /// An attempt landed: connection `gen` is up. Every channel bound to
+    /// the connection says hello on it and re-sends its parked slots'
+    /// cached signals (`Input::Resync`), and every first dial waiting on
+    /// it opens.
+    Landed {
         /// The new connection's generation.
         gen: u32,
-        /// Attempts the recovery took.
+        /// Attempts the dial or re-dial took.
         attempts: u32,
-        /// Milliseconds from the loss to this outcome.
+        /// Milliseconds from the dial or the loss to this outcome.
         elapsed_ms: u64,
     },
-    /// The channel is gone: tear it down (`Input::ChannelDown`).
+    /// The attempts ran out: every channel bound to the connection goes
+    /// down (`Input::ChannelDown`), and every first dial waiting on it
+    /// comes back half-open (`Input::dial_outcome`).
     Down,
 }
 
-/// One end of a channel's connection lifecycle. See the module docs.
+/// The lifecycle of one connection, held by the end that dials it. See
+/// the module docs.
 #[derive(Debug, Clone)]
 pub struct Link {
     policy: ReconnectPolicy,
     seed: u64,
     state: LinkState,
-    /// This end initiated the channel; only the initiator re-dials.
-    initiator: bool,
     /// The current connection's generation. Every replacement gets the
     /// next one, so news from a superseded connection — a frame still in
     /// flight, a second death notice — is told from the live one's:
     /// acting on it would tear the replacement down and re-dial, forever,
     /// since each replacement's teardown seeds the next notice.
     gen: u32,
-    /// The first dial's request tag.
-    req: u32,
     /// Attempts made in the current dial or re-dial.
     attempts: u32,
     /// When the current dial or outage began.
@@ -181,30 +172,25 @@ pub struct Link {
 }
 
 impl Link {
-    /// Start the first dial of a channel this end initiates; `req` is the
-    /// box's tag to echo. Its first attempt, which goes at once, comes
-    /// back with it.
-    pub fn dial(policy: ReconnectPolicy, seed: u64, req: u32, now_ms: u64) -> (Link, Command) {
+    /// Start the first dial of a connection. Its first attempt, which
+    /// goes at once, comes back with it.
+    pub fn dial(policy: ReconnectPolicy, seed: u64, now_ms: u64) -> (Link, Command) {
         let mut link = Link {
             state: LinkState::Dialing,
-            req,
             since_ms: now_ms,
-            ..Link::established(policy, seed, true, 0)
+            ..Link::established(policy, seed)
         };
         let first = link.connect();
         (link, first)
     }
 
-    /// A channel already carried by connection `gen`: one the far end
-    /// dialed (`initiator` false), or one the substrate set up whole.
-    pub fn established(policy: ReconnectPolicy, seed: u64, initiator: bool, gen: u32) -> Link {
+    /// A connection the substrate set up whole: up, on generation 0.
+    pub fn established(policy: ReconnectPolicy, seed: u64) -> Link {
         Link {
             policy,
             seed,
             state: LinkState::Up,
-            initiator,
-            gen,
-            req: 0,
+            gen: 0,
             attempts: 0,
             since_ms: 0,
         }
@@ -221,27 +207,21 @@ impl Link {
     }
 
     /// True iff a frame read from connection `gen` still counts: it is
-    /// the current one, and the channel is not over. A frame from a
+    /// the current one, and the lifecycle is not over. A frame from a
     /// superseded connection is a ghost of a dead one. netsim asks it of
-    /// every message on arrival; `rt` frames carry no generation, since a
-    /// re-dialed channel there always rides a new TCP connection and a
-    /// frame of the dead one finds no channel.
+    /// every message that reaches a dialing end on arrival; `rt` frames
+    /// carry no generation, since a re-dialed connection there is a new
+    /// TCP connection and a frame of the dead one finds no channel.
     pub fn admits(&self, gen: u32) -> bool {
         gen == self.gen && self.state != LinkState::Gone
     }
 
     /// Apply one event at `now_ms`; at most one command comes back.
     pub fn on(&mut self, event: Event, now_ms: u64) -> Option<Command> {
-        let (req, elapsed_ms) = (self.req, now_ms.saturating_sub(self.since_ms));
         let dialing = self.state == LinkState::Dialing;
         match (self.state, event) {
-            (LinkState::Gone, _) => None,
-            (_, Event::Bye) => {
-                self.state = LinkState::Gone;
-                (!dialing).then_some(Command::Down)
-            }
             (LinkState::Up, Event::Lost(gen)) if gen == self.gen => {
-                if !self.initiator || self.policy.reconnect_attempts == 0 {
+                if self.policy.reconnect_attempts == 0 {
                     self.state = LinkState::Gone;
                     return Some(Command::Down);
                 }
@@ -251,19 +231,10 @@ impl Link {
             (LinkState::Dialing | LinkState::Lost, Event::Dialed(true)) => {
                 self.state = LinkState::Up;
                 self.gen += 1;
-                let (gen, attempts) = (self.gen, self.attempts);
-                Some(if dialing {
-                    Command::Opened {
-                        req,
-                        gen: Some(gen),
-                        elapsed_ms,
-                    }
-                } else {
-                    Command::Resync {
-                        gen,
-                        attempts,
-                        elapsed_ms,
-                    }
+                Some(Command::Landed {
+                    gen: self.gen,
+                    attempts: self.attempts,
+                    elapsed_ms: now_ms.saturating_sub(self.since_ms),
                 })
             }
             (LinkState::Dialing | LinkState::Lost, Event::Dialed(false)) => {
@@ -275,18 +246,8 @@ impl Link {
                 if self.attempts < budget {
                     return Some(self.connect());
                 }
-                // Out of attempts: a first dial leaves the channel
-                // half-open, a re-dial takes it down.
-                if !dialing {
-                    self.state = LinkState::Gone;
-                    return Some(Command::Down);
-                }
-                self.state = LinkState::HalfOpen;
-                Some(Command::Opened {
-                    req,
-                    gen: None,
-                    elapsed_ms,
-                })
+                self.state = LinkState::Gone;
+                Some(Command::Down)
             }
             // A stale or second death notice, an outcome nobody asked for.
             _ => None,
@@ -295,7 +256,7 @@ impl Link {
 
     /// The next attempt, after its backoff delay: a first dial tries at
     /// once and backs off before each retry; a re-dial backs off before
-    /// its first try too, so the initiators a partition heal releases
+    /// its first try too, so the dialers a partition heal releases
     /// together do not all re-dial in the same instant.
     fn connect(&mut self) -> Command {
         let skipped = u32::from(self.state == LinkState::Dialing);
@@ -353,14 +314,14 @@ mod tests {
         (delays, cmd, now)
     }
 
-    fn up(initiator: bool, reconnect_attempts: u32) -> Link {
-        Link::established(policy(3, reconnect_attempts), SEED, initiator, 0)
+    fn up(reconnect_attempts: u32) -> Link {
+        Link::established(policy(3, reconnect_attempts), SEED)
     }
 
     #[test]
     fn a_first_dial_lands_on_its_kth_attempt() {
         for k in 1..=3 {
-            let (mut link, first) = Link::dial(policy(3, 8), SEED, 7, 1_000);
+            let (mut link, first) = Link::dial(policy(3, 8), SEED, 1_000);
             let (delays, last, now) = run(&mut link, first, 1_000, 10, Some(k));
             // At once, then the backoff schedule.
             let mut planned = vec![Duration::ZERO];
@@ -368,9 +329,9 @@ mod tests {
             assert_eq!(delays, planned);
             assert_eq!(
                 last,
-                Command::Opened {
-                    req: 7,
-                    gen: Some(1),
+                Command::Landed {
+                    gen: 1,
+                    attempts: k,
                     elapsed_ms: now - 1_000,
                 }
             );
@@ -380,29 +341,22 @@ mod tests {
     }
 
     #[test]
-    fn a_first_dial_that_never_lands_leaves_the_channel_half_open() {
-        let (mut link, first) = Link::dial(policy(3, 8), SEED, 7, 0);
-        let (delays, last, now) = run(&mut link, first, 0, 10, None);
+    fn a_first_dial_that_never_lands_gives_up() {
+        let (mut link, first) = Link::dial(policy(3, 8), SEED, 0);
+        let (delays, last, _) = run(&mut link, first, 0, 10, None);
         assert_eq!(delays.len(), 3, "connect_attempts");
         let planned = backoff_delays(&policy(3, 8), SEED, 2);
         assert_eq!(delays[1..], planned[..]);
-        assert_eq!(
-            last,
-            Command::Opened {
-                req: 7,
-                gen: None,
-                elapsed_ms: now,
-            }
-        );
-        assert_eq!(link.state(), LinkState::HalfOpen);
+        assert_eq!(last, Command::Down);
+        assert_eq!(link.state(), LinkState::Gone);
         // Zero attempts still makes one.
-        let (mut link, first) = Link::dial(policy(0, 8), SEED, 7, 0);
+        let (mut link, first) = Link::dial(policy(0, 8), SEED, 0);
         assert_eq!(run(&mut link, first, 0, 10, None).0.len(), 1);
     }
 
     #[test]
     fn a_redial_that_lands_resyncs_on_the_next_generation() {
-        let mut link = up(true, 8);
+        let mut link = up(8);
         let first = link.on(Event::Lost(0), 500).unwrap();
         assert_eq!(link.state(), LinkState::Lost);
         // Frames of the dead connection still count until it is replaced.
@@ -411,7 +365,7 @@ mod tests {
         assert_eq!(delays, backoff_delays(&policy(3, 8), SEED, 4));
         assert_eq!(
             last,
-            Command::Resync {
+            Command::Landed {
                 gen: 1,
                 attempts: 4,
                 elapsed_ms: now - 500,
@@ -427,7 +381,7 @@ mod tests {
 
     #[test]
     fn an_exhausted_redial_takes_the_channel_down() {
-        let mut link = up(true, 5);
+        let mut link = up(5);
         let first = link.on(Event::Lost(0), 0).unwrap();
         let (delays, last, _) = run(&mut link, first, 0, 10, None);
         assert_eq!(delays, backoff_delays(&policy(3, 5), SEED, 5));
@@ -435,28 +389,21 @@ mod tests {
         assert_eq!(link.state(), LinkState::Gone);
         assert!(!link.admits(0) && !link.admits(1));
         assert_eq!(link.on(Event::Dialed(true), 99), None);
-    }
-
-    #[test]
-    fn only_the_initiator_redials() {
-        let mut acceptor = up(false, 8);
-        assert_eq!(acceptor.on(Event::Lost(0), 0), Some(Command::Down));
-        assert_eq!(acceptor.state(), LinkState::Gone);
-        // An initiator with no re-dial budget gives up at once too.
-        let mut initiator = up(true, 0);
-        assert_eq!(initiator.on(Event::Lost(0), 0), Some(Command::Down));
+        // With no re-dial budget, a loss gives up at once.
+        let mut link = up(0);
+        assert_eq!(link.on(Event::Lost(0), 0), Some(Command::Down));
     }
 
     /// The PR-7 flap: a superseded connection's death notice must not
     /// touch the live one, nor may its frames reach the box.
     #[test]
     fn news_from_a_superseded_connection_is_dropped() {
-        let mut link = up(true, 8);
+        let mut link = up(8);
         let first = link.on(Event::Lost(0), 0).unwrap();
         // The reader and the writer both report the one death.
         assert_eq!(link.on(Event::Lost(0), 1), None);
-        let (_, resync, now) = run(&mut link, first, 0, 10, Some(1));
-        assert!(matches!(resync, Command::Resync { gen: 1, .. }));
+        let (_, landed, now) = run(&mut link, first, 0, 10, Some(1));
+        assert!(matches!(landed, Command::Landed { gen: 1, .. }));
         // The dead socket's late notice and late frame.
         assert_eq!(link.on(Event::Lost(0), now + 1), None);
         assert_eq!(link.state(), LinkState::Up);
@@ -470,41 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn bye_ends_every_state() {
-        let (mut dialing, _) = Link::dial(policy(3, 8), SEED, 1, 0);
-        assert_eq!(dialing.on(Event::Bye, 0), None, "nothing registered yet");
-        assert_eq!(dialing.state(), LinkState::Gone);
-        // The attempt in flight lands on a channel that is over.
-        assert_eq!(dialing.on(Event::Dialed(true), 5), None);
-
-        let mut up_link = up(true, 8);
-        assert_eq!(up_link.on(Event::Bye, 0), Some(Command::Down));
-
-        let mut lost = up(true, 8);
-        lost.on(Event::Lost(0), 0);
-        assert_eq!(lost.on(Event::Bye, 1), Some(Command::Down));
-        assert_eq!(lost.on(Event::Dialed(true), 2), None, "re-dial dropped");
-
-        let (mut half, first) = Link::dial(policy(1, 8), SEED, 1, 0);
-        run(&mut half, first, 0, 10, None);
-        assert_eq!(half.state(), LinkState::HalfOpen);
-        assert_eq!(half.on(Event::Bye, 0), Some(Command::Down));
-
-        let mut gone = up(false, 8);
-        gone.on(Event::Bye, 0);
-        assert_eq!(gone.on(Event::Bye, 1), None);
-        assert_eq!(gone.state(), LinkState::Gone);
-    }
-
-    #[test]
     fn delays_stay_under_their_caps_and_differ_per_seed() {
         let p = policy(3, 8);
-        let a = backoff_delays(&p, jitter_seed("caller", 0), 8);
+        let a = backoff_delays(&p, jitter_seed("caller", "callee"), 8);
         for (i, d) in a.iter().enumerate() {
             let cap = (p.base_delay * 2u32.pow(u32::try_from(i).unwrap())).min(p.max_delay);
             assert!(*d <= cap, "attempt {i}: {d:?} over {cap:?}");
         }
-        assert_ne!(a, backoff_delays(&p, jitter_seed("caller", 1), 8));
+        assert_ne!(a, backoff_delays(&p, jitter_seed("caller", "relay"), 8));
         let zero = ReconnectPolicy {
             base_delay: Duration::ZERO,
             ..p

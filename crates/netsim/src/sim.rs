@@ -61,9 +61,9 @@ enum Ev {
     /// Deliver an input to a box's host (and let it process it). `from`
     /// is the box whose output caused the input, when there is one — it
     /// feeds the trace's source column and ladder arrows. A message left
-    /// on connection `gen` of its channel (0 until the channel loses one,
-    /// [`Network::schedule_disconnect`]); it is dropped on arrival if that
-    /// connection has died since.
+    /// on connection `gen` of its channel (0 until the channel's pair
+    /// loses one, [`Network::schedule_disconnect`]); it is dropped on
+    /// arrival if that connection has died since.
     Input {
         to: BoxId,
         input: Input,
@@ -71,20 +71,13 @@ enum Ev {
         gen: u32,
     },
     /// The connection under a channel breaks, as a TCP reset breaks it:
-    /// both ends' lifecycles hear of it at once.
+    /// both ends hear of it at once.
     Disconnect { ch: ChannelId },
-    /// The initiator's lifecycle makes a connection attempt.
-    Attempt { ch: ChannelId, gen: u32 },
-    /// An attempt's outcome reaches the initiator, a round trip after it
-    /// was made: it landed iff connection `gen` is still up at the far end.
-    Dialed { ch: ChannelId, gen: u32 },
-    /// A frame written to dead connection `gen` got no acknowledgement:
-    /// the writing end (`initiator` or not) hears of the death.
-    Lost {
-        ch: ChannelId,
-        initiator: bool,
-        gen: u32,
-    },
+    /// The lifecycle of the connection `a` dialed to `b` makes an attempt.
+    Attempt { a: BoxId, b: BoxId, gen: u32 },
+    /// An attempt's outcome reaches `a`, a round trip after it was made:
+    /// it landed iff `b` still holds connection `gen`.
+    Dialed { a: BoxId, b: BoxId, gen: u32 },
     /// The box goes down: inputs and timer fires addressed to it are lost
     /// until the matching `Restart`. Protocol state survives (a transient
     /// outage, not a state wipe).
@@ -162,6 +155,20 @@ impl Channel {
     }
 }
 
+/// The connection one box dialed to another, once it has lost one (see
+/// [`Network::schedule_disconnect`]).
+struct Pair {
+    /// The dialer's lifecycle of it.
+    link: Link,
+    /// The connection the target holds: the generation of the attempt
+    /// that reached it last, or `None` while its end is down.
+    held: Option<u32>,
+    /// First dials that wait for the re-dial, in dial order:
+    /// [`Network::open_channel`]'s arguments save the dialer and the
+    /// instant.
+    dials: Vec<(String, u16, u32, Option<SpanCtx>)>,
+}
+
 /// A live burst window: overrides the channel's baseline fault plan
 /// until `until` (inclusive), then expires on its own.
 struct BurstState {
@@ -211,10 +218,10 @@ pub struct Network {
     partitions: HashMap<(BoxId, BoxId), (bool, bool)>,
     /// Active burst windows per channel; consulted before `faults`.
     bursts: HashMap<ChannelId, BurstState>,
-    /// The connection lifecycles, initiator's end first, of the channels
-    /// that lost a connection (see [`Network::schedule_disconnect`]). A
-    /// channel that never did has none and pays nothing for it.
-    links: HashMap<ChannelId, [Link; 2]>,
+    /// The connections that lost one, by (initiator, target) pair (see
+    /// [`Network::schedule_disconnect`]). A pair that never did has none,
+    /// and while none has, a message pays one emptiness test for it.
+    links: HashMap<(BoxId, BoxId), Pair>,
     events: EventQueue<Scheduled>,
     /// The boxes whose `Node` the last `RING` steps fetched, oldest at
     /// `fetched_at` (see [`NODE_AHEAD`]).
@@ -422,16 +429,18 @@ impl Network {
     /// Schedule the loss of the connection under channel `ch` at `at`, the
     /// analogue of a TCP reset. As on `rt`, every channel one box dialed to
     /// another rides one connection, so the loss is every such channel's:
-    /// all those with `ch`'s initiator and target. Both ends' lifecycles
-    /// ([`Link`]) hear of it at once: the acceptor's channel goes down, and
-    /// the initiator parks its slots and re-dials on the lifecycle's
-    /// delays, each attempt reaching the far end only as
-    /// [`Network::open_channel`]'s rule allows. An attempt that lands gives the
-    /// acceptor the channel anew (fresh slots, `ChannelUp`) and the
-    /// initiator `Resync` a round trip later; when the attempts run out
-    /// the initiator's channel goes down too. Messages still in flight on
-    /// the dead connection are dropped where they arrive. A half-open or
-    /// closed channel has no connection to lose.
+    /// all those with `ch`'s initiator and target. Both ends hear of it at
+    /// once: the acceptor's channels go down, and the initiator parks
+    /// their slots and re-dials on the delays of the connection's one
+    /// lifecycle ([`Link`]), each attempt reaching the far end only as
+    /// [`Network::open_channel`]'s rule allows. An attempt that lands
+    /// gives the acceptor every channel anew (fresh slots, `ChannelUp`)
+    /// and each initiator channel `Resync` a round trip later; a first
+    /// dial made meanwhile waits for it. When the attempts run out the
+    /// initiator's channels go down too, and the waiting dials come back
+    /// half-open. Messages still in flight on the dead connection are
+    /// dropped where they arrive. A half-open or closed channel has no
+    /// connection to lose.
     pub fn schedule_disconnect(&mut self, at: SimTime, ch: ChannelId) {
         assert!(at >= self.now, "cannot schedule in the past");
         self.push(at, Ev::Disconnect { ch }, None);
@@ -466,14 +475,10 @@ impl Network {
     /// All channels whose endpoints are exactly this box pair (either
     /// orientation), in channel-id order.
     pub fn channels_between(&self, a: BoxId, b: BoxId) -> Vec<ChannelId> {
-        let key = pair_key(a, b);
-        let between = |c: &Channel| c.b.is_some_and(|b| pair_key(c.a, b) == key);
-        (0..)
-            .map(ChannelId)
-            .zip(&self.channels)
-            .filter(|(_, c)| c.as_ref().is_some_and(between))
-            .map(|(id, _)| id)
-            .collect()
+        let mut both = self.riding(a, b);
+        both.extend(self.riding(b, a).into_iter().filter(|_| a != b));
+        both.sort_unstable();
+        both
     }
 
     /// True iff every slot of the box has converged (§VI quiescence: no
@@ -644,12 +649,11 @@ impl Network {
                 }
             }
             Ev::Disconnect { ch } => self.disconnect(ch),
-            Ev::Attempt { ch, gen } => self.attempt(ch, gen),
-            Ev::Dialed { ch, gen } => {
-                let landed = self.links.get(&ch).is_some_and(|l| l[1].admits(gen));
-                self.link_event(ch, true, Event::Dialed(landed));
+            Ev::Attempt { a, b, gen } => self.attempt(a, b, gen),
+            Ev::Dialed { a, b, gen } => {
+                let landed = self.links.get(&(a, b)).map(|p| p.held) == Some(Some(gen));
+                self.link_event(a, b, Event::Dialed(landed));
             }
-            Ev::Lost { ch, initiator, gen } => self.link_event(ch, initiator, Event::Lost(gen)),
             Ev::Crash { to } => {
                 if let Some(node) = self.nodes.get_mut(ix(to)) {
                     node.down = true;
@@ -830,8 +834,13 @@ impl Network {
             self.obs.fault_injected(from.0, "partition");
             return;
         }
-        let Some(gen) = self.writes_on(ch, from, sent) else {
-            return;
+        let gen = if self.links.is_empty() {
+            0
+        } else {
+            match self.writes_on(ch, from) {
+                Some(gen) => gen,
+                None => return,
+            }
         };
         let at = sent + self.cfg.net_latency;
         // Meta traffic rides the same links (so partitions swallow it
@@ -898,10 +907,14 @@ impl Network {
         sent: SimTime,
         ctx: Option<SpanCtx>,
     ) {
+        let target = self.names.get(to_name).copied();
+        let pair = target.and_then(|to| self.links.get_mut(&(from, to)));
+        if let Some(pair) = pair.filter(|p| p.link.state() == LinkState::Lost) {
+            return pair.dials.push((to_name.to_owned(), tunnels, req, ctx));
+        }
         // An unreachable target, or a channel that does not fit either
         // box, leaves the requester with a half-open channel it can
         // observe and destroy (Fig. 6's busy branch).
-        let target = self.names.get(to_name).copied();
         let target = target.filter(|t| self.reachable(from, *t));
         let (ch, target) = self.pair(from, target, tunnels);
 
@@ -931,8 +944,22 @@ impl Network {
             };
             self.push_input(sent + self.cfg.net_latency, target, up, Some(from), ctx);
         }
+        // The outcome rides the connection the channel does: the current
+        // one of a pair that has lost one.
+        let pair = target.and_then(|to| self.links.get(&(from, to)));
+        let gen = pair.map_or(0, |p| p.link.gen());
         for input in Input::dial_outcome(ch, req, target.is_some()) {
-            self.push_input(up_at, from, input, target, ctx);
+            let (to, from) = (from, target);
+            self.push(
+                up_at,
+                Ev::Input {
+                    to,
+                    input,
+                    from,
+                    gen,
+                },
+                ctx,
+            );
         }
     }
 
@@ -946,7 +973,6 @@ impl Network {
             let down = Input::ChannelDown { channel: ch };
             self.push_input(sent + self.cfg.net_latency, peer, down, None, None);
         }
-        self.links.remove(&ch);
     }
 
     /// The two ends of a channel with a connection under it.
@@ -956,149 +982,163 @@ impl Network {
     }
 
     /// True iff `input` still counts at `to`: a message that left on a
-    /// connection its channel has since lost or replaced does not.
+    /// connection its pair has since lost or replaced does not.
     fn current(&self, to: BoxId, input: &Input, gen: u32) -> bool {
-        let Input::Msg { channel, .. } = input else {
-            return true;
-        };
-        let Some(ends) = self.links.get(channel) else {
-            return true;
-        };
-        let initiator = self.ends(*channel).is_some_and(|(a, _)| a == to);
-        ends[usize::from(!initiator)].admits(gen)
+        match input {
+            Input::Msg { channel, .. } if !self.links.is_empty() => self.admits(*channel, to, gen),
+            _ => true,
+        }
     }
 
-    /// The connection a frame `from` writes on channel `ch` at `sent`
-    /// leaves on. A frame written to a dead connection is lost (`None`),
-    /// and the end hears of the death a round trip later, when no
-    /// acknowledgement came.
-    fn writes_on(&mut self, ch: ChannelId, from: BoxId, sent: SimTime) -> Option<u32> {
-        let Some(ends) = self.links.get(&ch) else {
-            return Some(0);
-        };
-        let initiator = self.ends(ch).is_some_and(|(a, _)| a == from);
-        let link = &ends[usize::from(!initiator)];
-        let gen = link.gen();
-        if link.state() != LinkState::Lost {
-            return Some(gen);
+    /// [`Network::current`] once a pair has a lifecycle. Cold, as every
+    /// function that reads `links` is: only a scheduled disconnect makes
+    /// one, and inlined they near triple `step`'s code.
+    #[cold]
+    fn admits(&self, ch: ChannelId, to: BoxId, gen: u32) -> bool {
+        match self.pair_of(ch, to) {
+            Some((pair, true)) => pair.link.admits(gen),
+            Some((pair, false)) => pair.held == Some(gen),
+            None => true,
         }
-        let rtt = self.cfg.net_latency + self.cfg.net_latency;
-        let lost = Ev::Lost { ch, initiator, gen };
-        self.push(sent + rtt, lost, None);
-        None
+    }
+
+    /// The connection a frame `from` writes on channel `ch` leaves on. A
+    /// frame written to a dead connection is lost (`None`): its lifecycle
+    /// knows already.
+    #[cold]
+    fn writes_on(&self, ch: ChannelId, from: BoxId) -> Option<u32> {
+        match self.pair_of(ch, from) {
+            Some((pair, true)) => (pair.link.state() != LinkState::Lost).then(|| pair.link.gen()),
+            Some((pair, false)) => pair.held,
+            None => Some(0),
+        }
+    }
+
+    /// The connection channel `ch` rides, if its pair has lost one, and
+    /// whether `bx` is the end that dialed it.
+    fn pair_of(&self, ch: ChannelId, bx: BoxId) -> Option<(&Pair, bool)> {
+        let (a, b) = self.ends(ch)?;
+        Some((self.links.get(&(a, b))?, bx == a))
+    }
+
+    /// The channels `a` dialed to `b` that are not half-open, in channel-id
+    /// order: the ones riding their connection.
+    fn riding(&self, a: BoxId, b: BoxId) -> Vec<ChannelId> {
+        let rides = |c: &&Channel| c.a == a && c.b == Some(b);
+        let id = |(id, c): (u32, &Option<Channel>)| c.as_ref().filter(rides).map(|_| ChannelId(id));
+        (0..).zip(&self.channels).filter_map(id).collect()
     }
 
     /// [`Ev::Disconnect`]: the connection under `ch` breaks, and with it
-    /// every channel that shares it (same initiator, same target), in
-    /// channel-id order. Cold, as `attempt` and `link_event` are: only a
-    /// scheduled disconnect runs them, and inlined they near triple
-    /// `step`'s code.
+    /// every channel that shares it (same initiator, same target). The
+    /// pair gets its lifecycle on its first loss, running the policy every
+    /// `rt` node runs by default, jitter seeded by the two names as on
+    /// `rt`. The acceptor's channels go down at once.
     #[cold]
     fn disconnect(&mut self, ch: ChannelId) {
         let Some((a, b)) = self.ends(ch) else {
             return;
         };
-        let shares = |c: &Option<Channel>| c.as_ref().is_some_and(|c| c.a == a && c.b == Some(b));
-        let siblings: Vec<ChannelId> = (0..)
-            .map(ChannelId)
-            .zip(&self.channels)
-            .filter(|(_, c)| shares(c))
-            .map(|(id, _)| id)
-            .collect();
-        for ch in siblings {
-            self.lose(ch, a);
+        let names = &self.names;
+        let pair = self.links.entry((a, b)).or_insert_with(|| {
+            let name = |id| names.iter().find(|(_, n)| **n == id).map_or("", |(n, _)| n);
+            let link = Link::established(ReconnectPolicy::default(), jitter_seed(name(a), name(b)));
+            let (held, dials) = (Some(0), Vec::new());
+            Pair { link, held, dials }
+        });
+        let (was_held, gen) = (pair.held.take().is_some(), pair.link.gen());
+        for channel in self.riding(a, b).into_iter().filter(|_| was_held) {
+            self.push_input(self.now, b, Input::ChannelDown { channel }, None, None);
         }
+        self.link_event(a, b, Event::Lost(gen));
     }
 
-    /// The connection under `ch`, which `a` initiated, is lost. Its ends
-    /// get lifecycles on the first loss, running the policy every `rt`
-    /// node runs by default, jitter seeded by the initiator's name and the
-    /// channel as on `rt`.
+    /// [`Ev::Attempt`]: `a` tries connection `gen` to `b`. It reaches `b`
+    /// as [`Network::open_channel`]'s rule allows, and then gives it every
+    /// channel riding the connection anew, the ones it has room for (one
+    /// it has none for is refused and goes down at `a`, as `rt`'s `Bye`
+    /// takes it down); either way `a` hears a round trip later. A
+    /// connection left with no channel and no dial waiting stops here.
     #[cold]
-    fn lose(&mut self, ch: ChannelId, a: BoxId) {
-        if !self.links.contains_key(&ch) {
-            let policy = ReconnectPolicy::default();
-            let name = self.names.iter().find(|(_, id)| **id == a).map(|(n, _)| n);
-            let seed = jitter_seed(name.map_or("", String::as_str), ch.0);
-            let ends = [true, false].map(|initiator| Link::established(policy, seed, initiator, 0));
-            self.links.insert(ch, ends);
-        }
-        for initiator in [true, false] {
-            let gen = self.links[&ch][usize::from(!initiator)].gen();
-            self.link_event(ch, initiator, Event::Lost(gen));
-        }
-    }
-
-    /// [`Ev::Attempt`]: the initiator tries connection `gen`. It reaches
-    /// the acceptor as [`Network::open_channel`]'s rule allows and the
-    /// acceptor is up and has room, and then gives it the channel anew;
-    /// either way the initiator hears a round trip later.
-    #[cold]
-    fn attempt(&mut self, ch: ChannelId, gen: u32) {
-        let Some((a, b)) = self.ends(ch).filter(|_| self.links.contains_key(&ch)) else {
+    fn attempt(&mut self, a: BoxId, b: BoxId, gen: u32) {
+        let (riding, reachable) = (self.riding(a, b), self.reachable(a, b));
+        let Some(pair) = self.links.get_mut(&(a, b)) else {
             return;
         };
-        let slots = self.nodes[ix(a)].host.channel_slots(ch);
-        let tunnels = slots.map_or(0, SlotRange::len);
-        let answers = self.nodes[ix(b)].host.channel_slots(ch).is_none() && self.reachable(a, b);
-        let host = &mut self.nodes[ix(b)].host;
-        if answers && host.register_channel(ch, tunnels, false).is_some() {
-            let policy = ReconnectPolicy::default();
-            let link = Link::established(policy, 0, false, gen);
-            self.links.get_mut(&ch).expect("checked")[1] = link;
-            let up = Input::ChannelUp {
-                channel: ch,
-                req: None,
-            };
-            self.push_input(self.now + self.cfg.net_latency, b, up, Some(a), None);
+        if riding.is_empty() && pair.dials.is_empty() {
+            self.links.remove(&(a, b));
+            return;
+        }
+        if reachable {
+            pair.held = Some(gen);
         }
         let rtt = self.cfg.net_latency + self.cfg.net_latency;
-        self.push(self.now + rtt, Ev::Dialed { ch, gen }, None);
+        for channel in riding.into_iter().filter(|_| reachable) {
+            let slots = self.nodes[ix(a)].host.channel_slots(channel);
+            let tunnels = slots.map_or(0, SlotRange::len);
+            let host = &mut self.nodes[ix(b)].host;
+            let fresh = host.channel_slots(channel).is_none();
+            if fresh && host.register_channel(channel, tunnels, false).is_some() {
+                let up = Input::ChannelUp { channel, req: None };
+                self.push_input(self.now + self.cfg.net_latency, b, up, Some(a), None);
+            } else {
+                self.channels[channel.0 as usize] = None;
+                let down = Input::ChannelDown { channel };
+                self.push_input(self.now + rtt, a, down, None, None);
+            }
+        }
+        self.push(self.now + rtt, Ev::Dialed { a, b, gen }, None);
     }
 
-    /// Tell one end's lifecycle what happened, and do what it decides.
+    /// Tell the lifecycle of the connection `a` dialed to `b` what
+    /// happened, and do what it decides, once per channel riding it.
     #[cold]
-    fn link_event(&mut self, ch: ChannelId, initiator: bool, event: Event) {
-        let now_ms = self.now.as_micros() / 1_000;
-        let Some((a, b)) = self.ends(ch) else {
+    fn link_event(&mut self, a: BoxId, b: BoxId, event: Event) {
+        let (now_ms, riding) = (self.now.as_micros() / 1_000, self.riding(a, b));
+        let Some(pair) = self.links.get_mut(&(a, b)) else {
             return;
         };
-        let Some(ends) = self.links.get_mut(&ch) else {
-            return;
-        };
-        let who = if initiator { a } else { b };
-        match ends[usize::from(!initiator)].on(event, now_ms) {
+        match pair.link.on(event, now_ms) {
             Some(Command::Connect { after, gen }) => {
-                if let Event::Lost(_) = event {
-                    self.obs.fault_injected(who.0, "disconnect");
+                for _ in riding.iter().filter(|_| matches!(event, Event::Lost(_))) {
+                    self.obs.fault_injected(a.0, "disconnect");
                 }
                 let after = SimDuration::from_micros(after.as_micros() as u64);
-                self.push(self.now + after, Ev::Attempt { ch, gen }, None);
+                self.push(self.now + after, Ev::Attempt { a, b, gen }, None);
             }
-            Some(Command::Resync {
+            Some(Command::Landed {
                 attempts,
                 elapsed_ms,
                 ..
             }) => {
-                self.obs.fault_injected(who.0, "reconnect");
-                let resync = Input::Resync {
-                    channel: ch,
-                    attempts,
-                    elapsed_ms,
-                };
-                self.push_input(self.now, who, resync, None, None);
+                for channel in riding {
+                    self.obs.fault_injected(a.0, "reconnect");
+                    let resync = Input::Resync {
+                        channel,
+                        attempts,
+                        elapsed_ms,
+                    };
+                    self.push_input(self.now, a, resync, None, None);
+                }
+                let pair = self.links.get_mut(&(a, b)).expect("looked up");
+                for (to, tunnels, req, ctx) in std::mem::take(&mut pair.dials) {
+                    self.open_channel(a, &to, tunnels, req, self.now, ctx);
+                }
             }
             Some(Command::Down) => {
-                if initiator {
-                    // The initiator gave up: the channel is over.
-                    self.channels[ch.0 as usize] = None;
-                    self.links.remove(&ch);
+                let pair = self.links.remove(&(a, b)).expect("looked up");
+                for channel in riding {
+                    self.channels[channel.0 as usize] = None;
+                    self.push_input(self.now, a, Input::ChannelDown { channel }, None, None);
                 }
-                let down = Input::ChannelDown { channel: ch };
-                self.push_input(self.now, who, down, None, None);
+                for (_, tunnels, req, ctx) in pair.dials {
+                    let (ch, _) = self.pair(a, None, tunnels);
+                    for input in Input::dial_outcome(ch, req, false) {
+                        self.push_input(self.now, a, input, None, ctx);
+                    }
+                }
             }
-            // A first dial on the simulator is one round trip of its own.
-            Some(Command::Opened { .. }) | None => {}
+            None => {}
         }
     }
 

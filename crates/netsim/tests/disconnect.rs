@@ -1,12 +1,16 @@
-//! A lost connection on the simulator: the channel lifecycle every `rt`
-//! node runs ([`ipmedia_core::link::Link`]), run in virtual time. A
-//! scheduled disconnect is a TCP reset: the acceptor's channel goes down,
-//! the initiator parks its slots and re-dials on the lifecycle's backoff,
-//! and every instant it decides on is one the schedule predicts.
+//! A lost connection on the simulator: the connection lifecycle every
+//! `rt` node runs ([`ipmedia_core::link::Link`]), run in virtual time. A
+//! scheduled disconnect is a TCP reset: the acceptor's channels go down,
+//! the initiator parks their slots and re-dials the one connection on the
+//! lifecycle's backoff, and every instant it decides on is one the
+//! schedule predicts.
 
 use ipmedia_core::endpoint::EndpointLogic;
 use ipmedia_core::goal::{EndpointPolicy, UserCmd};
 use ipmedia_core::link::{backoff_delays, jitter_seed, ReconnectPolicy};
+use ipmedia_core::program::{AppLogic, BoxCmd, BoxInput, Ctx, TimerId};
+use ipmedia_core::signal::MetaSignal;
+use ipmedia_core::Availability;
 use ipmedia_core::{BoxId, ChannelId, MediaAddr, Medium, SlotId, SlotState};
 use ipmedia_netsim::{Network, SimConfig, SimDuration, SimTime};
 use ipmedia_obs::{ObsEvent, RecordingObserver};
@@ -60,11 +64,11 @@ fn us(d: std::time::Duration) -> SimDuration {
     SimDuration::from_micros(u64::try_from(d.as_micros()).unwrap())
 }
 
-/// When each re-dial attempt of "phone-a"'s channel `ch` goes after a loss
-/// at `t`: attempt `k` waits out delay `k` after the previous attempt's
-/// round trip.
-fn attempt_instants(ch: ChannelId, t: SimTime, rtt: SimDuration) -> Vec<SimTime> {
-    let seed = jitter_seed("phone-a", ch.0);
+/// When each re-dial attempt of "phone-a"'s connection to "phone-b" goes
+/// after a loss at `t`: attempt `k` waits out delay `k` after the previous
+/// attempt's round trip.
+fn attempt_instants(t: SimTime, rtt: SimDuration) -> Vec<SimTime> {
+    let seed = jitter_seed("phone-a", "phone-b");
     let policy = ReconnectPolicy::default();
     let mut at = t;
     let mut instants = Vec::new();
@@ -108,7 +112,7 @@ fn outage(lands: Option<usize>) -> (Call, SimTime, Vec<SimTime>) {
     let mut call = flowing_call(SimConfig::paper());
     let n = SimConfig::paper().net_latency;
     let t = call.net.now() + SimDuration::from_millis(10);
-    let attempts = attempt_instants(call.ch, t, n + n);
+    let attempts = attempt_instants(t, n + n);
     call.net.schedule_partition(t, call.a, call.b, true, true);
     if let Some(k) = lands {
         // Heal between the attempt before the k-th and the k-th.
@@ -212,7 +216,7 @@ fn news_from_a_superseded_connection_is_dropped() {
     // t + 261 ms, when connection 1 has long been up.
     call.net
         .user_at(t + SimDuration::from_millis(60), a, slot, mute(false));
-    let first = attempt_instants(call.ch, t, cfg.net_latency + cfg.net_latency)[0];
+    let first = attempt_instants(t, cfg.net_latency + cfg.net_latency)[0];
     assert!(first < t + SimDuration::from_millis(60));
     call.net.run_until_quiescent(T_MAX);
 
@@ -238,9 +242,9 @@ fn news_from_a_superseded_connection_is_dropped() {
 }
 
 /// Two channels "phone-a" dialed to "phone-b" share one connection, as on
-/// `rt`: a disconnect scheduled on either loses both. Each initiator end
-/// re-dials on its own channel's backoff and resyncs at the instant it
-/// predicts; the acceptor loses both channels at once.
+/// `rt`: a disconnect scheduled on either loses both, the acceptor loses
+/// both at once, and the one connection's lifecycle re-dials once for
+/// both, so both resync at the instant its single draw predicts.
 #[test]
 fn channels_between_one_pair_share_their_connections_fate() {
     let mut net = Network::new(SimConfig::paper());
@@ -249,7 +253,7 @@ fn channels_between_one_pair_share_their_connections_fate() {
     net.set_observer(Box::new(rec));
     let a = net.add_box("phone-a", phone(1));
     let b = net.add_box("phone-b", phone(2));
-    let (ch0, s0, _) = net.connect(a, b, 1);
+    let (_, s0, _) = net.connect(a, b, 1);
     let (ch1, s1, _) = net.connect(a, b, 1);
     net.run_until_quiescent(T_MAX);
     for slot in [s0[0], s1[0]] {
@@ -263,15 +267,11 @@ fn channels_between_one_pair_share_their_connections_fate() {
     net.schedule_disconnect(t, ch1);
     net.run_until_quiescent(T_MAX);
 
-    // Nothing blocks the first attempts: each lands and resyncs a round
-    // trip after it goes.
-    let mut resyncs: Vec<u64> = [ch0, ch1]
-        .map(|ch| (attempt_instants(ch, t, n + n)[0] + n + n).0)
-        .to_vec();
-    resyncs.sort_unstable();
-    assert_ne!(resyncs[0], resyncs[1], "the channels draw distinct jitter");
+    // Nothing blocks the first attempt: it lands and both channels
+    // resync a round trip after it goes.
+    let resync = (attempt_instants(t, n + n)[0] + n + n).0;
     assert_eq!(faults(&log, a, "disconnect"), [t.0, t.0]);
-    assert_eq!(faults(&log, a, "reconnect"), resyncs);
+    assert_eq!(faults(&log, a, "reconnect"), [resync, resync]);
     assert_eq!(stimuli(&log, b, "channel_down"), [t.0, t.0]);
     let recovered: Vec<u64> = log
         .lock()
@@ -280,6 +280,120 @@ fn channels_between_one_pair_share_their_connections_fate() {
         .filter(|(_, e)| matches!(e, ObsEvent::Recovered { bx, .. } if *bx == a.0))
         .map(|(at, _)| *at)
         .collect();
-    assert_eq!(recovered, resyncs);
+    assert_eq!(recovered, [resync, resync]);
     assert!(net.all_converged());
+}
+
+/// A channel its box hangs up while the connection re-dials is over: the
+/// re-dial that lands gives the acceptor only the channel still riding
+/// it, and resyncs only that one.
+#[test]
+fn a_channel_hung_up_during_a_redial_is_not_redialed() {
+    let (mut call, t, attempts) = {
+        let mut call = flowing_call(SimConfig::paper());
+        let (ch1, ..) = call.net.connect(call.a, call.b, 1);
+        call.net.run_until_quiescent(T_MAX);
+        let n = SimConfig::paper().net_latency;
+        let t = call.net.now() + SimDuration::from_millis(10);
+        let attempts = attempt_instants(t, n + n);
+        call.net.schedule_disconnect(t, call.ch);
+        // Once the acceptor's end is down, before the first attempt.
+        let b = call.b;
+        call.net.run_until(T_MAX, |net| {
+            net.now() == t && net.media(b).slots().count() == 0
+        });
+        call.net
+            .apply(call.a, move |_| vec![BoxCmd::CloseChannel(ch1)]);
+        (call, t, attempts)
+    };
+    call.net.run_until_quiescent(T_MAX);
+    let n = SimConfig::paper().net_latency;
+    let resync = attempts[0] + n + n;
+    assert_eq!(faults(&call.log, call.a, "disconnect"), [t.0, t.0]);
+    assert_eq!(faults(&call.log, call.a, "reconnect"), [resync.0]);
+    let ups = stimuli(&call.log, call.b, "channel_up");
+    assert_eq!(ups.iter().filter(|&&at| at > t.0).count(), 1);
+    assert_eq!(call.net.channels_between(call.a, call.b), [call.ch]);
+}
+
+const DIAL: TimerId = TimerId(7);
+
+/// A phone that dials "phone-b" again when told ([`DIAL`]), and records
+/// the outcome of that dial.
+struct Redialer {
+    phone: Box<EndpointLogic>,
+    outcome: Arc<Mutex<Vec<Availability>>>,
+}
+
+impl AppLogic for Redialer {
+    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+        self.phone.handle(input, ctx);
+        match input {
+            BoxInput::Timer(DIAL) => ctx.open_channel("phone-b", 1, 9),
+            BoxInput::Meta {
+                meta: MetaSignal::Peer(av),
+                ..
+            } => self.outcome.lock().unwrap().push(*av),
+            _ => {}
+        }
+    }
+}
+
+/// A box that dials a channel to a box while its connection to that box
+/// is re-dialing: the dial waits for the re-dial, as on `rt`. It comes up
+/// one round trip after the re-dial lands (a first dial's round trip on
+/// the simulator), or, when the re-dial gives up, comes back half-open
+/// with the peer unavailable at that instant.
+#[test]
+fn a_dial_during_a_redial_waits_for_it() {
+    for lands in [Some(3), None] {
+        let cfg = SimConfig::paper();
+        let n = cfg.net_latency;
+        let mut net = Network::new(cfg);
+        let rec = RecordingObserver::new(net.clock());
+        let log = rec.log();
+        net.set_observer(Box::new(rec));
+        let outcome = Arc::new(Mutex::new(Vec::new()));
+        let logic = Redialer {
+            phone: phone(1),
+            outcome: outcome.clone(),
+        };
+        let a = net.add_box("phone-a", Box::new(logic));
+        let b = net.add_box("phone-b", phone(2));
+        let (ch, ..) = net.connect(a, b, 1);
+        net.run_until_quiescent(T_MAX);
+        net.advance(SimDuration::from_millis(1_000));
+        let t = net.now() + SimDuration::from_millis(10);
+        let attempts = attempt_instants(t, n + n);
+        net.schedule_partition(t, a, b, true, true);
+        if let Some(k) = lands {
+            net.schedule_heal(attempts[k - 2] + SimDuration::from_millis(1), a, b);
+        }
+        net.schedule_disconnect(t, ch);
+        net.run_until(T_MAX, |net| {
+            net.now() == t && net.media(b).slots().count() == 0
+        });
+        net.inject_input(a, BoxInput::Timer(DIAL));
+        net.run_until_quiescent(T_MAX);
+
+        let ups = stimuli(&log, a, "channel_up");
+        let dialed = *ups.last().unwrap();
+        match lands {
+            Some(k) => {
+                let landed = attempts[k - 1] + n + n;
+                assert_eq!(faults(&log, a, "reconnect"), [landed.0]);
+                assert_eq!(dialed, (landed + n + n).0, "up a round trip after");
+                assert_eq!(*outcome.lock().unwrap(), [Availability::Available]);
+                assert_eq!(net.channels_between(a, b).len(), 2);
+            }
+            None => {
+                let give_up = *attempts.last().unwrap() + n + n;
+                assert_eq!(stimuli(&log, a, "channel_down"), [give_up.0]);
+                assert_eq!(dialed, give_up.0, "half-open when the re-dial gives up");
+                assert_eq!(*outcome.lock().unwrap(), [Availability::Unavailable]);
+                assert!(net.channels_between(a, b).is_empty());
+            }
+        }
+        assert_eq!(ups.len(), 2, "the harness channel, then the dial");
+    }
 }

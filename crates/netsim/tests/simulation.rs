@@ -588,6 +588,51 @@ fn a_caller_that_hangs_up_before_the_onward_leg_is_up_costs_the_relay_nothing() 
     assert!(net.channels_between(relay, callee).is_empty());
 }
 
+/// caller → relay → resource callee, all flowing: the boxes and the two
+/// channels of the call.
+fn relayed_call() -> (Network, [BoxId; 3], [ipmedia_core::ChannelId; 2]) {
+    let policy = EndpointPolicy::audio(MediaAddr::v4(10, 0, 0, 1, 4000));
+    let mut net = Network::new(SimConfig::paper());
+    let caller = net.add_box("caller", Box::new(CallerLogic::new(policy, "relay", 1, 1)));
+    let relay = net.add_box("relay", Box::new(RelayLogic::new("callee")));
+    let callee = net.add_box("callee", audio_endpoint(3));
+    net.run_until_quiescent(T_MAX);
+    for bx in [caller, relay, callee] {
+        let flowing = |s: &ipmedia_core::Slot| s.state() == ipmedia_core::SlotState::Flowing;
+        assert!(net.media(bx).slots().all(|(_, s)| flowing(s)), "{bx:?}");
+        assert!(net.media(bx).slots().len() > 0, "{bx:?}");
+    }
+    let legs = [
+        net.channels_between(caller, relay)[0],
+        net.channels_between(relay, callee)[0],
+    ];
+    (net, [caller, relay, callee], legs)
+}
+
+#[test]
+fn a_caller_that_hangs_up_a_flowing_relayed_call_ends_its_onward_leg() {
+    use ipmedia_core::BoxCmd;
+    let (mut net, [caller, relay, callee], [incoming, _]) = relayed_call();
+    net.apply(caller, move |_| vec![BoxCmd::CloseChannel(incoming)]);
+    net.run_until_quiescent(T_MAX);
+    for bx in [caller, relay, callee] {
+        assert_eq!(net.media(bx).slots().len(), 0, "{bx:?} holds a slot");
+    }
+    assert!(net.channels_between(relay, callee).is_empty());
+}
+
+#[test]
+fn a_callee_that_hangs_up_a_flowing_relayed_call_ends_its_incoming_leg() {
+    use ipmedia_core::BoxCmd;
+    let (mut net, [caller, relay, callee], [_, onward]) = relayed_call();
+    net.apply(callee, move |_| vec![BoxCmd::CloseChannel(onward)]);
+    net.run_until_quiescent(T_MAX);
+    for bx in [caller, relay, callee] {
+        assert_eq!(net.media(bx).slots().len(), 0, "{bx:?} holds a slot");
+    }
+    assert!(net.channels_between(caller, relay).is_empty());
+}
+
 /// A box holds at most `MAX_SLOTS` slots: a dial of its own over the cap
 /// comes back unavailable with nothing dealt, and a target with no room
 /// answers as a busy box does, leaving the dialer half-open.

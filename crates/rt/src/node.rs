@@ -15,7 +15,8 @@
 //! dialer's channel id): a channel is *bound* to a transport by its
 //! `Hello` and leaves it by its `Bye`, and the socket closes with the
 //! last channel bound to it. A transport fails whole, as a TCP
-//! connection does: every channel bound to it loses its connection.
+//! connection does: every channel bound to it loses its connection, and
+//! the dialer re-dials the connection once for all of them.
 //! All I/O is non-blocking; per-transport writer tasks apply
 //! backpressure via bounded channels — an actor whose writer queue is
 //! full waits for room, for at most the send timeout, and never discards
@@ -28,7 +29,7 @@ use crate::wire::{self, Frame, Hello};
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
 use ipmedia_core::ids::{ChannelId, SlotId};
-use ipmedia_core::link::{jitter_seed, Command, Event, Link, LinkState, ReconnectPolicy};
+use ipmedia_core::link::{jitter_seed, Command, Event, Link, ReconnectPolicy};
 use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
 use ipmedia_core::slot::Slot;
@@ -245,23 +246,24 @@ enum Inbox {
     Shutdown,
 }
 
-/// One channel: the transport it is bound to and its lifecycle, which
-/// decides everything else about its connection.
+/// One channel and the transport it is bound to.
 struct Conn {
     /// The far end's name: the box dialed, or the hello's `from`. Chaos
-    /// gating keys on it and a re-dial goes to it.
+    /// gating keys on it, and a dialed channel rides the connection to it.
     peer: String,
     /// The channel's tunnels, said in every hello.
     tunnels: u16,
     /// The channel's tag on its transports: the dialer's channel id.
     tag: u32,
-    /// The generation of the connection the channel rides or its attempt
-    /// makes, which a loss of it reports to the `Link`.
-    gen: u32,
-    /// The transport carrying the channel; `None` while a dial or re-dial
-    /// runs and on a half-open channel.
+    /// The transport carrying the channel; `None` while its connection is
+    /// dialed or re-dialed, and on a half-open channel.
     transport: Option<u32>,
-    link: Link,
+    /// The channel rides the connection this node dials to `peer`: with
+    /// no transport, it is parked, waiting for the connection.
+    dialed: bool,
+    /// A first dial not over yet: the box's request tag, and when it
+    /// asked. The channel is not the box's until then.
+    dial: Option<(u32, u64)>,
 }
 
 /// One TCP connection and the channels bound to it.
@@ -276,20 +278,23 @@ struct Transport {
     channels: BTreeMap<u32, ChannelId>,
 }
 
-/// How this node reaches a box it dials.
-enum Route {
-    /// A connect is under way; these channels' attempts wait for it, in
-    /// the order they were made.
-    Connecting(Vec<ChannelId>),
-    /// The live transport.
-    Live(u32),
+/// What the actor learned while applying an input, acted on before the
+/// next one.
+enum News {
+    /// Tell the lifecycle of the connection to the box named.
+    Link(String, Event),
+    /// A first dial to a live connection said hello: its channel opens.
+    Opened(ChannelId),
+    /// A channel is over: its connection went for good, or a `Hello`
+    /// took its tag.
+    Down(ChannelId),
 }
 
-/// A wakeup of the actor: a box timer, or a channel's delayed attempt.
+/// A wakeup of the actor: a box timer, or a connection's delayed attempt.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Wake {
     Timer(TimerId, u64),
-    Attempt(ChannelId),
+    Attempt(String),
 }
 
 /// What a node runs with besides its box. Every field has a default, so a
@@ -421,7 +426,7 @@ pub async fn spawn_node(
         next_channel: 0,
         transports: HashMap::new(),
         next_transport: 0,
-        routes: HashMap::new(),
+        links: HashMap::new(),
         policy,
         timers: BinaryHeap::new(),
         snap_tx,
@@ -498,10 +503,12 @@ struct Actor {
     next_channel: u32,
     transports: HashMap<u32, Transport>,
     next_transport: u32,
-    /// By the name of each box this node dials.
-    routes: HashMap<String, Route>,
+    /// The lifecycle of the connection to each box this node dials, by
+    /// the box's name; the connection's live transport is the one that
+    /// names the box as `dialed`.
+    links: HashMap<String, Link>,
     policy: ReconnectPolicy,
-    /// Wakeups the host and the channels' re-dials asked for, earliest
+    /// Wakeups the host and the connections' attempts asked for, earliest
     /// first. The host drops the stale ones (restarted or cancelled
     /// timers) when they come due.
     timers: BinaryHeap<Reverse<(Instant, Wake)>>,
@@ -521,16 +528,16 @@ struct Actor {
     /// [`NodeOptions::gate`].
     gate: Option<Arc<ChaosGate>>,
     inbox_tx: mpsc::Sender<Inbox>,
-    /// The origin of the milliseconds the channels' lifecycles read.
+    /// The origin of the milliseconds the connections' lifecycles read.
     started: Instant,
     /// Lent to every host call and drained right after.
     buffers: Buffers,
-    /// What the actor itself learned about channels' connections while
-    /// applying an input (an attempt's outcome, a transport it declared
-    /// dead, with each channel's generation), told to their lifecycles
-    /// before the next input. It does not go through the inbox: the actor
-    /// is its only consumer, so awaiting room in it would wait on itself.
-    news: VecDeque<(ChannelId, Event)>,
+    /// What the actor itself learned about connections and channels
+    /// while applying an input (an attempt the gate blocked, a transport
+    /// it declared dead, a dial to a live connection), acted on before the
+    /// next input. It does not go through the inbox: the actor is its only
+    /// consumer, so awaiting room in it would wait on itself.
+    news: VecDeque<News>,
 }
 
 impl Actor {
@@ -593,7 +600,6 @@ impl Actor {
                     // Local teardown is immediate; the peer acts on Bye.
                     self.slots_changed = true;
                     self.bye(channel).await;
-                    self.unbind(channel);
                     self.conns.remove(&channel);
                 }
                 Effect::ArmTimer { id, gen, after_ms } => {
@@ -668,14 +674,9 @@ impl Actor {
             self.fresh
                 .extend(touched.map(|id| SlotSnapshot::of(id, slot(id))));
         }
-        let count = |state| {
-            self.conns
-                .values()
-                .filter(|c| c.link.state() == state)
-                .count()
-        };
-        let channels = self.conns.len() - count(LinkState::Dialing);
-        let recovering = count(LinkState::Lost);
+        let opened = self.conns.values().filter(|c| c.dial.is_none());
+        let channels = opened.clone().count();
+        let recovering = opened.filter(|c| c.dialed && c.transport.is_none()).count();
         self.snap_tx.send_modify(|snap| {
             if rebuild {
                 std::mem::swap(&mut snap.slots, &mut self.fresh);
@@ -709,7 +710,7 @@ impl Actor {
         for wake in due {
             match wake {
                 Wake::Timer(id, gen) => self.feed(Input::TimerFired { id, gen }, None).await,
-                Wake::Attempt(channel) => self.attempt(channel).await,
+                Wake::Attempt(to) => self.attempt(to),
             }
         }
         self.settle().await;
@@ -729,7 +730,10 @@ impl Actor {
                 frame,
             } => self.on_frame(transport, tag, frame).await,
             Inbox::Gone { transport } => self.lose_transport(transport),
-            Inbox::Connected { to, stream } => self.on_connected(to, stream).await,
+            Inbox::Connected { to, stream } => {
+                self.on_link(to, Event::Dialed(stream.is_some()), stream)
+                    .await;
+            }
             Inbox::User { slot, cmd } => self.feed(Input::User { slot, cmd }, None).await,
             Inbox::Inject(input) => self.feed(Input::Inject(input), None).await,
             Inbox::Shutdown => return false,
@@ -738,10 +742,14 @@ impl Actor {
         true
     }
 
-    /// Tell the channels' lifecycles the news, in the order it came.
+    /// Act on the news, in the order it came.
     async fn settle(&mut self) {
-        while let Some((channel, event)) = self.news.pop_front() {
-            self.on_link(channel, event).await;
+        while let Some(news) = self.news.pop_front() {
+            match news {
+                News::Link(to, event) => self.on_link(to, event, None).await,
+                News::Opened(channel) => _ = self.opened(channel, true).await,
+                News::Down(channel) => self.down(channel).await,
+            }
         }
     }
 
@@ -770,15 +778,15 @@ impl Actor {
             Frame::Traced { ctx, msg } => {
                 self.feed(Input::Msg { channel, msg }, Some(ctx)).await;
             }
-            Frame::Bye => self.on_link(channel, Event::Bye).await,
+            Frame::Bye => self.down(channel).await,
             Frame::Hello(_) => unreachable!("handled above"),
         }
     }
 
     /// A peer opened the channel tagged `tag` on a transport it dialed. It
     /// chooses how many tunnels it asks for: a channel that does not fit
-    /// the box is refused with its `Bye`, so the dialer's lifecycle ends
-    /// the channel rather than re-dial it, and its siblings carry on. So
+    /// the box is refused with its `Bye`, so the dialer ends the channel
+    /// rather than re-dial it, and its siblings carry on. So
     /// is a channel of no tunnels: it costs no slot, so the slot cap would
     /// not bound how many of them one connection opens.
     async fn on_hello(&mut self, transport: u32, tag: u32, hello: Hello) {
@@ -787,7 +795,7 @@ impl Actor {
         // transport stays, as it carries the new one.
         if let Some(&old) = self.transports[&transport].channels.get(&tag) {
             self.detach(old);
-            self.news.push_back((old, Event::Bye));
+            self.news.push_back(News::Down(old));
         }
         let channel = self.new_channel();
         let dealt = hello.tunnels > 0
@@ -806,9 +814,9 @@ impl Actor {
             peer: hello.from,
             tunnels: hello.tunnels,
             tag,
-            gen: 0,
             transport: None,
-            link: Link::established(self.policy, 0, false, 0),
+            dialed: false,
+            dial: None,
         };
         self.conns.insert(channel, conn);
         self.bind(channel, transport);
@@ -816,93 +824,150 @@ impl Actor {
             .await;
     }
 
-    /// The box asked for a channel to the box named `to`: its lifecycle
-    /// starts with an attempt.
+    /// The box asked for a channel to the box named `to`: it rides the
+    /// connection to it, at once when that is live, and otherwise waits
+    /// for the attempt under way or the first one.
     async fn dial(&mut self, to: String, tunnels: u16, req: u32) {
-        let channel = self.new_channel();
-        let seed = jitter_seed(&self.name, channel.0);
-        let (link, first) = Link::dial(self.policy, seed, req, self.now_ms());
-        let Command::Connect { after, gen } = first else {
-            unreachable!("a dial starts with an attempt");
-        };
+        let (channel, now) = (self.new_channel(), self.now_ms());
         let conn = Conn {
-            peer: to,
+            peer: to.clone(),
             tunnels,
             tag: channel.0,
-            gen,
             transport: None,
-            link,
+            dialed: true,
+            dial: Some((req, now)),
         };
         self.conns.insert(channel, conn);
-        self.attempt_after(channel, after).await;
+        if !self.links.contains_key(&to) {
+            let (link, first) = Link::dial(self.policy, jitter_seed(&self.name, &to), now);
+            self.links.insert(to.clone(), link);
+            if let Command::Connect { after, .. } = first {
+                self.timers
+                    .push(Reverse((Instant::now() + after, Wake::Attempt(to))));
+            }
+            return;
+        }
+        if let Some(transport) = self.live(&to) {
+            self.bind(channel, transport);
+            self.hello(channel).await;
+            self.news.push_back(News::Opened(channel));
+        }
     }
 
-    /// Tell a channel's lifecycle what happened to its connection, and do
-    /// what it decides.
-    async fn on_link(&mut self, channel: ChannelId, event: Event) {
+    /// The live transport this node dialed to the box named `to`.
+    fn live(&self, to: &str) -> Option<u32> {
+        let live = |(id, t): (&u32, &Transport)| (t.dialed.as_deref() == Some(to)).then_some(*id);
+        self.transports.iter().find_map(live)
+    }
+
+    /// The channels parked on the connection to the box named `to`, in tag
+    /// order: the ones its connection carried when it died, and the first
+    /// dials made since.
+    fn parked(&self, to: &str) -> Vec<ChannelId> {
+        let waits = |c: &Conn| c.dialed && c.transport.is_none() && c.peer == to;
+        let parked = |(id, c): (&ChannelId, &Conn)| waits(c).then_some(*id);
+        let mut parked: Vec<_> = self.conns.iter().filter_map(parked).collect();
+        parked.sort_unstable();
+        parked
+    }
+
+    /// Tell the lifecycle of the connection to the box named `to` what
+    /// happened to it, and do what it decides, once per channel parked on
+    /// it. An attempt that landed brings its `stream`.
+    async fn on_link(&mut self, to: String, event: Event, stream: Option<TcpStream>) {
         let now = self.now_ms();
-        let Some(conn) = self.conns.get_mut(&channel) else {
-            return; // torn down while the news was on its way
+        let Some(link) = self.links.get_mut(&to) else {
+            return;
         };
-        let (bx, tunnels, bound) = (self.host.id().0, conn.tunnels, conn.transport.is_some());
-        let command = conn.link.on(event, now);
-        if let Some(Command::Connect { gen, .. }) = command {
-            conn.gen = gen;
-        }
+        let (bx, command) = (self.host.id().0, link.on(event, now));
+        let parked = self.parked(&to);
         match command {
             None => {}
             Some(Command::Connect { after, .. }) => {
-                if let Event::Lost(_) = event {
+                let lost = matches!(event, Event::Lost(_));
+                for _ in parked.iter().filter(|_| lost) {
                     self.obs.fault_injected(bx, "disconnect");
                 }
-                self.attempt_after(channel, after).await;
+                self.timers
+                    .push(Reverse((Instant::now() + after, Wake::Attempt(to))));
             }
-            // A first dial is over: register the channel, half-open when
-            // nobody answered (or it does not fit), for the program to
-            // observe and destroy (Fig. 6), and report the outcome.
-            Some(Command::Opened {
-                req,
-                gen,
-                elapsed_ms,
-            }) => {
-                let dealt = self.host.register_dialed(channel, tunnels);
-                self.slots_changed = true;
-                let up = dealt && gen.is_some();
-                if up {
-                    self.registry.tunnel_setup_ms.observe(elapsed_ms);
-                } else if bound {
-                    // Answered, but the box has no room: take the hello back.
-                    self.bye(channel).await;
-                    self.unbind(channel);
-                }
-                for input in Input::dial_outcome(channel, req, up) {
-                    self.feed(input, None).await;
-                }
-            }
-            // A re-dial landed: the channel rides its new binding, and the
-            // host retransmits each parked slot's cached signals so the
-            // (idempotent, §VI) protocol re-establishes peer state.
-            Some(Command::Resync {
+            // The connection is up: the parked channels bind to it and say
+            // hello, in tag order. A first dial opens; a channel that lost
+            // its connection resyncs, the host retransmitting each parked
+            // slot's cached signals so the (idempotent, §VI) protocol
+            // re-establishes peer state.
+            Some(Command::Landed {
                 attempts,
                 elapsed_ms,
                 ..
             }) => {
-                self.obs.fault_injected(bx, "reconnect");
-                let resync = Input::Resync {
-                    channel,
-                    attempts,
-                    elapsed_ms,
-                };
-                self.feed(resync, None).await;
+                let stream = stream.expect("a landed attempt brings its connection");
+                let transport = self.attach(Some(to.clone()), Framed::new(stream));
+                for &channel in &parked {
+                    self.bind(channel, transport);
+                    self.hello(channel).await;
+                }
+                for channel in parked {
+                    if self.opened(channel, true).await {
+                        continue;
+                    }
+                    self.obs.fault_injected(bx, "reconnect");
+                    let resync = Input::Resync {
+                        channel,
+                        attempts,
+                        elapsed_ms,
+                    };
+                    self.feed(resync, None).await;
+                }
+                self.release(transport);
             }
-            // A Bye, a loss nobody re-dials, or a re-dial that gave up:
-            // the channel goes down in order, ChannelDown to the program.
+            // The attempts ran out: the first dials come back half-open,
+            // and the other channels go down in order, ChannelDown to the
+            // program.
             Some(Command::Down) => {
-                self.unbind(channel);
-                self.conns.remove(&channel);
-                self.slots_changed = true;
-                self.feed(Input::ChannelDown { channel }, None).await;
+                self.links.remove(&to);
+                for channel in parked {
+                    if !self.opened(channel, false).await {
+                        self.down(channel).await;
+                    }
+                }
             }
+        }
+    }
+
+    /// The end of a first dial, if `channel` is one (`false` otherwise):
+    /// the channel opens, answered (`up`) and bound to its transport, or
+    /// half-open, for the program to observe and destroy (Fig. 6); and
+    /// half-open too when it does not fit the box, its hello taken back.
+    /// The outcome is fed as `Input::dial_outcome`, and `tunnel_setup_ms`
+    /// is timed from the dial.
+    async fn opened(&mut self, channel: ChannelId, up: bool) -> bool {
+        let conn = self.conns.get_mut(&channel);
+        let Some(conn) = conn.filter(|c| c.dial.is_some()) else {
+            return false;
+        };
+        let ((req, at_ms), tunnels) = (conn.dial.take().expect("filtered"), conn.tunnels);
+        let up = self.host.register_dialed(channel, tunnels) && up;
+        self.slots_changed = true;
+        if up {
+            let ms = self.now_ms().saturating_sub(at_ms);
+            self.registry.tunnel_setup_ms.observe(ms);
+        } else {
+            self.bye(channel).await;
+        }
+        for input in Input::dial_outcome(channel, req, up) {
+            self.feed(input, None).await;
+        }
+        true
+    }
+
+    /// A channel goes down in order: off its transport, then
+    /// ChannelDown to the program.
+    async fn down(&mut self, channel: ChannelId) {
+        self.unbind(channel);
+        if self.conns.remove(&channel).is_some() {
+            self.slots_changed = true;
+            self.feed(Input::ChannelDown { channel }, None).await;
         }
     }
 
@@ -915,97 +980,50 @@ impl Actor {
         ChannelId(self.next_channel - 1)
     }
 
-    /// A channel's next connection attempt: now, or on a timer `after`
-    /// from now.
-    async fn attempt_after(&mut self, channel: ChannelId, after: Duration) {
-        if after.is_zero() {
-            self.attempt(channel).await;
-        } else {
-            let due = Instant::now() + after;
-            self.timers.push(Reverse((due, Wake::Attempt(channel))));
-        }
-    }
-
-    /// One connection attempt for a channel this node dials: it binds to
-    /// the live transport to its peer, waits for the connect under way to
-    /// it, or starts one. A partitioned or crashed peer costs the attempt
-    /// (and skips the useless connect). Its outcome is news.
-    async fn attempt(&mut self, channel: ChannelId) {
-        let Some(conn) = self.conns.get(&channel) else {
-            return;
-        };
+    /// One attempt at the connection to the box named `to`: a task of its
+    /// own connects. A partitioned or crashed peer costs the attempt (and
+    /// skips the useless connect), and a connection with no channel
+    /// parked on it any more stops re-dialing.
+    fn attempt(&mut self, to: String) {
         let gate = self.gate.as_ref();
-        if gate.is_some_and(|g| !g.dial_allowed(&self.name, &conn.peer)) {
-            self.news.push_back((channel, Event::Dialed(false)));
-            return;
+        match self.links.get(&to) {
+            None => {}
+            Some(_) if self.parked(&to).is_empty() => _ = self.links.remove(&to),
+            Some(_) if gate.is_some_and(|g| !g.dial_allowed(&self.name, &to)) => {
+                self.news.push_back(News::Link(to, Event::Dialed(false)));
+            }
+            Some(_) => self.spawn_connect(to),
         }
-        match self.routes.get_mut(&conn.peer) {
-            Some(Route::Live(transport)) => {
-                let transport = *transport;
-                self.bind(channel, transport);
-                self.hello(channel).await;
-            }
-            Some(Route::Connecting(waiting)) => waiting.push(channel),
-            None => {
-                let to = conn.peer.clone();
-                self.spawn_connect(to.clone());
-                self.routes.insert(to, Route::Connecting(vec![channel]));
-            }
-        }
-    }
-
-    /// A connect this node made is over: the channels that waited for it
-    /// bind to the new transport, their hellos leaving in the order they
-    /// waited, or all hear that their attempt failed.
-    async fn on_connected(&mut self, to: String, stream: Option<TcpStream>) {
-        let Some(Route::Connecting(waiting)) = self.routes.remove(&to) else {
-            return;
-        };
-        let Some(stream) = stream else {
-            for channel in waiting {
-                self.news.push_back((channel, Event::Dialed(false)));
-            }
-            return;
-        };
-        let transport = self.attach(Some(to.clone()), Framed::new(stream));
-        self.routes.insert(to, Route::Live(transport));
-        for channel in waiting {
-            if self.conns.contains_key(&channel) && self.transports.contains_key(&transport) {
-                self.bind(channel, transport);
-                self.hello(channel).await;
-            } else {
-                self.news.push_back((channel, Event::Dialed(false)));
-            }
-        }
-        self.release(transport);
     }
 
     /// Bind a channel to a transport: the transport's frames tagged with
-    /// the channel's tag are the channel's.
+    /// the channel's tag are the channel's. A dialed channel whose
+    /// transport died meanwhile stays parked, for the re-dial.
     fn bind(&mut self, channel: ChannelId, transport: u32) {
         let conn = self.conns.get_mut(&channel).expect("a channel to bind");
-        conn.transport = Some(transport);
-        let t = self
-            .transports
-            .get_mut(&transport)
-            .expect("a live transport");
-        t.channels.insert(conn.tag, channel);
+        if let Some(t) = self.transports.get_mut(&transport) {
+            conn.transport = Some(transport);
+            t.channels.insert(conn.tag, channel);
+        }
     }
 
     /// A channel this node dials just bound: its hello opens it at the far
-    /// end, and its attempt landed.
+    /// end. One no longer bound (its transport died meanwhile) waits for
+    /// the re-dial.
     async fn hello(&mut self, channel: ChannelId) {
         let conn = &self.conns[&channel];
-        let (transport, tag) = (conn.transport.expect("bound"), conn.tag);
+        let Some(transport) = conn.transport else {
+            return;
+        };
         let hello = Frame::Hello(Hello {
             from: self.name.clone(),
             tunnels: conn.tunnels,
         });
-        self.news.push_back((channel, Event::Dialed(true)));
-        self.send(transport, tag, hello).await;
+        self.send(transport, conn.tag, hello).await;
     }
 
-    /// Tell the far end that a channel is over, if it is bound.
+    /// Tell the far end that a channel is over, if it is bound, and take
+    /// it off its transport.
     async fn bye(&mut self, channel: ChannelId) {
         let Some(conn) = self.conns.get(&channel) else {
             return;
@@ -1014,12 +1032,15 @@ impl Actor {
             let tag = conn.tag;
             self.send(transport, tag, Frame::Bye).await;
         }
+        self.unbind(channel);
     }
 
-    /// Take a channel off its transport, if it is bound to one, and return
-    /// the transport, which stays open even with no channel left.
+    /// Take a channel off its connection for good, and off its transport
+    /// if it is bound to one, and return the transport, which stays open
+    /// even with no channel left.
     fn detach(&mut self, channel: ChannelId) -> Option<u32> {
         let conn = self.conns.get_mut(&channel)?;
+        conn.dialed = false;
         let transport = conn.transport.take()?;
         if let Some(t) = self.transports.get_mut(&transport) {
             t.channels.remove(&conn.tag);
@@ -1035,40 +1056,37 @@ impl Actor {
         }
     }
 
-    /// Close a transport no channel is bound to: its writer drains what
-    /// is queued, then shuts the socket.
+    /// Close a transport no channel is bound to, and the connection it is:
+    /// its writer drains what is queued, then shuts the socket, and the
+    /// next dial to the box starts a connection anew.
     fn release(&mut self, transport: u32) {
         if self
             .transports
             .get(&transport)
             .is_some_and(|t| t.channels.is_empty())
         {
-            self.close(transport);
+            if let Some(to) = self.transports.remove(&transport).and_then(|t| t.dialed) {
+                self.links.remove(&to);
+            }
         }
-    }
-
-    /// Forget a transport, and the route through it: a transport this
-    /// node dialed is the live route to that box until it closes (a new
-    /// connect to the box starts only once there is no route).
-    fn close(&mut self, transport: u32) -> Option<Transport> {
-        let t = self.transports.remove(&transport)?;
-        if let Some(to) = &t.dialed {
-            self.routes.remove(to);
-        }
-        Some(t)
     }
 
     /// A transport died: every channel bound to it lost its connection.
+    /// The ones this node dialed park while the connection's lifecycle
+    /// decides; the ones it accepted go down.
     fn lose_transport(&mut self, transport: u32) {
-        let Some(t) = self.close(transport) else {
+        let Some(t) = self.transports.remove(&transport) else {
             return; // closed already
         };
-        for channel in t.channels.into_values() {
-            if let Some(conn) = self.conns.get_mut(&channel) {
-                conn.transport = None;
-                self.news.push_back((channel, Event::Lost(conn.gen)));
-            }
+        let bound = |c: &&mut Conn| c.transport == Some(transport);
+        for conn in self.conns.values_mut().filter(bound) {
+            conn.transport = None;
         }
+        let Some(to) = t.dialed else {
+            return self.news.extend(t.channels.into_values().map(News::Down));
+        };
+        let gen = self.links.get(&to).map_or(0, Link::gen);
+        self.news.push_back(News::Link(to, Event::Lost(gen)));
     }
 
     /// Queue a frame of the channel tagged `tag` on a transport. A full

@@ -461,9 +461,9 @@ async fn a_dial_in_flight_holds_up_nothing_else() {
         base_delay: Duration::from_millis(100),
         ..ReconnectPolicy::default()
     };
-    // The sleeps between the ghost's six attempts: "ghost" is the node's
-    // first channel.
-    let planned: Duration = backoff_delays(&policy, jitter_seed("two-dials", 0), 6)[..5]
+    // The sleeps between the six attempts of the node's connection to
+    // "ghost".
+    let planned: Duration = backoff_delays(&policy, jitter_seed("two-dials", "ghost"), 6)[..5]
         .iter()
         .sum();
     assert!(planned > Duration::from_secs(1), "planned {planned:?}");
@@ -555,7 +555,7 @@ async fn a_node_that_shut_down_dials_no_more() {
     // The ghost comes up while the dial would still be backing off.
     let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
     dir.register("ghost", listener.local_addr().unwrap());
-    let planned: Duration = backoff_delays(&policy, jitter_seed("dials-ghost", 0), 6)[..5]
+    let planned: Duration = backoff_delays(&policy, jitter_seed("dials-ghost", "ghost"), 6)[..5]
         .iter()
         .sum();
     let dialed = tokio::time::timeout(planned, listener.accept()).await;

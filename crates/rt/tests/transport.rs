@@ -105,8 +105,9 @@ async fn first_dials_to_one_box_share_one_connection_in_dial_order() {
 }
 
 /// (b) A transport that dies costs every channel on it its connection, and
-/// their re-dials share one new connection: each channel says hello on it
-/// again and resyncs (its parked open is sent anew).
+/// the connection's one lifecycle re-dials it once for all of them: each
+/// channel says hello on the new connection again, in tag order, and
+/// resyncs (its parked open is sent anew).
 #[tokio::test]
 async fn a_dead_transport_is_redialed_once_for_all_its_channels() {
     const N: u16 = 4;
@@ -118,8 +119,7 @@ async fn a_dead_transport_is_redialed_once_for_all_its_channels() {
 
     let (sock, _) = timeout(WAIT, listener.accept()).await.unwrap().unwrap();
     let mut peer = Framed::new(sock);
-    let mut hellos = hellos_and_opens(&mut peer, N.into()).await;
-    hellos.sort_unstable();
+    let hellos = hellos_and_opens(&mut peer, N.into()).await;
     assert_eq!(hellos, (0..u32::from(N)).collect::<Vec<_>>());
     let recovered = |s: &NodeSnapshot| s.recovering == 0 && s.channels == usize::from(N);
     assert!(node.wait_for(WAIT, recovered).await);
@@ -278,14 +278,15 @@ impl Observer for Reconnects {
 
 /// (d) A transport fails whole, as the TCP connection under it does: one
 /// gate-blocked frame on one channel costs every channel on the transport
-/// its connection, and after the heal their re-dials share one new
-/// connection, each resyncing once.
+/// its connection (the acceptor's go down, as it never re-dials), and
+/// after the heal their re-dials share one new connection, each
+/// resyncing once.
 #[tokio::test]
 async fn a_gated_transmit_costs_every_channel_on_its_transport() {
     const N: usize = 3;
     let dir = Directory::new();
     let logic = EndpointLogic::resource(EndpointPolicy::audio(addr(2)));
-    let callee = spawn_node(
+    let mut callee = spawn_node(
         "callee-node",
         BoxId(2),
         Box::new(logic),
@@ -326,6 +327,7 @@ async fn a_gated_transmit_costs_every_channel_on_its_transport() {
     };
     caller.user(slot, cmd).await;
     assert!(caller.wait_for(WAIT, |s| s.recovering == N).await);
+    assert!(callee.wait_for(WAIT, |s| s.channels == 0).await);
 
     gate.heal("caller", "callee");
     let recovered = |s: &NodeSnapshot| s.recovering == 0 && s.channels == N;

@@ -112,9 +112,10 @@ timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
 
 echo "== rt socket tests (optimized build)" >&2
 # `cargo test` runs these in debug only, and deployments and the benchmark
-# run this code optimized: the shared transport, the slot cap and
-# connection recovery over real sockets, each file under a 120 s budget.
-for test in transport slot_cap recovery; do
+# run this code optimized: the shared transport, the slot cap, connection
+# recovery and the dial budgets over real sockets, each file under a
+# 120 s budget.
+for test in transport slot_cap recovery tcp_stack; do
   timed_gate "rt $test" 120 "failed" ipmedia-rt "test:$test" >/dev/null
 done
 
