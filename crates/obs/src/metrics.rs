@@ -99,6 +99,50 @@ impl Histogram {
     }
 }
 
+impl Histogram {
+    /// An empty [`Tally`] over this histogram's buckets.
+    pub fn tally(&self) -> Tally {
+        Tally {
+            bounds: self.bounds.clone(),
+            counts: vec![0; self.counts.len()],
+            sum: 0,
+        }
+    }
+
+    /// Add what `tally` observed into the histogram, and empty it.
+    pub fn absorb(&self, tally: &mut Tally) {
+        debug_assert_eq!(tally.bounds, self.bounds, "a tally of another histogram");
+        for (cell, n) in self.counts.iter().zip(&mut tally.counts) {
+            if *n > 0 {
+                cell.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        }
+        if tally.sum > 0 {
+            self.sum
+                .fetch_add(std::mem::take(&mut tally.sum), Ordering::Relaxed);
+        }
+    }
+}
+
+/// Observations one thread keeps for a [`Histogram`] and adds into it in
+/// one go ([`Histogram::absorb`]): a plain count per bucket, so an
+/// observation costs no atomic operation, and readers of the histogram
+/// see the tally's observations only once absorbed.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    bounds: Vec<u64>,
+    counts: Vec<u64>,
+    sum: u64,
+}
+
+impl Tally {
+    pub fn observe(&mut self, value: u64) {
+        let idx = self.bounds.partition_point(|b| *b < value);
+        self.counts[idx] += 1;
+        self.sum += value;
+    }
+}
+
 /// A point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
@@ -246,7 +290,13 @@ metric_table! {
     /// Flow-link reconvergence after a relink (§VII, Fig. 13).
     pub flowlink_convergence_ms: histogram([25, 50, 75, 100, 150, 200, 300, 400, 600, 800])
         => "ipmedia_flowlink_convergence_ms";
-    /// Single-stimulus compute time inside a box's `handle`.
+    /// Compute time per stimulus, one observation each. On `rt` it is the
+    /// actor's whole time per stimulus: from the end of the previous
+    /// stimulus of the same wake (or from the wake) to the end of this one,
+    /// the box's `handle`, decoding the frame and executing its effects
+    /// included, time waiting for writer room (`writer_wait_us`) excluded.
+    /// The actor tallies it and adds the tally in at every snapshot
+    /// publish.
     pub stimulus_compute_us: histogram([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000])
         => "ipmedia_stimulus_compute_us";
     /// Time an `rt` actor waited for room in a connection's full writer
@@ -381,6 +431,22 @@ mod tests {
         assert_eq!(s.counts, vec![0, 0, 0, 2]);
         assert_eq!(s.overflow(), 2);
         assert_eq!(s.sum, 1_000_051);
+    }
+
+    /// A tally absorbed reads as the same observations made directly, and
+    /// is empty after.
+    #[test]
+    fn an_absorbed_tally_is_its_observations() {
+        let (direct, tallied) = (Histogram::new(&[10, 20]), Histogram::new(&[10, 20]));
+        let mut tally = tallied.tally();
+        for v in [0, 10, 15, 99] {
+            direct.observe(v);
+            tally.observe(v);
+        }
+        assert_eq!(tallied.snapshot().total(), 0, "not absorbed yet");
+        tallied.absorb(&mut tally);
+        tallied.absorb(&mut tally);
+        assert_eq!(tallied.snapshot(), direct.snapshot());
     }
 
     #[test]

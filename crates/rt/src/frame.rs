@@ -4,7 +4,12 @@
 //! (paper §I), which TCP provides; framing turns the byte stream back into
 //! discrete signals. Each frame is a 32-bit big-endian length followed by
 //! the payload. A maximum frame size bounds memory against malformed or
-//! malicious peers.
+//! malicious peers, and is refused at the writer as at the reader.
+//!
+//! Frames move in *runs*, whole frames back to back as they are on the
+//! wire: [`Framed::read_run`] returns every whole frame one read brought,
+//! [`frames`] walks a run's payloads in place, and [`put_frame`] appends a
+//! frame to a run a writer sends with one [`Framed::write_run`].
 
 use bytes::{Buf, BytesMut};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
@@ -75,31 +80,28 @@ impl<S> Framed<S> {
 impl<S: AsyncWriteExt + Unpin> Framed<S> {
     /// Write one frame (length prefix + payload) and flush.
     pub async fn write_frame(&mut self, payload: &[u8]) -> Result<(), FrameError> {
-        if payload.len() > MAX_FRAME {
-            return Err(FrameError::TooLarge(payload.len()));
-        }
-        self.stream.write_u32(payload.len() as u32).await?;
-        self.stream.write_all(payload).await?;
-        self.stream.flush().await?;
-        Ok(())
+        let mut run = Vec::with_capacity(4 + payload.len());
+        put_frame(&mut run, |b| b.extend_from_slice(payload))?;
+        self.write_run(&run).await
     }
 
-    /// Write a batch of frames as one buffered write and a single flush.
-    /// When a writer queue backs up under load, this amortizes the
-    /// per-frame syscalls (length prefix + payload + flush) over the
-    /// whole batch; the bytes on the wire are identical to writing each
-    /// frame individually.
+    /// Write a batch of frames as one buffered write and a single flush;
+    /// the bytes on the wire are identical to writing each frame
+    /// individually. Refuses the whole batch if one payload is oversized.
     pub async fn write_frames(&mut self, payloads: &[bytes::Bytes]) -> Result<(), FrameError> {
         let total: usize = payloads.iter().map(|p| p.len() + 4).sum();
-        let mut buf = Vec::with_capacity(total);
+        let mut run = Vec::with_capacity(total);
         for payload in payloads {
-            if payload.len() > MAX_FRAME {
-                return Err(FrameError::TooLarge(payload.len()));
-            }
-            buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            buf.extend_from_slice(payload);
+            put_frame(&mut run, |b| b.extend_from_slice(payload))?;
         }
-        self.stream.write_all(&buf).await?;
+        self.write_run(&run).await
+    }
+
+    /// Write a run of whole frames, as [`put_frame`] builds one, in one
+    /// write and a single flush. When a writer queue backs up under load,
+    /// this amortizes the per-frame syscalls over the whole run.
+    pub async fn write_run(&mut self, run: &[u8]) -> Result<(), FrameError> {
+        self.stream.write_all(run).await?;
         self.stream.flush().await?;
         Ok(())
     }
@@ -108,12 +110,38 @@ impl<S: AsyncWriteExt + Unpin> Framed<S> {
 impl<S: AsyncReadExt + Unpin> Framed<S> {
     /// Read the next frame. `Ok(None)` on clean EOF at a frame boundary.
     pub async fn read_frame(&mut self) -> Result<Option<bytes::Bytes>, FrameError> {
+        let Some(len) = self.fill(false).await? else {
+            return Ok(None);
+        };
+        self.read_buf.advance(4);
+        Ok(Some(self.read_buf.split_to(len - 4).freeze()))
+    }
+
+    /// Every whole frame the buffer holds, reading once first if it holds
+    /// none: one run, length prefixes included, for [`frames`] to walk.
+    /// `Ok(None)` on clean EOF at a frame boundary. The frames ahead of an
+    /// oversized length are a run of their own; the length is the next
+    /// call's error.
+    pub async fn read_run(&mut self) -> Result<Option<bytes::Bytes>, FrameError> {
+        let Some(len) = self.fill(true).await? else {
+            return Ok(None);
+        };
+        Ok(Some(self.read_buf.split_to(len).freeze()))
+    }
+
+    /// Read until the buffer starts with a whole frame, and return the
+    /// length of the whole frames at its front: the first one, or `all`.
+    /// `None` on clean EOF.
+    async fn fill(&mut self, all: bool) -> Result<Option<usize>, FrameError> {
         loop {
-            if let Some(frame) = self.try_parse()? {
-                return Ok(Some(frame));
+            let (whole, missing) = self.whole(all)?;
+            if whole > 0 {
+                return Ok(Some(whole));
             }
-            let n = self.stream.read_buf(&mut self.read_buf).await?;
-            if n == 0 {
+            // Room for the rest of the first frame at least, so a read
+            // never finds the buffer full.
+            self.read_buf.reserve(missing);
+            if self.stream.read_buf(&mut self.read_buf).await? == 0 {
                 return if self.read_buf.is_empty() {
                     Ok(None)
                 } else {
@@ -123,20 +151,69 @@ impl<S: AsyncReadExt + Unpin> Framed<S> {
         }
     }
 
-    fn try_parse(&mut self) -> Result<Option<bytes::Bytes>, FrameError> {
-        if self.read_buf.len() < 4 {
-            return Ok(None);
+    /// The length of the whole frames at the front of the buffer (the
+    /// first, or `all`), and with none, how many bytes the first one
+    /// lacks. A length over [`MAX_FRAME`] is refused before any buffer
+    /// grows for it.
+    fn whole(&self, all: bool) -> Result<(usize, usize), FrameError> {
+        let buf = &self.read_buf[..];
+        let mut at = 0;
+        while let Some(prefix) = buf.get(at..at + 4) {
+            let len = u32::from_be_bytes(prefix.try_into().expect("four bytes")) as usize;
+            if len > MAX_FRAME {
+                return if at > 0 {
+                    Ok((at, 0))
+                } else {
+                    Err(FrameError::TooLarge(len))
+                };
+            }
+            if buf.len() < at + 4 + len {
+                return Ok((at, at + 4 + len - buf.len()));
+            }
+            at += 4 + len;
+            if !all {
+                break;
+            }
         }
-        let len = u32::from_be_bytes(self.read_buf[0..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            return Err(FrameError::TooLarge(len));
-        }
-        if self.read_buf.len() < 4 + len {
-            self.read_buf.reserve(4 + len - self.read_buf.len());
-            return Ok(None);
-        }
-        self.read_buf.advance(4);
-        Ok(Some(self.read_buf.split_to(len).freeze()))
+        Ok((at, 4usize.saturating_sub(buf.len())))
+    }
+}
+
+/// Append one frame to `run` as it goes on the wire: a length prefix, then
+/// the payload `encode` appends. A payload over [`MAX_FRAME`] is taken back
+/// out, leaving `run` as it was, and refused.
+pub fn put_frame(run: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), FrameError> {
+    let start = run.len();
+    run.extend_from_slice(&[0; 4]);
+    encode(run);
+    let len = run.len() - start - 4;
+    if len > MAX_FRAME {
+        run.truncate(start);
+        return Err(FrameError::TooLarge(len));
+    }
+    run[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// The payloads of a run's frames, in order. A run is what
+/// [`Framed::read_run`] returns or [`put_frame`] builds: whole frames; the
+/// walk stops at any byte that does not begin one.
+pub fn frames(run: &[u8]) -> Frames<'_> {
+    Frames(run)
+}
+
+/// [`frames`].
+pub struct Frames<'a>(&'a [u8]);
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let prefix = self.0.get(..4)?;
+        let len = u32::from_be_bytes(prefix.try_into().expect("four bytes")) as usize;
+        let frame = self.0.get(4..4 + len)?;
+        self.0 = &self.0[4 + len..];
+        Some(frame)
     }
 }
 

@@ -16,12 +16,13 @@ pub mod node;
 pub mod wire;
 
 pub use chaos::{drive_schedule, ChaosGate};
-pub use frame::{FrameError, Framed, MAX_FRAME};
+pub use frame::{frames, put_frame, FrameError, Framed, MAX_FRAME};
 pub use ipmedia_core::link::{backoff_delays, jitter_seed, ReconnectPolicy};
 pub use node::{
     spawn_node, spawn_node_tuned, Directory, NodeHandle, NodeOptions, NodeSnapshot, NodeTuning,
     SlotSnapshot,
 };
 pub use wire::{
-    decode, decode_tagged, encode, encode_tagged, Frame, Hello, WireError, WIRE_VERSION,
+    decode, decode_tagged, decode_tagged_slice, encode, encode_tagged, encode_tagged_into, Frame,
+    Hello, WireError, WIRE_VERSION,
 };

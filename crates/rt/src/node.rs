@@ -14,9 +14,15 @@
 //! *transport*, and each frame on it is tagged with its channel (the
 //! dialer's channel id): a channel is *bound* to a transport by its
 //! `Hello` and leaves it by its `Bye`, and the socket closes with the
-//! last channel bound to it. A transport fails whole, as a TCP
+//! last channel bound to it (a peer's `Bye` of the last one closes it
+//! only at the dialer: the acceptor leaves it for the dialer to close).
+//! A transport fails whole, as a TCP
 //! connection does: every channel bound to it loses its connection, and
 //! the dialer re-dials the connection once for all of them.
+//! Frames cross a node as byte runs: a transport's reader hands the actor
+//! every whole frame one read brought as one inbox entry, which the actor
+//! decodes in place, frame by frame, and its writer encodes every frame
+//! queued for one write into one reused buffer.
 //! All I/O is non-blocking; per-transport writer tasks apply
 //! backpressure via bounded channels — an actor whose writer queue is
 //! full waits for room, for at most the send timeout, and never discards
@@ -24,7 +30,7 @@
 //! channel with an orderly `Bye` frame.
 
 use crate::chaos::ChaosGate;
-use crate::frame::Framed;
+use crate::frame::{self, Framed};
 use crate::wire::{self, Frame, Hello};
 use ipmedia_core::goal::UserCmd;
 use ipmedia_core::host::{Arrival, Buffers, Effect, Input, NodeHost};
@@ -34,7 +40,7 @@ use ipmedia_core::program::{AppLogic, BoxInput, TimerId};
 use ipmedia_core::signal::ChannelMsg;
 use ipmedia_core::slot::Slot;
 use ipmedia_core::{BoxId, Codec, MediaAddr, SlotState};
-use ipmedia_obs::metrics::{CountingObserver, Registry};
+use ipmedia_obs::metrics::{CountingObserver, Registry, Tally};
 use ipmedia_obs::trace::{SpanCtx, Tracer};
 use ipmedia_obs::{Fanout, NoopObserver, ObsEvent, Observer};
 use std::cmp::Reverse;
@@ -46,16 +52,26 @@ use tokio::sync::{mpsc, watch};
 use tokio::task::JoinHandle;
 use tokio::time::{timeout, timeout_at, Duration, Instant};
 
-/// Inbox inputs of any kind applied per actor wakeup before the snapshot
-/// publish. A publish costs what the inputs touched, but each one wakes
-/// whoever waits on the snapshot (a futex wake of a parked thread):
-/// paying that per frame cost ×0.89 on `rt_waves`, 64 ahead in 9 of 10
-/// pairs; per user command, ×0.93, ahead in 4 of 5.
+/// Inputs applied per actor wakeup before the snapshot publish: frames
+/// and commands, not inbox entries. A run of frames is always applied
+/// whole, so a publish comes after at most this many inputs plus one run.
+/// A publish costs what the inputs touched, but each one wakes whoever
+/// waits on the snapshot (a futex wake of a parked thread): paying that
+/// per frame cost ×0.89 on `rt_waves`, 64 ahead in 9 of 10 pairs; per
+/// user command, ×0.93, ahead in 4 of 5.
 const INBOX_BATCH: usize = 64;
 
-/// Frames a transport writer folds into one buffered write and flush:
-/// +4…+8 % on `rt_waves` in each of the three pairings measured.
+/// Frames a transport writer encodes into its one buffer before one write
+/// and flush: +4…+8 % on `rt_waves` in each of the three pairings
+/// measured.
 const WRITER_BATCH: usize = 32;
+
+/// Entries the node's one inbox holds. A reader's entry is a run, every
+/// whole frame one read brought, so it is at most the reader's buffer:
+/// 4 KiB, grown only to fit one longer frame, and always under twice
+/// `MAX_FRAME + 4` (128 KiB). The inbox thus holds at most 1 MiB of
+/// frames while every frame is under 4 KiB, and 32 MiB at the worst.
+const INBOX: usize = 256;
 
 // Shell: `benchmark/` still names it; the re-baseline PR deletes it.
 #[doc(hidden)]
@@ -217,12 +233,13 @@ impl NodeHandle {
 }
 
 enum Inbox {
-    /// A frame of the channel tagged `tag` arrived on a transport.
-    Net {
-        transport: u32,
-        tag: u32,
-        frame: Frame,
-    },
+    /// A run of frames arrived on a transport: every whole frame one read
+    /// brought, each tagged with its channel, decoded where they are
+    /// applied.
+    Run { transport: u32, run: bytes::Bytes },
+    /// A transport's writer refused frames whose encoding exceeds
+    /// `MAX_FRAME`; the transport carries on.
+    Refused { frames: usize },
     /// A connection was accepted and sent its first hello, for the
     /// channel tagged `tag`.
     Accepted {
@@ -272,6 +289,8 @@ struct Transport {
     dialed: Option<String>,
     /// The writer task's input queue.
     writer: mpsc::Sender<(u32, Frame)>,
+    /// The reader task, stopped when a frame it read does not decode.
+    reader: JoinHandle<()>,
     /// Channel tag → channel, for every channel bound to the transport.
     /// Ordered, so the channels a dead transport leaves hear of it in tag
     /// order.
@@ -390,7 +409,7 @@ pub async fn spawn_node(
 
     // One queue for every input, the handle's included: per-channel FIFO
     // (what §VI resync and the Bye protocol rely on) is global FIFO.
-    let (inbox_tx, inbox_rx) = mpsc::channel::<Inbox>(256);
+    let (inbox_tx, inbox_rx) = mpsc::channel::<Inbox>(INBOX);
 
     // Accept loop: read the first hello off the main loop so a slow
     // opener cannot stall signal processing, and bound it by the send
@@ -438,6 +457,8 @@ pub async fn spawn_node(
         gate,
         inbox_tx: inbox_tx.clone(),
         started: Instant::now(),
+        mark: Instant::now(),
+        compute: registry.stimulus_compute_us.tally(),
         buffers: Buffers::default(),
         news: VecDeque::new(),
     };
@@ -530,6 +551,12 @@ struct Actor {
     inbox_tx: mpsc::Sender<Inbox>,
     /// The origin of the milliseconds the connections' lifecycles read.
     started: Instant,
+    /// Where the stimulus being applied started: the end of the previous
+    /// one of this wake, or the wake, moved on past any writer wait.
+    mark: Instant,
+    /// `stimulus_compute_us`, kept here and added to the registry at every
+    /// publish.
+    compute: Tally,
     /// Lent to every host call and drained right after.
     buffers: Buffers,
     /// What the actor itself learned about connections and channels
@@ -558,21 +585,24 @@ impl Actor {
                 Some(due) => timeout_at(due, inbox_rx.recv()).await,
                 None => Ok(inbox_rx.recv().await),
             };
+            self.mark = Instant::now();
             let Ok(msg) = msg else {
                 continue;
             };
-            if !self.on_inbox(msg.expect("the actor holds a sender")).await {
+            let Some(mut applied) = self.on_inbox(msg.expect("the actor holds a sender")).await
+            else {
                 break;
-            }
+            };
             // Apply what else is already queued before paying for the
             // snapshot publish.
-            for _ in 1..INBOX_BATCH {
+            while applied < INBOX_BATCH {
                 let Ok(msg) = inbox_rx.try_recv() else {
                     break;
                 };
-                if !self.on_inbox(msg).await {
+                let Some(inputs) = self.on_inbox(msg).await else {
                     break 'run;
-                }
+                };
+                applied += inputs;
             }
         }
 
@@ -584,13 +614,17 @@ impl Actor {
         for channel in channels {
             self.bye(channel).await;
         }
+        self.registry.stimulus_compute_us.absorb(&mut self.compute);
         self.dir.deregister(&self.name, self.addr);
     }
 
     /// Feed one input to the host and execute its effects. `cause` is the
-    /// trace context the input arrived with, if any.
+    /// trace context the input arrived with, if any. A stimulus ends here,
+    /// its effects executed, and is timed into `stimulus_compute_us` from
+    /// the mark: every stimulus is timed, including a user command that
+    /// ends up rejected; inputs the host dropped are not stimuli.
     async fn feed(&mut self, input: Input, cause: Option<SpanCtx>) {
-        let ctx = self.apply(input, cause);
+        let (ctx, stimulus) = self.apply(input, cause);
         let mut effects = std::mem::take(&mut self.buffers.effects);
         for effect in effects.drain(..) {
             match effect {
@@ -611,13 +645,19 @@ impl Actor {
             }
         }
         self.buffers.effects = effects;
+        if stimulus {
+            let now = Instant::now();
+            let us = now.saturating_duration_since(self.mark).as_micros();
+            self.compute.observe(us as u64);
+            self.mark = now;
+        }
     }
 
-    /// One host call: stamps the arrival with the tracer's clock, times
-    /// the synchronous compute cost into `stimulus_compute_us`, and
+    /// One host call: stamps the arrival with the tracer's clock and
     /// reports a rejected user command instead of losing it. Returns the
-    /// trace context the resulting frames carry.
-    fn apply(&mut self, input: Input, cause: Option<SpanCtx>) -> Option<SpanCtx> {
+    /// trace context the resulting frames carry, and whether the input was
+    /// a stimulus.
+    fn apply(&mut self, input: Input, cause: Option<SpanCtx>) -> (Option<SpanCtx>, bool) {
         let now = self.tracer.as_ref().map_or(0, Tracer::now_micros);
         let at = Arrival {
             cause,
@@ -626,7 +666,6 @@ impl Actor {
             start_micros: now,
             done_micros: now,
         };
-        let t0 = std::time::Instant::now();
         let result = self.host.handle(
             input,
             &at,
@@ -634,20 +673,13 @@ impl Actor {
             self.tracer.as_ref(),
             &mut self.buffers,
         );
-        // Every stimulus is timed, including a user command that ends up
-        // rejected; inputs the host dropped are not stimuli.
-        if result.as_ref().map_or(true, |o| o.activated) {
-            self.registry
-                .stimulus_compute_us
-                .observe(t0.elapsed().as_micros() as u64);
-        }
         match result {
-            Ok(outcome) => outcome.ctx,
+            Ok(outcome) => (outcome.ctx, outcome.activated),
             Err(rejected) => {
                 let bx = self.host.id().0;
                 self.obs
                     .signal_ignored(bx, rejected.slot.0, "user_rejected");
-                None
+                (None, true)
             }
         }
     }
@@ -677,6 +709,9 @@ impl Actor {
         let opened = self.conns.values().filter(|c| c.dial.is_none());
         let channels = opened.clone().count();
         let recovering = opened.filter(|c| c.dialed && c.transport.is_none()).count();
+        // Before the watch moves, so whoever it wakes reads every stimulus
+        // timed.
+        self.registry.stimulus_compute_us.absorb(&mut self.compute);
         self.snap_tx.send_modify(|snap| {
             if rebuild {
                 std::mem::swap(&mut snap.slots, &mut self.fresh);
@@ -716,19 +751,22 @@ impl Actor {
         self.settle().await;
     }
 
-    /// Applies one inbox input, then the news it made; `false` once it is
+    /// Applies one inbox entry, each input in it followed by the news it
+    /// made, and returns how many inputs that was; `None` once it is
     /// [`Inbox::Shutdown`].
-    async fn on_inbox(&mut self, msg: Inbox) -> bool {
+    async fn on_inbox(&mut self, msg: Inbox) -> Option<usize> {
         match msg {
+            Inbox::Run { transport, run } => return Some(self.on_run(transport, &run).await),
+            Inbox::Refused { frames } => {
+                let bx = self.host.id().0;
+                for _ in 0..frames {
+                    self.obs.fault_injected(bx, "oversize");
+                }
+            }
             Inbox::Accepted { tag, hello, framed } => {
                 let transport = self.attach(None, framed);
                 self.on_hello(transport, tag, hello).await;
             }
-            Inbox::Net {
-                transport,
-                tag,
-                frame,
-            } => self.on_frame(transport, tag, frame).await,
             Inbox::Gone { transport } => self.lose_transport(transport),
             Inbox::Connected { to, stream } => {
                 self.on_link(to, Event::Dialed(stream.is_some()), stream)
@@ -736,10 +774,34 @@ impl Actor {
             }
             Inbox::User { slot, cmd } => self.feed(Input::User { slot, cmd }, None).await,
             Inbox::Inject(input) => self.feed(Input::Inject(input), None).await,
-            Inbox::Shutdown => return false,
+            Inbox::Shutdown => return None,
         }
         self.settle().await;
-        true
+        Some(1)
+    }
+
+    /// Applies a run's frames in wire order, each decoded in place and
+    /// followed by the news it made, and returns how many. A frame that
+    /// does not decode ends its transport, as a dead socket does: the
+    /// frames before it are applied, none after it, and its reader stops.
+    async fn on_run(&mut self, transport: u32, run: &[u8]) -> usize {
+        let mut applied = 0;
+        for bytes in frame::frames(run) {
+            applied += 1;
+            match wire::decode_tagged_slice(bytes) {
+                Ok((tag, frame)) => self.on_frame(transport, tag, frame).await,
+                Err(_) => {
+                    if let Some(t) = self.transports.get(&transport) {
+                        t.reader.abort();
+                    }
+                    self.lose_transport(transport);
+                    self.settle().await;
+                    break;
+                }
+            }
+            self.settle().await;
+        }
+        applied
     }
 
     /// Act on the news, in the order it came.
@@ -962,9 +1024,17 @@ impl Actor {
     }
 
     /// A channel goes down in order: off its transport, then
-    /// ChannelDown to the program.
+    /// ChannelDown to the program. A transport this node dialed closes
+    /// with its last channel; one it accepted is left for its dialer to
+    /// close, so a hello that follows the last channel's `Bye` on it still
+    /// binds.
     async fn down(&mut self, channel: ChannelId) {
-        self.unbind(channel);
+        if let Some(transport) = self.detach(channel) {
+            let dialed = self.transports.get(&transport).map(|t| &t.dialed);
+            if dialed.is_some_and(Option::is_some) {
+                self.release(transport);
+            }
+        }
         if self.conns.remove(&channel).is_some() {
             self.slots_changed = true;
             self.feed(Input::ChannelDown { channel }, None).await;
@@ -1102,11 +1172,15 @@ impl Actor {
         let Err(mpsc::error::TrySendError::Full(item)) = t.writer.try_send((tag, frame)) else {
             return;
         };
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let waited = timeout(self.policy.send_timeout, t.writer.send(item)).await;
+        // The wait is writer wait's alone: the stimulus's time resumes
+        // after it.
+        let wait = t0.elapsed();
+        self.mark += wait;
         self.registry
             .writer_wait_us
-            .observe(t0.elapsed().as_micros() as u64);
+            .observe(wait.as_micros() as u64);
         if waited.is_err() {
             self.lose_transport(transport);
         }
@@ -1125,55 +1199,59 @@ impl Actor {
         let (read_half, write_half) = stream.into_split();
 
         let tx = self.inbox_tx.clone();
-        tokio::spawn(async move {
+        let reader = tokio::spawn(async move {
             // Frames that arrived behind the first hello are still in the
             // buffer; the reader must start from them.
             let mut reader = Framed::from_parts(read_half, leftover);
-            loop {
-                let read = reader.read_frame().await.ok().flatten();
-                let Some((tag, frame)) = read.and_then(|bytes| wire::decode_tagged(bytes).ok())
-                else {
-                    let _ = tx.send(Inbox::Gone { transport }).await;
-                    break;
-                };
-                let net = Inbox::Net {
-                    transport,
-                    tag,
-                    frame,
-                };
-                if tx.send(net).await.is_err() {
-                    break;
+            // Every whole frame one read brings is one entry, a run the
+            // actor decodes in place.
+            while let Ok(Some(run)) = reader.read_run().await {
+                if tx.send(Inbox::Run { transport, run }).await.is_err() {
+                    return;
                 }
             }
+            let _ = tx.send(Inbox::Gone { transport }).await;
         });
         let tx = self.inbox_tx.clone();
         let send_timeout = self.policy.send_timeout;
         tokio::spawn(async move {
             let mut writer = Framed::new(write_half);
-            let mut payloads: Vec<bytes::Bytes> = Vec::with_capacity(WRITER_BATCH);
+            let mut run = Vec::with_capacity(4 * 1024);
             // The queue closes once the transport is released and drained.
-            while let Some((tag, frame)) = writer_rx.recv().await {
-                // Fold whatever else is already queued, for any channel,
-                // into one buffered write and a single flush; under storm
-                // load this turns 2+ syscalls per frame into 2 per batch.
-                payloads.push(wire::encode_tagged(tag, &frame));
-                while payloads.len() < WRITER_BATCH {
-                    let Ok((tag, frame)) = writer_rx.try_recv() else {
-                        break;
-                    };
-                    payloads.push(wire::encode_tagged(tag, &frame));
+            while let Some(first) = writer_rx.recv().await {
+                // Encode whatever else is already queued, for any channel,
+                // into the one buffer, for one write and a single flush;
+                // under storm load this turns 2+ syscalls per frame into 2
+                // per batch. A frame too large for the wire is refused
+                // alone: its siblings on the transport carry on.
+                let (mut next, mut frames, mut refused) = (Some(first), 0, 0);
+                while let Some((tag, frame)) = next {
+                    let put = frame::put_frame(&mut run, |b| {
+                        wire::encode_tagged_into(b, tag, &frame);
+                    });
+                    refused += usize::from(put.is_err());
+                    frames += 1;
+                    next = (frames < WRITER_BATCH)
+                        .then(|| writer_rx.try_recv().ok())
+                        .flatten();
                 }
-                let written = timeout(send_timeout, writer.write_frames(&payloads)).await;
-                if !matches!(written, Ok(Ok(()))) {
-                    let _ = tx.send(Inbox::Gone { transport }).await;
+                if !run.is_empty() {
+                    let written = timeout(send_timeout, writer.write_run(&run)).await;
+                    run.clear();
+                    if !matches!(written, Ok(Ok(()))) {
+                        let _ = tx.send(Inbox::Gone { transport }).await;
+                        break;
+                    }
+                }
+                if refused > 0 && tx.send(Inbox::Refused { frames: refused }).await.is_err() {
                     break;
                 }
-                payloads.clear();
             }
         });
         let t = Transport {
             dialed,
             writer: writer_tx,
+            reader,
             channels: BTreeMap::new(),
         };
         self.transports.insert(transport, t);

@@ -10,6 +10,11 @@
 //! *transport*, so a frame on a transport names its channel:
 //! [`encode_tagged`] puts the dialer's channel id between the version and
 //! the frame. [`encode`] is the frame alone.
+//!
+//! There is one encoder, into any [`BufMut`] ([`encode_tagged_into`], what
+//! a transport's writer runs into its one buffer), and one decoder, over a
+//! byte slice in place ([`decode_tagged_slice`], what a node runs on each
+//! frame of a run); the `Bytes` entry points wrap them.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ipmedia_core::{
@@ -79,36 +84,49 @@ pub fn encode(frame: &Frame) -> Bytes {
 }
 
 /// A frame's bytes on a transport: `frame` of the channel the dialer
-/// numbered `channel`.
+/// numbered `channel`. [`encode_tagged_into`] into a new buffer.
 pub fn encode_tagged(channel: u32, frame: &Frame) -> Bytes {
     let mut b = BytesMut::with_capacity(64);
-    b.put_u8(WIRE_VERSION);
-    b.put_u32(channel);
-    encode_frame(&mut b, frame);
+    encode_tagged_into(&mut b, channel, frame);
     b.freeze()
 }
 
+/// Append [`encode_tagged`]'s bytes to `b`: the one encoder a transport
+/// writer runs, into its one reused buffer.
+pub fn encode_tagged_into(b: &mut impl BufMut, channel: u32, frame: &Frame) {
+    b.put_u8(WIRE_VERSION);
+    b.put_u32(channel);
+    encode_frame(b, frame);
+}
+
 /// The inverse of [`encode`].
-pub fn decode(mut buf: Bytes) -> Result<Frame, WireError> {
+pub fn decode(buf: Bytes) -> Result<Frame, WireError> {
+    let mut buf = &buf[..];
     version(&mut buf)?;
     decode_frame(&mut buf)
 }
 
-/// The inverse of [`encode_tagged`]: the channel and its frame.
-pub fn decode_tagged(mut buf: Bytes) -> Result<(u32, Frame), WireError> {
+/// The inverse of [`encode_tagged`]: [`decode_tagged_slice`] of its bytes.
+pub fn decode_tagged(buf: Bytes) -> Result<(u32, Frame), WireError> {
+    decode_tagged_slice(&buf)
+}
+
+/// The channel and frame a tagged frame's bytes carry, read in place: the
+/// one decoder a node runs on the frames of a run.
+pub fn decode_tagged_slice(mut buf: &[u8]) -> Result<(u32, Frame), WireError> {
     version(&mut buf)?;
     let channel = get_u32(&mut buf)?;
     Ok((channel, decode_frame(&mut buf)?))
 }
 
-fn version(buf: &mut Bytes) -> Result<(), WireError> {
+fn version(buf: &mut &[u8]) -> Result<(), WireError> {
     match get_u8(buf)? {
         WIRE_VERSION => Ok(()),
         v => Err(WireError::BadVersion(v)),
     }
 }
 
-fn encode_frame(b: &mut BytesMut, frame: &Frame) {
+fn encode_frame(b: &mut impl BufMut, frame: &Frame) {
     match frame {
         Frame::Hello(h) => {
             b.put_u8(0);
@@ -131,7 +149,7 @@ fn encode_frame(b: &mut BytesMut, frame: &Frame) {
     }
 }
 
-fn decode_frame(buf: &mut Bytes) -> Result<Frame, WireError> {
+fn decode_frame(buf: &mut &[u8]) -> Result<Frame, WireError> {
     match get_u8(buf)? {
         0 => {
             let from = get_str(buf)?;
@@ -154,7 +172,7 @@ fn decode_frame(buf: &mut Bytes) -> Result<Frame, WireError> {
     }
 }
 
-fn encode_msg(b: &mut BytesMut, m: &ChannelMsg) {
+fn encode_msg(b: &mut impl BufMut, m: &ChannelMsg) {
     match m {
         ChannelMsg::Tunnel { tunnel, signal } => {
             b.put_u8(0);
@@ -168,7 +186,7 @@ fn encode_msg(b: &mut BytesMut, m: &ChannelMsg) {
     }
 }
 
-fn decode_msg(buf: &mut Bytes) -> Result<ChannelMsg, WireError> {
+fn decode_msg(buf: &mut &[u8]) -> Result<ChannelMsg, WireError> {
     match get_u8(buf)? {
         0 => {
             let tunnel = TunnelId(get_u16(buf)?);
@@ -180,7 +198,7 @@ fn decode_msg(buf: &mut Bytes) -> Result<ChannelMsg, WireError> {
     }
 }
 
-fn encode_signal(b: &mut BytesMut, s: &Signal) {
+fn encode_signal(b: &mut impl BufMut, s: &Signal) {
     match s {
         Signal::Open { medium, desc } => {
             b.put_u8(0);
@@ -204,7 +222,7 @@ fn encode_signal(b: &mut BytesMut, s: &Signal) {
     }
 }
 
-fn decode_signal(buf: &mut Bytes) -> Result<Signal, WireError> {
+fn decode_signal(buf: &mut &[u8]) -> Result<Signal, WireError> {
     match get_u8(buf)? {
         0 => {
             let medium = medium_from(get_u8(buf)?)?;
@@ -226,7 +244,7 @@ fn decode_signal(buf: &mut Bytes) -> Result<Signal, WireError> {
     }
 }
 
-fn encode_meta(b: &mut BytesMut, m: &MetaSignal) {
+fn encode_meta(b: &mut impl BufMut, m: &MetaSignal) {
     match m {
         MetaSignal::ChannelUp => b.put_u8(0),
         MetaSignal::Peer(av) => {
@@ -241,7 +259,7 @@ fn encode_meta(b: &mut BytesMut, m: &MetaSignal) {
     }
 }
 
-fn decode_meta(buf: &mut Bytes) -> Result<MetaSignal, WireError> {
+fn decode_meta(buf: &mut &[u8]) -> Result<MetaSignal, WireError> {
     match get_u8(buf)? {
         0 => Ok(MetaSignal::ChannelUp),
         1 => Ok(MetaSignal::Peer(if get_u8(buf)? != 0 {
@@ -255,7 +273,7 @@ fn decode_meta(buf: &mut Bytes) -> Result<MetaSignal, WireError> {
     }
 }
 
-fn encode_app(b: &mut BytesMut, a: &AppEvent) {
+fn encode_app(b: &mut impl BufMut, a: &AppEvent) {
     match a {
         AppEvent::FundsVerified => b.put_u8(0),
         AppEvent::MixMatrix(rows) => {
@@ -288,7 +306,7 @@ fn encode_app(b: &mut BytesMut, a: &AppEvent) {
     }
 }
 
-fn decode_app(buf: &mut Bytes) -> Result<AppEvent, WireError> {
+fn decode_app(buf: &mut &[u8]) -> Result<AppEvent, WireError> {
     match get_u8(buf)? {
         0 => Ok(AppEvent::FundsVerified),
         1 => {
@@ -318,7 +336,7 @@ fn decode_app(buf: &mut Bytes) -> Result<AppEvent, WireError> {
     }
 }
 
-fn encode_desc(b: &mut BytesMut, d: &Descriptor) {
+fn encode_desc(b: &mut impl BufMut, d: &Descriptor) {
     b.put_u64(d.tag.origin);
     b.put_u32(d.tag.generation);
     put_addr_opt(b, d.addr);
@@ -328,7 +346,7 @@ fn encode_desc(b: &mut BytesMut, d: &Descriptor) {
     }
 }
 
-fn decode_desc(buf: &mut Bytes) -> Result<Descriptor, WireError> {
+fn decode_desc(buf: &mut &[u8]) -> Result<Descriptor, WireError> {
     let tag = DescTag {
         origin: get_u64(buf)?,
         generation: get_u32(buf)?,
@@ -348,14 +366,14 @@ fn decode_desc(buf: &mut Bytes) -> Result<Descriptor, WireError> {
     Ok(Descriptor { tag, addr, codecs })
 }
 
-fn encode_sel(b: &mut BytesMut, s: &Selector) {
+fn encode_sel(b: &mut impl BufMut, s: &Selector) {
     b.put_u64(s.answers.origin);
     b.put_u32(s.answers.generation);
     put_addr_opt(b, s.sender);
     b.put_u8(codec_id(s.codec));
 }
 
-fn decode_sel(buf: &mut Bytes) -> Result<Selector, WireError> {
+fn decode_sel(buf: &mut &[u8]) -> Result<Selector, WireError> {
     let answers = DescTag {
         origin: get_u64(buf)?,
         generation: get_u32(buf)?,
@@ -415,7 +433,7 @@ fn codec_from(v: u8) -> Result<Codec, WireError> {
     })
 }
 
-fn put_addr_opt(b: &mut BytesMut, addr: Option<MediaAddr>) {
+fn put_addr_opt(b: &mut impl BufMut, addr: Option<MediaAddr>) {
     match addr {
         None => b.put_u8(0),
         Some(a) => match a.ip {
@@ -433,7 +451,7 @@ fn put_addr_opt(b: &mut BytesMut, addr: Option<MediaAddr>) {
     }
 }
 
-fn get_addr_opt(buf: &mut Bytes) -> Result<Option<MediaAddr>, WireError> {
+fn get_addr_opt(buf: &mut &[u8]) -> Result<Option<MediaAddr>, WireError> {
     match get_u8(buf)? {
         0 => Ok(None),
         4 => {
@@ -458,23 +476,24 @@ fn get_addr_opt(buf: &mut Bytes) -> Result<Option<MediaAddr>, WireError> {
     }
 }
 
-fn put_str(b: &mut BytesMut, s: &str) {
+fn put_str(b: &mut impl BufMut, s: &str) {
     b.put_u16(s.len() as u16);
     b.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
+fn get_str(buf: &mut &[u8]) -> Result<String, WireError> {
     let n = get_u16(buf)? as usize;
     if buf.remaining() < n {
         return Err(WireError::Truncated);
     }
-    let bytes = buf.copy_to_bytes(n);
+    let (bytes, rest) = buf.split_at(n);
+    *buf = rest;
     String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("utf-8 string"))
 }
 
 macro_rules! getter {
     ($name:ident, $ty:ty, $size:expr, $get:ident) => {
-        fn $name(buf: &mut Bytes) -> Result<$ty, WireError> {
+        fn $name(buf: &mut &[u8]) -> Result<$ty, WireError> {
             if buf.remaining() < $size {
                 return Err(WireError::Truncated);
             }

@@ -10,12 +10,14 @@ use ipmedia_core::endpoint::{CallerLogic, EndpointLogic};
 use ipmedia_core::goal::{AcceptMode, EndpointPolicy, UserCmd};
 use ipmedia_core::ids::ChannelId;
 use ipmedia_core::program::{AppLogic, BoxInput, Ctx, TimerId};
-use ipmedia_core::signal::{ChannelMsg, Signal};
-use ipmedia_core::{BoxId, MediaAddr, Medium, SlotState};
+use ipmedia_core::signal::{ChannelMsg, MetaSignal, Signal};
+use ipmedia_core::{
+    AppEvent, BoxId, Codec, DescTag, Descriptor, MediaAddr, Medium, SlotState, TunnelId,
+};
 use ipmedia_obs::{ObsEvent, Observer};
 use ipmedia_rt::{
-    spawn_node, wire, ChaosGate, Directory, Frame, Framed, NodeOptions, NodeSnapshot,
-    ReconnectPolicy,
+    put_frame, spawn_node, wire, ChaosGate, Directory, Frame, Framed, Hello, NodeOptions,
+    NodeSnapshot, ReconnectPolicy, MAX_FRAME,
 };
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -337,4 +339,141 @@ async fn a_gated_transmit_costs_every_channel_on_its_transport() {
     assert_eq!(reconnects.load(Ordering::SeqCst), N);
     caller.shutdown().await;
     callee.shutdown().await;
+}
+
+const SEND_BIG: TimerId = TimerId(8);
+
+/// Dials two one-tunnel channels to "peer"; on [`SEND_BIG`] it sends a
+/// meta too large for one frame on the first, then a small one on the
+/// second.
+struct BigMeta {
+    channels: BTreeMap<u32, ChannelId>,
+}
+
+fn small_meta() -> MetaSignal {
+    MetaSignal::App(AppEvent::Custom("small".into()))
+}
+
+impl AppLogic for BigMeta {
+    fn handle(&mut self, input: &BoxInput, ctx: &mut Ctx<'_>) {
+        match input {
+            BoxInput::Start => (0..2).for_each(|req| ctx.open_channel("peer", 1, req)),
+            BoxInput::ChannelUp {
+                channel,
+                req: Some(req),
+                ..
+            } => _ = self.channels.insert(*req, *channel),
+            BoxInput::Timer(SEND_BIG) => {
+                let big = AppEvent::Custom("x".repeat(MAX_FRAME + 4_000));
+                ctx.send_meta(self.channels[&0], MetaSignal::App(big));
+                ctx.send_meta(self.channels[&1], small_meta());
+            }
+            _ => {}
+        }
+    }
+}
+
+/// (e) A message too large for a frame is refused where it is encoded,
+/// and observed there as one fault: the transport under it stays up, so
+/// its sibling channel still carries frames and nothing is re-dialed.
+#[tokio::test]
+async fn an_oversized_frame_is_refused_alone() {
+    let dir = Directory::new();
+    let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+    dir.register("peer", listener.local_addr().unwrap());
+    let logic = BigMeta {
+        channels: BTreeMap::new(),
+    };
+    let opts = NodeOptions {
+        policy: fast_policy(),
+        ..NodeOptions::default()
+    };
+    let mut node = spawn_node("caller", BoxId(1), Box::new(logic), dir, opts)
+        .await
+        .unwrap();
+    let (sock, _) = timeout(WAIT, listener.accept()).await.unwrap().unwrap();
+    let mut peer = Framed::new(sock);
+    for tag in 0..2 {
+        let (said, frame) = next_frame(&mut peer).await;
+        assert!(said == tag && matches!(frame, Frame::Hello(_)));
+    }
+    assert!(node.wait_for(WAIT, |s| s.channels == 2).await);
+
+    node.inject(BoxInput::Timer(SEND_BIG)).await;
+    let small = Frame::Msg(ChannelMsg::Meta(small_meta()));
+    assert_eq!(next_frame(&mut peer).await, (1, small));
+    let registry = node.registry();
+    let counted = |_: &NodeSnapshot| registry.snapshot().faults("other") == 1;
+    assert!(node.wait_for(WAIT, counted).await);
+    let second = timeout(QUIET, listener.accept()).await;
+    assert!(second.is_err(), "the refusal made a second connection");
+    let snap = node.snapshot.borrow().clone();
+    assert_eq!((snap.channels, snap.recovering), (2, 0));
+    assert_eq!(registry.snapshot().faults("other"), 1);
+    node.shutdown().await;
+}
+
+/// (f) Frames of several channels that arrive in one read are applied in
+/// wire order: channel a's open is answered before a's `Bye` drops it,
+/// then b opens and answers its own.
+#[tokio::test]
+async fn frames_of_one_read_are_applied_in_wire_order() {
+    let logic = EndpointLogic::resource(EndpointPolicy::audio(addr(2)));
+    let opts = NodeOptions::default();
+    let mut node = spawn_node("callee", BoxId(2), Box::new(logic), Directory::new(), opts)
+        .await
+        .unwrap();
+    let (a, b) = (0, 1);
+    let hello = Frame::Hello(Hello {
+        from: "raw".into(),
+        tunnels: 1,
+    });
+    let desc = Descriptor::media(
+        DescTag {
+            origin: 7,
+            generation: 0,
+        },
+        addr(1),
+        vec![Codec::G711],
+    );
+    let open = Frame::Msg(ChannelMsg::Tunnel {
+        tunnel: TunnelId(0),
+        signal: Signal::Open {
+            medium: Medium::Audio,
+            desc,
+        },
+    });
+    let mut run = Vec::new();
+    for (tag, frame) in [
+        (a, &hello),
+        (a, &open),
+        (a, &Frame::Bye),
+        (b, &hello),
+        (b, &open),
+    ] {
+        put_frame(&mut run, |buf| wire::encode_tagged_into(buf, tag, frame)).unwrap();
+    }
+    let mut sock = TcpStream::connect(node.addr).await.unwrap();
+    sock.write_all(&run).await.unwrap();
+
+    let mut peer = Framed::new(sock);
+    let mut answered = Vec::new();
+    while answered.len() < 2 {
+        if let (tag, Frame::Msg(ChannelMsg::Tunnel { signal, .. })) = next_frame(&mut peer).await {
+            if matches!(signal, Signal::Oack { .. }) {
+                answered.push(tag);
+            }
+        }
+    }
+    assert_eq!(answered, [a, b], "each open answered, in wire order");
+    let b_alone = |s: &NodeSnapshot| s.channels == 1 && s.slots.len() == 1;
+    assert!(node.wait_for(WAIT, b_alone).await);
+    node.shutdown().await;
+    // The node's shutdown says `Bye` on b, the one channel it still holds.
+    loop {
+        match next_frame(&mut peer).await {
+            (tag, Frame::Bye) => break assert_eq!(tag, b),
+            (tag, _) => assert_eq!(tag, b, "a frame of channel a after its Bye"),
+        }
+    }
 }

@@ -113,9 +113,10 @@ timed_gate "publish cost" "${ALLOC_BUDGET_SECS:-120}" "was exceeded" \
 echo "== rt socket tests (optimized build)" >&2
 # `cargo test` runs these in debug only, and deployments and the benchmark
 # run this code optimized: the shared transport, the slot cap, connection
-# recovery and the dial budgets over real sockets, each file under a
-# 120 s budget.
-for test in transport slot_cap recovery tcp_stack; do
+# recovery and the dial budgets over real sockets, writer back-pressure,
+# the folded snapshot publish and traced frames, each file under a 120 s
+# budget.
+for test in transport slot_cap recovery tcp_stack overload snapshot_fold traced; do
   timed_gate "rt $test" 120 "failed" ipmedia-rt "test:$test" >/dev/null
 done
 

@@ -3,10 +3,10 @@
 //! The build environment has no crates.io access, so the workspace patches
 //! `bytes` to this crate (see `[patch.crates-io]` in the root manifest). It
 //! implements the subset of the real API this workspace uses — contiguous
-//! `Bytes`/`BytesMut` buffers and the `Buf`/`BufMut` cursor traits — with
-//! the same observable semantics, minus the zero-copy sharing tricks
-//! (`split_to` and `freeze` copy instead of refcounting; signaling frames
-//! are tiny, so this is not a measurable cost here).
+//! `Bytes`/`BytesMut` buffers and the `Buf`/`BufMut` cursor traits, `&[u8]`
+//! as a `Buf` included — with the same observable semantics, minus the
+//! zero-copy sharing tricks (`split_to` copies instead of refcounting;
+//! `rt` splits off one run of frames per read, not one frame).
 
 use std::mem::MaybeUninit;
 use std::ops::Deref;
@@ -164,6 +164,22 @@ impl Buf for Bytes {
     }
 }
 
+/// A slice reads from its front, as in the real crate.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "advance out of bounds");
+        *self = &self[cnt..];
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
 
@@ -235,11 +251,23 @@ impl BytesMut {
         self.len() == 0
     }
 
+    /// Room for `additional` more bytes behind the content: the consumed
+    /// front is reclaimed first, as in the real crate, and the buffer
+    /// grows only when that is not enough.
     pub fn reserve(&mut self, additional: usize) {
-        if self.data.capacity() - self.end < additional {
-            self.data.truncate(self.end);
-            self.data.reserve(additional);
+        if self.data.capacity() - self.end >= additional {
+            return;
         }
+        if self.pos > 0 {
+            self.data.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if self.data.capacity() - self.end >= additional {
+                return;
+            }
+        }
+        self.data.truncate(self.end);
+        self.data.reserve(additional);
     }
 
     /// Split off the first `n` unread bytes, leaving the rest in place.
@@ -435,6 +463,33 @@ mod tests {
         fill(&mut v, b"ab");
         fill(&mut v, b"c");
         assert_eq!(v, b"abc");
+    }
+
+    #[test]
+    fn a_slice_is_a_buf() {
+        let bytes = [7, 0xBE, 0xEF, 1, 2];
+        let mut r = &bytes[..];
+        assert_eq!(r.get_u8(), 7);
+        assert_eq!(r.get_u16(), 0xBEEF);
+        assert_eq!(r.remaining(), 2);
+        r.advance(1);
+        assert_eq!(r, &[2][..]);
+    }
+
+    /// A reserve that the consumed front makes room for does not grow the
+    /// buffer.
+    #[test]
+    fn reserve_reclaims_the_consumed_front() {
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(&[1; 64]);
+        let cap = b.data.capacity();
+        b.advance(48);
+        b.reserve(32);
+        assert_eq!(b.data.capacity(), cap);
+        assert_eq!(b.as_ref(), &[1; 16][..]);
+        b.reserve(cap);
+        assert!(b.data.capacity() >= 16 + cap);
+        assert_eq!(b.as_ref(), &[1; 16][..]);
     }
 
     #[test]

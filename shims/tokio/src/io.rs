@@ -48,20 +48,23 @@ impl<S: AsyncRead + ?Sized, B: bytes::BufMut> std::future::Future for ReadBuf<'_
     }
 }
 
-/// Future returned by [`AsyncWriteExt::write_all`] and `write_u32`.
-pub struct WriteAll<'a, S: ?Sized> {
+/// Future returned by [`AsyncWriteExt::write_all`] and `write_u32`: it
+/// writes the bytes it was given, borrowed (`&[u8]`) or its own
+/// (`[u8; 4]`), with no copy.
+pub struct WriteAll<'a, S: ?Sized, D = &'a [u8]> {
     stream: &'a mut S,
-    data: Vec<u8>,
+    data: D,
     pos: usize,
 }
 
-impl<S: AsyncWrite + ?Sized> std::future::Future for WriteAll<'_, S> {
+impl<S: AsyncWrite + ?Sized, D: AsRef<[u8]> + Unpin> std::future::Future for WriteAll<'_, S, D> {
     type Output = io::Result<()>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
-        while this.pos < this.data.len() {
-            match this.stream.poll_write(cx, &this.data[this.pos..]) {
+        let data = this.data.as_ref();
+        while this.pos < data.len() {
+            match this.stream.poll_write(cx, &data[this.pos..]) {
                 Poll::Ready(Ok(0)) => {
                     return Poll::Ready(Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -102,18 +105,18 @@ impl<T: AsyncRead + ?Sized> AsyncReadExt for T {}
 
 /// Write conveniences over [`AsyncWrite`].
 pub trait AsyncWriteExt: AsyncWrite {
-    fn write_all<'a>(&'a mut self, src: &[u8]) -> WriteAll<'a, Self> {
+    fn write_all<'a>(&'a mut self, src: &'a [u8]) -> WriteAll<'a, Self> {
         WriteAll {
             stream: self,
-            data: src.to_vec(),
+            data: src,
             pos: 0,
         }
     }
 
-    fn write_u32(&mut self, v: u32) -> WriteAll<'_, Self> {
+    fn write_u32(&mut self, v: u32) -> WriteAll<'_, Self, [u8; 4]> {
         WriteAll {
             stream: self,
-            data: v.to_be_bytes().to_vec(),
+            data: v.to_be_bytes(),
             pos: 0,
         }
     }
